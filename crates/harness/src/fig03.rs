@@ -25,19 +25,22 @@ fn fp_top5(network: &str) -> f64 {
     }
 }
 
-/// Per-layer weight populations of a zoo network (sampled for generators).
+/// Per-layer weight populations of a zoo network (sampled for generators),
+/// timed as parameter synthesis.
 fn layer_weights(network: &str) -> Vec<Vec<f32>> {
-    let cfg = ZooConfig {
-        spatial_scale: 8,
-        include_classifier: true,
-        batch: 1,
-    };
-    let net = zoo::by_name(network, &cfg);
-    let params = synthesize_params(&net, &SynthConfig::for_network(network));
-    net.compute_nodes()
-        .iter()
-        .map(|&id| weight_values(&params, id))
-        .collect()
+    crate::timing::timed(crate::timing::Phase::Synthesize, || {
+        let cfg = ZooConfig {
+            spatial_scale: 8,
+            include_classifier: true,
+            batch: 1,
+        };
+        let net = zoo::by_name(network, &cfg);
+        let params = synthesize_params(&net, &SynthConfig::for_network(network));
+        net.compute_nodes()
+            .iter()
+            .map(|&id| weight_values(&params, id))
+            .collect()
+    })
 }
 
 /// Computes and formats Fig 3.

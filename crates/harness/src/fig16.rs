@@ -22,11 +22,16 @@ pub fn run(fast: bool) -> String {
     let samples: Vec<_> = (0..3)
         .map(|i| uniform_tensor(prep.net.input_shape(), -1.0, 1.0, 0xCA11B + i))
         .collect();
-    let cals = calibrate_activations(&prep.net, &prep.params, &samples, 0.03);
-
     // Runtime: a fresh input, compared against the frozen thresholds.
     let runtime_input = uniform_tensor(prep.net.input_shape(), -1.0, 1.0, 0x4217);
-    let outs = prep.net.forward(&prep.params, &runtime_input);
+    // Both forwards (the calibration batch and the runtime input) time as
+    // the forward phase.
+    let (cals, outs) = crate::timing::timed(crate::timing::Phase::Forward, || {
+        (
+            calibrate_activations(&prep.net, &prep.params, &samples, 0.03),
+            prep.net.forward(&prep.params, &runtime_input),
+        )
+    });
     let compute = prep.net.compute_nodes();
 
     let mut rows = Vec::new();

@@ -125,10 +125,12 @@ impl Prepared {
                 &mut params,
                 &input,
                 |li| activation_sparsity_target(network, li),
-                2,
+                1,
             );
             (net, params, input)
         });
+        // The shaped network's forward: the reference activations every
+        // workload is extracted from.
         let acts = timing::timed(timing::Phase::Forward, || net.forward(&params, &input));
         Prepared {
             net,

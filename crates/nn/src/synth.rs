@@ -374,58 +374,53 @@ pub fn activation_sparsity_target(network: &str, layer_index: usize) -> Option<f
     }
 }
 
+/// The BatchNorm and ReLU nodes a compute layer feeds, following its
+/// output through an optional BatchNorm to the ReLU: `(bn, relu)`.
+fn relu_chain(net: &Network, node: NodeId) -> (Option<NodeId>, Option<NodeId>) {
+    let mut bn = None;
+    let mut cur = node;
+    for i in cur + 1..net.nodes().len() {
+        if !net.nodes()[i].inputs.contains(&cur) {
+            continue;
+        }
+        match net.nodes()[i].op {
+            Op::BatchNorm => {
+                bn = Some(i);
+                cur = i;
+            }
+            Op::ReLU => return (bn, Some(i)),
+            _ => break,
+        }
+    }
+    (bn, None)
+}
+
 /// Shapes each compute layer's post-ReLU sparsity to a per-layer target by
 /// shifting its bias (or BatchNorm shift) so the ReLU cuts at the target
 /// quantile of the pre-activation distribution — mirroring the activation
-/// sparsity a trained network would show (DESIGN.md §2). Runs `iterations`
+/// sparsity a trained network would show (DESIGN.md §2). Runs `passes`
 /// forward/adjust passes because shifting one layer perturbs the next.
 ///
-/// Returns the measured post-ReLU zero fraction per compute layer after the
-/// final pass.
+/// Every pass adjusts; none only measures. To see how close the shaping
+/// came, run a forward on the shaped `params` and pass its outputs to
+/// [`post_relu_zero_fractions`] — a caller that needs that forward anyway
+/// pays for no extra one.
 pub fn shape_activation_sparsity<F>(
     net: &Network,
     params: &mut Params,
     input: &Tensor,
     target: F,
-    iterations: usize,
-) -> Vec<f64>
-where
+    passes: usize,
+) where
     F: Fn(usize) -> Option<f64>,
 {
-    let mut measured = Vec::new();
-    for pass in 0..iterations.max(1) {
+    for _ in 0..passes {
         let outs = net.forward(params, input);
-        measured.clear();
         for (li, &node) in net.compute_nodes().iter().enumerate() {
-            // Find the BN/ReLU chain this layer feeds.
-            let mut relu = None;
-            let mut bn = None;
-            let mut cur = node;
-            for i in cur + 1..net.nodes().len() {
-                if !net.nodes()[i].inputs.contains(&cur) {
-                    continue;
-                }
-                match net.nodes()[i].op {
-                    Op::BatchNorm => {
-                        bn = Some(i);
-                        cur = i;
-                    }
-                    Op::ReLU => {
-                        relu = Some(i);
-                        break;
-                    }
-                    _ => break,
-                }
-            }
-            let Some(relu_node) = relu else {
-                measured.push(outs[node].zero_fraction());
+            let (bn, Some(relu_node)) = relu_chain(net, node) else {
                 continue;
             };
-            measured.push(outs[relu_node].zero_fraction());
             let Some(t) = target(li) else { continue };
-            if pass + 1 == iterations {
-                continue; // last pass only measures
-            }
             // Pre-ReLU values are the ReLU node's input.
             let pre = &outs[net.nodes()[relu_node].inputs[0]];
             let mut vals: Vec<f32> = pre.as_slice().to_vec();
@@ -447,7 +442,20 @@ where
             }
         }
     }
-    measured
+}
+
+/// Post-ReLU zero fraction of every compute layer, read from the node
+/// outputs `acts` of one forward pass: the zero fraction at the ReLU the
+/// layer feeds (through an optional BatchNorm), or of the layer's own
+/// output when no ReLU follows it. Indexed by compute-layer position.
+pub fn post_relu_zero_fractions(net: &Network, acts: &[Tensor]) -> Vec<f64> {
+    net.compute_nodes()
+        .iter()
+        .map(|&node| {
+            let (_, relu) = relu_chain(net, node);
+            acts[relu.unwrap_or(node)].zero_fraction()
+        })
+        .collect()
 }
 
 /// Summary statistics of a weight population, as the simulators consume them.
@@ -592,13 +600,14 @@ mod tests {
         let net = zoo::alexnet(&cfg);
         let mut params = synthesize_params(&net, &SynthConfig::for_network("alexnet"));
         let input = uniform_tensor(net.input_shape(), -1.0, 1.0, 77);
-        let measured = shape_activation_sparsity(
+        shape_activation_sparsity(
             &net,
             &mut params,
             &input,
             |li| activation_sparsity_target("alexnet", li),
-            3,
+            2,
         );
+        let measured = post_relu_zero_fractions(&net, &net.forward(&params, &input));
         // conv2..conv5's post-ReLU sparsity should land near the profile.
         for (li, &m) in measured.iter().enumerate().take(5).skip(1) {
             let t = activation_sparsity_target("alexnet", li).unwrap();

@@ -245,64 +245,32 @@ impl SynthNet {
     /// post-ReLU activations of each hidden stage — the hook the quantization
     /// experiments use to quantize activations (pass `|_, _| ()` for the
     /// full-precision path).
-    pub fn forward_with<F: FnMut(LayerId, &mut [f32])>(&self, x: &[f32], mut act: F) -> Vec<f32> {
-        assert_eq!(x.len(), IMG_C * IMG * IMG, "input size mismatch");
-        // conv1 + relu
-        let mut a1 = conv3x3(x, IMG_C, H1, &self.w1, &self.b1, C1);
-        relu(&mut a1);
-        act(LayerId::Conv1, &mut a1);
-        let (p1, _) = maxpool2(&a1, C1, H1);
-        // conv2 + relu
-        let mut a2 = conv3x3(&p1, C1, H2, &self.w2, &self.b2, C2);
-        relu(&mut a2);
-        act(LayerId::Conv2, &mut a2);
-        let (p2, _) = maxpool2(&a2, C2, H2);
-        // conv3 + relu
-        let mut a3 = conv3x3(&p2, C2, H3, &self.w3, &self.b3, C3);
-        relu(&mut a3);
-        act(LayerId::Conv3, &mut a3);
-        // fc1 + relu
-        let mut a4 = fc(&a3, &self.w4, &self.b4, FC1);
-        relu(&mut a4);
-        act(LayerId::Fc1, &mut a4);
-        // fc2 (logits)
-        fc(&a4, &self.w5, &self.b5, self.classes)
+    ///
+    /// Repacks the weights on every call; to run many forwards on the same
+    /// weights, build a [`PackedNet`] once with [`SynthNet::packed`].
+    pub fn forward_with<F: FnMut(LayerId, &mut [f32])>(&self, x: &[f32], act: F) -> Vec<f32> {
+        self.packed().forward_with(x, act)
+    }
+
+    /// The weights repacked for the forward kernels (see [`PackedNet`]).
+    pub fn packed(&self) -> PackedNet<'_> {
+        PackedNet {
+            net: self,
+            conv: [
+                transpose(&self.w1, C1, IMG_C * 9),
+                transpose(&self.w2, C2, C1 * 9),
+                transpose(&self.w3, C3, C2 * 9),
+            ],
+            fc: [
+                transpose(&self.w4, FC1, FLAT),
+                transpose(&self.w5, self.classes, FC1),
+            ],
+        }
     }
 
     /// Plain full-precision forward pass.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         self.forward_with(x, |_, _| ())
-    }
-
-    /// Evaluates one image with a single forward pass, returning
-    /// `(top-1 correct, top-k correct)`.
-    ///
-    /// Top-1 is the NaN-sound [`argmax`] (first index wins). Top-k is a
-    /// single-pass NaN-sound rank instead of sorting the full logit vector
-    /// (which panicked on NaN via `partial_cmp().unwrap()`): the label is
-    /// in the top k iff fewer than k logits outrank it under the
-    /// stable-descending order — strictly greater, or equal with a smaller
-    /// index (`total_cmp` puts NaN above every finite logit, matching "a
-    /// NaN logit beats the label").
-    fn eval_image<F: FnMut(LayerId, &mut [f32])>(
-        &self,
-        img: &[f32],
-        label: usize,
-        k: usize,
-        act: F,
-    ) -> (bool, bool) {
-        let logits = self.forward_with(img, act);
-        let top1 = argmax(&logits) == label;
-        let rank = logits
-            .iter()
-            .enumerate()
-            .filter(|&(i, v)| match v.total_cmp(&logits[label]) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => i < label,
-                std::cmp::Ordering::Less => false,
-            })
-            .count();
-        (top1, rank < k)
     }
 
     /// Top-1 and top-k accuracy from **one** forward pass per image, with
@@ -318,10 +286,11 @@ impl SynthNet {
         k: usize,
         mut act: F,
     ) -> (f64, f64) {
+        let packed = self.packed();
         let mut top1 = 0usize;
         let mut topk = 0usize;
         for (img, &label) in data.images.iter().zip(&data.labels) {
-            let (t1, tk) = self.eval_image(img, label, k, &mut act);
+            let (t1, tk) = packed.eval_image(img, label, k, &mut act);
             top1 += t1 as usize;
             topk += tk as usize;
         }
@@ -349,9 +318,10 @@ impl SynthNet {
     where
         F: Fn(LayerId, &mut [f32]) + Sync,
     {
+        let packed = self.packed();
         let indices: Vec<usize> = (0..data.len()).collect();
         let per_image = ordered_map(&indices, jobs, |_, &i| {
-            self.eval_image(&data.images[i], data.labels[i], k, &act)
+            packed.eval_image(&data.images[i], data.labels[i], k, &act)
         });
         let mut top1 = 0usize;
         let mut topk = 0usize;
@@ -405,6 +375,9 @@ impl SynthNet {
     /// order** — the same reduction shape at every `jobs` value — so the
     /// trained weights are byte-identical from 1 worker to N. The per-epoch
     /// shuffle draws from the counter-based stream `(seed, epoch)`.
+    ///
+    /// The weights are repacked for the kernels once per minibatch (they
+    /// only change between minibatches).
     pub fn train_jobs(
         &mut self,
         data: &SynthDataset,
@@ -423,15 +396,18 @@ impl SynthNet {
             }
             let lr_e = lr / (1.0 + 0.15 * epoch as f32);
             for batch in order.chunks(16) {
+                let packed = self.packed();
+                let dx_weights = [oihw_to_ohwi(&self.w2, C1), oihw_to_ohwi(&self.w3, C2)];
                 let per_sample = ordered_map(batch, jobs, |_, &i| {
                     let mut g = Gradients::zeros(self.classes);
-                    self.backward(&data.images[i], data.labels[i], &mut g);
+                    packed.backward(&dx_weights, &data.images[i], data.labels[i], &mut g);
                     g
                 });
                 let mut grads = Gradients::zeros(self.classes);
                 for g in &per_sample {
                     grads.add(g);
                 }
+                grads.unpack_conv();
                 let mut scale = 1.0 / batch.len() as f32;
                 // Global-norm gradient clipping: the heavy-tailed
                 // initialization can spike early gradients.
@@ -445,49 +421,6 @@ impl SynthNet {
             }
         }
         self.accuracy(data)
-    }
-
-    /// One-sample backprop, accumulating into `g`.
-    fn backward(&self, x: &[f32], label: usize, g: &mut Gradients) {
-        // ---- forward with caches ----
-        let mut a1 = conv3x3(x, IMG_C, H1, &self.w1, &self.b1, C1);
-        relu(&mut a1);
-        let (p1, i1) = maxpool2(&a1, C1, H1);
-        let mut a2 = conv3x3(&p1, C1, H2, &self.w2, &self.b2, C2);
-        relu(&mut a2);
-        let (p2, i2) = maxpool2(&a2, C2, H2);
-        let mut a3 = conv3x3(&p2, C2, H3, &self.w3, &self.b3, C3);
-        relu(&mut a3);
-        let mut a4 = fc(&a3, &self.w4, &self.b4, FC1);
-        relu(&mut a4);
-        let logits = fc(&a4, &self.w5, &self.b5, self.classes);
-
-        // ---- softmax cross-entropy gradient ----
-        let mut d5 = softmax(&logits);
-        d5[label] -= 1.0;
-
-        // ---- fc2 backward ----
-        let d4 = fc_backward(&d5, &a4, &self.w5, &mut g.w5, &mut g.b5);
-        let mut d4 = d4;
-        relu_backward(&mut d4, &a4);
-
-        // ---- fc1 backward ----
-        let d3 = fc_backward(&d4, &a3, &self.w4, &mut g.w4, &mut g.b4);
-        let mut d3 = d3;
-        relu_backward(&mut d3, &a3);
-
-        // ---- conv3 backward ----
-        let d_p2 = conv3x3_backward(&d3, &p2, C2, H3, &self.w3, C3, &mut g.w3, &mut g.b3);
-        let mut d_a2 = maxpool2_backward(&d_p2, &i2, C2, H2);
-        relu_backward(&mut d_a2, &a2);
-
-        // ---- conv2 backward ----
-        let d_p1 = conv3x3_backward(&d_a2, &p1, C1, H2, &self.w2, C2, &mut g.w2, &mut g.b2);
-        let mut d_a1 = maxpool2_backward(&d_p1, &i1, C1, H1);
-        relu_backward(&mut d_a1, &a1);
-
-        // ---- conv1 backward (input gradient discarded) ----
-        let _ = conv3x3_backward(&d_a1, x, IMG_C, H1, &self.w1, C1, &mut g.w1, &mut g.b1);
     }
 
     fn apply(&mut self, g: &Gradients, lr: f32) {
@@ -513,6 +446,142 @@ impl SynthNet {
                 *bi -= lr * di;
             }
         }
+    }
+}
+
+/// A [`SynthNet`] with its weights repacked for the vectorized kernels:
+/// conv weights as `[ic][ky][kx][oc]` and fc weights as `[in][out]`, so the
+/// innermost loop of every forward kernel runs across independent outputs
+/// (DESIGN.md §18). Repacking costs about a third of one forward; build a
+/// `PackedNet` once with [`SynthNet::packed`] to run many forwards on the
+/// same weights. Its forwards are bit-identical to [`SynthNet::forward_with`].
+pub struct PackedNet<'a> {
+    net: &'a SynthNet,
+    /// conv1..conv3 weights, `[ic][ky][kx][oc]`.
+    conv: [Vec<f32>; 3],
+    /// fc1 and fc2 weights, `[in][out]`.
+    fc: [Vec<f32>; 2],
+}
+
+impl PackedNet<'_> {
+    /// [`SynthNet::forward_with`] on the packed weights.
+    pub fn forward_with<F: FnMut(LayerId, &mut [f32])>(&self, x: &[f32], mut act: F) -> Vec<f32> {
+        assert_eq!(x.len(), IMG_C * IMG * IMG, "input size mismatch");
+        let net = self.net;
+        // conv1 + relu
+        let mut a1 = conv3x3(x, IMG_C, H1, &self.conv[0], &net.b1, C1);
+        relu(&mut a1);
+        act(LayerId::Conv1, &mut a1);
+        let (p1, _) = maxpool2(&a1, C1, H1);
+        // conv2 + relu
+        let mut a2 = conv3x3(&p1, C1, H2, &self.conv[1], &net.b2, C2);
+        relu(&mut a2);
+        act(LayerId::Conv2, &mut a2);
+        let (p2, _) = maxpool2(&a2, C2, H2);
+        // conv3 + relu
+        let mut a3 = conv3x3(&p2, C2, H3, &self.conv[2], &net.b3, C3);
+        relu(&mut a3);
+        act(LayerId::Conv3, &mut a3);
+        // fc1 + relu
+        let mut a4 = fc(&a3, &self.fc[0], &net.b4, FC1);
+        relu(&mut a4);
+        act(LayerId::Fc1, &mut a4);
+        // fc2 (logits)
+        fc(&a4, &self.fc[1], &net.b5, net.classes)
+    }
+
+    /// Evaluates one image with a single forward pass, returning
+    /// `(top-1 correct, top-k correct)`.
+    ///
+    /// Top-1 is the NaN-sound [`argmax`] (first index wins). Top-k is a
+    /// single-pass NaN-sound rank instead of sorting the full logit vector
+    /// (which panicked on NaN via `partial_cmp().unwrap()`): the label is
+    /// in the top k iff fewer than k logits outrank it under the
+    /// stable-descending order — strictly greater, or equal with a smaller
+    /// index (`total_cmp` puts NaN above every finite logit, matching "a
+    /// NaN logit beats the label").
+    fn eval_image<F: FnMut(LayerId, &mut [f32])>(
+        &self,
+        img: &[f32],
+        label: usize,
+        k: usize,
+        act: F,
+    ) -> (bool, bool) {
+        let logits = self.forward_with(img, act);
+        let top1 = argmax(&logits) == label;
+        let rank = logits
+            .iter()
+            .enumerate()
+            .filter(|&(i, v)| match v.total_cmp(&logits[label]) {
+                std::cmp::Ordering::Greater => true,
+                std::cmp::Ordering::Equal => i < label,
+                std::cmp::Ordering::Less => false,
+            })
+            .count();
+        (top1, rank < k)
+    }
+
+    /// One-sample backprop, accumulating into `g` — with the conv weight
+    /// gradients in the backward kernel's `[oc][ky][kx][ic]` layout (see
+    /// [`Gradients::unpack_conv`]). `dx_weights` holds conv2's and conv3's
+    /// weights in that layout, for their input gradients.
+    fn backward(&self, dx_weights: &[Vec<f32>; 2], x: &[f32], label: usize, g: &mut Gradients) {
+        let net = self.net;
+        // ---- forward with caches ----
+        let mut a1 = conv3x3(x, IMG_C, H1, &self.conv[0], &net.b1, C1);
+        relu(&mut a1);
+        let (p1, i1) = maxpool2(&a1, C1, H1);
+        let mut a2 = conv3x3(&p1, C1, H2, &self.conv[1], &net.b2, C2);
+        relu(&mut a2);
+        let (p2, i2) = maxpool2(&a2, C2, H2);
+        let mut a3 = conv3x3(&p2, C2, H3, &self.conv[2], &net.b3, C3);
+        relu(&mut a3);
+        let mut a4 = fc(&a3, &self.fc[0], &net.b4, FC1);
+        relu(&mut a4);
+        let logits = fc(&a4, &self.fc[1], &net.b5, net.classes);
+
+        // ---- softmax cross-entropy gradient ----
+        let mut d5 = softmax(&logits);
+        d5[label] -= 1.0;
+
+        // ---- fc2 backward ----
+        let mut d4 = fc_backward(&d5, &a4, &net.w5, &mut g.w5, &mut g.b5);
+        relu_backward(&mut d4, &a4);
+
+        // ---- fc1 backward ----
+        let mut d3 = fc_backward(&d4, &a3, &net.w4, &mut g.w4, &mut g.b4);
+        relu_backward(&mut d3, &a3);
+
+        // ---- conv3 backward ----
+        let d_p2 = conv3x3_backward(
+            &d3,
+            &p2,
+            C2,
+            H3,
+            C3,
+            &mut g.w3,
+            &mut g.b3,
+            Some(&dx_weights[1]),
+        );
+        let mut d_a2 = maxpool2_backward(&d_p2, &i2, C2, H2);
+        relu_backward(&mut d_a2, &a2);
+
+        // ---- conv2 backward ----
+        let d_p1 = conv3x3_backward(
+            &d_a2,
+            &p1,
+            C1,
+            H2,
+            C2,
+            &mut g.w2,
+            &mut g.b2,
+            Some(&dx_weights[0]),
+        );
+        let mut d_a1 = maxpool2_backward(&d_p1, &i1, C1, H1);
+        relu_backward(&mut d_a1, &a1);
+
+        // ---- conv1 backward (no input gradient: nothing consumes it) ----
+        conv3x3_backward(&d_a1, x, IMG_C, H1, C1, &mut g.w1, &mut g.b1, None);
     }
 }
 
@@ -567,6 +636,16 @@ impl Gradients {
         }
     }
 
+    /// Permutes the conv weight gradients from the backward kernel's
+    /// `[oc][ky][kx][ic]` layout to the weights' OIHW layout. A pure
+    /// permutation — every element keeps its bits — so summing per-sample
+    /// gradients before or after it gives the same bytes.
+    fn unpack_conv(&mut self) {
+        self.w1 = ohwi_to_oihw(&self.w1, IMG_C);
+        self.w2 = ohwi_to_oihw(&self.w2, C1);
+        self.w3 = ohwi_to_oihw(&self.w3, C2);
+    }
+
     /// Global L2 norm across all gradient fields.
     fn norm(&self) -> f32 {
         let mut acc = 0.0f64;
@@ -601,52 +680,110 @@ impl Gradients {
 }
 
 // ---- primitive ops on flat CHW buffers ----
+//
+// The three MAC-heavy kernels (`conv3x3`, `conv3x3_backward`, `fc`) run
+// their innermost loop across *independent* outputs, so safe Rust
+// auto-vectorizes it, while every individual output still sees the exact
+// floating-point sequence of the loop nests they replaced (kept as the
+// `oracle` module under `cfg(test)`): no reassociation, no `mul_add`, no
+// intrinsics. DESIGN.md §18 gives the per-output order contract.
 
-fn conv3x3(x: &[f32], ci: usize, h: usize, w: &[f32], bias: &[f32], co: usize) -> Vec<f32> {
-    let mut out = vec![0.0; co * h * h];
-    for oc in 0..co {
-        for oy in 0..h {
-            for ox in 0..h {
-                let mut acc = bias[oc];
-                for ic in 0..ci {
-                    let wbase = ((oc * ci + ic) * 3) * 3;
-                    let xbase = ic * h * h;
-                    for ky in 0..3usize {
-                        let iy = oy as isize + ky as isize - 1;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..3usize {
-                            let ix = ox as isize + kx as isize - 1;
-                            if ix < 0 || ix >= h as isize {
-                                continue;
-                            }
-                            acc +=
-                                x[xbase + iy as usize * h + ix as usize] * w[wbase + ky * 3 + kx];
+/// Row-major `(rows, cols)` -> `(cols, rows)`. Repacks weights for the
+/// kernels and converts CHW <-> HWC (a `(c, h*w)` matrix either way).
+fn transpose(m: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    debug_assert_eq!(m.len(), rows * cols, "matrix size mismatch");
+    let mut t = vec![0.0; m.len()];
+    for (r, row) in m.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            t[c * rows + r] = v;
+        }
+    }
+    t
+}
+
+/// OIHW 3x3 conv weights (`ci` input channels) -> `[oc][ky][kx][ic]`.
+fn oihw_to_ohwi(w: &[f32], ci: usize) -> Vec<f32> {
+    w.chunks_exact(ci * 9)
+        .flat_map(|oc| transpose(oc, ci, 9))
+        .collect()
+}
+
+/// `[oc][ky][kx][ic]` 3x3 conv weights (`ci` input channels) -> OIHW.
+fn ohwi_to_oihw(w: &[f32], ci: usize) -> Vec<f32> {
+    w.chunks_exact(ci * 9)
+        .flat_map(|oc| transpose(oc, 9, ci))
+        .collect()
+}
+
+/// The in-bounds taps `k` of a padding-1 3x3 kernel at output coordinate
+/// `o` on a side of `h`: those whose input coordinate `o + k - 1` lies in
+/// `0..h`.
+fn taps(o: usize, h: usize) -> std::ops::Range<usize> {
+    let lo = usize::from(o == 0);
+    let hi = if o + 1 == h { 2 } else { 3 };
+    lo..hi
+}
+
+/// 3x3 convolution, stride 1, padding 1, of a CHW input, with the weights
+/// packed `[ic][ky][kx][oc]`. Each output starts from its bias and adds the
+/// in-bounds taps in `(ic, ky, kx)` order; the innermost loop runs across
+/// the `co` outputs of one pixel, one packed weight row per tap.
+fn conv3x3(x: &[f32], ci: usize, h: usize, wt: &[f32], bias: &[f32], co: usize) -> Vec<f32> {
+    let hw = h * h;
+    let mut out = vec![0.0; co * hw];
+    let mut acc = vec![0.0; co];
+    for oy in 0..h {
+        for ox in 0..h {
+            acc.copy_from_slice(&bias[..co]);
+            for ic in 0..ci {
+                let plane = &x[ic * hw..][..hw];
+                for ky in taps(oy, h) {
+                    let row = &plane[(oy + ky - 1) * h..][..h];
+                    for kx in taps(ox, h) {
+                        let xv = row[ox + kx - 1];
+                        let w = &wt[((ic * 3 + ky) * 3 + kx) * co..][..co];
+                        for (a, &wv) in acc.iter_mut().zip(w) {
+                            *a += xv * wv;
                         }
                     }
                 }
-                out[(oc * h + oy) * h + ox] = acc;
+            }
+            for (oc, &a) in acc.iter().enumerate() {
+                out[oc * hw + oy * h + ox] = a;
             }
         }
     }
     out
 }
 
-/// Backward of conv3x3: accumulates dW, dB; returns dX.
+/// Backward of [`conv3x3`] for one CHW input `x` and output gradient `dy`:
+/// adds the weight gradient into `dw` and the bias gradient into `db`, and
+/// returns the CHW input gradient when given the weights `wt` (empty
+/// otherwise). `dw` and `wt` are packed `[oc][ky][kx][ic]`.
+///
+/// With `x` and the input gradient held HWC, the in-bounds taps of one
+/// kernel row form one contiguous `(kx, ic)` span in the input, the weights
+/// and `dw` alike; the innermost loops run across that span. Each dW
+/// element accumulates over `(oy, ox)` row-major and each dX element over
+/// `(oc, oy, ox)`, both skipping `g == 0.0` — the oracle's order.
 #[allow(clippy::too_many_arguments)]
 fn conv3x3_backward(
     dy: &[f32],
     x: &[f32],
     ci: usize,
     h: usize,
-    w: &[f32],
     co: usize,
     dw: &mut [f32],
     db: &mut [f32],
+    wt: Option<&[f32]>,
 ) -> Vec<f32> {
-    let mut dx = vec![0.0; ci * h * h];
+    let hw = h * h;
+    let k9 = 9 * ci;
+    let xh = transpose(x, ci, hw);
+    let mut dxh = vec![0.0; if wt.is_some() { ci * hw } else { 0 }];
     for oc in 0..co {
+        let dw_oc = &mut dw[oc * k9..][..k9];
+        let w_oc = wt.map(|w| &w[oc * k9..][..k9]);
         for oy in 0..h {
             for ox in 0..h {
                 let g = dy[(oc * h + oy) * h + ox];
@@ -654,29 +791,28 @@ fn conv3x3_backward(
                     continue;
                 }
                 db[oc] += g;
-                for ic in 0..ci {
-                    let wbase = ((oc * ci + ic) * 3) * 3;
-                    let xbase = ic * h * h;
-                    for ky in 0..3usize {
-                        let iy = oy as isize + ky as isize - 1;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..3usize {
-                            let ix = ox as isize + kx as isize - 1;
-                            if ix < 0 || ix >= h as isize {
-                                continue;
-                            }
-                            let xi = xbase + iy as usize * h + ix as usize;
-                            dw[wbase + ky * 3 + kx] += g * x[xi];
-                            dx[xi] += g * w[wbase + ky * 3 + kx];
+                let kx = taps(ox, h);
+                let span = kx.len() * ci;
+                for ky in taps(oy, h) {
+                    let xs = ((oy + ky - 1) * h + ox + kx.start - 1) * ci;
+                    let ws = (ky * 3 + kx.start) * ci;
+                    for (d, &xv) in dw_oc[ws..][..span].iter_mut().zip(&xh[xs..][..span]) {
+                        *d += g * xv;
+                    }
+                    if let Some(w_oc) = w_oc {
+                        for (d, &wv) in dxh[xs..][..span].iter_mut().zip(&w_oc[ws..][..span]) {
+                            *d += g * wv;
                         }
                     }
                 }
             }
         }
     }
-    dx
+    if wt.is_some() {
+        transpose(&dxh, hw, ci)
+    } else {
+        dxh
+    }
 }
 
 fn relu(x: &mut [f32]) {
@@ -732,16 +868,15 @@ fn maxpool2_backward(dy: &[f32], idx: &[usize], c: usize, h: usize) -> Vec<f32> 
     dx
 }
 
-fn fc(x: &[f32], w: &[f32], bias: &[f32], out: usize) -> Vec<f32> {
-    let inf = x.len();
-    let mut y = vec![0.0; out];
-    for (o, yo) in y.iter_mut().enumerate() {
-        let row = &w[o * inf..(o + 1) * inf];
-        let mut acc = bias[o];
-        for (xi, wi) in x.iter().zip(row) {
-            acc += xi * wi;
+/// Fully-connected layer with the weights packed `[in][out]`. Each output
+/// starts from its bias and adds the inputs in ascending order; the
+/// innermost loop runs across the outputs.
+fn fc(x: &[f32], wt: &[f32], bias: &[f32], out: usize) -> Vec<f32> {
+    let mut y = bias[..out].to_vec();
+    for (&xi, w) in x.iter().zip(wt.chunks_exact(out)) {
+        for (yo, &wv) in y.iter_mut().zip(w) {
+            *yo += xi * wv;
         }
-        *yo = acc;
     }
     y
 }
@@ -781,9 +916,215 @@ fn argmax(v: &[f32]) -> usize {
     best
 }
 
+/// The scalar loop nests the vectorized kernels replaced, kept verbatim as
+/// the oracles they are checked against bit for bit.
+#[cfg(test)]
+mod oracle {
+    pub(super) fn conv3x3(
+        x: &[f32],
+        ci: usize,
+        h: usize,
+        w: &[f32],
+        bias: &[f32],
+        co: usize,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0; co * h * h];
+        for oc in 0..co {
+            for oy in 0..h {
+                for ox in 0..h {
+                    let mut acc = bias[oc];
+                    for ic in 0..ci {
+                        let wbase = ((oc * ci + ic) * 3) * 3;
+                        let xbase = ic * h * h;
+                        for ky in 0..3usize {
+                            let iy = oy as isize + ky as isize - 1;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for kx in 0..3usize {
+                                let ix = ox as isize + kx as isize - 1;
+                                if ix < 0 || ix >= h as isize {
+                                    continue;
+                                }
+                                acc += x[xbase + iy as usize * h + ix as usize]
+                                    * w[wbase + ky * 3 + kx];
+                            }
+                        }
+                    }
+                    out[(oc * h + oy) * h + ox] = acc;
+                }
+            }
+        }
+        out
+    }
+
+    /// Backward of conv3x3: accumulates dW, dB; returns dX.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn conv3x3_backward(
+        dy: &[f32],
+        x: &[f32],
+        ci: usize,
+        h: usize,
+        w: &[f32],
+        co: usize,
+        dw: &mut [f32],
+        db: &mut [f32],
+    ) -> Vec<f32> {
+        let mut dx = vec![0.0; ci * h * h];
+        for oc in 0..co {
+            for oy in 0..h {
+                for ox in 0..h {
+                    let g = dy[(oc * h + oy) * h + ox];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    db[oc] += g;
+                    for ic in 0..ci {
+                        let wbase = ((oc * ci + ic) * 3) * 3;
+                        let xbase = ic * h * h;
+                        for ky in 0..3usize {
+                            let iy = oy as isize + ky as isize - 1;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for kx in 0..3usize {
+                                let ix = ox as isize + kx as isize - 1;
+                                if ix < 0 || ix >= h as isize {
+                                    continue;
+                                }
+                                let xi = xbase + iy as usize * h + ix as usize;
+                                dw[wbase + ky * 3 + kx] += g * x[xi];
+                                dx[xi] += g * w[wbase + ky * 3 + kx];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        dx
+    }
+
+    pub(super) fn fc(x: &[f32], w: &[f32], bias: &[f32], out: usize) -> Vec<f32> {
+        let inf = x.len();
+        let mut y = vec![0.0; out];
+        for (o, yo) in y.iter_mut().enumerate() {
+            let row = &w[o * inf..(o + 1) * inf];
+            let mut acc = bias[o];
+            for (xi, wi) in x.iter().zip(row) {
+                acc += xi * wi;
+            }
+            *yo = acc;
+        }
+        y
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One sample's gradients with every field in the weights' layout.
+    fn sample_gradients(net: &SynthNet, x: &[f32], label: usize) -> Gradients {
+        let dx_weights = [oihw_to_ohwi(&net.w2, C1), oihw_to_ohwi(&net.w3, C2)];
+        let mut g = Gradients::zeros(net.classes);
+        net.packed().backward(&dx_weights, x, label, &mut g);
+        g.unpack_conv();
+        g
+    }
+
+    /// `n` values with many signed zeros: one in six is `0.0`, one in six
+    /// `-0.0`, the rest uniform in `[-2, 2)`.
+    fn values(n: usize, seed: u64) -> Vec<f32> {
+        let mut rng = Philox::new(seed, 0);
+        (0..n)
+            .map(|_| match rng.gen_range(0..6) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// The vectorized forward conv equals the scalar loop nest bit for
+        /// bit, padding edges and signed zeros included.
+        #[test]
+        fn conv3x3_matches_oracle_bitwise(
+            ci in 1usize..=6,
+            h in 1usize..=7,
+            co in 1usize..=11,
+            seed in 0u64..1 << 48,
+        ) {
+            let x = values(ci * h * h, seed);
+            let w = values(co * ci * 9, seed ^ 1);
+            let bias = values(co, seed ^ 2);
+            let got = conv3x3(&x, ci, h, &transpose(&w, co, ci * 9), &bias, co);
+            let want = oracle::conv3x3(&x, ci, h, &w, &bias, co);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        /// The backward conv equals the scalar loop nest bit for bit —
+        /// accumulating into non-zero (and signed-zero) dW/dB, with zeros of
+        /// both signs in `dy` taking the `g == 0.0` skip — with and without
+        /// the input gradient.
+        #[test]
+        fn conv3x3_backward_matches_oracle_bitwise(
+            ci in 1usize..=6,
+            h in 1usize..=7,
+            co in 1usize..=11,
+            want_dx in prop::bool::ANY,
+            seed in 0u64..1 << 48,
+        ) {
+            let dy = values(co * h * h, seed);
+            let x = values(ci * h * h, seed ^ 1);
+            let w = values(co * ci * 9, seed ^ 2);
+            let dw0 = values(co * ci * 9, seed ^ 3);
+            let db0 = values(co, seed ^ 4);
+
+            let (mut dw_want, mut db_want) = (dw0.clone(), db0.clone());
+            let dx_want =
+                oracle::conv3x3_backward(&dy, &x, ci, h, &w, co, &mut dw_want, &mut db_want);
+
+            let wt = oihw_to_ohwi(&w, ci);
+            let (mut dw_got, mut db_got) = (oihw_to_ohwi(&dw0, ci), db0.clone());
+            let dx_got = conv3x3_backward(
+                &dy,
+                &x,
+                ci,
+                h,
+                co,
+                &mut dw_got,
+                &mut db_got,
+                want_dx.then_some(&wt[..]),
+            );
+            prop_assert_eq!(bits(&ohwi_to_oihw(&dw_got, ci)), bits(&dw_want));
+            prop_assert_eq!(bits(&db_got), bits(&db_want));
+            if want_dx {
+                prop_assert_eq!(bits(&dx_got), bits(&dx_want));
+            } else {
+                prop_assert!(dx_got.is_empty());
+            }
+        }
+
+        /// The vectorized fc equals the per-output dot products bit for bit.
+        #[test]
+        fn fc_matches_oracle_bitwise(
+            inf in 1usize..=40,
+            out in 1usize..=20,
+            seed in 0u64..1 << 48,
+        ) {
+            let x = values(inf, seed);
+            let w = values(out * inf, seed ^ 1);
+            let bias = values(out, seed ^ 2);
+            let got = fc(&x, &transpose(&w, out, inf), &bias, out);
+            prop_assert_eq!(bits(&got), bits(&oracle::fc(&x, &w, &bias, out)));
+        }
+    }
 
     #[test]
     fn untrained_accuracy_is_chance() {
@@ -826,8 +1167,7 @@ mod tests {
             let p = softmax(&logits);
             -p[label].max(1e-9).ln()
         };
-        let mut g = Gradients::zeros(3);
-        net.backward(x, label, &mut g);
+        let g = sample_gradients(&net, x, label);
         let eps = 1e-3;
         for &wi in &[0usize, 5, 17] {
             let mut plus = net.clone();
@@ -854,8 +1194,7 @@ mod tests {
             let p = softmax(&logits);
             -p[label].max(1e-9).ln()
         };
-        let mut g = Gradients::zeros(3);
-        net.backward(x, label, &mut g);
+        let g = sample_gradients(&net, x, label);
         let eps = 1e-3;
         for &wi in &[0usize, 10, 40] {
             let mut plus = net.clone();

@@ -191,9 +191,10 @@ pub fn evaluate_synthnet_jobs(
     // contiguous per-slot segment, concatenated in image order — the same
     // population byte-for-byte as the old serial loop at any worker count.
     let calib_imgs: Vec<&Vec<f32>> = calib.images.iter().take(CALIB_IMAGES).collect();
+    let packed = qnet.packed();
     let per_image = ordered_map(&calib_imgs, jobs, |_, img| {
         let mut slots: [Vec<f32>; 4] = Default::default();
-        let _ = qnet.forward_with(img, |layer, a| {
+        let _ = packed.forward_with(img, |layer, a| {
             slots[act_slot(layer)].extend_from_slice(a);
         });
         slots

@@ -11,7 +11,7 @@ use ola_nn::{Network, NodeId, Params};
 use ola_tensor::par::ordered_map;
 use ola_tensor::scan::scan_values;
 use ola_tensor::stats::ValueScan;
-use ola_tensor::Tensor;
+use ola_tensor::{Shape4, Tensor};
 
 /// Calibration result for the input activations of one compute layer.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -48,9 +48,17 @@ impl LayerCalibration {
 /// the network and taking the top-`ratio` magnitude boundary of the
 /// *non-zero* input activations of every compute (conv/linear) node.
 ///
+/// The samples are stacked into one NCHW batch and run through a single
+/// forward, so row-generated fully-connected weights are generated once
+/// rather than once per sample. Each node's population is the batch's
+/// per-sample slices in sample order: the forward computes every sample's
+/// outputs exactly as a batch-1 forward would, so the population — and
+/// every threshold — is the same bytes as running the samples one by one.
+///
 /// # Panics
 ///
-/// Panics if `samples` is empty.
+/// Panics if `samples` is empty or the samples differ in channel or
+/// spatial shape.
 pub fn calibrate_activations(
     net: &Network,
     params: &Params,
@@ -58,27 +66,37 @@ pub fn calibrate_activations(
     ratio: f64,
 ) -> Vec<LayerCalibration> {
     assert!(!samples.is_empty(), "need at least one calibration sample");
+    let outs = net.forward(params, &stack_batch(samples));
     let compute = net.compute_nodes();
-    // Gather input-activation values per compute node across all samples.
-    let mut collected: Vec<Vec<f32>> = vec![Vec::new(); compute.len()];
-    for sample in samples {
-        let outs = net.forward(params, sample);
-        for (k, &node) in compute.iter().enumerate() {
-            let src = net.nodes()[node].inputs[0];
-            collected[k].extend_from_slice(outs[src].as_slice());
-        }
-    }
     // One fused statistics pass per layer, layers in parallel. The split of
     // the worker budget mirrors the forward kernels: as many layers at once
     // as the budget allows, leftover workers scan within a layer.
     let jobs = ola_nn::kernels::forward_jobs();
     let outer = jobs.min(compute.len().max(1));
     let inner = (jobs / outer).max(1);
-    let items: Vec<(NodeId, Vec<f32>)> = compute.iter().copied().zip(collected).collect();
-    ordered_map(&items, outer, |_, (node, values)| {
-        let mut scan = scan_values(values, inner);
-        calibrate_from_scan(*node, &mut scan, ratio)
+    ordered_map(&compute, outer, |_, &node| {
+        let src = net.nodes()[node].inputs[0];
+        let mut scan = scan_values(outs[src].as_slice(), inner);
+        calibrate_from_scan(node, &mut scan, ratio)
     })
+}
+
+/// Concatenates NCHW tensors along the batch dimension, in order.
+fn stack_batch(samples: &[Tensor]) -> Tensor {
+    let first = samples[0].shape();
+    let mut data = Vec::with_capacity(samples.iter().map(Tensor::len).sum());
+    let mut n = 0;
+    for s in samples {
+        let sh = s.shape();
+        assert_eq!(
+            (sh.c, sh.h, sh.w),
+            (first.c, first.h, first.w),
+            "calibration samples differ in shape"
+        );
+        n += sh.n;
+        data.extend_from_slice(s.as_slice());
+    }
+    Tensor::from_vec(Shape4::new(n, first.c, first.h, first.w), data)
 }
 
 /// Calibrates a threshold directly from a value population.
