@@ -1,26 +1,31 @@
 //! Workload-extraction throughput: the retained multi-pass oracle vs the
-//! fused single-pass scan, at 1/2/4 worker threads.
+//! production extraction, at 1/2/4 worker threads, under each of the three
+//! `OutlierSelect::panel()` rules.
 //!
-//! With the forward pass 8-9x faster since the im2col kernels landed,
-//! extraction is the next preparation bottleneck: the oracle walks each
-//! layer's activations several times (a full descending sort for every
-//! calibration threshold, then separate chunk / zero / outlier passes),
-//! while the fused path makes one chunk-major sweep per layer with an O(n)
-//! threshold selection, and runs layers concurrently. Both produce
-//! bit-identical `WorkloadSet`s (property-tested in `tests/`), so the
-//! ratio here is pure overhead removed. On a single-core host the jobs
-//! arms collapse onto jobs=1 — the oracle/fused ratio is the portable
-//! number; the jobs scaling shows only on multicore.
+//! The oracle walks each layer's activations several times (a full
+//! descending sort for every threshold, separate chunk / zero / outlier
+//! passes) and each weight grid chunk by chunk, striding 16 rows per
+//! chunk. Production extraction makes one chunk-major sweep over each
+//! layer's activations and runs the band-major weight-grid kernel: every
+//! pass walks whole 16-row bands in memory order, and global thresholds
+//! come from a key histogram plus a selection inside one bucket. Both
+//! produce bit-identical `WorkloadSet`s (property-tested in `tests/`), so
+//! the ratio here is pure overhead removed. On a single-core host the jobs
+//! arms collapse onto jobs=1 — the oracle/j1 ratio is the portable number;
+//! the jobs scaling shows only on multicore.
 //!
+//! AlexNet's eight layers are large (and its fc6/fc7 weights are
+//! regenerated rows), ResNet-18 carries 11.7 M dense weights, and
+//! DenseNet-121's 121 small layers are the per-call-overhead case.
 //! Networks are synthesized exactly as the experiment suite synthesizes
-//! them, so ratios transfer directly to suite preparation time.
+//! them, so ratios transfer directly to suite and sweep extraction time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ola_nn::synth::{synthesize_params, SynthConfig};
 use ola_nn::zoo::{self, ZooConfig};
 use ola_nn::{Network, Params};
 use ola_sim::workload::{self, oracle};
-use ola_sim::QuantPolicy;
+use ola_sim::{OutlierSelect, QuantPolicy};
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::Tensor;
 use std::hint::black_box;
@@ -41,36 +46,45 @@ fn build(network: &str, scale: usize) -> (Network, Params, Vec<Tensor>) {
 }
 
 fn benches(c: &mut Criterion) {
-    let cases = [("alexnet_s4", "alexnet", 4), ("resnet18_s8", "resnet18", 8)];
+    let cases = [
+        ("alexnet_s4", "alexnet", 4),
+        ("resnet18_s8", "resnet18", 8),
+        ("densenet121_s8", "densenet121", 8),
+    ];
     for (label, network, scale) in cases {
         let (net, params, acts) = build(network, scale);
-        let policy = QuantPolicy::olaccel16(network);
-        let mut g = c.benchmark_group(&format!("workload_extract/{label}"));
-        g.sample_size(10);
-        g.bench_function("oracle", |b| {
-            b.iter(|| {
-                black_box(oracle::extract_from_acts(
-                    black_box(&net),
-                    black_box(&params),
-                    black_box(&acts),
-                    black_box(&policy),
-                ))
-            })
-        });
-        for jobs in [1, 2, 4] {
-            g.bench_function(&format!("fused_j{jobs}"), |b| {
+        for select in OutlierSelect::panel() {
+            let policy = QuantPolicy {
+                select,
+                ..QuantPolicy::olaccel16(network)
+            };
+            let mut g = c.benchmark_group(&format!("workload_extract/{label}/{}", select.name()));
+            g.sample_size(10);
+            g.bench_function("oracle", |b| {
                 b.iter(|| {
-                    black_box(workload::extract_from_acts_jobs(
+                    black_box(oracle::extract_from_acts(
                         black_box(&net),
                         black_box(&params),
                         black_box(&acts),
                         black_box(&policy),
-                        jobs,
                     ))
                 })
             });
+            for jobs in [1, 2, 4] {
+                g.bench_function(&format!("extract_j{jobs}"), |b| {
+                    b.iter(|| {
+                        black_box(workload::extract_from_acts_jobs(
+                            black_box(&net),
+                            black_box(&params),
+                            black_box(&acts),
+                            black_box(&policy),
+                            jobs,
+                        ))
+                    })
+                });
+            }
+            g.finish();
         }
-        g.finish();
     }
 }
 

@@ -7,13 +7,24 @@
 //! multiplicity (the outlier-MAC mechanism, Fig 17), and outlier activation
 //! ratios (the outlier PE group, Fig 16).
 //!
-//! Extraction is a layer-parallel, single-pass scan: each layer's
-//! calibration population, chunk non-zero counts and zero-quad counts come
-//! out of **one** chunk-major sweep over borrowed lane views
-//! ([`ola_tensor::scan::scan_chunks`]), and layers run concurrently under
-//! the worker budget set by [`set_extract_jobs`]. The result is
-//! byte-identical at any worker count (see [`oracle`] for the retained
-//! multi-pass reference implementation the property tests compare against).
+//! Extraction runs layers concurrently under the worker budget set by
+//! [`set_extract_jobs`]. Per layer:
+//!
+//! * the input activations' calibration population, chunk non-zero counts
+//!   and zero-quad counts come out of **one** chunk-major sweep over
+//!   borrowed lane views ([`ola_tensor::scan::scan_chunks`]);
+//! * weight-grid statistics — and the structured policies' activation
+//!   calibration — come from a band-major kernel. A *band* is the 16
+//!   consecutive matrix rows one row of 16-lane chunks covers (an NCHW
+//!   tensor is N stacked `(C, H·W)` matrices), so every pass walks memory
+//!   in order, keeping per-chunk state in one slot per column. A global
+//!   top-k threshold is the exact k-th largest score, found from a
+//!   histogram of [`f32::total_cmp`] keys plus a selection inside the one
+//!   bucket holding rank k; no pass builds a population-sized buffer.
+//!
+//! The result is byte-identical at any worker count (see [`oracle`] for the
+//! retained multi-pass reference implementation the property tests compare
+//! against).
 
 use crate::policy::{OutlierSelect, QuantPolicy};
 use ola_nn::network::WeightStore;
@@ -21,9 +32,9 @@ use ola_nn::{Network, Op, Params};
 use ola_quant::calibrate::{calibrate_from_scan, LayerCalibration};
 use ola_quant::outlier::OutlierQuantizer;
 use ola_tensor::par::ordered_map;
-use ola_tensor::scan::{scan_chunks, scan_values, split_ranges};
-use ola_tensor::stats::{kth_largest_magnitude, ValueScan};
-use ola_tensor::{ChunkView, ChunkViews, Shape4, Tensor, CHUNK_LANES};
+use ola_tensor::scan::{scan_chunks, split_ranges};
+use ola_tensor::stats::ValueScan;
+use ola_tensor::{ChunkViews, Shape4, Tensor, CHUNK_LANES};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide default worker count for workload extraction, set once by
@@ -340,8 +351,9 @@ pub fn extract_from_acts_jobs(
 
 /// Extracts one compute layer's workload: a single fused sweep over the
 /// input activations (calibration population + chunk non-zero counts +
-/// zero quads in one pass), a two-pass fused weight scan, and the output
-/// zero fraction.
+/// zero quads in one pass), the band-major weight-grid kernel (a key
+/// histogram and one bucket's gather when a global threshold is needed,
+/// then one counting walk), and the output zero fraction.
 #[allow(clippy::too_many_arguments)]
 fn extract_layer(
     net: &Network,
@@ -385,7 +397,7 @@ fn extract_layer(
         }
         select => calibrate_grid(
             node,
-            &views,
+            act,
             &chunks.values,
             policy.outlier_ratio,
             select,
@@ -457,7 +469,7 @@ fn post_activation_zero_fraction(net: &Network, outs: &[Tensor], node: usize) ->
 /// Weight-grid statistics one extraction pass measures: zero fraction,
 /// realized outlier ratio, and per-16-lane-chunk outlier multiplicity.
 /// Public (with the [`grid_chunk_stats`] entry point) so the differential
-/// policy tests can drive the production sweep on raw grids at any worker
+/// policy tests can drive the production kernel on raw grids at any worker
 /// count.
 #[derive(Clone, Copy, Debug)]
 pub struct WeightChunkStats {
@@ -474,10 +486,6 @@ pub struct WeightChunkStats {
 /// Measures weight zero fraction, outlier ratio and per-16-lane-chunk
 /// outlier multiplicity. Chunks group 16 *output channels* at a fixed input
 /// channel / kernel offset (§III-B).
-///
-/// Two fused passes: one [`ValueScan`] for the quantizer fit, then one
-/// chunk sweep counting zeros, outliers and per-chunk multiplicity
-/// together (the historical path walked the weights four times).
 fn weight_chunk_stats(
     params: &Params,
     node: usize,
@@ -503,41 +511,46 @@ fn weight_chunk_stats(
             };
             grid_chunk_stats(values, co, inner, ratio, select, jobs)
         }
-        WeightStore::RowGen(g) => match select {
-            // Magnitude keeps its historical split: a 64-row sample fits
-            // the quantizer, 32 banded rows feed the chunk sweep.
-            OutlierSelect::MagnitudePercentile => {
-                let sample = g.sample_values(64);
-                let mut scan = scan_values(&sample, jobs);
-                let quant = fit_from_scan(&mut scan, ratio);
-                let rows = g.rows().min(32);
-                let mut values = Vec::with_capacity(rows * g.cols());
-                for r in 0..rows {
-                    values.extend(g.row(r));
-                }
-                chunk_stats_fused(&values, rows, g.cols(), quant.as_ref(), jobs)
+        WeightStore::RowGen(g) => {
+            // Generated matrices are never materialized: their first 32
+            // rows (two bands) stand in for the chunk grid.
+            let rows = g.rows().min(32);
+            let mut values = Vec::with_capacity(rows * g.cols());
+            for r in 0..rows {
+                values.extend(g.row(r));
             }
-            // The structured policies calibrate on the banded rows they
-            // chunk (windowed needs no calibration at all; sensitivity's
-            // window RMS only exists on the grid it scores, so a separate
-            // row sample would be meaningless).
-            _ => {
-                let rows = g.rows().min(32);
-                let mut values = Vec::with_capacity(rows * g.cols());
-                for r in 0..rows {
-                    values.extend(g.row(r));
+            let grid = Grid::matrix(&values, rows, g.cols());
+            let rule = match select {
+                // Magnitude keeps its historical split: a 64-row sample
+                // fits the quantizer, the banded rows are counted.
+                OutlierSelect::MagnitudePercentile => {
+                    let sample = g.sample_values(64);
+                    let fit = Grid::matrix(&sample, sample.len() / g.cols(), g.cols());
+                    weight_rule(fit, ratio, select, jobs)
                 }
-                grid_chunk_stats(&values, rows, g.cols(), ratio, select, jobs)
-            }
-        },
+                // The structured policies calibrate on the banded rows they
+                // chunk (windowed needs no calibration at all; sensitivity's
+                // window RMS only exists on the grid it scores, so a
+                // separate row sample would be meaningless).
+                _ => weight_rule(grid, ratio, select, jobs),
+            };
+            count_grid(grid, rule, jobs).stats(grid)
+        }
     }
 }
 
 /// Chunk statistics of a `(co, inner)` weight grid under any
 /// outlier-selection policy, split across `jobs` workers. `ratio` is the
-/// paper's fraction of *total* weights (zeros included); structured
-/// policies rescale it to the non-zero population exactly as the magnitude
-/// fit does. Byte-identical at any `jobs` value.
+/// paper's fraction of *total* weights (zeros included); the global
+/// policies rescale it to the non-zero population. Byte-identical at any
+/// `jobs` value.
+///
+/// # Panics
+///
+/// Panics if `values.len() != co * inner`, if `jobs` is zero, if a
+/// windowed or sensitivity policy with a positive ratio has `window == 0`,
+/// or if a magnitude fit yields no valid quantizer (see
+/// [`OutlierQuantizer::with_threshold`]).
 pub fn grid_chunk_stats(
     values: &[f32],
     co: usize,
@@ -546,72 +559,93 @@ pub fn grid_chunk_stats(
     select: OutlierSelect,
     jobs: usize,
 ) -> WeightChunkStats {
+    let grid = Grid::matrix(values, co, inner);
+    let rule = weight_rule(grid, ratio, select, jobs);
+    count_grid(grid, rule, jobs).stats(grid)
+}
+
+/// Resolves `select`, calibrated on the weight population `fit`, to the
+/// per-chunk rule the counting pass applies. The global policies keep the
+/// top `ratio` share of *all* weights, rescaled to the non-zero lanes they
+/// rank.
+fn weight_rule(fit: Grid<'_>, ratio: f64, select: OutlierSelect, jobs: usize) -> Rule {
     match select {
         OutlierSelect::MagnitudePercentile => {
-            let mut scan = scan_values(values, jobs);
-            let quant = fit_from_scan(&mut scan, ratio);
-            chunk_stats_fused(values, co, inner, quant.as_ref(), jobs)
+            if ratio <= 0.0 {
+                return Rule::None;
+            }
+            let census = census(fit, Score::Magnitude, jobs);
+            let nonzero = census.nonzero();
+            if nonzero == 0 {
+                return Rule::None;
+            }
+            let nonzero_ratio = (ratio * census.total as f64 / nonzero as f64).min(1.0);
+            assert!(
+                (0.0..=1.0).contains(&nonzero_ratio),
+                "ratio must be in [0,1]"
+            );
+            let k = top_k(nonzero, nonzero_ratio);
+            let threshold = select_kth(fit, Score::Magnitude, &census, k, jobs);
+            // The fitted quantizer keeps its constructor's checks (positive
+            // threshold, finite non-zero maximum); only its threshold
+            // classifies.
+            let quant =
+                OutlierQuantizer::with_threshold(threshold, census.abs_max, nonzero_ratio, 4, 8);
+            Rule::AtLeast {
+                score: Score::Magnitude,
+                key: key(quant.threshold()),
+            }
         }
-        OutlierSelect::WindowedTopK { window } => {
-            let views = ChunkViews::matrix(values, co, inner, CHUNK_LANES);
-            let rule = (ratio > 0.0).then_some(GridRule::Windowed { window });
-            let counts = grid_rule_counts(&views, rule, jobs);
-            counts_to_stats(counts, values.len(), views.len())
+        OutlierSelect::WindowedTopK { window } if ratio > 0.0 => Rule::Windowed { window },
+        OutlierSelect::SensitivityWeighted { window } if ratio > 0.0 => {
+            let score = Score::Sensitivity { window };
+            let census = census(fit, score, jobs);
+            let scored = census.nonzero();
+            if scored == 0 {
+                return Rule::None;
+            }
+            let nonzero_ratio = (ratio * census.total as f64 / scored as f64).min(1.0);
+            let threshold = select_kth(fit, score, &census, top_k(scored, nonzero_ratio), jobs);
+            Rule::AtLeast {
+                score,
+                key: key(threshold),
+            }
         }
-        OutlierSelect::SensitivityWeighted { window } => {
-            let views = ChunkViews::matrix(values, co, inner, CHUNK_LANES);
-            let rule = if ratio > 0.0 {
-                let mut scores = sensitivity_scores(&views, window, jobs);
-                if scores.is_empty() {
-                    None
-                } else {
-                    let nonzero_ratio =
-                        (ratio * values.len() as f64 / scores.len() as f64).min(1.0);
-                    let k = ((scores.len() as f64 * nonzero_ratio).ceil() as usize)
-                        .clamp(1, scores.len());
-                    let threshold = kth_largest_magnitude(&mut scores, k);
-                    Some(GridRule::Sensitivity { window, threshold })
-                }
-            } else {
-                None
-            };
-            let counts = grid_rule_counts(&views, rule, jobs);
-            counts_to_stats(counts, values.len(), views.len())
-        }
+        // A ratio that is not positive disables the structured policies.
+        _ => Rule::None,
     }
 }
 
-/// A grid classification rule resolved to per-chunk form: calibration is
-/// done, so classifying a chunk needs no global state beyond the threshold.
-#[derive(Clone, Copy)]
-enum GridRule {
-    /// Top-1 per `window` lanes of each chunk.
-    Windowed { window: usize },
-    /// `|v| * rms(window)` against a calibrated score threshold.
-    Sensitivity { window: usize, threshold: f32 },
+/// Rank of the top-`ratio` threshold among `n` ranked lanes.
+fn top_k(n: usize, ratio: f64) -> usize {
+    ((n as f64 * ratio).ceil() as usize).clamp(1, n)
 }
 
-/// Activation calibration for the structured (non-magnitude) policies over
-/// the same chunk views the fused scan walked. Windows tile each chunk's
-/// *real* lanes (zero-padded tails never vote), matching the weight grid's
+/// Activation calibration for the structured (non-magnitude) policies on
+/// the same chunks the fused scan walked. Windows tile each chunk's *real*
+/// lanes (zero-padded tails never vote), matching the weight grid's
 /// chunk-local windows.
 fn calibrate_grid(
     node: usize,
-    views: &ChunkViews,
+    act: &Tensor,
     scan: &ValueScan,
     ratio: f64,
     select: OutlierSelect,
     jobs: usize,
 ) -> LayerCalibration {
+    let grid = Grid::activations(act);
     let total = scan.total().max(1);
     let nonzero = scan.nonzero();
     let (threshold, outliers) = match select {
         OutlierSelect::MagnitudePercentile => unreachable!("magnitude uses calibrate_from_scan"),
         OutlierSelect::WindowedTopK { window } => {
-            let rule = (ratio > 0.0).then_some(GridRule::Windowed { window });
-            let (_, outliers, _, _) = grid_rule_counts(views, rule, jobs);
+            let rule = if ratio > 0.0 {
+                Rule::Windowed { window }
+            } else {
+                Rule::None
+            };
             // Window-local selection has no scalar threshold.
-            (f32::INFINITY, outliers)
+            (f32::INFINITY, count_grid(grid, rule, jobs).outliers)
         }
         OutlierSelect::SensitivityWeighted { window } => {
             if ratio <= 0.0 || nonzero == 0 {
@@ -620,12 +654,14 @@ fn calibrate_grid(
                 // Activation ratios are fractions of the non-zero
                 // population (the paper's calibration target), so no
                 // rescale — unlike the weight grid.
-                let mut scores = sensitivity_scores(views, window, jobs);
-                let k = ((scores.len() as f64 * ratio).ceil() as usize).clamp(1, scores.len());
-                let threshold = kth_largest_magnitude(&mut scores, k);
-                let rule = GridRule::Sensitivity { window, threshold };
-                let (_, outliers, _, _) = grid_rule_counts(views, Some(rule), jobs);
-                (threshold, outliers)
+                let score = Score::Sensitivity { window };
+                let census = census(grid, score, jobs);
+                let threshold = select_kth(grid, score, &census, top_k(nonzero, ratio), jobs);
+                let rule = Rule::AtLeast {
+                    score,
+                    key: key(threshold),
+                };
+                (threshold, count_grid(grid, rule, jobs).outliers)
             }
         }
     };
@@ -647,207 +683,382 @@ fn calibrate_grid(
     }
 }
 
-/// Sensitivity scores (`|v| * rms(window)`) of every non-zero lane, in
-/// chunk-major lane order. The RMS accumulates in lane order with a fixed
-/// f32 sum, and parts concatenate in range order, so the result is
-/// byte-identical at any `jobs` value (and the k-th order statistic taken
-/// from it is permutation-independent under `total_cmp` regardless).
-fn sensitivity_scores(views: &ChunkViews, window: usize, jobs: usize) -> Vec<f32> {
-    assert!(window >= 1, "window must be at least 1");
-    let ranges = split_ranges(views.len(), jobs);
-    let parts = ordered_map(&ranges, jobs, |_, range| {
-        let mut scores = Vec::new();
-        for idx in range.clone() {
-            let view = views.get(idx);
-            let real = view.real_lanes();
-            let mut w0 = 0;
-            while w0 < real {
-                let end = (w0 + window).min(real);
-                let rms = lane_window_rms(&view, w0, end);
-                for lane in w0..end {
-                    let v = view.lane(lane);
-                    if v != 0.0 {
-                        scores.push(v.abs() * rms);
-                    }
+/// Matrix rows per band: a chunk is 16 consecutive rows at one column, so
+/// one row of chunks — a band — is 16 whole rows, contiguous in memory.
+/// Every kernel pass walks bands row by row and keeps per-chunk state in
+/// one slot per column, so no pass strides across rows.
+const BAND_ROWS: usize = CHUNK_LANES;
+
+/// Stacked row-major `(rows, cols)` matrices chunked into bands: one weight
+/// matrix, or an NCHW activation tensor as N matrices of `(C, H·W)` (a
+/// chunk is then 16 channels at one pixel).
+#[derive(Clone, Copy)]
+struct Grid<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a> Grid<'a> {
+    /// One `(rows, cols)` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    fn matrix(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(data.len(), rows * cols, "matrix buffer length mismatch");
+        Grid { data, rows, cols }
+    }
+
+    /// Every image of an activation tensor.
+    fn activations(tensor: &'a Tensor) -> Self {
+        let s = tensor.shape();
+        Grid {
+            data: tensor.as_slice(),
+            rows: s.c,
+            cols: s.h * s.w,
+        }
+    }
+
+    fn bands_per_matrix(&self) -> usize {
+        self.rows.div_ceil(BAND_ROWS)
+    }
+
+    /// Bands over all matrices (none for an empty grid).
+    fn bands(&self) -> usize {
+        if self.data.is_empty() {
+            return 0;
+        }
+        self.data.len() / (self.rows * self.cols) * self.bands_per_matrix()
+    }
+
+    /// Chunks over all matrices: one per column of every band.
+    fn chunks(&self) -> usize {
+        self.bands() * self.cols
+    }
+
+    /// The rows of band `b`, a contiguous run of the buffer.
+    fn band(&self, b: usize) -> &'a [f32] {
+        let per = self.bands_per_matrix();
+        let r0 = (b % per) * BAND_ROWS;
+        let start = ((b / per) * self.rows + r0) * self.cols;
+        let real = (self.rows - r0).min(BAND_ROWS);
+        &self.data[start..start + real * self.cols]
+    }
+}
+
+/// How a global policy ranks a lane.
+#[derive(Clone, Copy)]
+enum Score {
+    /// `|v|`.
+    Magnitude,
+    /// `|v| * rms(window)`: the RMS over the lane's window of its chunk,
+    /// zeros included, accumulated in lane order.
+    Sensitivity { window: usize },
+}
+
+/// A per-chunk outlier rule with its calibration resolved.
+#[derive(Clone, Copy)]
+enum Rule {
+    /// Outliers disabled (zeros still count).
+    None,
+    /// Non-zero lanes whose score [`key`] is at least `key`.
+    AtLeast { score: Score, key: u32 },
+    /// Top-1 per `window` lanes of each chunk: one outlier per window that
+    /// holds a non-zero lane.
+    Windowed { window: usize },
+}
+
+const SIGN: u32 = 0x8000_0000;
+
+/// Maps an `f32` to a `u32` whose unsigned order is [`f32::total_cmp`]'s
+/// order (sign-bit-set NaN lowest, positive NaN highest). The map is a
+/// bijection, so equal keys are bit-identical values.
+#[inline]
+fn key(v: f32) -> u32 {
+    let bits = v.to_bits();
+    bits ^ ((((bits as i32) >> 31) as u32) | SIGN)
+}
+
+/// Inverse of [`key`].
+fn from_key(k: u32) -> f32 {
+    f32::from_bits(if k & SIGN != 0 { k ^ SIGN } else { !k })
+}
+
+/// The key every zero lane takes instead of its score: [`key`] of `-0.0`.
+/// No score is negative unless it is NaN, so this key's histogram bucket
+/// holds the zero lanes and nothing else: the census counts them for free
+/// and the rankings skip them without a per-lane test.
+const ZERO_LANE: u32 = SIGN - 1;
+
+/// Histogram buckets are a key's top 12 bits: sign, exponent and three
+/// mantissa bits.
+const BUCKET_SHIFT: u32 = 20;
+const BUCKETS: usize = 1 << (32 - BUCKET_SHIFT);
+const ZERO_BUCKET: usize = (ZERO_LANE >> BUCKET_SHIFT) as usize;
+
+/// Consecutive lanes increment different sub-histograms, so a run of lanes
+/// in one bucket (the zeros, mostly) is not one chain of dependent
+/// read-modify-writes.
+const SUB_HISTOGRAMS: usize = 4;
+
+#[inline]
+fn bucket(k: u32) -> usize {
+    (k >> BUCKET_SHIFT) as usize
+}
+
+/// Walks one band in memory order, handing `visit` each row with its
+/// lanes' score keys ([`ZERO_LANE`] for zero lanes). Every selection
+/// below is arithmetic, not a branch: most weights are zero (66–82 % of
+/// AlexNet's, ResNet-18's and DenseNet-121's dense weights), in no pattern
+/// a branch predictor could learn. `keys` and `rms` are column-sized
+/// scratch.
+fn for_each_keyed_row(
+    band: &[f32],
+    score: Score,
+    keys: &mut [u32],
+    rms: &mut [f32],
+    mut visit: impl FnMut(&[f32], &[u32]),
+) {
+    let cols = keys.len();
+    match score {
+        Score::Magnitude => {
+            for row in band.chunks_exact(cols) {
+                for (k, &v) in keys.iter_mut().zip(row) {
+                    // key(|v|): clearing the sign bit, then setting it,
+                    // just sets it. `±0.0` land on `SIGN`, one above
+                    // `ZERO_LANE`.
+                    let m = v.to_bits() | SIGN;
+                    *k = m - u32::from(m == SIGN);
                 }
-                w0 = end;
+                visit(row, keys);
             }
         }
-        scores
-    });
-    let mut all = Vec::new();
-    for part in parts {
-        all.extend(part);
+        Score::Sensitivity { window } => {
+            for rows in band.chunks(window.min(BAND_ROWS) * cols) {
+                rms.fill(0.0);
+                for row in rows.chunks_exact(cols) {
+                    for (sum_sq, &v) in rms.iter_mut().zip(row) {
+                        *sum_sq += v * v;
+                    }
+                }
+                let lanes = (rows.len() / cols) as f32;
+                for r in rms.iter_mut() {
+                    *r = (*r / lanes).sqrt();
+                }
+                for row in rows.chunks_exact(cols) {
+                    for ((k, &v), &r) in keys.iter_mut().zip(row).zip(rms.iter()) {
+                        let live = u32::from(v != 0.0).wrapping_neg();
+                        *k = (key(v.abs() * r) & live) | (ZERO_LANE & !live);
+                    }
+                    visit(row, keys);
+                }
+            }
+        }
     }
-    all
 }
 
-/// RMS of a chunk's lanes `[w0, end)`, zeros included, fixed lane-order
-/// f32 accumulation.
-fn lane_window_rms(view: &ChunkView<'_>, w0: usize, end: usize) -> f32 {
-    let mut sum_sq = 0.0_f32;
-    for lane in w0..end {
-        let v = view.lane(lane);
-        sum_sq += v * v;
-    }
-    (sum_sq / (end - w0) as f32).sqrt()
+/// What the ranking pass measured over a grid.
+struct Census {
+    /// Lanes per key bucket; the zero lanes are [`ZERO_BUCKET`]'s.
+    hist: Vec<u64>,
+    /// Lanes in the grid.
+    total: usize,
+    /// Of a magnitude census: the largest non-NaN `|v|` (the `f32::max`
+    /// fold from `0.0`).
+    abs_max: f32,
 }
 
-/// One parallel sweep over a chunk grid under a resolved [`GridRule`]:
-/// `(zeros, outliers, single-outlier chunks, multi-outlier chunks)`. All
-/// four are order-independent count reductions, so any range split is
-/// exact. `rule == None` means outliers are disabled (zeros still count).
-fn grid_rule_counts(
-    views: &ChunkViews,
-    rule: Option<GridRule>,
-    jobs: usize,
-) -> (u64, u64, u64, u64) {
-    if let Some(GridRule::Windowed { window } | GridRule::Sensitivity { window, .. }) = rule {
+impl Census {
+    /// Lanes that take part in a ranking.
+    fn nonzero(&self) -> usize {
+        self.total - self.hist[ZERO_BUCKET] as usize
+    }
+}
+
+/// The ranking pass: a histogram of every lane's score key over contiguous
+/// band ranges on up to `jobs` workers. Integer counts sum exactly, so any
+/// split gives the same census.
+fn census(grid: Grid<'_>, score: Score, jobs: usize) -> Census {
+    if let Score::Sensitivity { window } = score {
         assert!(window >= 1, "window must be at least 1");
     }
-    let ranges = split_ranges(views.len(), jobs);
+    let ranges = split_ranges(grid.bands(), jobs);
     let parts = ordered_map(&ranges, jobs, |_, range| {
-        let mut zeros = 0u64;
-        let mut outliers = 0u64;
-        let mut single = 0u64;
-        let mut multi = 0u64;
-        for idx in range.clone() {
-            let view = views.get(idx);
-            let real = view.real_lanes();
-            for lane in 0..real {
-                if view.lane(lane) == 0.0 {
-                    zeros += 1;
-                }
-            }
-            let mut count = 0u32;
-            match rule {
-                None => {}
-                Some(GridRule::Windowed { window }) => {
-                    let mut w0 = 0;
-                    while w0 < real {
-                        let end = (w0 + window).min(real);
-                        if (w0..end).any(|lane| view.lane(lane) != 0.0) {
-                            count += 1;
-                        }
-                        w0 = end;
+        let mut hist = vec![[0u32; BUCKETS]; SUB_HISTOGRAMS];
+        let mut abs_max = 0.0_f32;
+        let mut keys = vec![0; grid.cols];
+        let mut rms = vec![0.0; grid.cols];
+        for b in range.clone() {
+            for_each_keyed_row(grid.band(b), score, &mut keys, &mut rms, |row, keys| {
+                let mut quads = keys.chunks_exact(SUB_HISTOGRAMS);
+                for quad in &mut quads {
+                    for (h, &k) in hist.iter_mut().zip(quad) {
+                        h[bucket(k)] += 1;
                     }
                 }
-                Some(GridRule::Sensitivity { window, threshold }) => {
-                    let mut w0 = 0;
-                    while w0 < real {
-                        let end = (w0 + window).min(real);
-                        let rms = lane_window_rms(&view, w0, end);
-                        for lane in w0..end {
-                            let v = view.lane(lane);
-                            if v != 0.0 && (v.abs() * rms).total_cmp(&threshold).is_ge() {
-                                count += 1;
+                for &k in quads.remainder() {
+                    hist[0][bucket(k)] += 1;
+                }
+                if let Score::Magnitude = score {
+                    abs_max = row.iter().fold(abs_max, |m, &v| m.max(v.abs()));
+                }
+            });
+        }
+        (hist, abs_max)
+    });
+    let mut census = Census {
+        hist: vec![0; BUCKETS],
+        total: grid.data.len(),
+        abs_max: 0.0,
+    };
+    for (hist, abs_max) in parts {
+        for sub in &hist {
+            for (sum, &n) in census.hist.iter_mut().zip(sub) {
+                *sum += u64::from(n);
+            }
+        }
+        census.abs_max = census.abs_max.max(abs_max);
+    }
+    census
+}
+
+/// The `k`-th largest (1-based, under `total_cmp`) score of the grid's
+/// non-zero lanes. The census locates the one bucket holding rank `k`; one
+/// more walk gathers that bucket's keys, and `select_nth` ranks inside it.
+/// Exact: every key above the bucket outranks every key in it.
+fn select_kth(grid: Grid<'_>, score: Score, census: &Census, k: usize, jobs: usize) -> f32 {
+    assert!(
+        (1..=census.nonzero()).contains(&k),
+        "rank must be in 1..=non-zero lanes"
+    );
+    // Non-zero lanes in the buckets above `target`.
+    let mut above = 0;
+    let mut target = 0;
+    for b in (0..BUCKETS).rev().filter(|&b| b != ZERO_BUCKET) {
+        let lanes = census.hist[b] as usize;
+        if above + lanes >= k {
+            target = b;
+            break;
+        }
+        above += lanes;
+    }
+    let ranges = split_ranges(grid.bands(), jobs);
+    let parts = ordered_map(&ranges, jobs, |_, range| {
+        let mut found = Vec::new();
+        let mut keys = vec![0; grid.cols];
+        let mut rms = vec![0.0; grid.cols];
+        for b in range.clone() {
+            for_each_keyed_row(grid.band(b), score, &mut keys, &mut rms, |_, keys| {
+                for &k in keys {
+                    if bucket(k) == target {
+                        found.push(k);
+                    }
+                }
+            });
+        }
+        found
+    });
+    let mut found = parts.concat();
+    let (_, kth, _) = found.select_nth_unstable_by(k - above - 1, |a, b| b.cmp(a));
+    from_key(*kth)
+}
+
+/// Exactly-zero lanes of `values`, counted in `u32` runs: a `u32` count
+/// vectorizes twice as wide as a `usize` one.
+fn zero_lanes(values: &[f32]) -> u64 {
+    values
+        .chunks(1 << 16)
+        .map(|run| u64::from(run.iter().map(|&v| u32::from(v == 0.0)).sum::<u32>()))
+        .sum()
+}
+
+/// What the counting pass measured over a grid.
+#[derive(Default)]
+struct Counts {
+    zeros: u64,
+    outliers: u64,
+    /// Chunks with exactly one outlier.
+    single: u64,
+    /// Chunks with two or more outliers.
+    multi: u64,
+}
+
+impl Counts {
+    /// The fraction form the models consume.
+    fn stats(&self, grid: Grid<'_>) -> WeightChunkStats {
+        let total = grid.data.len().max(1) as f64;
+        let chunks = grid.chunks().max(1) as f64;
+        WeightChunkStats {
+            zero_fraction: self.zeros as f64 / total,
+            outlier_ratio: self.outliers as f64 / total,
+            single_fraction: self.single as f64 / chunks,
+            multi_fraction: self.multi as f64 / chunks,
+        }
+    }
+}
+
+/// The counting pass: zeros, outliers and per-chunk outlier multiplicity
+/// under `rule`, over contiguous band ranges on up to `jobs` workers. A
+/// band's per-chunk counts build up row by row with branch-free adds, one
+/// slot per column, then fold into the totals.
+fn count_grid(grid: Grid<'_>, rule: Rule, jobs: usize) -> Counts {
+    if let Rule::Windowed { window }
+    | Rule::AtLeast {
+        score: Score::Sensitivity { window },
+        ..
+    } = rule
+    {
+        assert!(window >= 1, "window must be at least 1");
+    }
+    let ranges = split_ranges(grid.bands(), jobs);
+    let parts = ordered_map(&ranges, jobs, |_, range| {
+        let mut counts = Counts::default();
+        let mut per_chunk = vec![0u8; grid.cols];
+        let mut live = vec![0u8; grid.cols];
+        let mut keys = vec![0; grid.cols];
+        let mut rms = vec![0.0; grid.cols];
+        for b in range.clone() {
+            let band = grid.band(b);
+            counts.zeros += zero_lanes(band);
+            per_chunk.fill(0);
+            match rule {
+                Rule::None => {}
+                Rule::AtLeast { score, key } => {
+                    for_each_keyed_row(band, score, &mut keys, &mut rms, |_, keys| {
+                        for (n, &k) in per_chunk.iter_mut().zip(keys) {
+                            *n += u8::from((k >= key) & (k != ZERO_LANE));
+                        }
+                    });
+                }
+                Rule::Windowed { window } => {
+                    for rows in band.chunks(window.min(BAND_ROWS) * grid.cols) {
+                        live.fill(0);
+                        for row in rows.chunks_exact(grid.cols) {
+                            for (l, &v) in live.iter_mut().zip(row) {
+                                *l |= u8::from(v != 0.0);
                             }
                         }
-                        w0 = end;
+                        for (n, &l) in per_chunk.iter_mut().zip(&live) {
+                            *n += l;
+                        }
                     }
                 }
             }
-            outliers += u64::from(count);
-            match count {
-                0 => {}
-                1 => single += 1,
-                _ => multi += 1,
+            for &n in &per_chunk {
+                counts.outliers += u64::from(n);
+                counts.single += u64::from(n == 1);
+                counts.multi += u64::from(n >= 2);
             }
         }
-        (zeros, outliers, single, multi)
+        counts
     });
-    parts.into_iter().fold((0u64, 0u64, 0u64, 0u64), |a, p| {
-        (a.0 + p.0, a.1 + p.1, a.2 + p.2, a.3 + p.3)
+    parts.into_iter().fold(Counts::default(), |a, p| Counts {
+        zeros: a.zeros + p.zeros,
+        outliers: a.outliers + p.outliers,
+        single: a.single + p.single,
+        multi: a.multi + p.multi,
     })
-}
-
-/// Folds raw grid counts into the fraction form the models consume.
-fn counts_to_stats(counts: (u64, u64, u64, u64), total: usize, chunks: usize) -> WeightChunkStats {
-    let (zeros, outliers, single, multi) = counts;
-    let total = total.max(1);
-    let chunks = (chunks as u64).max(1);
-    WeightChunkStats {
-        zero_fraction: zeros as f64 / total as f64,
-        outlier_ratio: outliers as f64 / total as f64,
-        single_fraction: single as f64 / chunks as f64,
-        multi_fraction: multi as f64 / chunks as f64,
-    }
-}
-
-/// Fits the weight outlier quantizer from an already-computed statistics
-/// scan. The paper's weight outlier ratio is a fraction of *total* weights
-/// (zeros included), so the fit over the non-zero population uses
-/// `ratio / (1 - zero_fraction)`.
-///
-/// Decomposes `OutlierQuantizer::fit` over the filtered non-zero slice
-/// exactly: the fit's max-fold equals the scan's [`ValueScan::abs_max`]
-/// and its threshold selection equals [`ValueScan::threshold`] over the
-/// same non-zero magnitudes.
-fn fit_from_scan(scan: &mut ValueScan, ratio: f64) -> Option<OutlierQuantizer> {
-    if ratio <= 0.0 || scan.nonzero() == 0 {
-        return None;
-    }
-    let nonzero_ratio = (ratio * scan.total() as f64 / scan.nonzero() as f64).min(1.0);
-    let threshold = scan.threshold(nonzero_ratio);
-    Some(OutlierQuantizer::with_threshold(
-        threshold,
-        scan.abs_max(),
-        nonzero_ratio,
-        4,
-        8,
-    ))
-}
-
-/// One fused sweep over the weight chunk grid: zeros, outliers, and
-/// per-chunk outlier multiplicity, split across `jobs` workers over
-/// contiguous chunk ranges (all four quantities are order-independent
-/// count reductions, so any split is exact).
-fn chunk_stats_fused(
-    values: &[f32],
-    co: usize,
-    inner: usize,
-    quant: Option<&OutlierQuantizer>,
-    jobs: usize,
-) -> WeightChunkStats {
-    let views = ChunkViews::matrix(values, co, inner, CHUNK_LANES);
-    let ranges = split_ranges(views.len(), jobs);
-    let parts = ordered_map(&ranges, jobs, |_, range| {
-        let mut zeros = 0u64;
-        let mut outliers = 0u64;
-        let mut single = 0u64;
-        let mut multi = 0u64;
-        for idx in range.clone() {
-            let view = views.get(idx);
-            let mut count = 0u32;
-            for lane in 0..view.real_lanes() {
-                let v = view.lane(lane);
-                if v == 0.0 {
-                    zeros += 1;
-                } else if quant.map(|q| q.is_outlier(v)) == Some(true) {
-                    count += 1;
-                }
-            }
-            outliers += u64::from(count);
-            match count {
-                0 => {}
-                1 => single += 1,
-                _ => multi += 1,
-            }
-        }
-        (zeros, outliers, single, multi)
-    });
-    let (zeros, outliers, single, multi) =
-        parts.into_iter().fold((0u64, 0u64, 0u64, 0u64), |a, p| {
-            (a.0 + p.0, a.1 + p.1, a.2 + p.2, a.3 + p.3)
-        });
-    let total = values.len().max(1);
-    let chunks = views.len() as u64;
-    WeightChunkStats {
-        zero_fraction: zeros as f64 / total as f64,
-        outlier_ratio: outliers as f64 / total as f64,
-        single_fraction: single as f64 / chunks.max(1) as f64,
-        multi_fraction: multi as f64 / chunks.max(1) as f64,
-    }
 }
 
 /// The pre-fusion multi-pass extraction pipeline, retained verbatim as the
@@ -1410,6 +1621,42 @@ mod tests {
         assert_ne!(m.fingerprint(), base.fingerprint());
         // Distinct layers of one network are distinct keys.
         assert_ne!(ws.layers[0].fingerprint(), ws.layers[1].fingerprint());
+    }
+
+    #[test]
+    fn score_keys_follow_the_total_order() {
+        let values = [
+            -f32::NAN,
+            f32::NEG_INFINITY,
+            -1.0,
+            -1e-45,
+            -0.0,
+            0.0,
+            1e-45,
+            f32::MIN_POSITIVE,
+            1.0,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        for a in values {
+            assert_eq!(from_key(key(a)).to_bits(), a.to_bits());
+            for b in values {
+                assert_eq!(key(a).cmp(&key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
+        // Scores are +0.0, positive or NaN: none shares the zero lanes' bucket.
+        assert_eq!(ZERO_LANE, key(-0.0));
+        for score in [
+            0.0,
+            1e-45,
+            f32::MIN_POSITIVE,
+            1.0,
+            f32::INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ] {
+            assert_ne!(bucket(key(score)), ZERO_BUCKET, "{score}");
+        }
     }
 
     #[test]

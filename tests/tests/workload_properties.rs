@@ -212,11 +212,14 @@ proptest! {
         seed in 0u64..1000,
         sel in 0u8..3,
         window in 1usize..=16,
+        batch in 1usize..=3,
     ) {
         // Same contract over randomized geometry: channel counts off the
-        // 16-lane grid, odd spatial sizes, 1x1..3x3 kernels, tiny FCs.
+        // 16-lane grid, odd spatial sizes, 1x1..3x3 kernels, tiny FCs, and
+        // batches of up to three images (each image is its own stack of
+        // channel bands in the activation grid).
         let pad = kernel / 2;
-        let mut net = Network::new("prop", Shape4::new(1, cin, spatial, spatial));
+        let mut net = Network::new("prop", Shape4::new(batch, cin, spatial, spatial));
         let c1 = net.add(
             "conv1",
             Op::Conv(Conv2dSpec::new(cin, cmid, ConvGeometry::new(kernel, 1, pad))),
@@ -244,7 +247,7 @@ proptest! {
         let fused = extract_from_acts_jobs(&net, &params, &acts, &policy, jobs);
         prop_assert!(
             fused.bitwise_eq(&reference),
-            "random net (cin={cin}, cmid={cmid}, s={spatial}, k={kernel}) \
+            "random net (batch={batch}, cin={cin}, cmid={cmid}, s={spatial}, k={kernel}) \
              diverged at jobs={jobs}, ratio={ratio}, select={:?}",
             policy.select
         );
