@@ -152,7 +152,7 @@ impl EyerissSim {
     /// layer's content fingerprint folded with every configuration input
     /// [`EyerissSim::simulate_layer`] reads.
     fn sim_key(&self, l: &LayerWorkload, mem: &MemoryConfig) -> u64 {
-        let mut fp = ola_sim::memo::Fingerprint::new();
+        let mut fp = ola_tensor::memo::Fingerprint::new();
         fp.str("eyeriss")
             .u32(self.config.mode.bits())
             .usize(self.config.pe_count);
@@ -184,7 +184,7 @@ impl EyerissSim {
             NetworkRun {
                 accelerator: self.label(),
                 network: ws.network.clone(),
-                layers: ola_sim::par::ordered_map(&ws.layers, jobs, |_, l| {
+                layers: ola_tensor::par::ordered_map(&ws.layers, jobs, |_, l| {
                     (*cache.layer_run(self.sim_key(l, &mem), || self.simulate_layer(l, &mem)))
                         .clone()
                 }),

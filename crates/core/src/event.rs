@@ -242,7 +242,7 @@ const VALIDATE_SEED: u64 = 0xE7E27;
 /// tuning feeding the job stream, the cluster configuration, and the
 /// stream's RNG seed.
 fn cluster_key(l: &LayerWorkload, tuning: &GroupTuning, cfg: &EventConfig) -> u64 {
-    let mut fp = ola_sim::memo::Fingerprint::new();
+    let mut fp = ola_tensor::memo::Fingerprint::new();
     fp.str("event-cluster")
         .u64(VALIDATE_SEED)
         .usize(tuning.lanes)

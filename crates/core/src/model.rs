@@ -212,7 +212,7 @@ impl OlAccelSim {
     /// [`OlAccelSim::simulate_layer`] reads — accelerator kind, mode,
     /// geometry, technology parameters, tuning, and the memory config.
     fn sim_key(&self, l: &LayerWorkload, mem: &MemoryConfig) -> u64 {
-        let mut fp = ola_sim::memo::Fingerprint::new();
+        let mut fp = ola_tensor::memo::Fingerprint::new();
         fp.str("olaccel")
             .u32(self.config.mode.bits())
             .usize(self.config.clusters)
@@ -237,7 +237,7 @@ impl OlAccelSim {
     /// ([`ola_sim::simcache::model_jobs`]).
     ///
     /// Layers are independent given a [`WorkloadSet`], so they fan out over
-    /// [`ola_sim::par::ordered_map`]'s scoped worker threads; results come
+    /// [`ola_tensor::par::ordered_map`]'s scoped worker threads; results come
     /// back in forward order and are byte-identical at any worker count.
     /// Per-layer results are memoized in the global [`ola_sim::SimCache`],
     /// so repeated simulations of the same layer under the same
@@ -256,7 +256,7 @@ impl OlAccelSim {
             NetworkRun {
                 accelerator: self.label(),
                 network: ws.network.clone(),
-                layers: ola_sim::par::ordered_map(&ws.layers, jobs, |_, l| {
+                layers: ola_tensor::par::ordered_map(&ws.layers, jobs, |_, l| {
                     (*cache.layer_run(self.sim_key(l, &mem), || self.simulate_layer(l, &mem)))
                         .clone()
                 }),

@@ -32,12 +32,13 @@ EXPERIMENT  fig1 fig2 fig3 table1 fig11 fig12 fig13 fig14 fig15 fig16
 --out DIR   additionally write each report to DIR/<experiment>.txt
 --cache-dir DIR
             persistent artifact store: prepared networks, workload sets,
-            and per-layer simulation results are written there on first
-            build and loaded (skipping synthesize/forward/extract — and,
-            when warm, the model phase — entirely) on later runs.
-            Artifacts are content-addressed by their inputs plus a code /
-            model version fingerprint, so a stale or corrupt store never
-            changes results — it only misses, with a stderr warning.
+            per-layer simulation results and accuracy-eval records are
+            written there on first build and loaded on later runs,
+            skipping synthesize/forward/extract and, when warm, the model
+            and eval phases entirely. Artifacts are content-addressed by
+            their inputs plus a code / model / eval version fingerprint,
+            so a stale or corrupt store never changes results — it only
+            misses, with a stderr warning.
 
 serve       run as a daemon on a Unix socket. Protocol: one request per
             line — `run <experiment> [--fast|--full] [--jobs N]`, `stats`,
@@ -73,9 +74,7 @@ fn main() {
                 fs::create_dir_all(dir).expect("create output directory");
             }
             let names = cli::resolve_names(&names);
-            let jobs = options
-                .jobs
-                .unwrap_or_else(ola_harness::engine::default_jobs);
+            let jobs = options.jobs.unwrap_or_else(ola_tensor::par::default_jobs);
             let out_dir = options.out_dir.clone();
             let result = ola_harness::engine::run_suite(&names, options.fast, jobs, |outcome| {
                 if let Ok(report) = &outcome.report {

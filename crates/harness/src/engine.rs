@@ -15,10 +15,11 @@
 //! outcome, and re-raised by [`run_suite`] after every worker has drained —
 //! one broken figure doesn't strand the queue mid-run.
 
-use crate::prep::{lock_unpoisoned, CacheStats, PrepCache};
-use crate::timing::{self, PhaseStats};
+use crate::prep::{CacheStats, PrepCache};
 use ola_quant::{EvalCache, EvalStats};
+use ola_sim::timing::{self, PhaseStats};
 use ola_sim::{SimCache, SimStats};
+use ola_tensor::memo::{lock_unpoisoned, panic_message};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -87,20 +88,15 @@ impl SuiteResult {
         ));
         out.push_str(&self.phases.render(self.busy()));
         out.push('\n');
-        out.push_str(&self.cache.render());
-        out.push('\n');
-        out.push_str(&self.sim.render());
-        out.push('\n');
-        out.push_str(&self.eval.render());
-        out.push('\n');
+        out.push_str(&render_cache_stats(&self.cache, &self.sim, &self.eval));
         out
     }
 }
 
-/// Default worker count: the machine's available parallelism (shared with
-/// the intra-experiment layer parallelism in [`ola_sim::par`]).
-pub fn default_jobs() -> usize {
-    ola_sim::par::default_jobs()
+/// The memo tiers' counter lines: the one rendering the run summary and
+/// the daemon's `stats` reply share.
+pub fn render_cache_stats(prep: &CacheStats, sim: &SimStats, eval: &EvalStats) -> String {
+    format!("{}\n{}\n{}\n", prep.render(), sim.render(), eval.render())
 }
 
 /// Whether `name` is an experiment [`crate::run_experiment`] accepts.
@@ -240,12 +236,6 @@ pub fn run_suite_collect(names: &[&str], fast: bool, jobs: usize) -> Vec<String>
         .map(|o| o.report.expect("run_suite re-raises panics"))
         .collect()
 }
-
-/// Best-effort extraction of a caught panic's message (shared with the
-/// caches' exactly-once slots, which relay a failed build's message to
-/// every waiting requester; the implementation now lives in
-/// [`ola_sim::memo`] alongside that slot protocol).
-pub(crate) use ola_sim::memo::panic_message;
 
 #[cfg(test)]
 mod tests {

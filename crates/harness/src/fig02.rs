@@ -36,7 +36,7 @@ impl TrainedSynthNet {
     /// them — are byte-identical at any `--jobs` value.
     pub fn train(fast: bool) -> Self {
         let (n, epochs) = if fast { (700, 8) } else { (2400, 16) };
-        let all = crate::timing::timed(crate::timing::Phase::Synthesize, || {
+        let all = ola_sim::timing::timed(ola_sim::timing::Phase::Synthesize, || {
             SynthDataset::generate(n + 400, 10, 0x5EED)
         });
         let train = SynthDataset {
@@ -50,11 +50,11 @@ impl TrainedSynthNet {
             classes: 10,
         };
         let mut net = SynthNet::new(10, 0xCAFE);
-        crate::timing::timed(crate::timing::Phase::Train, || {
+        ola_sim::timing::timed(ola_sim::timing::Phase::Train, || {
             net.train(&train, epochs, 0.02, 0xBEEF)
         });
         // One forward pass per image yields both full-precision metrics.
-        let (fp_top1, fp_top5) = crate::timing::timed(crate::timing::Phase::Eval, || {
+        let (fp_top1, fp_top5) = ola_sim::timing::timed(ola_sim::timing::Phase::Eval, || {
             net.eval_with(&test, 5, |_, _| ())
         });
         TrainedSynthNet {
@@ -84,7 +84,7 @@ pub fn run(fast: bool) -> String {
     let t = trained(fast);
     let mut rows = Vec::new();
     for ratio in RATIOS {
-        let acc = crate::timing::timed(crate::timing::Phase::Eval, || {
+        let acc = ola_sim::timing::timed(ola_sim::timing::Phase::Eval, || {
             evaluate_synthnet(&t.net, &t.test, &t.train, &QuantSpec::paper_4bit(ratio), 5)
         });
         rows.push(vec![

@@ -28,7 +28,7 @@ fn fp_top5(network: &str) -> f64 {
 /// Per-layer weight populations of a zoo network (sampled for generators),
 /// timed as parameter synthesis.
 fn layer_weights(network: &str) -> Vec<Vec<f32>> {
-    crate::timing::timed(crate::timing::Phase::Synthesize, || {
+    ola_sim::timing::timed(ola_sim::timing::Phase::Synthesize, || {
         let cfg = ZooConfig {
             spatial_scale: 8,
             include_classifier: true,
@@ -47,7 +47,7 @@ fn layer_weights(network: &str) -> Vec<Vec<f32>> {
 pub fn run(fast: bool) -> String {
     // Measured path: SynthNet at the AlexNet operating point.
     let t = trained(fast);
-    let measured = crate::timing::timed(crate::timing::Phase::Eval, || {
+    let measured = ola_sim::timing::timed(ola_sim::timing::Phase::Eval, || {
         evaluate_synthnet(&t.net, &t.test, &t.train, &QuantSpec::paper_4bit(0.035), 5)
     });
 

@@ -26,7 +26,7 @@ pub fn run(fast: bool) -> String {
     let runtime_input = uniform_tensor(prep.net.input_shape(), -1.0, 1.0, 0x4217);
     // Both forwards (the calibration batch and the runtime input) time as
     // the forward phase.
-    let (cals, outs) = crate::timing::timed(crate::timing::Phase::Forward, || {
+    let (cals, outs) = ola_sim::timing::timed(ola_sim::timing::Phase::Forward, || {
         (
             calibrate_activations(&prep.net, &prep.params, &samples, 0.03),
             prep.net.forward(&prep.params, &runtime_input),

@@ -37,7 +37,6 @@ pub mod sensitivity;
 pub mod server;
 pub mod summary;
 pub mod table1;
-pub mod timing;
 pub mod validate;
 
 /// All experiment names the binary accepts, in paper order, plus the

@@ -34,7 +34,7 @@ pub fn run(fast: bool) -> String {
             select,
             ..QuantSpec::paper_4bit(RATIO)
         };
-        let acc = crate::timing::timed(crate::timing::Phase::Eval, || {
+        let acc = ola_sim::timing::timed(ola_sim::timing::Phase::Eval, || {
             evaluate_synthnet(&t.net, &t.test, &t.train, &spec, 5)
         });
 

@@ -6,49 +6,40 @@
 //! the dominant cost of a full reproduction run, and most figures ask for
 //! the *same* prepared network (AlexNet at the default scale). The
 //! [`PrepCache`] therefore memoizes both levels of the pipeline
-//! process-wide:
+//! process-wide, each in an [`ola_tensor::memo::Memo`]:
 //!
-//! * [`Prepared`] networks, keyed by `(network, scale, seed)`;
-//! * [`WorkloadSet`]s, keyed by `(network, scale, seed, policy)`.
+//! * [`Prepared`] networks, keyed by a fingerprint of
+//!   `(network, scale, seed)`;
+//! * [`WorkloadSet`]s, keyed by the same fold plus the policy's
+//!   [`policy_fingerprint`].
 //!
-//! Every entry is computed exactly once per process — concurrent requests
-//! for the same key block on a per-key [`OnceLock`] while the first caller
-//! builds it — so the parallel experiment engine (`crate::engine`) gets the
-//! same bytes in every report regardless of scheduling order. All
-//! randomness is derived from the explicit `seed` argument (see
-//! [`Prepared::with_seed`]), never from global state, which is what makes
-//! the memoization sound.
-//!
-//! With [`PrepCache::set_disk`] the cache additionally gains a persistent
-//! tier: misses read through to an [`ArtifactStore`] before computing, and
-//! fresh builds write through after. Artifacts are content-addressed by
-//! `(network, scale, seed, policy, code version)`, so a stale store can
-//! never change results — at worst it misses. A corrupt store file warns
-//! on stderr and recomputes; it never fails a run.
-//!
-//! A build that *panics* does not poison its cache slot: the panic payload
-//! is re-raised unchanged for the builder, waiting requesters fail with
-//! the original message, and the slot is evicted so a later request can
-//! retry — which is what keeps a long-lived daemon serviceable after one
-//! bad request.
+//! Every entry is computed exactly once per process, so the parallel
+//! experiment engine (`crate::engine`) gets the same bytes in every report
+//! regardless of scheduling order. All randomness is derived from the
+//! explicit `seed` argument (see [`Prepared::with_seed`]), never from
+//! global state, which is what makes the memoization sound. With
+//! [`attach_disk_store`] both tiers (and every other memo tier) read
+//! through to an [`ArtifactStore`] before computing and write through
+//! after; a stale or corrupt store only ever misses.
 
-use crate::timing;
 use ola_baselines::{EyerissSim, ZenaSim};
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
 use ola_nn::synth::{activation_sparsity_target, shape_activation_sparsity, SynthConfig};
 use ola_nn::zoo::{self, ZooConfig};
 use ola_nn::{Network, Params};
-use ola_sim::policy::FirstLayerPolicy;
+use ola_quant::EvalCache;
+use ola_sim::timing;
 use ola_sim::workload::{extract_from_acts, WorkloadSet};
-use ola_sim::{NetworkRun, QuantPolicy};
-use ola_store::{ArtifactStore, StoreError};
+use ola_sim::{NetworkRun, QuantPolicy, SimCache};
+use ola_store::codec::{decode_params, decode_tensor, encode_params, encode_tensor};
+use ola_store::wire::{Reader, Writer};
+use ola_store::{policy_fingerprint, ArtifactStore, Record, StoreError};
 use ola_tensor::init::uniform_tensor;
+use ola_tensor::memo::{Fingerprint, Memo};
 use ola_tensor::Tensor;
-use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// The experiment suite's base preparation seed. Input tensors derive from
 /// `seed + scale` and parameter synthesis from a seed-dependent offset, so
@@ -182,71 +173,60 @@ pub(crate) fn zoo_config(scale: usize) -> ZooConfig {
     }
 }
 
-/// The exactly-once slot machinery both cache levels are built on — moved
-/// to [`ola_sim::memo`] so the model-phase [`ola_sim::SimCache`] can share
-/// it; re-exported here for the harness's pre-existing callers.
-pub(crate) use ola_sim::memo::{fill_slot, lock_unpoisoned, Fill, Slot};
-
 /// Fetches (or builds, exactly once per process) the shared [`Prepared`]
 /// network for `(network, scale)` at the suite's [`DEFAULT_SEED`].
 pub fn prepared(network: &str, scale: usize) -> Arc<Prepared> {
     PrepCache::global().prepared(network, scale, DEFAULT_SEED)
 }
 
-/// Fetches (or extracts, exactly once per process) the shared
-/// [`WorkloadSet`] for `(network, scale, policy)` at [`DEFAULT_SEED`].
-pub fn workloads(network: &str, scale: usize, policy: &QuantPolicy) -> Arc<WorkloadSet> {
-    let prep = prepared(network, scale);
-    PrepCache::global().workloads_for(&prep, policy)
-}
+/// A prepared network's record: its identity, parameters and forward
+/// activations. The graph is not stored — it is cheap and fully determined
+/// by `(network, scale)` — so decoding rebuilds it and checks the stored
+/// tensors against it before trusting them.
+impl Record for Prepared {
+    const KIND: u8 = 1;
+    const PREFIX: &'static str = "prep";
+    const SOURCES: &'static [&'static str] = ola_store::version::PREP_SOURCES;
 
-/// A `QuantPolicy` reduced to hashable identity (`f64` ratio keyed by its
-/// bit pattern) for use in cache keys.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PolicyKey {
-    mode_bits: u32,
-    low_bits: u32,
-    ratio_bits: u64,
-    first_layer: u8,
-    select: ola_sim::OutlierSelect,
-}
-
-/// Canonical bit pattern of an `f64` for cache keying: `-0.0` folds onto
-/// `0.0` (they compare equal, so raw `to_bits` would split one policy
-/// across two cache slots and double the synthesis work) and every NaN
-/// payload folds onto the canonical quiet NaN (raw bits would make equal-
-/// looking NaN policies miss each other — and `extract` treats them
-/// identically anyway).
-fn canonical_f64_bits(v: f64) -> u64 {
-    if v == 0.0 {
-        0
-    } else if v.is_nan() {
-        0x7ff8_0000_0000_0000
-    } else {
-        v.to_bits()
-    }
-}
-
-impl From<&QuantPolicy> for PolicyKey {
-    fn from(p: &QuantPolicy) -> Self {
-        PolicyKey {
-            mode_bits: p.mode.bits(),
-            low_bits: p.low_bits,
-            ratio_bits: canonical_f64_bits(p.outlier_ratio),
-            first_layer: match p.first_layer {
-                FirstLayerPolicy::RawActs => 0,
-                FirstLayerPolicy::RawActsWideWeights => 1,
-                FirstLayerPolicy::FineTuned4Bit => 2,
-            },
-            // `OutlierSelect` is plain data (discriminant + window) and
-            // derives `Eq + Hash` itself.
-            select: p.select,
+    fn encode(&self, w: &mut Writer) {
+        w.string(&self.network);
+        w.u64(self.scale as u64);
+        w.u64(self.seed);
+        encode_params(w, &self.params);
+        w.len(self.acts.len());
+        for t in &self.acts {
+            encode_tensor(w, t);
         }
     }
-}
 
-type PrepKey = (String, usize, u64);
-type WsKey = (String, usize, u64, PolicyKey);
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let network = r.string()?;
+        let scale = usize::try_from(r.u64()?).unwrap_or(0);
+        let seed = r.u64()?;
+        let params = decode_params(r)?;
+        let acts: Vec<Tensor> = (0..r.len(8)?)
+            .map(|_| decode_tensor(r))
+            .collect::<Result<_, _>>()?;
+        let net = (scale > 0)
+            .then(|| zoo::try_by_name(&network, &zoo_config(scale)))
+            .flatten()
+            .filter(|net| params.len() == net.nodes().len() && acts.len() == net.nodes().len())
+            .ok_or_else(|| {
+                StoreError::Corrupt(format!(
+                    "prepared {network:?} (scale {scale}) does not match its graph"
+                ))
+            })?;
+        Ok(Prepared {
+            net,
+            params,
+            acts,
+            network,
+            scale,
+            seed,
+            cached: false,
+        })
+    }
+}
 
 /// A point-in-time snapshot of [`PrepCache`] hit/miss counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -299,37 +279,32 @@ impl CacheStats {
 
 /// Attaches the persistent disk tier at `dir` to *every* process-wide
 /// cache: the [`PrepCache`] (prepared networks, workload sets), the
-/// model-phase [`ola_sim::SimCache`] (per-layer simulation results) and
-/// the eval-phase [`ola_quant::EvalCache`] (quantized-accuracy results).
-/// This is what `--cache-dir` wires up in the CLI and the daemon — one
-/// flag, one directory, every cache level persistent.
+/// model-phase [`SimCache`] (per-layer simulation results) and the
+/// eval-phase [`EvalCache`] (quantized-accuracy results). This is what
+/// `--cache-dir` wires up in the CLI and the daemon — one flag, one
+/// directory, one store, every memo tier persistent.
 pub fn attach_disk_store(dir: &Path) -> Result<(), StoreError> {
-    PrepCache::global().set_disk(Some(dir))?;
     let store = Arc::new(ArtifactStore::open(dir)?);
-    ola_sim::SimCache::global().set_store(Some(store.clone()));
-    ola_quant::EvalCache::global().set_store(Some(store));
+    PrepCache::global().set_store(store.clone());
+    SimCache::global().set_store(store.clone());
+    EvalCache::global().set_store(store);
     Ok(())
 }
 
+/// The fold both preparation keys start from.
+fn prep_key(network: &str, scale: usize, seed: u64) -> Fingerprint {
+    let mut fp = Fingerprint::new();
+    fp.str(network).usize(scale).u64(seed);
+    fp
+}
+
 /// Process-wide memoization of [`Prepared`] networks and [`WorkloadSet`]s,
-/// with an optional persistent disk tier.
-///
-/// Each map slot holds an `Arc<OnceLock<..>>`: the outer mutex is held only
-/// long enough to find or insert the slot, and the `OnceLock` guarantees
-/// the expensive build runs exactly once while concurrent requesters for
-/// the same key block until it lands. Requests for *different* keys never
+/// with an optional persistent tier. Requests for different keys never
 /// serialize on each other's builds.
 #[derive(Default)]
 pub struct PrepCache {
-    prepared: Mutex<HashMap<PrepKey, Slot<Prepared>>>,
-    workloads: Mutex<HashMap<WsKey, Slot<WorkloadSet>>>,
-    disk: Mutex<Option<Arc<ArtifactStore>>>,
-    prepared_hits: AtomicU64,
-    prepared_misses: AtomicU64,
-    workload_hits: AtomicU64,
-    workload_misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
+    prepared: Memo<Prepared>,
+    workloads: Memo<WorkloadSet>,
 }
 
 impl PrepCache {
@@ -344,213 +319,51 @@ impl PrepCache {
         GLOBAL.get_or_init(PrepCache::new)
     }
 
-    /// Attaches (or, with `None`, detaches) the persistent disk tier.
-    /// Misses read through to the store before computing and fresh builds
-    /// write through after; already-resident entries are unaffected.
-    pub fn set_disk(&self, dir: Option<&Path>) -> Result<(), StoreError> {
-        let store = match dir {
-            Some(d) => Some(Arc::new(ArtifactStore::open(d)?)),
-            None => None,
-        };
-        *lock_unpoisoned(&self.disk) = store;
-        Ok(())
-    }
-
-    /// The currently attached disk store, if any.
-    fn disk_store(&self) -> Option<Arc<ArtifactStore>> {
-        lock_unpoisoned(&self.disk).clone()
+    /// Attaches the persistent tier of both levels. Misses read through to
+    /// the store before computing and fresh builds write through after;
+    /// already-resident entries are unaffected.
+    pub fn set_store(&self, store: Arc<ArtifactStore>) {
+        self.prepared.set_store(store.clone());
+        self.workloads.set_store(store);
     }
 
     /// Fetches or builds the [`Prepared`] network for a key. Exactly one
     /// caller per key runs the synthesis (or the disk load); the rest
     /// count hits.
     pub fn prepared(&self, network: &str, scale: usize, seed: u64) -> Arc<Prepared> {
-        let key = (network.to_string(), scale, seed);
-        let (value, fill) = fill_slot(&self.prepared, key, || {
-            self.build_prepared(network, scale, seed)
-        });
-        self.count_fill(fill, &self.prepared_hits, &self.prepared_misses);
-        value
-    }
-
-    /// The fill path of [`PrepCache::prepared`]: disk first, compute
-    /// second, write-through after a compute.
-    fn build_prepared(&self, network: &str, scale: usize, seed: u64) -> (Arc<Prepared>, Fill) {
-        let store = self.disk_store();
-        if let Some(store) = &store {
-            if let Some(p) = self.load_prepared(store, network, scale, seed) {
-                return (Arc::new(p), Fill::Disk);
-            }
-        }
-        let mut p = Prepared::with_seed(network, scale, seed);
-        p.cached = true;
-        if let Some(store) = &store {
-            if let Err(e) = store.save_prepared(network, scale, seed, &p.params, &p.acts) {
-                eprintln!(
-                    "warning: failed to persist prepared {network} (scale {scale}) \
-                     to {}: {e}",
-                    store.dir().display()
-                );
-            }
-        }
-        (Arc::new(p), Fill::Built)
-    }
-
-    /// Attempts the disk tier for a prepared network. Any failure — missing
-    /// file, stale code version, corrupt bytes, graph mismatch — returns
-    /// `None` (counting a disk miss, warning on corruption) so the caller
-    /// recomputes; it never aborts the run.
-    fn load_prepared(
-        &self,
-        store: &ArtifactStore,
-        network: &str,
-        scale: usize,
-        seed: u64,
-    ) -> Option<Prepared> {
-        let loaded = timing::timed(timing::Phase::Load, || {
-            let (params, acts) = match store.load_prepared(network, scale, seed) {
-                Ok(Some(v)) => v,
-                Ok(None) => return None,
-                Err(e) => {
-                    eprintln!(
-                        "warning: ignoring corrupt prepared artifact for {network} \
-                         (scale {scale}) in {}: {e}; recomputing",
-                        store.dir().display()
-                    );
-                    return None;
-                }
-            };
-            // The graph is not stored — it is cheap and fully determined by
-            // (network, scale) — so rebuild it and sanity-check the stored
-            // tensors against it before trusting them.
-            let net = zoo::by_name(network, &zoo_config(scale));
-            if params.len() != net.nodes().len() || acts.len() != net.nodes().len() {
-                eprintln!(
-                    "warning: prepared artifact for {network} (scale {scale}) does not \
-                     match the graph ({} params / {} acts for {} nodes); recomputing",
-                    params.len(),
-                    acts.len(),
-                    net.nodes().len()
-                );
-                return None;
-            }
-            Some(Prepared {
-                net,
-                params,
-                acts,
-                network: network.to_string(),
-                scale,
-                seed,
+        let key = prep_key(network, scale, seed).finish();
+        self.prepared.get_with(
+            key,
+            |p| p.cached = true,
+            || Prepared {
                 cached: true,
-            })
-        });
-        if loaded.is_none() {
-            self.disk_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        loaded
+                ..Prepared::with_seed(network, scale, seed)
+            },
+        )
     }
 
     /// Fetches or extracts the [`WorkloadSet`] of `prep` under `policy`.
     pub fn workloads_for(&self, prep: &Prepared, policy: &QuantPolicy) -> Arc<WorkloadSet> {
-        let key = (
-            prep.network.clone(),
-            prep.scale,
-            prep.seed,
-            PolicyKey::from(policy),
-        );
-        let (value, fill) = fill_slot(&self.workloads, key, || self.build_workloads(prep, policy));
-        self.count_fill(fill, &self.workload_hits, &self.workload_misses);
-        value
-    }
-
-    /// The fill path of [`PrepCache::workloads_for`]: disk first, extract
-    /// second, write-through after an extract.
-    fn build_workloads(&self, prep: &Prepared, policy: &QuantPolicy) -> (Arc<WorkloadSet>, Fill) {
-        let store = self.disk_store();
-        if let Some(store) = &store {
-            if let Some(ws) = self.load_workloads(store, prep, policy) {
-                return (Arc::new(ws), Fill::Disk);
-            }
-        }
-        let ws = prep.extract(policy);
-        if let Some(store) = &store {
-            if let Err(e) = store.save_workloads(&prep.network, prep.scale, prep.seed, &ws) {
-                eprintln!(
-                    "warning: failed to persist workloads for {} (scale {}) to {}: {e}",
-                    prep.network,
-                    prep.scale,
-                    store.dir().display()
-                );
-            }
-        }
-        (Arc::new(ws), Fill::Built)
-    }
-
-    /// Attempts the disk tier for a workload set; same never-fail contract
-    /// as [`PrepCache::load_prepared`].
-    fn load_workloads(
-        &self,
-        store: &ArtifactStore,
-        prep: &Prepared,
-        policy: &QuantPolicy,
-    ) -> Option<WorkloadSet> {
-        let loaded = timing::timed(timing::Phase::Load, || {
-            match store.load_workloads(&prep.network, prep.scale, prep.seed, policy) {
-                Ok(Some(mut ws)) if ws.network == prep.network => {
-                    // Equal-fingerprint policies extract identically, but
-                    // may differ in f64 bit pattern (-0.0 vs 0.0); carry
-                    // the *requested* policy so the in-memory set is
-                    // bit-identical to a cold extraction.
-                    ws.policy = *policy;
-                    Some(ws)
-                }
-                Ok(Some(ws)) => {
-                    eprintln!(
-                        "warning: workload artifact in {} names network {:?}, \
-                         expected {:?}; recomputing",
-                        store.dir().display(),
-                        ws.network,
-                        prep.network
-                    );
-                    None
-                }
-                Ok(None) => None,
-                Err(e) => {
-                    eprintln!(
-                        "warning: ignoring corrupt workload artifact for {} (scale {}) \
-                         in {}: {e}; recomputing",
-                        prep.network,
-                        prep.scale,
-                        store.dir().display()
-                    );
-                    None
-                }
-            }
-        });
-        if loaded.is_none() {
-            self.disk_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        loaded
-    }
-
-    /// Folds one fill outcome into the counters.
-    fn count_fill(&self, fill: Option<Fill>, hits: &AtomicU64, misses: &AtomicU64) {
-        match fill {
-            None => hits.fetch_add(1, Ordering::Relaxed),
-            Some(Fill::Built) => misses.fetch_add(1, Ordering::Relaxed),
-            Some(Fill::Disk) => self.disk_hits.fetch_add(1, Ordering::Relaxed),
-        };
+        let key = prep_key(&prep.network, prep.scale, prep.seed)
+            .u64(policy_fingerprint(policy))
+            .finish();
+        // Equal-fingerprint policies extract identically, but may differ in
+        // f64 bit pattern (-0.0 vs 0.0); a loaded set carries the
+        // *requested* policy so it is bit-identical to a cold extraction.
+        self.workloads
+            .get_with(key, |ws| ws.policy = *policy, || prep.extract(policy))
     }
 
     /// Snapshots the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
+        let (p, w) = (self.prepared.stats(), self.workloads.stats());
         CacheStats {
-            prepared_hits: self.prepared_hits.load(Ordering::Relaxed),
-            prepared_misses: self.prepared_misses.load(Ordering::Relaxed),
-            workload_hits: self.workload_hits.load(Ordering::Relaxed),
-            workload_misses: self.workload_misses.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
+            prepared_hits: p.hits,
+            prepared_misses: p.built,
+            workload_hits: w.hits,
+            workload_misses: w.built,
+            disk_hits: p.loaded + w.loaded,
+            disk_misses: p.missed + w.missed,
         }
     }
 
@@ -559,18 +372,8 @@ impl PrepCache {
     /// tier, if attached, stays attached — its artifacts are exactly what
     /// makes the next fill cheap.
     pub fn reset(&self) {
-        // Take both map locks for the whole reset so a concurrent request
-        // can't observe cleared stats against a still-populated map.
-        let mut prepared = lock_unpoisoned(&self.prepared);
-        let mut workloads = lock_unpoisoned(&self.workloads);
-        prepared.clear();
-        workloads.clear();
-        self.prepared_hits.store(0, Ordering::Relaxed);
-        self.prepared_misses.store(0, Ordering::Relaxed);
-        self.workload_hits.store(0, Ordering::Relaxed);
-        self.workload_misses.store(0, Ordering::Relaxed);
-        self.disk_hits.store(0, Ordering::Relaxed);
-        self.disk_misses.store(0, Ordering::Relaxed);
+        self.prepared.reset();
+        self.workloads.reset();
     }
 }
 
@@ -659,7 +462,7 @@ mod tests {
         let mut b = a;
         a.outlier_ratio = 0.0;
         b.outlier_ratio = -0.0;
-        assert_eq!(PolicyKey::from(&a), PolicyKey::from(&b));
+        assert_eq!(policy_fingerprint(&a), policy_fingerprint(&b));
 
         let cache = PrepCache::new();
         let prep = cache.prepared("alexnet", 8, DEFAULT_SEED);
@@ -671,7 +474,7 @@ mod tests {
         // Any NaN source folds onto one canonical slot too.
         a.outlier_ratio = f64::NAN;
         b.outlier_ratio = -f64::NAN;
-        assert_eq!(PolicyKey::from(&a), PolicyKey::from(&b));
+        assert_eq!(policy_fingerprint(&a), policy_fingerprint(&b));
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub fn run(fast: bool) -> String {
             t,
         ));
     }
-    let rows = ola_sim::par::ordered_map(
+    let rows = ola_tensor::par::ordered_map(
         &cases,
         ola_sim::simcache::model_jobs(),
         |_, (knob, value, t)| vec![knob.clone(), value.clone(), pct(reduction_with(t, &ws16))],

@@ -47,7 +47,10 @@
 //! completion, and the socket file is removed.
 
 use crate::cli::RunOptions;
-use crate::prep::{fill_slot, Fill, PrepCache, Slot};
+use crate::prep::PrepCache;
+use ola_quant::EvalCache;
+use ola_sim::SimCache;
+use ola_tensor::memo::{fill_slot, panic_message, Fill, Slot};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -239,11 +242,10 @@ fn respond(server: &Server, line: &str) -> Vec<u8> {
             b"ok shutting-down\n".to_vec()
         }
         Ok(Request::Stats) => {
-            let payload = format!(
-                "{}\n{}\n{}\n",
-                PrepCache::global().stats().render(),
-                ola_sim::SimCache::global().stats().render(),
-                ola_quant::EvalCache::global().stats().render()
+            let payload = crate::engine::render_cache_stats(
+                &PrepCache::global().stats(),
+                &SimCache::global().stats(),
+                &EvalCache::global().stats(),
             );
             let mut out = format!("ok stats bytes={}\n", payload.len()).into_bytes();
             out.extend_from_slice(payload.as_bytes());
@@ -361,7 +363,7 @@ fn run_request(server: &Server, name: &str, fast: bool, jobs: Option<usize>) -> 
             out
         }
         Err(e) => {
-            let msg = crate::engine::panic_message(e.as_ref()).replace('\n', " ");
+            let msg = panic_message(e.as_ref()).replace('\n', " ");
             format!("err {name} failed: {msg}\n").into_bytes()
         }
     }

@@ -4,7 +4,7 @@
 //! Every compute layer of the network is simulated — the event path streams
 //! its unit jobs in O(1) memory (`ola-core::event::JobStream`), so there is
 //! no longer a unit-count cap sampling the layer list. Layers fan out over
-//! [`ola_sim::par::ordered_map`]'s worker threads and the report is
+//! [`ola_tensor::par::ordered_map`]'s worker threads and the report is
 //! assembled in forward layer order, so stdout is byte-identical at any
 //! worker count. `validate` covers AlexNet; `validate-<network>` runs the
 //! same cross-check on any zoo network.
@@ -13,10 +13,10 @@ use crate::prep::{default_scale, prepared};
 use crate::report::{num, table};
 use ola_core::cost::GroupTuning;
 use ola_core::event::{validate_layer, EventConfig};
-use ola_sim::par::ordered_map;
 use ola_sim::simcache::model_jobs;
 use ola_sim::timing::{timed, Phase};
 use ola_sim::QuantPolicy;
+use ola_tensor::par::ordered_map;
 
 /// Runs the validation on AlexNet's layers and formats the comparison.
 pub fn run(fast: bool) -> String {

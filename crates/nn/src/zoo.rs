@@ -367,14 +367,19 @@ pub fn densenet121(cfg: &ZooConfig) -> Network {
 ///
 /// Panics on an unknown name.
 pub fn by_name(name: &str, cfg: &ZooConfig) -> Network {
-    match name {
+    try_by_name(name, cfg).unwrap_or_else(|| panic!("unknown network {name}"))
+}
+
+/// [`by_name`], or `None` for a name the zoo does not know.
+pub fn try_by_name(name: &str, cfg: &ZooConfig) -> Option<Network> {
+    Some(match name {
         "alexnet" => alexnet(cfg),
         "vgg16" => vgg16(cfg),
         "resnet18" => resnet18(cfg),
         "resnet101" => resnet101(cfg),
         "densenet121" => densenet121(cfg),
-        other => panic!("unknown network {other}"),
-    }
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

@@ -4,39 +4,27 @@
 //! QuantSpec × topk)` points — fig2's ratio sweep, fig3's ablations and
 //! the policy panel all quantize and run the same trained `SynthNet` over
 //! the same test split (the panel's magnitude row *is* fig2's 3% point).
-//! [`EvalCache`] is the report-phase analogue of the harness's `PrepCache`
-//! and `ola_sim::simcache::SimCache`: a global two-level cache of
-//! [`QuantAccuracy`] records keyed by a content fingerprint
-//! (see [`ola_tensor::memo::Fingerprint`]) of everything that can change
-//! the measured result.
+//! [`EvalCache`] is the eval-phase tier of the workspace's memo: one
+//! [`ola_tensor::memo::Memo`] of [`QuantAccuracy`] records keyed by
+//! [`eval_key`], a content fingerprint of everything that can change the
+//! measured result.
 //!
-//! Correctness rests on the same two facts as the sim cache:
-//!
-//! * [`crate::accuracy::evaluate_synthnet`] is a **pure function** of its
-//!   fingerprinted inputs — the trained weights (by bit pattern), the test
-//!   and calibration images, every [`QuantSpec`] field (floats by bit
-//!   pattern) and `topk` — so a cached record is bit-identical to a fresh
-//!   evaluation at any worker count;
-//! * fills run under the exactly-once protocol of
-//!   [`ola_tensor::memo::fill_slot`], so concurrent figures and daemon
-//!   requests coalesce onto one evaluation per key and a panicking build
-//!   never poisons its slot.
-//!
-//! With [`EvalCache::set_store`] the cache gains a persistent tier: misses
-//! read through to an [`EvalResultStore`] before evaluating and fresh
-//! results write through after, which is what lets a warm `--cache-dir`
-//! run skip the eval phase entirely. The store content-addresses records
-//! by this fingerprint plus a separate `eval_version()` source fold (see
-//! `ola-store`), so accelerator-model or extraction edits never discard
-//! still-valid eval records — and vice versa.
+//! [`crate::accuracy::evaluate_synthnet`] is a **pure function** of its
+//! fingerprinted inputs — the trained weights (by bit pattern), the test
+//! and calibration images, every [`QuantSpec`] field (floats by bit
+//! pattern) and `topk` — so a cached record, from memory or from the
+//! persistent tier attached with [`EvalCache::set_store`], is
+//! bit-identical to a fresh evaluation at any worker count. The store
+//! versions eval records by their own source fold (see `ola-store`), so
+//! accelerator-model or extraction edits never discard still-valid eval
+//! records — and vice versa.
 
 use crate::accuracy::{QuantAccuracy, QuantSpec, CALIB_IMAGES};
 use crate::policy::OutlierSelect;
 use ola_nn::synthnet::{SynthDataset, SynthNet};
-use ola_tensor::memo::{fill_slot, lock_unpoisoned, Fill, Fingerprint, Slot};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use ola_tensor::memo::{Fingerprint, Memo, Persist};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Process-wide default worker count for the eval phase (per-image
 /// test-set and calibration forwards), set by the experiment engine from
@@ -130,22 +118,6 @@ fn fold_spec(fp: &mut Fingerprint, spec: &QuantSpec) {
     }
 }
 
-/// The persistent tier of the [`EvalCache`]: accuracy records addressed by
-/// their content fingerprint. Implemented by `ola-store::ArtifactStore`;
-/// defined here so the cache (which sits below the store in the crate
-/// graph) can hold one behind a trait object.
-///
-/// Load failures of any kind (missing file, stale eval-code version,
-/// corrupt bytes) must surface as `None` and save failures must be
-/// swallowed (warning on stderr) — a broken store degrades to a cold
-/// cache, never a failed run.
-pub trait EvalResultStore: Send + Sync {
-    /// Loads a cached accuracy record, if a valid one exists.
-    fn load_eval(&self, key: u64) -> Option<QuantAccuracy>;
-    /// Persists an accuracy record under `key`.
-    fn save_eval(&self, key: u64, acc: &QuantAccuracy);
-}
-
 /// A point-in-time snapshot of [`EvalCache`] hit/miss counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
@@ -185,16 +157,11 @@ impl EvalStats {
 }
 
 /// Process-wide memoization of accuracy evaluations, with an optional
-/// persistent disk tier. See the module docs for the keying and
-/// determinism argument.
+/// persistent tier. See the module docs for the keying and determinism
+/// argument.
 #[derive(Default)]
 pub struct EvalCache {
-    evals: Mutex<HashMap<u64, Slot<QuantAccuracy>>>,
-    store: Mutex<Option<Arc<dyn EvalResultStore>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
+    evals: Memo<QuantAccuracy>,
 }
 
 impl EvalCache {
@@ -210,16 +177,9 @@ impl EvalCache {
         GLOBAL.get_or_init(EvalCache::new)
     }
 
-    /// Attaches (or, with `None`, detaches) the persistent disk tier.
-    /// Misses read through to the store before evaluating and fresh
-    /// results write through after; already-resident entries are
-    /// unaffected.
-    pub fn set_store(&self, store: Option<Arc<dyn EvalResultStore>>) {
-        *lock_unpoisoned(&self.store) = store;
-    }
-
-    fn store(&self) -> Option<Arc<dyn EvalResultStore>> {
-        lock_unpoisoned(&self.store).clone()
+    /// Attaches the persistent tier.
+    pub fn set_store(&self, store: Arc<dyn Persist<QuantAccuracy>>) {
+        self.evals.set_store(store);
     }
 
     /// Fetches or computes (exactly once per key, process-wide) the
@@ -227,48 +187,25 @@ impl EvalCache {
     /// inputs folded into `key` (which [`eval_key`] guarantees for
     /// [`crate::accuracy::evaluate_synthnet`]).
     pub fn eval(&self, key: u64, build: impl FnOnce() -> QuantAccuracy) -> QuantAccuracy {
-        let (value, fill) = fill_slot(&self.evals, key, || {
-            let store = self.store();
-            if let Some(store) = &store {
-                if let Some(acc) = store.load_eval(key) {
-                    return (Arc::new(acc), Fill::Disk);
-                }
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            let acc = build();
-            if let Some(store) = &store {
-                store.save_eval(key, &acc);
-            }
-            (Arc::new(acc), Fill::Built)
-        });
-        match fill {
-            None => self.hits.fetch_add(1, Ordering::Relaxed),
-            Some(Fill::Built) => self.misses.fetch_add(1, Ordering::Relaxed),
-            Some(Fill::Disk) => self.disk_hits.fetch_add(1, Ordering::Relaxed),
-        };
-        *value
+        *self.evals.get(key, build)
     }
 
     /// Snapshots the hit/miss counters.
     pub fn stats(&self) -> EvalStats {
+        let s = self.evals.stats();
         EvalStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
+            hits: s.hits,
+            misses: s.built,
+            disk_hits: s.loaded,
+            disk_misses: s.missed,
         }
     }
 
     /// Drops every entry and zeroes the counters (test isolation; also
-    /// frees the memory of a long-lived process between suites). The disk
-    /// tier, if attached, stays attached.
+    /// frees the memory of a long-lived process between suites). The
+    /// persistent tier, if attached, stays attached.
     pub fn reset(&self) {
-        let mut evals = lock_unpoisoned(&self.evals);
-        evals.clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.disk_hits.store(0, Ordering::Relaxed);
-        self.disk_misses.store(0, Ordering::Relaxed);
+        self.evals.reset();
     }
 }
 

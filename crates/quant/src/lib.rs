@@ -23,7 +23,7 @@
 //!   ImageNet networks (DESIGN.md §2).
 //! * [`evalcache`] — process-wide, optionally disk-backed memoization of
 //!   those accuracy evaluations ([`EvalCache`]), keyed by a content
-//!   fingerprint of net, data and spec (DESIGN.md §17).
+//!   fingerprint of net, data and spec (DESIGN.md §15).
 //!
 //! # Example
 //!
@@ -51,7 +51,7 @@ pub mod outlier;
 pub mod policy;
 
 pub use chunks::{OutlierActChunk, WeightChunk, CHUNK_WEIGHTS};
-pub use evalcache::{EvalCache, EvalResultStore, EvalStats};
+pub use evalcache::{EvalCache, EvalStats};
 pub use linear::LinearQuantizer;
 pub use outlier::{OutlierQuantized, OutlierQuantizer};
 pub use policy::{OutlierPolicy, OutlierSelect, PolicyQuantizer};

@@ -13,8 +13,6 @@
 //! cycles, an energy breakdown and a utilization decomposition, which the
 //! harness turns into the paper's figures.
 
-pub mod memo;
-pub mod par;
 pub mod policy;
 pub mod result;
 pub mod simcache;
@@ -24,5 +22,5 @@ pub mod workload;
 
 pub use policy::{FirstLayerPolicy, OutlierSelect, QuantPolicy};
 pub use result::{LayerRun, NetworkRun, Utilization};
-pub use simcache::{EventRecord, SimCache, SimResultStore, SimStats};
+pub use simcache::{EventRecord, SimCache, SimStats};
 pub use workload::{LayerKind, LayerWorkload, WorkloadSet};

@@ -4,41 +4,29 @@
 //! configuration)` pairs — fig11-13's six-way comparison, fig15's NPU
 //! grid, fig17-19's microarchitecture sweeps and the policy panel all
 //! share AlexNet's eight layers under a handful of configs. [`SimCache`]
-//! is the model-phase analogue of the harness's `PrepCache`: a global
-//! two-level cache of [`LayerRun`]s (analytic cycle/energy model) and
-//! [`EventRecord`]s (event-driven validation backend), keyed by a content
-//! fingerprint (see [`crate::memo::Fingerprint`]) of everything that can
-//! change the result.
+//! is the model-phase tier of the workspace's memo: two
+//! [`ola_tensor::memo::Memo`]s, one of [`LayerRun`]s (analytic
+//! cycle/energy model) and one of [`EventRecord`]s (event-driven
+//! validation backend), keyed by a content fingerprint
+//! ([`ola_tensor::memo::Fingerprint`]) of everything that can change the
+//! result.
 //!
-//! Correctness rests on two facts:
-//!
-//! * every simulation is a **pure function** of its fingerprinted inputs
-//!   (the event backend's randomness is derived from a fixed seed that is
-//!   itself folded into the key), so a cached result is bit-identical to
-//!   a fresh computation;
-//! * fills run under the exactly-once protocol of
-//!   [`crate::memo::fill_slot`], so concurrent figures and daemon
-//!   requests coalesce onto one computation per key and a panicking
-//!   simulation never poisons its slot.
-//!
-//! With [`SimCache::set_store`] the cache gains a persistent tier: misses
-//! read through to a [`SimResultStore`] before computing and fresh
-//! simulations write through after, which is what lets a warm `--cache-dir`
-//! daemon or CLI run skip the model phase entirely. Stale stores are
-//! harmless by construction — the store keys records by the same content
-//! fingerprint plus a model-code version, so at worst a lookup misses.
+//! Every simulation is a **pure function** of its fingerprinted inputs
+//! (the event backend's randomness is derived from a fixed seed that is
+//! itself folded into the key), so a cached result — from memory or from
+//! the persistent tier attached with [`SimCache::set_store`] — is
+//! bit-identical to a fresh computation. A warm `--cache-dir` daemon or
+//! CLI run therefore skips the model phase entirely.
 
-use crate::memo::{fill_slot, lock_unpoisoned, Fill, Slot};
 use crate::result::{LayerRun, Utilization};
-use crate::timing;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use ola_tensor::memo::{Memo, Persist};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Process-wide default worker count for the model phase (accelerator
 /// `simulate()` over layers), set by the experiment engine from its
 /// `--jobs` split. Zero means "unset": standalone callers fall back to
-/// [`crate::par::default_jobs`].
+/// [`ola_tensor::par::default_jobs`].
 static MODEL_JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-wide default model-phase worker count.
@@ -52,10 +40,10 @@ pub fn set_model_jobs(jobs: usize) {
 }
 
 /// Current process-wide default model-phase worker count:
-/// [`crate::par::default_jobs`] until [`set_model_jobs`] overrides it.
+/// [`ola_tensor::par::default_jobs`] until [`set_model_jobs`] overrides it.
 pub fn model_jobs() -> usize {
     match MODEL_JOBS.load(Ordering::Relaxed) {
-        0 => crate::par::default_jobs(),
+        0 => ola_tensor::par::default_jobs(),
         j => j,
     }
 }
@@ -72,26 +60,6 @@ pub struct EventRecord {
     pub utilization: Utilization,
     /// Cycles the outlier lane spent busy.
     pub outlier_busy: u64,
-}
-
-/// The persistent tier of the [`SimCache`]: per-layer simulation results
-/// addressed by their content fingerprint. Implemented by
-/// `ola-store::ArtifactStore`; defined here so the cache (which sits below
-/// the store in the crate graph) can hold one behind a trait object.
-///
-/// Load failures of any kind (missing file, stale model-code version,
-/// corrupt bytes) must surface as `None` and save failures must be
-/// swallowed (warning on stderr) — a broken store degrades to a cold
-/// cache, never a failed run.
-pub trait SimResultStore: Send + Sync {
-    /// Loads a cached analytic layer result, if a valid record exists.
-    fn load_layer_run(&self, key: u64) -> Option<LayerRun>;
-    /// Persists an analytic layer result under `key`.
-    fn save_layer_run(&self, key: u64, run: &LayerRun);
-    /// Loads a cached event-backend result, if a valid record exists.
-    fn load_event_record(&self, key: u64) -> Option<EventRecord>;
-    /// Persists an event-backend result under `key`.
-    fn save_event_record(&self, key: u64, record: &EventRecord);
 }
 
 /// A point-in-time snapshot of [`SimCache`] hit/miss counters.
@@ -144,19 +112,12 @@ impl SimStats {
 }
 
 /// Process-wide memoization of per-layer simulation results, with an
-/// optional persistent disk tier. See the module docs for the keying and
+/// optional persistent tier. See the module docs for the keying and
 /// determinism argument.
 #[derive(Default)]
 pub struct SimCache {
-    runs: Mutex<HashMap<u64, Slot<LayerRun>>>,
-    events: Mutex<HashMap<u64, Slot<EventRecord>>>,
-    store: Mutex<Option<Arc<dyn SimResultStore>>>,
-    run_hits: AtomicU64,
-    run_misses: AtomicU64,
-    event_hits: AtomicU64,
-    event_misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
+    runs: Memo<LayerRun>,
+    events: Memo<EventRecord>,
 }
 
 impl SimCache {
@@ -172,39 +133,17 @@ impl SimCache {
         GLOBAL.get_or_init(SimCache::new)
     }
 
-    /// Attaches (or, with `None`, detaches) the persistent disk tier.
-    /// Misses read through to the store before simulating and fresh
-    /// results write through after; already-resident entries are
-    /// unaffected.
-    pub fn set_store(&self, store: Option<Arc<dyn SimResultStore>>) {
-        *lock_unpoisoned(&self.store) = store;
-    }
-
-    fn store(&self) -> Option<Arc<dyn SimResultStore>> {
-        lock_unpoisoned(&self.store).clone()
+    /// Attaches the persistent tier of both record kinds.
+    pub fn set_store<S: Persist<LayerRun> + Persist<EventRecord> + 'static>(&self, store: Arc<S>) {
+        self.runs.set_store(store.clone());
+        self.events.set_store(store);
     }
 
     /// Fetches or computes (exactly once per key, process-wide) the
     /// analytic simulation result for `key`. `build` must be a pure
     /// function of the inputs folded into `key`.
     pub fn layer_run(&self, key: u64, build: impl FnOnce() -> LayerRun) -> Arc<LayerRun> {
-        let (value, fill) = fill_slot(&self.runs, key, || {
-            let store = self.store();
-            if let Some(store) = &store {
-                let loaded = timing::timed(timing::Phase::Load, || store.load_layer_run(key));
-                if let Some(run) = loaded {
-                    return (Arc::new(run), Fill::Disk);
-                }
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            let run = build();
-            if let Some(store) = &store {
-                store.save_layer_run(key, &run);
-            }
-            (Arc::new(run), Fill::Built)
-        });
-        self.count_fill(fill, &self.run_hits, &self.run_misses);
-        value
+        self.runs.get(key, build)
     }
 
     /// Fetches or computes (exactly once per key, process-wide) the
@@ -212,62 +151,28 @@ impl SimCache {
     /// [`SimCache::layer_run`] — the event stream's seed must be folded
     /// into the key.
     pub fn event_record(&self, key: u64, build: impl FnOnce() -> EventRecord) -> EventRecord {
-        let (value, fill) = fill_slot(&self.events, key, || {
-            let store = self.store();
-            if let Some(store) = &store {
-                let loaded = timing::timed(timing::Phase::Load, || store.load_event_record(key));
-                if let Some(rec) = loaded {
-                    return (Arc::new(rec), Fill::Disk);
-                }
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            let rec = build();
-            if let Some(store) = &store {
-                store.save_event_record(key, &rec);
-            }
-            (Arc::new(rec), Fill::Built)
-        });
-        self.count_fill(fill, &self.event_hits, &self.event_misses);
-        *value
-    }
-
-    /// Folds one fill outcome into the counters.
-    fn count_fill(&self, fill: Option<Fill>, hits: &AtomicU64, misses: &AtomicU64) {
-        match fill {
-            None => hits.fetch_add(1, Ordering::Relaxed),
-            Some(Fill::Built) => misses.fetch_add(1, Ordering::Relaxed),
-            Some(Fill::Disk) => self.disk_hits.fetch_add(1, Ordering::Relaxed),
-        };
+        *self.events.get(key, build)
     }
 
     /// Snapshots the hit/miss counters.
     pub fn stats(&self) -> SimStats {
+        let (runs, events) = (self.runs.stats(), self.events.stats());
         SimStats {
-            run_hits: self.run_hits.load(Ordering::Relaxed),
-            run_misses: self.run_misses.load(Ordering::Relaxed),
-            event_hits: self.event_hits.load(Ordering::Relaxed),
-            event_misses: self.event_misses.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
+            run_hits: runs.hits,
+            run_misses: runs.built,
+            event_hits: events.hits,
+            event_misses: events.built,
+            disk_hits: runs.loaded + events.loaded,
+            disk_misses: runs.missed + events.missed,
         }
     }
 
     /// Drops every entry and zeroes the counters (test isolation; also
-    /// frees the memory of a long-lived process between suites). The disk
-    /// tier, if attached, stays attached.
+    /// frees the memory of a long-lived process between suites). The
+    /// persistent tier, if attached, stays attached.
     pub fn reset(&self) {
-        // Take both map locks for the whole reset so a concurrent request
-        // can't observe cleared stats against a still-populated map.
-        let mut runs = lock_unpoisoned(&self.runs);
-        let mut events = lock_unpoisoned(&self.events);
-        runs.clear();
-        events.clear();
-        self.run_hits.store(0, Ordering::Relaxed);
-        self.run_misses.store(0, Ordering::Relaxed);
-        self.event_hits.store(0, Ordering::Relaxed);
-        self.event_misses.store(0, Ordering::Relaxed);
-        self.disk_hits.store(0, Ordering::Relaxed);
-        self.disk_misses.store(0, Ordering::Relaxed);
+        self.runs.reset();
+        self.events.reset();
     }
 }
 
@@ -357,7 +262,7 @@ mod tests {
         assert!(model_jobs() >= 1);
         set_model_jobs(3);
         assert_eq!(model_jobs(), 3);
-        set_model_jobs(crate::par::default_jobs());
+        set_model_jobs(ola_tensor::par::default_jobs());
     }
 
     #[test]

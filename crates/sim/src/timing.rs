@@ -9,8 +9,7 @@
 //! (stdout stays byte-identical).
 //!
 //! The module lives in `ola-sim` (below both the accelerator models and
-//! the harness) so the model crates can record [`Phase::Model`] themselves;
-//! `ola-harness::timing` re-exports it for its pre-existing callers.
+//! the harness) so the model crates can record [`Phase::Model`] themselves.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

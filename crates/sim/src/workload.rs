@@ -204,7 +204,7 @@ impl LayerWorkload {
     /// (`LayerWorkload::bitwise_eq`) up to FNV collisions, so a memoized
     /// simulation result can never be served for a bit-different layer.
     pub fn fingerprint(&self) -> u64 {
-        let mut fp = crate::memo::Fingerprint::new();
+        let mut fp = ola_tensor::memo::Fingerprint::new();
         fp.str(&self.name).usize(self.index).u8(match self.kind {
             LayerKind::Conv => 0,
             LayerKind::Fc => 1,

@@ -1,5 +1,7 @@
-//! (De)serialization of the workspace's prepared-network and workload
-//! artifacts onto the [`crate::wire`] primitives.
+//! (De)serialization of the workspace's artifacts onto the [`crate::wire`]
+//! primitives: the parameter and tensor codecs a prepared network's record
+//! is built from, and the [`Record`] impls of workload sets, simulation
+//! results and accuracy records.
 //!
 //! Every float travels by bit pattern, so a decoded artifact is
 //! *bit-identical* to the one that was encoded — the property that lets a
@@ -8,6 +10,8 @@
 //! dimensions, ranges) is validated and surfaces as
 //! [`StoreError::Corrupt`].
 
+use crate::store::Record;
+use crate::version::{EVAL_SOURCES, MODEL_SOURCES, PREP_SOURCES};
 use crate::wire::{corrupt, Reader, StoreError, Writer};
 use ola_energy::{ComparisonMode, EnergyBreakdown};
 use ola_nn::network::WeightStore;
@@ -252,9 +256,9 @@ pub fn decode_policy(r: &mut Reader<'_>) -> Result<QuantPolicy, StoreError> {
 }
 
 /// A policy's content-address fingerprint: the FNV of its canonical
-/// encoding, with the outlier ratio folded the same way the in-memory
-/// cache key folds it (`-0.0` onto `0.0`, every NaN onto the quiet NaN) so
-/// policies that extract identically share one artifact.
+/// encoding, with the outlier ratio's `-0.0` folded onto `0.0` and every
+/// NaN onto the quiet NaN, so policies that extract identically share one
+/// workload-set key — in memory and on disk.
 pub fn policy_fingerprint(p: &QuantPolicy) -> u64 {
     let mut canon = *p;
     canon.outlier_ratio = if canon.outlier_ratio == 0.0 {
@@ -266,7 +270,7 @@ pub fn policy_fingerprint(p: &QuantPolicy) -> u64 {
     };
     let mut w = Writer::new();
     encode_policy(&mut w, &canon);
-    crate::wire::fnv1a64(&w.into_bytes())
+    ola_tensor::memo::fnv1a64(&w.into_bytes())
 }
 
 // --- workload sets ---
@@ -346,30 +350,35 @@ fn decode_layer(r: &mut Reader<'_>) -> Result<LayerWorkload, StoreError> {
     })
 }
 
-/// Encodes a full workload set (network, policy, per-layer workloads).
-pub fn encode_workload_set(w: &mut Writer, ws: &WorkloadSet) {
-    w.string(&ws.network);
-    encode_policy(w, &ws.policy);
-    w.len(ws.layers.len());
-    for l in &ws.layers {
-        encode_layer(w, l);
-    }
-}
+/// A full workload set: network, policy, per-layer workloads.
+impl Record for WorkloadSet {
+    const KIND: u8 = 2;
+    const PREFIX: &'static str = "ws";
+    const SOURCES: &'static [&'static str] = PREP_SOURCES;
 
-/// Decodes a workload set written by [`encode_workload_set`].
-pub fn decode_workload_set(r: &mut Reader<'_>) -> Result<WorkloadSet, StoreError> {
-    let network = r.string()?;
-    let policy = decode_policy(r)?;
-    let n = r.len(1)?;
-    let mut layers = Vec::with_capacity(n);
-    for _ in 0..n {
-        layers.push(decode_layer(r)?);
+    fn encode(&self, w: &mut Writer) {
+        w.string(&self.network);
+        encode_policy(w, &self.policy);
+        w.len(self.layers.len());
+        for l in &self.layers {
+            encode_layer(w, l);
+        }
     }
-    Ok(WorkloadSet {
-        network,
-        policy,
-        layers,
-    })
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let network = r.string()?;
+        let policy = decode_policy(r)?;
+        let n = r.len(1)?;
+        let mut layers = Vec::with_capacity(n);
+        for _ in 0..n {
+            layers.push(decode_layer(r)?);
+        }
+        Ok(WorkloadSet {
+            network,
+            policy,
+            layers,
+        })
+    }
 }
 
 // --- simulation results ---
@@ -393,81 +402,95 @@ fn decode_utilization(r: &mut Reader<'_>) -> Result<Utilization, StoreError> {
     })
 }
 
-/// Encodes a per-layer simulation result (the `SimCache` disk tier's
-/// payload): floats by exact bit pattern, so a warm run's report is
-/// byte-identical to the cold run that wrote the record.
-pub fn encode_layer_run(w: &mut Writer, run: &LayerRun) {
-    w.string(&run.name);
-    w.u64(run.cycles);
-    w.f64(run.energy.dram);
-    w.f64(run.energy.buffer);
-    w.f64(run.energy.local);
-    w.f64(run.energy.logic);
-    encode_utilization(w, &run.utilization);
-    w.len(run.chunk_cycle_hist.len());
-    for &c in &run.chunk_cycle_hist {
-        w.u64(c);
+/// A per-layer analytic simulation result: floats by exact bit pattern, so
+/// a warm run's report is byte-identical to the cold run that wrote it.
+impl Record for LayerRun {
+    const KIND: u8 = 3;
+    const PREFIX: &'static str = "simrun";
+    const SOURCES: &'static [&'static str] = MODEL_SOURCES;
+
+    fn encode(&self, w: &mut Writer) {
+        w.string(&self.name);
+        w.u64(self.cycles);
+        w.f64(self.energy.dram);
+        w.f64(self.energy.buffer);
+        w.f64(self.energy.local);
+        w.f64(self.energy.logic);
+        encode_utilization(w, &self.utilization);
+        w.len(self.chunk_cycle_hist.len());
+        for &c in &self.chunk_cycle_hist {
+            w.u64(c);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let name = r.string()?;
+        let cycles = r.u64()?;
+        let energy = EnergyBreakdown {
+            dram: r.f64()?,
+            buffer: r.f64()?,
+            local: r.f64()?,
+            logic: r.f64()?,
+        };
+        let utilization = decode_utilization(r)?;
+        let n = r.len(8)?;
+        if n > MAX_HIST {
+            return Err(corrupt(format!("implausible histogram length {n}")));
+        }
+        let mut chunk_cycle_hist = Vec::with_capacity(n);
+        for _ in 0..n {
+            chunk_cycle_hist.push(r.u64()?);
+        }
+        Ok(LayerRun {
+            name,
+            cycles,
+            energy,
+            utilization,
+            chunk_cycle_hist,
+        })
     }
 }
 
-/// Decodes a layer result written by [`encode_layer_run`].
-pub fn decode_layer_run(r: &mut Reader<'_>) -> Result<LayerRun, StoreError> {
-    let name = r.string()?;
-    let cycles = r.u64()?;
-    let energy = EnergyBreakdown {
-        dram: r.f64()?,
-        buffer: r.f64()?,
-        local: r.f64()?,
-        logic: r.f64()?,
-    };
-    let utilization = decode_utilization(r)?;
-    let n = r.len(8)?;
-    if n > MAX_HIST {
-        return Err(corrupt(format!("implausible histogram length {n}")));
+/// An event-backend simulation result.
+impl Record for EventRecord {
+    const KIND: u8 = 4;
+    const PREFIX: &'static str = "simev";
+    const SOURCES: &'static [&'static str] = MODEL_SOURCES;
+
+    fn encode(&self, w: &mut Writer) {
+        w.u64(self.cycles);
+        encode_utilization(w, &self.utilization);
+        w.u64(self.outlier_busy);
     }
-    let mut chunk_cycle_hist = Vec::with_capacity(n);
-    for _ in 0..n {
-        chunk_cycle_hist.push(r.u64()?);
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(EventRecord {
+            cycles: r.u64()?,
+            utilization: decode_utilization(r)?,
+            outlier_busy: r.u64()?,
+        })
     }
-    Ok(LayerRun {
-        name,
-        cycles,
-        energy,
-        utilization,
-        chunk_cycle_hist,
-    })
 }
 
-/// Encodes an event-backend result record.
-pub fn encode_event_record(w: &mut Writer, rec: &EventRecord) {
-    w.u64(rec.cycles);
-    encode_utilization(w, &rec.utilization);
-    w.u64(rec.outlier_busy);
-}
+/// A quantized-accuracy record: three `f64` bit patterns.
+impl Record for QuantAccuracy {
+    const KIND: u8 = 5;
+    const PREFIX: &'static str = "eval";
+    const SOURCES: &'static [&'static str] = EVAL_SOURCES;
 
-/// Decodes an event record written by [`encode_event_record`].
-pub fn decode_event_record(r: &mut Reader<'_>) -> Result<EventRecord, StoreError> {
-    Ok(EventRecord {
-        cycles: r.u64()?,
-        utilization: decode_utilization(r)?,
-        outlier_busy: r.u64()?,
-    })
-}
+    fn encode(&self, w: &mut Writer) {
+        w.f64(self.top1);
+        w.f64(self.topk);
+        w.f64(self.realized_weight_ratio);
+    }
 
-/// Encodes a quantized-accuracy record: three `f64` bit patterns.
-pub fn encode_eval_record(w: &mut Writer, acc: &QuantAccuracy) {
-    w.f64(acc.top1);
-    w.f64(acc.topk);
-    w.f64(acc.realized_weight_ratio);
-}
-
-/// Decodes an accuracy record written by [`encode_eval_record`].
-pub fn decode_eval_record(r: &mut Reader<'_>) -> Result<QuantAccuracy, StoreError> {
-    Ok(QuantAccuracy {
-        top1: r.f64()?,
-        topk: r.f64()?,
-        realized_weight_ratio: r.f64()?,
-    })
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(QuantAccuracy {
+            top1: r.f64()?,
+            topk: r.f64()?,
+            realized_weight_ratio: r.f64()?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -606,10 +629,10 @@ mod tests {
             chunk_cycle_hist: vec![0, 7, 0, 3],
         };
         let mut w = Writer::new();
-        encode_layer_run(&mut w, &run);
+        run.encode(&mut w);
         let buf = w.into_bytes();
         let mut r = Reader::new(&buf);
-        let back = decode_layer_run(&mut r).unwrap();
+        let back = LayerRun::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.name, run.name);
         assert_eq!(back.cycles, run.cycles);
@@ -629,10 +652,10 @@ mod tests {
             realized_weight_ratio: f64::NAN,
         };
         let mut w = Writer::new();
-        encode_eval_record(&mut w, &acc);
+        acc.encode(&mut w);
         let buf = w.into_bytes();
         let mut r = Reader::new(&buf);
-        let back = decode_eval_record(&mut r).unwrap();
+        let back = QuantAccuracy::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.top1.to_bits(), acc.top1.to_bits());
         assert_eq!(back.topk.to_bits(), acc.topk.to_bits());
@@ -654,10 +677,10 @@ mod tests {
             outlier_busy: 11,
         };
         let mut w = Writer::new();
-        encode_event_record(&mut w, &rec);
+        rec.encode(&mut w);
         let buf = w.into_bytes();
         let mut r = Reader::new(&buf);
-        let back = decode_event_record(&mut r).unwrap();
+        let back = EventRecord::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, rec);
     }

@@ -7,17 +7,20 @@
 //! the f32 forward pass, extracting per-layer workloads — dominates a cold
 //! run's wall clock, yet every one of those artifacts is a *pure function*
 //! of `(network, spatial scale, seed, quantization policy)` under the
-//! workspace's deterministic RNG. This crate persists them to disk so a
-//! second process (or a long-lived daemon) skips straight to modeling:
+//! workspace's deterministic RNG, as is every per-layer simulation result
+//! and accuracy evaluation of its inputs. This crate persists them to disk
+//! so a second process (or a long-lived daemon) skips the work entirely:
 //!
-//! - [`wire`]: little-endian writer/reader primitives plus the FNV-1a
-//!   checksum; decoding never panics on malformed bytes.
-//! - [`codec`]: bit-exact (de)serialization of parameters, activations and
-//!   workload sets, plus the policy fingerprint.
-//! - [`version`]: the compile-time source-text hash that content-addresses
+//! - [`wire`]: little-endian writer/reader primitives; decoding never
+//!   panics on malformed bytes.
+//! - [`codec`]: bit-exact (de)serialization of parameters, activations,
+//!   workload sets and simulation/accuracy records, plus the policy
+//!   fingerprint.
+//! - [`version`]: the compile-time source-text hashes that version
 //!   artifacts to the code that produced them — editing any
-//!   extraction-relevant file silently invalidates the cache.
-//! - [`store`]: the framed, checksummed, atomically-committed files.
+//!   result-relevant file silently invalidates the affected records.
+//! - [`store`]: the [`Record`] trait and the framed, checksummed,
+//!   atomically-committed files behind every memo's persistent tier.
 //!
 //! Corruption is always recoverable: a bad file surfaces as
 //! [`StoreError::Corrupt`] and callers recompute (and overwrite), never
@@ -29,9 +32,9 @@ pub mod version;
 pub mod wire;
 
 pub use codec::policy_fingerprint;
-pub use store::ArtifactStore;
-pub use version::{code_version, eval_version, model_version, FORMAT_VERSION};
-pub use wire::{fnv1a64, StoreError};
+pub use store::{ArtifactStore, Record};
+pub use version::FORMAT_VERSION;
+pub use wire::StoreError;
 
 /// A unique scratch directory under the system temp dir for unit tests
 /// (process-id + monotonic counter — no wall clock, no RNG).

@@ -1,26 +1,27 @@
 //! The on-disk artifact store: framed, checksummed, atomically-committed
-//! files keyed by `(network, scale, seed, policy, code version)`.
+//! files, one per `(record kind, key, code version)`.
 //!
-//! File layout (little-endian throughout):
+//! Every persisted value is a [`Record`]: a kind tag, a file-name prefix,
+//! the list of source files its bytes depend on, and an encode/decode
+//! pair. [`ArtifactStore::put`] and [`ArtifactStore::get`] are the one
+//! write and the one read path for every kind, and the blanket
+//! [`Persist`] impl below is how the store slots under every
+//! [`ola_tensor::memo::Memo`] in the workspace.
+//!
+//! A record lives at `{PREFIX}-{key:016x}-v{version:016x}.olas`, where
+//! `key` is the memo key (a content fingerprint) and `version` folds the
+//! kind's source list (see [`crate::version`]). File layout
+//! (little-endian throughout):
 //!
 //! ```text
 //! magic        4 bytes  "OLAS"
 //! format       u32      FORMAT_VERSION
-//! kind         u8       1 = prepared network, 2 = workload set,
-//!                       3 = analytic sim record, 4 = event sim record,
-//!                       5 = accuracy-eval record
-//! network      string   length-prefixed UTF-8 ("" for sim/eval records)
-//! scale        u64      spatial scale divisor (0 for sim/eval records)
-//! seed         u64      preparation seed; for sim/eval records, the
-//!                       SimCache/EvalCache content fingerprint
-//! policy_fp    u64      policy fingerprint (0 for prepared networks and
-//!                       sim/eval records)
-//! code         u64      version fingerprint at write time (code_version
-//!                       for preparation artifacts, model_version for sim
-//!                       records, eval_version for eval records)
+//! kind         u8       Record::KIND
+//! key          u64      the memo key
+//! version      u64      the kind's version fold at write time
 //! payload_len  u64
 //! checksum     u64      FNV-1a over the payload bytes
-//! payload      payload_len bytes
+//! payload      payload_len bytes (Record::encode)
 //! ```
 //!
 //! The key fields live both in the *filename* (so a stale code version
@@ -30,59 +31,46 @@
 //! `rename`, so a concurrent reader either sees the complete artifact or
 //! no artifact — never a torn one.
 
-use crate::codec::{
-    decode_eval_record, decode_event_record, decode_layer_run, decode_params, decode_tensor,
-    decode_workload_set, encode_eval_record, encode_event_record, encode_layer_run, encode_params,
-    encode_tensor, encode_workload_set, policy_fingerprint,
-};
-use crate::version::{code_version, eval_version, model_version, FORMAT_VERSION};
-use crate::wire::{corrupt, fnv1a64, Reader, StoreError, Writer};
-use ola_nn::Params;
-use ola_quant::accuracy::QuantAccuracy;
-use ola_quant::EvalResultStore;
-use ola_sim::timing;
-use ola_sim::workload::WorkloadSet;
-use ola_sim::{EventRecord, LayerRun, QuantPolicy, SimResultStore};
-use ola_tensor::Tensor;
+use crate::version::{sources_version, FORMAT_VERSION};
+use crate::wire::{corrupt, Reader, StoreError, Writer};
+use ola_sim::timing::{timed, Phase};
+use ola_tensor::memo::{fnv1a64, Persist};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 const MAGIC: &[u8; 4] = b"OLAS";
-const KIND_PREPARED: u8 = 1;
-const KIND_WORKLOADS: u8 = 2;
-const KIND_SIM_RUN: u8 = 3;
-const KIND_SIM_EVENT: u8 = 4;
-const KIND_EVAL: u8 = 5;
 
 /// Distinguishes concurrent writers' temporary files within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// A directory of content-addressed artifacts.
-#[derive(Debug, Clone)]
-pub struct ArtifactStore {
-    dir: PathBuf,
-    code: u64,
-    model: u64,
-    eval: u64,
+/// A value the store persists, one file per key.
+///
+/// Kind tags in use: 1 prepared network (`ola-harness`), 2 workload set,
+/// 3 analytic sim record, 4 event sim record, 5 accuracy-eval record (the
+/// last four in [`crate::codec`]).
+pub trait Record: Sized {
+    /// Header tag, unique per record type.
+    const KIND: u8;
+    /// File-name prefix, unique per record type.
+    const PREFIX: &'static str;
+    /// Source files whose text determines the record's bytes; their fold
+    /// versions the record's files (see [`crate::version`]).
+    const SOURCES: &'static [&'static str];
+    /// Appends the payload encoding.
+    fn encode(&self, w: &mut Writer);
+    /// Decodes a payload written by [`Record::encode`]. Must return an
+    /// error, never panic, on malformed bytes.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError>;
 }
 
-/// The identifying key of one artifact. `code` is the version fingerprint
-/// the record must have been written under — [`crate::version::code_version`]
-/// for preparation artifacts, [`crate::version::model_version`] for
-/// simulation records (so a model edit invalidates sim records without
-/// discarding still-valid prepared networks, and vice versa). For sim
-/// records, `seed` carries the content fingerprint computed by the
-/// `SimCache` caller and the remaining fields are inert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Key<'a> {
-    kind: u8,
-    network: &'a str,
-    scale: usize,
-    seed: u64,
-    policy_fp: u64,
-    code: u64,
+/// A directory of content-addressed artifacts.
+pub struct ArtifactStore {
+    dir: PathBuf,
+    /// Each kind's version fold, computed on first use.
+    versions: [OnceLock<u64>; 256],
 }
 
 impl ArtifactStore {
@@ -91,9 +79,7 @@ impl ArtifactStore {
         fs::create_dir_all(dir)?;
         Ok(ArtifactStore {
             dir: dir.to_path_buf(),
-            code: code_version(),
-            model: model_version(),
-            eval: eval_version(),
+            versions: std::array::from_fn(|_| OnceLock::new()),
         })
     }
 
@@ -102,289 +88,34 @@ impl ArtifactStore {
         &self.dir
     }
 
-    /// Path of a prepared-network artifact for this code version.
-    pub fn prepared_path(&self, network: &str, scale: usize, seed: u64) -> PathBuf {
+    fn version<R: Record>(&self) -> u64 {
+        *self.versions[usize::from(R::KIND)].get_or_init(|| sources_version(R::SOURCES))
+    }
+
+    /// Path of the `R` record under `key` for this build's version.
+    pub fn path<R: Record>(&self, key: u64) -> PathBuf {
         self.dir.join(format!(
-            "prep-{network}-s{scale}-{seed:016x}-v{:016x}.olas",
-            self.code
+            "{}-{key:016x}-v{:016x}.olas",
+            R::PREFIX,
+            self.version::<R>()
         ))
     }
 
-    /// Path of a workload-set artifact for this code version.
-    pub fn workloads_path(
-        &self,
-        network: &str,
-        scale: usize,
-        seed: u64,
-        policy: &QuantPolicy,
-    ) -> PathBuf {
-        self.dir.join(format!(
-            "ws-{network}-s{scale}-{seed:016x}-p{:016x}-v{:016x}.olas",
-            policy_fingerprint(policy),
-            self.code
-        ))
-    }
-
-    /// Persists a prepared network (parameters + forward activations).
-    pub fn save_prepared(
-        &self,
-        network: &str,
-        scale: usize,
-        seed: u64,
-        params: &Params,
-        acts: &[Tensor],
-    ) -> Result<(), StoreError> {
+    /// Persists `record` under `key`: frames the payload with the header
+    /// and atomically commits it via a same-directory temporary file +
+    /// `rename`.
+    pub fn put<R: Record>(&self, key: u64, record: &R) -> Result<(), StoreError> {
         let mut payload = Writer::new();
-        encode_params(&mut payload, params);
-        payload.len(acts.len());
-        for t in acts {
-            encode_tensor(&mut payload, t);
-        }
-        self.commit(
-            &self.prepared_path(network, scale, seed),
-            Key {
-                kind: KIND_PREPARED,
-                network,
-                scale,
-                seed,
-                policy_fp: 0,
-                code: self.code,
-            },
-            payload.into_bytes(),
-        )
-    }
-
-    /// Loads a prepared network. `Ok(None)` means "not stored" (including
-    /// "stored by a different code version" — the filename won't match);
-    /// `Err(Corrupt)` means the file exists but its bytes can't be
-    /// trusted, and the caller should recompute.
-    #[allow(clippy::type_complexity)]
-    pub fn load_prepared(
-        &self,
-        network: &str,
-        scale: usize,
-        seed: u64,
-    ) -> Result<Option<(Params, Vec<Tensor>)>, StoreError> {
-        let Some(payload) = self.read_verified(
-            &self.prepared_path(network, scale, seed),
-            Key {
-                kind: KIND_PREPARED,
-                network,
-                scale,
-                seed,
-                policy_fp: 0,
-                code: self.code,
-            },
-        )?
-        else {
-            return Ok(None);
-        };
-        let mut r = Reader::new(&payload);
-        let params = decode_params(&mut r)?;
-        let n = r.len(8)?;
-        let mut acts = Vec::with_capacity(n);
-        for _ in 0..n {
-            acts.push(decode_tensor(&mut r)?);
-        }
-        r.finish()?;
-        Ok(Some((params, acts)))
-    }
-
-    /// Persists a workload set under its extraction key.
-    pub fn save_workloads(
-        &self,
-        network: &str,
-        scale: usize,
-        seed: u64,
-        ws: &WorkloadSet,
-    ) -> Result<(), StoreError> {
-        let mut payload = Writer::new();
-        encode_workload_set(&mut payload, ws);
-        self.commit(
-            &self.workloads_path(network, scale, seed, &ws.policy),
-            Key {
-                kind: KIND_WORKLOADS,
-                network,
-                scale,
-                seed,
-                policy_fp: policy_fingerprint(&ws.policy),
-                code: self.code,
-            },
-            payload.into_bytes(),
-        )
-    }
-
-    /// Loads a workload set; same `Ok(None)` / `Err(Corrupt)` contract as
-    /// [`ArtifactStore::load_prepared`].
-    pub fn load_workloads(
-        &self,
-        network: &str,
-        scale: usize,
-        seed: u64,
-        policy: &QuantPolicy,
-    ) -> Result<Option<WorkloadSet>, StoreError> {
-        let Some(payload) = self.read_verified(
-            &self.workloads_path(network, scale, seed, policy),
-            Key {
-                kind: KIND_WORKLOADS,
-                network,
-                scale,
-                seed,
-                policy_fp: policy_fingerprint(policy),
-                code: self.code,
-            },
-        )?
-        else {
-            return Ok(None);
-        };
-        let mut r = Reader::new(&payload);
-        let ws = decode_workload_set(&mut r)?;
-        r.finish()?;
-        Ok(Some(ws))
-    }
-
-    /// Path of a per-layer analytic simulation record for this model
-    /// version. `key` is the `SimCache` content fingerprint.
-    pub fn sim_run_path(&self, key: u64) -> PathBuf {
-        self.dir
-            .join(format!("simrun-{key:016x}-v{:016x}.olas", self.model))
-    }
-
-    /// Path of an event-backend simulation record for this model version.
-    pub fn sim_event_path(&self, key: u64) -> PathBuf {
-        self.dir
-            .join(format!("simev-{key:016x}-v{:016x}.olas", self.model))
-    }
-
-    /// The header key of a sim record: the content fingerprint rides in
-    /// the `seed` slot, the version check uses the model fingerprint.
-    fn sim_header_key(&self, kind: u8, key: u64) -> Key<'static> {
-        Key {
-            kind,
-            network: "",
-            scale: 0,
-            seed: key,
-            policy_fp: 0,
-            code: self.model,
-        }
-    }
-
-    /// Persists a per-layer analytic simulation result under its content
-    /// fingerprint.
-    pub fn save_sim_run(&self, key: u64, run: &LayerRun) -> Result<(), StoreError> {
-        let mut payload = Writer::new();
-        encode_layer_run(&mut payload, run);
-        self.commit(
-            &self.sim_run_path(key),
-            self.sim_header_key(KIND_SIM_RUN, key),
-            payload.into_bytes(),
-        )
-    }
-
-    /// Loads a per-layer analytic simulation result; same `Ok(None)` /
-    /// `Err(Corrupt)` contract as [`ArtifactStore::load_prepared`].
-    pub fn load_sim_run(&self, key: u64) -> Result<Option<LayerRun>, StoreError> {
-        let Some(payload) = self.read_verified(
-            &self.sim_run_path(key),
-            self.sim_header_key(KIND_SIM_RUN, key),
-        )?
-        else {
-            return Ok(None);
-        };
-        let mut r = Reader::new(&payload);
-        let run = decode_layer_run(&mut r)?;
-        r.finish()?;
-        Ok(Some(run))
-    }
-
-    /// Persists an event-backend simulation result under its content
-    /// fingerprint.
-    pub fn save_sim_event(&self, key: u64, rec: &EventRecord) -> Result<(), StoreError> {
-        let mut payload = Writer::new();
-        encode_event_record(&mut payload, rec);
-        self.commit(
-            &self.sim_event_path(key),
-            self.sim_header_key(KIND_SIM_EVENT, key),
-            payload.into_bytes(),
-        )
-    }
-
-    /// Loads an event-backend simulation result; same `Ok(None)` /
-    /// `Err(Corrupt)` contract as [`ArtifactStore::load_prepared`].
-    pub fn load_sim_event(&self, key: u64) -> Result<Option<EventRecord>, StoreError> {
-        let Some(payload) = self.read_verified(
-            &self.sim_event_path(key),
-            self.sim_header_key(KIND_SIM_EVENT, key),
-        )?
-        else {
-            return Ok(None);
-        };
-        let mut r = Reader::new(&payload);
-        let rec = decode_event_record(&mut r)?;
-        r.finish()?;
-        Ok(Some(rec))
-    }
-
-    /// Path of an accuracy-eval record for this eval version. `key` is
-    /// the `EvalCache` content fingerprint.
-    pub fn eval_path(&self, key: u64) -> PathBuf {
-        self.dir
-            .join(format!("eval-{key:016x}-v{:016x}.olas", self.eval))
-    }
-
-    /// The header key of an eval record: the content fingerprint rides in
-    /// the `seed` slot, the version check uses the eval fingerprint.
-    fn eval_header_key(&self, key: u64) -> Key<'static> {
-        Key {
-            kind: KIND_EVAL,
-            network: "",
-            scale: 0,
-            seed: key,
-            policy_fp: 0,
-            code: self.eval,
-        }
-    }
-
-    /// Persists a quantized-accuracy record under its content fingerprint.
-    pub fn save_eval_record(&self, key: u64, acc: &QuantAccuracy) -> Result<(), StoreError> {
-        let mut payload = Writer::new();
-        encode_eval_record(&mut payload, acc);
-        self.commit(
-            &self.eval_path(key),
-            self.eval_header_key(key),
-            payload.into_bytes(),
-        )
-    }
-
-    /// Loads a quantized-accuracy record; same `Ok(None)` / `Err(Corrupt)`
-    /// contract as [`ArtifactStore::load_prepared`].
-    pub fn load_eval_record(&self, key: u64) -> Result<Option<QuantAccuracy>, StoreError> {
-        let Some(payload) = self.read_verified(&self.eval_path(key), self.eval_header_key(key))?
-        else {
-            return Ok(None);
-        };
-        let mut r = Reader::new(&payload);
-        let acc = decode_eval_record(&mut r)?;
-        r.finish()?;
-        Ok(Some(acc))
-    }
-
-    /// Frames `payload` with the header and atomically commits it at
-    /// `path` via a same-directory temporary file + `rename`.
-    fn commit(&self, path: &Path, key: Key<'_>, payload: Vec<u8>) -> Result<(), StoreError> {
-        let mut w = Writer::new();
-        w.raw(MAGIC);
-        w.u32(FORMAT_VERSION);
-        w.u8(key.kind);
-        w.string(key.network);
-        w.u64(key.scale as u64);
-        w.u64(key.seed);
-        w.u64(key.policy_fp);
-        w.u64(key.code);
-        w.len(payload.len());
-        w.u64(fnv1a64(&payload));
-        w.raw(&payload);
-        let bytes = w.into_bytes();
+        record.encode(&mut payload);
+        let payload = payload.into_bytes();
+        let mut header = Writer::new();
+        header.raw(MAGIC);
+        header.u32(FORMAT_VERSION);
+        header.u8(R::KIND);
+        header.u64(key);
+        header.u64(self.version::<R>());
+        header.len(payload.len());
+        header.u64(fnv1a64(&payload));
 
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
@@ -392,23 +123,24 @@ impl ArtifactStore {
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         let mut f = fs::File::create(&tmp)?;
-        let written = f.write_all(&bytes).and_then(|()| f.sync_all());
+        let written = f
+            .write_all(&header.into_bytes())
+            .and_then(|()| f.write_all(&payload))
+            .and_then(|()| f.sync_all());
         drop(f);
-        if let Err(e) = written {
-            let _ = fs::remove_file(&tmp);
-            return Err(e.into());
-        }
-        if let Err(e) = fs::rename(&tmp, path) {
+        if let Err(e) = written.and_then(|()| fs::rename(&tmp, self.path::<R>(key))) {
             let _ = fs::remove_file(&tmp);
             return Err(e.into());
         }
         Ok(())
     }
 
-    /// Reads `path`, verifies magic / format / kind / key / checksum, and
-    /// returns the payload. `Ok(None)` when the file does not exist.
-    fn read_verified(&self, path: &Path, key: Key<'_>) -> Result<Option<Vec<u8>>, StoreError> {
-        let bytes = match fs::read(path) {
+    /// Loads the `R` record under `key`. `Ok(None)` means "not stored"
+    /// (including "stored by a different code version" — the filename
+    /// won't match); `Err(Corrupt)` means the file exists but its bytes
+    /// can't be trusted, and the caller should recompute.
+    pub fn get<R: Record>(&self, key: u64) -> Result<Option<R>, StoreError> {
+        let bytes = match fs::read(self.path::<R>(key)) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
@@ -423,23 +155,12 @@ impl ArtifactStore {
                 "format version {format}, expected {FORMAT_VERSION}"
             )));
         }
-        let kind = r.u8()?;
-        let network = r.string()?;
-        let scale = r.u64()?;
-        let seed = r.u64()?;
-        let policy_fp = r.u64()?;
-        let code = r.u64()?;
-        if kind != key.kind
-            || network != key.network
-            || scale != key.scale as u64
-            || seed != key.seed
-            || policy_fp != key.policy_fp
-        {
+        if r.u8()? != R::KIND || r.u64()? != key {
             return Err(corrupt("artifact key does not match its filename"));
         }
-        if code != key.code {
+        if r.u64()? != self.version::<R>() {
             // Can only happen on a renamed/copied file; the filename
-            // normally embeds the code version.
+            // normally embeds the version.
             return Err(corrupt("artifact written by a different code version"));
         }
         let payload_len = r.len(1)?;
@@ -449,66 +170,38 @@ impl ArtifactStore {
         if fnv1a64(payload) != checksum {
             return Err(corrupt("payload checksum mismatch"));
         }
-        Ok(Some(payload.to_vec()))
+        let mut r = Reader::new(payload);
+        let record = R::decode(&mut r)?;
+        r.finish()?;
+        Ok(Some(record))
     }
 }
 
-/// The `SimCache` persistent tier: the trait's error-swallowing contract
-/// (a broken store degrades to a cold cache, never a failed run) maps the
-/// `Result`-returning methods above onto warn-on-stderr.
-impl SimResultStore for ArtifactStore {
-    fn load_layer_run(&self, key: u64) -> Option<LayerRun> {
-        match self.load_sim_run(key) {
+/// Every record kind's persistent tier. Maps the `Result`s above onto the
+/// [`Persist`] contract — a broken store degrades to a cold cache, never a
+/// failed run — and times every load under [`Phase::Load`].
+impl<R: Record> Persist<R> for ArtifactStore {
+    fn load(&self, key: u64) -> Option<R> {
+        match timed(Phase::Load, || self.get(key)) {
             Ok(found) => found,
             Err(e) => {
-                eprintln!("warning: sim record {key:016x} unreadable ({e}); re-simulating");
+                eprintln!(
+                    "warning: ignoring unreadable {} record {key:016x} in {} ({e}); recomputing",
+                    R::PREFIX,
+                    self.dir.display()
+                );
                 None
             }
         }
     }
 
-    fn save_layer_run(&self, key: u64, run: &LayerRun) {
-        if let Err(e) = self.save_sim_run(key, run) {
-            eprintln!("warning: failed to persist sim record {key:016x}: {e}");
-        }
-    }
-
-    fn load_event_record(&self, key: u64) -> Option<EventRecord> {
-        match self.load_sim_event(key) {
-            Ok(found) => found,
-            Err(e) => {
-                eprintln!("warning: event record {key:016x} unreadable ({e}); re-simulating");
-                None
-            }
-        }
-    }
-
-    fn save_event_record(&self, key: u64, record: &EventRecord) {
-        if let Err(e) = self.save_sim_event(key, record) {
-            eprintln!("warning: failed to persist event record {key:016x}: {e}");
-        }
-    }
-}
-
-/// The `EvalCache` persistent tier: same error-swallowing contract as the
-/// [`SimResultStore`] impl above. Loads are timed under `Phase::Load` here
-/// (the cache lives in `ola-quant`, below the timing module, so it can't
-/// record the phase itself).
-impl EvalResultStore for ArtifactStore {
-    fn load_eval(&self, key: u64) -> Option<QuantAccuracy> {
-        let loaded = timing::timed(timing::Phase::Load, || self.load_eval_record(key));
-        match loaded {
-            Ok(found) => found,
-            Err(e) => {
-                eprintln!("warning: eval record {key:016x} unreadable ({e}); re-evaluating");
-                None
-            }
-        }
-    }
-
-    fn save_eval(&self, key: u64, acc: &QuantAccuracy) {
-        if let Err(e) = self.save_eval_record(key, acc) {
-            eprintln!("warning: failed to persist eval record {key:016x}: {e}");
+    fn save(&self, key: u64, record: &R) {
+        if let Err(e) = self.put(key, record) {
+            eprintln!(
+                "warning: failed to persist {} record {key:016x} to {}: {e}",
+                R::PREFIX,
+                self.dir.display()
+            );
         }
     }
 }
@@ -516,10 +209,43 @@ impl EvalResultStore for ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_params, decode_tensor, encode_params, encode_tensor};
     use crate::test_dir;
     use ola_nn::network::WeightStore;
-    use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser};
-    use ola_tensor::Shape4;
+    use ola_nn::Params;
+    use ola_quant::accuracy::QuantAccuracy;
+    use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser, WorkloadSet};
+    use ola_sim::{EventRecord, LayerRun, QuantPolicy};
+    use ola_tensor::{Shape4, Tensor};
+
+    /// A prepared network's tensors — the payload core of the harness's
+    /// prepared-network record, which adds the graph identity.
+    struct PreparedTensors {
+        params: Params,
+        acts: Vec<Tensor>,
+    }
+
+    impl Record for PreparedTensors {
+        const KIND: u8 = 1;
+        const PREFIX: &'static str = "prep";
+        const SOURCES: &'static [&'static str] = crate::version::PREP_SOURCES;
+
+        fn encode(&self, w: &mut Writer) {
+            encode_params(w, &self.params);
+            w.len(self.acts.len());
+            for t in &self.acts {
+                encode_tensor(w, t);
+            }
+        }
+
+        fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+            let params = decode_params(r)?;
+            let acts = (0..r.len(8)?)
+                .map(|_| decode_tensor(r))
+                .collect::<Result<_, _>>()?;
+            Ok(PreparedTensors { params, acts })
+        }
+    }
 
     fn sample_params() -> Params {
         let mut p = Params::sized(2);
@@ -584,24 +310,24 @@ mod tests {
     fn prepared_round_trip_and_missing() {
         let dir = test_dir("store-prep");
         let store = ArtifactStore::open(&dir).unwrap();
-        assert!(store.load_prepared("alexnet", 4, 9).unwrap().is_none());
+        assert!(store.get::<PreparedTensors>(9).unwrap().is_none());
         let params = sample_params();
         let acts = sample_acts();
-        store
-            .save_prepared("alexnet", 4, 9, &params, &acts)
-            .unwrap();
-        let (p2, a2) = store.load_prepared("alexnet", 4, 9).unwrap().unwrap();
-        assert_eq!(p2.len(), params.len());
-        assert_eq!(p2.bias(0).unwrap(), params.bias(0).unwrap());
-        assert_eq!(a2.len(), acts.len());
-        for (a, b) in acts.iter().zip(&a2) {
+        let prep = PreparedTensors { params, acts };
+        store.put(9, &prep).unwrap();
+        let back = store.get::<PreparedTensors>(9).unwrap().unwrap();
+        assert_eq!(back.params.len(), prep.params.len());
+        assert_eq!(back.params.bias(0).unwrap(), prep.params.bias(0).unwrap());
+        assert_eq!(back.acts.len(), prep.acts.len());
+        for (a, b) in prep.acts.iter().zip(&back.acts) {
             let av: Vec<u32> = a.as_slice().iter().map(|v| v.to_bits()).collect();
             let bv: Vec<u32> = b.as_slice().iter().map(|v| v.to_bits()).collect();
             assert_eq!(av, bv);
         }
-        // A different key misses without touching the stored artifact.
-        assert!(store.load_prepared("alexnet", 4, 10).unwrap().is_none());
-        assert!(store.load_prepared("vgg16", 4, 9).unwrap().is_none());
+        // A different key misses without touching the stored artifact, and
+        // the same key under another kind is a separate namespace.
+        assert!(store.get::<PreparedTensors>(10).unwrap().is_none());
+        assert!(store.get::<WorkloadSet>(9).unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -610,18 +336,11 @@ mod tests {
         let dir = test_dir("store-ws");
         let store = ArtifactStore::open(&dir).unwrap();
         let ws = sample_workloads();
-        store.save_workloads("alexnet", 4, 9, &ws).unwrap();
-        let back = store
-            .load_workloads("alexnet", 4, 9, &ws.policy)
-            .unwrap()
-            .unwrap();
+        store.put(9, &ws).unwrap();
+        let back = store.get::<WorkloadSet>(9).unwrap().unwrap();
         assert!(back.bitwise_eq(&ws));
-        // A different policy is a different artifact.
-        let other = QuantPolicy::olaccel8("alexnet");
-        assert!(store
-            .load_workloads("alexnet", 4, 9, &other)
-            .unwrap()
-            .is_none());
+        // A different key (another policy's) is a different artifact.
+        assert!(store.get::<WorkloadSet>(10).unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -632,9 +351,10 @@ mod tests {
 
         let dir = test_dir("store-sim");
         let store = ArtifactStore::open(&dir).unwrap();
-        let tier: &dyn SimResultStore = &store;
+        let runs: &dyn Persist<LayerRun> = &store;
+        let events: &dyn Persist<EventRecord> = &store;
 
-        assert!(tier.load_layer_run(0xABCD).is_none());
+        assert!(runs.load(0xABCD).is_none());
         let run = LayerRun {
             name: "conv3".into(),
             cycles: 4242,
@@ -651,16 +371,16 @@ mod tests {
             },
             chunk_cycle_hist: vec![1, 0, 9],
         };
-        tier.save_layer_run(0xABCD, &run);
-        let back = tier.load_layer_run(0xABCD).unwrap();
+        runs.save(0xABCD, &run);
+        let back = runs.load(0xABCD).unwrap();
         assert_eq!(back.cycles, run.cycles);
         assert_eq!(back.energy.dram.to_bits(), run.energy.dram.to_bits());
         assert_eq!(back.utilization, run.utilization);
         assert_eq!(back.chunk_cycle_hist, run.chunk_cycle_hist);
         // A different fingerprint misses; same fingerprint under the other
         // record kind is a separate namespace.
-        assert!(tier.load_layer_run(0xABCE).is_none());
-        assert!(tier.load_event_record(0xABCD).is_none());
+        assert!(runs.load(0xABCE).is_none());
+        assert!(events.load(0xABCD).is_none());
 
         let rec = EventRecord {
             cycles: 17,
@@ -671,21 +391,21 @@ mod tests {
             },
             outlier_busy: 5,
         };
-        tier.save_event_record(0xABCD, &rec);
-        assert_eq!(tier.load_event_record(0xABCD).unwrap(), rec);
+        events.save(0xABCD, &rec);
+        assert_eq!(events.load(0xABCD).unwrap(), rec);
 
         // Corruption degrades to a miss through the trait (warn + None),
         // not an error.
-        let path = store.sim_run_path(0xABCD);
+        let path = store.path::<LayerRun>(0xABCD);
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            store.load_sim_run(0xABCD),
+            store.get::<LayerRun>(0xABCD),
             Err(StoreError::Corrupt(_))
         ));
-        assert!(tier.load_layer_run(0xABCD).is_none());
+        assert!(runs.load(0xABCD).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -693,16 +413,16 @@ mod tests {
     fn eval_records_round_trip_through_the_trait() {
         let dir = test_dir("store-eval");
         let store = ArtifactStore::open(&dir).unwrap();
-        let tier: &dyn EvalResultStore = &store;
+        let tier: &dyn Persist<QuantAccuracy> = &store;
 
-        assert!(tier.load_eval(0xE0A1).is_none());
+        assert!(tier.load(0xE0A1).is_none());
         let acc = QuantAccuracy {
             top1: 0.87,
             topk: 0.99,
             realized_weight_ratio: 0.0305,
         };
-        tier.save_eval(0xE0A1, &acc);
-        let back = tier.load_eval(0xE0A1).unwrap();
+        tier.save(0xE0A1, &acc);
+        let back = tier.load(0xE0A1).unwrap();
         assert_eq!(back.top1.to_bits(), acc.top1.to_bits());
         assert_eq!(back.topk.to_bits(), acc.topk.to_bits());
         assert_eq!(
@@ -711,20 +431,20 @@ mod tests {
         );
         // A different fingerprint misses; the same fingerprint under a sim
         // record kind is a separate namespace.
-        assert!(tier.load_eval(0xE0A2).is_none());
-        assert!(store.load_sim_run(0xE0A1).unwrap().is_none());
+        assert!(tier.load(0xE0A2).is_none());
+        assert!(store.get::<LayerRun>(0xE0A1).unwrap().is_none());
 
         // Corruption degrades to a miss through the trait (warn + None).
-        let path = store.eval_path(0xE0A1);
+        let path = store.path::<QuantAccuracy>(0xE0A1);
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            store.load_eval_record(0xE0A1),
+            store.get::<QuantAccuracy>(0xE0A1),
             Err(StoreError::Corrupt(_))
         ));
-        assert!(tier.load_eval(0xE0A1).is_none());
+        assert!(tier.load(0xE0A1).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -733,8 +453,8 @@ mod tests {
         let dir = test_dir("store-corrupt");
         let store = ArtifactStore::open(&dir).unwrap();
         let ws = sample_workloads();
-        store.save_workloads("alexnet", 4, 9, &ws).unwrap();
-        let path = store.workloads_path("alexnet", 4, 9, &ws.policy);
+        store.put(9, &ws).unwrap();
+        let path = store.path::<WorkloadSet>(9);
 
         // Flip one payload byte: checksum must catch it.
         let mut bytes = fs::read(&path).unwrap();
@@ -742,21 +462,21 @@ mod tests {
         bytes[last] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            store.load_workloads("alexnet", 4, 9, &ws.policy),
+            store.get::<WorkloadSet>(9),
             Err(StoreError::Corrupt(_))
         ));
 
         // Truncate mid-header.
         fs::write(&path, &bytes[..7]).unwrap();
         assert!(matches!(
-            store.load_workloads("alexnet", 4, 9, &ws.policy),
+            store.get::<WorkloadSet>(9),
             Err(StoreError::Corrupt(_))
         ));
 
         // Garbage magic.
         fs::write(&path, b"NOPE").unwrap();
         assert!(matches!(
-            store.load_workloads("alexnet", 4, 9, &ws.policy),
+            store.get::<WorkloadSet>(9),
             Err(StoreError::Corrupt(_))
         ));
         let _ = fs::remove_dir_all(&dir);
@@ -767,12 +487,10 @@ mod tests {
         let dir = test_dir("store-rename");
         let store = ArtifactStore::open(&dir).unwrap();
         let ws = sample_workloads();
-        store.save_workloads("alexnet", 4, 9, &ws).unwrap();
-        let src = store.workloads_path("alexnet", 4, 9, &ws.policy);
-        let dst = store.workloads_path("alexnet", 8, 9, &ws.policy);
-        fs::rename(&src, &dst).unwrap();
+        store.put(9, &ws).unwrap();
+        fs::rename(store.path::<WorkloadSet>(9), store.path::<WorkloadSet>(10)).unwrap();
         assert!(matches!(
-            store.load_workloads("alexnet", 8, 9, &ws.policy),
+            store.get::<WorkloadSet>(10),
             Err(StoreError::Corrupt(_))
         ));
         let _ = fs::remove_dir_all(&dir);

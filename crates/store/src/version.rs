@@ -1,4 +1,4 @@
-//! The code-version fingerprint that content-addresses on-disk artifacts.
+//! The code-version fingerprints that version on-disk artifacts.
 //!
 //! A stored artifact is only valid while the code that would recompute it
 //! produces bit-identical results. Rather than asking humans to bump a
@@ -6,25 +6,27 @@
 //! the *source text* of every crate file an artifact's bytes depend on —
 //! tensor initialization and scans, synthetic parameter generation, the
 //! network zoo, workload extraction, quantizer calibration, the vendored
-//! RNG — at compile time. Any edit to those files changes the fingerprint,
-//! changes every artifact filename, and silently invalidates the old
-//! cache. (`include_str!` also registers each file with cargo's rebuild
+//! RNG — at compile time. Each [`crate::store::Record`] names one of the
+//! three source lists below as its `SOURCES`. Any edit to a listed file
+//! changes that list's fingerprint, changes the filename of every record
+//! versioned by it, and silently invalidates the old records. (`include_str!` also registers each file with cargo's rebuild
 //! tracking, so the fingerprint can never go stale.)
 //!
 //! Conservative by design: a comment-only edit to a hashed file also
 //! invalidates the cache. That trades a few spurious recomputes for never
 //! serving stale bytes.
 
-use crate::wire::fnv1a64;
+use ola_tensor::memo::fnv1a64;
 
 /// Bump when the *container* format (header layout, wire encoding) changes
 /// incompatibly. Semantic changes to the artifact contents are covered by
-/// [`code_version`] instead.
-pub const FORMAT_VERSION: u32 = 1;
+/// the source folds instead.
+pub const FORMAT_VERSION: u32 = 2;
 
-/// Source files whose text determines artifact bytes. Paths are relative
-/// to `crates/store/src/`.
-const SOURCES: &[&str] = &[
+/// Source files whose text determines preparation artifact bytes
+/// (prepared networks and workload sets). Paths are relative to
+/// `crates/store/src/`.
+pub const PREP_SOURCES: &[&str] = &[
     // Tensor substrate: RNG-driven init, scans and chunking feed every
     // synthesized parameter and every measured statistic.
     include_str!("../../tensor/src/tensor.rs"),
@@ -59,11 +61,11 @@ const SOURCES: &[&str] = &[
 
 /// Source files whose text determines *simulation result* bytes — the
 /// accelerator cycle/energy models and everything they read. Kept separate
-/// from [`SOURCES`] so an edit to, say, workload extraction invalidates
-/// prepared artifacts without also discarding still-valid sim records (and
-/// vice versa). Like [`SOURCES`], text-only includes — `ola-store` has no
-/// crate dependency on `ola-core`/`ola-baselines`.
-const MODEL_SOURCES: &[&str] = &[
+/// from [`PREP_SOURCES`] so an edit to, say, workload extraction
+/// invalidates prepared artifacts without also discarding still-valid sim
+/// records (and vice versa). Like [`PREP_SOURCES`], text-only includes —
+/// `ola-store` has no crate dependency on `ola-core`/`ola-baselines`.
+pub const MODEL_SOURCES: &[&str] = &[
     // OLAccel's analytic model and the event-driven validation backend.
     include_str!("../../core/src/model.rs"),
     include_str!("../../core/src/cost.rs"),
@@ -92,11 +94,11 @@ const MODEL_SOURCES: &[&str] = &[
 
 /// Source files whose text determines *accuracy evaluation* bytes — the
 /// quantized forward pass and everything that shapes a `QuantAccuracy`
-/// record. Kept separate from [`SOURCES`]/[`MODEL_SOURCES`] so accelerator
-/// or extraction edits don't discard still-valid eval records (and an eval
-/// edit doesn't discard prep or sim artifacts). Text-only includes — no
-/// crate dependency on `ola-quant` needed.
-const EVAL_SOURCES: &[&str] = &[
+/// record. Kept separate from [`PREP_SOURCES`]/[`MODEL_SOURCES`] so
+/// accelerator or extraction edits don't discard still-valid eval records
+/// (and an eval edit doesn't discard prep or sim artifacts). Text-only
+/// includes.
+pub const EVAL_SOURCES: &[&str] = &[
     // The evaluation pipeline itself: quantize, calibrate, forward, plus
     // the cache keying machinery.
     include_str!("../../quant/src/accuracy.rs"),
@@ -115,10 +117,13 @@ const EVAL_SOURCES: &[&str] = &[
     include_str!("../../../vendored/rand/src/lib.rs"),
 ];
 
-/// Length-framed FNV-1a fold over [`FORMAT_VERSION`] and `sources` — file
-/// lengths are folded in between texts so content can't slide across file
-/// boundaries ("ab" + "c" vs "a" + "bc").
-fn sources_version(sources: &[&str]) -> u64 {
+/// A version fingerprint: the length-framed FNV-1a fold over
+/// [`FORMAT_VERSION`] and `sources` — file lengths are folded in between
+/// texts so content can't slide across file boundaries ("ab" + "c" vs
+/// "a" + "bc"). Identical across runs of the same build; different
+/// whenever any listed file changes. The store folds each record kind's
+/// list once per store.
+pub(crate) fn sources_version(sources: &[&str]) -> u64 {
     let mut h = fnv1a64(&FORMAT_VERSION.to_le_bytes());
     for src in sources {
         h ^= fnv1a64(&(src.len() as u64).to_le_bytes());
@@ -129,54 +134,32 @@ fn sources_version(sources: &[&str]) -> u64 {
     h
 }
 
-/// The process's code-version fingerprint: an FNV-1a fold over
-/// [`FORMAT_VERSION`] and the length-framed source text of every file in
-/// [`SOURCES`]. Identical across runs of the same build; different
-/// whenever any artifact-relevant source file changes.
-pub fn code_version() -> u64 {
-    sources_version(SOURCES)
-}
-
-/// The process's model-version fingerprint: same construction as
-/// [`code_version`] but over [`MODEL_SOURCES`]. Content-addresses per-layer
-/// simulation records (the `SimCache` disk tier) to the accelerator-model
-/// code that produced them.
-pub fn model_version() -> u64 {
-    sources_version(MODEL_SOURCES)
-}
-
-/// The process's eval-version fingerprint: same construction as
-/// [`code_version`] but over [`EVAL_SOURCES`]. Content-addresses persisted
-/// `QuantAccuracy` records (the `EvalCache` disk tier) to the evaluation
-/// code that produced them.
-pub fn eval_version() -> u64 {
-    sources_version(EVAL_SOURCES)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn code_version_is_stable_within_a_build() {
-        assert_eq!(code_version(), code_version());
-        assert_ne!(code_version(), 0);
+        assert_eq!(sources_version(PREP_SOURCES), sources_version(PREP_SOURCES));
+        assert_ne!(sources_version(PREP_SOURCES), 0);
     }
 
     #[test]
     fn model_version_is_stable_and_independent() {
-        assert_eq!(model_version(), model_version());
-        assert_ne!(model_version(), 0);
+        let model = sources_version(MODEL_SOURCES);
+        assert_eq!(model, sources_version(MODEL_SOURCES));
+        assert_ne!(model, 0);
         // Different source sets must not collide (which would defeat the
         // point of invalidating them independently).
-        assert_ne!(model_version(), code_version());
+        assert_ne!(model, sources_version(PREP_SOURCES));
     }
 
     #[test]
     fn eval_version_is_stable_and_independent() {
-        assert_eq!(eval_version(), eval_version());
-        assert_ne!(eval_version(), 0);
-        assert_ne!(eval_version(), code_version());
-        assert_ne!(eval_version(), model_version());
+        let eval = sources_version(EVAL_SOURCES);
+        assert_eq!(eval, sources_version(EVAL_SOURCES));
+        assert_ne!(eval, 0);
+        assert_ne!(eval, sources_version(PREP_SOURCES));
+        assert_ne!(eval, sources_version(MODEL_SOURCES));
     }
 }

@@ -1,5 +1,5 @@
-//! Byte-level wire primitives: a growable little-endian writer, a bounds-
-//! checked reader, and the FNV-1a checksum the store frames payloads with.
+//! Byte-level wire primitives: a growable little-endian writer and a
+//! bounds-checked reader.
 //!
 //! Everything multi-byte is little-endian; lengths are `u64` so the format
 //! is identical on 32- and 64-bit hosts. The reader never panics on
@@ -39,18 +39,6 @@ impl From<std::io::Error> for StoreError {
 /// Shorthand for a decode-side corruption error.
 pub(crate) fn corrupt(msg: impl Into<String>) -> StoreError {
     StoreError::Corrupt(msg.into())
-}
-
-/// 64-bit FNV-1a over a byte stream — cheap, dependency-free corruption
-/// detection (not cryptographic; the store defends against torn or
-/// bit-rotted files, not adversaries).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// An append-only little-endian byte writer.
@@ -235,6 +223,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ola_tensor::memo::fnv1a64;
 
     #[test]
     fn scalar_round_trips() {

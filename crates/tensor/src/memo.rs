@@ -1,16 +1,17 @@
-//! Exactly-once memoization primitives and content fingerprinting.
+//! Exactly-once memoization and content fingerprinting.
 //!
-//! Three caches in the workspace share the same concurrency discipline:
-//! the harness's `PrepCache` (prepared networks and workload sets),
-//! `ola_sim::simcache::SimCache` (per-layer simulation results), and
-//! `ola_quant::evalcache::EvalCache` (quantized-accuracy records).
-//! Each keeps a map of per-key [`Slot`]s — an `Arc<OnceLock<..>>` whose
-//! expensive build runs in exactly one caller while concurrent requesters
-//! for the same key block until it lands — and each must survive a
-//! panicking build without poisoning the key. [`fill_slot`] is that
-//! protocol, factored here (the root of the crate graph, like
-//! [`crate::par`]) so every layer can use it; `ola_sim::memo` re-exports
-//! it unchanged for its pre-existing callers.
+//! Every cache in the workspace is a [`Memo`]: the harness's `PrepCache`
+//! (prepared networks and workload sets), `ola_sim::simcache::SimCache`
+//! (per-layer simulation results) and `ola_quant::evalcache::EvalCache`
+//! (quantized-accuracy records) each hold one `Memo` per record kind. A
+//! memo maps `u64` keys to per-key [`Slot`]s — an `Arc<OnceLock<..>>`
+//! whose expensive build runs in exactly one caller while concurrent
+//! requesters for the same key block until it lands — and survives a
+//! panicking build without poisoning the key ([`fill_slot`]). An optional
+//! [`Persist`] tier is read before building and written after, which is
+//! how `ola-store`'s artifact store slots under every cache at once. The
+//! module sits at the root of the crate graph (like [`crate::par`]) so
+//! every layer can use it.
 //!
 //! [`Fingerprint`] is the companion keying primitive: an incremental
 //! 64-bit FNV-1a fold over length-framed field bytes. Callers fold every
@@ -24,6 +25,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// 64-bit FNV-1a over a byte stream — cheap, dependency-free content
@@ -165,7 +167,7 @@ pub type Slot<T> = Arc<OnceLock<Result<Arc<T>, String>>>;
 
 /// What a cache fill actually did (a memory hit runs no fill at all).
 pub enum Fill {
-    /// Loaded from the disk store; no computation ran.
+    /// Loaded from the persistent tier; no computation ran.
     Disk,
     /// Computed from scratch.
     Built,
@@ -181,12 +183,12 @@ fn evict_slot<K: Eq + Hash, T>(map: &Mutex<HashMap<K, Slot<T>>>, key: &K, slot: 
     }
 }
 
-/// The exactly-once fill protocol shared by every cache level: find or
-/// insert the key's slot, run `build` in at most one caller, and report
-/// what happened (`None` = served from memory). A panicking build is
-/// re-raised with its original payload for the builder, re-raised by
-/// message for every waiter, and evicts its slot so the key stays
-/// retryable.
+/// The exactly-once fill protocol under every [`Memo`] (and the daemon's
+/// report memo): find or insert the key's slot, run `build` in at most one
+/// caller, and report what happened (`None` = served from memory). A
+/// panicking build is re-raised with its original payload for the
+/// builder, re-raised by message for every waiter, and evicts its slot so
+/// the key stays retryable.
 pub fn fill_slot<K, T>(
     map: &Mutex<HashMap<K, Slot<T>>>,
     key: K,
@@ -231,10 +233,137 @@ where
     }
 }
 
+/// The persistent tier behind a [`Memo`]: records addressed by the memo's
+/// `u64` key. `ola-store`'s `ArtifactStore` implements it for every record
+/// kind; it is defined here so the caches, which all sit below the store
+/// in the crate graph, can hold one behind a trait object.
+///
+/// Neither method fails. A load that finds nothing usable (no record, a
+/// stale code version, corrupt bytes) is `None`, and a save that fails is
+/// reported by the implementation and dropped: a broken store degrades to
+/// a cold cache, never a failed run.
+pub trait Persist<R>: Send + Sync {
+    /// The record stored under `key`, if a valid one exists.
+    fn load(&self, key: u64) -> Option<R>;
+    /// Stores `record` under `key`.
+    fn save(&self, key: u64, record: &R);
+}
+
+/// A point-in-time snapshot of one [`Memo`]'s counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Requests served from memory.
+    pub hits: u64,
+    /// Requests that ran the build.
+    pub built: u64,
+    /// Requests served by the persistent tier (no build ran).
+    pub loaded: u64,
+    /// Persistent-tier lookups that found nothing usable.
+    pub missed: u64,
+}
+
+/// A `u64`-keyed, exactly-once memo of `R` values with an optional
+/// [`Persist`] tier.
+///
+/// [`Memo::get`] serves a resident value, or fills the key's slot under
+/// [`fill_slot`]: the attached store is read first, the build runs only
+/// if it has nothing, and a fresh build is written back. `build` must be a
+/// pure function of the inputs folded into the key — that is what makes a
+/// hit, a load and a rebuild interchangeable.
+pub struct Memo<R> {
+    slots: Mutex<HashMap<u64, Slot<R>>>,
+    store: Mutex<Option<Arc<dyn Persist<R>>>>,
+    hits: AtomicU64,
+    built: AtomicU64,
+    loaded: AtomicU64,
+    missed: AtomicU64,
+}
+
+impl<R> Default for Memo<R> {
+    fn default() -> Self {
+        Memo {
+            slots: Mutex::default(),
+            store: Mutex::default(),
+            hits: AtomicU64::new(0),
+            built: AtomicU64::new(0),
+            loaded: AtomicU64::new(0),
+            missed: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<R> Memo<R> {
+    /// Attaches the persistent tier (replacing any earlier one). Resident
+    /// entries are unaffected.
+    pub fn set_store(&self, store: Arc<dyn Persist<R>>) {
+        *lock_unpoisoned(&self.store) = Some(store);
+    }
+
+    /// Fetches or computes (exactly once per key) the value for `key`.
+    pub fn get(&self, key: u64, build: impl FnOnce() -> R) -> Arc<R> {
+        self.get_with(key, |_| {}, build)
+    }
+
+    /// [`Memo::get`], with `on_load` applied to a record the persistent
+    /// tier returns before it is shared — for values whose stored form can
+    /// differ from a fresh build in bits the key does not fold.
+    pub fn get_with(
+        &self,
+        key: u64,
+        on_load: impl FnOnce(&mut R),
+        build: impl FnOnce() -> R,
+    ) -> Arc<R> {
+        let (value, fill) = fill_slot(&self.slots, key, || {
+            let store = lock_unpoisoned(&self.store).clone();
+            if let Some(store) = &store {
+                if let Some(mut record) = store.load(key) {
+                    on_load(&mut record);
+                    return (Arc::new(record), Fill::Disk);
+                }
+                self.missed.fetch_add(1, Ordering::Relaxed);
+            }
+            let value = build();
+            if let Some(store) = &store {
+                store.save(key, &value);
+            }
+            (Arc::new(value), Fill::Built)
+        });
+        let counter = match fill {
+            None => &self.hits,
+            Some(Fill::Built) => &self.built,
+            Some(Fill::Disk) => &self.loaded,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
+    }
+
+    /// Snapshots the counters.
+    pub fn stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            built: self.built.load(Ordering::Relaxed),
+            loaded: self.loaded.load(Ordering::Relaxed),
+            missed: self.missed.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Drops every entry and zeroes the counters (test isolation; also
+    /// frees the memory of a long-lived process between suites). The
+    /// persistent tier, if attached, stays attached.
+    pub fn reset(&self) {
+        // Hold the map lock for the whole reset so a concurrent request
+        // can't observe cleared stats against a still-populated map.
+        let mut slots = lock_unpoisoned(&self.slots);
+        slots.clear();
+        for counter in [&self.hits, &self.built, &self.loaded, &self.missed] {
+            counter.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn fnv_matches_known_vectors() {
@@ -310,5 +439,45 @@ mod tests {
         let (v, fill) = fill_slot(&map, 1, || (Arc::new(5u64), Fill::Built));
         assert_eq!(*v, 5, "key must be retryable after a failed build");
         assert!(fill.is_some(), "retry must actually rebuild");
+    }
+
+    /// An in-memory persistent tier.
+    #[derive(Default)]
+    struct MapStore(Mutex<HashMap<u64, u64>>);
+
+    impl Persist<u64> for MapStore {
+        fn load(&self, key: u64) -> Option<u64> {
+            lock_unpoisoned(&self.0).get(&key).copied()
+        }
+        fn save(&self, key: u64, record: &u64) {
+            lock_unpoisoned(&self.0).insert(key, *record);
+        }
+    }
+
+    #[test]
+    fn memo_reads_the_store_before_building_and_writes_after() {
+        let store = Arc::new(MapStore::default());
+        let cold: Memo<u64> = Memo::default();
+        assert_eq!(*cold.get(3, || 30), 30, "no store: build runs");
+        cold.set_store(store.clone());
+        assert_eq!(*cold.get(3, || panic!("resident entry must hit")), 30);
+        assert_eq!(*cold.get(4, || 40), 40);
+        let s = cold.stats();
+        assert_eq!((s.hits, s.built, s.loaded, s.missed), (1, 2, 0, 1));
+        assert_eq!(store.load(4), Some(40), "a fresh build writes through");
+
+        // A second memo over the same store loads instead of building, and
+        // `on_load` sees only the loaded record.
+        let warm: Memo<u64> = Memo::default();
+        warm.set_store(store);
+        let v = warm.get_with(4, |r| *r += 1, || panic!("store must satisfy"));
+        assert_eq!(*v, 41);
+        assert_eq!(*warm.get_with(5, |r| *r += 1, || 50), 50);
+        let s = warm.stats();
+        assert_eq!((s.hits, s.built, s.loaded, s.missed), (0, 1, 1, 1));
+
+        warm.reset();
+        assert_eq!(warm.stats(), MemoStats::default());
+        assert_eq!(*warm.get(5, || panic!("reset keeps the store")), 50);
     }
 }

@@ -12,7 +12,6 @@
 //! convolution output row-tiles across workers, the accelerator models in
 //! `ola-core` simulate a network's layers in parallel, and `ola-harness`'s
 //! experiment engine runs whole figures on the same work-queue discipline.
-//! `ola_sim::par` re-exports this module for its pre-existing callers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

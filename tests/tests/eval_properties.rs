@@ -2,14 +2,14 @@
 //! (`ola_quant::evalcache` + `ola_quant::accuracy`): the data-parallel
 //! eval must be bit-identical to the serial one at any worker count, a
 //! cached record must be bit-identical to a fresh evaluation, and the
-//! disk tier must round-trip records bit-exactly through
-//! `EvalResultStore` without recomputing.
+//! disk tier must round-trip records bit-exactly through the artifact
+//! store without recomputing.
 
 use ola_nn::synthnet::{SynthDataset, SynthNet};
 use ola_quant::accuracy::{evaluate_synthnet_jobs, QuantAccuracy, QuantSpec};
 use ola_quant::evalcache::eval_key;
 use ola_quant::policy::OutlierSelect;
-use ola_quant::{EvalCache, EvalResultStore};
+use ola_quant::EvalCache;
 use ola_store::ArtifactStore;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -138,7 +138,7 @@ fn test_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn disk_tier_round_trips_without_recompute() {
     let dir = test_dir("tier");
-    let store: Arc<dyn EvalResultStore> = Arc::new(ArtifactStore::open(&dir).unwrap());
+    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
 
     let (net, data, calib) = fixture(7);
     let spec = QuantSpec::paper_4bit(0.03);
@@ -146,7 +146,7 @@ fn disk_tier_round_trips_without_recompute() {
 
     // First process: cold cache + empty store → build runs, write-through.
     let warm = EvalCache::new();
-    warm.set_store(Some(store.clone()));
+    warm.set_store(store.clone());
     let first = warm.eval(key, || {
         evaluate_synthnet_jobs(&net, &data, &calib, &spec, 5, 2)
     });
@@ -156,7 +156,7 @@ fn disk_tier_round_trips_without_recompute() {
     // Second process: cold cache + warm store → record loads from disk,
     // the build closure must never run.
     let cold = EvalCache::new();
-    cold.set_store(Some(store));
+    cold.set_store(store);
     let replay = cold.eval(key, || panic!("warm store must satisfy the lookup"));
     assert_acc_bitwise_eq(&replay, &first);
     let s = cold.stats();
@@ -183,18 +183,18 @@ fn corrupt_disk_record_degrades_to_recompute() {
     let key = eval_key(&net, &data, &calib, &spec, 3);
 
     let warm = EvalCache::new();
-    warm.set_store(Some(artifact.clone() as Arc<dyn EvalResultStore>));
+    warm.set_store(artifact.clone());
     let first = warm.eval(key, || {
         evaluate_synthnet_jobs(&net, &data, &calib, &spec, 3, 1)
     });
 
     // Truncate the record on disk.
-    let path = artifact.eval_path(key);
+    let path = artifact.path::<QuantAccuracy>(key);
     assert!(path.exists(), "record not persisted at {}", path.display());
     std::fs::write(&path, b"OLAS junk").unwrap();
 
     let cold = EvalCache::new();
-    cold.set_store(Some(artifact.clone() as Arc<dyn EvalResultStore>));
+    cold.set_store(artifact.clone());
     let rebuilt = cold.eval(key, || {
         evaluate_synthnet_jobs(&net, &data, &calib, &spec, 3, 1)
     });
@@ -204,7 +204,7 @@ fn corrupt_disk_record_degrades_to_recompute() {
 
     // The write-through repaired the file.
     let repaired = EvalCache::new();
-    repaired.set_store(Some(artifact as Arc<dyn EvalResultStore>));
+    repaired.set_store(artifact);
     let replay = repaired.eval(key, || panic!("repaired record must replay"));
     assert_acc_bitwise_eq(&replay, &first);
 

@@ -2,7 +2,7 @@
 //! a cached result must be bit-identical to a fresh computation for every
 //! accelerator model at any worker count, event records replayed from the
 //! cache must still satisfy the cycle conservation law, and the disk tier
-//! must round-trip records bit-exactly through `SimResultStore`.
+//! must round-trip records bit-exactly through the artifact store.
 
 use ola_baselines::{EyerissSim, ZenaSim};
 use ola_core::event::{cluster_record, EventConfig};
@@ -10,7 +10,7 @@ use ola_core::OlAccelSim;
 use ola_energy::config::MemoryConfig;
 use ola_energy::{ComparisonMode, TechParams};
 use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser, WorkloadSet};
-use ola_sim::{LayerRun, QuantPolicy, SimCache, SimResultStore, Utilization};
+use ola_sim::{EventRecord, LayerRun, QuantPolicy, SimCache, Utilization};
 use ola_store::ArtifactStore;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -187,7 +187,7 @@ fn test_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn disk_tier_round_trips_without_recompute() {
     let dir = test_dir("tier");
-    let store: Arc<dyn SimResultStore> = Arc::new(ArtifactStore::open(&dir).unwrap());
+    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
 
     let run = LayerRun {
         name: "conv1".into(),
@@ -208,7 +208,7 @@ fn disk_tier_round_trips_without_recompute() {
 
     // First process: cold cache + empty store → build runs, write-through.
     let warm = SimCache::new();
-    warm.set_store(Some(store.clone()));
+    warm.set_store(store.clone());
     let first = warm.layer_run(0xFEED, || run.clone());
     assert_runs_bitwise_eq(&first, &run);
     let s = warm.stats();
@@ -217,7 +217,7 @@ fn disk_tier_round_trips_without_recompute() {
     // Second process: cold cache + warm store → record loads from disk,
     // the build closure must never run.
     let cold = SimCache::new();
-    cold.set_store(Some(store));
+    cold.set_store(store);
     let replay = cold.layer_run(0xFEED, || panic!("warm store must satisfy the lookup"));
     assert_runs_bitwise_eq(&replay, &run);
     let s = cold.stats();
@@ -241,7 +241,7 @@ fn event_records_persist_through_the_global_path() {
     let artifact = Arc::new(ArtifactStore::open(&dir).unwrap());
 
     let cache = SimCache::new();
-    cache.set_store(Some(artifact.clone() as Arc<dyn SimResultStore>));
+    cache.set_store(artifact.clone());
     let rec = ola_sim::EventRecord {
         cycles: 999,
         utilization: Utilization {
@@ -255,12 +255,12 @@ fn event_records_persist_through_the_global_path() {
     assert_eq!(stored, rec);
 
     // The record is on disk under its fingerprint and model version.
-    assert!(artifact.sim_event_path(0xBEEF).exists());
-    assert_eq!(artifact.load_sim_event(0xBEEF).unwrap(), Some(rec));
+    assert!(artifact.path::<EventRecord>(0xBEEF).exists());
+    assert_eq!(artifact.get::<EventRecord>(0xBEEF).unwrap(), Some(rec));
 
     // A cold cache over the same store replays it without simulating.
     let cold = SimCache::new();
-    cold.set_store(Some(artifact as Arc<dyn SimResultStore>));
+    cold.set_store(artifact);
     let replay = cold.event_record(0xBEEF, || panic!("warm store must satisfy the lookup"));
     assert_eq!(replay, rec);
     assert_eq!(cold.stats().disk_hits, 1);

@@ -1,16 +1,25 @@
 //! The persistent artifact store observed through the cache it backs: a
 //! cold process builds and writes through, a second cold process loads the
 //! same bytes back without computing anything, and a corrupt artifact
-//! degrades to a recompute — never to a failure.
+//! degrades to a recompute — never to a failure. The store's trust
+//! boundary is checked for every record kind through the generic `get`.
 //!
 //! Each test uses its own [`ola_harness::prep::PrepCache`] instance and its
 //! own store directory, so they are independent of the global cache and of
 //! each other.
 
-use ola_harness::prep::{PrepCache, DEFAULT_SEED};
-use ola_sim::QuantPolicy;
-use std::path::PathBuf;
+use ola_harness::prep::{PrepCache, Prepared, DEFAULT_SEED};
+use ola_nn::Params;
+use ola_quant::accuracy::QuantAccuracy;
+use ola_sim::{EventRecord, LayerRun, QuantPolicy, Utilization, WorkloadSet};
+use ola_store::wire::Writer;
+use ola_store::{ArtifactStore, Record, StoreError};
+use ola_tensor::memo::{fnv1a64, Persist};
+use ola_tensor::{Shape4, Tensor};
+use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A unique scratch directory per call (parallel tests never collide).
 fn scratch(tag: &str) -> PathBuf {
@@ -24,6 +33,10 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+fn open(dir: &Path) -> Arc<ArtifactStore> {
+    Arc::new(ArtifactStore::open(dir).unwrap())
+}
+
 const NET: &str = "alexnet";
 const SCALE: usize = 8;
 
@@ -35,7 +48,7 @@ fn second_process_loads_instead_of_computing() {
     // "Process" one: a fresh cache with the disk tier attached. Everything
     // misses both tiers, computes, and writes through.
     let cold = PrepCache::new();
-    cold.set_disk(Some(&dir)).unwrap();
+    cold.set_store(open(&dir));
     let prep_cold = cold.prepared(NET, SCALE, DEFAULT_SEED);
     let ws_cold = cold.workloads_for(&prep_cold, &policy);
     let s = cold.stats();
@@ -54,7 +67,7 @@ fn second_process_loads_instead_of_computing() {
     // requests must be served from disk — zero computation — and the
     // loaded artifacts must be bit-identical to the cold build.
     let warm = PrepCache::new();
-    warm.set_disk(Some(&dir)).unwrap();
+    warm.set_store(open(&dir));
     let prep_warm = warm.prepared(NET, SCALE, DEFAULT_SEED);
     let ws_warm = warm.workloads_for(&prep_warm, &policy);
     let s = warm.stats();
@@ -85,7 +98,7 @@ fn corrupt_artifact_warns_and_recomputes() {
     let policy = QuantPolicy::olaccel16(NET);
 
     let cold = PrepCache::new();
-    cold.set_disk(Some(&dir)).unwrap();
+    cold.set_store(open(&dir));
     let prep_cold = cold.prepared(NET, SCALE, DEFAULT_SEED);
     let ws_cold = cold.workloads_for(&prep_cold, &policy);
 
@@ -99,7 +112,7 @@ fn corrupt_artifact_warns_and_recomputes() {
     }
 
     let hurt = PrepCache::new();
-    hurt.set_disk(Some(&dir)).unwrap();
+    hurt.set_store(open(&dir));
     let prep = hurt.prepared(NET, SCALE, DEFAULT_SEED);
     let ws = hurt.workloads_for(&prep, &policy);
     let s = hurt.stats();
@@ -111,7 +124,7 @@ fn corrupt_artifact_warns_and_recomputes() {
 
     // The recompute wrote fresh artifacts back; a third cache loads again.
     let healed = PrepCache::new();
-    healed.set_disk(Some(&dir)).unwrap();
+    healed.set_store(open(&dir));
     let prep = healed.prepared(NET, SCALE, DEFAULT_SEED);
     let _ = healed.workloads_for(&prep, &policy);
     assert_eq!(healed.stats().disk_hits, 2, "write-through must self-heal");
@@ -123,7 +136,7 @@ fn corrupt_artifact_warns_and_recomputes() {
 fn truncated_and_alien_files_are_ignored() {
     let dir = scratch("alien");
     let cold = PrepCache::new();
-    cold.set_disk(Some(&dir)).unwrap();
+    cold.set_store(open(&dir));
     let _ = cold.prepared(NET, SCALE, DEFAULT_SEED);
 
     // Truncate the artifact to a prefix and confirm the loader shrugs.
@@ -136,10 +149,200 @@ fn truncated_and_alien_files_are_ignored() {
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
 
     let cache = PrepCache::new();
-    cache.set_disk(Some(&dir)).unwrap();
+    cache.set_store(open(&dir));
     let _ = cache.prepared(NET, SCALE, DEFAULT_SEED);
     assert_eq!(cache.stats().disk_hits, 0);
     assert_eq!(cache.stats().prepared_misses, 1);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `-0.0` and `0.0` share one workload-set key, so a fresh cache asking for
+/// `-0.0` loads the artifact a `0.0` run wrote — and the loaded set carries
+/// the *requested* policy, bit for bit, exactly as a cold extraction would.
+#[test]
+fn loaded_workloads_carry_the_requested_policy_bits() {
+    let dir = scratch("carry");
+    let mut zero = QuantPolicy::olaccel16(NET);
+    zero.outlier_ratio = 0.0;
+    let mut neg_zero = zero;
+    neg_zero.outlier_ratio = -0.0;
+
+    let cold = PrepCache::new();
+    cold.set_store(open(&dir));
+    let prep = cold.prepared(NET, SCALE, DEFAULT_SEED);
+    let _ = cold.workloads_for(&prep, &zero);
+
+    let warm = PrepCache::new();
+    warm.set_store(open(&dir));
+    let prep = warm.prepared(NET, SCALE, DEFAULT_SEED);
+    let ws = warm.workloads_for(&prep, &neg_zero);
+    let s = warm.stats();
+    assert_eq!((s.workload_misses, s.disk_hits), (0, 2), "no extraction");
+    let workload_files = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            name.to_string_lossy()
+                .starts_with(&format!("{}-", WorkloadSet::PREFIX))
+        })
+        .count();
+    assert_eq!(workload_files, 1, "-0.0 must not write a second artifact");
+    assert_eq!(
+        ws.policy.outlier_ratio.to_bits(),
+        (-0.0f64).to_bits(),
+        "the loaded set must carry the requested policy"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One small valid record of every kind the store persists.
+struct Samples {
+    prepared: Prepared,
+    workloads: WorkloadSet,
+    run: LayerRun,
+    event: EventRecord,
+    eval: QuantAccuracy,
+}
+
+fn samples() -> &'static Samples {
+    static SAMPLES: OnceLock<Samples> = OnceLock::new();
+    SAMPLES.get_or_init(|| {
+        // The smallest AlexNet the zoo builds; its workloads are real, its
+        // tensors are then shrunk so every-byte checks stay cheap.
+        let mut prepared = Prepared::with_seed(NET, 64, 7);
+        let workloads = prepared.extract(&QuantPolicy::olaccel16(NET));
+        let nodes = prepared.net.nodes().len();
+        prepared.params = Params::sized(nodes);
+        prepared.acts = vec![Tensor::from_vec(Shape4::new(1, 1, 1, 2), vec![1.5, -0.0]); nodes];
+        let utilization = Utilization {
+            run_cycles: 40,
+            skip_cycles: 2,
+            idle_cycles: 6,
+        };
+        Samples {
+            prepared,
+            workloads,
+            run: LayerRun {
+                name: "conv1".into(),
+                cycles: 48,
+                energy: Default::default(),
+                utilization,
+                chunk_cycle_hist: vec![3, 0, 1],
+            },
+            event: EventRecord {
+                cycles: 48,
+                utilization,
+                outlier_busy: 5,
+            },
+            eval: QuantAccuracy {
+                top1: 0.875,
+                topk: 1.0,
+                realized_weight_ratio: 0.03,
+            },
+        }
+    })
+}
+
+/// Every single-byte flip and every strict prefix of a valid `R` file is
+/// an error from the generic `get`, so the persistent tier misses.
+fn assert_flips_and_prefixes_rejected<R: Record>(store: &ArtifactStore, record: &R)
+where
+    ArtifactStore: Persist<R>,
+{
+    store.put(1, record).unwrap();
+    let path = store.path::<R>(1);
+    let good = std::fs::read(&path).unwrap();
+    assert!(store.get::<R>(1).unwrap().is_some());
+    for i in 0..good.len() {
+        for mask in [0x01, 0xFF] {
+            let mut bad = good.clone();
+            bad[i] ^= mask;
+            std::fs::write(&path, &bad).unwrap();
+            assert!(
+                store.get::<R>(1).is_err(),
+                "{} flip {mask:#x} at {i}",
+                R::PREFIX
+            );
+        }
+    }
+    for n in 0..good.len() {
+        std::fs::write(&path, &good[..n]).unwrap();
+        assert!(store.get::<R>(1).is_err(), "{} prefix {n}", R::PREFIX);
+    }
+    assert!(Persist::<R>::load(store, 1).is_none());
+}
+
+#[test]
+fn every_record_kind_rejects_flipped_and_truncated_files() {
+    let dir = scratch("flips");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let s = samples();
+    assert_flips_and_prefixes_rejected(&store, &s.prepared);
+    assert_flips_and_prefixes_rejected(&store, &s.workloads);
+    assert_flips_and_prefixes_rejected(&store, &s.run);
+    assert_flips_and_prefixes_rejected(&store, &s.event);
+    assert_flips_and_prefixes_rejected(&store, &s.eval);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Writes `record`'s file with its payload replaced by `mutate(payload)`,
+/// re-framed with a valid length and checksum, and reads it back.
+fn get_reframed<R: Record>(
+    store: &ArtifactStore,
+    record: &R,
+    mutate: impl Fn(&mut Vec<u8>),
+) -> Result<Option<R>, StoreError> {
+    let mut w = Writer::new();
+    record.encode(&mut w);
+    let payload_len = w.into_bytes().len();
+    store.put(2, record).unwrap();
+    let path = store.path::<R>(2);
+    let file = std::fs::read(&path).unwrap();
+    let (header, payload) = file.split_at(file.len() - payload_len);
+    let mut payload = payload.to_vec();
+    mutate(&mut payload);
+    // The frame ends in `payload_len u64, checksum u64` before the payload.
+    let mut framed = header[..header.len() - 16].to_vec();
+    framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    framed.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    framed.extend_from_slice(&payload);
+    std::fs::write(&path, framed).unwrap();
+    store.get::<R>(2)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A payload mutated past the checksum decodes to an error or a value
+    /// for every record kind — never a panic. Half the cases confine the
+    /// edits to the payload's first bytes, where identities and lengths
+    /// live.
+    #[test]
+    fn reframed_payload_mutations_never_panic(
+        edits in prop::collection::vec((0usize..1 << 16, 1u8..=255), 1..6),
+        head in prop::bool::ANY,
+        truncate in prop::bool::ANY,
+        cut in 0usize..1 << 16,
+    ) {
+        let dir = scratch("reframe");
+        let store = ArtifactStore::open(&dir).unwrap();
+        let mutate = |p: &mut Vec<u8>| {
+            let span = if head { p.len().min(40) } else { p.len() };
+            for &(at, mask) in &edits {
+                p[at % span] ^= mask;
+            }
+            if truncate {
+                p.truncate(cut % p.len());
+            }
+        };
+        let s = samples();
+        let _ = get_reframed(&store, &s.prepared, mutate);
+        let _ = get_reframed(&store, &s.workloads, mutate);
+        let _ = get_reframed(&store, &s.run, mutate);
+        let _ = get_reframed(&store, &s.event, mutate);
+        let _ = get_reframed(&store, &s.eval, mutate);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
