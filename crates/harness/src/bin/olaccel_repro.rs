@@ -12,42 +12,9 @@
 //! per-experiment wall time, phase breakdown, and cache hit/miss counters
 //! — goes to stderr so stdout stays stable enough to diff.
 
-use ola_harness::cli::{self, Command};
+use ola_harness::cli::{self, Command, USAGE};
 use std::fs;
 use std::process::exit;
-
-const USAGE: &str = "\
-olaccel-repro [EXPERIMENT]... [--fast] [--jobs N] [--out DIR] [--cache-dir DIR]
-olaccel-repro serve --socket PATH [--fast] [--jobs N] [--out DIR] [--cache-dir DIR]
-olaccel-repro request --socket PATH <PROTOCOL LINE>...
-
-EXPERIMENT  fig1 fig2 fig3 table1 fig11 fig12 fig13 fig14 fig15 fig16
-            fig17 fig18 fig19 validate validate-<network> policy-panel
-            extra-resnet101 extra-densenet121 compare-<network>
-            all (default)
---fast      reduced spatial scale / training budget (CI-friendly)
---jobs N    worker threads (default: available parallelism; 1 = serial).
-            The budget is shared between concurrent experiments and the
-            per-forward compute kernels; output is byte-identical at any N.
---out DIR   additionally write each report to DIR/<experiment>.txt
---cache-dir DIR
-            persistent artifact store: prepared networks, workload sets,
-            per-layer simulation results and accuracy-eval records are
-            written there on first build and loaded on later runs,
-            skipping synthesize/forward/extract and, when warm, the model
-            and eval phases entirely. Artifacts are content-addressed by
-            their inputs plus a code / model / eval version fingerprint,
-            so a stale or corrupt store never changes results — it only
-            misses, with a stderr warning.
-
-serve       run as a daemon on a Unix socket. Protocol: one request per
-            line — `run <experiment> [--fast|--full] [--jobs N]`, `stats`,
-            `ping`, `shutdown`. Identical in-flight requests coalesce onto
-            one computation. SIGINT/SIGTERM (or `shutdown`) drains
-            in-flight work and removes the socket.
-request     send one protocol line to a running daemon; the response
-            header goes to stderr, the report payload to stdout.
---help      print this help";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");

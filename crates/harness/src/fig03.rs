@@ -8,10 +8,15 @@
 
 use crate::fig02::trained;
 use crate::report::{pct, table};
-use ola_nn::synth::{synthesize_params, weight_values, SynthConfig};
+use ola_nn::synth::{synthesized_weights, weight_population, SynthConfig};
 use ola_nn::zoo::{self, ZooConfig};
-use ola_quant::accuracy::{evaluate_synthnet, mean_weight_sqnr_db, surrogate_top5_drop, QuantSpec};
+use ola_quant::accuracy::{
+    evaluate_synthnet, surrogate_top5_drop, QuantSpec, WeightSqnr, WeightSqnrFold,
+};
+use ola_quant::evalcache::{weight_sqnr_key, EvalCache};
 use ola_sim::policy::default_ratio;
+use ola_sim::timing::{timed, Phase};
+use std::sync::Arc;
 
 /// Published full-precision top-5 accuracies (for the drop presentation).
 fn fp_top5(network: &str) -> f64 {
@@ -25,47 +30,63 @@ fn fp_top5(network: &str) -> f64 {
     }
 }
 
-/// Per-layer weight populations of a zoo network (sampled for generators),
-/// timed as parameter synthesis.
-fn layer_weights(network: &str) -> Vec<Vec<f32>> {
-    ola_sim::timing::timed(ola_sim::timing::Phase::Synthesize, || {
-        let cfg = ZooConfig {
-            spatial_scale: 8,
-            include_classifier: true,
-            batch: 1,
-        };
-        let net = zoo::by_name(network, &cfg);
-        let params = synthesize_params(&net, &SynthConfig::for_network(network));
-        net.compute_nodes()
-            .iter()
-            .map(|&id| weight_values(&params, id))
-            .collect()
-    })
+/// The zoo configuration the surrogate synthesizes every network at.
+pub const SURROGATE_ZOO: ZooConfig = ZooConfig {
+    spatial_scale: 8,
+    include_classifier: true,
+    batch: 1,
+};
+
+/// The two specs Fig 3 reports for a network: 4 bits at the network's
+/// outlier ratio (8-bit first-layer weights for the ResNets, as the paper
+/// needs), then plain 4-bit linear quantization.
+pub fn surrogate_specs(network: &str) -> [QuantSpec; 2] {
+    let ola = QuantSpec {
+        first_layer_weight_bits: if network.starts_with("resnet") { 8 } else { 4 },
+        ..QuantSpec::paper_4bit(default_ratio(network))
+    };
+    [ola, QuantSpec::paper_4bit(0.0)]
+}
+
+/// The weight-SQNR surrogate of a zoo network under each of `specs`,
+/// memoized in `cache` — and its disk tier, when attached — under
+/// [`weight_sqnr_key`].
+pub fn weight_sqnr(cache: &EvalCache, network: &str, specs: &[QuantSpec]) -> Arc<WeightSqnr> {
+    let synth = SynthConfig::for_network(network);
+    let key = weight_sqnr_key(network, &SURROGATE_ZOO, &synth, specs);
+    cache.weight_sqnr(key, || build_weight_sqnr(network, &synth, specs))
+}
+
+/// Builds the surrogate of a zoo network at [`SURROGATE_ZOO`] in one
+/// streamed pass, without memoization: each compute layer's weights are
+/// synthesized (timed as synthesis) and folded into every spec's mean
+/// (timed as eval) before the next layer is generated, so at most one
+/// layer is ever resident.
+pub fn build_weight_sqnr(network: &str, synth: &SynthConfig, specs: &[QuantSpec]) -> WeightSqnr {
+    let net = timed(Phase::Synthesize, || zoo::by_name(network, &SURROGATE_ZOO));
+    let mut layers = synthesized_weights(&net, synth);
+    let mut fold = WeightSqnrFold::new(specs);
+    while let Some((_, weights)) = timed(Phase::Synthesize, || layers.next()) {
+        let values = timed(Phase::Synthesize, || weight_population(&weights));
+        timed(Phase::Eval, || fold.layer(&values));
+    }
+    fold.finish()
 }
 
 /// Computes and formats Fig 3.
 pub fn run(fast: bool) -> String {
     // Measured path: SynthNet at the AlexNet operating point.
     let t = trained(fast);
-    let measured = ola_sim::timing::timed(ola_sim::timing::Phase::Eval, || {
+    let measured = timed(Phase::Eval, || {
         evaluate_synthnet(&t.net, &t.test, &t.train, &QuantSpec::paper_4bit(0.035), 5)
     });
 
     // Surrogate path: the five ImageNet networks.
     let mut rows = Vec::new();
     for network in ["alexnet", "vgg16", "resnet18", "resnet101", "densenet121"] {
-        let ratio = if network == "alexnet" {
-            0.035
-        } else {
-            default_ratio(network)
-        };
-        let weights = layer_weights(network);
-        let spec = QuantSpec {
-            first_layer_weight_bits: if network.starts_with("resnet") { 8 } else { 4 },
-            ..QuantSpec::paper_4bit(ratio)
-        };
-        let sqnr = mean_weight_sqnr_db(&weights, &spec);
-        let sqnr0 = mean_weight_sqnr_db(&weights, &QuantSpec::paper_4bit(0.0));
+        let ratio = default_ratio(network);
+        let means = weight_sqnr(EvalCache::global(), network, &surrogate_specs(network));
+        let (sqnr, sqnr0) = (means.mean_db[0], means.mean_db[1]);
         let drop = surrogate_top5_drop(sqnr);
         let drop0 = surrogate_top5_drop(sqnr0);
         let fp = fp_top5(network);
@@ -108,9 +129,12 @@ mod tests {
 
     #[test]
     fn surrogate_separates_outlier_aware_from_linear() {
-        let weights = layer_weights("resnet18");
-        let ola = mean_weight_sqnr_db(&weights, &QuantSpec::paper_4bit(0.03));
-        let lin = mean_weight_sqnr_db(&weights, &QuantSpec::paper_4bit(0.0));
+        let means = build_weight_sqnr(
+            "resnet18",
+            &SynthConfig::for_network("resnet18"),
+            &[QuantSpec::paper_4bit(0.03), QuantSpec::paper_4bit(0.0)],
+        );
+        let (ola, lin) = (means.mean_db[0], means.mean_db[1]);
         assert!(ola > lin + 5.0, "outlier-aware {ola} dB vs linear {lin} dB");
         assert!(
             surrogate_top5_drop(ola) < 5.0,

@@ -39,9 +39,11 @@ pub mod summary;
 pub mod table1;
 pub mod validate;
 
-/// All experiment names the binary accepts, in paper order, plus the
-/// `validate` cross-check, `summary`/`sensitivity` context, and the
-/// `extra` deeper-network runs.
+/// The suite `all` runs: the paper's figures and table in paper order,
+/// plus the `validate` cross-check, `summary`/`sensitivity` context and
+/// the policy panel. [`run_experiment`] also accepts `compare-<network>`,
+/// `validate-<network>`, `extra-resnet101` and `extra-densenet121`, which
+/// are not listed here.
 pub const EXPERIMENTS: &[&str] = &[
     "fig1",
     "fig2",

@@ -12,6 +12,7 @@ use ola_tensor::init::{heavy_tailed_tensor, prune_to_sparsity, HeavyTailed};
 use ola_tensor::{Shape4, Tensor};
 use rand::rngs::Philox;
 use rand::Rng;
+use std::borrow::Cow;
 
 /// A deterministic, lazily-generated weight matrix.
 ///
@@ -294,49 +295,22 @@ const DENSE_LINEAR_LIMIT: usize = 1 << 22; // 4M weights = 16 MB f32
 
 /// Synthesizes a full parameter set for `net`.
 ///
-/// Conv layers get materialized heavy-tailed, pruned weights; linear layers
-/// larger than a few million weights get a [`SyntheticMatrix`] row generator.
-/// BatchNorm nodes get near-identity affine terms with a small negative shift
-/// so post-ReLU sparsity resembles trained networks.
+/// Weights come from [`synthesized_weights`]: conv layers get materialized
+/// heavy-tailed, pruned weights; linear layers larger than a few million
+/// weights get a [`SyntheticMatrix`] row generator. BatchNorm nodes get
+/// near-identity affine terms with a small negative shift so post-ReLU
+/// sparsity resembles trained networks.
 pub fn synthesize_params(net: &Network, cfg: &SynthConfig) -> Params {
     let mut params = Params::for_network(net);
+    for (id, weights) in synthesized_weights(net, cfg) {
+        params.set_weights(id, weights);
+    }
     let shapes = net.shapes();
-    let mut conv_index = 0usize;
     for (id, node) in net.nodes().iter().enumerate() {
-        let seed = cfg.seed.wrapping_add(id as u64 * 7919);
+        let seed = node_seed(cfg, id);
         match node.op {
-            Op::Conv(spec) => {
-                let sparsity = cfg.profile.sparsity(conv_index, false, cfg);
-                conv_index += 1;
-                let mut w = heavy_tailed_tensor(spec.weight_shape(), cfg.conv_dist, seed);
-                prune_to_sparsity(&mut w, sparsity);
-                params.set_weights(id, WeightStore::Dense(w));
-                params.set_bias(id, small_bias(spec.out_channels, seed ^ 0xB1A5));
-            }
-            Op::Linear(spec) => {
-                let sparsity = cfg.profile.sparsity(conv_index, true, cfg);
-                if spec.weight_count() <= DENSE_LINEAR_LIMIT {
-                    let mut w = heavy_tailed_tensor(
-                        Shape4::new(1, 1, spec.out_features, spec.in_features),
-                        cfg.fc_dist,
-                        seed,
-                    );
-                    prune_to_sparsity(&mut w, sparsity);
-                    params.set_weights(id, WeightStore::Dense(w));
-                } else {
-                    params.set_weights(
-                        id,
-                        WeightStore::RowGen(SyntheticMatrix::new(
-                            spec.out_features,
-                            spec.in_features,
-                            cfg.fc_dist,
-                            sparsity,
-                            seed,
-                        )),
-                    );
-                }
-                params.set_bias(id, small_bias(spec.out_features, seed ^ 0xB1A5));
-            }
+            Op::Conv(spec) => params.set_bias(id, small_bias(spec.out_channels, seed ^ 0xB1A5)),
+            Op::Linear(spec) => params.set_bias(id, small_bias(spec.out_features, seed ^ 0xB1A5)),
             Op::BatchNorm => {
                 let c = shapes[node.inputs[0]].c;
                 let mut rng = Philox::new(seed, 0);
@@ -349,6 +323,61 @@ pub fn synthesize_params(net: &Network, cfg: &SynthConfig) -> Params {
         }
     }
     params
+}
+
+/// The RNG seed of node `id`'s parameters.
+fn node_seed(cfg: &SynthConfig, id: NodeId) -> u64 {
+    cfg.seed.wrapping_add(id as u64 * 7919)
+}
+
+/// The weights of every compute node of `net`, synthesized lazily in node
+/// order — one node per `next`, so a weights-only consumer never holds
+/// more than one layer. [`synthesize_params`] stores exactly these.
+///
+/// A conv layer's sparsity comes from its position among the conv layers
+/// (the profile's conv index); a linear layer's from the profile's FC rate.
+pub fn synthesized_weights<'a>(
+    net: &'a Network,
+    cfg: &'a SynthConfig,
+) -> impl Iterator<Item = (NodeId, WeightStore)> + 'a {
+    let mut conv_index = 0usize;
+    net.nodes()
+        .iter()
+        .enumerate()
+        .filter_map(move |(id, node)| {
+            let seed = node_seed(cfg, id);
+            let weights = match node.op {
+                Op::Conv(spec) => {
+                    let sparsity = cfg.profile.sparsity(conv_index, false, cfg);
+                    conv_index += 1;
+                    let mut w = heavy_tailed_tensor(spec.weight_shape(), cfg.conv_dist, seed);
+                    prune_to_sparsity(&mut w, sparsity);
+                    WeightStore::Dense(w)
+                }
+                Op::Linear(spec) => {
+                    let sparsity = cfg.profile.sparsity(conv_index, true, cfg);
+                    if spec.weight_count() <= DENSE_LINEAR_LIMIT {
+                        let mut w = heavy_tailed_tensor(
+                            Shape4::new(1, 1, spec.out_features, spec.in_features),
+                            cfg.fc_dist,
+                            seed,
+                        );
+                        prune_to_sparsity(&mut w, sparsity);
+                        WeightStore::Dense(w)
+                    } else {
+                        WeightStore::RowGen(SyntheticMatrix::new(
+                            spec.out_features,
+                            spec.in_features,
+                            cfg.fc_dist,
+                            sparsity,
+                            seed,
+                        ))
+                    }
+                }
+                _ => return None,
+            };
+            Some((id, weights))
+        })
 }
 
 fn small_bias(n: usize, seed: u64) -> Vec<f32> {
@@ -482,7 +511,7 @@ pub fn weight_stats(params: &Params, id: NodeId) -> WeightStats {
             abs_max: t.abs_max(),
         },
         Some(WeightStore::RowGen(g)) => {
-            let sample = g.sample_values(64);
+            let sample = g.sample_values(SAMPLE_ROWS);
             let zeros = sample.iter().filter(|&&v| v == 0.0).count();
             let abs_max = sample.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
             WeightStats {
@@ -495,12 +524,24 @@ pub fn weight_stats(params: &Params, id: NodeId) -> WeightStats {
     }
 }
 
+/// How many evenly-spaced rows stand in for a row generator's population
+/// (see [`SyntheticMatrix::sample_values`]).
+const SAMPLE_ROWS: usize = 64;
+
+/// The weight population of one layer that statistics are measured on:
+/// dense weights by borrow, a row generator's [`SAMPLE_ROWS`] sampled rows.
+pub fn weight_population(weights: &WeightStore) -> Cow<'_, [f32]> {
+    match weights {
+        WeightStore::Dense(t) => Cow::Borrowed(t.as_slice()),
+        WeightStore::RowGen(g) => Cow::Owned(g.sample_values(SAMPLE_ROWS)),
+    }
+}
+
 /// Collects all weight values of a node (sampled for row generators) — used
 /// by quantizer calibration and the Fig 1 distribution plots.
 pub fn weight_values(params: &Params, id: NodeId) -> Vec<f32> {
     match params.weights(id) {
-        Some(WeightStore::Dense(t)) => t.as_slice().to_vec(),
-        Some(WeightStore::RowGen(g)) => g.sample_values(64),
+        Some(w) => weight_population(w).into_owned(),
         None => panic!("node {id} has no weights"),
     }
 }

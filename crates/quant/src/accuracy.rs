@@ -285,34 +285,84 @@ fn act_slot(layer: LayerId) -> usize {
     }
 }
 
-/// Mean per-layer weight SQNR (dB) of a network's weight populations under
-/// a quantization spec — the signal the ImageNet surrogate keys on.
-pub fn mean_weight_sqnr_db(layer_weights: &[Vec<f32>], spec: &QuantSpec) -> f64 {
-    assert!(!layer_weights.is_empty(), "need at least one layer");
-    let mut total = 0.0;
-    let mut n = 0usize;
-    for (i, w) in layer_weights.iter().enumerate() {
-        let nz: Vec<f32> = w.iter().copied().filter(|&v| v != 0.0).collect();
-        if nz.is_empty() {
-            continue;
+/// Mean per-layer weight SQNR (dB) of a network under each of several
+/// quantization specs — the signal the ImageNet surrogate keys on, and the
+/// record the eval tier memoizes per network
+/// ([`crate::evalcache::EvalCache::weight_sqnr`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct WeightSqnr {
+    /// One mean per requested spec, in request order.
+    pub mean_db: Vec<f64>,
+}
+
+/// The streamed fold behind [`WeightSqnr`]: feed each compute layer's
+/// weight population in layer order, and every spec's mean accumulates in
+/// the same pass.
+///
+/// Per spec, a layer contributes the SQNR of its non-zero weights after
+/// fake quantization — outlier-aware when the spec's ratio is positive,
+/// linear otherwise — at `first_layer_weight_bits` for the first layer
+/// and `low_bits` after it. Layers with no non-zero weight are skipped but
+/// still count as a position. The mean is the running `f64` sum over the
+/// contributing layers, in layer order, divided by their count.
+pub struct WeightSqnrFold<'a> {
+    specs: &'a [QuantSpec],
+    totals: Vec<f64>,
+    /// Layers folded so far.
+    layers: usize,
+    /// Of those, layers with a non-zero weight (the mean's divisor).
+    contributing: usize,
+}
+
+impl<'a> WeightSqnrFold<'a> {
+    /// An empty fold over `specs`.
+    pub fn new(specs: &'a [QuantSpec]) -> Self {
+        WeightSqnrFold {
+            specs,
+            totals: vec![0.0; specs.len()],
+            layers: 0,
+            contributing: 0,
         }
-        let low_bits = if i == 0 {
-            spec.first_layer_weight_bits
-        } else {
-            spec.low_bits
-        };
-        let restored = if spec.outlier_ratio > 0.0 {
-            OutlierQuantizer::fit(&nz, spec.outlier_ratio, low_bits, spec.weight_high_bits)
-                .fake_quantize(&nz)
-        } else {
-            LinearQuantizer::fit_symmetric(low_bits, &nz)
-                .expect("non-zero weights")
-                .fake_quantize(&nz)
-        };
-        total += sqnr_db(&nz, &restored);
-        n += 1;
     }
-    total / n.max(1) as f64
+
+    /// Folds the next compute layer's weight population (zeros included)
+    /// into every spec's mean.
+    pub fn layer(&mut self, weights: &[f32]) {
+        let nz: Vec<f32> = weights.iter().copied().filter(|&v| v != 0.0).collect();
+        if !nz.is_empty() {
+            for (spec, total) in self.specs.iter().zip(&mut self.totals) {
+                let low_bits = if self.layers == 0 {
+                    spec.first_layer_weight_bits
+                } else {
+                    spec.low_bits
+                };
+                let restored = if spec.outlier_ratio > 0.0 {
+                    OutlierQuantizer::fit(&nz, spec.outlier_ratio, low_bits, spec.weight_high_bits)
+                        .fake_quantize(&nz)
+                } else {
+                    LinearQuantizer::fit_symmetric(low_bits, &nz)
+                        .expect("non-zero weights")
+                        .fake_quantize(&nz)
+                };
+                *total += sqnr_db(&nz, &restored);
+            }
+            self.contributing += 1;
+        }
+        self.layers += 1;
+    }
+
+    /// Every spec's mean.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no layer was folded.
+    pub fn finish(self) -> WeightSqnr {
+        assert!(self.layers > 0, "need at least one layer");
+        let n = self.contributing.max(1) as f64;
+        WeightSqnr {
+            mean_db: self.totals.iter().map(|&total| total / n).collect(),
+        }
+    }
 }
 
 /// Estimated top-5 accuracy drop (percentage points) for an ImageNet-scale

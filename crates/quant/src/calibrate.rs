@@ -66,7 +66,26 @@ pub fn calibrate_activations(
     ratio: f64,
 ) -> Vec<LayerCalibration> {
     assert!(!samples.is_empty(), "need at least one calibration sample");
-    let outs = net.forward(params, &stack_batch(samples));
+    let batch = stack_batch(samples);
+    let outs = net.forward(params, &batch);
+    calibrate_from_outputs(net, &outs, batch.shape().n, ratio)
+}
+
+/// Calibrates per-layer activation thresholds from the node outputs `outs`
+/// of a forward pass that already ran: every compute node's population is
+/// the first `images` images of its input, so a caller whose batch carries
+/// more than the calibration samples (fig16's runtime input rides behind
+/// them) calibrates on the samples alone.
+///
+/// # Panics
+///
+/// Panics if `images` exceeds the batch of a compute node's input.
+pub fn calibrate_from_outputs(
+    net: &Network,
+    outs: &[Tensor],
+    images: usize,
+    ratio: f64,
+) -> Vec<LayerCalibration> {
     let compute = net.compute_nodes();
     // One fused statistics pass per layer, layers in parallel. The split of
     // the worker budget mirrors the forward kernels: as many layers at once
@@ -75,14 +94,25 @@ pub fn calibrate_activations(
     let outer = jobs.min(compute.len().max(1));
     let inner = (jobs / outer).max(1);
     ordered_map(&compute, outer, |_, &node| {
-        let src = net.nodes()[node].inputs[0];
-        let mut scan = scan_values(outs[src].as_slice(), inner);
+        let src = &outs[net.nodes()[node].inputs[0]];
+        let batch = src.shape().n;
+        assert!(
+            images <= batch,
+            "{images} images requested of a batch of {batch}"
+        );
+        let prefix = &src.as_slice()[..src.len() / batch * images];
+        let mut scan = scan_values(prefix, inner);
         calibrate_from_scan(node, &mut scan, ratio)
     })
 }
 
 /// Concatenates NCHW tensors along the batch dimension, in order.
-fn stack_batch(samples: &[Tensor]) -> Tensor {
+///
+/// # Panics
+///
+/// Panics if `samples` is empty or the samples differ in channel or
+/// spatial shape.
+pub fn stack_batch(samples: &[Tensor]) -> Tensor {
     let first = samples[0].shape();
     let mut data = Vec::with_capacity(samples.iter().map(Tensor::len).sum());
     let mut n = 0;
@@ -250,5 +280,40 @@ mod tests {
             assert!(c.threshold > 0.0);
             assert!(c.abs_max >= c.threshold || c.threshold.is_infinite());
         }
+    }
+
+    /// A batch that carries extra images behind the samples calibrates on
+    /// the samples' prefix exactly as a samples-only forward does.
+    #[test]
+    fn calibrating_a_batch_prefix_matches_the_samples_alone() {
+        let cfg = ZooConfig {
+            spatial_scale: 8,
+            include_classifier: true,
+            batch: 1,
+        };
+        let net = zoo::alexnet(&cfg);
+        let params = synthesize_params(&net, &SynthConfig::for_network("alexnet"));
+        let samples: Vec<Tensor> = (0..2)
+            .map(|i| uniform_tensor(net.input_shape(), -1.0, 1.0, 40 + i))
+            .collect();
+        let alone = calibrate_activations(&net, &params, &samples, 0.03);
+        let mut images = samples.clone();
+        images.push(uniform_tensor(net.input_shape(), -1.0, 1.0, 99));
+        let outs = net.forward(&params, &stack_batch(&images));
+        let prefix = calibrate_from_outputs(&net, &outs, samples.len(), 0.03);
+        let bits = |c: &LayerCalibration| {
+            (
+                c.node,
+                c.threshold.to_bits(),
+                c.abs_max.to_bits(),
+                c.nonzero_outlier_ratio.to_bits(),
+                c.effective_outlier_ratio.to_bits(),
+                c.zero_fraction.to_bits(),
+            )
+        };
+        assert_eq!(
+            alone.iter().map(bits).collect::<Vec<_>>(),
+            prefix.iter().map(bits).collect::<Vec<_>>()
+        );
     }
 }

@@ -1,4 +1,5 @@
-//! Process-wide memoization of quantized-accuracy evaluations.
+//! Process-wide memoization of quantized-accuracy evaluations and of the
+//! weight-SQNR surrogate.
 //!
 //! The accuracy figures re-evaluate overlapping `(trained net × dataset ×
 //! QuantSpec × topk)` points — fig2's ratio sweep, fig3's ablations and
@@ -7,7 +8,8 @@
 //! [`EvalCache`] is the eval-phase tier of the workspace's memo: one
 //! [`ola_tensor::memo::Memo`] of [`QuantAccuracy`] records keyed by
 //! [`eval_key`], a content fingerprint of everything that can change the
-//! measured result.
+//! measured result, and one of fig3's per-network [`WeightSqnr`]
+//! surrogate records keyed by [`weight_sqnr_key`].
 //!
 //! [`crate::accuracy::evaluate_synthnet`] is a **pure function** of its
 //! fingerprinted inputs — the trained weights (by bit pattern), the test
@@ -19,9 +21,12 @@
 //! accelerator-model or extraction edits never discard still-valid eval
 //! records — and vice versa.
 
-use crate::accuracy::{QuantAccuracy, QuantSpec, CALIB_IMAGES};
+use crate::accuracy::{QuantAccuracy, QuantSpec, WeightSqnr, CALIB_IMAGES};
 use crate::policy::OutlierSelect;
+use ola_nn::synth::{SparsityProfile, SynthConfig};
 use ola_nn::synthnet::{SynthDataset, SynthNet};
+use ola_nn::zoo::ZooConfig;
+use ola_tensor::init::HeavyTailed;
 use ola_tensor::memo::{Fingerprint, Memo, Persist};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -96,6 +101,43 @@ fn fold_dataset(fp: &mut Fingerprint, data: &SynthDataset, take: usize) {
     }
 }
 
+/// The content fingerprint a network's [`WeightSqnr`] surrogate is
+/// memoized under: the zoo network's name, every [`ZooConfig`] and
+/// [`SynthConfig`] field (floats by bit pattern, the sparsity profile by
+/// tag), and every spec in request order — everything the streamed build
+/// reads.
+pub fn weight_sqnr_key(
+    network: &str,
+    zoo: &ZooConfig,
+    synth: &SynthConfig,
+    specs: &[QuantSpec],
+) -> u64 {
+    let mut fp = Fingerprint::new();
+    fp.str(network)
+        .usize(zoo.spatial_scale)
+        .u8(zoo.include_classifier as u8)
+        .usize(zoo.batch);
+    fold_dist(&mut fp, &synth.conv_dist);
+    fold_dist(&mut fp, &synth.fc_dist);
+    fp.f64(synth.conv_sparsity)
+        .f64(synth.fc_sparsity)
+        .u8(match synth.profile {
+            SparsityProfile::Uniform => 0,
+            SparsityProfile::AlexNet => 1,
+            SparsityProfile::Vgg16 => 2,
+            SparsityProfile::ResNet18 => 3,
+        });
+    fp.u64(synth.seed).usize(specs.len());
+    for spec in specs {
+        fold_spec(&mut fp, spec);
+    }
+    fp.finish()
+}
+
+fn fold_dist(fp: &mut Fingerprint, d: &HeavyTailed) {
+    fp.f32(d.sigma).f64(d.tail_fraction).f32(d.tail_scale);
+}
+
 /// Folds every [`QuantSpec`] field, in declaration order.
 fn fold_spec(fp: &mut Fingerprint, spec: &QuantSpec) {
     fp.u8(spec.low_bits)
@@ -132,6 +174,14 @@ pub struct EvalStats {
     /// Disk-store lookups that found nothing usable (missing file, stale
     /// eval version, or a corrupt record that forced a recompute).
     pub disk_misses: u64,
+    /// Weight-SQNR surrogate requests served from memory.
+    pub surrogate_hits: u64,
+    /// Weight-SQNR surrogates built by synthesizing their network.
+    pub surrogates_built: u64,
+    /// Weight-SQNR surrogates loaded from the disk store.
+    pub surrogates_loaded: u64,
+    /// Weight-SQNR surrogate disk lookups that found nothing usable.
+    pub surrogates_missed: u64,
 }
 
 impl EvalStats {
@@ -139,8 +189,16 @@ impl EvalStats {
     pub fn render(&self) -> String {
         format!(
             "evals:             {} evaluated, {} cache hits\n\
-             eval artifacts:    {} loaded, {} missed",
-            self.misses, self.hits, self.disk_hits, self.disk_misses
+             eval artifacts:    {} loaded, {} missed\n\
+             weight surrogates: {} built, {} cache hits, {} loaded, {} missed",
+            self.misses,
+            self.hits,
+            self.disk_hits,
+            self.disk_misses,
+            self.surrogates_built,
+            self.surrogate_hits,
+            self.surrogates_loaded,
+            self.surrogates_missed
         )
     }
 
@@ -152,6 +210,16 @@ impl EvalStats {
             misses: self.misses.saturating_sub(before.misses),
             disk_hits: self.disk_hits.saturating_sub(before.disk_hits),
             disk_misses: self.disk_misses.saturating_sub(before.disk_misses),
+            surrogate_hits: self.surrogate_hits.saturating_sub(before.surrogate_hits),
+            surrogates_built: self
+                .surrogates_built
+                .saturating_sub(before.surrogates_built),
+            surrogates_loaded: self
+                .surrogates_loaded
+                .saturating_sub(before.surrogates_loaded),
+            surrogates_missed: self
+                .surrogates_missed
+                .saturating_sub(before.surrogates_missed),
         }
     }
 }
@@ -162,6 +230,7 @@ impl EvalStats {
 #[derive(Default)]
 pub struct EvalCache {
     evals: Memo<QuantAccuracy>,
+    surrogates: Memo<WeightSqnr>,
 }
 
 impl EvalCache {
@@ -177,9 +246,13 @@ impl EvalCache {
         GLOBAL.get_or_init(EvalCache::new)
     }
 
-    /// Attaches the persistent tier.
-    pub fn set_store(&self, store: Arc<dyn Persist<QuantAccuracy>>) {
-        self.evals.set_store(store);
+    /// Attaches the persistent tier of both record kinds.
+    pub fn set_store<S: Persist<QuantAccuracy> + Persist<WeightSqnr> + 'static>(
+        &self,
+        store: Arc<S>,
+    ) {
+        self.evals.set_store(store.clone());
+        self.surrogates.set_store(store);
     }
 
     /// Fetches or computes (exactly once per key, process-wide) the
@@ -190,14 +263,26 @@ impl EvalCache {
         *self.evals.get(key, build)
     }
 
+    /// Fetches or builds (exactly once per key, process-wide) the weight-
+    /// SQNR surrogate record for `key`. `build` must be a pure function of
+    /// the inputs [`weight_sqnr_key`] folds.
+    pub fn weight_sqnr(&self, key: u64, build: impl FnOnce() -> WeightSqnr) -> Arc<WeightSqnr> {
+        self.surrogates.get(key, build)
+    }
+
     /// Snapshots the hit/miss counters.
     pub fn stats(&self) -> EvalStats {
         let s = self.evals.stats();
+        let w = self.surrogates.stats();
         EvalStats {
             hits: s.hits,
             misses: s.built,
             disk_hits: s.loaded,
             disk_misses: s.missed,
+            surrogate_hits: w.hits,
+            surrogates_built: w.built,
+            surrogates_loaded: w.loaded,
+            surrogates_missed: w.missed,
         }
     }
 
@@ -206,6 +291,7 @@ impl EvalCache {
     /// persistent tier, if attached, stays attached.
     pub fn reset(&self) {
         self.evals.reset();
+        self.surrogates.reset();
     }
 }
 
@@ -272,10 +358,98 @@ mod tests {
             misses: 2,
             disk_hits: 3,
             disk_misses: 4,
+            surrogate_hits: 5,
+            surrogates_built: 6,
+            surrogates_loaded: 7,
+            surrogates_missed: 8,
         };
         let r = s.render();
         assert!(r.contains("evals:             2 evaluated, 1 cache hits"));
         assert!(r.contains("eval artifacts:    3 loaded, 4 missed"));
+        assert!(r.contains("weight surrogates: 6 built, 5 cache hits, 7 loaded, 8 missed"));
+    }
+
+    #[test]
+    fn surrogates_memoize_apart_from_evals() {
+        let cache = EvalCache::new();
+        let sqnr = |v: f64| WeightSqnr { mean_db: vec![v] };
+        assert_eq!(cache.weight_sqnr(11, || sqnr(1.5)).mean_db, [1.5]);
+        assert_eq!(
+            cache
+                .weight_sqnr(11, || panic!("resident entry must hit"))
+                .mean_db,
+            [1.5]
+        );
+        // The same key in the other memo is a different record.
+        assert_eq!(cache.eval(11, || acc(0.9)).top1, 0.9);
+        let s = cache.stats();
+        assert_eq!((s.surrogates_built, s.surrogate_hits), (1, 1));
+        assert_eq!((s.misses, s.hits), (1, 0));
+        cache.reset();
+        assert_eq!(cache.stats(), EvalStats::default());
+    }
+
+    #[test]
+    fn weight_sqnr_key_separates_every_input() {
+        let zoo = ZooConfig {
+            spatial_scale: 8,
+            include_classifier: true,
+            batch: 1,
+        };
+        let synth = SynthConfig::for_network("alexnet");
+        let specs = [QuantSpec::paper_4bit(0.035), QuantSpec::paper_4bit(0.0)];
+        let base = weight_sqnr_key("alexnet", &zoo, &synth, &specs);
+        assert_eq!(base, weight_sqnr_key("alexnet", &zoo, &synth, &specs));
+        let zoos = [
+            ZooConfig {
+                spatial_scale: 4,
+                ..zoo
+            },
+            ZooConfig {
+                include_classifier: false,
+                ..zoo
+            },
+            ZooConfig { batch: 2, ..zoo },
+        ];
+        for other in &zoos {
+            assert_ne!(base, weight_sqnr_key("alexnet", other, &synth, &specs));
+        }
+        let dist = HeavyTailed::new(0.03, 0.02, 5.0);
+        let synths = [
+            SynthConfig {
+                conv_dist: dist,
+                ..synth
+            },
+            SynthConfig {
+                fc_dist: dist,
+                ..synth
+            },
+            SynthConfig {
+                conv_sparsity: 0.5,
+                ..synth
+            },
+            SynthConfig {
+                fc_sparsity: 0.5,
+                ..synth
+            },
+            SynthConfig::default(),
+            SynthConfig::for_network_seeded("alexnet", 1),
+        ];
+        for other in &synths {
+            assert_ne!(base, weight_sqnr_key("alexnet", &zoo, other, &specs));
+        }
+        assert_ne!(base, weight_sqnr_key("vgg16", &zoo, &synth, &specs));
+        assert_ne!(base, weight_sqnr_key("alexnet", &zoo, &synth, &specs[..1]));
+        let swapped = [specs[1], specs[0]];
+        assert_ne!(base, weight_sqnr_key("alexnet", &zoo, &synth, &swapped));
+        let first8 = QuantSpec {
+            first_layer_weight_bits: 4,
+            ..specs[0]
+        };
+        assert_ne!(
+            base,
+            weight_sqnr_key("alexnet", &zoo, &synth, &[first8, specs[1]])
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! (De)serialization of the workspace's artifacts onto the [`crate::wire`]
 //! primitives: the parameter and tensor codecs a prepared network's record
 //! is built from, and the [`Record`] impls of workload sets, simulation
-//! results and accuracy records.
+//! results, accuracy records and weight-SQNR surrogates.
 //!
 //! Every float travels by bit pattern, so a decoded artifact is
 //! *bit-identical* to the one that was encoded — the property that lets a
@@ -11,13 +11,13 @@
 //! [`StoreError::Corrupt`].
 
 use crate::store::Record;
-use crate::version::{EVAL_SOURCES, MODEL_SOURCES, PREP_SOURCES};
+use crate::version::{EVAL_SOURCES, MODEL_SOURCES, PREP_SOURCES, SURROGATE_SOURCES};
 use crate::wire::{corrupt, Reader, StoreError, Writer};
 use ola_energy::{ComparisonMode, EnergyBreakdown};
 use ola_nn::network::WeightStore;
 use ola_nn::synth::SyntheticMatrix;
 use ola_nn::Params;
-use ola_quant::accuracy::QuantAccuracy;
+use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
 use ola_sim::policy::FirstLayerPolicy;
 use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser, WorkloadSet};
 use ola_sim::{EventRecord, LayerRun, OutlierSelect, QuantPolicy, Utilization};
@@ -493,6 +493,27 @@ impl Record for QuantAccuracy {
     }
 }
 
+/// Fig3's weight-SQNR surrogate of one network: its per-spec means by
+/// `f64` bit pattern.
+impl Record for WeightSqnr {
+    const KIND: u8 = 6;
+    const PREFIX: &'static str = "wsqnr";
+    const SOURCES: &'static [&'static str] = SURROGATE_SOURCES;
+
+    fn encode(&self, w: &mut Writer) {
+        w.len(self.mean_db.len());
+        for &m in &self.mean_db {
+            w.f64(m);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let n = r.len(8)?;
+        let mean_db = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
+        Ok(WeightSqnr { mean_db })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,6 +684,21 @@ mod tests {
             back.realized_weight_ratio.to_bits(),
             acc.realized_weight_ratio.to_bits()
         );
+    }
+
+    #[test]
+    fn weight_sqnr_codec_round_trips_bits() {
+        let rec = WeightSqnr {
+            mean_db: vec![21.25, -0.0, f64::NAN],
+        };
+        let mut w = Writer::new();
+        rec.encode(&mut w);
+        let buf = w.into_bytes();
+        let mut r = Reader::new(&buf);
+        let back = WeightSqnr::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        let bits = |s: &WeightSqnr| s.mean_db.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&rec));
     }
 
     #[test]

@@ -49,8 +49,8 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// A value the store persists, one file per key.
 ///
 /// Kind tags in use: 1 prepared network (`ola-harness`), 2 workload set,
-/// 3 analytic sim record, 4 event sim record, 5 accuracy-eval record (the
-/// last four in [`crate::codec`]).
+/// 3 analytic sim record, 4 event sim record, 5 accuracy-eval record, 6
+/// weight-SQNR surrogate (the last five in [`crate::codec`]).
 pub trait Record: Sized {
     /// Header tag, unique per record type.
     const KIND: u8;

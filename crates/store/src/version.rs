@@ -7,7 +7,7 @@
 //! tensor initialization and scans, synthetic parameter generation, the
 //! network zoo, workload extraction, quantizer calibration, the vendored
 //! RNG — at compile time. Each [`crate::store::Record`] names one of the
-//! three source lists below as its `SOURCES`. Any edit to a listed file
+//! four source lists below as its `SOURCES`. Any edit to a listed file
 //! changes that list's fingerprint, changes the filename of every record
 //! versioned by it, and silently invalidates the old records. (`include_str!` also registers each file with cargo's rebuild
 //! tracking, so the fingerprint can never go stale.)
@@ -117,6 +117,35 @@ pub const EVAL_SOURCES: &[&str] = &[
     include_str!("../../../vendored/rand/src/lib.rs"),
 ];
 
+/// Source files whose text determines fig3's *weight-SQNR surrogate*
+/// bytes: zoo graph construction, streamed weight synthesis and the
+/// per-layer quantization SQNR fold. Kept apart from [`EVAL_SOURCES`] so
+/// a SynthNet or eval-pipeline edit keeps the (expensive-to-rebuild)
+/// surrogate records, and from [`PREP_SOURCES`] so an extraction or
+/// preparation edit does too. Text-only includes.
+pub const SURROGATE_SOURCES: &[&str] = &[
+    // Tensor substrate: the heavy-tailed sampler, pruning and its
+    // selection statistics.
+    include_str!("../../tensor/src/init.rs"),
+    include_str!("../../tensor/src/stats.rs"),
+    include_str!("../../tensor/src/shape.rs"),
+    include_str!("../../tensor/src/tensor.rs"),
+    include_str!("../../tensor/src/par.rs"),
+    // The zoo graphs and the streamed per-layer weight synthesis.
+    include_str!("../../nn/src/layer.rs"),
+    include_str!("../../nn/src/network.rs"),
+    include_str!("../../nn/src/synth.rs"),
+    include_str!("../../nn/src/zoo.rs"),
+    // The SQNR fold, its quantizers and its cache key.
+    include_str!("../../quant/src/accuracy.rs"),
+    include_str!("../../quant/src/outlier.rs"),
+    include_str!("../../quant/src/linear.rs"),
+    include_str!("../../quant/src/metrics.rs"),
+    include_str!("../../quant/src/evalcache.rs"),
+    // The RNG behind every synthesized weight.
+    include_str!("../../../vendored/rand/src/lib.rs"),
+];
+
 /// A version fingerprint: the length-framed FNV-1a fold over
 /// [`FORMAT_VERSION`] and `sources` — file lengths are folded in between
 /// texts so content can't slide across file boundaries ("ab" + "c" vs
@@ -161,5 +190,15 @@ mod tests {
         assert_ne!(eval, 0);
         assert_ne!(eval, sources_version(PREP_SOURCES));
         assert_ne!(eval, sources_version(MODEL_SOURCES));
+    }
+
+    #[test]
+    fn surrogate_version_is_stable_and_independent() {
+        let surrogate = sources_version(SURROGATE_SOURCES);
+        assert_eq!(surrogate, sources_version(SURROGATE_SOURCES));
+        assert_ne!(surrogate, 0);
+        for other in [PREP_SOURCES, MODEL_SOURCES, EVAL_SOURCES] {
+            assert_ne!(surrogate, sources_version(other));
+        }
     }
 }

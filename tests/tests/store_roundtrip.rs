@@ -10,7 +10,7 @@
 
 use ola_harness::prep::{PrepCache, Prepared, DEFAULT_SEED};
 use ola_nn::Params;
-use ola_quant::accuracy::QuantAccuracy;
+use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
 use ola_sim::{EventRecord, LayerRun, QuantPolicy, Utilization, WorkloadSet};
 use ola_store::wire::Writer;
 use ola_store::{ArtifactStore, Record, StoreError};
@@ -204,6 +204,7 @@ struct Samples {
     run: LayerRun,
     event: EventRecord,
     eval: QuantAccuracy,
+    surrogate: WeightSqnr,
 }
 
 fn samples() -> &'static Samples {
@@ -240,6 +241,9 @@ fn samples() -> &'static Samples {
                 top1: 0.875,
                 topk: 1.0,
                 realized_weight_ratio: 0.03,
+            },
+            surrogate: WeightSqnr {
+                mean_db: vec![21.5, 7.25],
             },
         }
     })
@@ -284,6 +288,7 @@ fn every_record_kind_rejects_flipped_and_truncated_files() {
     assert_flips_and_prefixes_rejected(&store, &s.run);
     assert_flips_and_prefixes_rejected(&store, &s.event);
     assert_flips_and_prefixes_rejected(&store, &s.eval);
+    assert_flips_and_prefixes_rejected(&store, &s.surrogate);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -343,6 +348,7 @@ proptest! {
         let _ = get_reframed(&store, &s.run, mutate);
         let _ = get_reframed(&store, &s.event, mutate);
         let _ = get_reframed(&store, &s.eval, mutate);
+        let _ = get_reframed(&store, &s.surrogate, mutate);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
