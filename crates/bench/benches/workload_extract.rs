@@ -1,6 +1,6 @@
-//! Workload-extraction throughput: the retained multi-pass oracle vs the
-//! production extraction, at 1/2/4 worker threads, under each of the three
-//! `OutlierSelect::panel()` rules.
+//! Workload-extraction throughput: the retained multi-pass oracle
+//! (`ola_integration::oracle`) vs the production extraction, at 1/2/4
+//! worker threads, under each of the three `OutlierSelect::panel()` rules.
 //!
 //! The oracle walks each layer's activations several times (a full
 //! descending sort for every threshold, separate chunk / zero / outlier
@@ -21,10 +21,11 @@
 //! them, so ratios transfer directly to suite and sweep extraction time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ola_integration::oracle;
 use ola_nn::synth::{synthesize_params, SynthConfig};
 use ola_nn::zoo::{self, ZooConfig};
 use ola_nn::{Network, Params};
-use ola_sim::workload::{self, oracle};
+use ola_sim::workload;
 use ola_sim::{OutlierSelect, QuantPolicy};
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::Tensor;

@@ -2,12 +2,14 @@
 
 //! Criterion benchmark harness for the OLAccel reproduction.
 //!
-//! One bench target per paper table/figure (`fig*`/`table1`), micro
-//! benchmarks of the hot kernels (`kernels`), and the design-choice
-//! ablations called out in DESIGN.md §8 (`ablations`). Benchmarks run the
-//! fast-mode experiment paths: workload preparation happens once outside
-//! the timed section; the timed body is the simulation/evaluation step the
-//! figure actually measures.
+//! Micro benchmarks of the hot paths — forward kernels (`kernels`,
+//! `prep_forward`, `rowgen_train`), workload extraction against the
+//! test-crate oracle (`workload_extract`), the model phase
+//! (`model_phase`, `event_cluster`), quantized eval (`quant_eval`) and the
+//! experiment engine (`engine`) — plus the design-choice ablations called
+//! out in DESIGN.md §8 (`ablations`). Preparation happens once outside
+//! the timed section. Whole experiments are timed end to end by
+//! `perfbench/` (`engine.<exp>.wall_s`/`cold_s`), not here.
 
 use ola_harness::prep::Prepared;
 

@@ -16,13 +16,12 @@ use ola_harness::cli::{self, Command, USAGE};
 use std::fs;
 use std::process::exit;
 
+/// Prints `msg` and the synopsis lines that open [`USAGE`], then exits 2.
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: olaccel-repro [EXPERIMENT]... [--fast] [--jobs N] [--out DIR] [--cache-dir DIR]"
-    );
-    eprintln!("       olaccel-repro serve --socket PATH [options]");
-    eprintln!("       olaccel-repro request --socket PATH <PROTOCOL LINE>...");
+    for (i, line) in USAGE.lines().take_while(|l| !l.is_empty()).enumerate() {
+        eprintln!("{}{line}", if i == 0 { "usage: " } else { "       " });
+    }
     exit(2);
 }
 

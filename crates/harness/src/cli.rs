@@ -112,10 +112,35 @@ fn value_of<'a>(
     }
 }
 
-fn parse_jobs(v: &str) -> Result<usize, String> {
+/// Parses a `--jobs` count: a positive integer. Shared with the daemon's
+/// `run` request line.
+pub(crate) fn parse_jobs(v: &str) -> Result<usize, String> {
     match v.parse::<usize>() {
         Ok(n) if n > 0 => Ok(n),
         _ => Err("--jobs needs a positive integer".to_string()),
+    }
+}
+
+impl RunOptions {
+    /// Applies `flag` if it is one of the options `run` and `serve` share,
+    /// taking its value from `it` when it has one. Returns whether `flag`
+    /// was a shared option.
+    fn read_flag<'a>(
+        &mut self,
+        flag: &str,
+        it: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--fast" => self.fast = true,
+            "--out" => self.out_dir = Some(PathBuf::from(value_of("--out", it)?)),
+            "--cache-dir" => self.cache_dir = Some(PathBuf::from(value_of("--cache-dir", it)?)),
+            "--jobs" => self.jobs = Some(parse_jobs(value_of("--jobs", it)?)?),
+            _ => match flag.strip_prefix("--jobs=") {
+                Some(v) => self.jobs = Some(parse_jobs(v)?),
+                None => return Ok(false),
+            },
+        }
+        Ok(true)
     }
 }
 
@@ -133,17 +158,11 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
     let mut names = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if options.read_flag(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
             "--help" | "-h" => return Ok(Command::Help),
-            "--fast" => options.fast = true,
-            "--out" => options.out_dir = Some(PathBuf::from(value_of("--out", &mut it)?)),
-            "--cache-dir" => {
-                options.cache_dir = Some(PathBuf::from(value_of("--cache-dir", &mut it)?));
-            }
-            "--jobs" => options.jobs = Some(parse_jobs(value_of("--jobs", &mut it)?)?),
-            a if a.starts_with("--jobs=") => {
-                options.jobs = Some(parse_jobs(&a["--jobs=".len()..])?);
-            }
             a if a.starts_with('-') => return Err(format!("unknown flag {a}")),
             _ => names.push(a.clone()),
         }
@@ -168,18 +187,12 @@ fn parse_serve(args: &[String]) -> Result<Command, String> {
     let mut socket = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if options.read_flag(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
             "--help" | "-h" => return Ok(Command::Help),
             "--socket" => socket = Some(PathBuf::from(value_of("--socket", &mut it)?)),
-            "--fast" => options.fast = true,
-            "--out" => options.out_dir = Some(PathBuf::from(value_of("--out", &mut it)?)),
-            "--cache-dir" => {
-                options.cache_dir = Some(PathBuf::from(value_of("--cache-dir", &mut it)?));
-            }
-            "--jobs" => options.jobs = Some(parse_jobs(value_of("--jobs", &mut it)?)?),
-            a if a.starts_with("--jobs=") => {
-                options.jobs = Some(parse_jobs(&a["--jobs=".len()..])?);
-            }
             a => return Err(format!("serve does not accept {a}")),
         }
     }
@@ -297,6 +310,12 @@ mod tests {
         assert!(parse(&s(&["__panic"]))
             .unwrap_err()
             .contains("unknown experiment"));
+        // A `compare-`/`validate-` suffix must name a zoo network.
+        for name in ["compare-nosuch", "validate-nosuch"] {
+            let err = parse(&s(&[name, "--fast"])).unwrap_err();
+            assert!(err.contains("unknown experiment"), "{name}: {err}");
+        }
+        assert!(parse(&s(&["compare-vgg16", "validate-resnet18"])).is_ok());
     }
 
     #[test]

@@ -99,14 +99,20 @@ pub fn render_cache_stats(prep: &CacheStats, sim: &SimStats, eval: &EvalStats) -
     format!("{}\n{}\n{}\n", prep.render(), sim.render(), eval.render())
 }
 
-/// Whether `name` is an experiment [`crate::run_experiment`] accepts.
+/// Whether `name` is an experiment [`crate::run_experiment`] accepts. A
+/// `compare-`/`validate-` name must end in a network the zoo knows.
 pub fn is_known_experiment(name: &str) -> bool {
+    let zoo_suffix = |prefix: &str| {
+        name.strip_prefix(prefix).is_some_and(|network| {
+            ola_nn::zoo::try_by_name(network, &ola_nn::zoo::ZooConfig::test_scale()).is_some()
+        })
+    };
     crate::EXPERIMENTS.contains(&name)
         || name == "extra-resnet101"
         || name == "extra-densenet121"
         || name == "__panic"
-        || name.starts_with("compare-")
-        || name.starts_with("validate-")
+        || zoo_suffix("compare-")
+        || zoo_suffix("validate-")
 }
 
 /// Per-experiment slot shared between workers and the emitting thread.

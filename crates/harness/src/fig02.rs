@@ -8,6 +8,7 @@
 use crate::report::{pct, table};
 use ola_nn::synthnet::{SynthDataset, SynthNet};
 use ola_quant::accuracy::{evaluate_synthnet, QuantSpec};
+use ola_quant::evalcache::eval_jobs;
 use std::sync::{Arc, OnceLock};
 
 /// Sweep points (the paper's x-axis, 0 to 5%).
@@ -55,7 +56,7 @@ impl TrainedSynthNet {
         });
         // One forward pass per image yields both full-precision metrics.
         let (fp_top1, fp_top5) = ola_sim::timing::timed(ola_sim::timing::Phase::Eval, || {
-            net.eval_with(&test, 5, |_, _| ())
+            net.eval_with_jobs(&test, 5, |_, _| (), eval_jobs())
         });
         TrainedSynthNet {
             net,

@@ -11,7 +11,8 @@
 //! ## Protocol
 //!
 //! Line-delimited requests, byte-framed responses. Each request is one
-//! UTF-8 line; a connection may send any number of requests:
+//! UTF-8 line of at most 4096 bytes; a connection may send any number of
+//! requests:
 //!
 //! ```text
 //! run <experiment> [--fast|--full] [--jobs N]
@@ -30,6 +31,10 @@
 //! err <message>\n
 //! ```
 //!
+//! A longer line gets `err request line longer than 4096 bytes` and the
+//! connection is closed, so a client that never sends a newline cannot
+//! grow the daemon's memory.
+//!
 //! The payload is byte-framed (never line-framed) so the header can carry
 //! per-request timing without disturbing payload byte-identity: two
 //! requests for the same experiment always deliver identical payload
@@ -46,19 +51,22 @@
 //! accept loop stops taking connections, in-flight requests drain to
 //! completion, and the socket file is removed.
 
-use crate::cli::RunOptions;
+use crate::cli::{parse_jobs, RunOptions};
 use crate::prep::PrepCache;
 use ola_quant::EvalCache;
 use ola_sim::SimCache;
 use ola_tensor::memo::{fill_slot, panic_message, Fill, Slot};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// The longest request line the daemon reads, newline excluded.
+const MAX_REQUEST_LINE: usize = 4096;
 
 /// Set by signal handlers and the `shutdown` command; polled by the
 /// accept loop.
@@ -206,14 +214,24 @@ fn handle_connection(server: &Server, stream: UnixStream) {
         Err(_) => return,
     });
     let mut writer = stream;
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
+        buf.clear();
+        // One byte past the limit tells an overlong line from a full one.
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return,
             Ok(_) => {}
-            Err(_) => return,
         }
+        if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            server.requests.fetch_add(1, Ordering::Relaxed);
+            let err = format!("err request line longer than {MAX_REQUEST_LINE} bytes\n");
+            let _ = writer.write_all(err.as_bytes());
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return;
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -285,10 +303,10 @@ fn parse_request(server: &Server, line: &str) -> Result<Request, String> {
                     "--full" => fast = false,
                     "--jobs" => {
                         let v = it.next().ok_or("--jobs needs a count")?;
-                        jobs = Some(parse_request_jobs(v)?);
+                        jobs = Some(parse_jobs(v)?);
                     }
                     w if w.starts_with("--jobs=") => {
-                        jobs = Some(parse_request_jobs(&w["--jobs=".len()..])?);
+                        jobs = Some(parse_jobs(&w["--jobs=".len()..])?);
                     }
                     w if w.starts_with('-') => return Err(format!("unknown option {w}")),
                     w if name.is_none() => name = Some(w.to_string()),
@@ -308,13 +326,6 @@ fn parse_request(server: &Server, line: &str) -> Result<Request, String> {
             "unknown command {other}; expected run/stats/ping/shutdown"
         )),
         None => Err("empty request".to_string()),
-    }
-}
-
-fn parse_request_jobs(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err("--jobs needs a positive integer".to_string()),
     }
 }
 
@@ -373,7 +384,6 @@ fn run_request(server: &Server, name: &str, fast: bool, jobs: Option<usize>) -> 
 /// to stderr and the payload to stdout. Returns an error message on `err`
 /// responses or transport failures.
 pub fn request(socket: &Path, line: &str) -> Result<(), String> {
-    use std::io::Read;
     let stream = UnixStream::connect(socket)
         .map_err(|e| format!("cannot connect to {}: {e}", socket.display()))?;
     let mut writer = stream

@@ -274,40 +274,13 @@ impl SynthNet {
     }
 
     /// Top-1 and top-k accuracy from **one** forward pass per image, with
-    /// an activation transform hook. Returns `(top1, topk)`.
-    ///
-    /// Top-1 is derivable from the same logits as top-k, so evaluating
-    /// both metrics together halves the test-set forwards compared to
-    /// calling [`SynthNet::accuracy_with`] and
-    /// [`SynthNet::topk_accuracy_with`] separately.
-    pub fn eval_with<F: FnMut(LayerId, &mut [f32])>(
-        &self,
-        data: &SynthDataset,
-        k: usize,
-        mut act: F,
-    ) -> (f64, f64) {
-        let packed = self.packed();
-        let mut top1 = 0usize;
-        let mut topk = 0usize;
-        for (img, &label) in data.images.iter().zip(&data.labels) {
-            let (t1, tk) = packed.eval_image(img, label, k, &mut act);
-            top1 += t1 as usize;
-            topk += tk as usize;
-        }
-        (
-            top1 as f64 / data.len() as f64,
-            topk as f64 / data.len() as f64,
-        )
-    }
-
-    /// [`SynthNet::eval_with`] fanned out over `jobs` workers via
-    /// [`ordered_map`].
+    /// an activation transform hook, fanned out over `jobs` workers via
+    /// [`ordered_map`]. Returns `(top1, topk)`.
     ///
     /// Requires a `Fn + Sync` hook (immutable after construction — the
     /// quantizers are, once calibrated). Each image's `(top1, topk)` pair
     /// is a pure function of its input; the boolean counts are summed in
-    /// image order, so the result is bit-identical to the serial
-    /// [`SynthNet::eval_with`] at any worker count.
+    /// image order, so the result is bit-identical at any worker count.
     pub fn eval_with_jobs<F>(
         &self,
         data: &SynthDataset,
@@ -335,26 +308,9 @@ impl SynthNet {
         )
     }
 
-    /// Top-1 accuracy on a dataset, with an activation transform hook.
-    /// Thin wrapper over [`SynthNet::eval_with`].
-    pub fn accuracy_with<F: FnMut(LayerId, &mut [f32])>(&self, data: &SynthDataset, act: F) -> f64 {
-        self.eval_with(data, 1, act).0
-    }
-
-    /// Top-1 accuracy, full precision.
+    /// Top-1 accuracy, full precision, on one worker.
     pub fn accuracy(&self, data: &SynthDataset) -> f64 {
-        self.accuracy_with(data, |_, _| ())
-    }
-
-    /// Top-k accuracy with an activation hook. Thin wrapper over
-    /// [`SynthNet::eval_with`].
-    pub fn topk_accuracy_with<F: FnMut(LayerId, &mut [f32])>(
-        &self,
-        data: &SynthDataset,
-        k: usize,
-        act: F,
-    ) -> f64 {
-        self.eval_with(data, k, act).1
+        self.eval_with_jobs(data, 1, |_, _| (), 1).0
     }
 
     /// Trains with SGD + momentum for `epochs` passes over `data`.
@@ -1227,11 +1183,12 @@ mod tests {
         // partial_cmp().unwrap() and panicked the moment any logit went NaN.
         let net = SynthNet::new(4, 8);
         let data = SynthDataset::generate(20, 4, 8);
-        let acc = net.topk_accuracy_with(&data, 2, |layer, a| {
+        let hook = |layer: LayerId, a: &mut [f32]| {
             if layer == LayerId::Fc1 {
                 a.fill(f32::NAN);
             }
-        });
+        };
+        let (_, acc) = net.eval_with_jobs(&data, 2, hook, 1);
         // All logits NaN => every logit "outranks" by index order only; the
         // label ranks at its own position. The exact value is not the point —
         // not panicking and staying in [0,1] is.
@@ -1243,7 +1200,7 @@ mod tests {
         let net = SynthNet::new(6, 12);
         let data = SynthDataset::generate(50, 6, 13);
         for k in [1, 2, 4] {
-            let got = net.topk_accuracy_with(&data, k, |_, _| ());
+            let (_, got) = net.eval_with_jobs(&data, k, |_, _| (), 1);
             // Reference: the old stable descending sort (finite logits).
             let mut correct = 0usize;
             for (img, &label) in data.images.iter().zip(&data.labels) {
@@ -1258,7 +1215,7 @@ mod tests {
         }
         // top-1 agrees with argmax-based accuracy on finite logits.
         assert_eq!(
-            net.topk_accuracy_with(&data, 1, |_, _| ()),
+            net.eval_with_jobs(&data, 1, |_, _| (), 1).1,
             net.accuracy(&data)
         );
     }
@@ -1328,9 +1285,19 @@ mod tests {
         let data = SynthDataset::generate(80, 5, 23);
         let mut net = SynthNet::new(5, 24);
         net.train(&data, 2, 0.02, 25);
-        let (top1, top3) = net.eval_with(&data, 3, |_, _| ());
-        assert_eq!(top1, net.accuracy(&data));
-        assert_eq!(top3, net.topk_accuracy_with(&data, 3, |_, _| ()));
+        let (top1, top3) = net.eval_with_jobs(&data, 3, |_, _| (), 1);
+        // Reference: per-image forwards, argmax for top-1, a full stable
+        // sort for top-3.
+        let (mut hits1, mut hits3) = (0, 0);
+        for (img, &label) in data.images.iter().zip(&data.labels) {
+            let logits = net.forward(img);
+            let mut idx: Vec<usize> = (0..logits.len()).collect();
+            idx.sort_by(|&a, &b| logits[b].total_cmp(&logits[a]));
+            hits1 += usize::from(argmax(&logits) == label);
+            hits3 += usize::from(idx[..3].contains(&label));
+        }
+        let n = data.len() as f64;
+        assert_eq!((top1, top3), (hits1 as f64 / n, hits3 as f64 / n));
         assert!(top3 >= top1, "top-3 can never be below top-1");
     }
 
@@ -1346,8 +1313,8 @@ mod tests {
                 }
             }
         };
-        let serial = net.eval_with(&data, 2, hook);
-        for jobs in [1, 2, 4] {
+        let serial = net.eval_with_jobs(&data, 2, hook, 1);
+        for jobs in [2, 3, 4] {
             let par = net.eval_with_jobs(&data, 2, hook, jobs);
             assert_eq!(
                 (serial.0.to_bits(), serial.1.to_bits()),

@@ -22,9 +22,9 @@
 //!   histogram of [`f32::total_cmp`] keys plus a selection inside the one
 //!   bucket holding rank k; no pass builds a population-sized buffer.
 //!
-//! The result is byte-identical at any worker count (see [`oracle`] for the
-//! retained multi-pass reference implementation the property tests compare
-//! against).
+//! The result is byte-identical at any worker count. The property tests
+//! pin it, bit for bit, to a retained multi-pass reference extraction that
+//! lives in the test crate.
 
 use crate::policy::{OutlierSelect, QuantPolicy};
 use ola_nn::network::WeightStore;
@@ -200,9 +200,9 @@ impl LayerWorkload {
 
     /// Content fingerprint over every field, floats by exact bit pattern —
     /// the per-layer half of a [`crate::simcache::SimCache`] key. Two
-    /// workloads share a fingerprint iff they are [`bitwise_eq`]
-    /// (`LayerWorkload::bitwise_eq`) up to FNV collisions, so a memoized
-    /// simulation result can never be served for a bit-different layer.
+    /// workloads share a fingerprint iff every field is bit-equal, up to
+    /// FNV collisions, so a memoized simulation result can never be served
+    /// for a bit-different layer.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = ola_tensor::memo::Fingerprint::new();
         fp.str(&self.name).usize(self.index).u8(match self.kind {
@@ -229,32 +229,6 @@ impl LayerWorkload {
             .f64(self.out_zero_fraction);
         fp.finish()
     }
-
-    /// Field-by-field equality with floats compared by bit pattern — the
-    /// determinism contract parallel extraction is held to.
-    pub fn bitwise_eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.index == other.index
-            && self.kind == other.kind
-            && self.in_shape == other.in_shape
-            && self.out_shape == other.out_shape
-            && self.kernel == other.kernel
-            && self.macs == other.macs
-            && self.weight_count == other.weight_count
-            && self.weight_bits == other.weight_bits
-            && self.act_bits == other.act_bits
-            && self.weight_zero_fraction.to_bits() == other.weight_zero_fraction.to_bits()
-            && self.act_zero_fraction.to_bits() == other.act_zero_fraction.to_bits()
-            && self.weight_outlier_ratio.to_bits() == other.weight_outlier_ratio.to_bits()
-            && self.act_outlier_nonzero_ratio.to_bits() == other.act_outlier_nonzero_ratio.to_bits()
-            && self.act_effective_outlier_ratio.to_bits()
-                == other.act_effective_outlier_ratio.to_bits()
-            && self.chunk_nnz == other.chunk_nnz
-            && self.chunk_zero_quads == other.chunk_zero_quads
-            && self.wchunk_single_fraction.to_bits() == other.wchunk_single_fraction.to_bits()
-            && self.wchunk_multi_fraction.to_bits() == other.wchunk_multi_fraction.to_bits()
-            && self.out_zero_fraction.to_bits() == other.out_zero_fraction.to_bits()
-    }
 }
 
 /// All compute-layer workloads of one network under one policy.
@@ -277,19 +251,6 @@ impl WorkloadSet {
     /// Conv layers only (the subset Figs 18/19 plot).
     pub fn conv_layers(&self) -> impl Iterator<Item = &LayerWorkload> {
         self.layers.iter().filter(|l| l.kind == LayerKind::Conv)
-    }
-
-    /// Bit-pattern equality of every field of every layer (see
-    /// [`LayerWorkload::bitwise_eq`]).
-    pub fn bitwise_eq(&self, other: &Self) -> bool {
-        self.network == other.network
-            && self.policy == other.policy
-            && self.layers.len() == other.layers.len()
-            && self
-                .layers
-                .iter()
-                .zip(&other.layers)
-                .all(|(a, b)| a.bitwise_eq(b))
     }
 }
 
@@ -447,7 +408,7 @@ fn extract_layer(
 
 /// Zero fraction of a node's output after any immediately-following
 /// BatchNorm/ReLU chain (what actually gets written back / consumed).
-fn post_activation_zero_fraction(net: &Network, outs: &[Tensor], node: usize) -> f64 {
+pub fn post_activation_zero_fraction(net: &Network, outs: &[Tensor], node: usize) -> f64 {
     let mut cur = node;
     loop {
         let next = (cur + 1..net.nodes().len()).find(|&i| {
@@ -1061,425 +1022,6 @@ fn count_grid(grid: Grid<'_>, rule: Rule, jobs: usize) -> Counts {
     })
 }
 
-/// The pre-fusion multi-pass extraction pipeline, retained verbatim as the
-/// oracle the property tests and benchmarks compare the fused path
-/// against: serial per-layer loop, owning [`ChannelChunks`] iterator, a
-/// full descending sort for every threshold, and separate walks for the
-/// zero count, the outlier count and the chunk sweep.
-pub mod oracle {
-    use super::{
-        post_activation_zero_fraction, LayerKind, LayerWorkload, OutlierSelect, QuantPolicy,
-        WeightChunkStats, WorkloadSet,
-    };
-    use ola_nn::network::WeightStore;
-    use ola_nn::{Network, Op, Params};
-    use ola_quant::calibrate::LayerCalibration;
-    use ola_quant::outlier::OutlierQuantizer;
-    use ola_tensor::{ChannelChunks, ChunkViews, Shape4, Tensor, CHUNK_LANES};
-
-    /// Full-sort threshold over the top-`ratio` magnitude fraction — the
-    /// historical O(n log n) implementation of
-    /// `ola_tensor::stats::magnitude_threshold`.
-    fn magnitude_threshold_sorted(values: &[f32], ratio: f64) -> f32 {
-        assert!((0.0..=1.0).contains(&ratio), "ratio must be in [0,1]");
-        if ratio == 0.0 || values.is_empty() {
-            return f32::INFINITY;
-        }
-        let mut mags: Vec<f32> = values.iter().map(|v| v.abs()).collect();
-        mags.sort_by(|a, b| b.total_cmp(a));
-        let k = ((values.len() as f64 * ratio).ceil() as usize).clamp(1, values.len());
-        mags[k - 1]
-    }
-
-    /// The historical multi-pass `calibrate_values`: filter, fold, sort,
-    /// re-count.
-    fn calibrate_values_multi_pass(node: usize, values: &[f32], ratio: f64) -> LayerCalibration {
-        let total = values.len().max(1);
-        let nonzero: Vec<f32> = values.iter().copied().filter(|&v| v != 0.0).collect();
-        let zero_fraction = 1.0 - nonzero.len() as f64 / total as f64;
-        let abs_max = nonzero.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
-        let threshold = if nonzero.is_empty() {
-            f32::INFINITY
-        } else {
-            magnitude_threshold_sorted(&nonzero, ratio)
-        };
-        let outliers = nonzero.iter().filter(|&&v| v.abs() >= threshold).count();
-        let nonzero_outlier_ratio = if nonzero.is_empty() {
-            0.0
-        } else {
-            outliers as f64 / nonzero.len() as f64
-        };
-        LayerCalibration {
-            node,
-            threshold,
-            abs_max: if abs_max > 0.0 { abs_max } else { 1.0 },
-            nonzero_outlier_ratio,
-            effective_outlier_ratio: outliers as f64 / total as f64,
-            zero_fraction,
-        }
-    }
-
-    fn fit_or_none(values: &[f32], ratio: f64) -> Option<OutlierQuantizer> {
-        if ratio <= 0.0 {
-            return None;
-        }
-        let nonzero: Vec<f32> = values.iter().copied().filter(|&v| v != 0.0).collect();
-        if nonzero.is_empty() {
-            return None;
-        }
-        let nonzero_ratio = (ratio * values.len() as f64 / nonzero.len() as f64).min(1.0);
-        let max = nonzero.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
-        let threshold = magnitude_threshold_sorted(&nonzero, nonzero_ratio);
-        Some(OutlierQuantizer::with_threshold(
-            threshold,
-            max,
-            nonzero_ratio,
-            4,
-            8,
-        ))
-    }
-
-    fn weight_chunk_stats(params: &Params, node: usize, ratio: f64) -> WeightChunkStats {
-        match params
-            .weights(node)
-            .expect("compute node must have weights")
-        {
-            WeightStore::Dense(w) => {
-                let values = w.as_slice();
-                let quant = fit_or_none(values, ratio);
-                let s = w.shape();
-                let (co, inner) = if s.n == 1 && s.c == 1 {
-                    (s.h, s.w)
-                } else {
-                    (s.n, s.c * s.h * s.w)
-                };
-                chunk_stats_from(values, co, inner, quant.as_ref())
-            }
-            WeightStore::RowGen(g) => {
-                let sample = g.sample_values(64);
-                let quant = fit_or_none(&sample, ratio);
-                let rows = g.rows().min(32);
-                let mut values = Vec::with_capacity(rows * g.cols());
-                for r in 0..rows {
-                    values.extend(g.row(r));
-                }
-                chunk_stats_from(&values, rows, g.cols(), quant.as_ref())
-            }
-        }
-    }
-
-    fn chunk_stats_from(
-        values: &[f32],
-        co: usize,
-        inner: usize,
-        quant: Option<&OutlierQuantizer>,
-    ) -> WeightChunkStats {
-        let total = values.len().max(1);
-        let zeros = values.iter().filter(|&&v| v == 0.0).count();
-        let is_outlier =
-            |v: f32| -> bool { v != 0.0 && quant.map(|q| q.is_outlier(v)) == Some(true) };
-        let outliers = values.iter().filter(|&&v| is_outlier(v)).count();
-
-        let mut chunks = 0u64;
-        let mut single = 0u64;
-        let mut multi = 0u64;
-        for co0 in (0..co).step_by(CHUNK_LANES) {
-            let lanes = (co - co0).min(CHUNK_LANES);
-            for i in 0..inner {
-                let mut count = 0u32;
-                for lane in 0..lanes {
-                    let v = values[(co0 + lane) * inner + i];
-                    if is_outlier(v) {
-                        count += 1;
-                    }
-                }
-                chunks += 1;
-                match count {
-                    0 => {}
-                    1 => single += 1,
-                    _ => multi += 1,
-                }
-            }
-        }
-        WeightChunkStats {
-            zero_fraction: zeros as f64 / total as f64,
-            outlier_ratio: outliers as f64 / total as f64,
-            single_fraction: single as f64 / chunks.max(1) as f64,
-            multi_fraction: multi as f64 / chunks.max(1) as f64,
-        }
-    }
-
-    /// Serial reference classification of one chunk grid under a
-    /// structured (non-magnitude) policy, written independently of the
-    /// fused sweep: windows are materialized per chunk, sensitivity
-    /// thresholds come from a full descending sort, and every count is a
-    /// plain serial loop. Returns `(zeros, outliers, single, multi)`.
-    ///
-    /// `ratio_of_total` selects the weight-grid convention (the target is
-    /// a fraction of all values, rescaled to the non-zero population)
-    /// versus the activation convention (the target is already a fraction
-    /// of non-zeros).
-    fn grid_counts_naive(
-        views: &ChunkViews<'_>,
-        ratio: f64,
-        select: OutlierSelect,
-        ratio_of_total: bool,
-        total: usize,
-    ) -> (u64, u64, u64, u64) {
-        let windows_of = |idx: usize| -> Vec<Vec<f32>> {
-            let window = match select {
-                OutlierSelect::WindowedTopK { window }
-                | OutlierSelect::SensitivityWeighted { window } => window,
-                OutlierSelect::MagnitudePercentile => {
-                    unreachable!("magnitude has its own oracle arm")
-                }
-            };
-            let view = views.get(idx);
-            let real = view.real_lanes();
-            let mut out = Vec::new();
-            let mut w0 = 0;
-            while w0 < real {
-                let end = (w0 + window).min(real);
-                out.push((w0..end).map(|lane| view.lane(lane)).collect());
-                w0 = end;
-            }
-            out
-        };
-        let rms =
-            |w: &[f32]| -> f32 { (w.iter().map(|&v| v * v).sum::<f32>() / w.len() as f32).sqrt() };
-
-        // Calibration: a sensitivity threshold needs all scores up front.
-        let threshold = if let OutlierSelect::SensitivityWeighted { .. } = select {
-            let mut scores = Vec::new();
-            for idx in 0..views.len() {
-                for w in windows_of(idx) {
-                    let r = rms(&w);
-                    scores.extend(w.iter().filter(|&&v| v != 0.0).map(|&v| v.abs() * r));
-                }
-            }
-            if ratio <= 0.0 || scores.is_empty() {
-                f32::INFINITY
-            } else {
-                let eff = if ratio_of_total {
-                    (ratio * total as f64 / scores.len() as f64).min(1.0)
-                } else {
-                    ratio
-                };
-                let k = ((scores.len() as f64 * eff).ceil() as usize).clamp(1, scores.len());
-                scores.sort_by(|a, b| b.total_cmp(a));
-                scores[k - 1]
-            }
-        } else {
-            f32::INFINITY
-        };
-
-        let mut zeros = 0u64;
-        let mut outliers = 0u64;
-        let mut single = 0u64;
-        let mut multi = 0u64;
-        for idx in 0..views.len() {
-            let view = views.get(idx);
-            for lane in 0..view.real_lanes() {
-                if view.lane(lane) == 0.0 {
-                    zeros += 1;
-                }
-            }
-            let mut count = 0u32;
-            for w in windows_of(idx) {
-                match select {
-                    OutlierSelect::WindowedTopK { .. } => {
-                        if ratio > 0.0 && w.iter().any(|&v| v != 0.0) {
-                            count += 1;
-                        }
-                    }
-                    OutlierSelect::SensitivityWeighted { .. } => {
-                        let r = rms(&w);
-                        count += w
-                            .iter()
-                            .filter(|&&v| v != 0.0 && (v.abs() * r).total_cmp(&threshold).is_ge())
-                            .count() as u32;
-                    }
-                    OutlierSelect::MagnitudePercentile => unreachable!(),
-                }
-            }
-            outliers += u64::from(count);
-            match count {
-                0 => {}
-                1 => single += 1,
-                _ => multi += 1,
-            }
-        }
-        (zeros, outliers, single, multi)
-    }
-
-    /// Naive serial activation calibration for the structured policies.
-    fn calibrate_policy_naive(
-        node: usize,
-        act: &Tensor,
-        ratio: f64,
-        select: OutlierSelect,
-    ) -> LayerCalibration {
-        let values = act.as_slice();
-        let total = values.len().max(1);
-        let nonzero = values.iter().filter(|&&v| v != 0.0).count();
-        let abs_max = values.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
-        let views = ChunkViews::activations(act, CHUNK_LANES);
-        let (_, outliers, _, _) = grid_counts_naive(&views, ratio, select, false, total);
-        LayerCalibration {
-            node,
-            // Structured policies carry no scalar magnitude threshold; the
-            // sensitivity score threshold is internal to the count above.
-            threshold: f32::INFINITY,
-            abs_max: if abs_max > 0.0 { abs_max } else { 1.0 },
-            nonzero_outlier_ratio: if nonzero == 0 {
-                0.0
-            } else {
-                outliers as f64 / nonzero as f64
-            },
-            effective_outlier_ratio: outliers as f64 / total as f64,
-            zero_fraction: 1.0 - nonzero as f64 / total as f64,
-        }
-    }
-
-    /// Naive serial weight-grid statistics for the structured policies
-    /// (same banded-row treatment of generated weights as production).
-    fn weight_stats_naive(
-        params: &Params,
-        node: usize,
-        ratio: f64,
-        select: OutlierSelect,
-    ) -> WeightChunkStats {
-        let (values, co, inner): (Vec<f32>, usize, usize) = match params
-            .weights(node)
-            .expect("compute node must have weights")
-        {
-            WeightStore::Dense(w) => {
-                let s = w.shape();
-                let (co, inner) = if s.n == 1 && s.c == 1 {
-                    (s.h, s.w)
-                } else {
-                    (s.n, s.c * s.h * s.w)
-                };
-                (w.as_slice().to_vec(), co, inner)
-            }
-            WeightStore::RowGen(g) => {
-                let rows = g.rows().min(32);
-                let mut values = Vec::with_capacity(rows * g.cols());
-                for r in 0..rows {
-                    values.extend(g.row(r));
-                }
-                (values, rows, g.cols())
-            }
-        };
-        let views = ChunkViews::matrix(&values, co, inner, CHUNK_LANES);
-        let (zeros, outliers, single, multi) =
-            grid_counts_naive(&views, ratio, select, true, values.len());
-        let total = values.len().max(1);
-        let chunks = (views.len() as u64).max(1);
-        WeightChunkStats {
-            zero_fraction: zeros as f64 / total as f64,
-            outlier_ratio: outliers as f64 / total as f64,
-            single_fraction: single as f64 / chunks as f64,
-            multi_fraction: multi as f64 / chunks as f64,
-        }
-    }
-
-    /// The historical serial extraction loop: one layer at a time, each
-    /// walking its activations several times.
-    pub fn extract_from_acts(
-        net: &Network,
-        params: &Params,
-        outs: &[Tensor],
-        policy: &QuantPolicy,
-    ) -> WorkloadSet {
-        let shapes = net.shapes();
-        let compute = net.compute_nodes();
-        let mut layers = Vec::with_capacity(compute.len());
-
-        for (index, &node) in compute.iter().enumerate() {
-            let n = &net.nodes()[node];
-            let src = n.inputs[0];
-            let act = &outs[src];
-            let (kind, kernel, macs, weight_count) = match n.op {
-                Op::Conv(spec) => {
-                    let i = act.shape();
-                    (
-                        LayerKind::Conv,
-                        spec.geometry.kernel,
-                        spec.macs(i.h, i.w),
-                        spec.weight_count(),
-                    )
-                }
-                Op::Linear(spec) => (LayerKind::Fc, 1, spec.macs(), spec.weight_count()),
-                _ => unreachable!("compute_nodes returns only conv/linear"),
-            };
-
-            let cal = match policy.select {
-                OutlierSelect::MagnitudePercentile => {
-                    calibrate_values_multi_pass(node, act.as_slice(), policy.outlier_ratio)
-                }
-                select => calibrate_policy_naive(node, act, policy.outlier_ratio, select),
-            };
-            let mut chunk_nnz = Vec::new();
-            let mut chunk_zero_quads = Vec::new();
-            for c in ChannelChunks::new(act, CHUNK_LANES) {
-                chunk_nnz.push(c.nonzero_count() as u8);
-                let zq = c
-                    .values
-                    .chunks(4)
-                    .filter(|quad| quad.iter().all(|&v| v == 0.0))
-                    .count() as u8;
-                chunk_zero_quads.push(zq);
-            }
-
-            let wstats = match policy.select {
-                OutlierSelect::MagnitudePercentile => {
-                    weight_chunk_stats(params, node, policy.outlier_ratio)
-                }
-                select => weight_stats_naive(params, node, policy.outlier_ratio, select),
-            };
-            let out_zero_fraction = post_activation_zero_fraction(net, outs, node);
-
-            let in_shape: Shape4 = if kind == LayerKind::Fc {
-                let s = act.shape();
-                Shape4::new(s.n, s.c * s.h * s.w, 1, 1)
-            } else {
-                act.shape()
-            };
-            let out_shape: Shape4 = shapes[node];
-
-            layers.push(LayerWorkload {
-                name: n.name.clone(),
-                index,
-                kind,
-                in_shape: in_shape.into(),
-                out_shape: out_shape.into(),
-                kernel,
-                macs,
-                weight_count: weight_count as u64,
-                weight_bits: policy.weight_bits(index),
-                act_bits: policy.act_bits(index),
-                weight_zero_fraction: wstats.zero_fraction,
-                act_zero_fraction: cal.zero_fraction,
-                weight_outlier_ratio: wstats.outlier_ratio,
-                act_outlier_nonzero_ratio: cal.nonzero_outlier_ratio,
-                act_effective_outlier_ratio: cal.effective_outlier_ratio,
-                chunk_nnz,
-                chunk_zero_quads,
-                wchunk_single_fraction: wstats.single_fraction,
-                wchunk_multi_fraction: wstats.multi_fraction,
-                out_zero_fraction,
-            });
-        }
-
-        WorkloadSet {
-            network: net.name().to_string(),
-            policy: *policy,
-            layers,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1498,28 +1040,6 @@ mod tests {
         let input = uniform_tensor(net.input_shape(), -1.0, 1.0, 9);
         let policy = QuantPolicy::olaccel16("alexnet");
         extract(&net, &params, &input, &policy)
-    }
-
-    #[test]
-    fn fused_extraction_matches_oracle_at_any_worker_count() {
-        let cfg = ZooConfig {
-            spatial_scale: 8,
-            include_classifier: true,
-            batch: 1,
-        };
-        let net = zoo::alexnet(&cfg);
-        let params = synthesize_params(&net, &SynthConfig::default());
-        let input = uniform_tensor(net.input_shape(), -1.0, 1.0, 9);
-        let outs = net.forward(&params, &input);
-        let policy = QuantPolicy::olaccel16("alexnet");
-        let reference = oracle::extract_from_acts(&net, &params, &outs, &policy);
-        for jobs in [1, 2, 3, 8] {
-            let fused = extract_from_acts_jobs(&net, &params, &outs, &policy, jobs);
-            assert!(
-                fused.bitwise_eq(&reference),
-                "fused extraction diverged from the multi-pass oracle at jobs={jobs}"
-            );
-        }
     }
 
     #[test]

@@ -1,17 +1,12 @@
 //! Channel-chunk views over activation tensors.
 //!
 //! OLAccel's PE groups consume activations in chunks of 16 consecutive input
-//! channels at one spatial position — the paper's `A(1x1x16)` unit. This
-//! module provides two access paths sharing one definition of "chunk":
-//!
-//! * [`ChunkViews`] / [`ChunkView`] — a random-access grid of *borrowed*
-//!   chunks over a tensor (or a `(rows, cols)` weight matrix, whose chunks
-//!   group 16 rows at a fixed column — §III-B's `W(16)` unit). No per-chunk
-//!   allocation; this is what the fused extraction scans iterate, and the
-//!   random access is what lets them split chunk ranges across workers.
-//! * [`ChannelChunks`] — the original owning iterator (each item carries a
-//!   `Vec<f32>`), kept for callers that want detachable chunks. It is a
-//!   thin adapter over the borrowed grid.
+//! channels at one spatial position — the paper's `A(1x1x16)` unit.
+//! [`ChunkViews`] / [`ChunkView`] are a random-access grid of *borrowed*
+//! chunks over a tensor (or a `(rows, cols)` weight matrix, whose chunks
+//! group 16 rows at a fixed column — §III-B's `W(16)` unit). No per-chunk
+//! allocation; this is what the fused extraction scans iterate, and the
+//! random access is what lets them split chunk ranges across workers.
 
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
@@ -22,30 +17,6 @@ use crate::tensor::Tensor;
 /// overriding it for the PE-group-size ablation, but encoded data structures
 /// use this default.
 pub const CHUNK_LANES: usize = 16;
-
-/// One `A(1x1xL)` activation chunk: `lanes` channel values at spatial
-/// position `(h, w)` of batch image `n`, starting at channel `c0`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Chunk {
-    /// Batch index.
-    pub n: usize,
-    /// First channel covered by this chunk.
-    pub c0: usize,
-    /// Spatial row.
-    pub h: usize,
-    /// Spatial column.
-    pub w: usize,
-    /// The values; length equals the iterator's `lanes`, zero-padded past the
-    /// last real channel.
-    pub values: Vec<f32>,
-}
-
-impl Chunk {
-    /// Number of non-zero lanes.
-    pub fn nonzero_count(&self) -> usize {
-        self.values.iter().filter(|&&v| v != 0.0).count()
-    }
-}
 
 /// A borrowed chunk: `real` genuine lanes strided through the backing
 /// buffer, zero-padded up to `lanes`. Produced by [`ChunkViews`]; no
@@ -93,64 +64,13 @@ impl<'a> ChunkView<'a> {
             0.0
         }
     }
-
-    /// Iterates the `lanes` values, padding included.
-    pub fn iter(&self) -> impl Iterator<Item = f32> + '_ {
-        (0..self.lanes).map(move |i| {
-            if i < self.real {
-                self.data[self.start + i * self.stride]
-            } else {
-                0.0
-            }
-        })
-    }
-
-    /// Number of non-zero lanes (padding is zero by construction).
-    pub fn nonzero_count(&self) -> usize {
-        let mut count = 0;
-        for i in 0..self.real {
-            if self.data[self.start + i * self.stride] != 0.0 {
-                count += 1;
-            }
-        }
-        count
-    }
-
-    /// How many 4-lane quads are entirely zero — the zero-skip scanner
-    /// overhead unit of §V / Fig 18. Matches `values.chunks(4)` over the
-    /// padded lane vector: fully-padded quads count as zero quads.
-    pub fn zero_quads(&self) -> usize {
-        let mut quads = 0;
-        let mut q0 = 0;
-        while q0 < self.lanes {
-            let end = (q0 + 4).min(self.real);
-            let zero = (q0..end).all(|i| self.data[self.start + i * self.stride] == 0.0);
-            if zero {
-                quads += 1;
-            }
-            q0 += 4;
-        }
-        quads
-    }
-
-    /// Materializes the padded lane vector as an owned [`Chunk`].
-    pub fn to_chunk(&self) -> Chunk {
-        Chunk {
-            n: self.n,
-            c0: self.c0,
-            h: self.h,
-            w: self.w,
-            values: self.iter().collect(),
-        }
-    }
 }
 
 /// The chunk geometries a [`ChunkViews`] grid can describe.
 #[derive(Clone, Copy, Debug)]
 enum Geometry {
     /// Activation tensor: `ceil(C / lanes)` chunks per `(n, h, w)` position,
-    /// iterated position-major (the [`ChannelChunks`] order). Lane stride is
-    /// the channel stride `h * w`.
+    /// iterated position-major. Lane stride is the channel stride `h * w`.
     Activations {
         shape: Shape4,
         chunks_per_pos: usize,
@@ -163,11 +83,12 @@ enum Geometry {
 
 /// A random-access grid of borrowed chunks over a tensor or matrix.
 ///
-/// Chunk `i` of the activation geometry is exactly the `i`-th item the
-/// owning [`ChannelChunks`] iterator yields; the matrix geometry yields the
-/// 16-output-channel weight chunks of §III-B. Random access by index is
-/// what lets the fused extraction scans partition chunk ranges across
-/// workers deterministically.
+/// The activation geometry walks `(n, h, w)` positions in row-major order
+/// and yields `ceil(C / lanes)` chunks per position, zero-padded past the
+/// last channel; the matrix geometry yields the 16-output-channel weight
+/// chunks of §III-B. Random access by index is what lets the fused
+/// extraction scans partition chunk ranges across workers
+/// deterministically.
 ///
 /// # Example
 ///
@@ -179,7 +100,7 @@ enum Geometry {
 /// // 2x2 spatial positions x ceil(20/16)=2 chunks each.
 /// assert_eq!(views.len(), 8);
 /// assert_eq!(views.get(1).real_lanes(), 4); // channels 16..20
-/// assert_eq!(views.get(1).zero_quads(), 4);
+/// assert_eq!(views.get(1).lane(15), 0.0); // zero-padded
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct ChunkViews<'a> {
@@ -298,83 +219,50 @@ impl<'a> ChunkViews<'a> {
     }
 }
 
-/// Iterator over the channel chunks of an activation tensor.
-///
-/// Iterates spatial positions in row-major order; for each position yields
-/// `ceil(C / lanes)` chunks covering the channel dimension.
-///
-/// # Example
-///
-/// ```
-/// use ola_tensor::{ChannelChunks, Shape4, Tensor};
-///
-/// let t = Tensor::zeros(Shape4::new(1, 20, 2, 2));
-/// let chunks: Vec<_> = ChannelChunks::new(&t, 16).collect();
-/// // 2x2 spatial positions x ceil(20/16)=2 chunks each.
-/// assert_eq!(chunks.len(), 8);
-/// assert_eq!(chunks[0].values.len(), 16);
-/// ```
-#[derive(Debug)]
-pub struct ChannelChunks<'a> {
-    views: ChunkViews<'a>,
-    /// Next flat chunk index (over n, h, w, chunk-of-c).
-    next: usize,
-}
-
-impl<'a> ChannelChunks<'a> {
-    /// Creates a chunk iterator with the given lane count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn new(tensor: &'a Tensor, lanes: usize) -> Self {
-        ChannelChunks {
-            views: ChunkViews::activations(tensor, lanes),
-            next: 0,
-        }
-    }
-
-    /// Total number of chunks this iterator will yield.
-    pub fn total_chunks(&self) -> usize {
-        self.views.len()
-    }
-}
-
-impl Iterator for ChannelChunks<'_> {
-    type Item = Chunk;
-
-    fn next(&mut self) -> Option<Chunk> {
-        if self.next >= self.views.len() {
-            return None;
-        }
-        let view = self.views.get(self.next);
-        self.next += 1;
-        Some(view.to_chunk())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.views.len() - self.next;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for ChannelChunks<'_> {}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::shape::Shape4;
+
+    /// Every activation chunk's `[n, c0, h, w]` and padded lanes, read
+    /// straight from the tensor by coordinates: the independent reference
+    /// the grid (and the scans over it) are checked against.
+    pub(crate) fn direct_chunks(t: &Tensor, lanes: usize) -> Vec<([usize; 4], Vec<f32>)> {
+        let s = t.shape();
+        let mut chunks = Vec::new();
+        for n in 0..s.n {
+            for h in 0..s.h {
+                for w in 0..s.w {
+                    for c0 in (0..s.c).step_by(lanes) {
+                        let values = (c0..c0 + lanes)
+                            .map(|c| if c < s.c { t.get(n, c, h, w) } else { 0.0 })
+                            .collect();
+                        chunks.push(([n, c0, h, w], values));
+                    }
+                }
+            }
+        }
+        chunks
+    }
+
+    fn lanes_of(view: ChunkView<'_>) -> Vec<f32> {
+        (0..view.lanes()).map(|i| view.lane(i)).collect()
+    }
+
+    fn nonzero(view: ChunkView<'_>) -> usize {
+        lanes_of(view).iter().filter(|&&v| v != 0.0).count()
+    }
 
     #[test]
     fn chunk_count_and_padding() {
         let t = Tensor::zeros(Shape4::new(2, 5, 3, 3));
-        let it = ChannelChunks::new(&t, 4);
-        assert_eq!(it.total_chunks(), 2 * 9 * 2);
-        let chunks: Vec<_> = it.collect();
-        assert_eq!(chunks.len(), 36);
+        let views = ChunkViews::activations(&t, 4);
+        assert_eq!(views.len(), 2 * 9 * 2);
         // Second chunk of each position covers channels 4..8, only c=4 real.
-        assert_eq!(chunks[1].c0, 4);
-        assert_eq!(chunks[1].values.len(), 4);
+        let second = views.get(1);
+        assert_eq!(second.c0, 4);
+        assert_eq!(second.lanes(), 4);
+        assert_eq!(second.real_lanes(), 1);
     }
 
     #[test]
@@ -383,40 +271,44 @@ mod tests {
         for c in 0..6 {
             t.set(0, c, 0, 0, c as f32 + 1.0);
         }
-        let chunks: Vec<_> = ChannelChunks::new(&t, 4).collect();
-        assert_eq!(chunks[0].values, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(chunks[1].values, vec![5.0, 6.0, 0.0, 0.0]);
-        assert_eq!(chunks[1].nonzero_count(), 2);
+        let views = ChunkViews::activations(&t, 4);
+        assert_eq!(lanes_of(views.get(0)), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(lanes_of(views.get(1)), vec![5.0, 6.0, 0.0, 0.0]);
+        assert_eq!(nonzero(views.get(1)), 2);
     }
 
     #[test]
     fn exact_size_iterator_contract() {
         let t = Tensor::zeros(Shape4::new(1, 16, 2, 2));
-        let mut it = ChannelChunks::new(&t, 16);
-        assert_eq!(it.len(), 4);
+        let views = ChunkViews::activations(&t, 16);
+        assert_eq!(views.len(), 4);
+        let mut it = views.iter();
+        assert_eq!(it.size_hint(), (4, Some(4)));
         it.next();
-        assert_eq!(it.len(), 3);
+        assert_eq!(it.size_hint(), (3, Some(3)));
+        assert_eq!(it.count(), 3);
     }
 
     #[test]
     fn lanes_wider_than_channels() {
         let mut t = Tensor::zeros(Shape4::new(1, 3, 1, 1));
         t.set(0, 2, 0, 0, 5.0);
-        let chunks: Vec<_> = ChannelChunks::new(&t, 16).collect();
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].values.len(), 16);
-        assert_eq!(chunks[0].nonzero_count(), 1);
-        assert_eq!(chunks[0].values[2], 5.0);
-        assert!(chunks[0].values[3..].iter().all(|&v| v == 0.0));
+        let views = ChunkViews::activations(&t, 16);
+        assert_eq!(views.len(), 1);
+        let chunk = views.get(0);
+        assert_eq!((chunk.lanes(), chunk.real_lanes()), (16, 3));
+        assert_eq!(nonzero(chunk), 1);
+        assert_eq!(chunk.lane(2), 5.0);
+        assert!((3..16).all(|lane| chunk.lane(lane) == 0.0));
     }
 
     #[test]
     fn chunk_coordinates_are_consistent() {
         let t = Tensor::zeros(Shape4::new(2, 4, 2, 3));
-        let chunks: Vec<_> = ChannelChunks::new(&t, 4).collect();
+        let views = ChunkViews::activations(&t, 4);
         // One chunk per (n, h, w) position.
-        assert_eq!(chunks.len(), 2 * 2 * 3);
-        let last = chunks.last().unwrap();
+        assert_eq!(views.len(), 2 * 2 * 3);
+        let last = views.get(views.len() - 1);
         assert_eq!((last.n, last.h, last.w, last.c0), (1, 1, 2, 0));
     }
 
@@ -424,17 +316,17 @@ mod tests {
     fn batch_dimension_iterated() {
         let mut t = Tensor::zeros(Shape4::new(2, 16, 1, 1));
         t.set(1, 0, 0, 0, 1.0);
-        let chunks: Vec<_> = ChannelChunks::new(&t, 16).collect();
-        assert_eq!(chunks[0].nonzero_count(), 0);
-        assert_eq!(chunks[1].nonzero_count(), 1);
-        assert_eq!(chunks[1].n, 1);
+        let views = ChunkViews::activations(&t, 16);
+        assert_eq!(nonzero(views.get(0)), 0);
+        assert_eq!(nonzero(views.get(1)), 1);
+        assert_eq!(views.get(1).n, 1);
     }
 
     #[test]
     #[should_panic(expected = "lanes must be positive")]
     fn zero_lanes_panics() {
         let t = Tensor::zeros(Shape4::new(1, 1, 1, 1));
-        let _ = ChannelChunks::new(&t, 0);
+        let _ = ChunkViews::activations(&t, 0);
     }
 
     fn numbered_tensor(shape: Shape4) -> Tensor {
@@ -443,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_views_match_owning_iterator() {
+    fn borrowed_views_match_direct_indexing() {
         for shape in [
             Shape4::new(1, 6, 1, 1),
             Shape4::new(2, 5, 3, 3),
@@ -453,27 +345,18 @@ mod tests {
             let t = numbered_tensor(shape);
             for lanes in [4, 16] {
                 let views = ChunkViews::activations(&t, lanes);
-                let owned: Vec<Chunk> = ChannelChunks::new(&t, lanes).collect();
-                assert_eq!(views.len(), owned.len());
-                for (i, chunk) in owned.iter().enumerate() {
+                let reference = direct_chunks(&t, lanes);
+                assert_eq!(views.len(), reference.len());
+                for (i, (coords, values)) in reference.iter().enumerate() {
                     let view = views.get(i);
-                    assert_eq!(&view.to_chunk(), chunk, "{shape} lanes {lanes} chunk {i}");
-                    assert_eq!(view.nonzero_count(), chunk.nonzero_count());
-                    let quads = chunk
-                        .values
-                        .chunks(4)
-                        .filter(|quad| quad.iter().all(|&v| v == 0.0))
-                        .count();
-                    assert_eq!(view.zero_quads(), quads);
-                    assert_eq!(view.iter().collect::<Vec<_>>(), chunk.values);
-                    for (lane, &v) in chunk.values.iter().enumerate() {
-                        assert_eq!(view.lane(lane), v);
-                    }
+                    let what = format!("{shape} lanes {lanes} chunk {i}");
+                    assert_eq!([view.n, view.c0, view.h, view.w], *coords, "{what}");
+                    assert_eq!(&lanes_of(view), values, "{what}");
+                    assert_eq!(view.real_lanes(), (shape.c - coords[1]).min(lanes));
                 }
             }
         }
     }
-
     #[test]
     fn matrix_views_cover_row_bands() {
         // 5 rows x 3 cols at 4 lanes: 2 bands x 3 cols = 6 chunks, in
@@ -483,12 +366,11 @@ mod tests {
         assert_eq!(views.len(), 6);
         let first = views.get(0);
         assert_eq!(first.real_lanes(), 4);
-        assert_eq!(first.iter().collect::<Vec<_>>(), vec![1.0, 4.0, 7.0, 10.0]);
+        assert_eq!(lanes_of(first), vec![1.0, 4.0, 7.0, 10.0]);
         let tail = views.get(4); // band 1, col 1 -> row 4, col 1
         assert_eq!((tail.c0, tail.w), (4, 1));
         assert_eq!(tail.real_lanes(), 1);
-        assert_eq!(tail.iter().collect::<Vec<_>>(), vec![14.0, 0.0, 0.0, 0.0]);
-        assert_eq!(tail.nonzero_count(), 1);
+        assert_eq!(lanes_of(tail), vec![14.0, 0.0, 0.0, 0.0]);
         // Every matrix element appears in exactly one chunk.
         let mut seen = 0;
         for view in views.iter() {
@@ -501,10 +383,10 @@ mod tests {
     fn zero_quads_counts_padded_tail() {
         let mut t = Tensor::zeros(Shape4::new(1, 5, 1, 1));
         t.set(0, 4, 0, 0, 2.0);
-        let views = ChunkViews::activations(&t, 16);
+        let scan = crate::scan::scan_chunks(&ChunkViews::activations(&t, 16), 1);
         // Lanes 0..4 all zero (quad 0 zero); lane 4 non-zero (quad 1 not
         // zero); quads 2 and 3 fully padded -> zero.
-        assert_eq!(views.get(0).zero_quads(), 3);
-        assert_eq!(views.get(0).nonzero_count(), 1);
+        assert_eq!(scan.zero_quads, vec![3]);
+        assert_eq!(scan.nnz, vec![1]);
     }
 }

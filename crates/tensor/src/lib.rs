@@ -28,6 +28,6 @@ pub mod shape;
 pub mod stats;
 mod tensor;
 
-pub use chunk::{ChannelChunks, ChunkView, ChunkViews, CHUNK_LANES};
+pub use chunk::{ChunkView, ChunkViews, CHUNK_LANES};
 pub use shape::{ConvGeometry, Shape4};
 pub use tensor::Tensor;

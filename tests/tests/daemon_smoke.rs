@@ -1,6 +1,7 @@
 //! In-process smoke test of the `serve` daemon: two concurrent identical
 //! requests coalesce onto one computation and receive byte-identical
-//! payloads, the protocol's small commands answer, and `shutdown` drains
+//! payloads, the protocol's small commands answer, bad names and overlong
+//! lines get `err` without taking the daemon down, and `shutdown` drains
 //! cleanly and removes the socket.
 //!
 //! This file holds a single `#[test]` on purpose — the daemon runs
@@ -114,6 +115,21 @@ fn daemon_coalesces_and_shuts_down_cleanly() {
     assert!(h.starts_with("err "), "hidden hooks must be rejected: {h}");
     let (h, _) = roundtrip(&socket, "frobnicate");
     assert!(h.starts_with("err "), "got: {h}");
+    // A `compare-` suffix that names no zoo network is rejected up front,
+    // not left to panic inside the experiment.
+    let (h, _) = roundtrip(&socket, "run compare-nosuch");
+    assert!(h.starts_with("err unknown experiment"), "got: {h}");
+
+    // A request line that never ends is cut off at the limit: `err`, then
+    // the daemon closes that connection and keeps serving new ones.
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    // The daemon stops reading at the limit, so this write may fail.
+    let _ = stream.write_all(&vec![b'x'; 1 << 20]);
+    let mut header = String::new();
+    BufReader::new(stream).read_line(&mut header).unwrap();
+    assert_eq!(header, "err request line longer than 4096 bytes\n");
+    let (h, _) = roundtrip(&socket, "ping");
+    assert_eq!(h, "ok pong");
 
     let (h, _) = roundtrip(&socket, "shutdown");
     assert_eq!(h, "ok shutting-down");

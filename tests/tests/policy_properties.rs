@@ -4,7 +4,7 @@
 //! tree: the [`ola_quant::OutlierPolicy`] trait objects (flat slices), the
 //! band-major grid kernel behind [`ola_sim::workload::grid_chunk_stats`]
 //! and workload extraction, and the retained serial multi-pass oracle in
-//! [`ola_sim::workload::oracle`]. This file adds a fourth — naive
+//! [`ola_integration::oracle`]. This file adds a fourth — naive
 //! per-policy references written from the definitions (full sorts, no
 //! fusion, no parallelism) — and pins all of them to each other:
 //!
@@ -21,11 +21,12 @@
 //!    naive grid at any worker count, on grids salted with subnormals and
 //!    sign-bit-set NaN.
 
+use ola_integration::oracle;
 use ola_nn::synth::{synthesize_params, SynthConfig};
 use ola_nn::{Conv2dSpec, LinearSpec, Network, Op};
 use ola_quant::{OutlierQuantizer, OutlierSelect};
 use ola_sim::policy::FirstLayerPolicy;
-use ola_sim::workload::{extract_from_acts_jobs, grid_chunk_stats, oracle, WeightChunkStats};
+use ola_sim::workload::{extract_from_acts_jobs, grid_chunk_stats, WeightChunkStats};
 use ola_sim::QuantPolicy;
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::{ConvGeometry, Shape4};
@@ -509,7 +510,7 @@ proptest! {
         let reference = oracle::extract_from_acts(&net, &params, &acts, &policy);
         let fused = extract_from_acts_jobs(&net, &params, &acts, &policy, jobs);
         prop_assert!(
-            fused.bitwise_eq(&reference),
+            oracle::bitwise_eq(&fused, &reference),
             "magnitude extraction drifted from the pre-trait oracle at jobs={jobs}"
         );
     }

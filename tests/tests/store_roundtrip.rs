@@ -9,8 +9,10 @@
 //! each other.
 
 use ola_harness::prep::{PrepCache, Prepared, DEFAULT_SEED};
+use ola_integration::oracle::bitwise_eq;
 use ola_nn::Params;
 use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
+use ola_sim::workload::{LayerKind, LayerWorkload};
 use ola_sim::{EventRecord, LayerRun, QuantPolicy, Utilization, WorkloadSet};
 use ola_store::wire::Writer;
 use ola_store::{ArtifactStore, Record, StoreError};
@@ -85,7 +87,7 @@ fn second_process_loads_instead_of_computing() {
         );
     }
     assert!(
-        ws_warm.bitwise_eq(&ws_cold),
+        bitwise_eq(&ws_warm, &ws_cold),
         "loaded workload set must be bit-identical"
     );
 
@@ -120,7 +122,10 @@ fn corrupt_artifact_warns_and_recomputes() {
     assert_eq!(s.disk_misses, 2);
     assert_eq!(s.prepared_misses, 1, "corruption must fall back to compute");
     assert_eq!(s.workload_misses, 1);
-    assert!(ws.bitwise_eq(&ws_cold), "recompute must match the original");
+    assert!(
+        bitwise_eq(&ws, &ws_cold),
+        "recompute must match the original"
+    );
 
     // The recompute wrote fresh artifacts back; a third cache loads again.
     let healed = PrepCache::new();
@@ -154,6 +159,49 @@ fn truncated_and_alien_files_are_ignored() {
     assert_eq!(cache.stats().disk_hits, 0);
     assert_eq!(cache.stats().prepared_misses, 1);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hand-built workload set whose fields all differ from their defaults.
+fn sample_workloads() -> WorkloadSet {
+    WorkloadSet {
+        network: "alexnet".into(),
+        policy: QuantPolicy::olaccel16("alexnet"),
+        layers: vec![LayerWorkload {
+            name: "conv1".into(),
+            index: 0,
+            kind: LayerKind::Conv,
+            in_shape: Shape4::new(1, 3, 8, 8).into(),
+            out_shape: Shape4::new(1, 16, 4, 4).into(),
+            kernel: 3,
+            macs: 12345,
+            weight_count: 432,
+            weight_bits: 4,
+            act_bits: 16,
+            weight_zero_fraction: 0.5,
+            act_zero_fraction: 0.25,
+            weight_outlier_ratio: 0.035,
+            act_outlier_nonzero_ratio: 0.05,
+            act_effective_outlier_ratio: 0.0375,
+            chunk_nnz: vec![3, 0, 16],
+            chunk_zero_quads: vec![1, 4, 0],
+            wchunk_single_fraction: 0.3,
+            wchunk_multi_fraction: 0.05,
+            out_zero_fraction: 0.6,
+        }],
+    }
+}
+
+#[test]
+fn workloads_round_trip_bitwise() {
+    let dir = scratch("ws");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let ws = sample_workloads();
+    store.put(9, &ws).unwrap();
+    let back = store.get::<WorkloadSet>(9).unwrap().unwrap();
+    assert!(bitwise_eq(&back, &ws));
+    // A different key (another policy's) is a different artifact.
+    assert!(store.get::<WorkloadSet>(10).unwrap().is_none());
     std::fs::remove_dir_all(&dir).ok();
 }
 

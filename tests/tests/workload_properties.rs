@@ -8,17 +8,19 @@
 //! (MACs, weight counts, shapes) independent of the quantization policy.
 //!
 //! The fused/parallel extraction pipeline is additionally pinned to the
-//! retained multi-pass oracle ([`ola_sim::workload::oracle`]): every field
+//! retained multi-pass oracle ([`ola_integration::oracle`]): every field
 //! of every layer byte-for-byte (floats by bit pattern), over randomized
 //! policies, worker counts, and — in a second suite — randomized network
 //! shapes including non-multiple-of-16 channel counts.
 
 use ola_energy::ComparisonMode;
 use ola_harness::prep::Prepared;
+use ola_integration::oracle;
 use ola_nn::synth::{synthesize_params, SynthConfig};
+use ola_nn::zoo::{self, ZooConfig};
 use ola_nn::{Conv2dSpec, LinearSpec, Network, Op};
 use ola_sim::policy::FirstLayerPolicy;
-use ola_sim::workload::{extract_from_acts_jobs, oracle, WorkloadSet};
+use ola_sim::workload::{extract_from_acts_jobs, WorkloadSet};
 use ola_sim::{OutlierSelect, QuantPolicy};
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::{ConvGeometry, Shape4, CHUNK_LANES};
@@ -193,7 +195,7 @@ proptest! {
         let reference = oracle::extract_from_acts(&p.net, &p.params, &p.acts, &policy);
         let fused = extract_from_acts_jobs(&p.net, &p.params, &p.acts, &policy, jobs);
         prop_assert!(
-            fused.bitwise_eq(&reference),
+            oracle::bitwise_eq(&fused, &reference),
             "fused extraction diverged from oracle at jobs={jobs}, ratio={ratio}, \
              select={:?}",
             policy.select
@@ -246,7 +248,7 @@ proptest! {
         let reference = oracle::extract_from_acts(&net, &params, &acts, &policy);
         let fused = extract_from_acts_jobs(&net, &params, &acts, &policy, jobs);
         prop_assert!(
-            fused.bitwise_eq(&reference),
+            oracle::bitwise_eq(&fused, &reference),
             "random net (batch={batch}, cin={cin}, cmid={cmid}, s={spatial}, k={kernel}) \
              diverged at jobs={jobs}, ratio={ratio}, select={:?}",
             policy.select
@@ -278,5 +280,27 @@ proptest! {
                 a.name, lo, lo + delta, a.weight_outlier_ratio, b.weight_outlier_ratio
             );
         }
+    }
+}
+
+#[test]
+fn fused_extraction_matches_oracle_at_any_worker_count() {
+    let cfg = ZooConfig {
+        spatial_scale: 8,
+        include_classifier: true,
+        batch: 1,
+    };
+    let net = zoo::alexnet(&cfg);
+    let params = synthesize_params(&net, &SynthConfig::default());
+    let input = uniform_tensor(net.input_shape(), -1.0, 1.0, 9);
+    let outs = net.forward(&params, &input);
+    let policy = QuantPolicy::olaccel16("alexnet");
+    let reference = oracle::extract_from_acts(&net, &params, &outs, &policy);
+    for jobs in [1, 2, 3, 8] {
+        let fused = extract_from_acts_jobs(&net, &params, &outs, &policy, jobs);
+        assert!(
+            oracle::bitwise_eq(&fused, &reference),
+            "fused extraction diverged from the multi-pass oracle at jobs={jobs}"
+        );
     }
 }
