@@ -12,7 +12,7 @@ use ola_baselines::{EyerissSim, ZenaSim};
 use ola_bench::bench_prep;
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
-use ola_sim::{SimCache, WorkloadSet};
+use ola_sim::{QuantPolicy, SimCache, WorkloadSet};
 use std::hint::black_box;
 
 fn bench_accel(
@@ -38,7 +38,7 @@ fn bench_accel(
 
 fn benches(c: &mut Criterion) {
     let prep = bench_prep("alexnet");
-    let (ws16, _) = prep.paper_workloads();
+    let ws16 = prep.workloads(&QuantPolicy::olaccel16("alexnet"));
     let tech = TechParams::default();
     let mode = ComparisonMode::Bits16;
 

@@ -3,10 +3,10 @@
 //! normalized to Eyeriss16 — plus the headline reduction percentages the
 //! paper quotes in the abstract.
 
-use crate::prep::{default_scale, prepared, SixWay};
+use crate::prep::{workloads, SixWay};
 use crate::report::{num, pct, table};
 use ola_energy::TechParams;
-use ola_sim::NetworkRun;
+use ola_sim::{NetworkRun, QuantPolicy};
 
 /// Paper anchors: (vs-ZeNA16 energy reduction, vs-ZeNA8 energy reduction).
 fn paper_energy_anchor(network: &str) -> (f64, f64) {
@@ -35,8 +35,9 @@ fn reduction(new: f64, old: f64) -> f64 {
 
 /// Runs the figure for one network and formats the report.
 pub fn run(network: &str, fast: bool) -> String {
-    let prep = prepared(network, default_scale(network, fast));
-    let six = SixWay::run(&prep, &TechParams::default());
+    let ws16 = workloads(network, fast, &QuantPolicy::olaccel16(network));
+    let ws8 = workloads(network, fast, &QuantPolicy::olaccel8(network));
+    let six = SixWay::run(&ws16, &ws8, &TechParams::default());
     render(network, &six)
 }
 
@@ -159,13 +160,18 @@ pub fn totals(six: &SixWay) -> Vec<(String, u64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prep::{Prepared, SixWay};
+    use crate::prep::{PrepCache, SixWay, DEFAULT_SEED};
     use ola_energy::TechParams;
 
     #[test]
     fn six_way_report_renders_and_orders() {
-        let prep = Prepared::new("alexnet", 8);
-        let six = SixWay::run(&prep, &TechParams::default());
+        let cache = PrepCache::new();
+        let ws = |policy| cache.workloads("alexnet", 8, DEFAULT_SEED, &policy);
+        let six = SixWay::run(
+            &ws(QuantPolicy::olaccel16("alexnet")),
+            &ws(QuantPolicy::olaccel8("alexnet")),
+            &TechParams::default(),
+        );
         let r = render("alexnet", &six);
         for label in ["Eyeriss16", "ZeNA8", "OLAccel16", "OLAccel8", "Headline"] {
             assert!(r.contains(label), "missing {label}");

@@ -2,7 +2,7 @@
 //! outlier ratio (0% to 3.5%). The paper: 3.5% outliers cost +20.6% energy
 //! and +10.6% cycles over the 0% baseline while restoring accuracy.
 
-use crate::prep::{default_scale, prepared};
+use crate::prep::workloads;
 use crate::report::{num, pct, table};
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
@@ -13,7 +13,6 @@ pub const RATIOS: [f64; 6] = [0.0, 0.005, 0.01, 0.02, 0.03, 0.035];
 
 /// Computes and formats Fig 14.
 pub fn run(fast: bool) -> String {
-    let prep = prepared("alexnet", default_scale("alexnet", fast));
     let sim = OlAccelSim::new(TechParams::default(), ComparisonMode::Bits16);
 
     let mut base: Option<(f64, f64)> = None;
@@ -21,7 +20,7 @@ pub fn run(fast: bool) -> String {
     for ratio in RATIOS {
         let mut policy = QuantPolicy::olaccel16("alexnet");
         policy.outlier_ratio = ratio;
-        let ws = prep.workloads(&policy);
+        let ws = workloads("alexnet", fast, &policy);
         let run = sim.simulate(&ws);
         let cycles = run.total_cycles() as f64;
         let energy = run.total_energy().total();

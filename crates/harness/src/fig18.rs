@@ -2,7 +2,7 @@
 //! groups across AlexNet's conv layers, next to the non-zero activation
 //! ratio that drives it.
 
-use crate::prep::{default_scale, prepared};
+use crate::prep::workloads;
 use crate::report::{bar, pct, table};
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
@@ -10,8 +10,7 @@ use ola_sim::{LayerKind, QuantPolicy};
 
 /// Computes and formats Fig 18.
 pub fn run(fast: bool) -> String {
-    let prep = prepared("alexnet", default_scale("alexnet", fast));
-    let ws = prep.workloads(&QuantPolicy::olaccel16("alexnet"));
+    let ws = workloads("alexnet", fast, &QuantPolicy::olaccel16("alexnet"));
     let sim = OlAccelSim::new(TechParams::default(), ComparisonMode::Bits16);
     let run = sim.simulate(&ws);
 

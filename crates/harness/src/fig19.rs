@@ -1,7 +1,7 @@
 //! Fig 19: distribution of cycles a PE group spends per A(1x1x16) input
 //! activation chunk, for each AlexNet conv layer.
 
-use crate::prep::{default_scale, prepared};
+use crate::prep::workloads;
 use crate::report::{bar, table};
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
@@ -9,8 +9,7 @@ use ola_sim::{LayerKind, QuantPolicy};
 
 /// Computes and formats Fig 19.
 pub fn run(fast: bool) -> String {
-    let prep = prepared("alexnet", default_scale("alexnet", fast));
-    let ws = prep.workloads(&QuantPolicy::olaccel16("alexnet"));
+    let ws = workloads("alexnet", fast, &QuantPolicy::olaccel16("alexnet"));
     let sim = OlAccelSim::new(TechParams::default(), ComparisonMode::Bits16);
     let run = sim.simulate(&ws);
 

@@ -11,7 +11,7 @@
 //! Every stage is deterministic at any `--jobs` value, so the report is
 //! golden-locked byte-for-byte in CI at two worker counts.
 
-use crate::prep::{default_scale, prepared};
+use crate::prep::workloads;
 use crate::report::{num, pct, table};
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
@@ -24,7 +24,6 @@ pub const RATIO: f64 = 0.03;
 /// Computes and formats the policy panel.
 pub fn run(fast: bool) -> String {
     let t = crate::fig02::trained(fast);
-    let prep = prepared("alexnet", default_scale("alexnet", fast));
     let tech = TechParams::default();
 
     let mut rows = Vec::new();
@@ -40,7 +39,7 @@ pub fn run(fast: bool) -> String {
 
         let mut policy = QuantPolicy::olaccel16("alexnet");
         policy.select = select;
-        let ws = prep.workloads(&policy);
+        let ws = workloads("alexnet", fast, &policy);
         let run = OlAccelSim::new(tech, ComparisonMode::Bits16).simulate(&ws);
         let cycles = run.total_cycles() as f64;
         let energy = run.total_energy().total();

@@ -13,6 +13,13 @@
 //! * [`WorkloadSet`]s, keyed by the same fold plus the policy's
 //!   [`policy_fingerprint`].
 //!
+//! The workload tier is addressed by key alone ([`workloads`],
+//! [`PrepCache::workloads`]): a figure that only consumes workloads never
+//! holds a [`Prepared`], and one is built or loaded only when a workload
+//! set misses both the memory and the disk tier. Only the figures that
+//! read parameters or run forwards themselves (Figs 1 and 16) call
+//! [`prepared`].
+//!
 //! Every entry is computed exactly once per process, so the parallel
 //! experiment engine (`crate::engine`) gets the same bytes in every report
 //! regardless of scheduling order. All randomness is derived from the
@@ -78,15 +85,13 @@ pub struct Prepared {
     pub scale: usize,
     /// Preparation seed (see [`Prepared::with_seed`]).
     pub seed: u64,
-    /// Whether this instance lives in the global cache; if so, workload
-    /// extraction routes through the cache too.
-    cached: bool,
 }
 
 impl Prepared {
     /// Builds and runs a zoo network at the given spatial scale with the
     /// suite's [`DEFAULT_SEED`], bypassing the cache. Prefer [`prepared`]
-    /// inside experiment code so concurrent figures share one synthesis.
+    /// or [`workloads`] inside experiment code so concurrent figures share
+    /// one synthesis.
     pub fn new(network: &str, scale: usize) -> Self {
         Self::with_seed(network, scale, DEFAULT_SEED)
     }
@@ -130,21 +135,18 @@ impl Prepared {
             network: network.to_string(),
             scale,
             seed,
-            cached: false,
         }
     }
 
-    /// Extracts a workload set under `policy`, reusing the forward pass.
+    /// The workload set under `policy`: [`PrepCache::workloads`] of the
+    /// global cache for this instance's `(network, scale, seed)`, except
+    /// that a miss extracts from `self` instead of preparing again.
     ///
-    /// Cache-resident instances (from [`prepared`] / [`PrepCache`]) also
-    /// memoize the extraction per policy; directly-constructed ones extract
-    /// fresh each call.
+    /// The memo is keyed by those three fields and the policy alone, so
+    /// code that edits a `Prepared`'s parameters or activations must call
+    /// [`Prepared::extract`] instead.
     pub fn workloads(&self, policy: &QuantPolicy) -> Arc<WorkloadSet> {
-        if self.cached {
-            PrepCache::global().workloads_for(self, policy)
-        } else {
-            Arc::new(self.extract(policy))
-        }
+        PrepCache::global().workloads_from(&self.network, self.scale, self.seed, policy, Some(self))
     }
 
     /// Uncached workload extraction under `policy`.
@@ -152,14 +154,6 @@ impl Prepared {
         timing::timed(timing::Phase::Extract, || {
             extract_from_acts(&self.net, &self.params, &self.acts, policy)
         })
-    }
-
-    /// Workloads under the paper's standard OLAccel16 / OLAccel8 policies.
-    pub fn paper_workloads(&self) -> (Arc<WorkloadSet>, Arc<WorkloadSet>) {
-        (
-            self.workloads(&QuantPolicy::olaccel16(&self.network)),
-            self.workloads(&QuantPolicy::olaccel8(&self.network)),
-        )
     }
 }
 
@@ -177,6 +171,13 @@ pub(crate) fn zoo_config(scale: usize) -> ZooConfig {
 /// network for `(network, scale)` at the suite's [`DEFAULT_SEED`].
 pub fn prepared(network: &str, scale: usize) -> Arc<Prepared> {
     PrepCache::global().prepared(network, scale, DEFAULT_SEED)
+}
+
+/// Fetches (or extracts, exactly once per process) the shared workload set
+/// of `network` at its [`default_scale`] and the suite's [`DEFAULT_SEED`]
+/// under `policy`.
+pub fn workloads(network: &str, fast: bool, policy: &QuantPolicy) -> Arc<WorkloadSet> {
+    PrepCache::global().workloads(network, default_scale(network, fast), DEFAULT_SEED, policy)
 }
 
 /// A prepared network's record: its identity, parameters and forward
@@ -223,7 +224,6 @@ impl Record for Prepared {
             network,
             scale,
             seed,
-            cached: false,
         })
     }
 }
@@ -332,26 +332,47 @@ impl PrepCache {
     /// count hits.
     pub fn prepared(&self, network: &str, scale: usize, seed: u64) -> Arc<Prepared> {
         let key = prep_key(network, scale, seed).finish();
-        self.prepared.get_with(
-            key,
-            |p| p.cached = true,
-            || Prepared {
-                cached: true,
-                ..Prepared::with_seed(network, scale, seed)
-            },
-        )
+        self.prepared
+            .get(key, || Prepared::with_seed(network, scale, seed))
     }
 
-    /// Fetches or extracts the [`WorkloadSet`] of `prep` under `policy`.
-    pub fn workloads_for(&self, prep: &Prepared, policy: &QuantPolicy) -> Arc<WorkloadSet> {
-        let key = prep_key(&prep.network, prep.scale, prep.seed)
+    /// Fetches or extracts the [`WorkloadSet`] of `(network, scale, seed)`
+    /// under `policy`. Only a miss of both the memory and the disk tier
+    /// touches a [`Prepared`]: it extracts from [`PrepCache::prepared`]'s.
+    pub fn workloads(
+        &self,
+        network: &str,
+        scale: usize,
+        seed: u64,
+        policy: &QuantPolicy,
+    ) -> Arc<WorkloadSet> {
+        self.workloads_from(network, scale, seed, policy, None)
+    }
+
+    /// [`PrepCache::workloads`], extracting from `prep` (when given) on a
+    /// miss.
+    fn workloads_from(
+        &self,
+        network: &str,
+        scale: usize,
+        seed: u64,
+        policy: &QuantPolicy,
+        prep: Option<&Prepared>,
+    ) -> Arc<WorkloadSet> {
+        let key = prep_key(network, scale, seed)
             .u64(policy_fingerprint(policy))
             .finish();
         // Equal-fingerprint policies extract identically, but may differ in
         // f64 bit pattern (-0.0 vs 0.0); a loaded set carries the
         // *requested* policy so it is bit-identical to a cold extraction.
-        self.workloads
-            .get_with(key, |ws| ws.policy = *policy, || prep.extract(policy))
+        self.workloads.get_with(
+            key,
+            |ws| ws.policy = *policy,
+            || match prep {
+                Some(prep) => prep.extract(policy),
+                None => self.prepared(network, scale, seed).extract(policy),
+            },
+        )
     }
 
     /// Snapshots the hit/miss counters.
@@ -394,16 +415,16 @@ pub struct SixWay {
 }
 
 impl SixWay {
-    /// Runs all six configurations on the paper's workloads.
-    pub fn run(prep: &Prepared, tech: &TechParams) -> SixWay {
-        let (ws16, ws8) = prep.paper_workloads();
+    /// Runs all six configurations on the paper's workloads: `ws16` under
+    /// [`QuantPolicy::olaccel16`], `ws8` under [`QuantPolicy::olaccel8`].
+    pub fn run(ws16: &WorkloadSet, ws8: &WorkloadSet, tech: &TechParams) -> SixWay {
         SixWay {
-            eyeriss16: EyerissSim::new(*tech, ComparisonMode::Bits16).simulate(&ws16),
-            eyeriss8: EyerissSim::new(*tech, ComparisonMode::Bits8).simulate(&ws8),
-            zena16: ZenaSim::new(*tech, ComparisonMode::Bits16).simulate(&ws16),
-            zena8: ZenaSim::new(*tech, ComparisonMode::Bits8).simulate(&ws8),
-            olaccel16: OlAccelSim::new(*tech, ComparisonMode::Bits16).simulate(&ws16),
-            olaccel8: OlAccelSim::new(*tech, ComparisonMode::Bits8).simulate(&ws8),
+            eyeriss16: EyerissSim::new(*tech, ComparisonMode::Bits16).simulate(ws16),
+            eyeriss8: EyerissSim::new(*tech, ComparisonMode::Bits8).simulate(ws8),
+            zena16: ZenaSim::new(*tech, ComparisonMode::Bits16).simulate(ws16),
+            zena8: ZenaSim::new(*tech, ComparisonMode::Bits8).simulate(ws8),
+            olaccel16: OlAccelSim::new(*tech, ComparisonMode::Bits16).simulate(ws16),
+            olaccel8: OlAccelSim::new(*tech, ComparisonMode::Bits8).simulate(ws8),
         }
     }
 
@@ -447,8 +468,8 @@ mod tests {
         assert_eq!(s.prepared_hits, 1);
 
         let policy = QuantPolicy::olaccel16("alexnet");
-        let w1 = cache.workloads_for(&a, &policy);
-        let w2 = cache.workloads_for(&b, &policy);
+        let w1 = cache.workloads("alexnet", 8, DEFAULT_SEED, &policy);
+        let w2 = cache.workloads("alexnet", 8, DEFAULT_SEED, &policy);
         assert!(Arc::ptr_eq(&w1, &w2));
         let s = cache.stats();
         assert_eq!(s.workload_misses, 1);
@@ -465,9 +486,8 @@ mod tests {
         assert_eq!(policy_fingerprint(&a), policy_fingerprint(&b));
 
         let cache = PrepCache::new();
-        let prep = cache.prepared("alexnet", 8, DEFAULT_SEED);
-        let w_a = cache.workloads_for(&prep, &a);
-        let w_b = cache.workloads_for(&prep, &b);
+        let w_a = cache.workloads("alexnet", 8, DEFAULT_SEED, &a);
+        let w_b = cache.workloads("alexnet", 8, DEFAULT_SEED, &b);
         assert!(Arc::ptr_eq(&w_a, &w_b), "-0.0 and 0.0 split the cache");
         assert_eq!(cache.stats().workload_misses, 1);
 
@@ -480,18 +500,17 @@ mod tests {
     #[test]
     fn distinct_policies_get_distinct_entries() {
         let cache = PrepCache::new();
-        let prep = cache.prepared("alexnet", 8, DEFAULT_SEED);
         let mut p16 = QuantPolicy::olaccel16("alexnet");
-        let w_a = cache.workloads_for(&prep, &p16);
+        let w_a = cache.workloads("alexnet", 8, DEFAULT_SEED, &p16);
         p16.outlier_ratio = 0.01;
-        let w_b = cache.workloads_for(&prep, &p16);
+        let w_b = cache.workloads("alexnet", 8, DEFAULT_SEED, &p16);
         assert!(!Arc::ptr_eq(&w_a, &w_b));
         assert_eq!(cache.stats().workload_misses, 2);
 
         // The selection rule is part of the identity too: same ratio,
         // different policy, different extraction.
         p16.select = ola_sim::OutlierSelect::WindowedTopK { window: 16 };
-        let w_c = cache.workloads_for(&prep, &p16);
+        let w_c = cache.workloads("alexnet", 8, DEFAULT_SEED, &p16);
         assert!(!Arc::ptr_eq(&w_b, &w_c), "select must key the cache");
         assert_eq!(cache.stats().workload_misses, 3);
     }

@@ -7,12 +7,12 @@
 //! qualitative conclusion — OLAccel wins, driven by memory — should hold
 //! across the whole range; the exact percentage moves.
 
-use crate::prep::{default_scale, prepared};
+use crate::prep::workloads;
 use crate::report::{num, pct, table};
 use ola_baselines::ZenaSim;
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
-use ola_sim::WorkloadSet;
+use ola_sim::{QuantPolicy, WorkloadSet};
 
 fn reduction_with(tech: &TechParams, ws: &WorkloadSet) -> f64 {
     // Sweep points already run in parallel (`run` fans the grid out), so
@@ -25,8 +25,7 @@ fn reduction_with(tech: &TechParams, ws: &WorkloadSet) -> f64 {
 
 /// Runs the sweep and formats the report.
 pub fn run(fast: bool) -> String {
-    let prep = prepared("alexnet", default_scale("alexnet", fast));
-    let (ws16, _) = prep.paper_workloads();
+    let ws16 = workloads("alexnet", fast, &QuantPolicy::olaccel16("alexnet"));
     let base = TechParams::default();
 
     // Materialize the sweep grid first, then evaluate every point in
@@ -78,12 +77,10 @@ pub fn run(fast: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prep::Prepared;
 
     #[test]
     fn advantage_is_robust() {
-        let prep = Prepared::new("alexnet", default_scale("alexnet", true));
-        let (ws16, _) = prep.paper_workloads();
+        let ws16 = workloads("alexnet", true, &QuantPolicy::olaccel16("alexnet"));
         let base = TechParams::default();
         for factor in [0.25, 4.0] {
             let mut t = base;

@@ -33,7 +33,8 @@
 //!
 //! A longer line gets `err request line longer than 4096 bytes` and the
 //! connection is closed, so a client that never sends a newline cannot
-//! grow the daemon's memory.
+//! grow the daemon's memory. A line that is not UTF-8 gets `err request
+//! line is not UTF-8` and the connection keeps serving.
 //!
 //! The payload is byte-framed (never line-framed) so the header can carry
 //! per-request timing without disturbing payload byte-identity: two
@@ -229,15 +230,15 @@ fn handle_connection(server: &Server, stream: UnixStream) {
             let _ = writer.write_all(err.as_bytes());
             return;
         }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            return;
-        };
-        let line = line.trim();
-        if line.is_empty() {
+        let line = std::str::from_utf8(&buf).map(str::trim);
+        if matches!(line, Ok("")) {
             continue;
         }
         server.requests.fetch_add(1, Ordering::Relaxed);
-        let response = respond(server, line);
+        let response = match line {
+            Ok(line) => respond(server, line),
+            Err(_) => b"err request line is not UTF-8\n".to_vec(),
+        };
         if writer
             .write_all(&response)
             .and_then(|()| writer.flush())

@@ -54,4 +54,4 @@ pub use chunks::{OutlierActChunk, WeightChunk, CHUNK_WEIGHTS};
 pub use evalcache::{EvalCache, EvalStats};
 pub use linear::LinearQuantizer;
 pub use outlier::{OutlierQuantized, OutlierQuantizer};
-pub use policy::{OutlierPolicy, OutlierSelect, PolicyQuantizer};
+pub use policy::{OutlierSelect, PolicyQuantizer};

@@ -6,9 +6,10 @@
 //! fixed window) is what makes the hardware's fixed outlier slot cheap, and
 //! sensitivity-weighted metrics (|w| scaled by an activation-scale proxy,
 //! OWQ-style) pick outliers by damage rather than size. This module
-//! abstracts the selection rule behind the [`OutlierPolicy`] trait so the
-//! calibration, workload-extraction and accuracy layers can sweep policies
-//! without touching the quantizers themselves.
+//! makes the selection rule a value, [`OutlierSelect`], whose methods
+//! calibrate and classify, so the calibration, workload-extraction and
+//! accuracy layers can sweep policies without touching the quantizers
+//! themselves.
 //!
 //! Determinism contract (shared with the rest of the pipeline): every
 //! comparison of values or scores goes through [`f32::total_cmp`], so ties
@@ -22,8 +23,21 @@ use crate::linear::LinearQuantizer;
 use ola_tensor::stats::{kth_largest_magnitude, magnitude_threshold};
 
 /// Which outlier-selection rule a pipeline runs under — the plain-data
-/// identity threaded through `ola_sim::QuantPolicy` and cache keys. Use
-/// [`OutlierSelect::policy`] to get the behavior.
+/// identity threaded through `ola_sim::QuantPolicy` and cache keys — and
+/// its behavior: calibrate a score threshold on a value population, then
+/// classify values against it.
+///
+/// The two-step split mirrors the hardware flow (§II): calibration happens
+/// at design time over sample data; classification happens per value at
+/// runtime. [`OutlierSelect::classify`] composes the two for callers whose
+/// calibration population *is* the runtime population (weights).
+///
+/// Threshold conventions: `f32::INFINITY` means "no outliers" (a disabled
+/// policy, e.g. `ratio <= 0`); `f32::NEG_INFINITY` is what window-local
+/// policies return when enabled (there is no global threshold — every
+/// window elects its own outlier). Zeros are never outliers under any
+/// policy: the dense path encodes them for free, so promoting one wastes a
+/// high-precision slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OutlierSelect {
     /// The paper's rule: the top `ratio` fraction of non-zero values by
@@ -58,17 +72,6 @@ impl OutlierSelect {
         }
     }
 
-    /// The behavior behind the identity.
-    pub fn policy(&self) -> Box<dyn OutlierPolicy> {
-        match *self {
-            OutlierSelect::MagnitudePercentile => Box::new(MagnitudePercentile),
-            OutlierSelect::WindowedTopK { window } => Box::new(WindowedTopK { window }),
-            OutlierSelect::SensitivityWeighted { window } => {
-                Box::new(SensitivityWeighted { window })
-            }
-        }
-    }
-
     /// The three-policy panel the `policy-panel` experiment sweeps, with
     /// windows matched to the 16-lane PE-group chunk.
     pub fn panel() -> [OutlierSelect; 3] {
@@ -78,25 +81,6 @@ impl OutlierSelect {
             OutlierSelect::SensitivityWeighted { window: 16 },
         ]
     }
-}
-
-/// An outlier-selection rule: calibrate a score threshold on a value
-/// population, then classify values against it.
-///
-/// The two-step split mirrors the hardware flow (§II): calibration happens
-/// at design time over sample data; classification happens per value at
-/// runtime. [`OutlierPolicy::classify`] composes the two for callers whose
-/// calibration population *is* the runtime population (weights).
-///
-/// Threshold conventions: `f32::INFINITY` means "no outliers" (a disabled
-/// policy, e.g. `ratio <= 0`); `f32::NEG_INFINITY` is what window-local
-/// policies return when enabled (there is no global threshold — every
-/// window elects its own outlier). Zeros are never outliers under any
-/// policy: the dense path encodes them for free, so promoting one wastes a
-/// high-precision slot.
-pub trait OutlierPolicy {
-    /// Short stable name.
-    fn name(&self) -> &'static str;
 
     /// Calibrates the score threshold for `values` at target `ratio`
     /// (fraction of the *non-zero* population, as the paper's activation
@@ -106,121 +90,84 @@ pub trait OutlierPolicy {
     ///
     /// Panics if `ratio` is outside `[0, 1]` (negative ratios are allowed
     /// and mean "disabled", matching `QuantPolicy::outlier_ratio <= 0`).
-    fn calibrate(&self, values: &[f32], ratio: f64) -> f32;
+    pub fn calibrate(&self, values: &[f32], ratio: f64) -> f32 {
+        match *self {
+            OutlierSelect::MagnitudePercentile => {
+                if ratio <= 0.0 {
+                    return f32::INFINITY;
+                }
+                let nonzero: Vec<f32> = values.iter().copied().filter(|&v| v != 0.0).collect();
+                magnitude_threshold(&nonzero, ratio)
+            }
+            OutlierSelect::WindowedTopK { .. } => {
+                assert!(ratio <= 1.0, "ratio must not exceed 1");
+                if ratio <= 0.0 {
+                    f32::INFINITY
+                } else {
+                    f32::NEG_INFINITY
+                }
+            }
+            OutlierSelect::SensitivityWeighted { window } => {
+                assert!(ratio <= 1.0, "ratio must not exceed 1");
+                assert!(window >= 1, "window must be at least 1");
+                if ratio <= 0.0 {
+                    return f32::INFINITY;
+                }
+                let mut scores = Vec::new();
+                for chunk in values.chunks(window) {
+                    let rms = window_rms(chunk);
+                    scores.extend(chunk.iter().filter(|&&v| v != 0.0).map(|&v| v.abs() * rms));
+                }
+                if scores.is_empty() {
+                    return f32::INFINITY;
+                }
+                let k = ((scores.len() as f64 * ratio).ceil() as usize).clamp(1, scores.len());
+                kth_largest_magnitude(&mut scores, k)
+            }
+        }
+    }
 
     /// Classifies every value of `values` against a calibrated threshold;
     /// one flag per value, `true` = outlier.
-    fn classify_with(&self, values: &[f32], threshold: f32) -> Vec<bool>;
-
-    /// Calibrate-and-classify on one population.
-    fn classify(&self, values: &[f32], ratio: f64) -> Vec<bool> {
-        let threshold = self.calibrate(values, ratio);
-        self.classify_with(values, threshold)
-    }
-}
-
-/// The paper's magnitude-percentile rule (see
-/// [`OutlierSelect::MagnitudePercentile`]).
-pub struct MagnitudePercentile;
-
-impl OutlierPolicy for MagnitudePercentile {
-    fn name(&self) -> &'static str {
-        "magnitude"
-    }
-
-    fn calibrate(&self, values: &[f32], ratio: f64) -> f32 {
-        if ratio <= 0.0 {
-            return f32::INFINITY;
-        }
-        let nonzero: Vec<f32> = values.iter().copied().filter(|&v| v != 0.0).collect();
-        magnitude_threshold(&nonzero, ratio)
-    }
-
-    fn classify_with(&self, values: &[f32], threshold: f32) -> Vec<bool> {
-        values
-            .iter()
-            .map(|&v| v != 0.0 && v.abs().total_cmp(&threshold).is_ge())
-            .collect()
-    }
-}
-
-/// Top-1-of-N window-local selection (see [`OutlierSelect::WindowedTopK`]).
-pub struct WindowedTopK {
-    /// Window length in values.
-    pub window: usize,
-}
-
-impl OutlierPolicy for WindowedTopK {
-    fn name(&self) -> &'static str {
-        "windowed-top1"
-    }
-
-    fn calibrate(&self, _values: &[f32], ratio: f64) -> f32 {
-        assert!(ratio <= 1.0, "ratio must not exceed 1");
-        if ratio <= 0.0 {
-            f32::INFINITY
-        } else {
-            f32::NEG_INFINITY
-        }
-    }
-
-    fn classify_with(&self, values: &[f32], threshold: f32) -> Vec<bool> {
-        assert!(self.window >= 1, "window must be at least 1");
-        let mut flags = vec![false; values.len()];
-        if threshold == f32::INFINITY {
-            return flags;
-        }
-        for (w, chunk) in values.chunks(self.window).enumerate() {
-            if let Some(i) = window_top1(chunk) {
-                flags[w * self.window + i] = true;
+    pub fn classify_with(&self, values: &[f32], threshold: f32) -> Vec<bool> {
+        match *self {
+            OutlierSelect::MagnitudePercentile => values
+                .iter()
+                .map(|&v| v != 0.0 && v.abs().total_cmp(&threshold).is_ge())
+                .collect(),
+            OutlierSelect::WindowedTopK { window } => {
+                assert!(window >= 1, "window must be at least 1");
+                let mut flags = vec![false; values.len()];
+                if threshold == f32::INFINITY {
+                    return flags;
+                }
+                for (w, chunk) in values.chunks(window).enumerate() {
+                    if let Some(i) = window_top1(chunk) {
+                        flags[w * window + i] = true;
+                    }
+                }
+                flags
+            }
+            OutlierSelect::SensitivityWeighted { window } => {
+                assert!(window >= 1, "window must be at least 1");
+                let mut flags = Vec::with_capacity(values.len());
+                for chunk in values.chunks(window) {
+                    let rms = window_rms(chunk);
+                    flags.extend(
+                        chunk
+                            .iter()
+                            .map(|&v| v != 0.0 && (v.abs() * rms).total_cmp(&threshold).is_ge()),
+                    );
+                }
+                flags
             }
         }
-        flags
-    }
-}
-
-/// |v| x window-RMS sensitivity scoring (see
-/// [`OutlierSelect::SensitivityWeighted`]).
-pub struct SensitivityWeighted {
-    /// Window length for the RMS activation-scale proxy.
-    pub window: usize,
-}
-
-impl OutlierPolicy for SensitivityWeighted {
-    fn name(&self) -> &'static str {
-        "sensitivity"
     }
 
-    fn calibrate(&self, values: &[f32], ratio: f64) -> f32 {
-        assert!(ratio <= 1.0, "ratio must not exceed 1");
-        assert!(self.window >= 1, "window must be at least 1");
-        if ratio <= 0.0 {
-            return f32::INFINITY;
-        }
-        let mut scores = Vec::new();
-        for chunk in values.chunks(self.window) {
-            let rms = window_rms(chunk);
-            scores.extend(chunk.iter().filter(|&&v| v != 0.0).map(|&v| v.abs() * rms));
-        }
-        if scores.is_empty() {
-            return f32::INFINITY;
-        }
-        let k = ((scores.len() as f64 * ratio).ceil() as usize).clamp(1, scores.len());
-        kth_largest_magnitude(&mut scores, k)
-    }
-
-    fn classify_with(&self, values: &[f32], threshold: f32) -> Vec<bool> {
-        assert!(self.window >= 1, "window must be at least 1");
-        let mut flags = Vec::with_capacity(values.len());
-        for chunk in values.chunks(self.window) {
-            let rms = window_rms(chunk);
-            flags.extend(
-                chunk
-                    .iter()
-                    .map(|&v| v != 0.0 && (v.abs() * rms).total_cmp(&threshold).is_ge()),
-            );
-        }
-        flags
+    /// Calibrate-and-classify on one population.
+    pub fn classify(&self, values: &[f32], ratio: f64) -> Vec<bool> {
+        let threshold = self.calibrate(values, ratio);
+        self.classify_with(values, threshold)
     }
 }
 
@@ -290,9 +237,8 @@ impl PolicyQuantizer {
         if !abs_max.is_finite() || abs_max <= 0.0 {
             return None;
         }
-        let policy = select.policy();
-        let threshold = policy.calibrate(values, ratio);
-        let flags = policy.classify_with(values, threshold);
+        let threshold = select.calibrate(values, ratio);
+        let flags = select.classify_with(values, threshold);
         let mut low_span = 0.0_f32;
         for (&v, &f) in values.iter().zip(&flags) {
             if !f {
@@ -317,7 +263,7 @@ impl PolicyQuantizer {
         self.select
     }
 
-    /// The calibrated score threshold (see [`OutlierPolicy`] conventions).
+    /// The calibrated score threshold (see [`OutlierSelect`] conventions).
     pub fn threshold(&self) -> f32 {
         self.threshold
     }
@@ -334,7 +280,7 @@ impl PolicyQuantizer {
 
     /// Classifies a runtime slice against the calibrated threshold.
     pub fn classify(&self, values: &[f32]) -> Vec<bool> {
-        self.select.policy().classify_with(values, self.threshold)
+        self.select.classify_with(values, self.threshold)
     }
 
     /// Quantize-dequantize in place; returns how many values took the
@@ -365,13 +311,13 @@ mod tests {
     #[test]
     fn magnitude_matches_threshold_semantics() {
         let values: Vec<f32> = (1..=100).map(|i| i as f32).collect();
-        let flags = MagnitudePercentile.classify(&values, 0.03);
+        let flags = OutlierSelect::MagnitudePercentile.classify(&values, 0.03);
         assert_eq!(count(&flags), 3);
         assert!(flags[97] && flags[98] && flags[99]);
         // Zeros dilute nothing: the ratio is over non-zeros.
         let mut with_zeros = vec![0.0_f32; 100];
         with_zeros.extend(&values);
-        let flags = MagnitudePercentile.classify(&with_zeros, 0.03);
+        let flags = OutlierSelect::MagnitudePercentile.classify(&with_zeros, 0.03);
         assert_eq!(count(&flags), 3);
         assert!(!flags[0], "zero can never be an outlier");
     }
@@ -385,7 +331,7 @@ mod tests {
             3.0, 3.0, -3.0, 1.0, // tie on |3.0| -> lowest index 8
             0.5, -2.0, // short window: index 13
         ];
-        let flags = WindowedTopK { window: 4 }.classify(&values, 0.03);
+        let flags = OutlierSelect::WindowedTopK { window: 4 }.classify(&values, 0.03);
         let marked: Vec<usize> = (0..values.len()).filter(|&i| flags[i]).collect();
         assert_eq!(marked, vec![1, 8, 13]);
     }
@@ -394,7 +340,7 @@ mod tests {
     fn windowed_density_is_ceil_n_over_window() {
         for (n, window) in [(64usize, 16usize), (65, 16), (7, 3), (16, 16), (1, 4)] {
             let values: Vec<f32> = (0..n).map(|i| 1.0 + i as f32).collect();
-            let flags = WindowedTopK { window }.classify(&values, 0.5);
+            let flags = OutlierSelect::WindowedTopK { window }.classify(&values, 0.5);
             assert_eq!(count(&flags), n.div_ceil(window), "n={n} window={window}");
         }
     }
@@ -403,7 +349,7 @@ mod tests {
     fn disabled_ratio_turns_every_policy_off() {
         let values = [1.0_f32, -9.0, 4.0, 0.0];
         for select in OutlierSelect::panel() {
-            let flags = select.policy().classify(&values, 0.0);
+            let flags = select.classify(&values, 0.0);
             assert_eq!(count(&flags), 0, "{}", select.name());
         }
     }
@@ -417,7 +363,7 @@ mod tests {
             2.0_f32, 1.9, 1.9, 1.9, // loud window
             2.0, 0.01, 0.01, 0.01, // quiet window
         ];
-        let flags = SensitivityWeighted { window: 4 }.classify(&values, 0.125); // k = 1
+        let flags = OutlierSelect::SensitivityWeighted { window: 4 }.classify(&values, 0.125); // k = 1
         assert!(flags[0]);
         assert!(!flags[4]);
     }
@@ -427,18 +373,18 @@ mod tests {
         // Identical windows: the k-th score is bit-equal across all four
         // candidates, and >= (total order) marks every tied value.
         let values = [3.0_f32, 1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0];
-        let flags = SensitivityWeighted { window: 2 }.classify(&values, 0.25); // k = 2 of 8 nonzero
+        let flags = OutlierSelect::SensitivityWeighted { window: 2 }.classify(&values, 0.25); // k = 2 of 8 nonzero
         assert_eq!(count(&flags), 4, "tied scores must classify identically");
     }
 
     #[test]
     fn nan_wins_its_window_deterministically() {
         let values = [1.0_f32, f32::NAN, 9.0, 2.0];
-        let flags = WindowedTopK { window: 4 }.classify(&values, 0.5);
+        let flags = OutlierSelect::WindowedTopK { window: 4 }.classify(&values, 0.5);
         assert!(flags[1], "NaN magnitude orders above +inf");
         assert_eq!(count(&flags), 1);
         // Magnitude-percentile puts the NaN in the top slot too.
-        let flags = MagnitudePercentile.classify(&values, 0.25);
+        let flags = OutlierSelect::MagnitudePercentile.classify(&values, 0.25);
         assert!(flags[1]);
         assert_eq!(count(&flags), 1);
     }
@@ -447,7 +393,7 @@ mod tests {
     fn negative_zero_is_never_an_outlier() {
         let values = [-0.0_f32, 5.0, -0.0, 1.0];
         for select in OutlierSelect::panel() {
-            let flags = select.policy().classify(&values, 0.5);
+            let flags = select.classify(&values, 0.5);
             assert!(!flags[0] && !flags[2], "{}", select.name());
         }
     }
@@ -484,12 +430,5 @@ mod tests {
         assert!(PolicyQuantizer::fit(&[], 0.03, select, 4, 8).is_none());
         assert!(PolicyQuantizer::fit(&[0.0, -0.0], 0.03, select, 4, 8).is_none());
         assert!(PolicyQuantizer::fit(&[f32::NAN], 0.03, select, 4, 8).is_none());
-    }
-
-    #[test]
-    fn names_are_stable() {
-        for select in OutlierSelect::panel() {
-            assert_eq!(select.name(), select.policy().name());
-        }
     }
 }

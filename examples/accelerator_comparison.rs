@@ -7,13 +7,17 @@
 
 use ola_energy::TechParams;
 use ola_harness::fig11_13;
-use ola_harness::prep::{default_scale, Prepared, SixWay};
+use ola_harness::prep::{default_scale, workloads, SixWay};
+use ola_sim::QuantPolicy;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    let scale = default_scale("alexnet", !full);
+    let fast = !std::env::args().any(|a| a == "--full");
+    let scale = default_scale("alexnet", fast);
     println!("preparing AlexNet workloads at 1/{scale} resolution...");
-    let prep = Prepared::new("alexnet", scale);
-    let six = SixWay::run(&prep, &TechParams::default());
+    let six = SixWay::run(
+        &workloads("alexnet", fast, &QuantPolicy::olaccel16("alexnet")),
+        &workloads("alexnet", fast, &QuantPolicy::olaccel8("alexnet")),
+        &TechParams::default(),
+    );
     println!("{}", fig11_13::render("alexnet", &six));
 }

@@ -33,9 +33,9 @@ fn two_figures_share_one_preparation() {
         after_second.prepared_misses, 1,
         "second figure must reuse the prepared network, not rebuild it"
     );
-    assert!(
-        after_second.prepared_hits >= 1,
-        "second figure should register a prepared-network cache hit"
+    assert_eq!(
+        after_second.prepared_hits, after_first.prepared_hits,
+        "second figure must not touch the prepared tier at all"
     );
     assert_eq!(
         after_second.workload_misses, 1,

@@ -1,8 +1,8 @@
 //! In-process smoke test of the `serve` daemon: two concurrent identical
 //! requests coalesce onto one computation and receive byte-identical
-//! payloads, the protocol's small commands answer, bad names and overlong
-//! lines get `err` without taking the daemon down, and `shutdown` drains
-//! cleanly and removes the socket.
+//! payloads, the protocol's small commands answer, bad names, overlong
+//! lines and non-UTF-8 lines get `err` without taking the daemon down, and
+//! `shutdown` drains cleanly and removes the socket.
 //!
 //! This file holds a single `#[test]` on purpose — the daemon runs
 //! experiments through the global [`ola_harness::prep::PrepCache`] and the
@@ -131,13 +131,30 @@ fn daemon_coalesces_and_shuts_down_cleanly() {
     let (h, _) = roundtrip(&socket, "ping");
     assert_eq!(h, "ok pong");
 
+    // A line that is not UTF-8 is counted and answered, and the same
+    // connection keeps serving.
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    stream.write_all(b"run \xff\xfe\nping\n").unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut header = String::new();
+    reader.read_line(&mut header).unwrap();
+    assert_eq!(header, "err request line is not UTF-8\n");
+    header.clear();
+    reader.read_line(&mut header).unwrap();
+    assert_eq!(header, "ok pong\n");
+    // An open connection would hold up shutdown's drain.
+    drop(reader);
+
     let (h, _) = roundtrip(&socket, "shutdown");
     assert_eq!(h, "ok shutting-down");
     let summary = server
         .join()
         .expect("server thread must not panic")
         .expect("serve must exit cleanly");
-    assert!(summary.requests >= 8, "got {summary:?}");
+    assert_eq!(
+        summary.requests, 14,
+        "every request line counts: {summary:?}"
+    );
     assert_eq!(summary.coalesced, 2, "one racer + one replay: {summary:?}");
     assert!(!socket.exists(), "socket file must be removed on shutdown");
 }

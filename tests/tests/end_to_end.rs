@@ -5,11 +5,15 @@
 use ola_baselines::{EyerissSim, ZenaSim};
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
-use ola_harness::prep::{Prepared, SixWay};
+use ola_harness::prep::{workloads, SixWay};
+use ola_sim::QuantPolicy;
 
 fn alexnet_six() -> SixWay {
-    let prep = Prepared::new("alexnet", 4);
-    SixWay::run(&prep, &TechParams::default())
+    SixWay::run(
+        &workloads("alexnet", true, &QuantPolicy::olaccel16("alexnet")),
+        &workloads("alexnet", true, &QuantPolicy::olaccel8("alexnet")),
+        &TechParams::default(),
+    )
 }
 
 #[test]
@@ -84,8 +88,7 @@ fn utilization_totals_are_consistent() {
 fn resnet18_first_layer_is_half_of_olaccel16() {
     // Fig 13: C1 occupies ~half of OLAccel16's total on ResNet-18 (8-bit
     // weights x 16-bit acts = 8 passes).
-    let prep = Prepared::new("resnet18", 8);
-    let (ws16, _) = prep.paper_workloads();
+    let ws16 = workloads("resnet18", true, &QuantPolicy::olaccel16("resnet18"));
     let run = OlAccelSim::new(TechParams::default(), ComparisonMode::Bits16).simulate(&ws16);
     let conv1 = run.layers[0].cycles as f64;
     let share = conv1 / run.total_cycles() as f64;
@@ -98,8 +101,7 @@ fn resnet18_first_layer_is_half_of_olaccel16() {
 #[test]
 fn eyeriss_and_zena_agree_on_total_work() {
     // ZeNA's effective MACs never exceed the dense MAC count Eyeriss runs.
-    let prep = Prepared::new("alexnet", 4);
-    let (ws16, _) = prep.paper_workloads();
+    let ws16 = workloads("alexnet", true, &QuantPolicy::olaccel16("alexnet"));
     let tech = TechParams::default();
     let ez = ZenaSim::new(tech, ComparisonMode::Bits16);
     let ee = EyerissSim::new(tech, ComparisonMode::Bits16);

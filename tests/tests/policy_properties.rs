@@ -1,7 +1,7 @@
 //! Differential-testing harness for the outlier-selection policies.
 //!
 //! Three independent implementations of each selection rule exist in the
-//! tree: the [`ola_quant::OutlierPolicy`] trait objects (flat slices), the
+//! tree: the [`ola_quant::OutlierSelect`] methods (flat slices), the
 //! band-major grid kernel behind [`ola_sim::workload::grid_chunk_stats`]
 //! and workload extraction, and the retained serial multi-pass oracle in
 //! [`ola_integration::oracle`]. This file adds a fourth — naive
@@ -9,7 +9,7 @@
 //! fusion, no parallelism) — and pins all of them to each other:
 //!
 //! 1. `MagnitudePercentile` is the pre-trait pipeline, bit for bit: the
-//!    trait's threshold and classification equal `OutlierQuantizer::fit` +
+//!    policy's threshold and classification equal `OutlierQuantizer::fit` +
 //!    `is_outlier` on the same population, and full extraction equals the
 //!    retained pre-trait oracle over random shapes, ratios, and worker
 //!    counts.
@@ -324,7 +324,7 @@ proptest! {
         values in prop::collection::vec(value(), 1..300),
         ratio in 0.0f64..=0.5,
     ) {
-        // The refactor's core promise: the MagnitudePercentile trait object
+        // The refactor's core promise: `OutlierSelect::MagnitudePercentile`
         // computes the same threshold `OutlierQuantizer::fit` computes on
         // the non-zero population, and classifies every value exactly as
         // `is_outlier` does (zeros excluded). Threshold equality is on the
@@ -335,13 +335,13 @@ proptest! {
             return Ok(());
         }
         let nonzero: Vec<f32> = values.iter().copied().filter(|&v| v != 0.0).collect();
-        let policy = OutlierSelect::MagnitudePercentile.policy();
+        let policy = OutlierSelect::MagnitudePercentile;
         let t = policy.calibrate(&values, ratio);
         if t.is_nan() {
             // The top-k was all NaN magnitudes. The pre-trait
             // `OutlierQuantizer` rejects such populations by contract
             // (`with_threshold` asserts a positive threshold), so only the
-            // trait side is checked: exactly the NaN values tie with a NaN
+            // policy side is checked: exactly the NaN values tie with a NaN
             // threshold under `total_cmp`.
             let flags = policy.classify_with(&values, t);
             for (i, &v) in values.iter().enumerate() {
@@ -369,7 +369,7 @@ proptest! {
         window in 1usize..=9,
     ) {
         let select = select_from(sel, window);
-        let flags = select.policy().classify(&values, ratio);
+        let flags = select.classify(&values, ratio);
         let reference = naive::classify(select, &values, ratio);
         prop_assert_eq!(flags, reference, "{} diverged from naive oracle", select.name());
     }
@@ -387,7 +387,7 @@ proptest! {
         // the density is exactly ceil(n / window) — independent of the
         // requested ratio (any positive ratio enables the policy).
         let select = OutlierSelect::WindowedTopK { window };
-        let flags = select.policy().classify(&values, ratio);
+        let flags = select.classify(&values, ratio);
         let count = flags.iter().filter(|&&f| f).count();
         prop_assert_eq!(count, values.len().div_ceil(window));
         // Chunk-local: exactly one winner inside each window.
@@ -408,7 +408,7 @@ proptest! {
         // With zeros present the exact density statement generalizes: one
         // outlier per window that contains at least one non-zero value.
         let select = OutlierSelect::WindowedTopK { window };
-        let flags = select.policy().classify(&values, 0.05);
+        let flags = select.classify(&values, 0.05);
         let count = flags.iter().filter(|&&f| f).count();
         let live = values
             .chunks(window)
@@ -529,7 +529,7 @@ fn nan_is_an_outlier_under_every_policy() {
         OutlierSelect::WindowedTopK { window: 8 },
         OutlierSelect::SensitivityWeighted { window: 8 },
     ] {
-        let flags = select.policy().classify(&values, 0.05);
+        let flags = select.classify(&values, 0.05);
         assert!(flags[7], "{}: NaN not classified as outlier", select.name());
         assert_eq!(
             flags,
@@ -550,7 +550,7 @@ fn negative_zero_is_never_an_outlier() {
         OutlierSelect::WindowedTopK { window: 2 },
         OutlierSelect::SensitivityWeighted { window: 2 },
     ] {
-        let flags = select.policy().classify(&values, 1.0);
+        let flags = select.classify(&values, 1.0);
         assert_eq!(
             flags,
             vec![false, true, false, true, false, true],
@@ -567,23 +567,17 @@ fn constant_slices_classify_every_tie_identically() {
     // every one of them; windowed selection still elects exactly one per
     // window (lowest index).
     let values = [1.5f32; 33];
-    let mag = OutlierSelect::MagnitudePercentile
-        .policy()
-        .classify(&values, 0.1);
+    let mag = OutlierSelect::MagnitudePercentile.classify(&values, 0.1);
     assert!(
         mag.iter().all(|&f| f),
         "magnitude split a bit-identical tie"
     );
-    let sens = OutlierSelect::SensitivityWeighted { window: 8 }
-        .policy()
-        .classify(&values, 0.1);
+    let sens = OutlierSelect::SensitivityWeighted { window: 8 }.classify(&values, 0.1);
     assert!(
         sens.iter().all(|&f| f),
         "sensitivity split a bit-identical tie"
     );
-    let win = OutlierSelect::WindowedTopK { window: 8 }
-        .policy()
-        .classify(&values, 0.1);
+    let win = OutlierSelect::WindowedTopK { window: 8 }.classify(&values, 0.1);
     let winners: Vec<usize> = win
         .iter()
         .enumerate()
@@ -601,12 +595,12 @@ fn empty_and_all_zero_slices_are_quietly_disabled() {
         OutlierSelect::SensitivityWeighted { window: 4 },
     ] {
         assert!(
-            select.policy().classify(&[], 0.1).is_empty(),
+            select.classify(&[], 0.1).is_empty(),
             "{}: empty slice",
             select.name()
         );
         let zeros = [0.0f32, -0.0, 0.0, -0.0, 0.0];
-        let flags = select.policy().classify(&zeros, 0.1);
+        let flags = select.classify(&zeros, 0.1);
         // An all-zero window has no top-1; an all-zero population has no
         // threshold. Nothing classifies.
         assert!(

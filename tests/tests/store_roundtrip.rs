@@ -6,7 +6,8 @@
 //!
 //! Each test uses its own [`ola_harness::prep::PrepCache`] instance and its
 //! own store directory, so they are independent of the global cache and of
-//! each other.
+//! each other. The write race re-runs this test binary as two writer
+//! processes.
 
 use ola_harness::prep::{PrepCache, Prepared, DEFAULT_SEED};
 use ola_integration::oracle::bitwise_eq;
@@ -20,8 +21,10 @@ use ola_tensor::memo::{fnv1a64, Persist};
 use ola_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// A unique scratch directory per call (parallel tests never collide).
 fn scratch(tag: &str) -> PathBuf {
@@ -52,7 +55,7 @@ fn second_process_loads_instead_of_computing() {
     let cold = PrepCache::new();
     cold.set_store(open(&dir));
     let prep_cold = cold.prepared(NET, SCALE, DEFAULT_SEED);
-    let ws_cold = cold.workloads_for(&prep_cold, &policy);
+    let ws_cold = cold.workloads(NET, SCALE, DEFAULT_SEED, &policy);
     let s = cold.stats();
     assert_eq!(s.prepared_misses, 1, "cold run must synthesize");
     assert_eq!(s.workload_misses, 1, "cold run must extract");
@@ -71,7 +74,7 @@ fn second_process_loads_instead_of_computing() {
     let warm = PrepCache::new();
     warm.set_store(open(&dir));
     let prep_warm = warm.prepared(NET, SCALE, DEFAULT_SEED);
-    let ws_warm = warm.workloads_for(&prep_warm, &policy);
+    let ws_warm = warm.workloads(NET, SCALE, DEFAULT_SEED, &policy);
     let s = warm.stats();
     assert_eq!(s.disk_hits, 2, "warm run must load both artifacts");
     assert_eq!(s.disk_misses, 0);
@@ -101,8 +104,8 @@ fn corrupt_artifact_warns_and_recomputes() {
 
     let cold = PrepCache::new();
     cold.set_store(open(&dir));
-    let prep_cold = cold.prepared(NET, SCALE, DEFAULT_SEED);
-    let ws_cold = cold.workloads_for(&prep_cold, &policy);
+    let _ = cold.prepared(NET, SCALE, DEFAULT_SEED);
+    let ws_cold = cold.workloads(NET, SCALE, DEFAULT_SEED, &policy);
 
     // Flip one payload byte in every artifact: checksums must catch it.
     for entry in std::fs::read_dir(&dir).unwrap() {
@@ -115,8 +118,8 @@ fn corrupt_artifact_warns_and_recomputes() {
 
     let hurt = PrepCache::new();
     hurt.set_store(open(&dir));
-    let prep = hurt.prepared(NET, SCALE, DEFAULT_SEED);
-    let ws = hurt.workloads_for(&prep, &policy);
+    let _ = hurt.prepared(NET, SCALE, DEFAULT_SEED);
+    let ws = hurt.workloads(NET, SCALE, DEFAULT_SEED, &policy);
     let s = hurt.stats();
     assert_eq!(s.disk_hits, 0, "corrupt artifacts must never load");
     assert_eq!(s.disk_misses, 2);
@@ -130,9 +133,86 @@ fn corrupt_artifact_warns_and_recomputes() {
     // The recompute wrote fresh artifacts back; a third cache loads again.
     let healed = PrepCache::new();
     healed.set_store(open(&dir));
-    let prep = healed.prepared(NET, SCALE, DEFAULT_SEED);
-    let _ = healed.workloads_for(&prep, &policy);
+    let _ = healed.prepared(NET, SCALE, DEFAULT_SEED);
+    let _ = healed.workloads(NET, SCALE, DEFAULT_SEED, &policy);
     assert_eq!(healed.stats().disk_hits, 2, "write-through must self-heal");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `(prepared_misses, workload_misses, disk_hits, disk_misses)`
+/// counters of `cache`.
+fn tier_counts(cache: &PrepCache) -> (u64, u64, u64, u64) {
+    let s = cache.stats();
+    (
+        s.prepared_misses,
+        s.workload_misses,
+        s.disk_hits,
+        s.disk_misses,
+    )
+}
+
+/// A warm workload request is served by its own record: the prepared
+/// network it was extracted from is neither loaded nor built.
+#[test]
+fn warm_workloads_never_touch_the_prepared_tier() {
+    let dir = scratch("keyonly");
+    let policy = QuantPolicy::olaccel16(NET);
+    let cold = PrepCache::new();
+    cold.set_store(open(&dir));
+    let ws_cold = cold.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    assert_eq!(tier_counts(&cold), (1, 1, 0, 2), "cold run builds both");
+
+    let warm = PrepCache::new();
+    warm.set_store(open(&dir));
+    let ws = warm.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    assert_eq!(tier_counts(&warm), (0, 0, 1, 0));
+    assert_eq!(warm.stats().prepared_hits, 0, "no prepared lookup at all");
+    assert!(bitwise_eq(&ws, &ws_cold));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With only the workload record corrupt, the miss extracts once from the
+/// *loaded* preparation (no synthesis) and writes a healed record back.
+#[test]
+fn corrupt_workload_record_extracts_from_the_stored_preparation() {
+    let dir = scratch("ws-corrupt");
+    let policy = QuantPolicy::olaccel16(NET);
+    let cold = PrepCache::new();
+    cold.set_store(open(&dir));
+    let ws_cold = cold.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+
+    let ws_path = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            name.starts_with(&format!("{}-", WorkloadSet::PREFIX))
+        })
+        .expect("the cold run wrote a workload record");
+    let mut bytes = std::fs::read(&ws_path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    std::fs::write(&ws_path, bytes).unwrap();
+
+    let hurt = PrepCache::new();
+    hurt.set_store(open(&dir));
+    let ws = hurt.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    assert_eq!(
+        tier_counts(&hurt),
+        (0, 1, 1, 1),
+        "load the preparation, extract once"
+    );
+    assert!(
+        bitwise_eq(&ws, &ws_cold),
+        "recompute must match the cold set"
+    );
+
+    let healed = PrepCache::new();
+    healed.set_store(open(&dir));
+    let _ = healed.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    assert_eq!(tier_counts(&healed), (0, 0, 1, 0), "write-through heals");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -218,13 +298,13 @@ fn loaded_workloads_carry_the_requested_policy_bits() {
 
     let cold = PrepCache::new();
     cold.set_store(open(&dir));
-    let prep = cold.prepared(NET, SCALE, DEFAULT_SEED);
-    let _ = cold.workloads_for(&prep, &zero);
+    let _ = cold.prepared(NET, SCALE, DEFAULT_SEED);
+    let _ = cold.workloads(NET, SCALE, DEFAULT_SEED, &zero);
 
     let warm = PrepCache::new();
     warm.set_store(open(&dir));
-    let prep = warm.prepared(NET, SCALE, DEFAULT_SEED);
-    let ws = warm.workloads_for(&prep, &neg_zero);
+    let _ = warm.prepared(NET, SCALE, DEFAULT_SEED);
+    let ws = warm.workloads(NET, SCALE, DEFAULT_SEED, &neg_zero);
     let s = warm.stats();
     assert_eq!((s.workload_misses, s.disk_hits), (0, 2), "no extraction");
     let workload_files = std::fs::read_dir(&dir)
@@ -337,6 +417,94 @@ fn every_record_kind_rejects_flipped_and_truncated_files() {
     assert_flips_and_prefixes_rejected(&store, &s.event);
     assert_flips_and_prefixes_rejected(&store, &s.eval);
     assert_flips_and_prefixes_rejected(&store, &s.surrogate);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Names the writer role when this test binary re-runs itself as a child
+/// of [`two_processes_racing_on_one_key_never_tear`]; the value is the
+/// store directory.
+const RACE_WRITER_ENV: &str = "OLA_STORE_RACE_WRITER";
+const RACE_KEY: u64 = 0x5eed;
+/// Created in the store directory to stop the writers.
+const RACE_STOP: &str = "stop";
+
+/// The record both racing writers store: a few hundred layers, so a torn
+/// write would be visible to a reader.
+fn race_record() -> WorkloadSet {
+    let mut ws = sample_workloads();
+    let layer = ws.layers[0].clone();
+    ws.layers = (0..256)
+        .map(|index| LayerWorkload {
+            index,
+            ..layer.clone()
+        })
+        .collect();
+    ws
+}
+
+struct StopWriters(PathBuf);
+
+impl Drop for StopWriters {
+    fn drop(&mut self) {
+        let _ = std::fs::write(&self.0, b"");
+    }
+}
+
+/// Two processes `put` the same record under one key in a loop while this
+/// one reads it. Every read is absent or the bit-identical record — the
+/// temporary-file + `rename` commit never exposes a torn file — and no
+/// temporary file outlives its writer.
+#[test]
+fn two_processes_racing_on_one_key_never_tear() {
+    let record = race_record();
+    if let Ok(dir) = std::env::var(RACE_WRITER_ENV) {
+        let dir = PathBuf::from(dir);
+        let store = ArtifactStore::open(&dir).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !dir.join(RACE_STOP).exists() && Instant::now() < deadline {
+            store.put(RACE_KEY, &record).unwrap();
+        }
+        return;
+    }
+    let dir = scratch("race");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let spawn = || {
+        Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "two_processes_racing_on_one_key_never_tear"])
+            .env(RACE_WRITER_ENV, &dir)
+            .stdout(Stdio::null())
+            .spawn()
+            .unwrap()
+    };
+    let mut writers = [spawn(), spawn()];
+    // Stops the writers however this test ends.
+    let stop = StopWriters(dir.join(RACE_STOP));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut found = 0;
+    while found < 200 {
+        assert!(
+            Instant::now() < deadline,
+            "only {found} reads found the record"
+        );
+        match store.get::<WorkloadSet>(RACE_KEY) {
+            Ok(None) => {}
+            Ok(Some(back)) => {
+                assert!(bitwise_eq(&back, &record), "read {found} differs");
+                found += 1;
+            }
+            Err(e) => panic!("a read failed while two processes wrote: {e}"),
+        }
+    }
+    drop(stop);
+    for w in &mut writers {
+        assert!(w.wait().unwrap().success(), "a writer process failed");
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|f| f.starts_with(".tmp-"))
+        .collect();
+    assert!(leftovers.is_empty(), "temporary files left: {leftovers:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
