@@ -1,12 +1,12 @@
 //! Eyeriss model: dense row-stationary execution with zero-gating.
 
-use ola_energy::config::{AcceleratorConfig, ComparisonMode, MemoryConfig};
-use ola_energy::dram::dram_energy;
+use ola_energy::config::{AcceleratorConfig, AcceleratorKind, ComparisonMode};
 use ola_energy::mac::{gated_mac_energy, mac_energy};
 use ola_energy::sram::Sram;
-use ola_energy::{EnergyBreakdown, TechParams};
-use ola_sim::traffic::{buffer_traffic_bits, dense_act_bits, dense_out_bits, dense_weight_bits};
-use ola_sim::{LayerRun, LayerWorkload, NetworkRun, Utilization, WorkloadSet};
+use ola_energy::TechParams;
+use ola_sim::traffic::dense_bits;
+use ola_sim::{Accelerator, DatapathRun, LayerModel, LayerWorkload, Utilization};
+use ola_tensor::memo::Fingerprint;
 
 /// Model calibration knobs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -46,184 +46,90 @@ pub fn rs_utilization(kernel: usize, out_h: usize) -> f64 {
     (r * e * vertical * horizontal) as f64 / (ARRAY_ROWS * ARRAY_COLS) as f64
 }
 
-/// The Eyeriss simulator for one comparison mode.
-#[derive(Clone, Debug)]
-pub struct EyerissSim {
-    tech: TechParams,
-    config: AcceleratorConfig,
-    tuning: EyerissTuning,
-}
+/// The Eyeriss simulator for one comparison mode: the shared generic simulator over
+/// [`EyerissTuning`]'s physics. `new` builds the 165-PE configuration.
+///
+/// # Example
+///
+/// ```
+/// use ola_baselines::EyerissSim;
+/// use ola_energy::{ComparisonMode, TechParams};
+///
+/// let sim = EyerissSim::new(TechParams::default(), ComparisonMode::Bits8);
+/// assert_eq!(sim.config().pe_count, 165);
+/// assert_eq!(sim.label(), "Eyeriss8");
+/// ```
+pub type EyerissSim = Accelerator<EyerissTuning>;
 
-impl EyerissSim {
-    /// Builds the 165-PE configuration for `mode`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ola_baselines::EyerissSim;
-    /// use ola_energy::{ComparisonMode, TechParams};
-    ///
-    /// let sim = EyerissSim::new(TechParams::default(), ComparisonMode::Bits8);
-    /// assert_eq!(sim.config().pe_count, 165);
-    /// assert_eq!(sim.label(), "Eyeriss8");
-    /// ```
-    pub fn new(tech: TechParams, mode: ComparisonMode) -> Self {
-        EyerissSim {
-            config: AcceleratorConfig::eyeriss(&tech, mode),
-            tech,
-            tuning: EyerissTuning::default(),
-        }
+impl LayerModel for EyerissTuning {
+    const KIND: AcceleratorKind = AcceleratorKind::Eyeriss;
+
+    fn fold_tuning(&self, fp: &mut Fingerprint) {
+        fp.f64(self.mapping_utilization).u64(self.spad_bits);
     }
 
-    /// Overrides the tuning.
-    pub fn with_tuning(mut self, tuning: EyerissTuning) -> Self {
-        self.tuning = tuning;
-        self
+    /// Dense full-precision tensors.
+    fn traffic_bits(&self, l: &LayerWorkload, mode: ComparisonMode) -> [u64; 3] {
+        dense_bits(l, mode.bits())
     }
 
-    /// The resolved configuration.
-    pub fn config(&self) -> &AcceleratorConfig {
-        &self.config
-    }
-
-    /// Display label, e.g. `"Eyeriss16"`.
-    pub fn label(&self) -> String {
-        format!("Eyeriss{}", self.config.mode.bits())
-    }
-
-    /// Simulates one layer: every MAC executes (dense), zeros only gate.
-    pub fn simulate_layer(&self, l: &LayerWorkload, mem: &MemoryConfig) -> LayerRun {
-        let pes = self.config.pe_count as f64;
-        let util = rs_utilization(l.kernel, l.out_shape.h) * self.tuning.mapping_utilization;
+    /// Every MAC executes (dense); zeros only gate.
+    fn datapath(
+        &self,
+        tech: &TechParams,
+        config: &AcceleratorConfig,
+        l: &LayerWorkload,
+    ) -> DatapathRun {
+        let pes = config.pe_count as f64;
+        let util = rs_utilization(l.kernel, l.out_shape.h) * self.mapping_utilization;
         let cycles = (l.macs as f64 / (pes * util)).ceil() as u64;
 
         // Zero-gating: an op is gated when its activation or weight is zero.
         let z_act = l.act_zero_fraction;
         let z_w = l.weight_zero_fraction;
         let gated_frac = 1.0 - (1.0 - z_act) * (1.0 - z_w);
-        let bits = self.config.mode.bits();
+        let bits = config.mode.bits();
         let active = l.macs as f64 * (1.0 - gated_frac);
         let gated = l.macs as f64 * gated_frac;
 
-        let logic = active * mac_energy(&self.tech, bits, bits, bits + 8)
-            + gated * gated_mac_energy(&self.tech, bits, bits, bits + 8)
-            + l.macs as f64 * self.tech.control_energy_per_op;
+        let logic = active * mac_energy(tech, bits, bits, bits + 8)
+            + gated * gated_mac_energy(tech, bits, bits, bits + 8)
+            + l.macs as f64 * tech.control_energy_per_op;
 
         // Local spad traffic: active ops read act + weight and r/w the psum;
         // gated ops still fetch the operands to detect the zero.
-        let spad = Sram::new(&self.tech, self.tuning.spad_bits);
+        let spad = Sram::new(tech, self.spad_bits);
         let acc = (bits + 8) as f64;
         let local_bits = active * (2.0 * bits as f64 + 2.0 * acc) + gated * 2.0 * bits as f64;
-        let local = local_bits * spad.energy_per_bit();
 
-        // DRAM sees each dense full-precision tensor once; the on-chip
-        // buffer re-serves the activations once per weight tile.
-        let w_bits = dense_weight_bits(l, bits);
-        let dram_traffic = dense_act_bits(l, bits) + w_bits + dense_out_bits(l, bits);
-        let buffer_sram = Sram::new(&self.tech, mem.total_bits());
-        let buffer_traffic = buffer_traffic_bits(
-            dense_act_bits(l, bits),
-            w_bits,
-            dense_out_bits(l, bits),
-            mem.weight_bits,
-        );
-        let buffer = buffer_sram.access_energy(buffer_traffic);
-        let dram = dram_energy(&self.tech, dram_traffic);
-
-        LayerRun {
-            name: l.name.clone(),
+        DatapathRun {
             cycles,
-            energy: EnergyBreakdown {
-                dram,
-                buffer,
-                local,
-                logic,
-            },
             utilization: Utilization {
                 run_cycles: (cycles as f64 * (1.0 - gated_frac)).round() as u64,
                 skip_cycles: 0,
                 idle_cycles: (cycles as f64 * gated_frac).round() as u64,
             },
+            logic,
+            local: local_bits * spad.energy_per_bit(),
             chunk_cycle_hist: Vec::new(),
         }
-    }
-
-    /// [`ola_sim::SimCache`] key of one layer under this simulator: the
-    /// layer's content fingerprint folded with every configuration input
-    /// [`EyerissSim::simulate_layer`] reads.
-    fn sim_key(&self, l: &LayerWorkload, mem: &MemoryConfig) -> u64 {
-        let mut fp = ola_tensor::memo::Fingerprint::new();
-        fp.str("eyeriss")
-            .u32(self.config.mode.bits())
-            .usize(self.config.pe_count);
-        for b in self.tech.field_bits() {
-            fp.u64(b);
-        }
-        fp.f64(self.tuning.mapping_utilization)
-            .u64(self.tuning.spad_bits)
-            .u64(mem.act_bits)
-            .u64(mem.weight_bits)
-            .u64(l.fingerprint());
-        fp.finish()
-    }
-
-    /// Simulates every layer of a workload set, layer-parallel under the
-    /// process-wide model worker budget and memoized in the global
-    /// [`ola_sim::SimCache`] (see `OlAccelSim::simulate` in `ola-core` for
-    /// the shared determinism argument).
-    pub fn simulate(&self, ws: &WorkloadSet) -> NetworkRun {
-        self.simulate_with_jobs(ws, ola_sim::simcache::model_jobs())
-    }
-
-    /// [`EyerissSim::simulate`] with an explicit worker-thread count
-    /// (`1` = inline on the calling thread).
-    pub fn simulate_with_jobs(&self, ws: &WorkloadSet, jobs: usize) -> NetworkRun {
-        ola_sim::timing::timed(ola_sim::timing::Phase::Model, || {
-            let mem = MemoryConfig::for_network(&ws.network, self.config.mode);
-            let cache = ola_sim::SimCache::global();
-            NetworkRun {
-                accelerator: self.label(),
-                network: ws.network.clone(),
-                layers: ola_tensor::par::ordered_map(&ws.layers, jobs, |_, l| {
-                    (*cache.layer_run(self.sim_key(l, &mem), || self.simulate_layer(l, &mem)))
-                        .clone()
-                }),
-            }
-        })
-    }
-
-    /// DRAM traffic bits per inference (scalability model input).
-    pub fn dram_bits(&self, ws: &WorkloadSet) -> u64 {
-        let bits = self.config.mode.bits();
-        ws.layers
-            .iter()
-            .map(|l| dense_act_bits(l, bits) + dense_weight_bits(l, bits) + dense_out_bits(l, bits))
-            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ola_sim::workload::{LayerKind, Shape4Ser};
+    use ola_energy::config::MemoryConfig;
+    use ola_sim::workload::LayerKind;
+    use ola_tensor::Shape4;
 
     pub(crate) fn test_layer(macs: u64, act_zero: f64, w_zero: f64) -> LayerWorkload {
         LayerWorkload {
             name: "conv".into(),
             index: 1,
             kind: LayerKind::Conv,
-            in_shape: Shape4Ser {
-                n: 1,
-                c: 64,
-                h: 16,
-                w: 16,
-            },
-            out_shape: Shape4Ser {
-                n: 1,
-                c: 64,
-                h: 16,
-                w: 16,
-            },
+            in_shape: Shape4::new(1, 64, 16, 16),
+            out_shape: Shape4::new(1, 64, 16, 16),
             kernel: 3,
             macs,
             weight_count: 64 * 64 * 9,

@@ -10,9 +10,14 @@
 //!   cycle count at 16 and 8 bits (footnote 5 of the paper), since only
 //!   the datapath width changes.
 //!
-//! Both share the Table I memory configuration with OLAccel and price
-//! their (dense, full-precision) tensor traffic with the same SRAM/DRAM
-//! models, which is what isolates the paper's claimed benefit — reduced
+//! Each file holds only its model's physics: a [`ola_sim::LayerModel`]
+//! impl on its tuning struct (per-layer cycles, logic and local energy,
+//! utilization, and the dense full-precision tensor sizes). The simulators
+//! are the generic [`ola_sim::Accelerator`] simulator OLAccel also runs on —
+//! [`EyerissSim`] is `Accelerator<EyerissTuning>`, [`ZenaSim`] is
+//! `Accelerator<ZenaTuning>` — so all three share the Table I memory
+//! configuration and price their tensor traffic with the same SRAM/DRAM
+//! code, which is what isolates the paper's claimed benefit — reduced
 //! precision with outlier handling — in the comparisons.
 
 pub mod eyeriss;

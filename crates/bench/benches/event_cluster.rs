@@ -10,7 +10,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ola_core::cost::GroupTuning;
 use ola_core::event::{jobs_from_workload, simulate_cluster, validate_layer, EventConfig, UnitJob};
-use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser};
+use ola_sim::workload::{LayerKind, LayerWorkload};
+use ola_tensor::Shape4;
 use std::hint::black_box;
 
 /// A conv-shaped layer with `units` dispatch units over 4096 measured
@@ -23,18 +24,8 @@ fn big_layer(units: u64) -> LayerWorkload {
         name: "bench".into(),
         index: 1,
         kind: LayerKind::Conv,
-        in_shape: Shape4Ser {
-            n: 1,
-            c: 16,
-            h: 64,
-            w: 64,
-        },
-        out_shape: Shape4Ser {
-            n: 1,
-            c: 16,
-            h: 64,
-            w: 64,
-        },
+        in_shape: Shape4::new(1, 16, 64, 64),
+        out_shape: Shape4::new(1, 16, 64, 64),
         kernel: 3,
         macs: units * 256,
         weight_count: 256 * 9,

@@ -188,25 +188,16 @@ pub fn expected_zero_windows(lanes: usize, nnz: usize, w: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ola_sim::workload::{LayerKind, Shape4Ser};
+    use ola_sim::workload::LayerKind;
+    use ola_tensor::Shape4;
 
     fn layer(chunk_nnz: Vec<u8>, chunk_zero_quads: Vec<u8>) -> LayerWorkload {
         LayerWorkload {
             name: "t".into(),
             index: 1,
             kind: LayerKind::Conv,
-            in_shape: Shape4Ser {
-                n: 1,
-                c: 16,
-                h: 1,
-                w: chunk_nnz.len(),
-            },
-            out_shape: Shape4Ser {
-                n: 1,
-                c: 16,
-                h: 1,
-                w: chunk_nnz.len(),
-            },
+            in_shape: Shape4::new(1, 16, 1, chunk_nnz.len()),
+            out_shape: Shape4::new(1, 16, 1, chunk_nnz.len()),
             kernel: 1,
             macs: (chunk_nnz.len() * 16 * 16) as u64,
             weight_count: 256,

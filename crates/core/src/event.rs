@@ -20,7 +20,7 @@
 //! which runs the two paths layer-parallel over whole networks.
 
 use crate::cost::GroupTuning;
-use ola_sim::{LayerWorkload, Utilization};
+use ola_sim::{EventRecord, LayerWorkload, Utilization};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Borrow;
@@ -77,21 +77,6 @@ impl Default for EventConfig {
     }
 }
 
-/// Result of an event-driven cluster run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EventResult {
-    /// Total cycles until the last partial sum is committed.
-    pub cycles: u64,
-    /// **Aggregate** cycle decomposition across all dense PE groups:
-    /// `run_cycles` and `skip_cycles` are summed over groups (not divided
-    /// per group), and `idle_cycles` absorbs the remainder so that
-    /// `utilization.total() == cycles * groups` holds exactly — see
-    /// [`Utilization::is_conserved`].
-    pub utilization: Utilization,
-    /// Cycles the outlier PE group was busy.
-    pub outlier_busy: u64,
-}
-
 /// Plays out the cluster schedule: units dispatch in order to the
 /// earliest-free group; the outlier group consumes `outlier_broadcasts`
 /// cycles of work in parallel; the accumulation pipeline adds its drain.
@@ -103,7 +88,7 @@ pub struct EventResult {
 /// `run + skip + idle == cycles × groups` exactly (asserted internally):
 /// every group-cycle of the run is accounted once, with no truncating
 /// division anywhere in the arithmetic.
-pub fn simulate_cluster<I>(jobs: I, outlier_broadcasts: u64, cfg: &EventConfig) -> EventResult
+pub fn simulate_cluster<I>(jobs: I, outlier_broadcasts: u64, cfg: &EventConfig) -> EventRecord
 where
     I: IntoIterator,
     I::Item: Borrow<UnitJob>,
@@ -143,7 +128,7 @@ where
         utilization.total(),
         budget
     );
-    EventResult {
+    EventRecord {
         cycles: finish,
         utilization,
         outlier_busy: outlier_broadcasts,
@@ -257,22 +242,13 @@ fn cluster_key(l: &LayerWorkload, tuning: &GroupTuning, cfg: &EventConfig) -> u6
 /// Event-simulates a layer's whole-cluster validation run through the
 /// process-wide [`ola_sim::SimCache`], so repeated validations of the same
 /// `(layer, tuning, config)` — across figures, jobs counts, or daemon
-/// requests — replay one cached [`ola_sim::EventRecord`] instead of
+/// requests — replay one cached [`EventRecord`] instead of
 /// re-streaming millions of unit jobs. [`simulate_cluster`] asserts the
 /// `run + skip + idle == cycles × groups` conservation law before the
 /// record is cached, so it holds on every hit too.
-pub fn cluster_record(
-    l: &LayerWorkload,
-    tuning: &GroupTuning,
-    cfg: &EventConfig,
-) -> ola_sim::EventRecord {
+pub fn cluster_record(l: &LayerWorkload, tuning: &GroupTuning, cfg: &EventConfig) -> EventRecord {
     ola_sim::SimCache::global().event_record(cluster_key(l, tuning, cfg), || {
-        let r = simulate_cluster(jobs_from_workload(l, tuning, VALIDATE_SEED), 0, cfg);
-        ola_sim::EventRecord {
-            cycles: r.cycles,
-            utilization: r.utilization,
-            outlier_busy: r.outlier_busy,
-        }
+        simulate_cluster(jobs_from_workload(l, tuning, VALIDATE_SEED), 0, cfg)
     })
 }
 
@@ -291,7 +267,8 @@ pub fn validate_layer(l: &LayerWorkload, tuning: &GroupTuning, cfg: &EventConfig
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ola_sim::workload::{LayerKind, Shape4Ser};
+    use ola_sim::workload::LayerKind;
+    use ola_tensor::Shape4;
 
     fn job(nnz: u32, zq: u32) -> UnitJob {
         UnitJob {
@@ -396,18 +373,8 @@ mod tests {
             name: "t".into(),
             index: 1,
             kind: LayerKind::Conv,
-            in_shape: Shape4Ser {
-                n: 1,
-                c: 16,
-                h: 1,
-                w: chunks,
-            },
-            out_shape: Shape4Ser {
-                n: 1,
-                c: 16,
-                h: 1,
-                w: chunks,
-            },
+            in_shape: Shape4::new(1, 16, 1, chunks),
+            out_shape: Shape4::new(1, 16, 1, chunks),
             kernel: 1,
             macs: units * 256,
             weight_count: 256,

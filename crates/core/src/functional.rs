@@ -321,7 +321,7 @@ mod tests {
         // statistics come from the actual quantized levels and compare
         // total group-cycles.
         use crate::cost::{layer_cost, GroupTuning};
-        use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser};
+        use ola_sim::workload::{LayerKind, LayerWorkload};
 
         let w = heavy_tailed_tensor(Shape4::new(16, 16, 3, 3), HeavyTailed::default(), 5);
         let mut a = heavy_tailed_tensor(Shape4::new(1, 16, 8, 8), HeavyTailed::default(), 6);
@@ -363,18 +363,8 @@ mod tests {
             name: "t".into(),
             index: 1,
             kind: LayerKind::Conv,
-            in_shape: Shape4Ser {
-                n: 1,
-                c: 16,
-                h: 8,
-                w: 8,
-            },
-            out_shape: Shape4Ser {
-                n: 1,
-                c: 16,
-                h: 8,
-                w: 8,
-            },
+            in_shape: Shape4::new(1, 16, 8, 8),
+            out_shape: Shape4::new(1, 16, 8, 8),
             kernel: 3,
             macs: valid_offsets * 16 * 16,
             weight_count: 16 * 16 * 9,

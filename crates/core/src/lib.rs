@@ -21,6 +21,12 @@
 //!   passes, 8-bit dense weights (ResNet-18) another 2, reproducing the
 //!   8x/4x first-layer cycle blowup of Fig 13.
 //!
+//! [`model`] holds only OLAccel's per-layer physics, as a
+//! [`ola_sim::LayerModel`] impl on [`Tuning`]. The configuration, label,
+//! cache key, memoized layer-parallel network simulation and Table I
+//! memory-system energy come from the generic simulator every accelerator
+//! shares, so [`OlAccelSim`] is `ola_sim::Accelerator<Tuning>`.
+//!
 //! [`scale`] adds the multi-NPU / batch scalability model of Fig 15.
 
 pub mod cost;

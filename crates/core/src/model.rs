@@ -1,16 +1,18 @@
-//! The OLAccel cycle/energy model.
+//! The OLAccel cycle/energy model: the per-layer physics the shared
+//! [`Accelerator`] simulator runs.
 
 use crate::cost::{layer_cost, GroupTuning};
 use crate::dispatch::makespan_analytic;
-use ola_energy::config::{AcceleratorConfig, ComparisonMode, MemoryConfig, GROUPS_PER_CLUSTER};
-use ola_energy::dram::dram_energy;
+use ola_energy::config::{AcceleratorConfig, AcceleratorKind, ComparisonMode, GROUPS_PER_CLUSTER};
 use ola_energy::mac::mac_energy;
 use ola_energy::sram::Sram;
-use ola_energy::{EnergyBreakdown, TechParams};
-use ola_sim::traffic::{
-    buffer_traffic_bits, olaccel_act_bits, olaccel_out_bits, olaccel_weight_bits,
+use ola_energy::TechParams;
+use ola_sim::traffic::{olaccel_act_bits, olaccel_out_bits, olaccel_weight_bits};
+use ola_sim::{
+    Accelerator, DatapathRun, FirstLayerPolicy, LayerModel, LayerWorkload, OutlierSelect,
+    QuantPolicy, Utilization,
 };
-use ola_sim::{LayerRun, LayerWorkload, NetworkRun, Utilization, WorkloadSet};
+use ola_tensor::memo::Fingerprint;
 
 /// Model calibration knobs beyond the PE-group microarchitecture.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -39,129 +41,102 @@ impl Default for Tuning {
     }
 }
 
-/// The OLAccel simulator for one comparison mode.
-#[derive(Clone, Debug)]
-pub struct OlAccelSim {
-    tech: TechParams,
-    config: AcceleratorConfig,
-    tuning: Tuning,
+/// The OLAccel simulator for one comparison mode: the shared generic simulator over
+/// [`Tuning`]'s physics. `new` builds the ISO-area configuration (8
+/// clusters / 768 MACs at 16-bit, 6 clusters / 576 MACs at 8-bit).
+///
+/// # Example
+///
+/// ```
+/// use ola_core::OlAccelSim;
+/// use ola_energy::{ComparisonMode, TechParams};
+///
+/// let sim = OlAccelSim::new(TechParams::default(), ComparisonMode::Bits16);
+/// assert_eq!(sim.config().pe_count, 768);
+/// assert_eq!(sim.label(), "OLAccel16");
+/// ```
+pub type OlAccelSim = Accelerator<Tuning>;
+
+/// Total outlier-activation broadcasts for a layer (each feeds 16 output
+/// channels of one output-channel group at one kernel offset).
+fn outlier_broadcasts(l: &LayerWorkload) -> f64 {
+    if l.is_first() {
+        // Raw-input layers have no outlier split: everything runs on the
+        // dense (multi-pass) path.
+        return 0.0;
+    }
+    let uses_per_act_per_group = l.macs as f64 / (l.act_count() as f64 * l.out_shape.c as f64);
+    l.outlier_act_count() as f64 * uses_per_act_per_group * l.oc_groups() as f64
 }
 
-impl OlAccelSim {
-    /// Builds the ISO-area configuration for `mode` (8 clusters / 768 MACs
-    /// at 16-bit, 6 clusters / 576 MACs at 8-bit).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ola_core::OlAccelSim;
-    /// use ola_energy::{ComparisonMode, TechParams};
-    ///
-    /// let sim = OlAccelSim::new(TechParams::default(), ComparisonMode::Bits16);
-    /// assert_eq!(sim.config().pe_count, 768);
-    /// assert_eq!(sim.label(), "OLAccel16");
-    /// ```
-    pub fn new(tech: TechParams, mode: ComparisonMode) -> Self {
-        OlAccelSim {
-            config: AcceleratorConfig::olaccel(&tech, mode),
-            tech,
-            tuning: Tuning::default(),
-        }
+impl LayerModel for Tuning {
+    const KIND: AcceleratorKind = AcceleratorKind::OlAccel;
+
+    fn fold_tuning(&self, fp: &mut Fingerprint) {
+        fp.usize(self.group.lanes)
+            .usize(self.group.skip_width)
+            .u8(self.group.outlier_mac as u8)
+            .f64(self.dispatch_overhead)
+            .u64(self.accum_drain)
+            .u64(self.local_buffer_bits);
     }
 
-    /// Overrides the model tuning (ablation benches).
-    pub fn with_tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
-        self
+    /// Dense 4-bit tensors plus the sparse outlier records and overflow
+    /// chunks. The traffic model reads only bit widths and the layer's
+    /// *measured* outlier counts from the policy; the selection rule
+    /// already shaped those counts during extraction, so `select` is inert
+    /// here.
+    fn traffic_bits(&self, l: &LayerWorkload, mode: ComparisonMode) -> [u64; 3] {
+        let policy = QuantPolicy {
+            mode,
+            low_bits: 4,
+            outlier_ratio: l.act_outlier_nonzero_ratio,
+            first_layer: FirstLayerPolicy::RawActs,
+            select: OutlierSelect::MagnitudePercentile,
+        };
+        [
+            olaccel_act_bits(l, &policy),
+            olaccel_weight_bits(l),
+            olaccel_out_bits(l, &policy),
+        ]
     }
 
-    /// Overrides the cluster count (Fig 15 scalability sweeps build bigger
-    /// swarms from the same model).
-    pub fn with_clusters(mut self, clusters: usize) -> Self {
-        self.config.clusters = clusters;
-        self.config.pe_count = clusters * GROUPS_PER_CLUSTER * 16;
-        self
-    }
-
-    /// The resolved configuration.
-    pub fn config(&self) -> &AcceleratorConfig {
-        &self.config
-    }
-
-    /// Display label, e.g. `"OLAccel16"`.
-    pub fn label(&self) -> String {
-        format!("OLAccel{}", self.config.mode.bits())
-    }
-
-    /// Simulates one layer.
-    pub fn simulate_layer(&self, l: &LayerWorkload, mem: &MemoryConfig) -> LayerRun {
-        let groups = (self.config.clusters * GROUPS_PER_CLUSTER).max(1);
-        let lc = layer_cost(l, &self.tuning.group);
+    fn datapath(
+        &self,
+        tech: &TechParams,
+        config: &AcceleratorConfig,
+        l: &LayerWorkload,
+    ) -> DatapathRun {
+        let groups = (config.clusters * GROUPS_PER_CLUSTER).max(1);
+        let lc = layer_cost(l, &self.group);
 
         // ---- dense datapath cycles ----
         // The end-of-stream imbalance tail is bounded by the layer's actual
         // worst chunk (including multi-outlier second passes), the same
         // quantity the event-driven path realizes job by job.
-        let dense =
-            makespan_analytic(lc.total(), lc.max_chunk, groups) * self.tuning.dispatch_overhead;
+        let dense = makespan_analytic(lc.total(), lc.max_chunk, groups) * self.dispatch_overhead;
 
         // ---- outlier datapath cycles (one outlier PE group per cluster) ----
-        let outlier_broadcast_total = self.outlier_broadcasts(l);
-        let outlier = outlier_broadcast_total / self.config.clusters.max(1) as f64;
+        let broadcasts = outlier_broadcasts(l);
+        let outlier = broadcasts / config.clusters.max(1) as f64;
 
-        let cycles = dense.max(outlier).round() as u64 + self.tuning.accum_drain;
+        let cycles = dense.max(outlier).round() as u64 + self.accum_drain;
 
         // ---- utilization decomposition (dense PE groups' view) ----
         let run_cycles = (lc.run / groups as f64).round() as u64;
         let skip_cycles = (lc.skip / groups as f64).round() as u64;
-        let idle_cycles = cycles.saturating_sub(run_cycles + skip_cycles);
 
         // ---- energy ----
-        let energy = self.layer_energy(l, &lc, outlier_broadcast_total, mem);
-
-        LayerRun {
-            name: l.name.clone(),
-            cycles,
-            energy,
-            utilization: Utilization {
-                run_cycles,
-                skip_cycles,
-                idle_cycles,
-            },
-            chunk_cycle_hist: lc.chunk_hist,
-        }
-    }
-
-    /// Total outlier-activation broadcasts for a layer (each feeds 16 output
-    /// channels of one output-channel group at one kernel offset).
-    fn outlier_broadcasts(&self, l: &LayerWorkload) -> f64 {
-        if l.is_first() {
-            // Raw-input layers have no outlier split: everything runs on the
-            // dense (multi-pass) path.
-            return 0.0;
-        }
-        let uses_per_act_per_group = l.macs as f64 / (l.act_count() as f64 * l.out_shape.c as f64);
-        l.outlier_act_count() as f64 * uses_per_act_per_group * l.oc_groups() as f64
-    }
-
-    fn layer_energy(
-        &self,
-        l: &LayerWorkload,
-        lc: &crate::cost::LayerCost,
-        outlier_broadcasts: f64,
-        mem: &MemoryConfig,
-    ) -> EnergyBreakdown {
-        let t = &self.tech;
-        let lanes = self.tuning.group.lanes as f64;
-        let mode_bits = self.config.mode.bits();
+        let lanes = self.group.lanes as f64;
+        let mode_bits = config.mode.bits();
 
         // Logic: every broadcast drives 16 normal lanes + the outlier MAC;
         // outlier-group broadcasts drive 16 mixed-precision lanes.
-        let mac4 = mac_energy(t, 4, 4, 24);
-        let mac_mixed = mac_energy(t, mode_bits, 4, 24);
+        let mac4 = mac_energy(tech, 4, 4, 24);
+        let mac_mixed = mac_energy(tech, mode_bits, 4, 24);
         let logic = lc.run * (lanes + 1.0) * mac4
-            + outlier_broadcasts * lanes * mac_mixed
-            + (lc.total() + outlier_broadcasts) * t.control_energy_per_op;
+            + broadcasts * lanes * mac_mixed
+            + (lc.total() + broadcasts) * tech.control_energy_per_op;
 
         // Local: per broadcast, one 80-bit weight chunk moves cluster
         // buffer -> group weight buffer -> the MAC lanes (counted twice);
@@ -169,143 +144,42 @@ impl OlAccelSim {
         // buffer and the 16 partial sums go through the tri-buffer
         // (read+write, with the outlier accumulation unit making a second
         // pipelined pass).
-        let local_sram = Sram::new(t, self.tuning.local_buffer_bits);
+        let local_sram = Sram::new(tech, self.local_buffer_bits);
         let units = l.group_units() as f64;
         let act_chunk_bits = lanes * l.act_bits as f64;
         let local_bits = lc.run * 80.0
             + units * act_chunk_bits * 2.0
             + units * lanes * 24.0 * 2.0
-            + outlier_broadcasts * (mode_bits as f64 + 80.0 + lanes * 24.0);
-        let local = local_bits * local_sram.energy_per_bit();
+            + broadcasts * (mode_bits as f64 + 80.0 + lanes * 24.0);
 
-        // DRAM sees each encoded tensor once; the swarm buffer re-serves the
-        // activations once per weight tile (weights stream through the small
-        // Table I weight buffer).
-        // The traffic model reads only bit widths and the layer's *measured*
-        // outlier counts from the policy; the selection rule already shaped
-        // those counts during extraction, so `select` is inert here.
-        let policy = ola_sim::QuantPolicy {
-            mode: self.config.mode,
-            low_bits: 4,
-            outlier_ratio: l.act_outlier_nonzero_ratio,
-            first_layer: ola_sim::FirstLayerPolicy::RawActs,
-            select: ola_sim::OutlierSelect::MagnitudePercentile,
-        };
-        let a_bits = olaccel_act_bits(l, &policy);
-        let w_bits = olaccel_weight_bits(l);
-        let o_bits = olaccel_out_bits(l, &policy);
-        let swarm = Sram::new(t, mem.total_bits());
-        let buffer =
-            swarm.access_energy(buffer_traffic_bits(a_bits, w_bits, o_bits, mem.weight_bits));
-        let dram = dram_energy(t, a_bits + w_bits + o_bits);
-
-        EnergyBreakdown {
-            dram,
-            buffer,
-            local,
+        DatapathRun {
+            cycles,
+            utilization: Utilization {
+                run_cycles,
+                skip_cycles,
+                idle_cycles: cycles.saturating_sub(run_cycles + skip_cycles),
+            },
             logic,
+            local: local_bits * local_sram.energy_per_bit(),
+            chunk_cycle_hist: lc.chunk_hist,
         }
-    }
-
-    /// [`ola_sim::SimCache`] key of one layer under this simulator: the
-    /// layer's content fingerprint folded with every configuration input
-    /// [`OlAccelSim::simulate_layer`] reads — accelerator kind, mode,
-    /// geometry, technology parameters, tuning, and the memory config.
-    fn sim_key(&self, l: &LayerWorkload, mem: &MemoryConfig) -> u64 {
-        let mut fp = ola_tensor::memo::Fingerprint::new();
-        fp.str("olaccel")
-            .u32(self.config.mode.bits())
-            .usize(self.config.clusters)
-            .usize(self.config.pe_count);
-        for b in self.tech.field_bits() {
-            fp.u64(b);
-        }
-        fp.usize(self.tuning.group.lanes)
-            .usize(self.tuning.group.skip_width)
-            .u8(self.tuning.group.outlier_mac as u8)
-            .f64(self.tuning.dispatch_overhead)
-            .u64(self.tuning.accum_drain)
-            .u64(self.tuning.local_buffer_bits)
-            .u64(mem.act_bits)
-            .u64(mem.weight_bits)
-            .u64(l.fingerprint());
-        fp.finish()
-    }
-
-    /// Simulates every layer of a workload set, layer-parallel under the
-    /// process-wide model worker budget
-    /// ([`ola_sim::simcache::model_jobs`]).
-    ///
-    /// Layers are independent given a [`WorkloadSet`], so they fan out over
-    /// [`ola_tensor::par::ordered_map`]'s scoped worker threads; results come
-    /// back in forward order and are byte-identical at any worker count.
-    /// Per-layer results are memoized in the global [`ola_sim::SimCache`],
-    /// so repeated simulations of the same layer under the same
-    /// configuration (across figures, jobs, or daemon requests) are served
-    /// from memory — or from the disk store on a warm `--cache-dir` run.
-    pub fn simulate(&self, ws: &WorkloadSet) -> NetworkRun {
-        self.simulate_with_jobs(ws, ola_sim::simcache::model_jobs())
-    }
-
-    /// [`OlAccelSim::simulate`] with an explicit worker-thread count
-    /// (`1` = inline on the calling thread).
-    pub fn simulate_with_jobs(&self, ws: &WorkloadSet, jobs: usize) -> NetworkRun {
-        ola_sim::timing::timed(ola_sim::timing::Phase::Model, || {
-            let mem = MemoryConfig::for_network(&ws.network, self.config.mode);
-            let cache = ola_sim::SimCache::global();
-            NetworkRun {
-                accelerator: self.label(),
-                network: ws.network.clone(),
-                layers: ola_tensor::par::ordered_map(&ws.layers, jobs, |_, l| {
-                    (*cache.layer_run(self.sim_key(l, &mem), || self.simulate_layer(l, &mem)))
-                        .clone()
-                }),
-            }
-        })
-    }
-
-    /// Total DRAM traffic bits for one inference (Fig 15 bandwidth model).
-    pub fn dram_bits(&self, ws: &WorkloadSet) -> u64 {
-        ws.layers
-            .iter()
-            .map(|l| {
-                // As in `layer_energy`: only widths and measured counts
-                // matter to the bit model, so `select` is inert.
-                let policy = ola_sim::QuantPolicy {
-                    mode: self.config.mode,
-                    low_bits: 4,
-                    outlier_ratio: l.act_outlier_nonzero_ratio,
-                    first_layer: ola_sim::FirstLayerPolicy::RawActs,
-                    select: ola_sim::OutlierSelect::MagnitudePercentile,
-                };
-                olaccel_act_bits(l, &policy) + olaccel_weight_bits(l) + olaccel_out_bits(l, &policy)
-            })
-            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ola_sim::workload::{LayerKind, Shape4Ser};
+    use ola_energy::config::MemoryConfig;
+    use ola_sim::workload::LayerKind;
+    use ola_tensor::Shape4;
 
     fn dense_layer(nnz: u8, chunks: usize) -> LayerWorkload {
         LayerWorkload {
             name: "conv".into(),
             index: 1,
             kind: LayerKind::Conv,
-            in_shape: Shape4Ser {
-                n: 1,
-                c: 16,
-                h: 1,
-                w: chunks,
-            },
-            out_shape: Shape4Ser {
-                n: 1,
-                c: 16,
-                h: 1,
-                w: chunks,
-            },
+            in_shape: Shape4::new(1, 16, 1, chunks),
+            out_shape: Shape4::new(1, 16, 1, chunks),
             kernel: 1,
             macs: (chunks * 256) as u64,
             weight_count: 256,
@@ -438,7 +312,6 @@ mod tests {
         let sim = sim16();
         let ws = ola_sim::WorkloadSet {
             network: "alexnet".into(),
-            policy: ola_sim::QuantPolicy::olaccel16("alexnet"),
             layers: (1u8..10).map(|nnz| dense_layer(nnz, 500)).collect(),
         };
         let serial = sim.simulate_with_jobs(&ws, 1);
@@ -454,10 +327,17 @@ mod tests {
 
     #[test]
     fn more_clusters_fewer_cycles() {
-        let mem = MemoryConfig::for_network("alexnet", ComparisonMode::Bits16);
+        // Fig 15's scalability axis: the same model on a bigger swarm.
         let l = dense_layer(12, 50_000);
-        let small = sim16().with_clusters(2).simulate_layer(&l, &mem).cycles;
-        let big = sim16().with_clusters(8).simulate_layer(&l, &mem).cycles;
+        let cycles = |clusters: usize| {
+            let mut config = *sim16().config();
+            config.clusters = clusters;
+            config.pe_count = clusters * GROUPS_PER_CLUSTER * 16;
+            Tuning::default()
+                .datapath(&TechParams::default(), &config, &l)
+                .cycles
+        };
+        let (small, big) = (cycles(2), cycles(8));
         assert!(big * 3 < small, "8 clusters {big} vs 2 clusters {small}");
     }
 }

@@ -41,6 +41,17 @@ pub enum AcceleratorKind {
     OlAccel,
 }
 
+impl AcceleratorKind {
+    /// Display name: Table I's row name and the simulator label's prefix.
+    pub fn name(&self) -> &'static str {
+        match self {
+            AcceleratorKind::Eyeriss => "Eyeriss",
+            AcceleratorKind::Zena => "ZeNA",
+            AcceleratorKind::OlAccel => "OLAccel",
+        }
+    }
+}
+
 /// Number of SIMD lanes (normal MACs) per OLAccel PE group.
 pub const GROUP_LANES: usize = 16;
 /// Normal PE groups per OLAccel cluster.
@@ -63,8 +74,17 @@ pub struct AcceleratorConfig {
 }
 
 impl AcceleratorConfig {
+    /// The Table I configuration of `kind` for `mode`.
+    pub fn new(kind: AcceleratorKind, tech: &TechParams, mode: ComparisonMode) -> Self {
+        match kind {
+            AcceleratorKind::Eyeriss => Self::eyeriss(tech, mode),
+            AcceleratorKind::Zena => Self::zena(tech, mode),
+            AcceleratorKind::OlAccel => Self::olaccel(tech, mode),
+        }
+    }
+
     /// Eyeriss configuration: the 165-PE anchor.
-    pub fn eyeriss(tech: &TechParams, mode: ComparisonMode) -> Self {
+    fn eyeriss(tech: &TechParams, mode: ComparisonMode) -> Self {
         let pes = 165;
         AcceleratorConfig {
             kind: AcceleratorKind::Eyeriss,
@@ -77,7 +97,7 @@ impl AcceleratorConfig {
 
     /// ZeNA configuration: 168 PEs in both modes (the paper keeps the PE
     /// count fixed; area follows).
-    pub fn zena(tech: &TechParams, mode: ComparisonMode) -> Self {
+    fn zena(tech: &TechParams, mode: ComparisonMode) -> Self {
         let pes = 168;
         AcceleratorConfig {
             kind: AcceleratorKind::Zena,
@@ -92,7 +112,7 @@ impl AcceleratorConfig {
     /// largest cluster count whose area fits within the Eyeriss area of the
     /// same mode (plus the ~10% slack the paper's own numbers show:
     /// 1.67 mm² vs 1.53 mm² in the 16-bit comparison).
-    pub fn olaccel(tech: &TechParams, mode: ComparisonMode) -> Self {
+    fn olaccel(tech: &TechParams, mode: ComparisonMode) -> Self {
         let budget = 1.10 * 165.0 * eyeriss_pe_area(tech, mode.bits());
         let mut clusters = 1;
         while olaccel_area(tech, clusters + 1, mode) <= budget {
@@ -177,13 +197,14 @@ pub struct Table1Row {
 pub fn table1(tech: &TechParams) -> Vec<Table1Row> {
     let mut rows = Vec::new();
     for mode in [ComparisonMode::Bits8, ComparisonMode::Bits16] {
-        for (name, cfg) in [
-            ("Eyeriss", AcceleratorConfig::eyeriss(tech, mode)),
-            ("ZeNA", AcceleratorConfig::zena(tech, mode)),
-            ("OLAccel", AcceleratorConfig::olaccel(tech, mode)),
+        for kind in [
+            AcceleratorKind::Eyeriss,
+            AcceleratorKind::Zena,
+            AcceleratorKind::OlAccel,
         ] {
+            let cfg = AcceleratorConfig::new(kind, tech, mode);
             rows.push(Table1Row {
-                name: name.to_string(),
+                name: kind.name().to_string(),
                 mode,
                 pe_count: cfg.pe_count,
                 area_mm2: cfg.area_mm2,

@@ -362,17 +362,10 @@ impl PrepCache {
         let key = prep_key(network, scale, seed)
             .u64(policy_fingerprint(policy))
             .finish();
-        // Equal-fingerprint policies extract identically, but may differ in
-        // f64 bit pattern (-0.0 vs 0.0); a loaded set carries the
-        // *requested* policy so it is bit-identical to a cold extraction.
-        self.workloads.get_with(
-            key,
-            |ws| ws.policy = *policy,
-            || match prep {
-                Some(prep) => prep.extract(policy),
-                None => self.prepared(network, scale, seed).extract(policy),
-            },
-        )
+        self.workloads.get(key, || match prep {
+            Some(prep) => prep.extract(policy),
+            None => self.prepared(network, scale, seed).extract(policy),
+        })
     }
 
     /// Snapshots the hit/miss counters.

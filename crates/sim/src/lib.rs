@@ -12,7 +12,14 @@
 //! Results come back as [`result::LayerRun`] / [`result::NetworkRun`] with
 //! cycles, an energy breakdown and a utilization decomposition, which the
 //! harness turns into the paper's figures.
+//!
+//! All three models run on one generic simulator,
+//! [`accelerator::Accelerator`]: it owns the configuration, the label, the
+//! memoized layer-parallel network simulation and the Table I
+//! memory-system energy, and a model supplies only its per-layer physics
+//! as an [`accelerator::LayerModel`].
 
+pub mod accelerator;
 pub mod policy;
 pub mod result;
 pub mod simcache;
@@ -20,6 +27,7 @@ pub mod timing;
 pub mod traffic;
 pub mod workload;
 
+pub use accelerator::{Accelerator, DatapathRun, LayerModel};
 pub use policy::{FirstLayerPolicy, OutlierSelect, QuantPolicy};
 pub use result::{LayerRun, NetworkRun, Utilization};
 pub use simcache::{EventRecord, SimCache, SimStats};

@@ -48,17 +48,19 @@ pub fn model_jobs() -> usize {
     }
 }
 
-/// The event-driven backend's per-cluster simulation result, in the plain
-/// sim-level form the cache and the disk store persist. (`ola-core`'s
-/// `EventResult` mirrors this field-for-field; it lives above this crate
-/// in the dependency graph, so the cache speaks this type instead.)
+/// The result of `ola-core`'s event-driven cluster simulation
+/// (`event::simulate_cluster`), as the cache and the disk store persist it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventRecord {
-    /// Total cycles to drain the workload.
+    /// Total cycles until the last partial sum is committed.
     pub cycles: u64,
-    /// Aggregate run/skip/idle decomposition over all groups.
+    /// **Aggregate** cycle decomposition across all dense PE groups:
+    /// `run_cycles` and `skip_cycles` are summed over groups (not divided
+    /// per group), and `idle_cycles` absorbs the remainder so that
+    /// `utilization.total() == cycles * groups` holds exactly — see
+    /// [`Utilization::is_conserved`].
     pub utilization: Utilization,
-    /// Cycles the outlier lane spent busy.
+    /// Cycles the outlier PE group was busy.
     pub outlier_busy: u64,
 }
 

@@ -47,20 +47,15 @@ pub fn buffer_traffic_bits(
     layer_weight_bits + act_bits * weight_tiles(layer_weight_bits, weight_buffer_bits) + out_bits
 }
 
-/// Stored size of a layer's input activations for a dense accelerator at
-/// `bits` per value.
-pub fn dense_act_bits(l: &LayerWorkload, bits: u32) -> u64 {
-    l.act_count() * bits as u64
-}
-
-/// Stored size of a layer's weights for a dense accelerator at `bits`.
-pub fn dense_weight_bits(l: &LayerWorkload, bits: u32) -> u64 {
-    l.weight_count * bits as u64
-}
-
-/// Stored size of a layer's outputs for a dense accelerator at `bits`.
-pub fn dense_out_bits(l: &LayerWorkload, bits: u32) -> u64 {
-    l.out_count() * bits as u64
+/// Stored sizes of a layer's input activations, weights and outputs for a
+/// dense accelerator at `bits` per value.
+pub fn dense_bits(l: &LayerWorkload, bits: u32) -> [u64; 3] {
+    let bits = bits as u64;
+    [
+        l.act_count() * bits,
+        l.weight_count * bits,
+        l.out_count() * bits,
+    ]
 }
 
 /// OLAccel's stored size of the layer's input activations: dense low-bits
@@ -113,25 +108,16 @@ pub fn olaccel_out_bits(l: &LayerWorkload, policy: &QuantPolicy) -> u64 {
 mod tests {
     use super::*;
     use crate::policy::QuantPolicy;
-    use crate::workload::{LayerKind, Shape4Ser};
+    use crate::workload::LayerKind;
+    use ola_tensor::Shape4;
 
     fn test_layer() -> LayerWorkload {
         LayerWorkload {
             name: "conv2".into(),
             index: 1,
             kind: LayerKind::Conv,
-            in_shape: Shape4Ser {
-                n: 1,
-                c: 96,
-                h: 27,
-                w: 27,
-            },
-            out_shape: Shape4Ser {
-                n: 1,
-                c: 256,
-                h: 27,
-                w: 27,
-            },
+            in_shape: Shape4::new(1, 96, 27, 27),
+            out_shape: Shape4::new(1, 256, 27, 27),
             kernel: 5,
             macs: 27 * 27 * 256 * 96 * 25,
             weight_count: 256 * 96 * 25,
@@ -203,17 +189,17 @@ mod tests {
         let l = test_layer();
         let p = QuantPolicy::olaccel16("alexnet");
         let ola = olaccel_act_bits(&l, &p);
-        let dense16 = dense_act_bits(&l, 16);
+        let dense16 = dense_bits(&l, 16)[0];
         // 4-bit + ~2% 35-bit outlier records ≈ 4.7 bits/value, ~3.4x less.
         assert!(ola * 3 < dense16, "ola {ola} vs dense {dense16}");
-        assert!(ola > dense_act_bits(&l, 4), "outlier overhead must exist");
+        assert!(ola > dense_bits(&l, 4)[0], "outlier overhead must exist");
     }
 
     #[test]
     fn olaccel_weights_carry_chunk_overhead() {
         let l = test_layer();
         let ola = olaccel_weight_bits(&l);
-        let ideal4 = dense_weight_bits(&l, 4);
+        let ideal4 = dense_bits(&l, 4)[1];
         // 80 bits / 16 weights = 5 bits/weight, + 8% overflow chunks.
         assert!(ola > ideal4 * 5 / 4);
         assert!(ola < ideal4 * 2);
@@ -236,6 +222,6 @@ mod tests {
         l.index = 0;
         l.act_bits = 16;
         let p = QuantPolicy::olaccel16("alexnet");
-        assert_eq!(olaccel_act_bits(&l, &p), dense_act_bits(&l, 16));
+        assert_eq!(olaccel_act_bits(&l, &p), dense_bits(&l, 16)[0]);
     }
 }

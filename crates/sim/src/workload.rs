@@ -76,9 +76,9 @@ pub struct LayerWorkload {
     /// Conv or FC.
     pub kind: LayerKind,
     /// Input activation shape.
-    pub in_shape: Shape4Ser,
+    pub in_shape: Shape4,
     /// Output activation shape.
-    pub out_shape: Shape4Ser,
+    pub out_shape: Shape4,
     /// Kernel side length (1 for FC).
     pub kernel: usize,
     /// Exact multiply-accumulate count (padding-aware).
@@ -111,43 +111,6 @@ pub struct LayerWorkload {
     pub wchunk_multi_fraction: f64,
     /// Zero fraction of this layer's (post-ReLU, when present) output.
     pub out_zero_fraction: f64,
-}
-
-/// A plain-data `Shape4` mirror (kept separate so workload records stay
-/// decoupled from `ola-tensor`'s internal shape type).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Shape4Ser {
-    /// Batch.
-    pub n: usize,
-    /// Channels.
-    pub c: usize,
-    /// Height.
-    pub h: usize,
-    /// Width.
-    pub w: usize,
-}
-
-impl From<Shape4> for Shape4Ser {
-    fn from(s: Shape4) -> Self {
-        Shape4Ser {
-            n: s.n,
-            c: s.c,
-            h: s.h,
-            w: s.w,
-        }
-    }
-}
-
-impl Shape4Ser {
-    /// Total elements.
-    pub fn len(&self) -> usize {
-        self.n * self.c * self.h * self.w
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl LayerWorkload {
@@ -236,8 +199,6 @@ impl LayerWorkload {
 pub struct WorkloadSet {
     /// Network name.
     pub network: String,
-    /// The policy the workloads were extracted under.
-    pub policy: QuantPolicy,
     /// Per-layer workloads in forward order.
     pub layers: Vec<LayerWorkload>,
 }
@@ -305,7 +266,6 @@ pub fn extract_from_acts_jobs(
     });
     WorkloadSet {
         network: net.name().to_string(),
-        policy: *policy,
         layers,
     }
 }
@@ -373,21 +333,20 @@ fn extract_layer(
     //     BN+ReLU chain) directly consumes this node ---
     let out_zero_fraction = post_activation_zero_fraction(net, outs, node);
 
-    let in_shape: Shape4 = if kind == LayerKind::Fc {
+    let in_shape = if kind == LayerKind::Fc {
         // FC consumes a flattened input: model as C = features, 1x1.
         let s = act.shape();
         Shape4::new(s.n, s.c * s.h * s.w, 1, 1)
     } else {
         act.shape()
     };
-    let out_shape: Shape4 = shapes[node];
 
     LayerWorkload {
         name: n.name.clone(),
         index,
         kind,
-        in_shape: in_shape.into(),
-        out_shape: out_shape.into(),
+        in_shape,
+        out_shape: shapes[node],
         kernel,
         macs,
         weight_count: weight_count as u64,

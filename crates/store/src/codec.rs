@@ -19,7 +19,7 @@ use ola_nn::synth::SyntheticMatrix;
 use ola_nn::Params;
 use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
 use ola_sim::policy::FirstLayerPolicy;
-use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser, WorkloadSet};
+use ola_sim::workload::{LayerKind, LayerWorkload, WorkloadSet};
 use ola_sim::{EventRecord, LayerRun, OutlierSelect, QuantPolicy, Utilization};
 use ola_tensor::init::HeavyTailed;
 use ola_tensor::{Shape4, Tensor};
@@ -29,42 +29,47 @@ use ola_tensor::{Shape4, Tensor};
 /// fails validation instead of attempting an absurd allocation.
 const MAX_DIM: u64 = 1 << 24;
 
-// --- tensors ---
+// --- shapes and tensors ---
 
-/// Encodes a tensor: shape as four `u64`s, then the length-prefixed data.
+/// Encodes a shape as four `u64`s (`n`, `c`, `h`, `w`).
+fn encode_shape(w: &mut Writer, s: &Shape4) {
+    for d in [s.n, s.c, s.h, s.w] {
+        w.u64(d as u64);
+    }
+}
+
+/// Decodes a shape written by [`encode_shape`], rejecting any dimension
+/// above [`MAX_DIM`].
+fn decode_shape(r: &mut Reader<'_>) -> Result<Shape4, StoreError> {
+    let dims = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+    if dims.iter().any(|&d| d > MAX_DIM) {
+        return Err(corrupt(format!("implausible shape {dims:?}")));
+    }
+    let [n, c, h, w] = dims.map(|d| d as usize);
+    Ok(Shape4::new(n, c, h, w))
+}
+
+/// Encodes a tensor: its shape, then the length-prefixed data.
 pub fn encode_tensor(w: &mut Writer, t: &Tensor) {
-    let s = t.shape();
-    w.u64(s.n as u64);
-    w.u64(s.c as u64);
-    w.u64(s.h as u64);
-    w.u64(s.w as u64);
+    encode_shape(w, &t.shape());
     w.f32s(t.as_slice());
 }
 
 /// Decodes a tensor written by [`encode_tensor`].
 pub fn decode_tensor(r: &mut Reader<'_>) -> Result<Tensor, StoreError> {
-    let dims = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    if dims.iter().any(|&d| d > MAX_DIM) {
-        return Err(corrupt(format!("implausible tensor dimension {dims:?}")));
-    }
-    let len = dims
+    let shape = decode_shape(r)?;
+    let len = [shape.n, shape.c, shape.h, shape.w]
         .iter()
-        .try_fold(1u64, |acc, &d| acc.checked_mul(d))
+        .try_fold(1u64, |acc, &d| acc.checked_mul(d as u64))
         .filter(|&l| l <= MAX_DIM * 16)
         .ok_or_else(|| corrupt("tensor element count overflows"))?;
     let data = r.f32s()?;
     if data.len() as u64 != len {
         return Err(corrupt(format!(
-            "tensor data length {} does not match shape {dims:?}",
+            "tensor data length {} does not match shape {shape}",
             data.len()
         )));
     }
-    let shape = Shape4::new(
-        dims[0] as usize,
-        dims[1] as usize,
-        dims[2] as usize,
-        dims[3] as usize,
-    );
     Ok(Tensor::from_vec(shape, data))
 }
 
@@ -186,8 +191,9 @@ fn decode_rowgen_body(r: &mut Reader<'_>) -> Result<WeightStore, StoreError> {
 
 // --- quantization policy ---
 
-/// Encodes a policy by exact bit pattern (round-trip identity).
-pub fn encode_policy(w: &mut Writer, p: &QuantPolicy) {
+/// Encodes every policy field, floats by exact bit pattern: the canonical
+/// form [`policy_fingerprint`] hashes.
+fn encode_policy(w: &mut Writer, p: &QuantPolicy) {
     w.u8(match p.mode {
         ComparisonMode::Bits16 => 0,
         ComparisonMode::Bits8 => 1,
@@ -212,49 +218,6 @@ pub fn encode_policy(w: &mut Writer, p: &QuantPolicy) {
     }
 }
 
-/// Decodes a policy written by [`encode_policy`].
-pub fn decode_policy(r: &mut Reader<'_>) -> Result<QuantPolicy, StoreError> {
-    let mode = match r.u8()? {
-        0 => ComparisonMode::Bits16,
-        1 => ComparisonMode::Bits8,
-        other => return Err(corrupt(format!("unknown comparison mode {other}"))),
-    };
-    let low_bits = r.u32()?;
-    let outlier_ratio = r.f64()?;
-    let first_layer = match r.u8()? {
-        0 => FirstLayerPolicy::RawActs,
-        1 => FirstLayerPolicy::RawActsWideWeights,
-        2 => FirstLayerPolicy::FineTuned4Bit,
-        other => return Err(corrupt(format!("unknown first-layer policy {other}"))),
-    };
-    let select = match r.u8()? {
-        0 => OutlierSelect::MagnitudePercentile,
-        tag @ (1 | 2) => {
-            let window = r.u64()?;
-            if window == 0 || window > MAX_DIM {
-                return Err(corrupt("policy window out of range"));
-            }
-            if tag == 1 {
-                OutlierSelect::WindowedTopK {
-                    window: window as usize,
-                }
-            } else {
-                OutlierSelect::SensitivityWeighted {
-                    window: window as usize,
-                }
-            }
-        }
-        other => return Err(corrupt(format!("unknown outlier-select tag {other}"))),
-    };
-    Ok(QuantPolicy {
-        mode,
-        low_bits,
-        outlier_ratio,
-        first_layer,
-        select,
-    })
-}
-
 /// A policy's content-address fingerprint: the FNV of its canonical
 /// encoding, with the outlier ratio's `-0.0` folded onto `0.0` and every
 /// NaN onto the quiet NaN, so policies that extract identically share one
@@ -275,26 +238,6 @@ pub fn policy_fingerprint(p: &QuantPolicy) -> u64 {
 
 // --- workload sets ---
 
-fn encode_shape_ser(w: &mut Writer, s: &Shape4Ser) {
-    w.u64(s.n as u64);
-    w.u64(s.c as u64);
-    w.u64(s.h as u64);
-    w.u64(s.w as u64);
-}
-
-fn decode_shape_ser(r: &mut Reader<'_>) -> Result<Shape4Ser, StoreError> {
-    let dims = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    if dims.iter().any(|&d| d > MAX_DIM) {
-        return Err(corrupt("implausible workload shape"));
-    }
-    Ok(Shape4Ser {
-        n: dims[0] as usize,
-        c: dims[1] as usize,
-        h: dims[2] as usize,
-        w: dims[3] as usize,
-    })
-}
-
 fn encode_layer(w: &mut Writer, l: &LayerWorkload) {
     w.string(&l.name);
     w.u64(l.index as u64);
@@ -302,8 +245,8 @@ fn encode_layer(w: &mut Writer, l: &LayerWorkload) {
         LayerKind::Conv => 0,
         LayerKind::Fc => 1,
     });
-    encode_shape_ser(w, &l.in_shape);
-    encode_shape_ser(w, &l.out_shape);
+    encode_shape(w, &l.in_shape);
+    encode_shape(w, &l.out_shape);
     w.u64(l.kernel as u64);
     w.u64(l.macs);
     w.u64(l.weight_count);
@@ -330,8 +273,8 @@ fn decode_layer(r: &mut Reader<'_>) -> Result<LayerWorkload, StoreError> {
             1 => LayerKind::Fc,
             other => return Err(corrupt(format!("unknown layer kind {other}"))),
         },
-        in_shape: decode_shape_ser(r)?,
-        out_shape: decode_shape_ser(r)?,
+        in_shape: decode_shape(r)?,
+        out_shape: decode_shape(r)?,
         kernel: r.u64()? as usize,
         macs: r.u64()?,
         weight_count: r.u64()?,
@@ -350,7 +293,7 @@ fn decode_layer(r: &mut Reader<'_>) -> Result<LayerWorkload, StoreError> {
     })
 }
 
-/// A full workload set: network, policy, per-layer workloads.
+/// A full workload set: network and per-layer workloads.
 impl Record for WorkloadSet {
     const KIND: u8 = 2;
     const PREFIX: &'static str = "ws";
@@ -358,7 +301,6 @@ impl Record for WorkloadSet {
 
     fn encode(&self, w: &mut Writer) {
         w.string(&self.network);
-        encode_policy(w, &self.policy);
         w.len(self.layers.len());
         for l in &self.layers {
             encode_layer(w, l);
@@ -367,17 +309,12 @@ impl Record for WorkloadSet {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let network = r.string()?;
-        let policy = decode_policy(r)?;
         let n = r.len(1)?;
         let mut layers = Vec::with_capacity(n);
         for _ in 0..n {
             layers.push(decode_layer(r)?);
         }
-        Ok(WorkloadSet {
-            network,
-            policy,
-            layers,
-        })
+        Ok(WorkloadSet { network, layers })
     }
 }
 
@@ -584,30 +521,48 @@ mod tests {
     }
 
     #[test]
-    fn policy_codec_round_trips() {
-        for p in [
-            QuantPolicy::olaccel16("alexnet"),
-            QuantPolicy::olaccel8("resnet18"),
-            {
-                let mut p = QuantPolicy::olaccel16("vgg16");
-                p.select = OutlierSelect::WindowedTopK { window: 16 };
-                p
+    fn policy_fingerprint_separates_every_field() {
+        let base = QuantPolicy::olaccel16("alexnet");
+        let variants = [
+            QuantPolicy {
+                mode: ComparisonMode::Bits8,
+                ..base
             },
-            {
-                let mut p = QuantPolicy::olaccel16("alexnet");
-                p.select = OutlierSelect::SensitivityWeighted { window: 8 };
-                p.outlier_ratio = 0.0;
-                p
+            QuantPolicy {
+                low_bits: 3,
+                ..base
             },
-        ] {
-            let mut w = Writer::new();
-            encode_policy(&mut w, &p);
-            let buf = w.into_bytes();
-            let mut r = Reader::new(&buf);
-            let back = decode_policy(&mut r).unwrap();
-            r.finish().unwrap();
-            assert_eq!(back, p);
-        }
+            QuantPolicy {
+                outlier_ratio: 0.01,
+                ..base
+            },
+            QuantPolicy {
+                first_layer: FirstLayerPolicy::RawActsWideWeights,
+                ..base
+            },
+            QuantPolicy {
+                first_layer: FirstLayerPolicy::FineTuned4Bit,
+                ..base
+            },
+            QuantPolicy {
+                select: OutlierSelect::WindowedTopK { window: 16 },
+                ..base
+            },
+            QuantPolicy {
+                select: OutlierSelect::WindowedTopK { window: 8 },
+                ..base
+            },
+            QuantPolicy {
+                select: OutlierSelect::SensitivityWeighted { window: 16 },
+                ..base
+            },
+        ];
+        let mut prints: Vec<u64> = variants.iter().map(policy_fingerprint).collect();
+        prints.push(policy_fingerprint(&base));
+        let n = prints.len();
+        prints.sort_unstable();
+        prints.dedup();
+        assert_eq!(prints.len(), n, "every field must move the fingerprint");
     }
 
     #[test]

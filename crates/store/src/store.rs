@@ -215,7 +215,7 @@ mod tests {
     use ola_nn::Params;
     use ola_quant::accuracy::QuantAccuracy;
     use ola_sim::workload::{LayerKind, LayerWorkload, WorkloadSet};
-    use ola_sim::{EventRecord, LayerRun, QuantPolicy};
+    use ola_sim::{EventRecord, LayerRun};
     use ola_tensor::{Shape4, Tensor};
 
     /// A prepared network's tensors — the payload core of the harness's
@@ -270,13 +270,12 @@ mod tests {
     fn sample_workloads() -> WorkloadSet {
         WorkloadSet {
             network: "alexnet".into(),
-            policy: QuantPolicy::olaccel16("alexnet"),
             layers: vec![LayerWorkload {
                 name: "conv1".into(),
                 index: 0,
                 kind: LayerKind::Conv,
-                in_shape: Shape4::new(1, 3, 8, 8).into(),
-                out_shape: Shape4::new(1, 16, 4, 4).into(),
+                in_shape: Shape4::new(1, 3, 8, 8),
+                out_shape: Shape4::new(1, 16, 4, 4),
                 kernel: 3,
                 macs: 12345,
                 weight_count: 432,

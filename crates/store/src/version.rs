@@ -7,10 +7,13 @@
 //! tensor initialization and scans, synthetic parameter generation, the
 //! network zoo, workload extraction, quantizer calibration, the vendored
 //! RNG — at compile time. Each [`crate::store::Record`] names one of the
-//! four source lists below as its `SOURCES`. Any edit to a listed file
-//! changes that list's fingerprint, changes the filename of every record
-//! versioned by it, and silently invalidates the old records. (`include_str!` also registers each file with cargo's rebuild
-//! tracking, so the fingerprint can never go stale.)
+//! four source lists below as its `SOURCES`, and every list also hashes
+//! the store's own [`crate::codec`] and [`crate::wire`], which lay out the
+//! record bytes. Any edit to a listed file changes that list's
+//! fingerprint, changes the filename of every record versioned by it, and
+//! silently invalidates the old records. (`include_str!` also registers
+//! each file with cargo's rebuild tracking, so the fingerprint can never
+//! go stale.)
 //!
 //! Conservative by design: a comment-only edit to a hashed file also
 //! invalidates the cache. That trades a few spurious recomputes for never
@@ -57,6 +60,10 @@ pub const PREP_SOURCES: &[&str] = &[
     // derivation, activation-sparsity shaping). Text-only include — no
     // crate dependency cycle.
     include_str!("../../harness/src/prep.rs"),
+    // The record payload layouts and the wire primitives they are written
+    // with: a layout edit must not decode old bytes into new fields.
+    include_str!("codec.rs"),
+    include_str!("wire.rs"),
 ];
 
 /// Source files whose text determines *simulation result* bytes — the
@@ -66,6 +73,9 @@ pub const PREP_SOURCES: &[&str] = &[
 /// records (and vice versa). Like [`PREP_SOURCES`], text-only includes —
 /// `ola-store` has no crate dependency on `ola-core`/`ola-baselines`.
 pub const MODEL_SOURCES: &[&str] = &[
+    // The generic accelerator simulator: configuration, cache key and the
+    // memory-system energy every model's layer result includes.
+    include_str!("../../sim/src/accelerator.rs"),
     // OLAccel's analytic model and the event-driven validation backend.
     include_str!("../../core/src/model.rs"),
     include_str!("../../core/src/cost.rs"),
@@ -81,15 +91,22 @@ pub const MODEL_SOURCES: &[&str] = &[
     include_str!("../../energy/src/mac.rs"),
     include_str!("../../energy/src/params.rs"),
     include_str!("../../energy/src/sram.rs"),
-    // Sim-level inputs: workload statistics (and their fingerprint),
-    // traffic model, result records, the cache keying machinery itself.
+    // Sim-level inputs: workload statistics (and their fingerprint), the
+    // traffic model with the policy widths and chunk formats it prices,
+    // result records, the cache keying machinery itself.
     include_str!("../../sim/src/workload.rs"),
     include_str!("../../sim/src/traffic.rs"),
+    include_str!("../../sim/src/policy.rs"),
+    include_str!("../../quant/src/chunks.rs"),
     include_str!("../../sim/src/result.rs"),
     include_str!("../../sim/src/simcache.rs"),
     include_str!("../../tensor/src/memo.rs"),
     // The RNG behind the event backend's multi-outlier draws.
     include_str!("../../../vendored/rand/src/lib.rs"),
+    // The record payload layouts and the wire primitives they are written
+    // with: a layout edit must not decode old bytes into new fields.
+    include_str!("codec.rs"),
+    include_str!("wire.rs"),
 ];
 
 /// Source files whose text determines *accuracy evaluation* bytes — the
@@ -115,6 +132,10 @@ pub const EVAL_SOURCES: &[&str] = &[
     include_str!("../../tensor/src/memo.rs"),
     // The RNG behind dataset synthesis and training shuffles.
     include_str!("../../../vendored/rand/src/lib.rs"),
+    // The record payload layouts and the wire primitives they are written
+    // with: a layout edit must not decode old bytes into new fields.
+    include_str!("codec.rs"),
+    include_str!("wire.rs"),
 ];
 
 /// Source files whose text determines fig3's *weight-SQNR surrogate*
@@ -144,6 +165,10 @@ pub const SURROGATE_SOURCES: &[&str] = &[
     include_str!("../../quant/src/evalcache.rs"),
     // The RNG behind every synthesized weight.
     include_str!("../../../vendored/rand/src/lib.rs"),
+    // The record payload layouts and the wire primitives they are written
+    // with: a layout edit must not decode old bytes into new fields.
+    include_str!("codec.rs"),
+    include_str!("wire.rs"),
 ];
 
 /// A version fingerprint: the length-framed FNV-1a fold over
@@ -190,6 +215,23 @@ mod tests {
         assert_ne!(eval, 0);
         assert_ne!(eval, sources_version(PREP_SOURCES));
         assert_ne!(eval, sources_version(MODEL_SOURCES));
+    }
+
+    #[test]
+    fn every_record_kind_is_versioned_by_its_layout() {
+        for (kind, list) in [
+            ("prep", PREP_SOURCES),
+            ("model", MODEL_SOURCES),
+            ("eval", EVAL_SOURCES),
+            ("surrogate", SURROGATE_SOURCES),
+        ] {
+            for (file, text) in [
+                ("codec.rs", include_str!("codec.rs")),
+                ("wire.rs", include_str!("wire.rs")),
+            ] {
+                assert!(list.contains(&text), "{kind} sources omit {file}");
+            }
+        }
     }
 
     #[test]

@@ -301,23 +301,10 @@ impl<R> Memo<R> {
 
     /// Fetches or computes (exactly once per key) the value for `key`.
     pub fn get(&self, key: u64, build: impl FnOnce() -> R) -> Arc<R> {
-        self.get_with(key, |_| {}, build)
-    }
-
-    /// [`Memo::get`], with `on_load` applied to a record the persistent
-    /// tier returns before it is shared — for values whose stored form can
-    /// differ from a fresh build in bits the key does not fold.
-    pub fn get_with(
-        &self,
-        key: u64,
-        on_load: impl FnOnce(&mut R),
-        build: impl FnOnce() -> R,
-    ) -> Arc<R> {
         let (value, fill) = fill_slot(&self.slots, key, || {
             let store = lock_unpoisoned(&self.store).clone();
             if let Some(store) = &store {
-                if let Some(mut record) = store.load(key) {
-                    on_load(&mut record);
+                if let Some(record) = store.load(key) {
                     return (Arc::new(record), Fill::Disk);
                 }
                 self.missed.fetch_add(1, Ordering::Relaxed);
@@ -466,13 +453,11 @@ mod tests {
         assert_eq!((s.hits, s.built, s.loaded, s.missed), (1, 2, 0, 1));
         assert_eq!(store.load(4), Some(40), "a fresh build writes through");
 
-        // A second memo over the same store loads instead of building, and
-        // `on_load` sees only the loaded record.
+        // A second memo over the same store loads instead of building.
         let warm: Memo<u64> = Memo::default();
         warm.set_store(store);
-        let v = warm.get_with(4, |r| *r += 1, || panic!("store must satisfy"));
-        assert_eq!(*v, 41);
-        assert_eq!(*warm.get_with(5, |r| *r += 1, || 50), 50);
+        assert_eq!(*warm.get(4, || panic!("store must satisfy")), 40);
+        assert_eq!(*warm.get(5, || 50), 50);
         let s = warm.stats();
         assert_eq!((s.hits, s.built, s.loaded, s.missed), (0, 1, 1, 1));
 

@@ -380,20 +380,19 @@ pub fn extract_from_acts(
         };
         let out_zero_fraction = post_activation_zero_fraction(net, outs, node);
 
-        let in_shape: Shape4 = if kind == LayerKind::Fc {
+        let in_shape = if kind == LayerKind::Fc {
             let s = act.shape();
             Shape4::new(s.n, s.c * s.h * s.w, 1, 1)
         } else {
             act.shape()
         };
-        let out_shape: Shape4 = shapes[node];
 
         layers.push(LayerWorkload {
             name: n.name.clone(),
             index,
             kind,
-            in_shape: in_shape.into(),
-            out_shape: out_shape.into(),
+            in_shape,
+            out_shape: shapes[node],
             kernel,
             macs,
             weight_count: weight_count as u64,
@@ -414,7 +413,6 @@ pub fn extract_from_acts(
 
     WorkloadSet {
         network: net.name().to_string(),
-        policy: *policy,
         layers,
     }
 }
@@ -474,7 +472,6 @@ pub fn layer_bitwise_eq(a: &LayerWorkload, b: &LayerWorkload) -> bool {
 /// [`layer_bitwise_eq`]).
 pub fn bitwise_eq(a: &WorkloadSet, b: &WorkloadSet) -> bool {
     a.network == b.network
-        && a.policy == b.policy
         && a.layers.len() == b.layers.len()
         && a.layers
             .iter()

@@ -2,6 +2,7 @@
 //! quantization -> workload extraction -> all three accelerator models,
 //! checking the paper's qualitative claims hold across the stack.
 
+use ola_baselines::zena::ZenaTuning;
 use ola_baselines::{EyerissSim, ZenaSim};
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
@@ -109,7 +110,7 @@ fn eyeriss_and_zena_agree_on_total_work() {
     let mut zena_total = 0u64;
     let mut eyeriss_total = 0u64;
     for l in &ws16.layers {
-        assert!(ez.effective_macs(l) <= l.macs as f64);
+        assert!(ZenaTuning::effective_macs(l) <= l.macs as f64);
         zena_total += ez.simulate_layer(l, &mem).cycles;
         eyeriss_total += ee.simulate_layer(l, &mem).cycles;
     }

@@ -11,7 +11,8 @@
 use ola_core::cost::{layer_cost, GroupTuning};
 use ola_core::dispatch::{makespan_analytic, makespan_exact};
 use ola_core::event::{jobs_from_workload, simulate_cluster, EventConfig, UnitJob};
-use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser};
+use ola_sim::workload::{LayerKind, LayerWorkload};
+use ola_tensor::Shape4;
 use proptest::prelude::*;
 
 /// A synthetic 16-in/16-out layer whose `group_units()` is exactly `units`,
@@ -32,18 +33,8 @@ fn layer(chunk_nnz: Vec<u8>, units: u64, act_bits: u32, multi: f64) -> LayerWork
         name: "prop".into(),
         index: 1,
         kind: LayerKind::Conv,
-        in_shape: Shape4Ser {
-            n: 1,
-            c: 16,
-            h: 1,
-            w: chunks.max(1),
-        },
-        out_shape: Shape4Ser {
-            n: 1,
-            c: 16,
-            h: 1,
-            w: chunks.max(1),
-        },
+        in_shape: Shape4::new(1, 16, 1, chunks.max(1)),
+        out_shape: Shape4::new(1, 16, 1, chunks.max(1)),
         kernel: 1,
         macs: units * 256,
         weight_count: 256,

@@ -1,17 +1,22 @@
 //! Property tests for the process-wide simulation cache (`ola_sim::simcache`):
 //! a cached result must be bit-identical to a fresh computation for every
-//! accelerator model at any worker count, event records replayed from the
-//! cache must still satisfy the cycle conservation law, and the disk tier
-//! must round-trip records bit-exactly through the artifact store.
+//! accelerator model at any worker count and under every single change of
+//! the model's inputs, event records replayed from the cache must still
+//! satisfy the cycle conservation law, and the disk tier must round-trip
+//! records bit-exactly through the artifact store.
 
+use ola_baselines::eyeriss::EyerissTuning;
+use ola_baselines::zena::ZenaTuning;
 use ola_baselines::{EyerissSim, ZenaSim};
+use ola_core::cost::GroupTuning;
 use ola_core::event::{cluster_record, EventConfig};
-use ola_core::OlAccelSim;
+use ola_core::{OlAccelSim, Tuning};
 use ola_energy::config::MemoryConfig;
 use ola_energy::{ComparisonMode, TechParams};
-use ola_sim::workload::{LayerKind, LayerWorkload, Shape4Ser, WorkloadSet};
-use ola_sim::{EventRecord, LayerRun, QuantPolicy, SimCache, Utilization};
+use ola_sim::workload::{LayerKind, LayerWorkload, WorkloadSet};
+use ola_sim::{Accelerator, EventRecord, LayerModel, LayerRun, SimCache, Utilization};
 use ola_store::ArtifactStore;
+use ola_tensor::Shape4;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -34,18 +39,8 @@ fn layer(
         name: format!("prop{index}"),
         index,
         kind: LayerKind::Conv,
-        in_shape: Shape4Ser {
-            n: 1,
-            c: 16,
-            h: 4,
-            w: chunks.max(1),
-        },
-        out_shape: Shape4Ser {
-            n: 1,
-            c: 16,
-            h: 4,
-            w: chunks.max(1),
-        },
+        in_shape: Shape4::new(1, 16, 4, chunks.max(1)),
+        out_shape: Shape4::new(1, 16, 4, chunks.max(1)),
         kernel,
         macs: units * 256,
         weight_count: 256 * kernel as u64 * kernel as u64,
@@ -84,7 +79,6 @@ fn workload_set() -> impl Strategy<Value = WorkloadSet> {
     )
     .prop_map(|specs| WorkloadSet {
         network: "alexnet".into(),
-        policy: QuantPolicy::olaccel16("alexnet"),
         layers: specs
             .into_iter()
             .enumerate()
@@ -104,16 +98,23 @@ fn workload_set() -> impl Strategy<Value = WorkloadSet> {
     })
 }
 
+/// Every field of a layer result, floats by exact bit pattern.
+type RunBits = (String, u64, Utilization, [u64; 4], Vec<u64>);
+
+fn bits(r: &LayerRun) -> RunBits {
+    let e = &r.energy;
+    (
+        r.name.clone(),
+        r.cycles,
+        r.utilization,
+        [e.dram, e.buffer, e.local, e.logic].map(f64::to_bits),
+        r.chunk_cycle_hist.clone(),
+    )
+}
+
 /// Bitwise equality of two layer results (floats by exact bit pattern).
 fn assert_runs_bitwise_eq(a: &LayerRun, b: &LayerRun) {
-    assert_eq!(a.name, b.name);
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.utilization, b.utilization);
-    assert_eq!(a.energy.dram.to_bits(), b.energy.dram.to_bits());
-    assert_eq!(a.energy.buffer.to_bits(), b.energy.buffer.to_bits());
-    assert_eq!(a.energy.local.to_bits(), b.energy.local.to_bits());
-    assert_eq!(a.energy.logic.to_bits(), b.energy.logic.to_bits());
-    assert_eq!(a.chunk_cycle_hist, b.chunk_cycle_hist);
+    assert_eq!(bits(a), bits(b));
 }
 
 proptest! {
@@ -168,6 +169,217 @@ proptest! {
         prop_assert_eq!(first, hit);
         prop_assert!(hit.utilization.is_conserved(hit.cycles, groups as u64));
     }
+}
+
+/// Two layers under `network`'s Table I memory config: a raw-input first
+/// layer and a pruned layer with single- and multi-outlier weight chunks,
+/// so every tuning field below moves some result bit.
+fn key_probe(network: &str) -> WorkloadSet {
+    WorkloadSet {
+        network: network.into(),
+        layers: vec![
+            layer(0, vec![16, 12, 0, 9], 700, 16, 0.3, 0.0, 0.0, 11),
+            layer(1, vec![5, 16, 0, 2, 11], 900, 4, 0.5, 0.6, 0.1, 3),
+        ],
+    }
+}
+
+/// One `TechParams` per field, that field alone scaled by 1.25.
+fn tech_perturbations() -> Vec<TechParams> {
+    let fields: [fn(&mut TechParams) -> &mut f64; 18] = [
+        |t| &mut t.mult_area_per_bit2,
+        |t| &mut t.acc_area_per_bit,
+        |t| &mut t.pe_linear_area_per_bit,
+        |t| &mut t.pe_fixed_area,
+        |t| &mut t.zena_skip_area,
+        |t| &mut t.olaccel_mac_fixed_area,
+        |t| &mut t.olaccel_group_area,
+        |t| &mut t.olaccel_cluster_area_16,
+        |t| &mut t.olaccel_cluster_area_8,
+        |t| &mut t.mult_energy_per_bit2,
+        |t| &mut t.acc_energy_per_bit,
+        |t| &mut t.gated_mac_fraction,
+        |t| &mut t.control_energy_per_op,
+        |t| &mut t.sram_e0_per_bit,
+        |t| &mut t.sram_e1_per_bit,
+        |t| &mut t.sram_area_per_bit,
+        |t| &mut t.dram_energy_per_bit,
+        |t| &mut t.dram_bits_per_cycle,
+    ];
+    let base = TechParams::default().field_bits();
+    fields
+        .iter()
+        .enumerate()
+        .map(|(i, field)| {
+            let mut t = TechParams::default();
+            *field(&mut t) *= 1.25;
+            // Perturbation i moves field i alone, so the list covers all 18.
+            let moved: Vec<usize> = (0..base.len())
+                .filter(|&j| t.field_bits()[j] != base[j])
+                .collect();
+            assert_eq!(moved, [i]);
+            t
+        })
+        .collect()
+}
+
+/// Warms the global cache with `M`'s default simulation, then applies
+/// each single perturbation — the other mode, each `TechParams` field,
+/// each `(name, tuning, moves)` entry, another Table I memory config — and
+/// asserts that the cached `simulate` equals a cache-bypassing
+/// `simulate_layer` loop bit for bit. A key that folds too little serves
+/// the default's result instead. `moves` says whether the tuning change
+/// alters the fresh result, which keeps each probe from being vacuous.
+fn assert_key_separates<M: LayerModel>(tunings: &[(&str, M, bool)]) {
+    let (tech, mode) = (TechParams::default(), ComparisonMode::Bits16);
+    let fresh = |sim: &Accelerator<M>, ws: &WorkloadSet| -> Vec<RunBits> {
+        let mem = MemoryConfig::for_network(&ws.network, sim.config().mode);
+        ws.layers
+            .iter()
+            .map(|l| bits(&sim.simulate_layer(l, &mem)))
+            .collect()
+    };
+    let base = Accelerator::<M>::new(tech, mode);
+    let alexnet = key_probe("alexnet");
+    let base_bits = fresh(&base, &alexnet);
+    let warm: Vec<RunBits> = base.simulate(&alexnet).layers.iter().map(bits).collect();
+    assert_eq!(warm, base_bits);
+
+    let mut probes = vec![
+        (
+            "other mode".to_string(),
+            Accelerator::new(tech, ComparisonMode::Bits8),
+            alexnet.clone(),
+            Some(true),
+        ),
+        (
+            "memory config".to_string(),
+            base.clone(),
+            key_probe("vgg16"),
+            Some(true),
+        ),
+    ];
+    for (i, t) in tech_perturbations().into_iter().enumerate() {
+        let sim = Accelerator::new(t, mode);
+        probes.push((format!("TechParams field {i}"), sim, alexnet.clone(), None));
+    }
+    for &(name, tuning, moves) in tunings {
+        let sim = base.clone().with_tuning(tuning);
+        probes.push((name.to_string(), sim, alexnet.clone(), Some(moves)));
+    }
+    for (name, sim, ws, moves) in probes {
+        let want = fresh(&sim, &ws);
+        let got: Vec<RunBits> = sim.simulate(&ws).layers.iter().map(bits).collect();
+        assert_eq!(got, want, "{}: {name}", base.label());
+        if let Some(moves) = moves {
+            assert_eq!(want != base_bits, moves, "{}: {name}", base.label());
+        }
+    }
+}
+
+#[test]
+fn model_cache_key_separates_every_input() {
+    let ola = Tuning::default();
+    let group = |g: GroupTuning| Tuning { group: g, ..ola };
+    assert_key_separates(&[
+        (
+            "lanes",
+            group(GroupTuning {
+                lanes: 8,
+                ..ola.group
+            }),
+            true,
+        ),
+        // Only the skip-width ablation bench reads `skip_width`; the
+        // measured width-4 zero quads price skipping here, so the result
+        // ignores it. It is folded all the same.
+        (
+            "skip_width",
+            group(GroupTuning {
+                skip_width: 2,
+                ..ola.group
+            }),
+            false,
+        ),
+        (
+            "outlier_mac",
+            group(GroupTuning {
+                outlier_mac: false,
+                ..ola.group
+            }),
+            true,
+        ),
+        (
+            "dispatch_overhead",
+            Tuning {
+                dispatch_overhead: 1.5,
+                ..ola
+            },
+            true,
+        ),
+        (
+            "accum_drain",
+            Tuning {
+                accum_drain: 64,
+                ..ola
+            },
+            true,
+        ),
+        (
+            "local_buffer_bits",
+            Tuning {
+                local_buffer_bits: 2 * ola.local_buffer_bits,
+                ..ola
+            },
+            true,
+        ),
+    ]);
+    let eye = EyerissTuning::default();
+    assert_key_separates(&[
+        (
+            "mapping_utilization",
+            EyerissTuning {
+                mapping_utilization: 0.6,
+                ..eye
+            },
+            true,
+        ),
+        (
+            "spad_bits",
+            EyerissTuning {
+                spad_bits: 2 * eye.spad_bits,
+                ..eye
+            },
+            true,
+        ),
+    ]);
+    let zena = ZenaTuning::default();
+    assert_key_separates(&[
+        (
+            "imbalance",
+            ZenaTuning {
+                imbalance: 1.3,
+                ..zena
+            },
+            true,
+        ),
+        (
+            "meta_bits_per_op",
+            ZenaTuning {
+                meta_bits_per_op: 4.0,
+                ..zena
+            },
+            true,
+        ),
+        (
+            "spad_bits",
+            ZenaTuning {
+                spad_bits: 2 * zena.spad_bits,
+                ..zena
+            },
+            true,
+        ),
+    ]);
 }
 
 /// A unique scratch directory under the system temp dir (process-id +

@@ -246,13 +246,12 @@ fn truncated_and_alien_files_are_ignored() {
 fn sample_workloads() -> WorkloadSet {
     WorkloadSet {
         network: "alexnet".into(),
-        policy: QuantPolicy::olaccel16("alexnet"),
         layers: vec![LayerWorkload {
             name: "conv1".into(),
             index: 0,
             kind: LayerKind::Conv,
-            in_shape: Shape4::new(1, 3, 8, 8).into(),
-            out_shape: Shape4::new(1, 16, 4, 4).into(),
+            in_shape: Shape4::new(1, 3, 8, 8),
+            out_shape: Shape4::new(1, 16, 4, 4),
             kernel: 3,
             macs: 12345,
             weight_count: 432,
@@ -286,8 +285,7 @@ fn workloads_round_trip_bitwise() {
 }
 
 /// `-0.0` and `0.0` share one workload-set key, so a fresh cache asking for
-/// `-0.0` loads the artifact a `0.0` run wrote — and the loaded set carries
-/// the *requested* policy, bit for bit, exactly as a cold extraction would.
+/// `-0.0` loads the artifact a `0.0` run wrote instead of extracting again.
 #[test]
 fn loaded_workloads_carry_the_requested_policy_bits() {
     let dir = scratch("carry");
@@ -304,7 +302,7 @@ fn loaded_workloads_carry_the_requested_policy_bits() {
     let warm = PrepCache::new();
     warm.set_store(open(&dir));
     let _ = warm.prepared(NET, SCALE, DEFAULT_SEED);
-    let ws = warm.workloads(NET, SCALE, DEFAULT_SEED, &neg_zero);
+    let _ = warm.workloads(NET, SCALE, DEFAULT_SEED, &neg_zero);
     let s = warm.stats();
     assert_eq!((s.workload_misses, s.disk_hits), (0, 2), "no extraction");
     let workload_files = std::fs::read_dir(&dir)
@@ -316,11 +314,6 @@ fn loaded_workloads_carry_the_requested_policy_bits() {
         })
         .count();
     assert_eq!(workload_files, 1, "-0.0 must not write a second artifact");
-    assert_eq!(
-        ws.policy.outlier_ratio.to_bits(),
-        (-0.0f64).to_bits(),
-        "the loaded set must carry the requested policy"
-    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
