@@ -67,9 +67,8 @@ fn benches(c: &mut Criterion) {
 
     println!("\n=== Ablation: which side causes the 4-bit accuracy cliff ===");
     {
-        use ola_harness::fig02::TrainedSynthNet;
         use ola_quant::accuracy::{evaluate_synthnet, QuantSpec};
-        let t = TrainedSynthNet::train(true);
+        let t = ola_harness::fig02::trained(ola_quant::EvalCache::global(), true);
         for (label, spec) in [
             ("full precision     ", None),
             ("weights only @ 0%  ", Some(QuantSpec::weights_only(0.0))),

@@ -15,7 +15,7 @@ use ola_quant::EvalCache;
 use std::hint::black_box;
 
 fn benches(c: &mut Criterion) {
-    let t = trained(true);
+    let t = trained(EvalCache::global(), true);
 
     let sweep = || {
         let mut total = 0.0;

@@ -37,7 +37,9 @@ fn main() {
                 }
             }
             if let Some(dir) = &options.out_dir {
-                fs::create_dir_all(dir).expect("create output directory");
+                if let Err(e) = fs::create_dir_all(dir) {
+                    usage_error(&format!("cannot create --out {}: {e}", dir.display()));
+                }
             }
             let names = cli::resolve_names(&names);
             let jobs = options.jobs.unwrap_or_else(ola_tensor::par::default_jobs);
@@ -46,8 +48,11 @@ fn main() {
                 if let Ok(report) = &outcome.report {
                     println!("{report}");
                     if let Some(dir) = &out_dir {
-                        fs::write(dir.join(format!("{}.txt", outcome.name)), report)
-                            .expect("write report");
+                        let path = dir.join(format!("{}.txt", outcome.name));
+                        if let Err(e) = fs::write(&path, report) {
+                            eprintln!("error: cannot write {}: {e}", path.display());
+                            exit(1);
+                        }
                     }
                 }
             });

@@ -28,11 +28,14 @@ EXPERIMENT  fig1 fig2 fig3 table1 fig11 fig12 fig13 fig14 fig15 fig16
 --out DIR   additionally write each report to DIR/<experiment>.txt
 --cache-dir DIR
             persistent artifact store: prepared networks, workload sets,
-            per-layer simulation results, accuracy-eval records and
-            fig3's weight-SQNR surrogates are written there on first
-            build and loaded on later runs, skipping synthesis, forward
-            and extraction and, when warm, the model and eval phases
-            entirely. Artifacts are content-addressed by their inputs
+            per-layer simulation results, accuracy-eval records, fig3's
+            weight-SQNR surrogates and the trained SynthNet are written
+            there on first build and loaded on later runs, skipping
+            synthesis, forward and extraction and, when warm, the model
+            and eval phases and SynthNet training entirely. Files are
+            DIR/<prefix>-<key>-v<version>.olas, prefixes prep, ws,
+            simrun, simev, eval, wsqnr and synthnet. Artifacts are
+            content-addressed by their inputs
             plus a per-kind code version fingerprint, so a stale or
             corrupt store never changes results — it only misses, with a
             stderr warning.

@@ -6,86 +6,83 @@
 //! a few percent of outliers restores it to near full precision.
 
 use crate::report::{pct, table};
-use ola_nn::synthnet::{SynthDataset, SynthNet};
+use ola_nn::synthnet::{SynthDataset, SynthNet, TrainSpec, TrainedSynthNet};
 use ola_quant::accuracy::{evaluate_synthnet, QuantSpec};
-use ola_quant::evalcache::eval_jobs;
-use std::sync::{Arc, OnceLock};
+use ola_quant::evalcache::{eval_jobs, synthnet_key, EvalCache};
+use ola_sim::timing::{timed, Phase};
+use std::sync::Arc;
 
 /// Sweep points (the paper's x-axis, 0 to 5%).
 pub const RATIOS: [f64; 7] = [0.0, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05];
 
-/// A trained SynthNet with train/test splits, shared by Figs 2/3.
-pub struct TrainedSynthNet {
-    /// The trained network.
-    pub net: SynthNet,
-    /// Training (and calibration) split.
-    pub train: SynthDataset,
-    /// Held-out evaluation split.
-    pub test: SynthDataset,
-    /// Full-precision top-1 accuracy on the test split.
-    pub fp_top1: f64,
-    /// Full-precision top-5 accuracy on the test split.
-    pub fp_top5: f64,
-}
-
-impl TrainedSynthNet {
-    /// Trains a fresh SynthNet (`fast` trims dataset size and epochs).
-    ///
-    /// Training runs on the engine's per-experiment worker budget
-    /// (`ola_nn::kernels::forward_jobs`) with an order-fixed gradient
-    /// reduction, so the trained weights — and both figures derived from
-    /// them — are byte-identical at any `--jobs` value.
-    pub fn train(fast: bool) -> Self {
-        let (n, epochs) = if fast { (700, 8) } else { (2400, 16) };
-        let all = ola_sim::timing::timed(ola_sim::timing::Phase::Synthesize, || {
-            SynthDataset::generate(n + 400, 10, 0x5EED)
-        });
-        let train = SynthDataset {
-            images: all.images[..n].to_vec(),
-            labels: all.labels[..n].to_vec(),
-            classes: 10,
-        };
-        let test = SynthDataset {
-            images: all.images[n..].to_vec(),
-            labels: all.labels[n..].to_vec(),
-            classes: 10,
-        };
-        let mut net = SynthNet::new(10, 0xCAFE);
-        ola_sim::timing::timed(ola_sim::timing::Phase::Train, || {
-            net.train(&train, epochs, 0.02, 0xBEEF)
-        });
-        // One forward pass per image yields both full-precision metrics.
-        let (fp_top1, fp_top5) = ola_sim::timing::timed(ola_sim::timing::Phase::Eval, || {
-            net.eval_with_jobs(&test, 5, |_, _| (), eval_jobs())
-        });
-        TrainedSynthNet {
-            net,
-            train,
-            test,
-            fp_top1,
-            fp_top5,
-        }
+/// The SynthNet Figs 2 and 3 and the policy panel share: 700 training
+/// images and 8 epochs at `--fast`, 2400 and 16 in full mode, 400 held-out
+/// images and fixed seeds in both.
+pub fn train_spec(fast: bool) -> TrainSpec {
+    let (train, epochs) = if fast { (700, 8) } else { (2400, 16) };
+    TrainSpec {
+        train,
+        test: 400,
+        classes: 10,
+        epochs,
+        lr: 0.02,
+        data_seed: 0x5EED,
+        init_seed: 0xCAFE,
+        shuffle_seed: 0xBEEF,
+        topk: 5,
     }
 }
 
-/// Fetches (or trains, exactly once per process and `fast` mode) the shared
-/// [`TrainedSynthNet`] — Figs 2 and 3 both need it, and training dominates
-/// their cost. Seeding is fixed inside [`TrainedSynthNet::train`], so the
-/// shared instance is identical to a freshly-trained one.
-pub fn trained(fast: bool) -> Arc<TrainedSynthNet> {
-    static FAST: OnceLock<Arc<TrainedSynthNet>> = OnceLock::new();
-    static FULL: OnceLock<Arc<TrainedSynthNet>> = OnceLock::new();
-    let slot = if fast { &FAST } else { &FULL };
-    slot.get_or_init(|| Arc::new(TrainedSynthNet::train(fast)))
-        .clone()
+/// Trains the SynthNet `spec` describes and measures its full-precision
+/// baseline, without memoization.
+///
+/// Training runs on the engine's per-experiment worker budget
+/// (`ola_nn::kernels::forward_jobs`) with an order-fixed gradient
+/// reduction, so the trained weights — and every figure derived from them
+/// — are byte-identical at any `--jobs` value.
+fn build(spec: &TrainSpec) -> TrainedSynthNet {
+    let all = timed(Phase::Synthesize, || {
+        SynthDataset::generate(spec.train + spec.test, spec.classes, spec.data_seed)
+    });
+    let split = |range: std::ops::Range<usize>| SynthDataset {
+        images: all.images[range.clone()].to_vec(),
+        labels: all.labels[range].to_vec(),
+        classes: spec.classes,
+    };
+    let train = split(0..spec.train);
+    let test = split(spec.train..all.len());
+    let mut net = SynthNet::new(spec.classes, spec.init_seed);
+    timed(Phase::Train, || {
+        net.train(&train, spec.epochs, spec.lr, spec.shuffle_seed)
+    });
+    // One forward pass per image yields both full-precision metrics.
+    let (fp_top1, fp_top5) = timed(Phase::Eval, || {
+        net.eval_with_jobs(&test, spec.topk, |_, _| (), eval_jobs())
+    });
+    TrainedSynthNet {
+        net,
+        train,
+        test,
+        fp_top1,
+        fp_top5,
+    }
+}
+
+/// The trained SynthNet at [`train_spec`]`(fast)`, memoized in `cache` —
+/// and its disk tier, when attached — under [`synthnet_key`]: from memory,
+/// then from disk, trained only when both miss. A loaded net is
+/// bit-identical to a trained one.
+pub fn trained(cache: &EvalCache, fast: bool) -> Arc<TrainedSynthNet> {
+    let spec = train_spec(fast);
+    cache.synthnet(synthnet_key(&spec), || build(&spec))
 }
 
 /// Computes and formats Fig 2.
 pub fn run(fast: bool) -> String {
-    let t = trained(fast);
+    let t = trained(EvalCache::global(), fast);
     let mut rows = Vec::new();
     for ratio in RATIOS {
-        let acc = ola_sim::timing::timed(ola_sim::timing::Phase::Eval, || {
+        let acc = timed(Phase::Eval, || {
             evaluate_synthnet(&t.net, &t.test, &t.train, &QuantSpec::paper_4bit(ratio), 5)
         });
         rows.push(vec![
@@ -113,7 +110,7 @@ pub fn run(fast: bool) -> String {
 mod tests {
     #[test]
     fn curve_recovers_with_outliers() {
-        let t = super::TrainedSynthNet::train(true);
+        let t = super::build(&super::train_spec(true));
         assert!(t.fp_top1 > 0.7, "training failed: {}", t.fp_top1);
         let bad = ola_quant::accuracy::evaluate_synthnet(
             &t.net,

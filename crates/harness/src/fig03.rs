@@ -76,7 +76,7 @@ pub fn build_weight_sqnr(network: &str, synth: &SynthConfig, specs: &[QuantSpec]
 /// Computes and formats Fig 3.
 pub fn run(fast: bool) -> String {
     // Measured path: SynthNet at the AlexNet operating point.
-    let t = trained(fast);
+    let t = trained(EvalCache::global(), fast);
     let measured = timed(Phase::Eval, || {
         evaluate_synthnet(&t.net, &t.test, &t.train, &QuantSpec::paper_4bit(0.035), 5)
     });

@@ -16,6 +16,7 @@ use crate::report::{num, pct, table};
 use ola_core::OlAccelSim;
 use ola_energy::{ComparisonMode, TechParams};
 use ola_quant::accuracy::{evaluate_synthnet, QuantSpec};
+use ola_quant::EvalCache;
 use ola_sim::{OutlierSelect, QuantPolicy};
 
 /// The outlier ratio the whole panel runs at (the paper's AlexNet point).
@@ -23,7 +24,7 @@ pub const RATIO: f64 = 0.03;
 
 /// Computes and formats the policy panel.
 pub fn run(fast: bool) -> String {
-    let t = crate::fig02::trained(fast);
+    let t = crate::fig02::trained(EvalCache::global(), fast);
     let tech = TechParams::default();
 
     let mut rows = Vec::new();

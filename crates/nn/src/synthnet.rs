@@ -108,6 +108,51 @@ impl SynthDataset {
     }
 }
 
+/// Everything a trained [`SynthNet`] and its full-precision baseline are
+/// a function of: the split sizes, the task, the SGD schedule, the three
+/// seeds and the baseline's top-k. Training and evaluation are
+/// bit-identical at any worker count, so no worker count belongs here.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TrainSpec {
+    /// Training (and calibration) images: the first `train` samples of one
+    /// generated dataset.
+    pub train: usize,
+    /// Held-out evaluation images: the `test` samples after them.
+    pub test: usize,
+    /// Classes of the task and outputs of the net.
+    pub classes: usize,
+    /// Passes over the training split.
+    pub epochs: usize,
+    /// Base SGD learning rate.
+    pub lr: f32,
+    /// Seed of [`SynthDataset::generate`].
+    pub data_seed: u64,
+    /// Seed of [`SynthNet::new`].
+    pub init_seed: u64,
+    /// Seed of [`SynthNet::train`]'s per-epoch shuffles.
+    pub shuffle_seed: u64,
+    /// `k` of the full-precision top-k baseline.
+    pub topk: usize,
+}
+
+/// A trained [`SynthNet`] with the splits it was trained and measured on
+/// and its full-precision baseline: the fixture the accuracy figures
+/// share, and one persisted record.
+#[derive(Clone, Debug)]
+pub struct TrainedSynthNet {
+    /// The trained network.
+    pub net: SynthNet,
+    /// Training (and calibration) split.
+    pub train: SynthDataset,
+    /// Held-out evaluation split.
+    pub test: SynthDataset,
+    /// Full-precision top-1 accuracy on the test split.
+    pub fp_top1: f64,
+    /// Full-precision top-k accuracy on the test split (`k` = the
+    /// [`TrainSpec::topk`] it was built with).
+    pub fp_top5: f64,
+}
+
 fn gauss<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
@@ -122,6 +167,24 @@ const H2: usize = IMG / 2; // after pool1
 const H3: usize = IMG / 4; // after pool2
 const FLAT: usize = C3 * H3 * H3;
 const FC1: usize = 64;
+
+/// The lengths of a `classes`-way [`SynthNet`]'s ten parameter vectors, in
+/// field order: `[w1, b1, w2, b2, w3, b3, w4, b4, w5, b5]`. The forward and
+/// backward kernels index every vector up to exactly this length.
+pub fn param_lens(classes: usize) -> [usize; 10] {
+    [
+        C1 * IMG_C * 9,
+        C1,
+        C2 * C1 * 9,
+        C2,
+        C3 * C2 * 9,
+        C3,
+        FC1 * FLAT,
+        FC1,
+        classes * FC1,
+        classes,
+    ]
+}
 
 /// The trainable network. All weights are plain `Vec<f32>` so quantizers can
 /// transform them wholesale via [`SynthNet::map_weights`].
@@ -201,19 +264,30 @@ impl SynthNet {
                 })
                 .collect()
         };
+        let [l1, n1, l2, n2, l3, n3, l4, n4, l5, n5] = param_lens(classes);
         SynthNet {
-            w1: init(1, C1 * IMG_C * 9, IMG_C * 9),
-            b1: vec![0.0; C1],
-            w2: init(2, C2 * C1 * 9, C1 * 9),
-            b2: vec![0.0; C2],
-            w3: init(3, C3 * C2 * 9, C2 * 9),
-            b3: vec![0.0; C3],
-            w4: init(4, FC1 * FLAT, FLAT),
-            b4: vec![0.0; FC1],
-            w5: init(5, classes * FC1, FC1),
-            b5: vec![0.0; classes],
+            w1: init(1, l1, IMG_C * 9),
+            b1: vec![0.0; n1],
+            w2: init(2, l2, C1 * 9),
+            b2: vec![0.0; n2],
+            w3: init(3, l3, C2 * 9),
+            b3: vec![0.0; n3],
+            w4: init(4, l4, FLAT),
+            b4: vec![0.0; n4],
+            w5: init(5, l5, FC1),
+            b5: vec![0.0; n5],
             classes,
         }
+    }
+
+    /// The ten parameter vectors in field order
+    /// (`w1, b1, w2, b2, … w5, b5`), with the lengths [`param_lens`]
+    /// states.
+    pub fn params(&self) -> [&[f32]; 10] {
+        [
+            &self.w1, &self.b1, &self.w2, &self.b2, &self.w3, &self.b3, &self.w4, &self.b4,
+            &self.w5, &self.b5,
+        ]
     }
 
     /// Returns a copy with every weight matrix transformed by `f`.
@@ -556,17 +630,18 @@ struct Gradients {
 
 impl Gradients {
     fn zeros(classes: usize) -> Self {
+        let [w1, b1, w2, b2, w3, b3, w4, b4, w5, b5] = param_lens(classes).map(|n| vec![0.0; n]);
         Gradients {
-            w1: vec![0.0; C1 * IMG_C * 9],
-            b1: vec![0.0; C1],
-            w2: vec![0.0; C2 * C1 * 9],
-            b2: vec![0.0; C2],
-            w3: vec![0.0; C3 * C2 * 9],
-            b3: vec![0.0; C3],
-            w4: vec![0.0; FC1 * FLAT],
-            b4: vec![0.0; FC1],
-            w5: vec![0.0; classes * FC1],
-            b5: vec![0.0; classes],
+            w1,
+            b1,
+            w2,
+            b2,
+            w3,
+            b3,
+            w4,
+            b4,
+            w5,
+            b5,
         }
     }
 

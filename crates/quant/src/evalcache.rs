@@ -1,5 +1,5 @@
-//! Process-wide memoization of quantized-accuracy evaluations and of the
-//! weight-SQNR surrogate.
+//! Process-wide memoization of quantized-accuracy evaluations, of the
+//! weight-SQNR surrogate and of the trained SynthNet they evaluate.
 //!
 //! The accuracy figures re-evaluate overlapping `(trained net × dataset ×
 //! QuantSpec × topk)` points — fig2's ratio sweep, fig3's ablations and
@@ -8,8 +8,10 @@
 //! [`EvalCache`] is the eval-phase tier of the workspace's memo: one
 //! [`ola_tensor::memo::Memo`] of [`QuantAccuracy`] records keyed by
 //! [`eval_key`], a content fingerprint of everything that can change the
-//! measured result, and one of fig3's per-network [`WeightSqnr`]
-//! surrogate records keyed by [`weight_sqnr_key`].
+//! measured result, one of fig3's per-network [`WeightSqnr`] surrogate
+//! records keyed by [`weight_sqnr_key`], and one of [`TrainedSynthNet`]s
+//! keyed by [`synthnet_key`] — the net fig2, fig3 and the policy panel
+//! evaluate, so a warm process loads it instead of training it.
 //!
 //! [`crate::accuracy::evaluate_synthnet`] is a **pure function** of its
 //! fingerprinted inputs — the trained weights (by bit pattern), the test
@@ -19,12 +21,13 @@
 //! bit-identical to a fresh evaluation at any worker count. The store
 //! versions eval records by their own source fold (see `ola-store`), so
 //! accelerator-model or extraction edits never discard still-valid eval
-//! records — and vice versa.
+//! records — and vice versa. A loaded trained net is bit-identical to a
+//! freshly trained one, so the eval records keyed on its bits still hit.
 
 use crate::accuracy::{QuantAccuracy, QuantSpec, WeightSqnr, CALIB_IMAGES};
 use crate::policy::OutlierSelect;
 use ola_nn::synth::{SparsityProfile, SynthConfig};
-use ola_nn::synthnet::{SynthDataset, SynthNet};
+use ola_nn::synthnet::{SynthDataset, SynthNet, TrainSpec, TrainedSynthNet};
 use ola_nn::zoo::ZooConfig;
 use ola_tensor::init::HeavyTailed;
 use ola_tensor::memo::{Fingerprint, Memo, Persist};
@@ -72,14 +75,8 @@ pub fn eval_key(
 ) -> u64 {
     let mut fp = Fingerprint::new();
     fp.usize(net.classes);
-    for (w, b) in [
-        (&net.w1, &net.b1),
-        (&net.w2, &net.b2),
-        (&net.w3, &net.b3),
-        (&net.w4, &net.b4),
-        (&net.w5, &net.b5),
-    ] {
-        fp.f32s(w).f32s(b);
+    for p in net.params() {
+        fp.f32s(p);
     }
     fold_dataset(&mut fp, data, data.images.len());
     fold_dataset(&mut fp, calib, CALIB_IMAGES);
@@ -134,6 +131,36 @@ pub fn weight_sqnr_key(
     fp.finish()
 }
 
+/// The content fingerprint a [`TrainedSynthNet`] is memoized under: every
+/// [`TrainSpec`] field (the learning rate by bit pattern) — everything the
+/// build reads. Worker counts stay out: training and evaluation are
+/// bit-identical at any `--jobs`.
+pub fn synthnet_key(spec: &TrainSpec) -> u64 {
+    // Destructured so a new `TrainSpec` field cannot be left out.
+    let TrainSpec {
+        train,
+        test,
+        classes,
+        epochs,
+        lr,
+        data_seed,
+        init_seed,
+        shuffle_seed,
+        topk,
+    } = *spec;
+    let mut fp = Fingerprint::new();
+    fp.usize(train)
+        .usize(test)
+        .usize(classes)
+        .usize(epochs)
+        .f32(lr)
+        .u64(data_seed)
+        .u64(init_seed)
+        .u64(shuffle_seed)
+        .usize(topk);
+    fp.finish()
+}
+
 fn fold_dist(fp: &mut Fingerprint, d: &HeavyTailed) {
     fp.f32(d.sigma).f64(d.tail_fraction).f32(d.tail_scale);
 }
@@ -182,6 +209,14 @@ pub struct EvalStats {
     pub surrogates_loaded: u64,
     /// Weight-SQNR surrogate disk lookups that found nothing usable.
     pub surrogates_missed: u64,
+    /// Trained-SynthNet requests served from memory.
+    pub synthnet_hits: u64,
+    /// SynthNets trained from scratch.
+    pub synthnets_trained: u64,
+    /// Trained SynthNets loaded from the disk store.
+    pub synthnets_loaded: u64,
+    /// Trained-SynthNet disk lookups that found nothing usable.
+    pub synthnets_missed: u64,
 }
 
 impl EvalStats {
@@ -190,7 +225,8 @@ impl EvalStats {
         format!(
             "evals:             {} evaluated, {} cache hits\n\
              eval artifacts:    {} loaded, {} missed\n\
-             weight surrogates: {} built, {} cache hits, {} loaded, {} missed",
+             weight surrogates: {} built, {} cache hits, {} loaded, {} missed\n\
+             synthnets:         {} trained, {} cache hits, {} loaded, {} missed",
             self.misses,
             self.hits,
             self.disk_hits,
@@ -198,7 +234,11 @@ impl EvalStats {
             self.surrogates_built,
             self.surrogate_hits,
             self.surrogates_loaded,
-            self.surrogates_missed
+            self.surrogates_missed,
+            self.synthnets_trained,
+            self.synthnet_hits,
+            self.synthnets_loaded,
+            self.synthnets_missed
         )
     }
 
@@ -220,6 +260,16 @@ impl EvalStats {
             surrogates_missed: self
                 .surrogates_missed
                 .saturating_sub(before.surrogates_missed),
+            synthnet_hits: self.synthnet_hits.saturating_sub(before.synthnet_hits),
+            synthnets_trained: self
+                .synthnets_trained
+                .saturating_sub(before.synthnets_trained),
+            synthnets_loaded: self
+                .synthnets_loaded
+                .saturating_sub(before.synthnets_loaded),
+            synthnets_missed: self
+                .synthnets_missed
+                .saturating_sub(before.synthnets_missed),
         }
     }
 }
@@ -231,6 +281,7 @@ impl EvalStats {
 pub struct EvalCache {
     evals: Memo<QuantAccuracy>,
     surrogates: Memo<WeightSqnr>,
+    synthnets: Memo<TrainedSynthNet>,
 }
 
 impl EvalCache {
@@ -246,13 +297,14 @@ impl EvalCache {
         GLOBAL.get_or_init(EvalCache::new)
     }
 
-    /// Attaches the persistent tier of both record kinds.
-    pub fn set_store<S: Persist<QuantAccuracy> + Persist<WeightSqnr> + 'static>(
-        &self,
-        store: Arc<S>,
-    ) {
+    /// Attaches the persistent tier of all three record kinds.
+    pub fn set_store<S>(&self, store: Arc<S>)
+    where
+        S: Persist<QuantAccuracy> + Persist<WeightSqnr> + Persist<TrainedSynthNet> + 'static,
+    {
         self.evals.set_store(store.clone());
-        self.surrogates.set_store(store);
+        self.surrogates.set_store(store.clone());
+        self.synthnets.set_store(store);
     }
 
     /// Fetches or computes (exactly once per key, process-wide) the
@@ -270,10 +322,23 @@ impl EvalCache {
         self.surrogates.get(key, build)
     }
 
+    /// Fetches or trains (exactly once per key, process-wide) the trained
+    /// SynthNet record for `key`: from memory, then from the disk tier,
+    /// and only when both miss from `build`, which must be a pure function
+    /// of the [`TrainSpec`] [`synthnet_key`] folds.
+    pub fn synthnet(
+        &self,
+        key: u64,
+        build: impl FnOnce() -> TrainedSynthNet,
+    ) -> Arc<TrainedSynthNet> {
+        self.synthnets.get(key, build)
+    }
+
     /// Snapshots the hit/miss counters.
     pub fn stats(&self) -> EvalStats {
         let s = self.evals.stats();
         let w = self.surrogates.stats();
+        let n = self.synthnets.stats();
         EvalStats {
             hits: s.hits,
             misses: s.built,
@@ -283,6 +348,10 @@ impl EvalCache {
             surrogates_built: w.built,
             surrogates_loaded: w.loaded,
             surrogates_missed: w.missed,
+            synthnet_hits: n.hits,
+            synthnets_trained: n.built,
+            synthnets_loaded: n.loaded,
+            synthnets_missed: n.missed,
         }
     }
 
@@ -292,6 +361,7 @@ impl EvalCache {
     pub fn reset(&self) {
         self.evals.reset();
         self.surrogates.reset();
+        self.synthnets.reset();
     }
 }
 
@@ -362,11 +432,27 @@ mod tests {
             surrogates_built: 6,
             surrogates_loaded: 7,
             surrogates_missed: 8,
+            synthnet_hits: 9,
+            synthnets_trained: 10,
+            synthnets_loaded: 11,
+            synthnets_missed: 12,
         };
         let r = s.render();
         assert!(r.contains("evals:             2 evaluated, 1 cache hits"));
         assert!(r.contains("eval artifacts:    3 loaded, 4 missed"));
         assert!(r.contains("weight surrogates: 6 built, 5 cache hits, 7 loaded, 8 missed"));
+        assert!(r.contains("synthnets:         10 trained, 9 cache hits, 11 loaded, 12 missed"));
+        // The run summary's benchmark parser reads the first number after
+        // these prefixes; the SynthNet line must never be mistaken for one.
+        let parsed = [
+            "prepared networks:",
+            "workload sets:",
+            "layer sims:",
+            "event sims:",
+            "evals:",
+        ];
+        let line = r.lines().find(|l| l.starts_with("synthnets:")).unwrap();
+        assert!(parsed.iter().all(|p| !line.starts_with(p)));
     }
 
     #[test]
@@ -450,6 +536,74 @@ mod tests {
             base,
             weight_sqnr_key("alexnet", &zoo, &synth, &[first8, specs[1]])
         );
+    }
+
+    #[test]
+    fn synthnet_key_separates_every_input() {
+        let spec = TrainSpec {
+            train: 700,
+            test: 400,
+            classes: 10,
+            epochs: 8,
+            lr: 0.02,
+            data_seed: 0x5EED,
+            init_seed: 0xCAFE,
+            shuffle_seed: 0xBEEF,
+            topk: 5,
+        };
+        let base = synthnet_key(&spec);
+        assert_eq!(base, synthnet_key(&spec));
+        let variants = [
+            TrainSpec { train: 701, ..spec },
+            TrainSpec { test: 401, ..spec },
+            TrainSpec { classes: 9, ..spec },
+            TrainSpec { epochs: 9, ..spec },
+            TrainSpec { lr: 0.03, ..spec },
+            TrainSpec {
+                data_seed: 0x5EEE,
+                ..spec
+            },
+            TrainSpec {
+                init_seed: 0xCAFF,
+                ..spec
+            },
+            TrainSpec {
+                shuffle_seed: 0xBEF0,
+                ..spec
+            },
+            TrainSpec { topk: 3, ..spec },
+        ];
+        for other in &variants {
+            assert_ne!(base, synthnet_key(other), "{other:?}");
+        }
+        // Swapping the split sizes must not alias.
+        let swapped = TrainSpec {
+            train: spec.test,
+            test: spec.train,
+            ..spec
+        };
+        assert_ne!(base, synthnet_key(&swapped));
+    }
+
+    #[test]
+    fn synthnets_memoize_apart_from_other_records() {
+        let cache = EvalCache::new();
+        let net = |seed| TrainedSynthNet {
+            net: SynthNet::new(3, seed),
+            train: SynthDataset::generate(4, 3, 1),
+            test: SynthDataset::generate(2, 3, 2),
+            fp_top1: 0.5,
+            fp_top5: 1.0,
+        };
+        let first = cache.synthnet(11, || net(1));
+        let again = cache.synthnet(11, || panic!("resident entry must hit"));
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(cache.eval(11, || acc(0.9)).top1, 0.9);
+        let s = cache.stats();
+        assert_eq!((s.synthnets_trained, s.synthnet_hits), (1, 1));
+        assert_eq!((s.misses, s.surrogates_built), (1, 0));
+        cache.reset();
+        assert_eq!(cache.stats(), EvalStats::default());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! (De)serialization of the workspace's artifacts onto the [`crate::wire`]
 //! primitives: the parameter and tensor codecs a prepared network's record
 //! is built from, and the [`Record`] impls of workload sets, simulation
-//! results, accuracy records and weight-SQNR surrogates.
+//! results, accuracy records, weight-SQNR surrogates and trained
+//! SynthNets.
 //!
 //! Every float travels by bit pattern, so a decoded artifact is
 //! *bit-identical* to the one that was encoded — the property that lets a
@@ -11,11 +12,12 @@
 //! [`StoreError::Corrupt`].
 
 use crate::store::Record;
-use crate::version::{EVAL_SOURCES, MODEL_SOURCES, PREP_SOURCES, SURROGATE_SOURCES};
+use crate::version::{EVAL_SOURCES, MODEL_SOURCES, PREP_SOURCES, SURROGATE_SOURCES, TRAIN_SOURCES};
 use crate::wire::{corrupt, Reader, StoreError, Writer};
 use ola_energy::{ComparisonMode, EnergyBreakdown};
 use ola_nn::network::WeightStore;
 use ola_nn::synth::SyntheticMatrix;
+use ola_nn::synthnet::{param_lens, SynthDataset, SynthNet, TrainedSynthNet, IMG, IMG_C};
 use ola_nn::Params;
 use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
 use ola_sim::policy::FirstLayerPolicy;
@@ -451,6 +453,119 @@ impl Record for WeightSqnr {
     }
 }
 
+// --- trained SynthNets ---
+
+/// Upper bound on a persisted SynthNet's class count — far above the
+/// harness's 10-way task, small enough that a corrupt count fails here
+/// instead of sizing a giant classifier.
+const MAX_CLASSES: u64 = 1 << 12;
+
+/// Encodes a split: its images (each length-prefixed), then its labels.
+fn encode_split(w: &mut Writer, split: &SynthDataset) {
+    w.len(split.classes);
+    w.len(split.images.len());
+    for img in &split.images {
+        w.f32s(img);
+    }
+    w.len(split.labels.len());
+    for &label in &split.labels {
+        w.len(label);
+    }
+}
+
+/// Decodes a split written by [`encode_split`] for a `classes`-way net:
+/// every image `IMG_C·IMG·IMG` long, one label per image, each below
+/// `classes` — what the forward and the top-k rank index by.
+fn decode_split(r: &mut Reader<'_>, classes: usize) -> Result<SynthDataset, StoreError> {
+    if r.u64()? != classes as u64 {
+        return Err(corrupt("split class count differs from the net's"));
+    }
+    let n = r.len(8)?;
+    let mut images = Vec::with_capacity(n);
+    for _ in 0..n {
+        let img = r.f32s()?;
+        if img.len() != IMG_C * IMG * IMG {
+            return Err(corrupt(format!("SynthNet image of length {}", img.len())));
+        }
+        images.push(img);
+    }
+    if r.len(8)? != n {
+        return Err(corrupt("split label count differs from its image count"));
+    }
+    let mut labels = Vec::with_capacity(n);
+    for _ in 0..n {
+        match r.u64()? {
+            label if label < classes as u64 => labels.push(label as usize),
+            label => return Err(corrupt(format!("label {label} of a {classes}-way split"))),
+        }
+    }
+    Ok(SynthDataset {
+        images,
+        labels,
+        classes,
+    })
+}
+
+/// A trained SynthNet with its two splits and full-precision baseline:
+/// the class count, the ten parameter vectors in field order, both splits
+/// and two `f64` bit patterns. Decoding checks every length the forward
+/// indexes by, so no payload yields a net that reads out of bounds.
+impl Record for TrainedSynthNet {
+    const KIND: u8 = 7;
+    const PREFIX: &'static str = "synthnet";
+    const SOURCES: &'static [&'static str] = TRAIN_SOURCES;
+
+    fn encode(&self, w: &mut Writer) {
+        w.len(self.net.classes);
+        for p in self.net.params() {
+            w.f32s(p);
+        }
+        encode_split(w, &self.train);
+        encode_split(w, &self.test);
+        w.f64(self.fp_top1);
+        w.f64(self.fp_top5);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let classes = r.u64()?;
+        if classes == 0 || classes > MAX_CLASSES {
+            return Err(corrupt(format!("SynthNet class count {classes}")));
+        }
+        let classes = classes as usize;
+        let [l1, n1, l2, n2, l3, n3, l4, n4, l5, n5] = param_lens(classes);
+        let mut param = |len: usize| -> Result<Vec<f32>, StoreError> {
+            let v = r.f32s()?;
+            if v.len() != len {
+                return Err(corrupt(format!(
+                    "SynthNet parameter of length {}, expected {len}",
+                    v.len()
+                )));
+            }
+            Ok(v)
+        };
+        let net = SynthNet {
+            w1: param(l1)?,
+            b1: param(n1)?,
+            w2: param(l2)?,
+            b2: param(n2)?,
+            w3: param(l3)?,
+            b3: param(n3)?,
+            w4: param(l4)?,
+            b4: param(n4)?,
+            w5: param(l5)?,
+            b5: param(n5)?,
+            classes,
+        };
+        Ok(TrainedSynthNet {
+            net,
+            train: decode_split(r, classes)?,
+            test: decode_split(r, classes)?,
+            fp_top1: r.f64()?,
+            fp_top5: r.f64()?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,6 +769,37 @@ mod tests {
         r.finish().unwrap();
         let bits = |s: &WeightSqnr| s.mean_db.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&rec));
+    }
+
+    #[test]
+    fn trained_synthnet_codec_round_trips_bits() {
+        let mut rec = TrainedSynthNet {
+            net: SynthNet::new(3, 5),
+            train: SynthDataset::generate(3, 3, 6),
+            test: SynthDataset::generate(2, 3, 7),
+            fp_top1: 0.5,
+            fp_top5: -0.0,
+        };
+        rec.net.b5[2] = f32::NAN;
+        let mut w = Writer::new();
+        rec.encode(&mut w);
+        let buf = w.into_bytes();
+        let mut r = Reader::new(&buf);
+        let back = TrainedSynthNet::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (a, b) in rec.net.params().iter().zip(back.net.params()) {
+            assert_eq!(bits(a), bits(b));
+        }
+        for (a, b) in [(&rec.train, &back.train), (&rec.test, &back.test)] {
+            assert_eq!(a.labels, b.labels);
+            assert_eq!(a.classes, b.classes);
+            for (x, y) in a.images.iter().zip(&b.images) {
+                assert_eq!(bits(x), bits(y));
+            }
+        }
+        assert_eq!(back.fp_top1.to_bits(), rec.fp_top1.to_bits());
+        assert_eq!(back.fp_top5.to_bits(), rec.fp_top5.to_bits());
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //! the f32 forward pass, extracting per-layer workloads — dominates a cold
 //! run's wall clock, yet every one of those artifacts is a *pure function*
 //! of `(network, spatial scale, seed, quantization policy)` under the
-//! workspace's deterministic RNG, as is every per-layer simulation result
-//! and accuracy evaluation of its inputs. This crate persists them to disk
+//! workspace's deterministic RNG, as is every per-layer simulation result,
+//! accuracy evaluation and trained SynthNet of its inputs. This crate persists them to disk
 //! so a second process (or a long-lived daemon) skips the work entirely:
 //!
 //! - [`wire`]: little-endian writer/reader primitives; decoding never
 //!   panics on malformed bytes.
 //! - [`codec`]: bit-exact (de)serialization of parameters, activations,
-//!   workload sets and simulation/accuracy records, plus the policy
-//!   fingerprint.
+//!   workload sets, simulation/accuracy records, weight-SQNR surrogates
+//!   and trained SynthNets, plus the policy fingerprint.
 //! - [`version`]: the compile-time source-text hashes that version
 //!   artifacts to the code that produced them — editing any
 //!   result-relevant file silently invalidates the affected records.

@@ -50,7 +50,8 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 ///
 /// Kind tags in use: 1 prepared network (`ola-harness`), 2 workload set,
 /// 3 analytic sim record, 4 event sim record, 5 accuracy-eval record, 6
-/// weight-SQNR surrogate (the last five in [`crate::codec`]).
+/// weight-SQNR surrogate, 7 trained SynthNet (the last six in
+/// [`crate::codec`]).
 pub trait Record: Sized {
     /// Header tag, unique per record type.
     const KIND: u8;

@@ -7,7 +7,7 @@
 //! tensor initialization and scans, synthetic parameter generation, the
 //! network zoo, workload extraction, quantizer calibration, the vendored
 //! RNG — at compile time. Each [`crate::store::Record`] names one of the
-//! four source lists below as its `SOURCES`, and every list also hashes
+//! five source lists below as its `SOURCES`, and every list also hashes
 //! the store's own [`crate::codec`] and [`crate::wire`], which lay out the
 //! record bytes. Any edit to a listed file changes that list's
 //! fingerprint, changes the filename of every record versioned by it, and
@@ -171,6 +171,30 @@ pub const SURROGATE_SOURCES: &[&str] = &[
     include_str!("wire.rs"),
 ];
 
+/// Source files whose text determines a *trained SynthNet* record's bytes:
+/// dataset synthesis, initialization, training and the full-precision
+/// eval, the RNG behind all three, the key, and the build that strings
+/// them together. Kept apart from [`EVAL_SOURCES`] so a quantizer edit
+/// keeps the trained net (and one SynthNet edit invalidates both, as it
+/// must). Text-only includes.
+pub const TRAIN_SOURCES: &[&str] = &[
+    // The network, its dataset, training and full-precision eval.
+    include_str!("../../nn/src/synthnet.rs"),
+    // The ordered fan-out behind dataset synthesis, training and eval.
+    include_str!("../../tensor/src/par.rs"),
+    // The RNG behind the dataset, the initialization and the shuffles.
+    include_str!("../../../vendored/rand/src/lib.rs"),
+    // The record's key (`synthnet_key`).
+    include_str!("../../quant/src/evalcache.rs"),
+    // The build: split sizes, epochs, learning rate and seeds, and the
+    // order of its steps. Text-only include — no crate dependency cycle.
+    include_str!("../../harness/src/fig02.rs"),
+    // The record payload layouts and the wire primitives they are written
+    // with: a layout edit must not decode old bytes into new fields.
+    include_str!("codec.rs"),
+    include_str!("wire.rs"),
+];
+
 /// A version fingerprint: the length-framed FNV-1a fold over
 /// [`FORMAT_VERSION`] and `sources` — file lengths are folded in between
 /// texts so content can't slide across file boundaries ("ab" + "c" vs
@@ -224,6 +248,7 @@ mod tests {
             ("model", MODEL_SOURCES),
             ("eval", EVAL_SOURCES),
             ("surrogate", SURROGATE_SOURCES),
+            ("train", TRAIN_SOURCES),
         ] {
             for (file, text) in [
                 ("codec.rs", include_str!("codec.rs")),
@@ -241,6 +266,16 @@ mod tests {
         assert_ne!(surrogate, 0);
         for other in [PREP_SOURCES, MODEL_SOURCES, EVAL_SOURCES] {
             assert_ne!(surrogate, sources_version(other));
+        }
+    }
+
+    #[test]
+    fn train_version_is_stable_and_independent() {
+        let train = sources_version(TRAIN_SOURCES);
+        assert_eq!(train, sources_version(TRAIN_SOURCES));
+        assert_ne!(train, 0);
+        for other in [PREP_SOURCES, MODEL_SOURCES, EVAL_SOURCES, SURROGATE_SOURCES] {
+            assert_ne!(train, sources_version(other));
         }
     }
 }

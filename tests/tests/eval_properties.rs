@@ -2,15 +2,17 @@
 //! (`ola_quant::evalcache` + `ola_quant::accuracy`): the data-parallel
 //! eval must be bit-identical to the serial one at any worker count, a
 //! cached record must be bit-identical to a fresh evaluation, and the
-//! disk tier must round-trip records bit-exactly through the artifact
-//! store without recomputing.
+//! disk tier must round-trip records — accuracy records and the trained
+//! SynthNet they are keyed on — bit-exactly through the artifact store
+//! without recomputing.
 
-use ola_nn::synthnet::{SynthDataset, SynthNet};
+use ola_harness::fig02::{train_spec, trained};
+use ola_nn::synthnet::{SynthDataset, SynthNet, TrainedSynthNet};
 use ola_quant::accuracy::{evaluate_synthnet_jobs, QuantAccuracy, QuantSpec};
-use ola_quant::evalcache::eval_key;
+use ola_quant::evalcache::{eval_key, synthnet_key};
 use ola_quant::policy::OutlierSelect;
-use ola_quant::EvalCache;
-use ola_store::ArtifactStore;
+use ola_quant::{EvalCache, EvalStats};
+use ola_store::{ArtifactStore, Record};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -207,6 +209,99 @@ fn corrupt_disk_record_degrades_to_recompute() {
     repaired.set_store(artifact);
     let replay = repaired.eval(key, || panic!("repaired record must replay"));
     assert_acc_bitwise_eq(&replay, &first);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `(trained, loaded, missed)` SynthNet counters of `stats`.
+fn synthnet_counts(s: EvalStats) -> (u64, u64, u64) {
+    (s.synthnets_trained, s.synthnets_loaded, s.synthnets_missed)
+}
+
+fn synthnet_files(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            name.to_string_lossy()
+                .starts_with(&format!("{}-", TrainedSynthNet::PREFIX))
+        })
+        .count()
+}
+
+/// Bitwise equality of two trained nets: every weight, bias, image, label
+/// and full-precision metric.
+fn assert_trained_bitwise_eq(a: &TrainedSynthNet, b: &TrainedSynthNet) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(a.net.classes, b.net.classes);
+    for (x, y) in a.net.params().iter().zip(b.net.params()) {
+        assert_eq!(bits(x), bits(y));
+    }
+    for (x, y) in [(&a.train, &b.train), (&a.test, &b.test)] {
+        assert_eq!(x.classes, y.classes);
+        assert_eq!(x.labels, y.labels);
+        assert_eq!(x.images.len(), y.images.len());
+        for (p, q) in x.images.iter().zip(&y.images) {
+            assert_eq!(bits(p), bits(q));
+        }
+    }
+    assert_eq!(a.fp_top1.to_bits(), b.fp_top1.to_bits());
+    assert_eq!(a.fp_top5.to_bits(), b.fp_top5.to_bits());
+}
+
+/// A cold build trains fig2's SynthNet and writes its record; a second
+/// cache over the same store loads it bit for bit without training (so
+/// every eval record keyed on its bits still hits); a flipped byte costs
+/// one failed load and a retrain that heals the file.
+#[test]
+fn trained_synthnet_persists_loads_and_heals() {
+    let dir = test_dir("synthnet");
+    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+    let key = synthnet_key(&train_spec(true));
+
+    let cold = EvalCache::new();
+    cold.set_store(store.clone());
+    let built = trained(&cold, true);
+    assert_eq!(synthnet_counts(cold.stats()), (1, 0, 1));
+    assert_eq!(synthnet_files(&dir), 1, "the cold build writes one record");
+    assert!(store.path::<TrainedSynthNet>(key).exists());
+
+    let warm = EvalCache::new();
+    warm.set_store(store.clone());
+    let loaded = trained(&warm, true);
+    assert_eq!(synthnet_counts(warm.stats()), (0, 1, 0));
+    assert_trained_bitwise_eq(&loaded, &built);
+    let spec = QuantSpec::paper_4bit(0.03);
+    assert_eq!(
+        eval_key(&loaded.net, &loaded.test, &loaded.train, &spec, 5),
+        eval_key(&built.net, &built.test, &built.train, &spec, 5)
+    );
+
+    let path = store.path::<TrainedSynthNet>(key);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(&path, bytes).unwrap();
+    assert!(
+        store.get::<TrainedSynthNet>(key).is_err(),
+        "the flipped byte must read as corrupt, so the load warns"
+    );
+
+    let hurt = EvalCache::new();
+    hurt.set_store(store.clone());
+    let retrained = trained(&hurt, true);
+    assert_eq!(
+        synthnet_counts(hurt.stats()),
+        (1, 0, 1),
+        "one failed load, one retrain"
+    );
+    assert_trained_bitwise_eq(&retrained, &built);
+    let healed = store
+        .get::<TrainedSynthNet>(key)
+        .unwrap()
+        .expect("rewritten");
+    assert_trained_bitwise_eq(&healed, &built);
+    assert_eq!(synthnet_files(&dir), 1);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,6 +11,7 @@
 
 use ola_harness::prep::{PrepCache, Prepared, DEFAULT_SEED};
 use ola_integration::oracle::bitwise_eq;
+use ola_nn::synthnet::{SynthDataset, SynthNet, TrainedSynthNet};
 use ola_nn::Params;
 use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
 use ola_sim::workload::{LayerKind, LayerWorkload};
@@ -326,6 +327,7 @@ struct Samples {
     event: EventRecord,
     eval: QuantAccuracy,
     surrogate: WeightSqnr,
+    synthnet: TrainedSynthNet,
 }
 
 fn samples() -> &'static Samples {
@@ -366,13 +368,30 @@ fn samples() -> &'static Samples {
             surrogate: WeightSqnr {
                 mean_db: vec![21.5, 7.25],
             },
+            // A full 10-way net (its weights fix the payload at ~134 KB)
+            // with tiny splits.
+            synthnet: TrainedSynthNet {
+                net: SynthNet::new(10, 7),
+                train: SynthDataset::generate(3, 10, 8),
+                test: SynthDataset::generate(2, 10, 9),
+                fp_top1: 0.5,
+                fp_top5: 1.0,
+            },
         }
     })
 }
 
+/// Bytes of the store's file header (magic, format, kind, key, version,
+/// payload length, checksum) before the payload.
+const HEADER_BYTES: usize = 4 + 4 + 1 + 8 + 8 + 8 + 8;
+
 /// Every single-byte flip and every strict prefix of a valid `R` file is
-/// an error from the generic `get`, so the persistent tier misses.
-fn assert_flips_and_prefixes_rejected<R: Record>(store: &ArtifactStore, record: &R)
+/// an error from the generic `get`, so the persistent tier misses. With
+/// `stride > 1`, payload positions are sampled every `stride` bytes (plus
+/// the last); every header byte is still hit. A one-byte payload change
+/// always changes the FNV-1a checksum, so the stride costs runtime, not
+/// power.
+fn assert_flips_and_prefixes_rejected<R: Record>(store: &ArtifactStore, record: &R, stride: usize)
 where
     ArtifactStore: Persist<R>,
 {
@@ -380,7 +399,10 @@ where
     let path = store.path::<R>(1);
     let good = std::fs::read(&path).unwrap();
     assert!(store.get::<R>(1).unwrap().is_some());
-    for i in 0..good.len() {
+    let positions = (0..good.len()).filter(|&i| {
+        i < HEADER_BYTES || (i - HEADER_BYTES).is_multiple_of(stride) || i + 1 == good.len()
+    });
+    for i in positions.clone() {
         for mask in [0x01, 0xFF] {
             let mut bad = good.clone();
             bad[i] ^= mask;
@@ -392,7 +414,7 @@ where
             );
         }
     }
-    for n in 0..good.len() {
+    for n in positions {
         std::fs::write(&path, &good[..n]).unwrap();
         assert!(store.get::<R>(1).is_err(), "{} prefix {n}", R::PREFIX);
     }
@@ -404,12 +426,13 @@ fn every_record_kind_rejects_flipped_and_truncated_files() {
     let dir = scratch("flips");
     let store = ArtifactStore::open(&dir).unwrap();
     let s = samples();
-    assert_flips_and_prefixes_rejected(&store, &s.prepared);
-    assert_flips_and_prefixes_rejected(&store, &s.workloads);
-    assert_flips_and_prefixes_rejected(&store, &s.run);
-    assert_flips_and_prefixes_rejected(&store, &s.event);
-    assert_flips_and_prefixes_rejected(&store, &s.eval);
-    assert_flips_and_prefixes_rejected(&store, &s.surrogate);
+    assert_flips_and_prefixes_rejected(&store, &s.prepared, 1);
+    assert_flips_and_prefixes_rejected(&store, &s.workloads, 1);
+    assert_flips_and_prefixes_rejected(&store, &s.run, 1);
+    assert_flips_and_prefixes_rejected(&store, &s.event, 1);
+    assert_flips_and_prefixes_rejected(&store, &s.eval, 1);
+    assert_flips_and_prefixes_rejected(&store, &s.surrogate, 1);
+    assert_flips_and_prefixes_rejected(&store, &s.synthnet, 251);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -558,6 +581,41 @@ proptest! {
         let _ = get_reframed(&store, &s.event, mutate);
         let _ = get_reframed(&store, &s.eval, mutate);
         let _ = get_reframed(&store, &s.surrogate, mutate);
+        // A trained net that decodes must forward and evaluate in bounds.
+        if let Ok(Some(t)) = get_reframed(&store, &s.synthnet, mutate) {
+            let _ = t.net.eval_with_jobs(&t.test, 5, |_, _| (), 1);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Checksum-valid trained-net payloads that would index out of bounds in
+/// the forward or the top-k rank must each decode to an error.
+#[test]
+fn hostile_synthnet_payloads_are_rejected() {
+    let dir = scratch("hostile-synthnet");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let s = &samples().synthnet;
+    let reject = |what: &str, hostile: TrainedSynthNet| {
+        let mut w = Writer::new();
+        hostile.encode(&mut w);
+        let payload = w.into_bytes();
+        let got = get_reframed(&store, s, |p| p.clone_from(&payload));
+        assert!(matches!(got, Err(StoreError::Corrupt(_))), "{what}");
+    };
+    let mut short = s.clone();
+    short.net.w1.pop();
+    reject("a weight vector one float short", short);
+    let mut label = s.clone();
+    label.test.labels[0] = label.net.classes;
+    reject("a label equal to the class count", label);
+    let mut classless = s.clone();
+    classless.net.classes = 0;
+    classless.train.classes = 0;
+    classless.test.classes = 0;
+    reject("a class count of 0", classless);
+    let mut image = s.clone();
+    image.train.images[1].push(0.0);
+    reject("an image one float long", image);
+    std::fs::remove_dir_all(&dir).ok();
 }
