@@ -5,10 +5,10 @@
 //! The oracle walks each layer's activations several times (a full
 //! descending sort for every threshold, separate chunk / zero / outlier
 //! passes) and each weight grid chunk by chunk, striding 16 rows per
-//! chunk. Production extraction makes one chunk-major sweep over each
-//! layer's activations and runs the band-major weight-grid kernel: every
-//! pass walks whole 16-row bands in memory order, and global thresholds
-//! come from a key histogram plus a selection inside one bucket. Both
+//! chunk. Production extraction runs one band-major grid kernel over each
+//! layer's activations and weights: every pass walks whole 16-row bands
+//! in memory order, and global thresholds come from a key histogram plus
+//! a selection inside one bucket. Both
 //! produce bit-identical `WorkloadSet`s (property-tested in `tests/`), so
 //! the ratio here is pure overhead removed. On a single-core host the jobs
 //! arms collapse onto jobs=1 — the oracle/j1 ratio is the portable number;

@@ -28,22 +28,6 @@ impl EnergyBreakdown {
         self.dram + self.buffer + self.local + self.logic
     }
 
-    /// Each bucket divided by `reference` — the "normalized to Eyeriss16"
-    /// presentation of the paper's figures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reference` is not positive.
-    pub fn normalized_to(&self, reference: f64) -> EnergyBreakdown {
-        assert!(reference > 0.0, "reference must be positive");
-        EnergyBreakdown {
-            dram: self.dram / reference,
-            buffer: self.buffer / reference,
-            local: self.local / reference,
-            logic: self.logic / reference,
-        }
-    }
-
     /// Scales every bucket by `factor`.
     pub fn scaled(&self, factor: f64) -> EnergyBreakdown {
         EnergyBreakdown {
@@ -102,18 +86,5 @@ mod tests {
         assert_eq!((a + b).total(), 12.0);
         let s: EnergyBreakdown = [a, b].into_iter().sum();
         assert_eq!(s, a + b);
-    }
-
-    #[test]
-    fn normalization() {
-        let a = EnergyBreakdown {
-            dram: 5.0,
-            buffer: 0.0,
-            local: 0.0,
-            logic: 5.0,
-        };
-        let n = a.normalized_to(10.0);
-        assert_eq!(n.dram, 0.5);
-        assert_eq!(n.total(), 1.0);
     }
 }

@@ -11,13 +11,6 @@ pub fn dram_energy(tech: &TechParams, bits: u64) -> f64 {
     tech.dram_energy_per_bit * bits as f64
 }
 
-/// Cycles (at the accelerator clock) to transfer `bits`, given the modeled
-/// off-chip bandwidth — used by the Fig 15 scalability analysis where batch
-/// 16 saturates the channel.
-pub fn dram_transfer_cycles(tech: &TechParams, bits: u64) -> u64 {
-    (bits as f64 / tech.dram_bits_per_cycle).ceil() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -37,13 +30,5 @@ mod tests {
         let small = crate::sram::Sram::new(&t, 16 * 1024 * 8);
         assert!(dram_energy(&t, 1) > 2.0 * big.energy_per_bit());
         assert!(dram_energy(&t, 1) > 10.0 * small.energy_per_bit());
-    }
-
-    #[test]
-    fn transfer_cycles_ceil() {
-        let t = TechParams::default();
-        assert_eq!(dram_transfer_cycles(&t, 1), 1);
-        assert_eq!(dram_transfer_cycles(&t, 256), 1);
-        assert_eq!(dram_transfer_cycles(&t, 257), 2);
     }
 }

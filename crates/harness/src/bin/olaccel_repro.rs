@@ -12,7 +12,7 @@
 //! per-experiment wall time, phase breakdown, and cache hit/miss counters
 //! — goes to stderr so stdout stays stable enough to diff.
 
-use ola_harness::cli::{self, Command, USAGE};
+use ola_harness::cli::{self, Command, RunOptions, USAGE};
 use std::fs;
 use std::process::exit;
 
@@ -25,22 +25,31 @@ fn usage_error(msg: &str) -> ! {
     exit(2);
 }
 
+/// Attaches `--cache-dir` and creates `--out` for a one-shot run or the
+/// daemon alike: a directory that cannot be used is a usage error naming
+/// it, before any experiment runs or the socket is bound.
+fn open_dirs(options: &RunOptions) {
+    if let Some(dir) = &options.cache_dir {
+        // Every persistent tier: prepared artifacts, per-layer sim records
+        // and eval records.
+        if let Err(e) = ola_harness::prep::attach_disk_store(dir) {
+            usage_error(&format!("cannot open --cache-dir {}: {e}", dir.display()));
+        }
+    }
+    if let Some(dir) = &options.out_dir {
+        if let Err(e) = fs::create_dir_all(dir) {
+            usage_error(&format!("cannot create --out {}: {e}", dir.display()));
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match cli::parse(&args) {
         Err(msg) => usage_error(&msg),
         Ok(Command::Help) => println!("{USAGE}"),
         Ok(Command::Run { names, options }) => {
-            if let Some(dir) = &options.cache_dir {
-                if let Err(e) = ola_harness::prep::attach_disk_store(dir) {
-                    usage_error(&format!("cannot open --cache-dir {}: {e}", dir.display()));
-                }
-            }
-            if let Some(dir) = &options.out_dir {
-                if let Err(e) = fs::create_dir_all(dir) {
-                    usage_error(&format!("cannot create --out {}: {e}", dir.display()));
-                }
-            }
+            open_dirs(&options);
             let names = cli::resolve_names(&names);
             let jobs = options.jobs.unwrap_or_else(ola_tensor::par::default_jobs);
             let out_dir = options.out_dir.clone();
@@ -59,6 +68,7 @@ fn main() {
             eprint!("{}", result.summary());
         }
         Ok(Command::Serve { socket, options }) => {
+            open_dirs(&options);
             match ola_harness::server::serve(&socket, &options) {
                 Ok(summary) => eprintln!(
                     "served {} request(s), {} coalesced",

@@ -10,8 +10,9 @@
 
 use crate::prep::{default_scale, prepared};
 use crate::report::{bar, pct, table};
-use ola_quant::calibrate::{calibrate_from_outputs, stack_batch};
+use ola_sim::calibrate::calibrate_from_outputs;
 use ola_tensor::init::uniform_tensor;
+use ola_tensor::stack_batch;
 
 /// How many design-time samples calibrate the thresholds.
 const SAMPLES: usize = 3;

@@ -122,20 +122,13 @@ struct Server {
 
 /// Binds `socket` and serves until a signal or a `shutdown` request,
 /// then drains in-flight connections and removes the socket file.
+///
+/// The caller attaches `options.cache_dir` (so a warm daemon skips the
+/// preparation, model and eval phases) and creates `options.out_dir`; the
+/// CLI does both before either mode starts.
 pub fn serve(socket: &Path, options: &RunOptions) -> std::io::Result<ServeSummary> {
     SHUTDOWN.store(false, Ordering::SeqCst);
     install_signal_handlers();
-    if let Some(dir) = &options.cache_dir {
-        // Every persistent tier: prepared artifacts, per-layer sim records
-        // *and* eval records, so a warm daemon skips the model and eval
-        // phases too.
-        crate::prep::attach_disk_store(dir)
-            .map_err(|e| std::io::Error::other(format!("cannot open --cache-dir: {e}")))?;
-    }
-    if let Some(dir) = &options.out_dir {
-        std::fs::create_dir_all(dir)?;
-    }
-
     let listener = bind(socket)?;
     listener.set_nonblocking(true)?;
     eprintln!("serving on {}", socket.display());
@@ -187,10 +180,10 @@ pub fn serve(socket: &Path, options: &RunOptions) -> std::io::Result<ServeSummar
 }
 
 /// Binds the socket, clearing a *stale* socket file (one no server
-/// answers) but refusing to displace a live server.
+/// answers) but refusing to displace a live server. Every error names the
+/// socket.
 fn bind(socket: &Path) -> std::io::Result<UnixListener> {
-    match UnixListener::bind(socket) {
-        Ok(l) => Ok(l),
+    let bound = match UnixListener::bind(socket) {
         Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => {
             if UnixStream::connect(socket).is_ok() {
                 return Err(std::io::Error::other(format!(
@@ -198,11 +191,16 @@ fn bind(socket: &Path) -> std::io::Result<UnixListener> {
                     socket.display()
                 )));
             }
-            std::fs::remove_file(socket)?;
-            UnixListener::bind(socket)
+            std::fs::remove_file(socket).and_then(|()| UnixListener::bind(socket))
         }
-        Err(e) => Err(e),
-    }
+        bound => bound,
+    };
+    bound.map_err(|e| {
+        std::io::Error::new(
+            e.kind(),
+            format!("cannot bind --socket {}: {e}", socket.display()),
+        )
+    })
 }
 
 /// Serves one connection: any number of request lines until EOF.

@@ -5,20 +5,6 @@ use crate::report::table;
 use ola_nn::zoo::{self, ZooConfig};
 use ola_nn::Op;
 
-/// Canonical (full-resolution) totals for cross-checking the zoo:
-/// `(params, macs)` per network.
-pub fn canonical_totals(network: &str) -> (u64, u64) {
-    match network {
-        // Grouped-conv AlexNet: 2.3M conv + 58.6M FC params, ~666M conv MACs.
-        "alexnet" => (61_000_000, 724_000_000),
-        "vgg16" => (138_000_000, 15_500_000_000),
-        "resnet18" => (11_700_000, 1_800_000_000),
-        "resnet101" => (44_500_000, 7_800_000_000),
-        "densenet121" => (8_000_000, 2_900_000_000),
-        _ => (0, 0),
-    }
-}
-
 /// Prints the per-layer inventory of one network at full resolution.
 pub fn network_summary(network: &str) -> String {
     let net = zoo::by_name(network, &ZooConfig::default());
@@ -75,6 +61,20 @@ mod tests {
     use super::*;
     use ola_nn::zoo::{self, ZooConfig};
     use ola_nn::Op;
+
+    /// Canonical (full-resolution) totals for cross-checking the zoo:
+    /// `(params, macs)` per network.
+    fn canonical_totals(network: &str) -> (u64, u64) {
+        match network {
+            // Grouped-conv AlexNet: 2.3M conv + 58.6M FC params, ~666M conv MACs.
+            "alexnet" => (61_000_000, 724_000_000),
+            "vgg16" => (138_000_000, 15_500_000_000),
+            "resnet18" => (11_700_000, 1_800_000_000),
+            "resnet101" => (44_500_000, 7_800_000_000),
+            "densenet121" => (8_000_000, 2_900_000_000),
+            _ => (0, 0),
+        }
+    }
 
     fn totals(network: &str) -> (u64, u64) {
         let net = zoo::by_name(network, &ZooConfig::default());

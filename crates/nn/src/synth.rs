@@ -487,49 +487,12 @@ pub fn post_relu_zero_fractions(net: &Network, acts: &[Tensor]) -> Vec<f64> {
         .collect()
 }
 
-/// Summary statistics of a weight population, as the simulators consume them.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WeightStats {
-    /// Total weight count (of the *full* layer, not the sample).
-    pub count: usize,
-    /// Fraction of exactly-zero weights.
-    pub zero_fraction: f64,
-    /// Maximum absolute value observed.
-    pub abs_max: f32,
-}
-
-/// Measures weight statistics for node `id`, sampling row generators.
-///
-/// # Panics
-///
-/// Panics if the node has no weights.
-pub fn weight_stats(params: &Params, id: NodeId) -> WeightStats {
-    match params.weights(id) {
-        Some(WeightStore::Dense(t)) => WeightStats {
-            count: t.len(),
-            zero_fraction: t.zero_fraction(),
-            abs_max: t.abs_max(),
-        },
-        Some(WeightStore::RowGen(g)) => {
-            let sample = g.sample_values(SAMPLE_ROWS);
-            let zeros = sample.iter().filter(|&&v| v == 0.0).count();
-            let abs_max = sample.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
-            WeightStats {
-                count: g.len(),
-                zero_fraction: zeros as f64 / sample.len() as f64,
-                abs_max,
-            }
-        }
-        None => panic!("node {id} has no weights"),
-    }
-}
-
 /// How many evenly-spaced rows stand in for a row generator's population
 /// (see [`SyntheticMatrix::sample_values`]).
 const SAMPLE_ROWS: usize = 64;
 
 /// The weight population of one layer that statistics are measured on:
-/// dense weights by borrow, a row generator's [`SAMPLE_ROWS`] sampled rows.
+/// dense weights by borrow, a row generator's `SAMPLE_ROWS` sampled rows.
 pub fn weight_population(weights: &WeightStore) -> Cow<'_, [f32]> {
     match weights {
         WeightStore::Dense(t) => Cow::Borrowed(t.as_slice()),
@@ -542,25 +505,6 @@ pub fn weight_population(weights: &WeightStore) -> Cow<'_, [f32]> {
 pub fn weight_values(params: &Params, id: NodeId) -> Vec<f32> {
     match params.weights(id) {
         Some(w) => weight_population(w).into_owned(),
-        None => panic!("node {id} has no weights"),
-    }
-}
-
-/// Materializes the weights of a node as a tensor with the layer's natural
-/// shape, generating rows if necessary. Only call this for layers known to
-/// fit in memory.
-pub fn materialize_weights(params: &Params, id: NodeId) -> Tensor {
-    match params.weights(id) {
-        Some(WeightStore::Dense(t)) => t.clone(),
-        Some(WeightStore::RowGen(g)) => {
-            let mut data = Vec::with_capacity(g.len());
-            let mut row = vec![0.0; g.cols()];
-            for i in 0..g.rows() {
-                g.fill_row(i, &mut row);
-                data.extend_from_slice(&row);
-            }
-            Tensor::from_vec(Shape4::new(1, 1, g.rows(), g.cols()), data)
-        }
         None => panic!("node {id} has no weights"),
     }
 }
@@ -606,10 +550,12 @@ mod tests {
             ..Default::default()
         };
         let params = synthesize_params(&net, &cfg);
-        let stats = weight_stats(&params, c);
-        assert_eq!(stats.count, 16 * 3 * 9);
-        assert!((stats.zero_fraction - 0.5).abs() < 0.01);
-        assert!(stats.abs_max > 0.0);
+        let Some(WeightStore::Dense(w)) = params.weights(c) else {
+            panic!("conv weights are dense");
+        };
+        assert_eq!(w.len(), 16 * 3 * 9);
+        assert!((w.zero_fraction() - 0.5).abs() < 0.01);
+        assert!(w.abs_max() > 0.0);
     }
 
     #[test]
@@ -715,17 +661,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn materialize_matches_rowgen() {
-        let m = SyntheticMatrix::new(4, 8, HeavyTailed::default(), 0.25, 77);
-        let mut net = Network::new("t", Shape4::new(1, 8, 1, 1));
-        let f = net.add("fc", Op::Linear(crate::layer::LinearSpec::new(8, 4)), &[0]);
-        let mut params = Params::for_network(&net);
-        params.set_weights(f, WeightStore::RowGen(m.clone()));
-        let t = materialize_weights(&params, f);
-        assert_eq!(t.len(), 32);
-        assert_eq!(&t.as_slice()[8..16], m.row(1).as_slice());
     }
 }

@@ -11,8 +11,6 @@
 //!   precision for the few large *outliers* above it (Fig 1(c)).
 //! * [`chunks`] — the 80-bit weight-chunk encoding (16x4b weights + OLptr +
 //!   OLidx + OLmsb) and the sparse outlier-activation chunk format of §III-B.
-//! * [`calibrate`] — per-layer activation thresholds from sample inputs (the
-//!   design-time histogram pass of §II).
 //! * [`policy`] — pluggable outlier-*selection* rules ([`OutlierSelect`]):
 //!   the paper's magnitude percentile plus windowed top-1 and
 //!   sensitivity-weighted alternatives, swept by the `policy-panel`
@@ -42,7 +40,6 @@
 //! ```
 
 pub mod accuracy;
-pub mod calibrate;
 pub mod chunks;
 pub mod evalcache;
 pub mod linear;

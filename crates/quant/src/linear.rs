@@ -79,11 +79,6 @@ impl LinearQuantizer {
         self.scale
     }
 
-    /// Whether the quantizer is signed.
-    pub fn is_signed(&self) -> bool {
-        self.signed
-    }
-
     /// Largest representable integer level.
     pub fn max_level(&self) -> i32 {
         if self.signed {

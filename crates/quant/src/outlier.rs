@@ -1,4 +1,4 @@
-//! Outlier-aware quantization (the paper's §II, after Park et al. [11]).
+//! Outlier-aware quantization (the paper's §II, after Park et al. \[11\]).
 //!
 //! A magnitude threshold splits values into a dense low-precision region
 //! (quantized on a fine 4-bit grid scaled to the threshold) and a sparse

@@ -7,7 +7,9 @@
 //! description: layer geometry plus *measured* data statistics — per-chunk
 //! non-zero activation counts, weight-chunk outlier multiplicities, zero
 //! fractions, outlier ratios — extracted by running real (synthetic-weight)
-//! networks through the f32 reference and the quantizer calibration.
+//! networks through the f32 reference and measuring their activations and
+//! weights on one band-major chunk-grid kernel ([`workload`]), which also
+//! calibrates the activation outlier thresholds ([`calibrate`]).
 //!
 //! Results come back as [`result::LayerRun`] / [`result::NetworkRun`] with
 //! cycles, an energy breakdown and a utilization decomposition, which the
@@ -20,6 +22,8 @@
 //! as an [`accelerator::LayerModel`].
 
 pub mod accelerator;
+pub mod calibrate;
+mod chunk;
 pub mod policy;
 pub mod result;
 pub mod simcache;

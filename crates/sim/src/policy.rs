@@ -73,11 +73,6 @@ impl QuantPolicy {
         }
     }
 
-    /// Bits of an outlier weight (always 8 in OLAccel).
-    pub fn outlier_weight_bits(&self) -> u32 {
-        8
-    }
-
     /// Bits of an outlier activation (16 or 8 per comparison mode).
     pub fn outlier_act_bits(&self) -> u32 {
         self.mode.bits()

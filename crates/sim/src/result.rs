@@ -29,13 +29,6 @@ impl Utilization {
     pub fn is_conserved(&self, cycles: u64, groups: u64) -> bool {
         self.total() == cycles * groups
     }
-
-    /// Adds another decomposition.
-    pub fn add(&mut self, other: &Utilization) {
-        self.run_cycles += other.run_cycles;
-        self.skip_cycles += other.skip_cycles;
-        self.idle_cycles += other.idle_cycles;
-    }
 }
 
 /// Result of simulating one layer on one accelerator.
@@ -75,15 +68,6 @@ impl NetworkRun {
     pub fn total_energy(&self) -> EnergyBreakdown {
         self.layers.iter().map(|l| l.energy).sum()
     }
-
-    /// Aggregated utilization.
-    pub fn total_utilization(&self) -> Utilization {
-        let mut u = Utilization::default();
-        for l in &self.layers {
-            u.add(&l.utilization);
-        }
-        u
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +100,6 @@ mod tests {
         };
         assert_eq!(run.total_cycles(), 30);
         assert_eq!(run.total_energy().dram, 3.0);
-        assert_eq!(run.total_utilization().run_cycles, 30);
     }
 
     #[test]

@@ -7,34 +7,34 @@
 //! multiplicity (the outlier-MAC mechanism, Fig 17), and outlier activation
 //! ratios (the outlier PE group, Fig 16).
 //!
+//! Every statistic comes from one band-major chunk-grid kernel (the
+//! crate-private `chunk` module), the only walker of the chunk geometry.
 //! Extraction runs layers concurrently under the worker budget set by
 //! [`set_extract_jobs`]. Per layer:
 //!
-//! * the input activations' calibration population, chunk non-zero counts
-//!   and zero-quad counts come out of **one** chunk-major sweep over
-//!   borrowed lane views ([`ola_tensor::scan::scan_chunks`]);
-//! * weight-grid statistics — and the structured policies' activation
-//!   calibration — come from a band-major kernel. A *band* is the 16
-//!   consecutive matrix rows one row of 16-lane chunks covers (an NCHW
-//!   tensor is N stacked `(C, H·W)` matrices), so every pass walks memory
-//!   in order, keeping per-chunk state in one slot per column. A global
-//!   top-k threshold is the exact k-th largest score, found from a
-//!   histogram of [`f32::total_cmp`] keys plus a selection inside the one
-//!   bucket holding rank k; no pass builds a population-sized buffer.
+//! * the kernel's occupancy pass over the input activations yields every
+//!   chunk's non-zero lanes and all-zero quads, in position-major order,
+//!   plus the tensor's non-zero count and absolute maximum;
+//! * the activation calibration ([`crate::calibrate`]) and the weight
+//!   statistics resolve the selection rule, then count outliers per chunk.
+//!   A global top-k threshold is the exact k-th largest score, and a lane
+//!   is an outlier iff its score is at least the threshold in the
+//!   [`f32::total_cmp`] order, so counting agrees with ranking on every
+//!   value, NaN and infinities included.
 //!
 //! The result is byte-identical at any worker count. The property tests
 //! pin it, bit for bit, to a retained multi-pass reference extraction that
 //! lives in the test crate.
 
+use crate::calibrate::calibrate_grid;
+use crate::chunk::{census, count_grid, key, occupancy, select_kth, top_k};
+use crate::chunk::{Counts, Grid, Rule, Score};
 use crate::policy::{OutlierSelect, QuantPolicy};
 use ola_nn::network::WeightStore;
 use ola_nn::{Network, Op, Params};
-use ola_quant::calibrate::{calibrate_from_scan, LayerCalibration};
 use ola_quant::outlier::OutlierQuantizer;
 use ola_tensor::par::ordered_map;
-use ola_tensor::scan::{scan_chunks, split_ranges};
-use ola_tensor::stats::ValueScan;
-use ola_tensor::{ChunkViews, Shape4, Tensor, CHUNK_LANES};
+use ola_tensor::{Shape4, Tensor, CHUNK_LANES};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide default worker count for workload extraction, set once by
@@ -208,11 +208,6 @@ impl WorkloadSet {
     pub fn total_macs(&self) -> u64 {
         self.layers.iter().map(|l| l.macs).sum()
     }
-
-    /// Conv layers only (the subset Figs 18/19 plot).
-    pub fn conv_layers(&self) -> impl Iterator<Item = &LayerWorkload> {
-        self.layers.iter().filter(|l| l.kind == LayerKind::Conv)
-    }
 }
 
 /// Extracts workloads by running `input` through the network, calibrating
@@ -242,8 +237,8 @@ pub fn extract_from_acts(
 }
 
 /// [`extract_from_acts`] with an explicit worker budget: up to `jobs`
-/// layers extract concurrently, and any leftover budget splits the scans
-/// *within* a layer across chunk ranges. Byte-identical output at any
+/// layers extract concurrently, and any leftover budget splits the passes
+/// *within* a layer across band ranges. Byte-identical output at any
 /// `jobs` value.
 ///
 /// # Panics
@@ -270,11 +265,10 @@ pub fn extract_from_acts_jobs(
     }
 }
 
-/// Extracts one compute layer's workload: a single fused sweep over the
-/// input activations (calibration population + chunk non-zero counts +
-/// zero quads in one pass), the band-major weight-grid kernel (a key
-/// histogram and one bucket's gather when a global threshold is needed,
-/// then one counting walk), and the output zero fraction.
+/// Extracts one compute layer's workload: the occupancy pass and the
+/// calibration over the input activations, the weight-grid statistics (a
+/// key histogram and one bucket's gather when a global threshold is
+/// needed, then one counting walk), and the output zero fraction.
 #[allow(clippy::too_many_arguments)]
 fn extract_layer(
     net: &Network,
@@ -303,28 +297,17 @@ fn extract_layer(
         _ => unreachable!("compute_nodes returns only conv/linear"),
     };
 
-    // --- input activation statistics: one fused chunk-major pass ---
-    // Every element sits in exactly one chunk, so the sweep's ValueScan is
-    // the full calibration population; the calibration quantities are
-    // order-independent reductions, so chunk-major order gives the same
-    // result as the historical element-order pass.
-    let views = ChunkViews::activations(act, CHUNK_LANES);
-    let mut chunks = scan_chunks(&views, jobs);
-    let cal: LayerCalibration = match policy.select {
-        // The magnitude path is the pre-policy pipeline, untouched: the
-        // existing goldens are byte-for-byte regression baselines for it.
-        OutlierSelect::MagnitudePercentile => {
-            calibrate_from_scan(node, &mut chunks.values, policy.outlier_ratio)
-        }
-        select => calibrate_grid(
-            node,
-            act,
-            &chunks.values,
-            policy.outlier_ratio,
-            select,
-            jobs,
-        ),
-    };
+    // --- input activation statistics ---
+    let grid = Grid::activations(act, act.shape().n);
+    let occupancy = occupancy(grid, jobs);
+    let cal = calibrate_grid(
+        node,
+        grid,
+        &occupancy,
+        policy.outlier_ratio,
+        policy.select,
+        jobs,
+    );
 
     // --- weight statistics ---
     let wstats = weight_chunk_stats(params, node, policy.outlier_ratio, policy.select, jobs);
@@ -357,8 +340,8 @@ fn extract_layer(
         weight_outlier_ratio: wstats.outlier_ratio,
         act_outlier_nonzero_ratio: cal.nonzero_outlier_ratio,
         act_effective_outlier_ratio: cal.effective_outlier_ratio,
-        chunk_nnz: chunks.nnz,
-        chunk_zero_quads: chunks.zero_quads,
+        chunk_nnz: occupancy.nnz,
+        chunk_zero_quads: occupancy.zero_quads,
         wchunk_single_fraction: wstats.single_fraction,
         wchunk_multi_fraction: wstats.multi_fraction,
         out_zero_fraction,
@@ -401,6 +384,20 @@ pub struct WeightChunkStats {
     pub single_fraction: f64,
     /// Fraction of chunks with two or more outliers.
     pub multi_fraction: f64,
+}
+
+impl WeightChunkStats {
+    /// The fraction form of the counting pass's totals over `grid`.
+    fn from_counts(counts: &Counts, grid: Grid<'_>) -> Self {
+        let total = grid.lanes().max(1) as f64;
+        let chunks = grid.chunks().max(1) as f64;
+        WeightChunkStats {
+            zero_fraction: counts.zeros as f64 / total,
+            outlier_ratio: counts.outliers as f64 / total,
+            single_fraction: counts.single as f64 / chunks,
+            multi_fraction: counts.multi as f64 / chunks,
+        }
+    }
 }
 
 /// Measures weight zero fraction, outlier ratio and per-16-lane-chunk
@@ -454,7 +451,7 @@ fn weight_chunk_stats(
                 // separate row sample would be meaningless).
                 _ => weight_rule(grid, ratio, select, jobs),
             };
-            count_grid(grid, rule, jobs).stats(grid)
+            WeightChunkStats::from_counts(&count_grid(grid, rule, jobs), grid)
         }
     }
 }
@@ -481,7 +478,7 @@ pub fn grid_chunk_stats(
 ) -> WeightChunkStats {
     let grid = Grid::matrix(values, co, inner);
     let rule = weight_rule(grid, ratio, select, jobs);
-    count_grid(grid, rule, jobs).stats(grid)
+    WeightChunkStats::from_counts(&count_grid(grid, rule, jobs), grid)
 }
 
 /// Resolves `select`, calibrated on the weight population `fit`, to the
@@ -536,457 +533,15 @@ fn weight_rule(fit: Grid<'_>, ratio: f64, select: OutlierSelect, jobs: usize) ->
     }
 }
 
-/// Rank of the top-`ratio` threshold among `n` ranked lanes.
-fn top_k(n: usize, ratio: f64) -> usize {
-    ((n as f64 * ratio).ceil() as usize).clamp(1, n)
-}
-
-/// Activation calibration for the structured (non-magnitude) policies on
-/// the same chunks the fused scan walked. Windows tile each chunk's *real*
-/// lanes (zero-padded tails never vote), matching the weight grid's
-/// chunk-local windows.
-fn calibrate_grid(
-    node: usize,
-    act: &Tensor,
-    scan: &ValueScan,
-    ratio: f64,
-    select: OutlierSelect,
-    jobs: usize,
-) -> LayerCalibration {
-    let grid = Grid::activations(act);
-    let total = scan.total().max(1);
-    let nonzero = scan.nonzero();
-    let (threshold, outliers) = match select {
-        OutlierSelect::MagnitudePercentile => unreachable!("magnitude uses calibrate_from_scan"),
-        OutlierSelect::WindowedTopK { window } => {
-            let rule = if ratio > 0.0 {
-                Rule::Windowed { window }
-            } else {
-                Rule::None
-            };
-            // Window-local selection has no scalar threshold.
-            (f32::INFINITY, count_grid(grid, rule, jobs).outliers)
-        }
-        OutlierSelect::SensitivityWeighted { window } => {
-            if ratio <= 0.0 || nonzero == 0 {
-                (f32::INFINITY, 0)
-            } else {
-                // Activation ratios are fractions of the non-zero
-                // population (the paper's calibration target), so no
-                // rescale — unlike the weight grid.
-                let score = Score::Sensitivity { window };
-                let census = census(grid, score, jobs);
-                let threshold = select_kth(grid, score, &census, top_k(nonzero, ratio), jobs);
-                let rule = Rule::AtLeast {
-                    score,
-                    key: key(threshold),
-                };
-                (threshold, count_grid(grid, rule, jobs).outliers)
-            }
-        }
-    };
-    LayerCalibration {
-        node,
-        threshold,
-        abs_max: if scan.abs_max() > 0.0 {
-            scan.abs_max()
-        } else {
-            1.0
-        },
-        nonzero_outlier_ratio: if nonzero == 0 {
-            0.0
-        } else {
-            outliers as f64 / nonzero as f64
-        },
-        effective_outlier_ratio: outliers as f64 / total as f64,
-        zero_fraction: scan.zero_fraction(),
-    }
-}
-
-/// Matrix rows per band: a chunk is 16 consecutive rows at one column, so
-/// one row of chunks — a band — is 16 whole rows, contiguous in memory.
-/// Every kernel pass walks bands row by row and keeps per-chunk state in
-/// one slot per column, so no pass strides across rows.
-const BAND_ROWS: usize = CHUNK_LANES;
-
-/// Stacked row-major `(rows, cols)` matrices chunked into bands: one weight
-/// matrix, or an NCHW activation tensor as N matrices of `(C, H·W)` (a
-/// chunk is then 16 channels at one pixel).
-#[derive(Clone, Copy)]
-struct Grid<'a> {
-    data: &'a [f32],
-    rows: usize,
-    cols: usize,
-}
-
-impl<'a> Grid<'a> {
-    /// One `(rows, cols)` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    fn matrix(data: &'a [f32], rows: usize, cols: usize) -> Self {
-        assert_eq!(data.len(), rows * cols, "matrix buffer length mismatch");
-        Grid { data, rows, cols }
-    }
-
-    /// Every image of an activation tensor.
-    fn activations(tensor: &'a Tensor) -> Self {
-        let s = tensor.shape();
-        Grid {
-            data: tensor.as_slice(),
-            rows: s.c,
-            cols: s.h * s.w,
-        }
-    }
-
-    fn bands_per_matrix(&self) -> usize {
-        self.rows.div_ceil(BAND_ROWS)
-    }
-
-    /// Bands over all matrices (none for an empty grid).
-    fn bands(&self) -> usize {
-        if self.data.is_empty() {
-            return 0;
-        }
-        self.data.len() / (self.rows * self.cols) * self.bands_per_matrix()
-    }
-
-    /// Chunks over all matrices: one per column of every band.
-    fn chunks(&self) -> usize {
-        self.bands() * self.cols
-    }
-
-    /// The rows of band `b`, a contiguous run of the buffer.
-    fn band(&self, b: usize) -> &'a [f32] {
-        let per = self.bands_per_matrix();
-        let r0 = (b % per) * BAND_ROWS;
-        let start = ((b / per) * self.rows + r0) * self.cols;
-        let real = (self.rows - r0).min(BAND_ROWS);
-        &self.data[start..start + real * self.cols]
-    }
-}
-
-/// How a global policy ranks a lane.
-#[derive(Clone, Copy)]
-enum Score {
-    /// `|v|`.
-    Magnitude,
-    /// `|v| * rms(window)`: the RMS over the lane's window of its chunk,
-    /// zeros included, accumulated in lane order.
-    Sensitivity { window: usize },
-}
-
-/// A per-chunk outlier rule with its calibration resolved.
-#[derive(Clone, Copy)]
-enum Rule {
-    /// Outliers disabled (zeros still count).
-    None,
-    /// Non-zero lanes whose score [`key`] is at least `key`.
-    AtLeast { score: Score, key: u32 },
-    /// Top-1 per `window` lanes of each chunk: one outlier per window that
-    /// holds a non-zero lane.
-    Windowed { window: usize },
-}
-
-const SIGN: u32 = 0x8000_0000;
-
-/// Maps an `f32` to a `u32` whose unsigned order is [`f32::total_cmp`]'s
-/// order (sign-bit-set NaN lowest, positive NaN highest). The map is a
-/// bijection, so equal keys are bit-identical values.
-#[inline]
-fn key(v: f32) -> u32 {
-    let bits = v.to_bits();
-    bits ^ ((((bits as i32) >> 31) as u32) | SIGN)
-}
-
-/// Inverse of [`key`].
-fn from_key(k: u32) -> f32 {
-    f32::from_bits(if k & SIGN != 0 { k ^ SIGN } else { !k })
-}
-
-/// The key every zero lane takes instead of its score: [`key`] of `-0.0`.
-/// No score is negative unless it is NaN, so this key's histogram bucket
-/// holds the zero lanes and nothing else: the census counts them for free
-/// and the rankings skip them without a per-lane test.
-const ZERO_LANE: u32 = SIGN - 1;
-
-/// Histogram buckets are a key's top 12 bits: sign, exponent and three
-/// mantissa bits.
-const BUCKET_SHIFT: u32 = 20;
-const BUCKETS: usize = 1 << (32 - BUCKET_SHIFT);
-const ZERO_BUCKET: usize = (ZERO_LANE >> BUCKET_SHIFT) as usize;
-
-/// Consecutive lanes increment different sub-histograms, so a run of lanes
-/// in one bucket (the zeros, mostly) is not one chain of dependent
-/// read-modify-writes.
-const SUB_HISTOGRAMS: usize = 4;
-
-#[inline]
-fn bucket(k: u32) -> usize {
-    (k >> BUCKET_SHIFT) as usize
-}
-
-/// Walks one band in memory order, handing `visit` each row with its
-/// lanes' score keys ([`ZERO_LANE`] for zero lanes). Every selection
-/// below is arithmetic, not a branch: most weights are zero (66–82 % of
-/// AlexNet's, ResNet-18's and DenseNet-121's dense weights), in no pattern
-/// a branch predictor could learn. `keys` and `rms` are column-sized
-/// scratch.
-fn for_each_keyed_row(
-    band: &[f32],
-    score: Score,
-    keys: &mut [u32],
-    rms: &mut [f32],
-    mut visit: impl FnMut(&[f32], &[u32]),
-) {
-    let cols = keys.len();
-    match score {
-        Score::Magnitude => {
-            for row in band.chunks_exact(cols) {
-                for (k, &v) in keys.iter_mut().zip(row) {
-                    // key(|v|): clearing the sign bit, then setting it,
-                    // just sets it. `±0.0` land on `SIGN`, one above
-                    // `ZERO_LANE`.
-                    let m = v.to_bits() | SIGN;
-                    *k = m - u32::from(m == SIGN);
-                }
-                visit(row, keys);
-            }
-        }
-        Score::Sensitivity { window } => {
-            for rows in band.chunks(window.min(BAND_ROWS) * cols) {
-                rms.fill(0.0);
-                for row in rows.chunks_exact(cols) {
-                    for (sum_sq, &v) in rms.iter_mut().zip(row) {
-                        *sum_sq += v * v;
-                    }
-                }
-                let lanes = (rows.len() / cols) as f32;
-                for r in rms.iter_mut() {
-                    *r = (*r / lanes).sqrt();
-                }
-                for row in rows.chunks_exact(cols) {
-                    for ((k, &v), &r) in keys.iter_mut().zip(row).zip(rms.iter()) {
-                        let live = u32::from(v != 0.0).wrapping_neg();
-                        *k = (key(v.abs() * r) & live) | (ZERO_LANE & !live);
-                    }
-                    visit(row, keys);
-                }
-            }
-        }
-    }
-}
-
-/// What the ranking pass measured over a grid.
-struct Census {
-    /// Lanes per key bucket; the zero lanes are [`ZERO_BUCKET`]'s.
-    hist: Vec<u64>,
-    /// Lanes in the grid.
-    total: usize,
-    /// Of a magnitude census: the largest non-NaN `|v|` (the `f32::max`
-    /// fold from `0.0`).
-    abs_max: f32,
-}
-
-impl Census {
-    /// Lanes that take part in a ranking.
-    fn nonzero(&self) -> usize {
-        self.total - self.hist[ZERO_BUCKET] as usize
-    }
-}
-
-/// The ranking pass: a histogram of every lane's score key over contiguous
-/// band ranges on up to `jobs` workers. Integer counts sum exactly, so any
-/// split gives the same census.
-fn census(grid: Grid<'_>, score: Score, jobs: usize) -> Census {
-    if let Score::Sensitivity { window } = score {
-        assert!(window >= 1, "window must be at least 1");
-    }
-    let ranges = split_ranges(grid.bands(), jobs);
-    let parts = ordered_map(&ranges, jobs, |_, range| {
-        let mut hist = vec![[0u32; BUCKETS]; SUB_HISTOGRAMS];
-        let mut abs_max = 0.0_f32;
-        let mut keys = vec![0; grid.cols];
-        let mut rms = vec![0.0; grid.cols];
-        for b in range.clone() {
-            for_each_keyed_row(grid.band(b), score, &mut keys, &mut rms, |row, keys| {
-                let mut quads = keys.chunks_exact(SUB_HISTOGRAMS);
-                for quad in &mut quads {
-                    for (h, &k) in hist.iter_mut().zip(quad) {
-                        h[bucket(k)] += 1;
-                    }
-                }
-                for &k in quads.remainder() {
-                    hist[0][bucket(k)] += 1;
-                }
-                if let Score::Magnitude = score {
-                    abs_max = row.iter().fold(abs_max, |m, &v| m.max(v.abs()));
-                }
-            });
-        }
-        (hist, abs_max)
-    });
-    let mut census = Census {
-        hist: vec![0; BUCKETS],
-        total: grid.data.len(),
-        abs_max: 0.0,
-    };
-    for (hist, abs_max) in parts {
-        for sub in &hist {
-            for (sum, &n) in census.hist.iter_mut().zip(sub) {
-                *sum += u64::from(n);
-            }
-        }
-        census.abs_max = census.abs_max.max(abs_max);
-    }
-    census
-}
-
-/// The `k`-th largest (1-based, under `total_cmp`) score of the grid's
-/// non-zero lanes. The census locates the one bucket holding rank `k`; one
-/// more walk gathers that bucket's keys, and `select_nth` ranks inside it.
-/// Exact: every key above the bucket outranks every key in it.
-fn select_kth(grid: Grid<'_>, score: Score, census: &Census, k: usize, jobs: usize) -> f32 {
-    assert!(
-        (1..=census.nonzero()).contains(&k),
-        "rank must be in 1..=non-zero lanes"
-    );
-    // Non-zero lanes in the buckets above `target`.
-    let mut above = 0;
-    let mut target = 0;
-    for b in (0..BUCKETS).rev().filter(|&b| b != ZERO_BUCKET) {
-        let lanes = census.hist[b] as usize;
-        if above + lanes >= k {
-            target = b;
-            break;
-        }
-        above += lanes;
-    }
-    let ranges = split_ranges(grid.bands(), jobs);
-    let parts = ordered_map(&ranges, jobs, |_, range| {
-        let mut found = Vec::new();
-        let mut keys = vec![0; grid.cols];
-        let mut rms = vec![0.0; grid.cols];
-        for b in range.clone() {
-            for_each_keyed_row(grid.band(b), score, &mut keys, &mut rms, |_, keys| {
-                for &k in keys {
-                    if bucket(k) == target {
-                        found.push(k);
-                    }
-                }
-            });
-        }
-        found
-    });
-    let mut found = parts.concat();
-    let (_, kth, _) = found.select_nth_unstable_by(k - above - 1, |a, b| b.cmp(a));
-    from_key(*kth)
-}
-
-/// Exactly-zero lanes of `values`, counted in `u32` runs: a `u32` count
-/// vectorizes twice as wide as a `usize` one.
-fn zero_lanes(values: &[f32]) -> u64 {
-    values
-        .chunks(1 << 16)
-        .map(|run| u64::from(run.iter().map(|&v| u32::from(v == 0.0)).sum::<u32>()))
-        .sum()
-}
-
-/// What the counting pass measured over a grid.
-#[derive(Default)]
-struct Counts {
-    zeros: u64,
-    outliers: u64,
-    /// Chunks with exactly one outlier.
-    single: u64,
-    /// Chunks with two or more outliers.
-    multi: u64,
-}
-
-impl Counts {
-    /// The fraction form the models consume.
-    fn stats(&self, grid: Grid<'_>) -> WeightChunkStats {
-        let total = grid.data.len().max(1) as f64;
-        let chunks = grid.chunks().max(1) as f64;
-        WeightChunkStats {
-            zero_fraction: self.zeros as f64 / total,
-            outlier_ratio: self.outliers as f64 / total,
-            single_fraction: self.single as f64 / chunks,
-            multi_fraction: self.multi as f64 / chunks,
-        }
-    }
-}
-
-/// The counting pass: zeros, outliers and per-chunk outlier multiplicity
-/// under `rule`, over contiguous band ranges on up to `jobs` workers. A
-/// band's per-chunk counts build up row by row with branch-free adds, one
-/// slot per column, then fold into the totals.
-fn count_grid(grid: Grid<'_>, rule: Rule, jobs: usize) -> Counts {
-    if let Rule::Windowed { window }
-    | Rule::AtLeast {
-        score: Score::Sensitivity { window },
-        ..
-    } = rule
-    {
-        assert!(window >= 1, "window must be at least 1");
-    }
-    let ranges = split_ranges(grid.bands(), jobs);
-    let parts = ordered_map(&ranges, jobs, |_, range| {
-        let mut counts = Counts::default();
-        let mut per_chunk = vec![0u8; grid.cols];
-        let mut live = vec![0u8; grid.cols];
-        let mut keys = vec![0; grid.cols];
-        let mut rms = vec![0.0; grid.cols];
-        for b in range.clone() {
-            let band = grid.band(b);
-            counts.zeros += zero_lanes(band);
-            per_chunk.fill(0);
-            match rule {
-                Rule::None => {}
-                Rule::AtLeast { score, key } => {
-                    for_each_keyed_row(band, score, &mut keys, &mut rms, |_, keys| {
-                        for (n, &k) in per_chunk.iter_mut().zip(keys) {
-                            *n += u8::from((k >= key) & (k != ZERO_LANE));
-                        }
-                    });
-                }
-                Rule::Windowed { window } => {
-                    for rows in band.chunks(window.min(BAND_ROWS) * grid.cols) {
-                        live.fill(0);
-                        for row in rows.chunks_exact(grid.cols) {
-                            for (l, &v) in live.iter_mut().zip(row) {
-                                *l |= u8::from(v != 0.0);
-                            }
-                        }
-                        for (n, &l) in per_chunk.iter_mut().zip(&live) {
-                            *n += l;
-                        }
-                    }
-                }
-            }
-            for &n in &per_chunk {
-                counts.outliers += u64::from(n);
-                counts.single += u64::from(n == 1);
-                counts.multi += u64::from(n >= 2);
-            }
-        }
-        counts
-    });
-    parts.into_iter().fold(Counts::default(), |a, p| Counts {
-        zeros: a.zeros + p.zeros,
-        outliers: a.outliers + p.outliers,
-        single: a.single + p.single,
-        multi: a.multi + p.multi,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::{bucket, from_key, ZERO_BUCKET, ZERO_LANE};
     use ola_nn::synth::{synthesize_params, SynthConfig};
     use ola_nn::zoo::{self, ZooConfig};
+    use ola_nn::{Conv2dSpec, Network};
     use ola_tensor::init::uniform_tensor;
+    use ola_tensor::ConvGeometry;
 
     fn alexnet_workloads() -> WorkloadSet {
         let cfg = ZooConfig {
@@ -1006,7 +561,8 @@ mod tests {
         let ws = alexnet_workloads();
         // 5 convs + 3 FCs.
         assert_eq!(ws.layers.len(), 8);
-        assert_eq!(ws.conv_layers().count(), 5);
+        let convs = ws.layers.iter().filter(|l| l.kind == LayerKind::Conv);
+        assert_eq!(convs.count(), 5);
         assert_eq!(ws.layers[0].act_bits, 16);
         assert_eq!(ws.layers[1].act_bits, 4);
         assert!(ws.total_macs() > 0);
@@ -1145,5 +701,29 @@ mod tests {
         assert_eq!(fc.kernel, 1);
         assert_eq!(fc.in_shape.h, 1);
         assert_eq!(fc.macs, fc.weight_count);
+    }
+
+    /// The magnitude rule selects its threshold in the total order and
+    /// counts in it too: a NaN outranks every number and is an outlier, and
+    /// ratio 0 selects nothing, not even `+inf`.
+    #[test]
+    fn magnitude_outliers_are_counted_in_the_total_order() {
+        let mut net = Network::new("one-conv", Shape4::new(1, 4, 1, 1));
+        let spec = Conv2dSpec::new(4, 16, ConvGeometry::new(1, 1, 0));
+        net.add("conv", Op::Conv(spec), &[0]);
+        let params = synthesize_params(&net, &SynthConfig::default());
+        for (first, ratio, expect) in [(f32::NAN, 0.5, 0.5), (f32::INFINITY, 0.0, 0.0)] {
+            let input = Tensor::from_vec(Shape4::new(1, 4, 1, 1), vec![first, 1.0, 2.0, 3.0]);
+            let outs = net.forward(&params, &input);
+            let policy = QuantPolicy {
+                outlier_ratio: ratio,
+                ..QuantPolicy::olaccel16("one-conv")
+            };
+            let layer = &extract_from_acts_jobs(&net, &params, &outs, &policy, 1).layers[0];
+            assert_eq!(
+                layer.act_outlier_nonzero_ratio, expect,
+                "input [{first}, 1, 2, 3] at ratio {ratio}"
+            );
+        }
     }
 }

@@ -4,16 +4,16 @@
 //! produces bit-identical results. Rather than asking humans to bump a
 //! version number whenever extraction semantics change, the store hashes
 //! the *source text* of every crate file an artifact's bytes depend on —
-//! tensor initialization and scans, synthetic parameter generation, the
-//! network zoo, workload extraction, quantizer calibration, the vendored
-//! RNG — at compile time. Each [`crate::store::Record`] names one of the
-//! five source lists below as its `SOURCES`, and every list also hashes
-//! the store's own [`crate::codec`] and [`crate::wire`], which lay out the
-//! record bytes. Any edit to a listed file changes that list's
+//! tensor initialization, synthetic parameter generation, the network zoo,
+//! workload extraction and activation calibration, the quantizers, the
+//! vendored RNG — at compile time. Each [`crate::store::Record`] names one
+//! of the five source lists below as its `SOURCES`, and every list also
+//! hashes the store's own [`crate::codec`] and [`crate::wire`], which lay
+//! out the record bytes. Any edit to a listed file changes that list's
 //! fingerprint, changes the filename of every record versioned by it, and
 //! silently invalidates the old records. (`include_str!` also registers
-//! each file with cargo's rebuild tracking, so the fingerprint can never
-//! go stale.)
+//! each file with cargo's rebuild tracking, so the fingerprint can never go
+//! stale.)
 //!
 //! Conservative by design: a comment-only edit to a hashed file also
 //! invalidates the cache. That trades a few spurious recomputes for never
@@ -30,13 +30,12 @@ pub const FORMAT_VERSION: u32 = 2;
 /// (prepared networks and workload sets). Paths are relative to
 /// `crates/store/src/`.
 pub const PREP_SOURCES: &[&str] = &[
-    // Tensor substrate: RNG-driven init, scans and chunking feed every
-    // synthesized parameter and every measured statistic.
+    // Tensor substrate: RNG-driven init, the chunk width and the parallel
+    // split feed every synthesized parameter and every measured statistic.
+    include_str!("../../tensor/src/lib.rs"),
     include_str!("../../tensor/src/tensor.rs"),
     include_str!("../../tensor/src/shape.rs"),
     include_str!("../../tensor/src/init.rs"),
-    include_str!("../../tensor/src/chunk.rs"),
-    include_str!("../../tensor/src/scan.rs"),
     include_str!("../../tensor/src/stats.rs"),
     include_str!("../../tensor/src/par.rs"),
     // Network substrate: graph construction, synthetic parameters, the
@@ -46,13 +45,14 @@ pub const PREP_SOURCES: &[&str] = &[
     include_str!("../../nn/src/kernels.rs"),
     include_str!("../../nn/src/synth.rs"),
     include_str!("../../nn/src/zoo.rs"),
-    // Quantization: calibration and outlier selection shape the workload
-    // statistics.
-    include_str!("../../quant/src/calibrate.rs"),
+    // Quantization: outlier selection shapes the workload statistics.
     include_str!("../../quant/src/outlier.rs"),
     include_str!("../../quant/src/policy.rs"),
-    // Simulation: the extraction pass itself plus the policy definition.
+    // Simulation: the extraction pass, the chunk-grid kernel and the
+    // activation calibration it runs on, plus the policy definition.
     include_str!("../../sim/src/workload.rs"),
+    include_str!("../../sim/src/chunk.rs"),
+    include_str!("../../sim/src/calibrate.rs"),
     include_str!("../../sim/src/policy.rs"),
     // The RNG every synthetic value flows through.
     include_str!("../../../vendored/rand/src/lib.rs"),
@@ -120,7 +120,6 @@ pub const EVAL_SOURCES: &[&str] = &[
     // the cache keying machinery.
     include_str!("../../quant/src/accuracy.rs"),
     include_str!("../../quant/src/evalcache.rs"),
-    include_str!("../../quant/src/calibrate.rs"),
     include_str!("../../quant/src/linear.rs"),
     include_str!("../../quant/src/outlier.rs"),
     include_str!("../../quant/src/policy.rs"),

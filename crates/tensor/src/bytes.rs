@@ -1,4 +1,4 @@
-//! Little-endian byte views of `f32` buffers and tensors.
+//! Little-endian byte views of `f32` buffers.
 //!
 //! The on-disk artifact store (`ola-store`) persists prepared networks and
 //! workload sets as flat little-endian byte streams. These helpers are the
@@ -9,9 +9,6 @@
 //! endianness. Round-trips preserve the exact bit pattern of every value
 //! (including NaN payloads and `-0.0`), which is what keeps disk-loaded
 //! artifacts byte-identical to freshly computed ones.
-
-use crate::shape::Shape4;
-use crate::tensor::Tensor;
 
 /// Copy block size for the staging buffer: large enough to amortize the
 /// `Vec` bookkeeping, small enough to stay in L1.
@@ -43,25 +40,6 @@ pub fn read_f32s_le(bytes: &[u8]) -> Option<Vec<f32>> {
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect(),
     )
-}
-
-impl Tensor {
-    /// Appends this tensor's data buffer to `out` as little-endian bytes
-    /// (row-major element order, shape not included — the caller records
-    /// the shape alongside).
-    pub fn append_le_bytes(&self, out: &mut Vec<u8>) {
-        append_f32s_le(out, self.as_slice());
-    }
-
-    /// Rebuilds a tensor of `shape` from a little-endian byte stream
-    /// written by [`Tensor::append_le_bytes`]. Returns `None` if the byte
-    /// count does not match the shape.
-    pub fn from_le_bytes(shape: Shape4, bytes: &[u8]) -> Option<Tensor> {
-        if bytes.len() != shape.len() * 4 {
-            return None;
-        }
-        read_f32s_le(bytes).map(|data| Tensor::from_vec(shape, data))
-    }
 }
 
 #[cfg(test)]
@@ -102,16 +80,5 @@ mod tests {
     fn ragged_byte_streams_rejected() {
         assert!(read_f32s_le(&[0, 1, 2]).is_none());
         assert!(read_f32s_le(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn tensor_round_trip() {
-        let shape = Shape4::new(1, 2, 3, 4);
-        let t = Tensor::from_vec(shape, (0..24).map(|i| i as f32 - 11.5).collect());
-        let mut bytes = Vec::new();
-        t.append_le_bytes(&mut bytes);
-        let back = Tensor::from_le_bytes(shape, &bytes).unwrap();
-        assert_eq!(back, t);
-        assert!(Tensor::from_le_bytes(shape, &bytes[..20]).is_none());
     }
 }

@@ -3,10 +3,11 @@
 //! Dense tensor substrate for the OLAccel reproduction.
 //!
 //! Provides a minimal, fast, row-major (NCHW) [`Tensor`] type plus the shape
-//! arithmetic, statistics, and chunking utilities the rest of the workspace
-//! builds on. The accelerator simulators consume activations and weights at
-//! the granularity of 16-element channel chunks (`A(1x1x16)` in the paper's
-//! notation); [`chunk`] provides those views.
+//! arithmetic, statistics and deterministic parallelism the rest of the
+//! workspace builds on. The accelerator simulators consume activations and
+//! weights at the granularity of [`CHUNK_LANES`]-element channel chunks
+//! (`A(1x1x16)` in the paper's notation); `ola-sim`'s workload extraction
+//! walks that chunk geometry.
 //!
 //! # Example
 //!
@@ -19,15 +20,19 @@
 //! ```
 
 pub mod bytes;
-pub mod chunk;
 pub mod init;
 pub mod memo;
 pub mod par;
-pub mod scan;
 pub mod shape;
 pub mod stats;
 mod tensor;
 
-pub use chunk::{ChunkView, ChunkViews, CHUNK_LANES};
 pub use shape::{ConvGeometry, Shape4};
-pub use tensor::Tensor;
+pub use tensor::{stack_batch, Tensor};
+
+/// Number of SIMD lanes in a PE group (= activations per chunk).
+///
+/// The paper fixes this at 16 after the Fig 17 analysis; the simulators allow
+/// overriding it for the PE-group-size ablation, but encoded data structures
+/// use this default.
+pub const CHUNK_LANES: usize = 16;

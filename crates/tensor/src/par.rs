@@ -84,6 +84,23 @@ where
     });
 }
 
+/// Splits `len` items into at most `parts` contiguous ranges of
+/// near-equal size, in order: the work items of a range-parallel
+/// [`ordered_map`] whose partial results merge in range order.
+pub fn split_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+    let parts = parts.clamp(1, len.max(1));
+    let base = len / parts;
+    let extra = len % parts;
+    let mut ranges = Vec::with_capacity(parts);
+    let mut start = 0;
+    for i in 0..parts {
+        let size = base + usize::from(i < extra);
+        ranges.push(start..start + size);
+        start += size;
+    }
+    ranges
+}
+
 /// Applies `f` to every item of `items` across `jobs` worker threads and
 /// returns the results in item order.
 ///
@@ -158,6 +175,19 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_jobs_rejected() {
         let _ = ordered_map(&[1u8], 0, |_, &v| v);
+    }
+
+    #[test]
+    fn split_ranges_partitions_exactly() {
+        for (len, parts) in [(10, 3), (7, 7), (5, 9), (0, 4), (1 << 16, 4)] {
+            let ranges = split_ranges(len, parts);
+            let mut next = 0;
+            for r in &ranges {
+                assert_eq!(r.start, next);
+                next = r.end;
+            }
+            assert_eq!(next, len);
+        }
     }
 
     #[test]

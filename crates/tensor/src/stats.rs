@@ -1,8 +1,7 @@
-//! Distribution statistics: histograms and percentiles.
+//! Distribution statistics: histograms and magnitude thresholds.
 //!
-//! Used for Fig 1 (weight distributions), activation threshold calibration
-//! (the per-layer outlier thresholds of §II), and Fig 16 (effective outlier
-//! ratio histogram).
+//! Used for Fig 1 (weight distributions) and the outlier quantizers'
+//! top-ratio magnitude thresholds (§II).
 
 /// A fixed-bin histogram over a symmetric or one-sided value range.
 ///
@@ -116,9 +115,8 @@ pub fn magnitude_threshold(values: &[f32], ratio: f64) -> f32 {
 /// The k-th largest (1-based) of a buffer of already-absolute magnitudes,
 /// by in-place O(n) selection. The buffer is permuted.
 ///
-/// This is the selection kernel behind [`magnitude_threshold`] and the
-/// fused extraction scans ([`ValueScan::threshold`]): callers that already
-/// hold the magnitudes skip the clone-and-sort entirely.
+/// This is the selection kernel behind [`magnitude_threshold`]: callers
+/// that already hold the magnitudes skip the clone-and-sort entirely.
 ///
 /// # Panics
 ///
@@ -130,150 +128,6 @@ pub fn kth_largest_magnitude(mags: &mut [f32], k: usize) -> f32 {
     // boundary so that exactly ~k values satisfy |v| >= threshold.
     let (_, v, _) = mags.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
     *v
-}
-
-/// Percentile (0..=100) of the absolute values, by nearest-rank.
-///
-/// O(n) selection on the same total magnitude order as
-/// [`magnitude_threshold`] (ascending here).
-///
-/// # Panics
-///
-/// Panics if `values` is empty or `pct` is outside `[0, 100]`.
-pub fn abs_percentile(values: &[f32], pct: f64) -> f32 {
-    assert!(!values.is_empty(), "values must be non-empty");
-    assert!((0.0..=100.0).contains(&pct), "pct must be in [0,100]");
-    let mut mags: Vec<f32> = values.iter().map(|v| v.abs()).collect();
-    let rank = ((pct / 100.0) * (mags.len() - 1) as f64).round() as usize;
-    let (_, v, _) = mags.select_nth_unstable_by(rank, f32::total_cmp);
-    *v
-}
-
-/// One-pass accumulator over a value population: element count, zero
-/// count, absolute maximum, and the non-zero magnitudes (kept for
-/// threshold selection and outlier counting).
-///
-/// This is the shared statistics kernel of the workload-extraction
-/// pipeline: activation calibration (`ola-quant::calibrate`), weight
-/// outlier fitting and the fused chunk sweeps (`ola-sim::workload`) all
-/// feed one of these instead of re-walking their tensors per statistic.
-/// Scans [`merge`](ValueScan::merge) in population order, so a scan split
-/// across contiguous ranges (see [`crate::scan`]) reproduces the serial
-/// scan exactly — including the magnitude buffer's order.
-///
-/// # Example
-///
-/// ```
-/// use ola_tensor::stats::ValueScan;
-///
-/// let mut s = ValueScan::new();
-/// s.extend_slice(&[0.0, 1.0, -3.0, 0.0, 2.0]);
-/// assert_eq!((s.total(), s.zeros(), s.nonzero()), (5, 2, 3));
-/// assert_eq!(s.abs_max(), 3.0);
-/// let t = s.threshold(0.4); // top 40% of the 3 non-zeros -> k = 2
-/// assert_eq!(t, 2.0);
-/// assert_eq!(s.count_at_least(t), 2);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ValueScan {
-    total: usize,
-    zeros: usize,
-    abs_max: f32,
-    nonzero_mags: Vec<f32>,
-}
-
-impl ValueScan {
-    /// An empty scan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one value.
-    #[inline]
-    pub fn push(&mut self, v: f32) {
-        self.total += 1;
-        if v == 0.0 {
-            self.zeros += 1;
-        } else {
-            let m = v.abs();
-            self.abs_max = self.abs_max.max(m);
-            self.nonzero_mags.push(m);
-        }
-    }
-
-    /// Records every value of a slice, in order.
-    pub fn extend_slice(&mut self, values: &[f32]) {
-        self.nonzero_mags.reserve(values.len());
-        for &v in values {
-            self.push(v);
-        }
-    }
-
-    /// Absorbs `other` as the continuation of this population: counts add,
-    /// maxima combine, and `other`'s magnitudes append after this scan's.
-    /// Merging range scans in range order therefore reproduces the serial
-    /// scan byte-for-byte.
-    pub fn merge(&mut self, mut other: ValueScan) {
-        self.total += other.total;
-        self.zeros += other.zeros;
-        self.abs_max = self.abs_max.max(other.abs_max);
-        self.nonzero_mags.append(&mut other.nonzero_mags);
-    }
-
-    /// Values recorded.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Values that were exactly zero.
-    pub fn zeros(&self) -> usize {
-        self.zeros
-    }
-
-    /// Non-zero values recorded (NaN counts as non-zero, as in a direct
-    /// `v != 0.0` filter).
-    pub fn nonzero(&self) -> usize {
-        self.nonzero_mags.len()
-    }
-
-    /// Maximum absolute value seen (0.0 for an empty or all-zero
-    /// population; NaN magnitudes are ignored, as `f32::max` ignores them).
-    pub fn abs_max(&self) -> f32 {
-        self.abs_max
-    }
-
-    /// Fraction of exactly-zero values (0.0 for an empty population).
-    pub fn zero_fraction(&self) -> f64 {
-        1.0 - self.nonzero_mags.len() as f64 / self.total.max(1) as f64
-    }
-
-    /// The outlier threshold over the *non-zero* population: the magnitude
-    /// of the `ceil(nonzero * ratio)`-th largest non-zero value, exactly as
-    /// [`magnitude_threshold`] computes it over a pre-filtered slice.
-    /// Returns `f32::INFINITY` when `ratio == 0` or nothing non-zero was
-    /// recorded. Permutes the internal magnitude buffer (counts and maxima
-    /// are unaffected).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratio` is outside `[0, 1]`.
-    pub fn threshold(&mut self, ratio: f64) -> f32 {
-        assert!((0.0..=1.0).contains(&ratio), "ratio must be in [0,1]");
-        let n = self.nonzero_mags.len();
-        if ratio == 0.0 || n == 0 {
-            return f32::INFINITY;
-        }
-        let k = ((n as f64 * ratio).ceil() as usize).clamp(1, n);
-        kth_largest_magnitude(&mut self.nonzero_mags, k)
-    }
-
-    /// How many non-zero values have magnitude `>= threshold`.
-    pub fn count_at_least(&self, threshold: f32) -> usize {
-        self.nonzero_mags
-            .iter()
-            .filter(|&&m| m >= threshold)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -319,14 +173,6 @@ mod tests {
         assert_eq!(magnitude_threshold(&[1.0, 2.0], 0.0), f32::INFINITY);
     }
 
-    #[test]
-    fn abs_percentile_nearest_rank() {
-        let values = [1.0_f32, -2.0, 3.0, -4.0, 5.0];
-        assert_eq!(abs_percentile(&values, 0.0), 1.0);
-        assert_eq!(abs_percentile(&values, 100.0), 5.0);
-        assert_eq!(abs_percentile(&values, 50.0), 3.0);
-    }
-
     /// Sort-based reference implementations the selection path must match
     /// bit-for-bit on NaN-free data (the pre-selection implementations).
     fn threshold_by_sort(values: &[f32], ratio: f64) -> f32 {
@@ -337,12 +183,6 @@ mod tests {
         mags.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
         let k = ((values.len() as f64 * ratio).ceil() as usize).clamp(1, values.len());
         mags[k - 1]
-    }
-
-    fn percentile_by_sort(values: &[f32], pct: f64) -> f32 {
-        let mut mags: Vec<f32> = values.iter().map(|v| v.abs()).collect();
-        mags.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        mags[((pct / 100.0) * (mags.len() - 1) as f64).round() as usize]
     }
 
     #[test]
@@ -367,11 +207,6 @@ mod tests {
             let slow = threshold_by_sort(&values, ratio);
             assert_eq!(fast.to_bits(), slow.to_bits(), "ratio {ratio}");
         }
-        for pct in [0.0, 3.0, 42.0, 50.0, 97.0, 100.0] {
-            let fast = abs_percentile(&values, pct);
-            let slow = percentile_by_sort(&values, pct);
-            assert_eq!(fast.to_bits(), slow.to_bits(), "pct {pct}");
-        }
     }
 
     #[test]
@@ -384,47 +219,9 @@ mod tests {
         assert!(t.is_nan());
         let t2 = magnitude_threshold(&values, 0.5); // k = 2 -> largest real
         assert_eq!(t2, 3.0);
-        assert!(abs_percentile(&values, 100.0).is_nan());
-        assert_eq!(abs_percentile(&values, 0.0), 1.0);
 
         // -0.0 is magnitude 0.0 (abs clears the sign), never a distinct key.
         let zeros = [-0.0_f32, 0.0, -1.0];
         assert_eq!(magnitude_threshold(&zeros, 1.0).to_bits(), 0.0f32.to_bits());
-        assert_eq!(abs_percentile(&zeros, 0.0).to_bits(), 0.0f32.to_bits());
-    }
-
-    #[test]
-    fn value_scan_matches_direct_computation() {
-        let values = [0.0_f32, 1.5, -2.5, 0.0, 0.5, -0.0, 4.0];
-        let mut scan = ValueScan::new();
-        scan.extend_slice(&values);
-        assert_eq!(scan.total(), 7);
-        assert_eq!(scan.zeros(), 3); // 0.0, 0.0 and -0.0
-        assert_eq!(scan.nonzero(), 4);
-        assert_eq!(scan.abs_max(), 4.0);
-        assert!((scan.zero_fraction() - 3.0 / 7.0).abs() < 1e-12);
-        // Threshold agrees with the slice-level function over the non-zero
-        // subpopulation.
-        let nonzero: Vec<f32> = values.iter().copied().filter(|&v| v != 0.0).collect();
-        let mut s2 = scan.clone();
-        assert_eq!(
-            s2.threshold(0.5).to_bits(),
-            magnitude_threshold(&nonzero, 0.5).to_bits()
-        );
-        assert_eq!(scan.threshold(0.0), f32::INFINITY);
-    }
-
-    #[test]
-    fn value_scan_merge_is_order_preserving_concatenation() {
-        let values: Vec<f32> = (0..100).map(|i| (i as f32 - 50.0) * 0.1).collect();
-        let mut whole = ValueScan::new();
-        whole.extend_slice(&values);
-        let mut parts = ValueScan::new();
-        for chunk in values.chunks(7) {
-            let mut part = ValueScan::new();
-            part.extend_slice(chunk);
-            parts.merge(part);
-        }
-        assert_eq!(whole, parts);
     }
 }

@@ -104,18 +104,6 @@ impl Tensor {
         &self.data[start..start + self.shape.w]
     }
 
-    /// Mutable view of spatial row `(n, c, h, 0..w)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n`, `c` or `h` is out of bounds.
-    #[inline]
-    pub fn row_mut(&mut self, n: usize, c: usize, h: usize) -> &mut [f32] {
-        let start = self.shape.index(n, c, h, 0);
-        let w = self.shape.w;
-        &mut self.data[start..start + w]
-    }
-
     /// Contiguous channel plane `(n, c, 0..h, 0..w)` as a slice of `h * w`
     /// values.
     ///
@@ -190,6 +178,29 @@ impl AsRef<[f32]> for Tensor {
     }
 }
 
+/// Concatenates NCHW tensors along the batch dimension, in order.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty or the samples differ in channel or
+/// spatial shape.
+pub fn stack_batch(samples: &[Tensor]) -> Tensor {
+    let first = samples[0].shape();
+    let mut data = Vec::with_capacity(samples.iter().map(Tensor::len).sum());
+    let mut n = 0;
+    for s in samples {
+        let sh = s.shape();
+        assert_eq!(
+            (sh.c, sh.h, sh.w),
+            (first.c, first.h, first.w),
+            "batched samples differ in shape"
+        );
+        n += sh.n;
+        data.extend_from_slice(s.as_slice());
+    }
+    Tensor::from_vec(Shape4::new(n, first.c, first.h, first.w), data)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,8 +248,6 @@ mod tests {
             t.plane(0, 0),
             &(0..12).map(|i| i as f32).collect::<Vec<_>>()[..]
         );
-        t.row_mut(0, 0, 1).copy_from_slice(&[9.0; 4]);
-        assert_eq!(t.get(0, 0, 1, 3), 9.0);
         t.plane_mut(0, 1).fill(0.0);
         assert_eq!(t.plane(0, 1), &[0.0; 12]);
     }

@@ -6,13 +6,13 @@
 
 use ola_nn::synth::{synthesize_params, SynthConfig};
 use ola_nn::zoo::{self, ZooConfig};
-use ola_quant::calibrate::calibrate_activations;
 use ola_quant::linear::LinearQuantizer;
 use ola_quant::metrics::sqnr_db;
 use ola_quant::outlier::OutlierQuantizer;
+use ola_sim::calibrate::calibrate_from_outputs;
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::init::{heavy_tailed_tensor, HeavyTailed};
-use ola_tensor::Shape4;
+use ola_tensor::{stack_batch, Shape4};
 
 fn main() {
     // Heavy-tailed weights like Fig 1's AlexNet conv2.
@@ -53,7 +53,8 @@ fn main() {
     let samples: Vec<_> = (0..4)
         .map(|i| uniform_tensor(net.input_shape(), -1.0, 1.0, 100 + i))
         .collect();
-    let cals = calibrate_activations(&net, &params, &samples, 0.03);
+    let outs = net.forward(&params, &stack_batch(&samples));
+    let cals = calibrate_from_outputs(&net, &outs, samples.len(), 0.03);
     for (cal, &node) in cals.iter().zip(net.compute_nodes().iter()) {
         println!(
             "  {:>6}: threshold {:>8.4}, effective ratio {:>5.2}%, zeros {:>5.1}%",

@@ -11,13 +11,13 @@
 
 use ola_nn::network::WeightStore;
 use ola_nn::{Network, Op, Params};
-use ola_quant::calibrate::LayerCalibration;
 use ola_quant::outlier::OutlierQuantizer;
+use ola_sim::calibrate::LayerCalibration;
 use ola_sim::workload::{
     post_activation_zero_fraction, LayerKind, LayerWorkload, WeightChunkStats, WorkloadSet,
 };
 use ola_sim::{OutlierSelect, QuantPolicy};
-use ola_tensor::{ChunkViews, Shape4, Tensor, CHUNK_LANES};
+use ola_tensor::{Shape4, Tensor, CHUNK_LANES};
 
 /// Full-sort threshold over the top-`ratio` magnitude fraction — the
 /// historical O(n log n) implementation of
@@ -33,8 +33,9 @@ fn magnitude_threshold_sorted(values: &[f32], ratio: f64) -> f32 {
     mags[k - 1]
 }
 
-/// The historical multi-pass `calibrate_values`: filter, fold, sort,
-/// re-count.
+/// The historical multi-pass magnitude calibration: filter, fold, sort,
+/// re-count. The count compares in the total order the sort ranks by, so
+/// a NaN that ranks above the threshold counts; a zero ratio counts none.
 fn calibrate_values_multi_pass(node: usize, values: &[f32], ratio: f64) -> LayerCalibration {
     let total = values.len().max(1);
     let nonzero: Vec<f32> = values.iter().copied().filter(|&v| v != 0.0).collect();
@@ -45,7 +46,14 @@ fn calibrate_values_multi_pass(node: usize, values: &[f32], ratio: f64) -> Layer
     } else {
         magnitude_threshold_sorted(&nonzero, ratio)
     };
-    let outliers = nonzero.iter().filter(|&&v| v.abs() >= threshold).count();
+    let outliers = if ratio == 0.0 {
+        0
+    } else {
+        nonzero
+            .iter()
+            .filter(|&&v| v.abs().total_cmp(&threshold).is_ge())
+            .count()
+    };
     let nonzero_outlier_ratio = if nonzero.is_empty() {
         0.0
     } else {
@@ -150,24 +158,25 @@ fn chunk_stats_from(
     }
 }
 
-/// Serial reference classification of one chunk grid under a
-/// structured (non-magnitude) policy, written independently of the
-/// fused sweep: windows are materialized per chunk, sensitivity
-/// thresholds come from a full descending sort, and every count is a
-/// plain serial loop. Returns `(zeros, outliers, single, multi)`.
+/// Serial reference classification of one chunk grid — every chunk's
+/// real (unpadded) lanes — under a structured (non-magnitude) policy,
+/// written independently of the grid kernel: windows are materialized
+/// per chunk, sensitivity thresholds come from a full descending sort,
+/// and every count is a plain serial loop. Returns
+/// `(zeros, outliers, single, multi)`.
 ///
 /// `ratio_of_total` selects the weight-grid convention (the target is
 /// a fraction of all values, rescaled to the non-zero population)
 /// versus the activation convention (the target is already a fraction
 /// of non-zeros).
 fn grid_counts_naive(
-    views: &ChunkViews<'_>,
+    chunks: &[Vec<f32>],
     ratio: f64,
     select: OutlierSelect,
     ratio_of_total: bool,
     total: usize,
 ) -> (u64, u64, u64, u64) {
-    let windows_of = |idx: usize| -> Vec<Vec<f32>> {
+    let windows_of = |chunk: &[f32]| -> Vec<Vec<f32>> {
         let window = match select {
             OutlierSelect::WindowedTopK { window }
             | OutlierSelect::SensitivityWeighted { window } => window,
@@ -175,16 +184,7 @@ fn grid_counts_naive(
                 unreachable!("magnitude has its own oracle arm")
             }
         };
-        let view = views.get(idx);
-        let real = view.real_lanes();
-        let mut out = Vec::new();
-        let mut w0 = 0;
-        while w0 < real {
-            let end = (w0 + window).min(real);
-            out.push((w0..end).map(|lane| view.lane(lane)).collect());
-            w0 = end;
-        }
-        out
+        chunk.chunks(window).map(<[f32]>::to_vec).collect()
     };
     let rms =
         |w: &[f32]| -> f32 { (w.iter().map(|&v| v * v).sum::<f32>() / w.len() as f32).sqrt() };
@@ -192,8 +192,8 @@ fn grid_counts_naive(
     // Calibration: a sensitivity threshold needs all scores up front.
     let threshold = if let OutlierSelect::SensitivityWeighted { .. } = select {
         let mut scores = Vec::new();
-        for idx in 0..views.len() {
-            for w in windows_of(idx) {
+        for chunk in chunks {
+            for w in windows_of(chunk) {
                 let r = rms(&w);
                 scores.extend(w.iter().filter(|&&v| v != 0.0).map(|&v| v.abs() * r));
             }
@@ -218,15 +218,14 @@ fn grid_counts_naive(
     let mut outliers = 0u64;
     let mut single = 0u64;
     let mut multi = 0u64;
-    for idx in 0..views.len() {
-        let view = views.get(idx);
-        for lane in 0..view.real_lanes() {
-            if view.lane(lane) == 0.0 {
+    for chunk in chunks {
+        for &v in chunk {
+            if v == 0.0 {
                 zeros += 1;
             }
         }
         let mut count = 0u32;
-        for w in windows_of(idx) {
+        for w in windows_of(chunk) {
             match select {
                 OutlierSelect::WindowedTopK { .. } => {
                     if ratio > 0.0 && w.iter().any(|&v| v != 0.0) {
@@ -264,8 +263,8 @@ fn calibrate_policy_naive(
     let total = values.len().max(1);
     let nonzero = values.iter().filter(|&&v| v != 0.0).count();
     let abs_max = values.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
-    let views = ChunkViews::activations(act, CHUNK_LANES);
-    let (_, outliers, _, _) = grid_counts_naive(&views, ratio, select, false, total);
+    let chunks = activation_chunks(act);
+    let (_, outliers, _, _) = grid_counts_naive(&chunks, ratio, select, false, total);
     LayerCalibration {
         node,
         // Structured policies carry no scalar magnitude threshold; the
@@ -312,11 +311,11 @@ fn weight_stats_naive(
             (values, rows, g.cols())
         }
     };
-    let views = ChunkViews::matrix(&values, co, inner, CHUNK_LANES);
+    let chunks = weight_chunks(&values, co, inner);
     let (zeros, outliers, single, multi) =
-        grid_counts_naive(&views, ratio, select, true, values.len());
+        grid_counts_naive(&chunks, ratio, select, true, values.len());
     let total = values.len().max(1);
-    let chunks = (views.len() as u64).max(1);
+    let chunks = (chunks.len() as u64).max(1);
     WeightChunkStats {
         zero_fraction: zeros as f64 / total as f64,
         outlier_ratio: outliers as f64 / total as f64,
@@ -363,7 +362,9 @@ pub fn extract_from_acts(
         };
         let mut chunk_nnz = Vec::new();
         let mut chunk_zero_quads = Vec::new();
-        for lanes in activation_chunks(act) {
+        for mut lanes in activation_chunks(act) {
+            // Zero-pad past the last channel: a padded quad is all zero.
+            lanes.resize(CHUNK_LANES, 0.0);
             chunk_nnz.push(lanes.iter().filter(|&&v| v != 0.0).count() as u8);
             let zq = lanes
                 .chunks(4)
@@ -417,27 +418,36 @@ pub fn extract_from_acts(
     }
 }
 
-/// The padded lanes of every `A(1x1x16)` activation chunk, read straight
-/// from the tensor by `(n, c, h, w)` and zero-padded past the last
-/// channel: positions in `(n, h, w)` order, then `ceil(C / 16)` chunks per
-/// position. Shares no indexing code with [`ChunkViews`], so it is an
-/// independent reference for the chunk grid production extraction walks.
-fn activation_chunks(act: &Tensor) -> Vec<[f32; CHUNK_LANES]> {
+/// The real lanes of every `A(1x1x16)` activation chunk, read straight
+/// from the tensor by `(n, c, h, w)`: positions in `(n, h, w)` order, then
+/// `ceil(C / 16)` chunks per position, the last one short when 16 does not
+/// divide C. Shares no indexing code with the grid kernel production
+/// extraction runs, so it is an independent reference for its geometry.
+fn activation_chunks(act: &Tensor) -> Vec<Vec<f32>> {
     let s = act.shape();
     let mut chunks = Vec::new();
     for n in 0..s.n {
         for h in 0..s.h {
             for w in 0..s.w {
                 for c0 in (0..s.c).step_by(CHUNK_LANES) {
-                    let mut lanes = [0.0; CHUNK_LANES];
-                    for (lane, v) in lanes.iter_mut().enumerate() {
-                        if c0 + lane < s.c {
-                            *v = act.get(n, c0 + lane, h, w);
-                        }
-                    }
-                    chunks.push(lanes);
+                    let end = (c0 + CHUNK_LANES).min(s.c);
+                    chunks.push((c0..end).map(|c| act.get(n, c, h, w)).collect());
                 }
             }
+        }
+    }
+    chunks
+}
+
+/// The real lanes of every `W(16)` weight chunk of a row-major
+/// `(rows, cols)` matrix, read by `(row, col)`: 16 consecutive rows at one
+/// column, the last band short when 16 does not divide `rows`.
+fn weight_chunks(values: &[f32], rows: usize, cols: usize) -> Vec<Vec<f32>> {
+    let mut chunks = Vec::new();
+    for r0 in (0..rows).step_by(CHUNK_LANES) {
+        let end = (r0 + CHUNK_LANES).min(rows);
+        for col in 0..cols {
+            chunks.push((r0..end).map(|r| values[r * cols + col]).collect());
         }
     }
     chunks

@@ -12,11 +12,11 @@ use ola_harness::prep::{Prepared, DEFAULT_SEED};
 use ola_nn::network::WeightStore;
 use ola_nn::synthnet::{LayerId, SynthDataset, SynthNet, LAYERS};
 use ola_quant::accuracy::{evaluate_synthnet_jobs, QuantSpec};
-use ola_quant::calibrate::calibrate_activations;
 use ola_quant::{OutlierSelect, PolicyQuantizer};
+use ola_sim::calibrate::calibrate_from_outputs;
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::memo::fnv1a64;
-use ola_tensor::Tensor;
+use ola_tensor::{stack_batch, Tensor};
 use std::sync::OnceLock;
 
 /// Little-endian byte stream folded into one FNV-1a digest.
@@ -263,7 +263,8 @@ fn fig16_calibration_thresholds_are_pinned_at_any_forward_jobs() {
         .collect();
     for jobs in [1, 4] {
         ola_nn::kernels::set_forward_jobs(jobs);
-        let cals = calibrate_activations(&prep.net, &prep.params, &samples, 0.03);
+        let outs = prep.net.forward(&prep.params, &stack_batch(&samples));
+        let cals = calibrate_from_outputs(&prep.net, &outs, samples.len(), 0.03);
         ola_nn::kernels::set_forward_jobs(1);
         let mut d = Digest::default();
         for c in &cals {

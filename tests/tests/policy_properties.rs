@@ -39,7 +39,7 @@ use proptest::prelude::*;
 mod naive {
     use ola_sim::workload::WeightChunkStats;
     use ola_sim::OutlierSelect;
-    use ola_tensor::{ChunkView, ChunkViews, CHUNK_LANES};
+    use ola_tensor::CHUNK_LANES;
 
     /// k-th largest score by full descending sort under `total_cmp`.
     fn kth_largest(scores: &[f32], k: usize) -> f32 {
@@ -149,8 +149,16 @@ mod naive {
         }
     }
 
-    fn lane_values(view: &ChunkView<'_>) -> Vec<f32> {
-        (0..view.real_lanes()).map(|i| view.lane(i)).collect()
+    /// The real lanes of every 16-row weight chunk, read by `(row, col)`.
+    fn chunk_lanes(values: &[f32], co: usize, inner: usize) -> Vec<Vec<f32>> {
+        let mut chunks = Vec::new();
+        for r0 in (0..co).step_by(CHUNK_LANES) {
+            for col in 0..inner {
+                let rows = r0..(r0 + CHUNK_LANES).min(co);
+                chunks.push(rows.map(|r| values[r * inner + col]).collect());
+            }
+        }
+        chunks
     }
 
     /// Per-chunk outlier count on the weight grid under `select`.
@@ -202,7 +210,7 @@ mod naive {
         ratio: f64,
         select: OutlierSelect,
     ) -> WeightChunkStats {
-        let views = ChunkViews::matrix(values, co, inner, CHUNK_LANES);
+        let chunks = chunk_lanes(values, co, inner);
         let rule = if ratio <= 0.0 {
             GridRule::None
         } else {
@@ -223,8 +231,8 @@ mod naive {
                 OutlierSelect::WindowedTopK { window } => GridRule::Windowed(window),
                 OutlierSelect::SensitivityWeighted { window } => {
                     let mut scores = Vec::new();
-                    for view in views.iter() {
-                        scores.extend(sensitivity_scores(&lane_values(&view), window));
+                    for lanes in &chunks {
+                        scores.extend(sensitivity_scores(lanes, window));
                     }
                     if scores.is_empty() {
                         GridRule::None
@@ -237,10 +245,9 @@ mod naive {
             }
         };
         let (mut zeros, mut outliers, mut single, mut multi) = (0u64, 0u64, 0u64, 0u64);
-        for view in views.iter() {
-            let lanes = lane_values(&view);
+        for lanes in &chunks {
             zeros += lanes.iter().filter(|&&v| v == 0.0).count() as u64;
-            let count = chunk_count(&lanes, &rule);
+            let count = chunk_count(lanes, &rule);
             outliers += u64::from(count);
             match count {
                 0 => {}
@@ -249,7 +256,7 @@ mod naive {
             }
         }
         let total = values.len().max(1);
-        let chunks = (views.len() as u64).max(1);
+        let chunks = (chunks.len() as u64).max(1);
         WeightChunkStats {
             zero_fraction: zeros as f64 / total as f64,
             outlier_ratio: outliers as f64 / total as f64,

@@ -3,11 +3,12 @@
 
 use ola_nn::synth::{synthesize_params, weight_values, SynthConfig};
 use ola_nn::zoo::{self, ZooConfig};
-use ola_quant::calibrate::calibrate_activations;
 use ola_quant::chunks::{decode_buffer, encode_buffer, QuantizedWeight, CHUNK_WEIGHTS};
 use ola_quant::metrics::sqnr_db;
 use ola_quant::outlier::OutlierQuantizer;
+use ola_sim::calibrate::calibrate_from_outputs;
 use ola_tensor::init::uniform_tensor;
+use ola_tensor::stack_batch;
 
 #[test]
 fn calibrated_quantizers_hit_target_ratio() {
@@ -21,7 +22,8 @@ fn calibrated_quantizers_hit_target_ratio() {
     let samples: Vec<_> = (0..2)
         .map(|i| uniform_tensor(net.input_shape(), -1.0, 1.0, 200 + i))
         .collect();
-    let cals = calibrate_activations(&net, &params, &samples, 0.03);
+    let outs = net.forward(&params, &stack_batch(&samples));
+    let cals = calibrate_from_outputs(&net, &outs, samples.len(), 0.03);
     for cal in &cals {
         // Nonzero ratio should be near target; effective at or below it.
         assert!(
