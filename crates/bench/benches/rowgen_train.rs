@@ -15,25 +15,29 @@ use ola_tensor::init::HeavyTailed;
 use ola_tensor::par::ordered_map;
 use std::hint::black_box;
 
-/// VGG-16 fc6-shaped slice: the RowGen layer the forward path regenerates.
+/// 64-row slices of the RowGen layers the forward path regenerates:
+/// `(arm, cols, sparsity)`. VGG-16's fc6 is 96% pruned; AlexNet's fc7,
+/// which fig16 regenerates on every run, is 91% pruned.
 const ROWS: usize = 64;
-const COLS: usize = 25088;
+const LAYERS: [(&str, usize, f64); 2] = [("vgg16_fc6", 25088, 0.96), ("alexnet_fc7", 4096, 0.91)];
 
 fn rowgen_regen(c: &mut Criterion) {
-    let m = SyntheticMatrix::new(ROWS, COLS, HeavyTailed::default(), 0.96, 0xF00D);
     let idx: Vec<usize> = (0..ROWS).collect();
-    let mut g = c.benchmark_group("rowgen_regen");
-    g.sample_size(10)
-        .throughput(Throughput::Elements((ROWS * COLS) as u64));
-    for jobs in [1usize, 2, 4] {
-        g.bench_function(&format!("j{jobs}"), |b| {
-            b.iter(|| {
-                let rows = ordered_map(&idx, jobs, |_, &i| m.row(i));
-                black_box(rows.len())
-            })
-        });
+    for (arm, cols, sparsity) in LAYERS {
+        let m = SyntheticMatrix::new(ROWS, cols, HeavyTailed::default(), sparsity, 0xF00D);
+        let mut g = c.benchmark_group(&format!("rowgen_regen/{arm}"));
+        g.sample_size(10)
+            .throughput(Throughput::Elements((ROWS * cols) as u64));
+        for jobs in [1usize, 2, 4] {
+            g.bench_function(&format!("j{jobs}"), |b| {
+                b.iter(|| {
+                    let rows = ordered_map(&idx, jobs, |_, &i| m.row(i));
+                    black_box(rows.len())
+                })
+            });
+        }
+        g.finish();
     }
-    g.finish();
 }
 
 fn synthnet_sgd(c: &mut Criterion) {

@@ -55,9 +55,6 @@ pub struct TechParams {
     /// DRAM energy, pJ per bit transferred (activate + read/write + I/O,
     /// Micron-style aggregate).
     pub dram_energy_per_bit: f64,
-    /// Off-chip DRAM bandwidth per NPU-class chip, bits per cycle at
-    /// 250 MHz (used by the Fig 15 scalability model).
-    pub dram_bits_per_cycle: f64,
 }
 
 impl TechParams {
@@ -66,7 +63,7 @@ impl TechParams {
     /// (two `TechParams` share the array iff they are bit-identical).
     /// Update this list when fields are added or reordered; the length is
     /// asserted against the struct in the unit tests.
-    pub fn field_bits(&self) -> [u64; 18] {
+    pub fn field_bits(&self) -> [u64; 17] {
         [
             self.mult_area_per_bit2.to_bits(),
             self.acc_area_per_bit.to_bits(),
@@ -85,7 +82,6 @@ impl TechParams {
             self.sram_e1_per_bit.to_bits(),
             self.sram_area_per_bit.to_bits(),
             self.dram_energy_per_bit.to_bits(),
-            self.dram_bits_per_cycle.to_bits(),
         ]
     }
 }
@@ -118,8 +114,6 @@ impl Default for TechParams {
             // Effective pJ/bit across activate+rw+IO for a low-power DRAM
             // stream at high row locality (weights stream sequentially).
             dram_energy_per_bit: 4.0,
-            // ~8 GB/s per NPU at 250 MHz = 256 bits/cycle.
-            dram_bits_per_cycle: 256.0,
         }
     }
 }
@@ -134,7 +128,7 @@ mod tests {
         // fields, and any single-field change must move exactly one entry.
         assert_eq!(
             std::mem::size_of::<TechParams>(),
-            18 * std::mem::size_of::<f64>(),
+            17 * std::mem::size_of::<f64>(),
             "TechParams gained or lost a field; update field_bits()"
         );
         let base = TechParams::default();

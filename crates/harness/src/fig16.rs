@@ -52,7 +52,7 @@ pub fn run(fast: bool) -> String {
         let nonzero = act.iter().filter(|&&v| v != 0.0).count().max(1);
         let outliers = act
             .iter()
-            .filter(|&&v| v != 0.0 && v.abs() >= cal.threshold)
+            .filter(|&&v| is_runtime_outlier(v, cal.threshold))
             .count();
         let realized = outliers as f64 / nonzero as f64;
         let effective = outliers as f64 / act.len() as f64;
@@ -94,8 +94,30 @@ pub fn run(fast: bool) -> String {
     )
 }
 
+/// Whether a runtime activation is an outlier under its layer's frozen
+/// threshold, by the calibration's own key: non-zero, with `|v|` at or
+/// above the threshold in the `total_cmp` order the threshold was selected
+/// and counted in. A NaN ranks above every threshold, so it counts.
+fn is_runtime_outlier(v: f32, threshold: f32) -> bool {
+    v != 0.0 && v.abs().total_cmp(&threshold).is_ge()
+}
+
 #[cfg(test)]
 mod tests {
+    use super::is_runtime_outlier;
+
+    #[test]
+    fn runtime_outliers_count_in_the_calibration_order() {
+        for v in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.5] {
+            assert!(is_runtime_outlier(v, 0.5), "{v} is an outlier");
+        }
+        for v in [0.0, -0.0, 0.25, -0.25] {
+            assert!(!is_runtime_outlier(v, 0.5), "{v} is not an outlier");
+        }
+        // Zeros of either sign never count, even against a zero threshold.
+        assert!(!is_runtime_outlier(-0.0, 0.0));
+    }
+
     #[test]
     fn runtime_ratio_near_target() {
         let r = super::run(true);

@@ -465,7 +465,16 @@ pub fn linear_rowgen_fast(
     let in_features = xs.c * xs.h * xs.w;
     assert_eq!(gen.cols(), in_features, "generator column mismatch");
     assert_eq!(gen.rows(), out_features, "generator row mismatch");
-    let xd = x.as_slice();
+    // The batch in groups of IMAGE_LANES images, interleaved by input:
+    // `groups[g · in_features + t][lane]` is input `t` of image
+    // `g · IMAGE_LANES + lane` (zero past the batch).
+    let mut groups = vec![[0.0_f32; IMAGE_LANES]; xs.n.div_ceil(IMAGE_LANES) * in_features];
+    for (n, xrow) in x.as_slice().chunks_exact(in_features).enumerate() {
+        let group = &mut groups[n / IMAGE_LANES * in_features..][..in_features];
+        for (lanes, &v) in group.iter_mut().zip(xrow) {
+            lanes[n % IMAGE_LANES] = v;
+        }
+    }
     let tiles = feature_tiles(out_features, jobs);
     let results: Vec<Vec<f32>> = ordered_map(&tiles, jobs, |_, &(o0, o1)| {
         let len = o1 - o0;
@@ -474,19 +483,29 @@ pub fn linear_rowgen_fast(
         for o in o0..o1 {
             gen.fill_row(o, &mut row);
             let b = bias.map_or(0.0, |bv| bv[o]);
-            for n in 0..xs.n {
-                let xrow = &xd[n * in_features..][..in_features];
-                let mut acc = b;
-                for t in 0..in_features {
-                    acc += xrow[t] * row[t];
+            for (g, group) in groups.chunks_exact(in_features).enumerate() {
+                // One pass over the row feeds every image of the group; each
+                // image's accumulator still sums in `t` order.
+                let mut acc = [b; IMAGE_LANES];
+                for (&w, lanes) in row.iter().zip(group) {
+                    for (a, &xv) in acc.iter_mut().zip(lanes) {
+                        *a += xv * w;
+                    }
                 }
-                buf[n * len + (o - o0)] = acc;
+                let first = g * IMAGE_LANES;
+                for (n, &a) in (first..xs.n).zip(&acc) {
+                    buf[n * len + (o - o0)] = a;
+                }
             }
         }
         buf
     });
     scatter_features(xs.n, out_features, &tiles, &results)
 }
+
+/// Images one pass over a generated row feeds: independent accumulators
+/// hide the add latency that bounds a single image's dot product.
+const IMAGE_LANES: usize = 4;
 
 /// Reassembles per-tile `[n][o_local]` buffers into an `(n, out_features,
 /// 1, 1)` tensor.

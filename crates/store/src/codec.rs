@@ -103,15 +103,6 @@ fn encode_weight_store(w: &mut Writer, ws: &WeightStore) {
     }
 }
 
-#[cfg(test)]
-fn decode_weight_store(r: &mut Reader<'_>) -> Result<WeightStore, StoreError> {
-    match r.u8()? {
-        WS_DENSE => Ok(WeightStore::Dense(decode_tensor(r)?)),
-        WS_ROWGEN => decode_rowgen_body(r),
-        other => Err(corrupt(format!("unknown weight-store tag {other}"))),
-    }
-}
-
 /// Encodes a parameter set: node count, then per node the optional
 /// weights, bias and batch-norm affine terms.
 pub fn encode_params(w: &mut Writer, params: &Params) {
@@ -569,6 +560,14 @@ impl Record for TrainedSynthNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode_weight_store(r: &mut Reader<'_>) -> Result<WeightStore, StoreError> {
+        match r.u8()? {
+            WS_DENSE => Ok(WeightStore::Dense(decode_tensor(r)?)),
+            WS_ROWGEN => decode_rowgen_body(r),
+            other => Err(corrupt(format!("unknown weight-store tag {other}"))),
+        }
+    }
 
     #[test]
     fn tensor_codec_round_trips_bits() {

@@ -21,7 +21,8 @@ use crate::shape::Shape4;
 use crate::tensor::Tensor;
 use rand::distributions::Distribution;
 use rand::rngs::Philox;
-use rand::Rng;
+use rand::{Rng, RngCore};
+use std::sync::OnceLock;
 
 /// Below this element count a parallel fill costs more in thread spawn than
 /// it saves; run inline instead. Bits are identical either way.
@@ -84,15 +85,268 @@ impl HeavyTailed {
         }
     }
 
-    /// Draws one sample.
+    /// Draws one sample from three words: the tail coin, then Box–Muller's
+    /// `u1` and `u2`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f32 {
-        let scale = if rng.gen_bool(self.tail_fraction) {
-            self.sigma * self.tail_scale
-        } else {
-            self.sigma
-        };
-        gaussian(rng) * scale
+        let coin = rng.next_u64();
+        let (w1, w2) = (rng.next_u64(), rng.next_u64());
+        self.sample_words([coin, w1, w2])
     }
+
+    /// The sample three consecutive stream words make: the tail coin, then
+    /// Box–Muller's `u1` and `u2` words.
+    fn sample_words(&self, [coin, w1, w2]: [u64; 3]) -> f32 {
+        gaussian_words(w1, w2) * self.scales()[self.is_tail(coin) as usize]
+    }
+
+    /// The bulk and tail component scales, in that order.
+    fn scales(&self) -> [f32; 2] {
+        [self.sigma, self.sigma * self.tail_scale]
+    }
+
+    /// Whether the coin word picks the tail component. Panics, as
+    /// `gen_bool` does, on a `tail_fraction` outside `[0, 1]`.
+    fn is_tail(&self, coin: u64) -> bool {
+        Word(coin).gen_bool(self.tail_fraction)
+    }
+
+    /// Fills `row` with the first `row.len()` samples of the Philox stream
+    /// `(seed, stream)`, then zeroes the `prune` smallest under the
+    /// `(|v| bits, index)` order: the smallest magnitude first, the lower
+    /// index first among equal magnitudes. Returns how many values it
+    /// computed exactly.
+    ///
+    /// The bytes are those of drawing every value with
+    /// [`HeavyTailed::sample`] on `Philox::new(seed, stream)` and pruning
+    /// by a stable sort on `|v|`. The work is not: a value whose bound
+    /// shows it is pruned never reaches `ln`, `sqrt` or `cos`
+    /// (bound–select–refine, DESIGN §13):
+    ///
+    /// 1. draw the row's `3·len` words;
+    /// 2. bound every `|v|` from two tables indexed by the top bits of its
+    ///    `u1` and `u2` words;
+    /// 3. take as `τ` the `keep`-th largest lower bound (`keep = len -
+    ///    prune`); the candidates are the values whose upper bound reaches
+    ///    `τ`, and only they are computed;
+    /// 4. zero every other value, and the `candidates - keep` smallest
+    ///    candidates.
+    ///
+    /// At least `keep` values lie at or above `τ` and every non-candidate
+    /// lies strictly below it, so no non-candidate can outrank a kept
+    /// value. With a non-finite scale no bound holds, and every value is a
+    /// candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tail_fraction` is outside `[0, 1]` (as drawing would)
+    /// or `row` has more than `u32::MAX` values.
+    pub fn fill_pruned(&self, row: &mut [f32], seed: u64, stream: u64, prune: usize) -> usize {
+        let len = row.len();
+        assert!(
+            u32::try_from(len).is_ok(),
+            "row of {len} values is too long"
+        );
+        let keep = len.saturating_sub(prune);
+        if keep == 0 {
+            if len > 0 {
+                // Every draw would check tail_fraction; keep that check
+                // when nothing is drawn.
+                self.is_tail(0);
+            }
+            row.fill(0.0);
+            return 0;
+        }
+        let words = stream_words(seed, stream, 3 * len);
+        let bounded = prune > 0 && self.scales().iter().all(|s| s.is_finite());
+        let (highs, tau) = if bounded {
+            self.bound_pass(&words, keep)
+        } else {
+            (Vec::new(), f64::NEG_INFINITY)
+        };
+        let mut keys = Vec::new();
+        for (j, (v, w)) in row.iter_mut().zip(words.chunks_exact(3)).enumerate() {
+            if bounded && highs[j] < tau {
+                *v = 0.0;
+                continue;
+            }
+            *v = self.sample_words([w[0], w[1], w[2]]);
+            if prune > 0 {
+                keys.push(prune_key(j, *v));
+            }
+        }
+        if prune == 0 {
+            return len;
+        }
+        let candidates = keys.len();
+        zero_smallest(row, &mut keys, candidates - keep);
+        candidates
+    }
+
+    /// Steps 2 and 3 of [`HeavyTailed::fill_pruned`]: every value's upper
+    /// bound, and `τ`, the `keep`-th largest lower bound, capped at
+    /// `f32::MAX` so that a value that may round to infinity is never
+    /// below it.
+    fn bound_pass(&self, words: &[u64], keep: usize) -> (Vec<f64>, f64) {
+        let bounds = Bounds::new(self);
+        let n = words.len() / 3;
+        // Lower bounds are kept as the bits of a non-negative f64, which
+        // order as its value.
+        let (mut lows, mut highs) = (vec![0; n], vec![0.0; n]);
+        for ((w, lo), hi) in words.chunks_exact(3).zip(&mut lows).zip(&mut highs) {
+            let [low, high] = bounds.of(self.is_tail(w[0]), w[1], w[2]);
+            *lo = low.max(0.0).to_bits();
+            *hi = high;
+        }
+        let (_, &mut tau, _) = lows.select_nth_unstable(n - keep);
+        (highs, f64::from_bits(tau).min(f64::from(f32::MAX)))
+    }
+}
+
+/// Step 2 of [`HeavyTailed::fill_pruned`] for one mixture with finite
+/// scales: a bracket of each value's `|v|` from its words.
+struct Bounds {
+    tables: &'static BoundTables,
+    /// `|bulk|` and `|tail|`, widened down by `REL_MARGIN`.
+    low_scale: [f64; 2],
+    /// `|bulk|` and `|tail|`, widened up by `REL_MARGIN`.
+    high_scale: [f64; 2],
+}
+
+impl Bounds {
+    fn new(dist: &HeavyTailed) -> Self {
+        let scales = dist.scales().map(|s| f64::from(s.abs()));
+        Bounds {
+            tables: bound_tables(),
+            low_scale: scales.map(|s| s * (1.0 - REL_MARGIN)),
+            high_scale: scales.map(|s| s * (1.0 + REL_MARGIN)),
+        }
+    }
+
+    /// `[lo, hi]` around `|v|` for a value of the given component with
+    /// `u1` word `w1` and `u2` word `w2`. The upper bound holds wherever
+    /// it is at most `f32::MAX`; above that `v` may round to infinity.
+    fn of(&self, tail: bool, w1: u64, w2: u64) -> [f64; 2] {
+        let [r_lo, r_hi] = self.tables.radius[(w1 >> BIN_SHIFT) as usize];
+        let [c_lo, c_hi] = self.tables.cosine[(w2 >> BIN_SHIFT) as usize];
+        let s = tail as usize;
+        [
+            r_lo * c_lo * self.low_scale[s] - ABS_MARGIN,
+            r_hi * c_hi * self.high_scale[s] + ABS_MARGIN,
+        ]
+    }
+}
+
+/// A generator that replays one word another generator drew: an `Rng`
+/// call that consumes one `u64` makes on it exactly the value it made on
+/// the stream the word came from.
+struct Word(u64);
+
+impl RngCore for Word {
+    fn next_u32(&mut self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.0
+    }
+}
+
+/// The first `n` words of the Philox stream `(seed, stream)`, in the order
+/// `Philox::new(seed, stream)` draws them.
+fn stream_words(seed: u64, stream: u64, n: usize) -> Vec<u64> {
+    let mut words = vec![0; n.next_multiple_of(2)];
+    for (block, pair) in words.chunks_exact_mut(2).enumerate() {
+        let (a, b) = Philox::block_at(seed, stream, block as u64);
+        pair.copy_from_slice(&[a, b]);
+    }
+    words.truncate(n);
+    words
+}
+
+/// The pruning order's key: `|v|`'s bits above the index. `abs` clears the
+/// sign of every value, NaN included, so the key orders by `total_cmp` on
+/// `|v|`, then by index.
+fn prune_key(index: usize, v: f32) -> u64 {
+    u64::from(v.abs().to_bits()) << 32 | index as u64
+}
+
+/// Zeroes the `count` values of `row` with the smallest of the given
+/// [`prune_key`]s.
+fn zero_smallest(row: &mut [f32], keys: &mut [u64], count: usize) {
+    if count == 0 {
+        return;
+    }
+    keys.select_nth_unstable(count - 1);
+    for &key in &keys[..count] {
+        row[key as u32 as usize] = 0.0;
+    }
+}
+
+/// Bits of a value's `u1` and `u2` words that pick its bound-table bins.
+const BIN_BITS: u32 = 10;
+const BINS: usize = 1 << BIN_BITS;
+const BIN_SHIFT: u32 = 64 - BIN_BITS;
+
+/// Widening of each table entry, relative for the radius and absolute for
+/// `|cos|`: it covers libm's `ln`/`sqrt`/`cos` error at the entry's edge
+/// and at the value itself (under 2^-50 each), and `TAU·u2`'s rounding.
+const TABLE_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+/// Relative widening of a bound: the f64 product's rounding, the f64→f32
+/// cast and the f32 scale multiply (2^-24 each), and the bound's own f64
+/// arithmetic.
+const REL_MARGIN: f64 = 1.0 / (1u64 << 20) as f64;
+/// Absolute widening of a bound: the f32 scale multiply's rounding when
+/// the product is subnormal (at most 2^-150).
+const ABS_MARGIN: f64 = f32::MIN_POSITIVE as f64 / (1u64 << 22) as f64;
+
+/// Per-bin `[lo, hi]` brackets of the two Box–Muller factors as libm
+/// computes them: `radius[b]` holds `sqrt(-2 ln u1)` for a `u1` word with
+/// top bits `b`, `cosine[b]` holds `|cos(TAU·u2)|` for a `u2` word with top
+/// bits `b`.
+struct BoundTables {
+    radius: Box<[[f64; 2]; BINS]>,
+    cosine: Box<[[f64; 2]; BINS]>,
+}
+
+fn bound_tables() -> &'static BoundTables {
+    static TABLES: OnceLock<BoundTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        // `u1` and `u2` are monotone in their words, so a bin's values lie
+        // between those of its edge words `b << BIN_SHIFT` and
+        // `(b + 1) << BIN_SHIFT`; the top edge is `u = 1`.
+        let edge = |b: usize| Word((b as u64) << BIN_SHIFT);
+        let radius_at = |b: usize| {
+            if b == BINS {
+                0.0
+            } else {
+                let u1: f64 = edge(b).gen_range(f64::EPSILON..1.0);
+                (-2.0 * u1.ln()).sqrt()
+            }
+        };
+        let cos_at = |b: usize| {
+            let u2: f64 = if b == BINS {
+                1.0
+            } else {
+                edge(b).gen_range(0.0..1.0)
+            };
+            (std::f64::consts::TAU * u2).cos().abs()
+        };
+        let mut radius = Box::new([[0.0; 2]; BINS]);
+        let mut cosine = Box::new([[0.0; 2]; BINS]);
+        for b in 0..BINS {
+            // sqrt(-2 ln u1) falls as u1 rises; |cos| is monotone inside a
+            // bin, since bins never straddle a quarter turn.
+            radius[b] = [
+                radius_at(b + 1) * (1.0 - TABLE_MARGIN),
+                radius_at(b) * (1.0 + TABLE_MARGIN),
+            ];
+            let (c0, c1) = (cos_at(b), cos_at(b + 1));
+            cosine[b] = [
+                (c0.min(c1) - TABLE_MARGIN).max(0.0),
+                c0.max(c1) + TABLE_MARGIN,
+            ];
+        }
+        BoundTables { radius, cosine }
+    })
 }
 
 impl Distribution<f32> for HeavyTailed {
@@ -103,8 +357,15 @@ impl Distribution<f32> for HeavyTailed {
 
 /// Standard normal via Box-Muller (avoids a rand_distr dependency).
 fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f32 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+    let w1 = rng.next_u64();
+    gaussian_words(w1, rng.next_u64())
+}
+
+/// Box–Muller on the two words a standard normal draws: `u1` in `[ε, 1)`
+/// keeps `ln` finite, `u2` in `[0, 1)`.
+fn gaussian_words(w1: u64, w2: u64) -> f32 {
+    let u1: f64 = Word(w1).gen_range(f64::EPSILON..1.0);
+    let u2: f64 = Word(w2).gen_range(0.0..1.0);
     ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()) as f32
 }
 
@@ -289,6 +550,74 @@ mod tests {
         };
         assert_eq!(prune_to_sparsity(&mut t, 0.45), k);
         assert_eq!(t.as_slice(), reference.as_slice());
+    }
+
+    /// The row kernel's selection step zeroes exactly the set a stable
+    /// sort on `|v|` zeroes: injected magnitude ties of both signs and
+    /// signed zeros resolve by index.
+    #[test]
+    fn selection_breaks_ties_like_stable_sort() {
+        for (cols, sparsity, seed) in [
+            (8usize, 0.5, 2u64),
+            (64, 0.91, 3),
+            (64, 1.0, 4),
+            (257, 0.62, 5),
+            (1024, 0.91, 6),
+        ] {
+            let mut row = vec![0.0; cols];
+            HeavyTailed::default().fill_pruned(&mut row, seed, 0, 0);
+            row[1] = 0.01;
+            row[5] = -0.01;
+            row[6] = 0.01;
+            row[3] = 0.0;
+            row[7] = -0.0;
+            let k = (cols as f64 * sparsity).round() as usize;
+            let mut expect = row.clone();
+            let mut order: Vec<usize> = (0..cols).collect();
+            order.sort_by(|&a, &b| expect[a].abs().partial_cmp(&expect[b].abs()).unwrap());
+            for &j in order.iter().take(k) {
+                expect[j] = 0.0;
+            }
+            let mut keys: Vec<u64> = row
+                .iter()
+                .enumerate()
+                .map(|(j, &v)| prune_key(j, v))
+                .collect();
+            zero_smallest(&mut row, &mut keys, k);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&expect), bits(&row), "cols={cols} sparsity={sparsity}");
+        }
+    }
+
+    /// A value's bounds bracket its `|v|` where a bin's values are most
+    /// extreme, at the lowest and highest word of every `u1` and `u2` bin,
+    /// for both components of normal, subnormal and near-overflow
+    /// mixtures. Dropping the relative or the absolute margin fails this.
+    #[test]
+    fn bounds_bracket_values_at_bin_edges() {
+        let edges: Vec<u64> = (0..BINS as u64)
+            .flat_map(|b| [b << BIN_SHIFT, ((b + 1) << BIN_SHIFT).wrapping_sub(1)])
+            .collect();
+        for sigma in [0.02, 2e-44, 5e37] {
+            let dist = HeavyTailed {
+                sigma,
+                ..HeavyTailed::default()
+            };
+            let bounds = Bounds::new(&dist);
+            // Coin 0 draws the tail component, coin u64::MAX the bulk.
+            for coin in [0, u64::MAX] {
+                for &w1 in &edges {
+                    for &w2 in edges.iter().step_by(3) {
+                        let [lo, hi] = bounds.of(dist.is_tail(coin), w1, w2);
+                        let v = f64::from(dist.sample_words([coin, w1, w2]).abs());
+                        assert!(
+                            lo <= v && (v <= hi || hi > f64::from(f32::MAX)),
+                            "sigma {sigma} words {coin:#x} {w1:#x} {w2:#x}: {v:e} outside [{lo:e}, {hi:e}]"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The reference workload extraction the property tests and benchmarks
 //! compare `ola_sim::workload`'s fused path against, plus the bitwise
-//! equality they compare with.
+//! equality they compare with, and the reference `RowGen` row
+//! ([`rowgen_row`]) that `SyntheticMatrix::fill_row` is compared against.
 //!
 //! [`extract_from_acts`] is the pre-fusion multi-pass pipeline: a serial
 //! per-layer loop, chunk lanes read straight from the tensor by
@@ -10,6 +11,7 @@
 //! changes the store's code-version hash.
 
 use ola_nn::network::WeightStore;
+use ola_nn::synth::SyntheticMatrix;
 use ola_nn::{Network, Op, Params};
 use ola_quant::outlier::OutlierQuantizer;
 use ola_sim::calibrate::LayerCalibration;
@@ -18,6 +20,7 @@ use ola_sim::workload::{
 };
 use ola_sim::{OutlierSelect, QuantPolicy};
 use ola_tensor::{Shape4, Tensor, CHUNK_LANES};
+use rand::rngs::Philox;
 
 /// Full-sort threshold over the top-`ratio` magnitude fraction — the
 /// historical O(n log n) implementation of
@@ -487,4 +490,21 @@ pub fn bitwise_eq(a: &WorkloadSet, b: &WorkloadSet) -> bool {
             .iter()
             .zip(&b.layers)
             .all(|(x, y)| layer_bitwise_eq(x, y))
+}
+
+/// Row `i` of a row generator, the way `fill_row` made it before its
+/// bound–select–refine kernel: every value drawn with
+/// `HeavyTailed::sample` on the row's own stream `Philox::new(seed, i)`,
+/// then the `round(cols · sparsity)` smallest zeroed by a stable sort on
+/// `|v|` in the total order, so equal magnitudes go lowest index first.
+pub fn rowgen_row(m: &SyntheticMatrix, i: usize) -> Vec<f32> {
+    let mut rng = Philox::new(m.base_seed(), i as u64);
+    let mut row: Vec<f32> = (0..m.cols()).map(|_| m.dist().sample(&mut rng)).collect();
+    let k = (m.cols() as f64 * m.sparsity()).round() as usize;
+    let mut order: Vec<usize> = (0..row.len()).collect();
+    order.sort_by(|&a, &b| row[a].abs().total_cmp(&row[b].abs()));
+    for &j in order.iter().take(k) {
+        row[j] = 0.0;
+    }
+    row
 }

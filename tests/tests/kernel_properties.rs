@@ -100,7 +100,7 @@ proptest! {
     /// tiles; the values and the dot order must match the serial oracle.
     #[test]
     fn linear_rowgen_fast_is_bit_exact(
-        shape in (1usize..=2, 1usize..=80, 1usize..=30),
+        shape in (1usize..=5, 1usize..=80, 1usize..=30),
         sparsity in 0.0f64..1.0,
         jobs in 1usize..=5,
         with_bias in prop::bool::ANY,

@@ -8,6 +8,7 @@
 //! is the contract that lets the engine parallelize the whole prep phase
 //! without perturbing a single golden byte.
 
+use ola_integration::oracle::rowgen_row;
 use ola_nn::synth::SyntheticMatrix;
 use ola_nn::synthnet::{SynthDataset, SynthNet, LAYERS};
 use ola_tensor::init::{gaussian_tensor, heavy_tailed_tensor, uniform_tensor, HeavyTailed};
@@ -20,6 +21,25 @@ use rand::RngCore;
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
+
+/// The zoo's sparsities, the edges of the prune count's rounding, and 0/1.
+const SPARSITIES: [f64; 7] = [0.0, 1e-9, 0.5, 0.91, 0.96, 1.0 - 1e-9, 1.0];
+
+/// The tail fractions at the mixture's edges and the zoo's default.
+const TAIL_FRACTIONS: [f64; 3] = [0.0, 0.03, 1.0];
+
+/// Distributions the store's decoder or a struct literal can produce:
+/// `(sigma, tail_scale)`.
+const DISTS: [(f32, f32); 8] = [
+    (0.02, 6.0),     // the zoo's default
+    (1e30, 1e10),    // sigma * tail_scale overflows f32
+    (1e-40, 6.0),    // subnormal sigma
+    (2e-44, 6.0),    // a few subnormal steps: most magnitudes tie
+    (-0.02, 6.0),    // negative sigma
+    (1e38, 6.0),     // finite scales whose products round to infinity
+    (0.0, 6.0),      // every value a signed zero
+    (f32::NAN, 6.0), // every value NaN
+];
 
 proptest! {
     /// Random access at any counter matches the sequential stream: the
@@ -160,6 +180,46 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `fill_row`'s bound–select–refine kernel makes the oracle's bytes:
+    /// every value sampled on the row's stream, then the stable-sort
+    /// prune. Where no bound holds (a non-finite scale), every value is a
+    /// candidate.
+    #[test]
+    fn fill_row_matches_per_value_oracle(
+        seed in 0u64..u64::MAX,
+        row in 0usize..1 << 20,
+        cols in 1usize..=5000,
+        short in prop::bool::ANY,
+        sparsity in (0usize..=SPARSITIES.len(), 0.0f64..1.0),
+        tail_fraction in (0usize..=TAIL_FRACTIONS.len(), 0.0f64..=1.0),
+        dist in 0usize..DISTS.len(),
+    ) {
+        let cols = if short { cols % 20 + 1 } else { cols };
+        let pick = |table: &[f64], (i, random): (usize, f64)| table.get(i).copied().unwrap_or(random);
+        let sparsity = pick(&SPARSITIES, sparsity);
+        let (sigma, tail_scale) = DISTS[dist];
+        let dist = HeavyTailed { sigma, tail_fraction: pick(&TAIL_FRACTIONS, tail_fraction), tail_scale };
+        let m = SyntheticMatrix::new(row + 1, cols, dist, sparsity, seed);
+        let (got, want) = (bits(&m.row(row)), bits(&rowgen_row(&m, row)));
+        let first = got.iter().zip(&want).position(|(a, b)| a != b);
+        prop_assert!(
+            first.is_none(),
+            "value {first:?} differs: {:?} vs oracle {:?}",
+            first.map(|j| f32::from_bits(got[j])),
+            first.map(|j| f32::from_bits(want[j]))
+        );
+        let prune = (cols as f64 * sparsity).round() as usize;
+        let mut buf = vec![0.0; cols];
+        let computed = dist.fill_pruned(&mut buf, seed, row as u64, prune);
+        if prune < cols && !(sigma * tail_scale).is_finite() {
+            prop_assert_eq!(computed, cols);
+        }
+    }
+}
+
 /// SynthNet training at any worker count produces byte-identical weights:
 /// per-sample gradients reduce in sample order regardless of which worker
 /// computed them. One deterministic case (not proptest — training is the
@@ -180,6 +240,33 @@ fn training_is_worker_count_independent() {
                 bits(reference.weights(layer)),
                 bits(net.weights(layer)),
                 "{layer:?} drifted at jobs={jobs}"
+            );
+        }
+    }
+}
+
+/// A `tail_fraction` outside `[0, 1]` panics in `fill_row` as the
+/// per-value draw's `gen_bool` does, even where every value is pruned.
+#[test]
+fn fill_row_rejects_tail_fractions_outside_unit_interval() {
+    let message = |f: &dyn Fn()| {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("an invalid tail_fraction must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("gen_bool panics with a formatted message")
+    };
+    for tail_fraction in [-0.5, 1.5, f64::NAN] {
+        for sparsity in [0.0, 0.91, 1.0] {
+            let dist = HeavyTailed {
+                tail_fraction,
+                ..HeavyTailed::default()
+            };
+            let m = SyntheticMatrix::new(1, 64, dist, sparsity, 3);
+            assert_eq!(
+                message(&|| drop(m.row(0))),
+                message(&|| drop(rowgen_row(&m, 0)))
             );
         }
     }

@@ -186,7 +186,7 @@ fn key_probe(network: &str) -> WorkloadSet {
 
 /// One `TechParams` per field, that field alone scaled by 1.25.
 fn tech_perturbations() -> Vec<TechParams> {
-    let fields: [fn(&mut TechParams) -> &mut f64; 18] = [
+    let fields: [fn(&mut TechParams) -> &mut f64; 17] = [
         |t| &mut t.mult_area_per_bit2,
         |t| &mut t.acc_area_per_bit,
         |t| &mut t.pe_linear_area_per_bit,
@@ -204,7 +204,6 @@ fn tech_perturbations() -> Vec<TechParams> {
         |t| &mut t.sram_e1_per_bit,
         |t| &mut t.sram_area_per_bit,
         |t| &mut t.dram_energy_per_bit,
-        |t| &mut t.dram_bits_per_cycle,
     ];
     let base = TechParams::default().field_bits();
     fields
@@ -213,7 +212,7 @@ fn tech_perturbations() -> Vec<TechParams> {
         .map(|(i, field)| {
             let mut t = TechParams::default();
             *field(&mut t) *= 1.25;
-            // Perturbation i moves field i alone, so the list covers all 18.
+            // Perturbation i moves field i alone, so the list covers all 17.
             let moved: Vec<usize> = (0..base.len())
                 .filter(|&j| t.field_bits()[j] != base[j])
                 .collect();
