@@ -7,7 +7,7 @@ use ola_energy::sram::Sram;
 use ola_energy::TechParams;
 use ola_sim::traffic::dense_bits;
 use ola_sim::{Accelerator, DatapathRun, LayerModel, LayerWorkload, Utilization};
-use ola_tensor::memo::Fingerprint;
+use ola_tensor::bytes::{Encoder, Fingerprint};
 
 /// Model calibration knobs.
 #[derive(Clone, Copy, Debug, PartialEq)]

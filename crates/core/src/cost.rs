@@ -1,6 +1,7 @@
 //! Per-chunk PE-group cycle costs (§III-D) and per-layer aggregation.
 
 use ola_sim::LayerWorkload;
+use ola_tensor::bytes::Encoder;
 
 /// PE-group microarchitecture knobs. Defaults are the paper's design point;
 /// the ablation benches sweep them.
@@ -23,6 +24,15 @@ impl Default for GroupTuning {
             skip_width: 4,
             outlier_mac: true,
         }
+    }
+}
+
+impl GroupTuning {
+    /// Writes every field in declaration order (the flag as one byte).
+    pub fn encode(&self, e: &mut impl Encoder) {
+        e.usize(self.lanes)
+            .usize(self.skip_width)
+            .u8(self.outlier_mac as u8);
     }
 }
 

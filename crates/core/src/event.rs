@@ -20,12 +20,12 @@
 //! which runs the two paths layer-parallel over whole networks.
 
 use crate::cost::GroupTuning;
+use crate::dispatch::makespan_exact;
 use ola_sim::{EventRecord, LayerWorkload, Utilization};
+use ola_tensor::bytes::{Encoder, Fingerprint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Borrow;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One dispatchable unit of work: an activation chunk processed against one
 /// 16-output-channel weight column at one kernel offset.
@@ -78,8 +78,9 @@ impl Default for EventConfig {
 }
 
 /// Plays out the cluster schedule: units dispatch in order to the
-/// earliest-free group; the outlier group consumes `outlier_broadcasts`
-/// cycles of work in parallel; the accumulation pipeline adds its drain.
+/// earliest-free group ([`makespan_exact`]); the outlier group consumes
+/// `outlier_broadcasts` cycles of work in parallel; the accumulation
+/// pipeline adds its drain.
 ///
 /// `jobs` is consumed as a stream — pass a [`JobStream`] to simulate a full
 /// layer in O(1) memory, or any slice/`Vec` of jobs by reference.
@@ -93,18 +94,15 @@ where
     I: IntoIterator,
     I::Item: Borrow<UnitJob>,
 {
-    assert!(cfg.groups > 0, "need at least one group");
-    let mut heap: BinaryHeap<Reverse<u64>> = (0..cfg.groups).map(|_| Reverse(0)).collect();
     let mut run = 0u64;
     let mut skip = 0u64;
-    for job in jobs {
+    let job_cycles = jobs.into_iter().map(|job| {
         let job = job.borrow();
-        let Reverse(t) = heap.pop().expect("heap never empty");
-        heap.push(Reverse(t + job.cycles()));
         run += job.run_cycles();
         skip += job.zero_quads as u64;
-    }
-    let dense_finish = heap.into_iter().map(|Reverse(t)| t).max().unwrap_or(0);
+        job.cycles()
+    });
+    let dense_finish = makespan_exact(job_cycles, cfg.groups);
 
     // The outlier PE group starts immediately and processes one broadcast
     // per cycle; the tri-buffer lets its accumulation trail the normal
@@ -227,13 +225,10 @@ const VALIDATE_SEED: u64 = 0xE7E27;
 /// tuning feeding the job stream, the cluster configuration, and the
 /// stream's RNG seed.
 fn cluster_key(l: &LayerWorkload, tuning: &GroupTuning, cfg: &EventConfig) -> u64 {
-    let mut fp = ola_tensor::memo::Fingerprint::new();
-    fp.str("event-cluster")
-        .u64(VALIDATE_SEED)
-        .usize(tuning.lanes)
-        .usize(tuning.skip_width)
-        .u8(tuning.outlier_mac as u8)
-        .usize(cfg.groups)
+    let mut fp = Fingerprint::new();
+    fp.str("event-cluster").u64(VALIDATE_SEED);
+    tuning.encode(&mut fp);
+    fp.usize(cfg.groups)
         .u64(cfg.accum_pipeline_depth)
         .u64(l.fingerprint());
     fp.finish()

@@ -12,7 +12,7 @@ use ola_sim::{
     Accelerator, DatapathRun, FirstLayerPolicy, LayerModel, LayerWorkload, OutlierSelect,
     QuantPolicy, Utilization,
 };
-use ola_tensor::memo::Fingerprint;
+use ola_tensor::bytes::{Encoder, Fingerprint};
 
 /// Model calibration knobs beyond the PE-group microarchitecture.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -73,10 +73,8 @@ impl LayerModel for Tuning {
     const KIND: AcceleratorKind = AcceleratorKind::OlAccel;
 
     fn fold_tuning(&self, fp: &mut Fingerprint) {
-        fp.usize(self.group.lanes)
-            .usize(self.group.skip_width)
-            .u8(self.group.outlier_mac as u8)
-            .f64(self.dispatch_overhead)
+        self.group.encode(fp);
+        fp.f64(self.dispatch_overhead)
             .u64(self.accum_drain)
             .u64(self.local_buffer_bits);
     }

@@ -180,21 +180,9 @@ impl MemoryConfig {
     }
 }
 
-/// One row of Table I, for pretty-printing by the harness.
-#[derive(Clone, Debug)]
-pub struct Table1Row {
-    /// Accelerator name (e.g. "Eyeriss").
-    pub name: String,
-    /// Comparison mode.
-    pub mode: ComparisonMode,
-    /// PE / MAC count.
-    pub pe_count: usize,
-    /// Logic area, mm².
-    pub area_mm2: f64,
-}
-
-/// Computes all six Table I configurations.
-pub fn table1(tech: &TechParams) -> Vec<Table1Row> {
+/// Computes all six Table I configurations, 8-bit first, each mode in
+/// Eyeriss, ZeNA, OLAccel order.
+pub fn table1(tech: &TechParams) -> Vec<AcceleratorConfig> {
     let mut rows = Vec::new();
     for mode in [ComparisonMode::Bits8, ComparisonMode::Bits16] {
         for kind in [
@@ -202,13 +190,7 @@ pub fn table1(tech: &TechParams) -> Vec<Table1Row> {
             AcceleratorKind::Zena,
             AcceleratorKind::OlAccel,
         ] {
-            let cfg = AcceleratorConfig::new(kind, tech, mode);
-            rows.push(Table1Row {
-                name: kind.name().to_string(),
-                mode,
-                pe_count: cfg.pe_count,
-                area_mm2: cfg.area_mm2,
-            });
+            rows.push(AcceleratorConfig::new(kind, tech, mode));
         }
     }
     rows

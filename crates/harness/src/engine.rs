@@ -121,6 +121,21 @@ struct Slots {
     ready: Condvar,
 }
 
+/// Sets the process-wide worker count of every parallel phase inside one
+/// experiment: forward kernels, workload extraction, the model phase, the
+/// eval phase and tensor fills. Output bytes are identical at any value.
+///
+/// # Panics
+///
+/// Panics if `jobs` is zero.
+pub fn set_worker_budget(jobs: usize) {
+    ola_nn::kernels::set_forward_jobs(jobs);
+    ola_sim::workload::set_extract_jobs(jobs);
+    ola_sim::simcache::set_model_jobs(jobs);
+    ola_quant::evalcache::set_eval_jobs(jobs);
+    ola_tensor::par::set_fill_jobs(jobs);
+}
+
 /// Runs `names` across `jobs` workers, invoking `on_report` for each
 /// outcome **in request order** as soon as it (and everything before it)
 /// has finished — a serial consumer sees the exact stream a `--jobs 1` run
@@ -150,12 +165,7 @@ where
     // results are bit-identical at any worker count, so this only shifts
     // where the parallelism lives, never what is computed.
     let outer = jobs.min(names.len().max(1));
-    let inner = (jobs / outer).max(1);
-    ola_nn::kernels::set_forward_jobs(inner);
-    ola_sim::workload::set_extract_jobs(inner);
-    ola_sim::simcache::set_model_jobs(inner);
-    ola_quant::evalcache::set_eval_jobs(inner);
-    ola_tensor::par::set_fill_jobs(inner);
+    set_worker_budget((jobs / outer).max(1));
     let start = Instant::now();
     let stats_before = PrepCache::global().stats();
     let sim_before = SimCache::global().stats();

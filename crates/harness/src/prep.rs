@@ -11,7 +11,7 @@
 //! * [`Prepared`] networks, keyed by a fingerprint of
 //!   `(network, scale, seed)`;
 //! * [`WorkloadSet`]s, keyed by the same fold plus the policy's
-//!   [`policy_fingerprint`].
+//!   [`QuantPolicy::fingerprint`].
 //!
 //! The workload tier is addressed by key alone ([`workloads`],
 //! [`PrepCache::workloads`]): a figure that only consumes workloads never
@@ -39,11 +39,12 @@ use ola_quant::EvalCache;
 use ola_sim::timing;
 use ola_sim::workload::{extract_from_acts, WorkloadSet};
 use ola_sim::{NetworkRun, QuantPolicy, SimCache};
-use ola_store::codec::{decode_params, decode_tensor, encode_params, encode_tensor};
-use ola_store::wire::{Reader, Writer};
-use ola_store::{policy_fingerprint, ArtifactStore, Record, StoreError};
+use ola_store::codec::{decode_params, decode_tensor, encode_params};
+use ola_store::wire::Reader;
+use ola_store::{ArtifactStore, Record, StoreError};
+use ola_tensor::bytes::{Encoder, Fingerprint, Writer};
 use ola_tensor::init::uniform_tensor;
-use ola_tensor::memo::{Fingerprint, Memo};
+use ola_tensor::memo::Memo;
 use ola_tensor::Tensor;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -190,13 +191,13 @@ impl Record for Prepared {
     const SOURCES: &'static [&'static str] = ola_store::version::PREP_SOURCES;
 
     fn encode(&self, w: &mut Writer) {
-        w.string(&self.network);
+        w.str(&self.network);
         w.u64(self.scale as u64);
         w.u64(self.seed);
         encode_params(w, &self.params);
-        w.len(self.acts.len());
+        w.usize(self.acts.len());
         for t in &self.acts {
-            encode_tensor(w, t);
+            t.encode(w);
         }
     }
 
@@ -360,7 +361,7 @@ impl PrepCache {
         prep: Option<&Prepared>,
     ) -> Arc<WorkloadSet> {
         let key = prep_key(network, scale, seed)
-            .u64(policy_fingerprint(policy))
+            .u64(policy.fingerprint())
             .finish();
         self.workloads.get(key, || match prep {
             Some(prep) => prep.extract(policy),
@@ -476,7 +477,7 @@ mod tests {
         let mut b = a;
         a.outlier_ratio = 0.0;
         b.outlier_ratio = -0.0;
-        assert_eq!(policy_fingerprint(&a), policy_fingerprint(&b));
+        assert_eq!(a.fingerprint(), b.fingerprint());
 
         let cache = PrepCache::new();
         let w_a = cache.workloads("alexnet", 8, DEFAULT_SEED, &a);
@@ -487,7 +488,7 @@ mod tests {
         // Any NaN source folds onto one canonical slot too.
         a.outlier_ratio = f64::NAN;
         b.outlier_ratio = -f64::NAN;
-        assert_eq!(policy_fingerprint(&a), policy_fingerprint(&b));
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

@@ -68,11 +68,6 @@ pub fn bar(frac: f64, width: usize) -> String {
     format!("{}{}", "#".repeat(filled), ".".repeat(width - filled))
 }
 
-/// A titled report section.
-pub fn section(title: &str, body: &str) -> String {
-    format!("=== {title} ===\n{body}\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

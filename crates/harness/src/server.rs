@@ -331,13 +331,8 @@ fn parse_request(server: &Server, line: &str) -> Result<Request, String> {
 /// Runs (or joins / replays) one experiment and frames the response.
 fn run_request(server: &Server, name: &str, fast: bool, jobs: Option<usize>) -> Vec<u8> {
     if let Some(jobs) = jobs.or(server.options.jobs) {
-        // Advisory: retune the process-wide kernel pools. Output bytes are
-        // identical at any value.
-        ola_nn::kernels::set_forward_jobs(jobs);
-        ola_sim::workload::set_extract_jobs(jobs);
-        ola_sim::simcache::set_model_jobs(jobs);
-        ola_quant::evalcache::set_eval_jobs(jobs);
-        ola_tensor::par::set_fill_jobs(jobs);
+        // Advisory: retune the process-wide kernel pools.
+        crate::engine::set_worker_budget(jobs);
     }
     let start = Instant::now();
     let key = (name.to_string(), fast);

@@ -23,9 +23,9 @@ pub fn run() -> String {
     let rows: Vec<Vec<String>> = config::table1(&tech)
         .into_iter()
         .map(|r| {
-            let (p_pes, p_area) = paper_value(&r.name, r.mode);
+            let (p_pes, p_area) = paper_value(r.kind.name(), r.mode);
             vec![
-                format!("{}{}", r.name, r.mode.bits()),
+                format!("{}{}", r.kind.name(), r.mode.bits()),
                 format!("{}", r.pe_count),
                 format!("{p_pes}"),
                 num(r.area_mm2),

@@ -20,7 +20,7 @@
 //!
 //! let net = zoo::alexnet(&zoo::ZooConfig { spatial_scale: 4, ..Default::default() });
 //! assert_eq!(net.name(), "alexnet");
-//! assert!(net.conv_layer_count() >= 5);
+//! assert!(net.compute_nodes().len() >= 5);
 //! ```
 
 pub mod kernels;

@@ -102,14 +102,6 @@ impl Network {
         id
     }
 
-    /// Number of weight-bearing conv layers.
-    pub fn conv_layer_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.op, Op::Conv(_)))
-            .count()
-    }
-
     /// Ids of all weight-bearing (conv or linear) nodes, in order.
     pub fn compute_nodes(&self) -> Vec<NodeId> {
         (0..self.nodes.len())

@@ -398,10 +398,9 @@ fn relu_chain(net: &Network, node: NodeId) -> (Option<NodeId>, Option<NodeId>) {
 /// sparsity a trained network would show (DESIGN.md §2). Runs `passes`
 /// forward/adjust passes because shifting one layer perturbs the next.
 ///
-/// Every pass adjusts; none only measures. To see how close the shaping
-/// came, run a forward on the shaped `params` and pass its outputs to
-/// [`post_relu_zero_fractions`] — a caller that needs that forward anyway
-/// pays for no extra one.
+/// Every pass adjusts; none only measures: to see how close the shaping
+/// came, run a forward on the shaped `params` and read the zero fractions
+/// at the ReLUs.
 pub fn shape_activation_sparsity<F>(
     net: &Network,
     params: &mut Params,
@@ -441,20 +440,6 @@ pub fn shape_activation_sparsity<F>(
     }
 }
 
-/// Post-ReLU zero fraction of every compute layer, read from the node
-/// outputs `acts` of one forward pass: the zero fraction at the ReLU the
-/// layer feeds (through an optional BatchNorm), or of the layer's own
-/// output when no ReLU follows it. Indexed by compute-layer position.
-pub fn post_relu_zero_fractions(net: &Network, acts: &[Tensor]) -> Vec<f64> {
-    net.compute_nodes()
-        .iter()
-        .map(|&node| {
-            let (_, relu) = relu_chain(net, node);
-            acts[relu.unwrap_or(node)].zero_fraction()
-        })
-        .collect()
-}
-
 /// How many evenly-spaced rows stand in for a row generator's population
 /// (see [`SyntheticMatrix::sample_values`]).
 const SAMPLE_ROWS: usize = 64;
@@ -482,6 +467,20 @@ mod tests {
     use super::*;
     use crate::layer::Conv2dSpec;
     use ola_tensor::ConvGeometry;
+
+    /// Post-ReLU zero fraction of every compute layer, read from the node
+    /// outputs `acts` of one forward pass: the zero fraction at the ReLU the
+    /// layer feeds (through an optional BatchNorm), or of the layer's own
+    /// output when no ReLU follows it. Indexed by compute-layer position.
+    fn post_relu_zero_fractions(net: &Network, acts: &[Tensor]) -> Vec<f64> {
+        net.compute_nodes()
+            .iter()
+            .map(|&node| {
+                let (_, relu) = relu_chain(net, node);
+                acts[relu.unwrap_or(node)].zero_fraction()
+            })
+            .collect()
+    }
 
     #[test]
     fn synthetic_matrix_deterministic() {

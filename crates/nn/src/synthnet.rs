@@ -24,6 +24,7 @@
 //! sample order at *every* worker count, making the trained weights
 //! byte-identical from `--jobs 1` to `--jobs N`.
 
+use ola_tensor::bytes::Encoder;
 use ola_tensor::par::ordered_map;
 use rand::rngs::Philox;
 use rand::Rng;
@@ -288,6 +289,15 @@ impl SynthNet {
             &self.w1, &self.b1, &self.w2, &self.b2, &self.w3, &self.b3, &self.w4, &self.b4,
             &self.w5, &self.b5,
         ]
+    }
+
+    /// Writes the class count, then the ten [`SynthNet::params`] vectors
+    /// by exact bits.
+    pub fn encode(&self, e: &mut impl Encoder) {
+        e.usize(self.classes);
+        for p in self.params() {
+            e.f32s(p);
+        }
     }
 
     /// Returns a copy with every weight matrix transformed by `f`.

@@ -387,6 +387,14 @@ mod tests {
     use super::*;
     use crate::layer::Op;
 
+    /// Number of weight-bearing conv layers.
+    fn conv_layer_count(net: &Network) -> usize {
+        net.nodes()
+            .iter()
+            .filter(|n| matches!(n.op, Op::Conv(_)))
+            .count()
+    }
+
     #[test]
     fn alexnet_full_scale_shapes() {
         let net = alexnet(&ZooConfig::default());
@@ -430,7 +438,7 @@ mod tests {
     #[test]
     fn vgg16_has_13_convs_and_3_fcs() {
         let net = vgg16(&ZooConfig::default());
-        assert_eq!(net.conv_layer_count(), 13);
+        assert_eq!(conv_layer_count(&net), 13);
         let fcs = net
             .nodes()
             .iter()
@@ -448,7 +456,7 @@ mod tests {
     fn resnet18_structure() {
         let net = resnet18(&ZooConfig::default());
         // 1 stem + 2 convs x 8 blocks + 3 projection shortcuts = 20 convs.
-        assert_eq!(net.conv_layer_count(), 20);
+        assert_eq!(conv_layer_count(&net), 20);
         let shapes = net.shapes();
         assert_eq!(*shapes.last().unwrap(), Shape4::new(1, 1000, 1, 1));
     }
@@ -460,7 +468,7 @@ mod tests {
             ..Default::default()
         });
         // 1 stem + 3 x (3+4+23+3) blocks + 4 projections = 1 + 99 + 4 = 104.
-        assert_eq!(net.conv_layer_count(), 104);
+        assert_eq!(conv_layer_count(&net), 104);
     }
 
     #[test]
@@ -470,7 +478,7 @@ mod tests {
             ..Default::default()
         });
         // conv0 + 2 x (6+12+24+16) dense layers + 3 transitions = 1+116+3 = 120.
-        assert_eq!(net.conv_layer_count(), 120);
+        assert_eq!(conv_layer_count(&net), 120);
         let shapes = net.shapes();
         assert_eq!(*shapes.last().unwrap(), Shape4::new(1, 1000, 1, 1));
     }

@@ -25,12 +25,11 @@
 //! freshly trained one, so the eval records keyed on its bits still hit.
 
 use crate::accuracy::{QuantAccuracy, QuantSpec, WeightSqnr, CALIB_IMAGES};
-use crate::policy::OutlierSelect;
 use ola_nn::synth::{SparsityProfile, SynthConfig};
 use ola_nn::synthnet::{SynthDataset, SynthNet, TrainSpec, TrainedSynthNet};
 use ola_nn::zoo::ZooConfig;
-use ola_tensor::init::HeavyTailed;
-use ola_tensor::memo::{Fingerprint, Memo, Persist};
+use ola_tensor::bytes::{Encoder, Fingerprint};
+use ola_tensor::memo::{Memo, Persist};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -60,12 +59,12 @@ pub fn eval_jobs() -> usize {
 }
 
 /// The content fingerprint an accuracy evaluation is memoized under: an
-/// FNV fold of the trained net (classes, then every weight/bias matrix by
-/// `to_bits`), the test dataset (classes, labels, images), the portion of
-/// the calibration split the evaluation actually reads (its first
-/// [`CALIB_IMAGES`] samples — the unused tail can't invalidate), every
-/// [`QuantSpec`] field (floats by bit pattern, the selection rule by tag
-/// plus window), and `topk`.
+/// FNV fold of the trained net (its [`SynthNet::encode`]: classes, then
+/// every weight/bias vector by bit pattern), the test dataset (classes,
+/// labels, images), the portion of the calibration split the evaluation
+/// actually reads (its first [`CALIB_IMAGES`] samples — the unused tail
+/// can't invalidate), every [`QuantSpec`] field (floats by bit pattern,
+/// the selection rule by its encoding), and `topk`.
 pub fn eval_key(
     net: &SynthNet,
     data: &SynthDataset,
@@ -74,10 +73,7 @@ pub fn eval_key(
     topk: usize,
 ) -> u64 {
     let mut fp = Fingerprint::new();
-    fp.usize(net.classes);
-    for p in net.params() {
-        fp.f32s(p);
-    }
+    net.encode(&mut fp);
     fold_dataset(&mut fp, data, data.images.len());
     fold_dataset(&mut fp, calib, CALIB_IMAGES);
     fold_spec(&mut fp, spec);
@@ -114,8 +110,8 @@ pub fn weight_sqnr_key(
         .usize(zoo.spatial_scale)
         .u8(zoo.include_classifier as u8)
         .usize(zoo.batch);
-    fold_dist(&mut fp, &synth.conv_dist);
-    fold_dist(&mut fp, &synth.fc_dist);
+    synth.conv_dist.encode(&mut fp);
+    synth.fc_dist.encode(&mut fp);
     fp.f64(synth.conv_sparsity)
         .f64(synth.fc_sparsity)
         .u8(match synth.profile {
@@ -161,10 +157,6 @@ pub fn synthnet_key(spec: &TrainSpec) -> u64 {
     fp.finish()
 }
 
-fn fold_dist(fp: &mut Fingerprint, d: &HeavyTailed) {
-    fp.f32(d.sigma).f64(d.tail_fraction).f32(d.tail_scale);
-}
-
 /// Folds every [`QuantSpec`] field, in declaration order.
 fn fold_spec(fp: &mut Fingerprint, spec: &QuantSpec) {
     fp.u8(spec.low_bits)
@@ -174,17 +166,7 @@ fn fold_spec(fp: &mut Fingerprint, spec: &QuantSpec) {
         .u8(spec.first_layer_weight_bits)
         .u8(spec.quantize_weights as u8)
         .u8(spec.quantize_acts as u8);
-    match spec.select {
-        OutlierSelect::MagnitudePercentile => {
-            fp.u8(0);
-        }
-        OutlierSelect::WindowedTopK { window } => {
-            fp.u8(1).usize(window);
-        }
-        OutlierSelect::SensitivityWeighted { window } => {
-            fp.u8(2).usize(window);
-        }
-    }
+    spec.select.encode(fp);
 }
 
 /// A point-in-time snapshot of [`EvalCache`] hit/miss counters.
@@ -368,6 +350,8 @@ impl EvalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::OutlierSelect;
+    use ola_tensor::init::HeavyTailed;
 
     fn acc(top1: f64) -> QuantAccuracy {
         QuantAccuracy {

@@ -1,11 +1,10 @@
 //! Conventional uniform (linear) quantization.
 
-/// A symmetric or unsigned uniform quantizer with a fixed scale.
+/// A symmetric uniform quantizer with a fixed scale.
 ///
-/// Symmetric quantizers map to integer levels in `[-(2^(b-1)-1), 2^(b-1)-1]`
+/// Values map to integer levels in `[-(2^(b-1)-1), 2^(b-1)-1]`
 /// (sign-magnitude style, matching the paper's hardware which stores a sign
-/// bit plus magnitude bits); unsigned quantizers map to `[0, 2^b - 1]` and
-/// are used for post-ReLU activations.
+/// bit plus magnitude bits).
 ///
 /// # Example
 ///
@@ -21,7 +20,6 @@
 pub struct LinearQuantizer {
     bits: u8,
     scale: f32,
-    signed: bool,
 }
 
 impl LinearQuantizer {
@@ -40,23 +38,6 @@ impl LinearQuantizer {
         LinearQuantizer {
             bits,
             scale: max_abs / levels as f32,
-            signed: true,
-        }
-    }
-
-    /// Unsigned quantizer covering `[0, max]` with `bits` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is 0 or > 24, or `max` is not finite-positive.
-    pub fn unsigned(bits: u8, max: f32) -> Self {
-        assert!((1..=24).contains(&bits), "bits out of range");
-        assert!(max.is_finite() && max > 0.0, "max must be positive");
-        let levels = (1i32 << bits) - 1;
-        LinearQuantizer {
-            bits,
-            scale: max / levels as f32,
-            signed: false,
         }
     }
 
@@ -81,20 +62,12 @@ impl LinearQuantizer {
 
     /// Largest representable integer level.
     pub fn max_level(&self) -> i32 {
-        if self.signed {
-            (1i32 << (self.bits - 1)) - 1
-        } else {
-            (1i32 << self.bits) - 1
-        }
+        (1i32 << (self.bits - 1)) - 1
     }
 
     /// Smallest representable integer level.
     pub fn min_level(&self) -> i32 {
-        if self.signed {
-            -self.max_level()
-        } else {
-            0
-        }
+        -self.max_level()
     }
 
     /// Quantizes one value to an integer level (round-to-nearest, clamped).
@@ -145,15 +118,6 @@ mod tests {
         assert_eq!(q.quantize(0.49), 0);
         assert_eq!(q.quantize(0.51), 1);
         assert_eq!(q.quantize(-100.0), -7);
-    }
-
-    #[test]
-    fn unsigned_levels() {
-        let q = LinearQuantizer::unsigned(4, 15.0);
-        assert_eq!(q.max_level(), 15);
-        assert_eq!(q.min_level(), 0);
-        assert_eq!(q.quantize(-3.0), 0);
-        assert_eq!(q.quantize(14.7), 15);
     }
 
     #[test]

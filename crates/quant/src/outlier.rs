@@ -17,8 +17,6 @@ pub struct OutlierQuantizer {
     low: LinearQuantizer,
     high: LinearQuantizer,
     threshold: f32,
-    /// The outlier ratio this quantizer was fit to (diagnostic only).
-    target_ratio: f64,
 }
 
 impl OutlierQuantizer {
@@ -44,7 +42,7 @@ impl OutlierQuantizer {
         } else {
             magnitude_threshold(values, ratio)
         };
-        Self::with_threshold(threshold, max, ratio, low_bits, high_bits)
+        Self::with_threshold(threshold, max, low_bits, high_bits)
     }
 
     /// Like [`OutlierQuantizer::fit`], but the high-precision grid shares
@@ -80,13 +78,7 @@ impl OutlierQuantizer {
     /// # Panics
     ///
     /// Panics if `max_abs` is not finite-positive or `threshold <= 0`.
-    pub fn with_threshold(
-        threshold: f32,
-        max_abs: f32,
-        target_ratio: f64,
-        low_bits: u8,
-        high_bits: u8,
-    ) -> Self {
+    pub fn with_threshold(threshold: f32, max_abs: f32, low_bits: u8, high_bits: u8) -> Self {
         assert!(
             max_abs.is_finite() && max_abs > 0.0,
             "max_abs must be positive"
@@ -101,7 +93,6 @@ impl OutlierQuantizer {
             low: LinearQuantizer::symmetric(low_bits, low_span),
             high: LinearQuantizer::symmetric(high_bits, max_abs),
             threshold,
-            target_ratio,
         }
     }
 
@@ -118,11 +109,6 @@ impl OutlierQuantizer {
     /// The high-precision (outlier) grid.
     pub fn high(&self) -> &LinearQuantizer {
         &self.high
-    }
-
-    /// The outlier ratio the quantizer was fit for.
-    pub fn target_ratio(&self) -> f64 {
-        self.target_ratio
     }
 
     /// Whether `v` falls in the outlier region.

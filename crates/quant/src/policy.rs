@@ -20,6 +20,7 @@
 //! byte-for-byte at any worker count.
 
 use crate::linear::LinearQuantizer;
+use ola_tensor::bytes::Encoder;
 use ola_tensor::stats::{kth_largest_magnitude, magnitude_threshold};
 
 /// Which outlier-selection rule a pipeline runs under — the plain-data
@@ -80,6 +81,16 @@ impl OutlierSelect {
             OutlierSelect::WindowedTopK { window: 16 },
             OutlierSelect::SensitivityWeighted { window: 16 },
         ]
+    }
+
+    /// Writes the rule's tag (0 magnitude, 1 windowed, 2 sensitivity),
+    /// then its window, if it has one.
+    pub fn encode(&self, e: &mut impl Encoder) {
+        match *self {
+            OutlierSelect::MagnitudePercentile => e.u8(0),
+            OutlierSelect::WindowedTopK { window } => e.u8(1).usize(window),
+            OutlierSelect::SensitivityWeighted { window } => e.u8(2).usize(window),
+        };
     }
 
     /// Calibrates the score threshold for `values` at target `ratio`

@@ -18,7 +18,7 @@ use ola_energy::config::{AcceleratorConfig, AcceleratorKind, ComparisonMode, Mem
 use ola_energy::dram::dram_energy;
 use ola_energy::sram::Sram;
 use ola_energy::{EnergyBreakdown, TechParams};
-use ola_tensor::memo::Fingerprint;
+use ola_tensor::bytes::{Encoder, Fingerprint};
 
 /// A model's result for one layer: everything a [`LayerRun`] reports
 /// except the memory-system energy, which [`Accelerator`] prices.

@@ -2,6 +2,7 @@
 
 use ola_energy::ComparisonMode;
 pub use ola_quant::policy::OutlierSelect;
+use ola_tensor::bytes::{Encoder, Fingerprint};
 
 /// How the first convolutional layer is treated (§II / Fig 3 notes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,6 +78,41 @@ impl QuantPolicy {
     pub fn outlier_act_bits(&self) -> u32 {
         self.mode.bits()
     }
+
+    /// Writes every field in declaration order, enums by tag and floats by
+    /// exact bit pattern.
+    pub fn encode(&self, e: &mut impl Encoder) {
+        e.u8(match self.mode {
+            ComparisonMode::Bits16 => 0,
+            ComparisonMode::Bits8 => 1,
+        })
+        .u32(self.low_bits)
+        .f64(self.outlier_ratio)
+        .u8(match self.first_layer {
+            FirstLayerPolicy::RawActs => 0,
+            FirstLayerPolicy::RawActsWideWeights => 1,
+            FirstLayerPolicy::FineTuned4Bit => 2,
+        });
+        self.select.encode(e);
+    }
+
+    /// The policy's content-address fingerprint: the hash of its
+    /// [`QuantPolicy::encode`], with the outlier ratio's `-0.0` folded onto
+    /// `0.0` and every NaN onto the quiet NaN, so policies that extract
+    /// identically share one workload-set key — in memory and on disk.
+    pub fn fingerprint(&self) -> u64 {
+        let mut canon = *self;
+        canon.outlier_ratio = if canon.outlier_ratio == 0.0 {
+            0.0
+        } else if canon.outlier_ratio.is_nan() {
+            f64::from_bits(0x7ff8_0000_0000_0000)
+        } else {
+            canon.outlier_ratio
+        };
+        let mut fp = Fingerprint::new();
+        canon.encode(&mut fp);
+        fp.finish()
+    }
 }
 
 /// Outlier ratios the paper quotes per network (Fig 3 captions).
@@ -123,5 +159,71 @@ mod tests {
         p.first_layer = FirstLayerPolicy::FineTuned4Bit;
         assert_eq!(p.act_bits(0), 4);
         assert_eq!(p.weight_bits(0), 4);
+    }
+
+    #[test]
+    fn policy_fingerprint_separates_every_field() {
+        let base = QuantPolicy::olaccel16("alexnet");
+        let variants = [
+            QuantPolicy {
+                mode: ComparisonMode::Bits8,
+                ..base
+            },
+            QuantPolicy {
+                low_bits: 3,
+                ..base
+            },
+            QuantPolicy {
+                outlier_ratio: 0.01,
+                ..base
+            },
+            QuantPolicy {
+                first_layer: FirstLayerPolicy::RawActsWideWeights,
+                ..base
+            },
+            QuantPolicy {
+                first_layer: FirstLayerPolicy::FineTuned4Bit,
+                ..base
+            },
+            QuantPolicy {
+                select: OutlierSelect::WindowedTopK { window: 16 },
+                ..base
+            },
+            QuantPolicy {
+                select: OutlierSelect::WindowedTopK { window: 8 },
+                ..base
+            },
+            QuantPolicy {
+                select: OutlierSelect::SensitivityWeighted { window: 16 },
+                ..base
+            },
+        ];
+        let mut prints: Vec<u64> = variants.iter().map(QuantPolicy::fingerprint).collect();
+        prints.push(base.fingerprint());
+        let n = prints.len();
+        prints.sort_unstable();
+        prints.dedup();
+        assert_eq!(prints.len(), n, "every field must move the fingerprint");
+    }
+
+    #[test]
+    fn policy_fingerprint_canonicalizes_f64_noise() {
+        let mut a = QuantPolicy::olaccel16("alexnet");
+        let mut b = a;
+        a.outlier_ratio = 0.0;
+        b.outlier_ratio = -0.0;
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        a.outlier_ratio = f64::NAN;
+        b.outlier_ratio = -f64::NAN;
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        b.outlier_ratio = 0.01;
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        let mut c = QuantPolicy::olaccel16("alexnet");
+        c.select = OutlierSelect::WindowedTopK { window: 16 };
+        assert_ne!(
+            QuantPolicy::olaccel16("alexnet").fingerprint(),
+            c.fingerprint(),
+            "selection rule must change the fingerprint"
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! [`ola_tensor::memo::Memo`]s, one of [`LayerRun`]s (analytic
 //! cycle/energy model) and one of [`EventRecord`]s (event-driven
 //! validation backend), keyed by a content fingerprint
-//! ([`ola_tensor::memo::Fingerprint`]) of everything that can change the
+//! ([`ola_tensor::bytes::Fingerprint`]) of everything that can change the
 //! result.
 //!
 //! Every simulation is a **pure function** of its fingerprinted inputs

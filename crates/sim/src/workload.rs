@@ -33,6 +33,7 @@ use crate::policy::{OutlierSelect, QuantPolicy};
 use ola_nn::network::WeightStore;
 use ola_nn::{Network, Op, Params};
 use ola_quant::outlier::OutlierQuantizer;
+use ola_tensor::bytes::{Encoder, Fingerprint};
 use ola_tensor::par::ordered_map;
 use ola_tensor::{Shape4, Tensor, CHUNK_LANES};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -161,21 +162,16 @@ impl LayerWorkload {
         self.index == 0
     }
 
-    /// Content fingerprint over every field, floats by exact bit pattern —
-    /// the per-layer half of a [`crate::simcache::SimCache`] key. Two
-    /// workloads share a fingerprint iff every field is bit-equal, up to
-    /// FNV collisions, so a memoized simulation result can never be served
-    /// for a bit-different layer.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = ola_tensor::memo::Fingerprint::new();
-        fp.str(&self.name).usize(self.index).u8(match self.kind {
+    /// Writes every field in declaration order, the kind by tag and floats
+    /// by exact bit pattern.
+    pub fn encode(&self, e: &mut impl Encoder) {
+        e.str(&self.name).usize(self.index).u8(match self.kind {
             LayerKind::Conv => 0,
             LayerKind::Fc => 1,
         });
-        for s in [&self.in_shape, &self.out_shape] {
-            fp.usize(s.n).usize(s.c).usize(s.h).usize(s.w);
-        }
-        fp.usize(self.kernel)
+        self.in_shape.encode(e);
+        self.out_shape.encode(e);
+        e.usize(self.kernel)
             .u64(self.macs)
             .u64(self.weight_count)
             .u32(self.weight_bits)
@@ -190,6 +186,16 @@ impl LayerWorkload {
             .f64(self.wchunk_single_fraction)
             .f64(self.wchunk_multi_fraction)
             .f64(self.out_zero_fraction);
+    }
+
+    /// Content fingerprint over every field: the hash of
+    /// [`LayerWorkload::encode`], the per-layer half of a
+    /// [`crate::simcache::SimCache`] key. Two workloads share a fingerprint
+    /// iff every field is bit-equal, up to FNV collisions, so a memoized
+    /// simulation result can never be served for a bit-different layer.
+    pub fn fingerprint(&self) -> u64 {
+        let mut fp = Fingerprint::new();
+        self.encode(&mut fp);
         fp.finish()
     }
 }
@@ -506,8 +512,7 @@ fn weight_rule(fit: Grid<'_>, ratio: f64, select: OutlierSelect, jobs: usize) ->
             // The fitted quantizer keeps its constructor's checks (positive
             // threshold, finite non-zero maximum); only its threshold
             // classifies.
-            let quant =
-                OutlierQuantizer::with_threshold(threshold, census.abs_max, nonzero_ratio, 4, 8);
+            let quant = OutlierQuantizer::with_threshold(threshold, census.abs_max, 4, 8);
             Rule::AtLeast {
                 score: Score::Magnitude,
                 key: key(quant.threshold()),

@@ -1,8 +1,12 @@
-//! (De)serialization of the workspace's artifacts onto the [`crate::wire`]
-//! primitives: the parameter and tensor codecs a prepared network's record
-//! is built from, and the [`Record`] impls of workload sets, simulation
-//! results, accuracy records, weight-SQNR surrogates and trained
-//! SynthNets.
+//! (De)serialization of the workspace's artifacts: the parameter codec and
+//! tensor decoder a prepared network's record is built from, and the
+//! [`Record`] impls of workload sets, simulation results, accuracy
+//! records, weight-SQNR surrogates and trained SynthNets. Records are
+//! written with the workspace's one encoding ([`ola_tensor::bytes`]); a
+//! type that is also a memo-key input (a shape, tensor, distribution,
+//! layer workload or SynthNet) writes itself with its own `encode`, so its
+//! record bytes are exactly the bytes its keys hash. Decoders read them
+//! back through [`crate::wire::Reader`].
 //!
 //! Every float travels by bit pattern, so a decoded artifact is
 //! *bit-identical* to the one that was encoded — the property that lets a
@@ -13,16 +17,16 @@
 
 use crate::store::Record;
 use crate::version::{EVAL_SOURCES, MODEL_SOURCES, PREP_SOURCES, SURROGATE_SOURCES, TRAIN_SOURCES};
-use crate::wire::{corrupt, Reader, StoreError, Writer};
-use ola_energy::{ComparisonMode, EnergyBreakdown};
+use crate::wire::{corrupt, Reader, StoreError};
+use ola_energy::EnergyBreakdown;
 use ola_nn::network::WeightStore;
 use ola_nn::synth::SyntheticMatrix;
 use ola_nn::synthnet::{param_lens, SynthDataset, SynthNet, TrainedSynthNet, IMG, IMG_C};
 use ola_nn::Params;
 use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
-use ola_sim::policy::FirstLayerPolicy;
 use ola_sim::workload::{LayerKind, LayerWorkload, WorkloadSet};
-use ola_sim::{EventRecord, LayerRun, OutlierSelect, QuantPolicy, Utilization};
+use ola_sim::{EventRecord, LayerRun, Utilization};
+use ola_tensor::bytes::{Encoder, Writer};
 use ola_tensor::init::HeavyTailed;
 use ola_tensor::{Shape4, Tensor};
 
@@ -33,15 +37,8 @@ const MAX_DIM: u64 = 1 << 24;
 
 // --- shapes and tensors ---
 
-/// Encodes a shape as four `u64`s (`n`, `c`, `h`, `w`).
-fn encode_shape(w: &mut Writer, s: &Shape4) {
-    for d in [s.n, s.c, s.h, s.w] {
-        w.u64(d as u64);
-    }
-}
-
-/// Decodes a shape written by [`encode_shape`], rejecting any dimension
-/// above [`MAX_DIM`].
+/// Decodes a shape written by [`Shape4::encode`], rejecting any
+/// dimension above [`MAX_DIM`].
 fn decode_shape(r: &mut Reader<'_>) -> Result<Shape4, StoreError> {
     let dims = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
     if dims.iter().any(|&d| d > MAX_DIM) {
@@ -51,13 +48,7 @@ fn decode_shape(r: &mut Reader<'_>) -> Result<Shape4, StoreError> {
     Ok(Shape4::new(n, c, h, w))
 }
 
-/// Encodes a tensor: its shape, then the length-prefixed data.
-pub fn encode_tensor(w: &mut Writer, t: &Tensor) {
-    encode_shape(w, &t.shape());
-    w.f32s(t.as_slice());
-}
-
-/// Decodes a tensor written by [`encode_tensor`].
+/// Decodes a tensor written by [`Tensor::encode`].
 pub fn decode_tensor(r: &mut Reader<'_>) -> Result<Tensor, StoreError> {
     let shape = decode_shape(r)?;
     let len = [shape.n, shape.c, shape.h, shape.w]
@@ -85,7 +76,7 @@ fn encode_weight_store(w: &mut Writer, ws: &WeightStore) {
     match ws {
         WeightStore::Dense(t) => {
             w.u8(WS_DENSE);
-            encode_tensor(w, t);
+            t.encode(w);
         }
         WeightStore::RowGen(g) => {
             // A generated matrix is five scalars: rows regenerate
@@ -93,10 +84,7 @@ fn encode_weight_store(w: &mut Writer, ws: &WeightStore) {
             w.u8(WS_ROWGEN);
             w.u64(g.rows() as u64);
             w.u64(g.cols() as u64);
-            let d = g.dist();
-            w.f32(d.sigma);
-            w.f64(d.tail_fraction);
-            w.f32(d.tail_scale);
+            g.dist().encode(w);
             w.f64(g.sparsity());
             w.u64(g.base_seed());
         }
@@ -106,27 +94,22 @@ fn encode_weight_store(w: &mut Writer, ws: &WeightStore) {
 /// Encodes a parameter set: node count, then per node the optional
 /// weights, bias and batch-norm affine terms.
 pub fn encode_params(w: &mut Writer, params: &Params) {
-    w.len(params.len());
+    w.usize(params.len());
     for id in 0..params.len() {
         match params.weights(id) {
-            None => w.u8(WS_NONE),
+            None => {
+                w.u8(WS_NONE);
+            }
             Some(ws) => encode_weight_store(w, ws),
         }
         match params.bias(id) {
             None => w.u8(0),
-            Some(b) => {
-                w.u8(1);
-                w.f32s(b);
-            }
-        }
+            Some(b) => w.u8(1).f32s(b),
+        };
         match params.bn(id) {
             None => w.u8(0),
-            Some((scale, shift)) => {
-                w.u8(1);
-                w.f32s(scale);
-                w.f32s(shift);
-            }
-        }
+            Some((scale, shift)) => w.u8(1).f32s(scale).f32s(shift),
+        };
     }
 }
 
@@ -182,81 +165,9 @@ fn decode_rowgen_body(r: &mut Reader<'_>) -> Result<WeightStore, StoreError> {
     )))
 }
 
-// --- quantization policy ---
-
-/// Encodes every policy field, floats by exact bit pattern: the canonical
-/// form [`policy_fingerprint`] hashes.
-fn encode_policy(w: &mut Writer, p: &QuantPolicy) {
-    w.u8(match p.mode {
-        ComparisonMode::Bits16 => 0,
-        ComparisonMode::Bits8 => 1,
-    });
-    w.u32(p.low_bits);
-    w.f64(p.outlier_ratio);
-    w.u8(match p.first_layer {
-        FirstLayerPolicy::RawActs => 0,
-        FirstLayerPolicy::RawActsWideWeights => 1,
-        FirstLayerPolicy::FineTuned4Bit => 2,
-    });
-    match p.select {
-        OutlierSelect::MagnitudePercentile => w.u8(0),
-        OutlierSelect::WindowedTopK { window } => {
-            w.u8(1);
-            w.u64(window as u64);
-        }
-        OutlierSelect::SensitivityWeighted { window } => {
-            w.u8(2);
-            w.u64(window as u64);
-        }
-    }
-}
-
-/// A policy's content-address fingerprint: the FNV of its canonical
-/// encoding, with the outlier ratio's `-0.0` folded onto `0.0` and every
-/// NaN onto the quiet NaN, so policies that extract identically share one
-/// workload-set key — in memory and on disk.
-pub fn policy_fingerprint(p: &QuantPolicy) -> u64 {
-    let mut canon = *p;
-    canon.outlier_ratio = if canon.outlier_ratio == 0.0 {
-        0.0
-    } else if canon.outlier_ratio.is_nan() {
-        f64::from_bits(0x7ff8_0000_0000_0000)
-    } else {
-        canon.outlier_ratio
-    };
-    let mut w = Writer::new();
-    encode_policy(&mut w, &canon);
-    ola_tensor::memo::fnv1a64(&w.into_bytes())
-}
-
 // --- workload sets ---
 
-fn encode_layer(w: &mut Writer, l: &LayerWorkload) {
-    w.string(&l.name);
-    w.u64(l.index as u64);
-    w.u8(match l.kind {
-        LayerKind::Conv => 0,
-        LayerKind::Fc => 1,
-    });
-    encode_shape(w, &l.in_shape);
-    encode_shape(w, &l.out_shape);
-    w.u64(l.kernel as u64);
-    w.u64(l.macs);
-    w.u64(l.weight_count);
-    w.u32(l.weight_bits);
-    w.u32(l.act_bits);
-    w.f64(l.weight_zero_fraction);
-    w.f64(l.act_zero_fraction);
-    w.f64(l.weight_outlier_ratio);
-    w.f64(l.act_outlier_nonzero_ratio);
-    w.f64(l.act_effective_outlier_ratio);
-    w.bytes(&l.chunk_nnz);
-    w.bytes(&l.chunk_zero_quads);
-    w.f64(l.wchunk_single_fraction);
-    w.f64(l.wchunk_multi_fraction);
-    w.f64(l.out_zero_fraction);
-}
-
+/// Decodes a layer written by [`LayerWorkload::encode`].
 fn decode_layer(r: &mut Reader<'_>) -> Result<LayerWorkload, StoreError> {
     Ok(LayerWorkload {
         name: r.string()?,
@@ -293,10 +204,10 @@ impl Record for WorkloadSet {
     const SOURCES: &'static [&'static str] = PREP_SOURCES;
 
     fn encode(&self, w: &mut Writer) {
-        w.string(&self.network);
-        w.len(self.layers.len());
+        w.str(&self.network);
+        w.usize(self.layers.len());
         for l in &self.layers {
-            encode_layer(w, l);
+            l.encode(w);
         }
     }
 
@@ -340,14 +251,14 @@ impl Record for LayerRun {
     const SOURCES: &'static [&'static str] = MODEL_SOURCES;
 
     fn encode(&self, w: &mut Writer) {
-        w.string(&self.name);
+        w.str(&self.name);
         w.u64(self.cycles);
         w.f64(self.energy.dram);
         w.f64(self.energy.buffer);
         w.f64(self.energy.local);
         w.f64(self.energy.logic);
         encode_utilization(w, &self.utilization);
-        w.len(self.chunk_cycle_hist.len());
+        w.usize(self.chunk_cycle_hist.len());
         for &c in &self.chunk_cycle_hist {
             w.u64(c);
         }
@@ -431,7 +342,7 @@ impl Record for WeightSqnr {
     const SOURCES: &'static [&'static str] = SURROGATE_SOURCES;
 
     fn encode(&self, w: &mut Writer) {
-        w.len(self.mean_db.len());
+        w.usize(self.mean_db.len());
         for &m in &self.mean_db {
             w.f64(m);
         }
@@ -453,14 +364,14 @@ const MAX_CLASSES: u64 = 1 << 12;
 
 /// Encodes a split: its images (each length-prefixed), then its labels.
 fn encode_split(w: &mut Writer, split: &SynthDataset) {
-    w.len(split.classes);
-    w.len(split.images.len());
+    w.usize(split.classes);
+    w.usize(split.images.len());
     for img in &split.images {
         w.f32s(img);
     }
-    w.len(split.labels.len());
+    w.usize(split.labels.len());
     for &label in &split.labels {
-        w.len(label);
+        w.usize(label);
     }
 }
 
@@ -507,10 +418,7 @@ impl Record for TrainedSynthNet {
     const SOURCES: &'static [&'static str] = TRAIN_SOURCES;
 
     fn encode(&self, w: &mut Writer) {
-        w.len(self.net.classes);
-        for p in self.net.params() {
-            w.f32s(p);
-        }
+        self.net.encode(w);
         encode_split(w, &self.train);
         encode_split(w, &self.test);
         w.f64(self.fp_top1);
@@ -576,7 +484,7 @@ mod tests {
             vec![0.0, -0.0, f32::NAN, 1.5, -2.5, f32::INFINITY, 3.0, -4.0],
         );
         let mut w = Writer::new();
-        encode_tensor(&mut w, &t);
+        t.encode(&mut w);
         let buf = w.into_bytes();
         let mut r = Reader::new(&buf);
         let back = decode_tensor(&mut r).unwrap();
@@ -632,72 +540,6 @@ mod tests {
         }
         assert_eq!(back.bias(1).unwrap(), &[0.5, -0.5]);
         assert_eq!(back.bn(3).unwrap().0, &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn policy_fingerprint_separates_every_field() {
-        let base = QuantPolicy::olaccel16("alexnet");
-        let variants = [
-            QuantPolicy {
-                mode: ComparisonMode::Bits8,
-                ..base
-            },
-            QuantPolicy {
-                low_bits: 3,
-                ..base
-            },
-            QuantPolicy {
-                outlier_ratio: 0.01,
-                ..base
-            },
-            QuantPolicy {
-                first_layer: FirstLayerPolicy::RawActsWideWeights,
-                ..base
-            },
-            QuantPolicy {
-                first_layer: FirstLayerPolicy::FineTuned4Bit,
-                ..base
-            },
-            QuantPolicy {
-                select: OutlierSelect::WindowedTopK { window: 16 },
-                ..base
-            },
-            QuantPolicy {
-                select: OutlierSelect::WindowedTopK { window: 8 },
-                ..base
-            },
-            QuantPolicy {
-                select: OutlierSelect::SensitivityWeighted { window: 16 },
-                ..base
-            },
-        ];
-        let mut prints: Vec<u64> = variants.iter().map(policy_fingerprint).collect();
-        prints.push(policy_fingerprint(&base));
-        let n = prints.len();
-        prints.sort_unstable();
-        prints.dedup();
-        assert_eq!(prints.len(), n, "every field must move the fingerprint");
-    }
-
-    #[test]
-    fn policy_fingerprint_canonicalizes_f64_noise() {
-        let mut a = QuantPolicy::olaccel16("alexnet");
-        let mut b = a;
-        a.outlier_ratio = 0.0;
-        b.outlier_ratio = -0.0;
-        assert_eq!(policy_fingerprint(&a), policy_fingerprint(&b));
-        a.outlier_ratio = f64::NAN;
-        b.outlier_ratio = -f64::NAN;
-        assert_eq!(policy_fingerprint(&a), policy_fingerprint(&b));
-        b.outlier_ratio = 0.01;
-        assert_ne!(policy_fingerprint(&a), policy_fingerprint(&b));
-        let mut c = QuantPolicy::olaccel16("alexnet");
-        c.select = OutlierSelect::WindowedTopK { window: 16 };
-        assert_ne!(
-            policy_fingerprint(&QuantPolicy::olaccel16("alexnet")),
-            policy_fingerprint(&c),
-            "selection rule must change the fingerprint"
-        );
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! accuracy evaluation and trained SynthNet of its inputs. This crate persists them to disk
 //! so a second process (or a long-lived daemon) skips the work entirely:
 //!
-//! - [`wire`]: little-endian writer/reader primitives; decoding never
-//!   panics on malformed bytes.
+//! - [`wire`]: the bounds-checked reader of the workspace's one encoding
+//!   ([`ola_tensor::bytes`], which also hashes every memo key); decoding
+//!   never panics on malformed bytes.
 //! - [`codec`]: bit-exact (de)serialization of parameters, activations,
 //!   workload sets, simulation/accuracy records, weight-SQNR surrogates
-//!   and trained SynthNets, plus the policy fingerprint.
+//!   and trained SynthNets.
 //! - [`version`]: the compile-time source-text hashes that version
 //!   artifacts to the code that produced them — editing any
 //!   result-relevant file silently invalidates the affected records.
@@ -31,7 +32,6 @@ pub mod store;
 pub mod version;
 pub mod wire;
 
-pub use codec::policy_fingerprint;
 pub use store::{ArtifactStore, Record};
 pub use version::FORMAT_VERSION;
 pub use wire::StoreError;

@@ -32,9 +32,10 @@
 //! no artifact — never a torn one.
 
 use crate::version::{sources_version, FORMAT_VERSION};
-use crate::wire::{corrupt, Reader, StoreError, Writer};
+use crate::wire::{corrupt, Reader, StoreError};
 use ola_sim::timing::{timed, Phase};
-use ola_tensor::memo::{fnv1a64, Persist};
+use ola_tensor::bytes::{fnv1a64, Encoder, Writer};
+use ola_tensor::memo::Persist;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -115,7 +116,7 @@ impl ArtifactStore {
         header.u8(R::KIND);
         header.u64(key);
         header.u64(self.version::<R>());
-        header.len(payload.len());
+        header.usize(payload.len());
         header.u64(fnv1a64(&payload));
 
         let tmp = self.dir.join(format!(
@@ -210,7 +211,7 @@ impl<R: Record> Persist<R> for ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_params, decode_tensor, encode_params, encode_tensor};
+    use crate::codec::{decode_params, decode_tensor, encode_params};
     use crate::test_dir;
     use ola_nn::network::WeightStore;
     use ola_nn::Params;
@@ -233,9 +234,9 @@ mod tests {
 
         fn encode(&self, w: &mut Writer) {
             encode_params(w, &self.params);
-            w.len(self.acts.len());
+            w.usize(self.acts.len());
             for t in &self.acts {
-                encode_tensor(w, t);
+                t.encode(w);
             }
         }
 

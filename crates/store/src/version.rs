@@ -7,19 +7,20 @@
 //! tensor initialization, synthetic parameter generation, the network zoo,
 //! workload extraction and activation calibration, the quantizers, the
 //! vendored RNG — at compile time. Each [`crate::store::Record`] names one
-//! of the five source lists below as its `SOURCES`, and every list also
-//! hashes the store's own [`crate::codec`] and [`crate::wire`], which lay
-//! out the record bytes. Any edit to a listed file changes that list's
-//! fingerprint, changes the filename of every record versioned by it, and
-//! silently invalidates the old records. (`include_str!` also registers
-//! each file with cargo's rebuild tracking, so the fingerprint can never go
-//! stale.)
+//! of the five source lists below as its `SOURCES`. Every list also hashes
+//! the files that lay out its record bytes: the encoding itself
+//! (`ola_tensor`'s `bytes.rs`), the store's own [`crate::codec`] and
+//! [`crate::wire`], and every file whose `encode` its payloads call. Any
+//! edit to a listed file changes that list's fingerprint, changes the
+//! filename of every record versioned by it, and silently invalidates the
+//! old records. (`include_str!` also registers each file with cargo's
+//! rebuild tracking, so the fingerprint can never go stale.)
 //!
 //! Conservative by design: a comment-only edit to a hashed file also
 //! invalidates the cache. That trades a few spurious recomputes for never
 //! serving stale bytes.
 
-use ola_tensor::memo::fnv1a64;
+use ola_tensor::bytes::{Encoder, Fingerprint};
 
 /// Bump when the *container* format (header layout, wire encoding) changes
 /// incompatibly. Semantic changes to the artifact contents are covered by
@@ -60,8 +61,9 @@ pub const PREP_SOURCES: &[&str] = &[
     // derivation, activation-sparsity shaping). Text-only include — no
     // crate dependency cycle.
     include_str!("../../harness/src/prep.rs"),
-    // The record payload layouts and the wire primitives they are written
-    // with: a layout edit must not decode old bytes into new fields.
+    // The record payload layouts and the encoding they are written and
+    // read with: a layout edit must not decode old bytes into new fields.
+    include_str!("../../tensor/src/bytes.rs"),
     include_str!("codec.rs"),
     include_str!("wire.rs"),
 ];
@@ -103,8 +105,9 @@ pub const MODEL_SOURCES: &[&str] = &[
     include_str!("../../tensor/src/memo.rs"),
     // The RNG behind the event backend's multi-outlier draws.
     include_str!("../../../vendored/rand/src/lib.rs"),
-    // The record payload layouts and the wire primitives they are written
-    // with: a layout edit must not decode old bytes into new fields.
+    // The record payload layouts and the encoding they are written and
+    // read with: a layout edit must not decode old bytes into new fields.
+    include_str!("../../tensor/src/bytes.rs"),
     include_str!("codec.rs"),
     include_str!("wire.rs"),
 ];
@@ -131,8 +134,9 @@ pub const EVAL_SOURCES: &[&str] = &[
     include_str!("../../tensor/src/memo.rs"),
     // The RNG behind dataset synthesis and training shuffles.
     include_str!("../../../vendored/rand/src/lib.rs"),
-    // The record payload layouts and the wire primitives they are written
-    // with: a layout edit must not decode old bytes into new fields.
+    // The record payload layouts and the encoding they are written and
+    // read with: a layout edit must not decode old bytes into new fields.
+    include_str!("../../tensor/src/bytes.rs"),
     include_str!("codec.rs"),
     include_str!("wire.rs"),
 ];
@@ -164,8 +168,9 @@ pub const SURROGATE_SOURCES: &[&str] = &[
     include_str!("../../quant/src/evalcache.rs"),
     // The RNG behind every synthesized weight.
     include_str!("../../../vendored/rand/src/lib.rs"),
-    // The record payload layouts and the wire primitives they are written
-    // with: a layout edit must not decode old bytes into new fields.
+    // The record payload layouts and the encoding they are written and
+    // read with: a layout edit must not decode old bytes into new fields.
+    include_str!("../../tensor/src/bytes.rs"),
     include_str!("codec.rs"),
     include_str!("wire.rs"),
 ];
@@ -188,27 +193,25 @@ pub const TRAIN_SOURCES: &[&str] = &[
     // The build: split sizes, epochs, learning rate and seeds, and the
     // order of its steps. Text-only include — no crate dependency cycle.
     include_str!("../../harness/src/fig02.rs"),
-    // The record payload layouts and the wire primitives they are written
-    // with: a layout edit must not decode old bytes into new fields.
+    // The record payload layouts and the encoding they are written and
+    // read with: a layout edit must not decode old bytes into new fields.
+    include_str!("../../tensor/src/bytes.rs"),
     include_str!("codec.rs"),
     include_str!("wire.rs"),
 ];
 
-/// A version fingerprint: the length-framed FNV-1a fold over
-/// [`FORMAT_VERSION`] and `sources` — file lengths are folded in between
-/// texts so content can't slide across file boundaries ("ab" + "c" vs
-/// "a" + "bc"). Identical across runs of the same build; different
-/// whenever any listed file changes. The store folds each record kind's
-/// list once per store.
+/// A version fingerprint: the [`Fingerprint`] of [`FORMAT_VERSION`] and
+/// each source written as a length-prefixed `str`, so content can't slide
+/// across file boundaries ("ab" + "c" vs "a" + "bc"). Identical across
+/// runs of the same build; different whenever any listed file changes.
+/// The store folds each record kind's list once per store.
 pub(crate) fn sources_version(sources: &[&str]) -> u64 {
-    let mut h = fnv1a64(&FORMAT_VERSION.to_le_bytes());
+    let mut fp = Fingerprint::new();
+    fp.u32(FORMAT_VERSION);
     for src in sources {
-        h ^= fnv1a64(&(src.len() as u64).to_le_bytes());
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        h ^= fnv1a64(src.as_bytes());
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        fp.str(src);
     }
-    h
+    fp.finish()
 }
 
 #[cfg(test)]
@@ -240,20 +243,38 @@ mod tests {
         assert_ne!(eval, sources_version(MODEL_SOURCES));
     }
 
+    /// A source file's path under `crates/`, and its text.
+    macro_rules! src {
+        ($path:literal) => {
+            ($path, include_str!(concat!("../../", $path)))
+        };
+    }
+
     #[test]
     fn every_record_kind_is_versioned_by_its_layout() {
-        for (kind, list) in [
-            ("prep", PREP_SOURCES),
-            ("model", MODEL_SOURCES),
-            ("eval", EVAL_SOURCES),
-            ("surrogate", SURROGATE_SOURCES),
-            ("train", TRAIN_SOURCES),
+        let layout = [
+            src!("tensor/src/bytes.rs"),
+            src!("store/src/codec.rs"),
+            src!("store/src/wire.rs"),
+        ];
+        // The files whose `encode` each kind's payloads call.
+        let prep = [
+            src!("harness/src/prep.rs"),
+            src!("tensor/src/tensor.rs"),
+            src!("tensor/src/shape.rs"),
+            src!("tensor/src/init.rs"),
+            src!("sim/src/workload.rs"),
+        ];
+        let train = [src!("nn/src/synthnet.rs")];
+        for (kind, list, encodes) in [
+            ("prep", PREP_SOURCES, &prep[..]),
+            ("model", MODEL_SOURCES, &[]),
+            ("eval", EVAL_SOURCES, &[]),
+            ("surrogate", SURROGATE_SOURCES, &[]),
+            ("train", TRAIN_SOURCES, &train[..]),
         ] {
-            for (file, text) in [
-                ("codec.rs", include_str!("codec.rs")),
-                ("wire.rs", include_str!("wire.rs")),
-            ] {
-                assert!(list.contains(&text), "{kind} sources omit {file}");
+            for (file, text) in layout.iter().chain(encodes) {
+                assert!(list.contains(text), "{kind} sources omit {file}");
             }
         }
     }

@@ -1,5 +1,5 @@
-//! Byte-level wire primitives: a growable little-endian writer and a
-//! bounds-checked reader.
+//! The decode side of the store's bytes: a bounds-checked reader of the
+//! encoding [`ola_tensor::bytes`] writes, and the store's error type.
 //!
 //! Everything multi-byte is little-endian; lengths are `u64` so the format
 //! is identical on 32- and 64-bit hosts. The reader never panics on
@@ -39,77 +39,6 @@ impl From<std::io::Error> for StoreError {
 /// Shorthand for a decode-side corruption error.
 pub(crate) fn corrupt(msg: impl Into<String>) -> StoreError {
     StoreError::Corrupt(msg.into())
-}
-
-/// An append-only little-endian byte writer.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The bytes written so far.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `usize` as `u64`.
-    pub fn len(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Appends an `f32` by bit pattern.
-    pub fn f32(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-
-    /// Appends an `f64` by bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn string(&mut self, s: &str) {
-        self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a length-prefixed raw byte buffer.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.len(b.len());
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Appends a length-prefixed `f32` buffer (little-endian, exact bits).
-    pub fn f32s(&mut self, values: &[f32]) {
-        self.len(values.len());
-        ola_tensor::bytes::append_f32s_le(&mut self.buf, values);
-    }
-
-    /// Appends raw bytes without a length prefix (the caller frames them).
-    pub fn raw(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
 }
 
 /// A bounds-checked little-endian reader over a byte slice.
@@ -161,10 +90,11 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    /// Reads a length written by [`Writer::len`], bounds-checked against
-    /// the remaining payload (each element needs at least `min_elem_bytes`)
-    /// so corrupt lengths fail cleanly instead of attempting a giant
-    /// allocation.
+    /// Reads a length written by
+    /// [`Encoder::usize`](ola_tensor::bytes::Encoder::usize),
+    /// bounds-checked against the remaining payload (each element needs at
+    /// least `min_elem_bytes`) so corrupt lengths fail cleanly instead of
+    /// attempting a giant allocation.
     pub fn len(&mut self, min_elem_bytes: usize) -> Result<usize, StoreError> {
         let v = self.u64()?;
         let cap = self
@@ -223,7 +153,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ola_tensor::memo::fnv1a64;
+    use ola_tensor::bytes::{fnv1a64, Encoder, Writer};
 
     #[test]
     fn scalar_round_trips() {
@@ -233,7 +163,7 @@ mod tests {
         w.u64(u64::MAX - 3);
         w.f32(-0.0);
         w.f64(f64::NAN);
-        w.string("olá");
+        w.str("olá");
         w.bytes(&[1, 2, 3]);
         w.f32s(&[1.0, -2.5]);
         let buf = w.into_bytes();
@@ -272,7 +202,7 @@ mod tests {
 
     #[test]
     fn fnv_matches_known_vector() {
-        // Standard FNV-1a test vectors.
+        // The payload checksum checked after a read: standard FNV-1a vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }

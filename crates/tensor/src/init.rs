@@ -16,6 +16,7 @@
 //! at the process-wide [`crate::par::fill_jobs`] width) while staying
 //! bit-identical to the serial reference at any worker count.
 
+use crate::bytes::Encoder;
 use crate::par;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
@@ -83,6 +84,13 @@ impl HeavyTailed {
             tail_fraction,
             tail_scale,
         }
+    }
+
+    /// Writes the three parameters by exact bit pattern.
+    pub fn encode(&self, e: &mut impl Encoder) {
+        e.f32(self.sigma)
+            .f64(self.tail_fraction)
+            .f32(self.tail_scale);
     }
 
     /// Draws one sample from three words: the tail coin, then Box–Muller's

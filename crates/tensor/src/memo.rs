@@ -1,4 +1,4 @@
-//! Exactly-once memoization and content fingerprinting.
+//! Exactly-once memoization.
 //!
 //! Every cache in the workspace is a [`Memo`]: the harness's `PrepCache`
 //! (prepared networks and workload sets), `ola_sim::simcache::SimCache`
@@ -13,13 +13,12 @@
 //! module sits at the root of the crate graph (like [`crate::par`]) so
 //! every layer can use it.
 //!
-//! [`Fingerprint`] is the companion keying primitive: an incremental
-//! 64-bit FNV-1a fold over length-framed field bytes. Callers fold every
-//! input that can change a memoized result — workload fields, accelerator
-//! tuning, technology parameters — and use the digest as the cache key.
-//! Floats fold by exact bit pattern (`to_bits`), matching the workspace's
-//! bitwise determinism contract: two inputs share a slot only when they
-//! are bit-identical, so a cached result can never differ from a fresh
+//! Keys are [`crate::bytes::Fingerprint`]s: the FNV-1a hash of the
+//! encoded bytes of every input that can change a memoized result —
+//! workload fields, accelerator tuning, technology parameters. Floats
+//! encode by exact bit pattern, matching the workspace's bitwise
+//! determinism contract: two inputs share a slot only when they are
+//! bit-identical, so a cached result can never differ from a fresh
 //! computation.
 
 use std::collections::HashMap;
@@ -27,116 +26,6 @@ use std::hash::Hash;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// 64-bit FNV-1a over a byte stream — cheap, dependency-free content
-/// hashing (not cryptographic; cache keys defend against accidental
-/// collisions, not adversaries).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// An incremental FNV-1a fold over typed, length-framed fields.
-///
-/// Fixed-width fields (`u8`/`u32`/`u64`/`f64`) contribute their exact
-/// little-endian bytes; variable-width fields (`str`/`bytes`) are length-
-/// prefixed so adjacent fields can never alias across a boundary. The
-/// digest is stable across platforms and process runs — it is safe to use
-/// as a persistent (on-disk) artifact key.
-#[derive(Clone, Copy, Debug)]
-pub struct Fingerprint {
-    h: u64,
-}
-
-impl Default for Fingerprint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fingerprint {
-    /// A fresh fold at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fingerprint {
-            h: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.h ^= u64::from(b);
-            self.h = self.h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Folds one byte.
-    pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.write(&[v]);
-        self
-    }
-
-    /// Folds a `u32` (little-endian).
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.write(&v.to_le_bytes());
-        self
-    }
-
-    /// Folds a `u64` (little-endian).
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.write(&v.to_le_bytes());
-        self
-    }
-
-    /// Folds a `usize` as `u64` (so 32- and 64-bit hosts agree).
-    pub fn usize(&mut self, v: usize) -> &mut Self {
-        self.u64(v as u64)
-    }
-
-    /// Folds an `f64` by exact bit pattern. `-0.0` and `0.0` (and distinct
-    /// NaN payloads) fold differently — bitwise identity is the contract,
-    /// so equal-comparing but bit-different inputs simply miss each other
-    /// (a false miss recomputes; it can never corrupt a result).
-    pub fn f64(&mut self, v: f64) -> &mut Self {
-        self.u64(v.to_bits())
-    }
-
-    /// Folds an `f32` by exact bit pattern (same contract as
-    /// [`Fingerprint::f64`]).
-    pub fn f32(&mut self, v: f32) -> &mut Self {
-        self.u32(v.to_bits())
-    }
-
-    /// Folds a length-prefixed `f32` slice by exact bit patterns — the
-    /// bulk form for weight matrices and images.
-    pub fn f32s(&mut self, values: &[f32]) -> &mut Self {
-        self.usize(values.len());
-        for &v in values {
-            self.write(&v.to_bits().to_le_bytes());
-        }
-        self
-    }
-
-    /// Folds a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        self.bytes(s.as_bytes())
-    }
-
-    /// Folds a length-prefixed raw byte buffer.
-    pub fn bytes(&mut self, b: &[u8]) -> &mut Self {
-        self.usize(b.len());
-        self.write(b);
-        self
-    }
-
-    /// The 64-bit digest of everything folded so far.
-    pub fn finish(&self) -> u64 {
-        self.h
-    }
-}
 
 /// Locks a mutex, recovering the guard if another thread panicked while
 /// holding it. Every structure these locks protect is valid at all times
@@ -351,52 +240,13 @@ impl<R> Memo<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytes::{Encoder, Fingerprint};
 
     #[test]
     fn fnv_matches_known_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn fingerprint_is_order_and_framing_sensitive() {
-        let mut a = Fingerprint::new();
-        a.str("ab").str("c");
-        let mut b = Fingerprint::new();
-        b.str("a").str("bc");
-        assert_ne!(a.finish(), b.finish(), "framing must prevent aliasing");
-
-        let mut c = Fingerprint::new();
-        c.u64(1).u64(2);
-        let mut d = Fingerprint::new();
-        d.u64(2).u64(1);
-        assert_ne!(c.finish(), d.finish(), "field order must matter");
-    }
-
-    #[test]
-    fn fingerprint_floats_fold_by_bit_pattern() {
-        let mut pos = Fingerprint::new();
-        pos.f64(0.0);
-        let mut neg = Fingerprint::new();
-        neg.f64(-0.0);
-        assert_ne!(pos.finish(), neg.finish());
-        let mut raw = Fingerprint::new();
-        raw.u64(0.0_f64.to_bits());
-        assert_eq!(pos.finish(), raw.finish());
-    }
-
-    #[test]
-    fn fingerprint_f32s_frames_like_scalars() {
-        let mut bulk = Fingerprint::new();
-        bulk.f32s(&[1.5, -0.0]);
-        let mut scalar = Fingerprint::new();
-        scalar.usize(2).f32(1.5).f32(-0.0);
-        assert_eq!(bulk.finish(), scalar.finish());
-        let mut pos = Fingerprint::new();
-        pos.f32s(&[0.0]);
-        let mut neg = Fingerprint::new();
-        neg.f32s(&[-0.0]);
-        assert_ne!(pos.finish(), neg.finish(), "f32 bits must be exact");
+        // Memo keys are `Fingerprint`s: standard FNV-1a test vectors.
+        assert_eq!(Fingerprint::new().finish(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fingerprint::new().u8(b'a').finish(), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Shape arithmetic for 4-D tensors and convolution geometry.
 
+use crate::bytes::Encoder;
 use std::fmt;
 
 /// Shape of a 4-D tensor in NCHW order (batch, channels, height, width).
@@ -41,6 +42,11 @@ impl Shape4 {
     /// Whether the shape contains no elements.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Writes the four dimensions in NCHW order.
+    pub fn encode(&self, e: &mut impl Encoder) {
+        e.usize(self.n).usize(self.c).usize(self.h).usize(self.w);
     }
 
     /// Flat row-major index of `(n, c, h, w)`.

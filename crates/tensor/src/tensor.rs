@@ -1,5 +1,6 @@
 //! The dense 4-D tensor type.
 
+use crate::bytes::Encoder;
 use crate::shape::Shape4;
 
 /// A dense, row-major (NCHW) 4-D tensor of `f32` values.
@@ -88,6 +89,12 @@ impl Tensor {
     /// Borrow the raw buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
+    }
+
+    /// Writes the shape, then the length-prefixed data by exact bits.
+    pub fn encode(&self, e: &mut impl Encoder) {
+        self.shape.encode(e);
+        e.f32s(&self.data);
     }
 
     /// Contiguous spatial row `(n, c, h, 0..w)` as a slice.

@@ -83,13 +83,7 @@ fn fit_or_none(values: &[f32], ratio: f64) -> Option<OutlierQuantizer> {
     let nonzero_ratio = (ratio * values.len() as f64 / nonzero.len() as f64).min(1.0);
     let max = nonzero.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
     let threshold = magnitude_threshold_sorted(&nonzero, nonzero_ratio);
-    Some(OutlierQuantizer::with_threshold(
-        threshold,
-        max,
-        nonzero_ratio,
-        4,
-        8,
-    ))
+    Some(OutlierQuantizer::with_threshold(threshold, max, 4, 8))
 }
 
 fn weight_chunk_stats(params: &Params, node: usize, ratio: f64) -> WeightChunkStats {

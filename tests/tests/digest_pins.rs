@@ -1,7 +1,9 @@
 //! Bit-level pins on the numeric paths whose output the goldens only see
 //! rounded: FNV-1a digests of every `f32` bit pattern, recorded before the
 //! SynthNet kernels were vectorized and the preparation/calibration
-//! forwards were batched, asserted at several worker counts.
+//! forwards were batched, asserted at several worker counts. Each digest
+//! is a product [`Fingerprint`] over the workspace's one encoding, so the
+//! pins also hold that encoding's bytes fixed.
 //!
 //! The golden reports print accuracies as rounded percentages, so a 1-ulp
 //! drift in a trained weight or a logit could pass them unnoticed; these
@@ -14,43 +16,10 @@ use ola_nn::synthnet::{LayerId, SynthDataset, SynthNet, LAYERS};
 use ola_quant::accuracy::{evaluate_synthnet_jobs, QuantSpec};
 use ola_quant::{OutlierSelect, PolicyQuantizer};
 use ola_sim::calibrate::calibrate_from_outputs;
+use ola_tensor::bytes::{Encoder, Fingerprint};
 use ola_tensor::init::uniform_tensor;
-use ola_tensor::memo::fnv1a64;
 use ola_tensor::{stack_batch, Tensor};
 use std::sync::OnceLock;
-
-/// Little-endian byte stream folded into one FNV-1a digest.
-#[derive(Default)]
-struct Digest(Vec<u8>);
-
-impl Digest {
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f32s(&mut self, vs: &[f32]) {
-        self.u64(vs.len() as u64);
-        for v in vs {
-            self.0.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn tensor(&mut self, t: &Tensor) {
-        let s = t.shape();
-        for d in [s.n, s.c, s.h, s.w] {
-            self.u64(d as u64);
-        }
-        self.f32s(t.as_slice());
-    }
-
-    fn finish(&self) -> u64 {
-        fnv1a64(&self.0)
-    }
-}
 
 fn check(what: &str, got: u64, pinned: u64) {
     assert_eq!(
@@ -86,10 +55,8 @@ fn trained(train: &SynthDataset, jobs: usize) -> SynthNet {
 }
 
 fn param_digest(net: &SynthNet) -> u64 {
-    let mut d = Digest::default();
-    for v in [
-        &net.w1, &net.b1, &net.w2, &net.b2, &net.w3, &net.b3, &net.w4, &net.b4, &net.w5, &net.b5,
-    ] {
+    let mut d = Fingerprint::new();
+    for v in net.params() {
         d.f32s(v);
     }
     d.finish()
@@ -125,7 +92,7 @@ fn quantized_logits(
         .iter()
         .map(|p| PolicyQuantizer::fit(p, 0.03, select, 4, 16))
         .collect();
-    let mut d = Digest::default();
+    let mut d = Fingerprint::new();
     for img in &held.images {
         let logits = qnet.forward_with(img, |layer, a| {
             if let Some(q) = &quants[slot(layer)] {
@@ -153,7 +120,7 @@ fn synthnet_training_and_logits_are_pinned() {
         0xd96c_4a9a_8761_aa7d,
     );
 
-    let mut fp = Digest::default();
+    let mut fp = Fingerprint::new();
     for img in &held.images {
         fp.f32s(&serial.forward(img));
     }
@@ -190,7 +157,7 @@ fn quantized_accuracy_is_pinned_at_any_eval_jobs() {
         };
         for jobs in [1, 4] {
             let acc = evaluate_synthnet_jobs(&net, &held, &train, &spec, 5, jobs);
-            let mut d = Digest::default();
+            let mut d = Fingerprint::new();
             d.f64(acc.top1);
             d.f64(acc.topk);
             d.f64(acc.realized_weight_ratio);
@@ -215,37 +182,36 @@ fn alexnet() -> &'static Prepared {
 #[test]
 fn alexnet_preparation_is_pinned() {
     let prep = alexnet();
-    let mut params = Digest::default();
+    let mut params = Fingerprint::new();
     for id in 0..prep.net.nodes().len() {
         match prep.params.weights(id) {
             Some(WeightStore::Dense(t)) => {
                 params.u64(1);
-                params.tensor(t);
+                t.encode(&mut params);
             }
             Some(WeightStore::RowGen(g)) => {
                 params.u64(2);
                 params.f32s(&g.row(0));
                 params.f32s(&g.row(g.rows() - 1));
             }
-            None => params.u64(0),
+            None => {
+                params.u64(0);
+            }
         }
         match prep.params.bias(id) {
             Some(b) => params.f32s(b),
             None => params.u64(0),
-        }
+        };
         match prep.params.bn(id) {
-            Some((scale, shift)) => {
-                params.f32s(scale);
-                params.f32s(shift);
-            }
+            Some((scale, shift)) => params.f32s(scale).f32s(shift),
             None => params.u64(0),
-        }
+        };
     }
     check("AlexNet/4 params", params.finish(), 0x6aa4_dd87_ce1e_ce51);
 
-    let mut acts = Digest::default();
+    let mut acts = Fingerprint::new();
     for t in &prep.acts {
-        acts.tensor(t);
+        t.encode(&mut acts);
     }
     check(
         "AlexNet/4 activations",
@@ -266,7 +232,7 @@ fn fig16_calibration_thresholds_are_pinned_at_any_forward_jobs() {
         let outs = prep.net.forward(&prep.params, &stack_batch(&samples));
         let cals = calibrate_from_outputs(&prep.net, &outs, samples.len(), 0.03);
         ola_nn::kernels::set_forward_jobs(1);
-        let mut d = Digest::default();
+        let mut d = Fingerprint::new();
         for c in &cals {
             d.u64(c.node as u64);
             d.f32s(&[c.threshold, c.abs_max]);

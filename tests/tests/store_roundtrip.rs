@@ -16,9 +16,9 @@ use ola_nn::Params;
 use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
 use ola_sim::workload::{LayerKind, LayerWorkload};
 use ola_sim::{EventRecord, LayerRun, QuantPolicy, Utilization, WorkloadSet};
-use ola_store::wire::Writer;
 use ola_store::{ArtifactStore, Record, StoreError};
-use ola_tensor::memo::{fnv1a64, Persist};
+use ola_tensor::bytes::{fnv1a64, Writer};
+use ola_tensor::memo::Persist;
 use ola_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
