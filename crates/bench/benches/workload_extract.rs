@@ -1,14 +1,18 @@
 //! Workload-extraction throughput: the retained multi-pass oracle
 //! (`ola_integration::oracle`) vs the production extraction, at 1/2/4
 //! worker threads, under each of the three `OutlierSelect::panel()` rules.
+//! The `extract_j*` arms extract with a fresh, empty census cache;
+//! the `cached_j*` arms extract through a cache that the same rule at
+//! another ratio has filled, the per-policy cost a ratio sweep pays
+//! (`ola_sim::workload::Censuses`).
 //!
 //! The oracle walks each layer's activations several times (a full
 //! descending sort for every threshold, separate chunk / zero / outlier
 //! passes) and each weight grid chunk by chunk, striding 16 rows per
 //! chunk. Production extraction runs one band-major grid kernel over each
 //! layer's activations and weights: every pass walks whole 16-row bands
-//! in memory order, and global thresholds come from a key histogram plus
-//! a selection inside one bucket. Both
+//! in memory order, and global thresholds come from a key histogram (the
+//! census) plus one walk that selects inside one bucket and counts. Both
 //! produce bit-identical `WorkloadSet`s (property-tested in `tests/`), so
 //! the ratio here is pure overhead removed. On a single-core host the jobs
 //! arms collapse onto jobs=1 — the oracle/j1 ratio is the portable number;
@@ -25,7 +29,7 @@ use ola_integration::oracle;
 use ola_nn::synth::{synthesize_params, SynthConfig};
 use ola_nn::zoo::{self, ZooConfig};
 use ola_nn::{Network, Params};
-use ola_sim::workload;
+use ola_sim::workload::{self, Censuses};
 use ola_sim::{OutlierSelect, QuantPolicy};
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::Tensor;
@@ -71,17 +75,31 @@ fn benches(c: &mut Criterion) {
                     ))
                 })
             });
+            let extract = |policy: &QuantPolicy, censuses: &Censuses, jobs| {
+                workload::extract_from_acts_jobs(
+                    black_box(&net),
+                    black_box(&params),
+                    black_box(&acts),
+                    black_box(policy),
+                    censuses,
+                    jobs,
+                )
+            };
             for jobs in [1, 2, 4] {
                 g.bench_function(&format!("extract_j{jobs}"), |b| {
-                    b.iter(|| {
-                        black_box(workload::extract_from_acts_jobs(
-                            black_box(&net),
-                            black_box(&params),
-                            black_box(&acts),
-                            black_box(&policy),
-                            jobs,
-                        ))
-                    })
+                    b.iter(|| black_box(extract(&policy, &Censuses::default(), jobs)))
+                });
+            }
+            // The same rule at half the ratio fills the cache first.
+            let warm = Censuses::default();
+            let earlier = QuantPolicy {
+                outlier_ratio: policy.outlier_ratio / 2.0,
+                ..policy
+            };
+            extract(&earlier, &warm, 1);
+            for jobs in [1, 2, 4] {
+                g.bench_function(&format!("cached_j{jobs}"), |b| {
+                    b.iter(|| black_box(extract(&policy, &warm, jobs)))
                 });
             }
             g.finish();

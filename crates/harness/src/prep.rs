@@ -13,6 +13,10 @@
 //! * [`WorkloadSet`]s, keyed by the same fold plus the policy's
 //!   [`QuantPolicy::fingerprint`].
 //!
+//! A workload miss extracts through its [`Prepared`]'s own census cache
+//! ([`Censuses`]), so the policies extracted from one network compute each
+//! layer's policy-independent statistics once.
+//!
 //! The workload tier is addressed by key alone ([`workloads`],
 //! [`PrepCache::workloads`]): a figure that only consumes workloads never
 //! holds a [`Prepared`], and one is built or loaded only when a workload
@@ -37,7 +41,7 @@ use ola_nn::zoo::{self, ZooConfig};
 use ola_nn::{Network, Params};
 use ola_quant::EvalCache;
 use ola_sim::timing;
-use ola_sim::workload::{extract_from_acts, WorkloadSet};
+use ola_sim::workload::{extract_from_acts, Censuses, WorkloadSet};
 use ola_sim::{NetworkRun, QuantPolicy, SimCache};
 use ola_store::codec::{decode_params, decode_tensor, encode_params};
 use ola_store::wire::Reader;
@@ -72,7 +76,8 @@ pub fn default_scale(network: &str, fast: bool) -> usize {
     }
 }
 
-/// A prepared network: graph, parameters, and one forward pass.
+/// A prepared network: graph, parameters, one forward pass, and the
+/// policy-independent statistics its extractions share.
 pub struct Prepared {
     /// The network graph.
     pub net: Network,
@@ -86,6 +91,10 @@ pub struct Prepared {
     pub scale: usize,
     /// Preparation seed (see [`Prepared::with_seed`]).
     pub seed: u64,
+    /// Per-layer censuses and windowed counts of `params` and `acts`,
+    /// filled by [`Prepared::workloads`]' extractions. Never persisted: a
+    /// decoded network starts empty.
+    censuses: Censuses,
 }
 
 impl Prepared {
@@ -136,24 +145,33 @@ impl Prepared {
             network: network.to_string(),
             scale,
             seed,
+            censuses: Censuses::default(),
         }
     }
 
     /// The workload set under `policy`: [`PrepCache::workloads`] of the
     /// global cache for this instance's `(network, scale, seed)`, except
-    /// that a miss extracts from `self` instead of preparing again.
+    /// that a miss extracts from `self` instead of preparing again. A miss
+    /// extracts through this network's censuses, so it pays only for the
+    /// work the policy's ratio changes.
     ///
-    /// The memo is keyed by those three fields and the policy alone, so
-    /// code that edits a `Prepared`'s parameters or activations must call
-    /// [`Prepared::extract`] instead.
+    /// The memo and the censuses are keyed by those three fields, the
+    /// policy and the layer alone, so code that edits a `Prepared`'s
+    /// parameters or activations must call [`Prepared::extract`] instead.
     pub fn workloads(&self, policy: &QuantPolicy) -> Arc<WorkloadSet> {
         PrepCache::global().workloads_from(&self.network, self.scale, self.seed, policy, Some(self))
     }
 
-    /// Uncached workload extraction under `policy`.
+    /// Uncached workload extraction under `policy`: no memo, and a fresh
+    /// census cache.
     pub fn extract(&self, policy: &QuantPolicy) -> WorkloadSet {
+        self.extract_through(policy, &Censuses::default())
+    }
+
+    /// Extraction under `policy` through `censuses`.
+    fn extract_through(&self, policy: &QuantPolicy, censuses: &Censuses) -> WorkloadSet {
         timing::timed(timing::Phase::Extract, || {
-            extract_from_acts(&self.net, &self.params, &self.acts, policy)
+            extract_from_acts(&self.net, &self.params, &self.acts, policy, censuses)
         })
     }
 }
@@ -225,6 +243,7 @@ impl Record for Prepared {
             network,
             scale,
             seed,
+            censuses: Censuses::default(),
         })
     }
 }
@@ -339,7 +358,9 @@ impl PrepCache {
 
     /// Fetches or extracts the [`WorkloadSet`] of `(network, scale, seed)`
     /// under `policy`. Only a miss of both the memory and the disk tier
-    /// touches a [`Prepared`]: it extracts from [`PrepCache::prepared`]'s.
+    /// touches a [`Prepared`]: it extracts from [`PrepCache::prepared`]'s,
+    /// through that network's censuses. A `Prepared` whose parameters or
+    /// activations were edited must use [`Prepared::extract`].
     pub fn workloads(
         &self,
         network: &str,
@@ -364,8 +385,11 @@ impl PrepCache {
             .u64(policy.fingerprint())
             .finish();
         self.workloads.get(key, || match prep {
-            Some(prep) => prep.extract(policy),
-            None => self.prepared(network, scale, seed).extract(policy),
+            Some(prep) => prep.extract_through(policy, &prep.censuses),
+            None => {
+                let prep = self.prepared(network, scale, seed);
+                prep.extract_through(policy, &prep.censuses)
+            }
         })
     }
 

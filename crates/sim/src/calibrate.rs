@@ -7,14 +7,15 @@
 //! compute layer's input, and fig16, which runs it on a batch prefix
 //! ([`calibrate_from_outputs`]). Both run on the band-major chunk-grid
 //! kernel: its occupancy pass supplies the population counts, the global
-//! rules select the exact k-th largest score, and every rule counts per
-//! chunk. A magnitude outlier is a non-zero lane whose magnitude is at
-//! least the threshold in the [`f32::total_cmp`] order, the order the
-//! threshold is selected in.
+//! rules select the exact k-th largest score and count the lanes at or
+//! above it in one walk, and windowed-top1 counts per chunk. A magnitude
+//! outlier is a non-zero lane whose magnitude is at least the threshold in
+//! the [`f32::total_cmp`] order, the order the threshold is selected in.
 
-use crate::chunk::{census, count_grid, key, occupancy, select_kth, top_k};
+use crate::chunk::{census, count_grid, occupancy, select_count, top_k};
 use crate::chunk::{Grid, Occupancy, Rule, Score};
 use crate::policy::OutlierSelect;
+use crate::workload::{Censuses, GridKind};
 use ola_nn::{Network, NodeId};
 use ola_tensor::par::ordered_map;
 use ola_tensor::Tensor;
@@ -80,17 +81,19 @@ pub fn calibrate_from_outputs(
             &occupancy,
             ratio,
             OutlierSelect::MagnitudePercentile,
+            &Censuses::default(),
             inner,
         )
     })
 }
 
-/// Calibrates a layer's input activations under `select` on the grid
-/// `occupancy` measured. Activation ratios are fractions of the non-zero
-/// population (the paper's calibration target), so no rescale — unlike
-/// the weight grid. The global rules select the exact k-th largest score
-/// and count by key; windows tile each chunk's *real* lanes (zero-padded
-/// tails never vote), matching the weight grid's chunk-local windows.
+/// Calibrates `node`'s input activations under `select` on the grid
+/// `occupancy` measured, with the census or the windowed counts from
+/// `censuses`. Activation ratios are fractions of the non-zero population
+/// (the paper's calibration target), so no rescale — unlike the weight
+/// grid. The global rules select the exact k-th largest score and count
+/// by key; windows tile each chunk's *real* lanes (zero-padded tails never
+/// vote), matching the weight grid's chunk-local windows.
 ///
 /// # Panics
 ///
@@ -101,38 +104,37 @@ pub(crate) fn calibrate_grid(
     occupancy: &Occupancy,
     ratio: f64,
     select: OutlierSelect,
+    censuses: &Censuses,
     jobs: usize,
 ) -> LayerCalibration {
     let nonzero = occupancy.nonzero;
     let ranked = |score: Score| {
-        let census = census(grid, score, jobs);
-        let threshold = select_kth(grid, score, &census, top_k(nonzero, ratio), jobs);
-        let rule = Rule::AtLeast {
-            score,
-            key: key(threshold),
-        };
-        (threshold, rule)
+        let census = censuses.census(node, GridKind::Acts, score, || census(grid, score, jobs));
+        let (threshold, counts) = select_count(grid, score, &census, top_k(nonzero, ratio), jobs);
+        (threshold, counts.outliers)
     };
-    let (threshold, rule) = match select {
+    let (threshold, outliers) = match select {
         OutlierSelect::MagnitudePercentile => {
             assert!((0.0..=1.0).contains(&ratio), "ratio must be in [0,1]");
             if ratio == 0.0 || nonzero == 0 {
-                (f32::INFINITY, Rule::None)
+                (f32::INFINITY, 0)
             } else {
                 ranked(Score::Magnitude)
             }
         }
         // Window-local selection has no scalar threshold.
         OutlierSelect::WindowedTopK { window } if ratio > 0.0 => {
-            (f32::INFINITY, Rule::Windowed { window })
+            let counts = censuses.windowed(node, GridKind::Acts, window, || {
+                count_grid(grid, Rule::Windowed { window }, jobs)
+            });
+            (f32::INFINITY, counts.outliers)
         }
         OutlierSelect::SensitivityWeighted { window } if ratio > 0.0 && nonzero > 0 => {
             ranked(Score::Sensitivity { window })
         }
         // A ratio that is not positive disables the structured policies.
-        _ => (f32::INFINITY, Rule::None),
+        _ => (f32::INFINITY, 0),
     };
-    let outliers = count_grid(grid, rule, jobs).outliers;
     let total = occupancy.total.max(1) as f64;
     LayerCalibration {
         node,
@@ -172,7 +174,16 @@ mod tests {
     ) -> LayerCalibration {
         let t = Tensor::from_vec(Shape4::new(1, values.len(), 1, 1), values.to_vec());
         let grid = Grid::activations(&t, 1);
-        calibrate_grid(9, grid, &occupancy(grid, jobs), ratio, select, jobs)
+        let occupancy = occupancy(grid, jobs);
+        calibrate_grid(
+            9,
+            grid,
+            &occupancy,
+            ratio,
+            select,
+            &Censuses::default(),
+            jobs,
+        )
     }
 
     fn calibrate_magnitude(values: &[f32], ratio: f64, jobs: usize) -> LayerCalibration {
@@ -309,7 +320,9 @@ mod tests {
                 let calibrate = |jobs| {
                     let grid = Grid::activations(&sparse, 2);
                     let occupancy = occupancy(grid, jobs);
-                    let sparse = calibrate_grid(9, grid, &occupancy, ratio, select, jobs);
+                    let censuses = Censuses::default();
+                    let sparse =
+                        calibrate_grid(9, grid, &occupancy, ratio, select, &censuses, jobs);
                     let flat = calibrate_population(&flat, ratio, select, jobs);
                     (calibration_bits(&flat), calibration_bits(&sparse))
                 };

@@ -13,9 +13,12 @@
 //! * [`occupancy`]: every chunk's non-zero lanes and all-zero quads, in
 //!   position-major order, plus the population's non-zero count and
 //!   absolute maximum.
-//! * [`census`] and [`select_kth`]: the exact k-th largest score, from a
-//!   histogram of [`f32::total_cmp`] keys plus a selection inside the one
-//!   bucket holding rank k; no pass builds a population-sized buffer.
+//! * [`census`]: a histogram of every lane's [`f32::total_cmp`] score key,
+//!   kept to its occupied buckets. It depends on the grid and the score
+//!   alone, so a caller may keep it for every ratio.
+//! * [`select_count`]: the exact k-th largest score, selected inside the
+//!   one bucket holding rank k, and the counts of the lanes at or above it,
+//!   from one walk; no pass builds a population-sized buffer.
 //! * [`count_grid`]: zeros, outliers and per-chunk outlier multiplicity
 //!   under a resolved [`Rule`]. A lane passes a threshold iff its score key
 //!   is at least the threshold's, so counting agrees with ranking on every
@@ -175,7 +178,7 @@ pub(crate) fn occupancy(grid: Grid<'_>, jobs: usize) -> Occupancy {
 }
 
 /// How a global policy ranks a lane.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum Score {
     /// `|v|`.
     Magnitude,
@@ -228,6 +231,11 @@ pub(crate) const ZERO_BUCKET: usize = (ZERO_LANE >> BUCKET_SHIFT) as usize;
 /// in one bucket (the zeros, mostly) is not one chain of dependent
 /// read-modify-writes.
 const SUB_HISTOGRAMS: usize = 4;
+
+/// Lanes of a row [`select_count`] tests at once for the rank-k bucket:
+/// most groups hold none of its lanes, so the walk takes one predictable
+/// branch per group instead of an unpredictable one per lane.
+const GATHER_GROUP: usize = 16;
 
 #[inline]
 pub(crate) fn bucket(k: u32) -> usize {
@@ -285,10 +293,18 @@ fn for_each_keyed_row(
     }
 }
 
-/// What the ranking pass measured over a grid.
+/// What the ranking pass measured over a grid, kept to its occupied
+/// buckets: a full histogram is 32 KB, but the scores of one layer span a
+/// few exponents, so the occupied span is usually under 1 KB.
 pub(crate) struct Census {
-    /// Lanes per key bucket; the zero lanes are [`ZERO_BUCKET`]'s.
+    /// The bucket `hist[0]` counts.
+    lo: usize,
+    /// Scored lanes per key bucket over the occupied span (empty when no
+    /// lane is scored). [`ZERO_BUCKET`]'s slot, if the span crosses it,
+    /// is zero: the zero lanes are counted apart.
     hist: Vec<u64>,
+    /// Exactly-zero lanes: [`ZERO_BUCKET`]'s count.
+    pub(crate) zeros: u64,
     /// Lanes in the grid.
     pub(crate) total: usize,
     /// Of a magnitude census: the largest non-NaN `|v|` (the `f32::max`
@@ -299,7 +315,7 @@ pub(crate) struct Census {
 impl Census {
     /// Lanes that take part in a ranking.
     pub(crate) fn nonzero(&self) -> usize {
-        self.total - self.hist[ZERO_BUCKET] as usize
+        self.total - self.zeros as usize
     }
 }
 
@@ -334,20 +350,29 @@ pub(crate) fn census(grid: Grid<'_>, score: Score, jobs: usize) -> Census {
         }
         (hist, abs_max)
     });
-    let mut census = Census {
-        hist: vec![0; BUCKETS],
-        total: grid.lanes(),
-        abs_max: 0.0,
-    };
-    for (hist, abs_max) in parts {
-        for sub in &hist {
-            for (sum, &n) in census.hist.iter_mut().zip(sub) {
+    let mut hist = vec![0u64; BUCKETS];
+    let mut abs_max = 0.0_f32;
+    for (sub_hists, part_max) in parts {
+        for sub in &sub_hists {
+            for (sum, &n) in hist.iter_mut().zip(sub) {
                 *sum += u64::from(n);
             }
         }
-        census.abs_max = census.abs_max.max(abs_max);
+        abs_max = abs_max.max(part_max);
     }
-    census
+    let zeros = std::mem::take(&mut hist[ZERO_BUCKET]);
+    let lo = hist.iter().position(|&n| n > 0).unwrap_or(0);
+    let hi = hist.iter().rposition(|&n| n > 0).map_or(lo, |b| b + 1);
+    hist.truncate(hi);
+    hist.drain(..lo);
+    hist.shrink_to_fit();
+    Census {
+        lo,
+        hist,
+        zeros,
+        total: grid.lanes(),
+        abs_max,
+    }
 }
 
 /// Rank of the top-`ratio` threshold among `n` ranked lanes.
@@ -356,50 +381,87 @@ pub(crate) fn top_k(n: usize, ratio: f64) -> usize {
 }
 
 /// The `k`-th largest (1-based, under `total_cmp`) score of the grid's
-/// non-zero lanes. The census locates the one bucket holding rank `k`; one
-/// more walk gathers that bucket's keys, and `select_nth` ranks inside it.
-/// Exact: every key above the bucket outranks every key in it.
-pub(crate) fn select_kth(
+/// non-zero lanes, and the counts of the rule "score at least that one",
+/// from one walk. The census locates the one bucket holding rank `k`.
+/// Per row, a branch-free add counts each chunk's lanes above that bucket,
+/// and a 16-lane any-test gathers `(key, chunk)` for the lanes inside it;
+/// `select_nth` ranks the gathered keys, and each gathered lane at or
+/// above the `k`-th joins its chunk's count. Exact: every key above the
+/// bucket outranks every key in it, and every key below is below the
+/// `k`-th. `zeros` is the census's.
+pub(crate) fn select_count(
     grid: Grid<'_>,
     score: Score,
     census: &Census,
     k: usize,
     jobs: usize,
-) -> f32 {
+) -> (f32, Counts) {
     assert!(
         (1..=census.nonzero()).contains(&k),
         "rank must be in 1..=non-zero lanes"
     );
-    // Non-zero lanes in the buckets above `target`.
+    // Scored lanes in the buckets above `target`.
     let mut above = 0;
-    let mut target = 0;
-    for b in (0..BUCKETS).rev().filter(|&b| b != ZERO_BUCKET) {
-        let lanes = census.hist[b] as usize;
+    let mut target = census.lo;
+    for (i, &lanes) in census.hist.iter().enumerate().rev() {
+        let lanes = lanes as usize;
         if above + lanes >= k {
-            target = b;
+            target = census.lo + i;
             break;
         }
         above += lanes;
     }
+    // The largest key in `target`: a larger one is in a higher bucket.
+    let ceiling = ((target as u32) << BUCKET_SHIFT) | ((1 << BUCKET_SHIFT) - 1);
+    let cols = grid.cols;
     let ranges = split_ranges(grid.bands(), jobs);
     let parts = ordered_map(&ranges, jobs, |_, range| {
-        let mut found = Vec::new();
-        let mut keys = vec![0; grid.cols];
-        let mut rms = vec![0.0; grid.cols];
-        for b in range.clone() {
+        // Per-chunk counts of this worker's bands, band-major, and the
+        // gathered `(key, chunk)` pairs that index them.
+        let mut per_chunk = vec![0u8; range.len() * cols];
+        u32::try_from(per_chunk.len()).expect("a worker's chunks have u32 indices");
+        let mut found: Vec<(u32, u32)> = Vec::new();
+        let mut keys = vec![0; cols];
+        let mut rms = vec![0.0; cols];
+        for (i, b) in range.clone().enumerate() {
+            let counts = &mut per_chunk[i * cols..(i + 1) * cols];
             for_each_keyed_row(grid.band(b), score, &mut keys, &mut rms, |_, keys| {
-                for &k in keys {
-                    if bucket(k) == target {
-                        found.push(k);
+                for (n, &k) in counts.iter_mut().zip(keys) {
+                    *n += u8::from((k > ceiling) & (k != ZERO_LANE));
+                }
+                for (g, lanes) in keys.chunks(GATHER_GROUP).enumerate() {
+                    let hit = lanes
+                        .iter()
+                        .fold(false, |hit, &k| hit | (bucket(k) == target));
+                    if hit {
+                        let first = i * cols + g * GATHER_GROUP;
+                        for (j, &k) in lanes.iter().enumerate() {
+                            if bucket(k) == target {
+                                found.push((k, (first + j) as u32));
+                            }
+                        }
                     }
                 }
             });
         }
-        found
+        (per_chunk, found)
     });
-    let mut found = parts.concat();
-    let (_, kth, _) = found.select_nth_unstable_by(k - above - 1, |a, b| b.cmp(a));
-    from_key(*kth)
+    let mut ranked: Vec<u32> = parts
+        .iter()
+        .flat_map(|(_, found)| found.iter().map(|&(k, _)| k))
+        .collect();
+    let (_, &mut kth, _) = ranked.select_nth_unstable_by(k - above - 1, |a, b| b.cmp(a));
+    let mut counts = Counts {
+        zeros: census.zeros,
+        ..Counts::default()
+    };
+    for (mut per_chunk, found) in parts {
+        for (k, chunk) in found {
+            per_chunk[chunk as usize] += u8::from(k >= kth);
+        }
+        counts.add_chunks(&per_chunk);
+    }
+    (from_key(kth), counts)
 }
 
 /// Exactly-zero lanes of `values`, counted in `u32` runs: a `u32` count
@@ -412,7 +474,7 @@ fn zero_lanes(values: &[f32]) -> u64 {
 }
 
 /// What the counting pass measured over a grid.
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 pub(crate) struct Counts {
     /// Exactly-zero lanes.
     pub(crate) zeros: u64,
@@ -422,6 +484,17 @@ pub(crate) struct Counts {
     pub(crate) single: u64,
     /// Chunks with two or more outliers.
     pub(crate) multi: u64,
+}
+
+impl Counts {
+    /// Folds per-chunk outlier counts into the totals.
+    fn add_chunks(&mut self, per_chunk: &[u8]) {
+        for &n in per_chunk {
+            self.outliers += u64::from(n);
+            self.single += u64::from(n == 1);
+            self.multi += u64::from(n >= 2);
+        }
+    }
 }
 
 /// The counting pass: zeros, outliers and per-chunk outlier multiplicity
@@ -471,11 +544,7 @@ pub(crate) fn count_grid(grid: Grid<'_>, rule: Rule, jobs: usize) -> Counts {
                     }
                 }
             }
-            for &n in &per_chunk {
-                counts.outliers += u64::from(n);
-                counts.single += u64::from(n == 1);
-                counts.multi += u64::from(n >= 2);
-            }
+            counts.add_chunks(&per_chunk);
         }
         counts
     });
@@ -718,7 +787,8 @@ mod tests {
     }
 
     /// The magnitude census and the k-th largest score it locates are the
-    /// same at any worker count, and the rank matches a sort.
+    /// same at any worker count, and the rank matches a sort. The census
+    /// keeps only its occupied span.
     #[test]
     fn ranking_identical_at_any_worker_count() {
         let t = sparse_tensor(Shape4::new(1, 24, 32, 32), 7);
@@ -727,6 +797,7 @@ mod tests {
         let zeros = t.as_slice().iter().filter(|&&v| v == 0.0).count();
         assert_eq!((serial.total, serial.nonzero()), (t.len(), t.len() - zeros));
         assert_eq!(serial.abs_max, t.abs_max());
+        assert!(serial.hist.first() > Some(&0) && serial.hist.last() > Some(&0));
         let mut sorted: Vec<f32> = t
             .as_slice()
             .iter()
@@ -736,13 +807,114 @@ mod tests {
         sorted.sort_by(|a, b| b.total_cmp(a));
         for jobs in [1, 2, 3, 8] {
             let census = census(grid, Score::Magnitude, jobs);
-            assert_eq!(census.hist, serial.hist, "jobs {jobs}");
+            assert_eq!(
+                (census.lo, &census.hist, census.zeros),
+                (serial.lo, &serial.hist, serial.zeros),
+                "jobs {jobs}"
+            );
             assert_eq!(census.abs_max.to_bits(), serial.abs_max.to_bits());
             for k in [1, sorted.len() / 2, sorted.len()] {
-                let kth = select_kth(grid, Score::Magnitude, &census, k, jobs);
+                let (kth, _) = select_count(grid, Score::Magnitude, &census, k, jobs);
                 assert_eq!(kth.to_bits(), sorted[k - 1].to_bits(), "k {k} jobs {jobs}");
             }
         }
+    }
+
+    /// [`select_count`] by sort and count over the keys the walk scores,
+    /// in band order: the `k`-th largest key, and zeros (read from the
+    /// values), outliers, single and multi chunks of the non-zero lanes
+    /// whose key is at least it.
+    fn sort_and_count(grid: Grid<'_>, score: Score, k: usize) -> (u32, [u64; 4]) {
+        let mut lanes = Vec::new();
+        let (mut keys, mut rms) = (vec![0; grid.cols], vec![0.0; grid.cols]);
+        for b in 0..grid.bands() {
+            for_each_keyed_row(grid.band(b), score, &mut keys, &mut rms, |_, keys| {
+                lanes.extend(
+                    keys.iter()
+                        .enumerate()
+                        .map(|(c, &k)| (k, b * grid.cols + c)),
+                );
+            });
+        }
+        let mut ranked: Vec<u32> = lanes
+            .iter()
+            .map(|&(k, _)| k)
+            .filter(|&k| k != ZERO_LANE)
+            .collect();
+        ranked.sort_unstable_by(|a, b| b.cmp(a));
+        let kth = ranked[k - 1];
+        let mut per_chunk = vec![0u64; grid.chunks()];
+        for &(k, chunk) in &lanes {
+            per_chunk[chunk] += u64::from(k != ZERO_LANE && k >= kth);
+        }
+        let zeros = grid.data.iter().filter(|&&v| v == 0.0).count() as u64;
+        let outliers = per_chunk.iter().sum();
+        let single = per_chunk.iter().filter(|&&n| n == 1).count() as u64;
+        let multi = per_chunk.iter().filter(|&&n| n >= 2).count() as u64;
+        (kth, [zeros, outliers, single, multi])
+    }
+
+    /// The fused walk against a sort, on a five-band grid salted with
+    /// `+NaN` or `-NaN`, both infinities, `-0.0` and a run of 30 tied 2.5s across
+    /// three bands, which the band-range splits of jobs 3–8 cut. Ranks 1
+    /// and 2 fall in the highest occupied bucket (the NaNs under the
+    /// magnitude score), rank 14 in the magnitude ties, and the last rank
+    /// of a `-NaN`-salted sensitivity grid in a bucket below the zero
+    /// lanes'.
+    #[test]
+    fn select_count_matches_sort_and_count() {
+        let (rows, cols) = (70, 13);
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let base: Vec<f32> = (0..rows * cols)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state.is_multiple_of(2) {
+                    0.0
+                } else {
+                    ((state >> 8) % 4000) as f32 / 1000.0 - 2.0
+                }
+            })
+            .collect();
+        let mut below_zero_ranks = 0;
+        for nan in [f32::NAN, -f32::NAN] {
+            let mut values = base.clone();
+            for r in 10..40 {
+                values[r * cols + 5] = 2.5;
+            }
+            values[3 * cols] = nan;
+            values[50 * cols + 9] = nan;
+            values[20 * cols + 1] = f32::INFINITY;
+            values[66 * cols + 12] = f32::NEG_INFINITY;
+            values[45 * cols + 2] = -0.0;
+            let grid = Grid::matrix(&values, rows, cols);
+            for score in [
+                Score::Magnitude,
+                Score::Sensitivity { window: 1 },
+                Score::Sensitivity { window: 4 },
+                Score::Sensitivity { window: 16 },
+            ] {
+                let nonzero = census(grid, score, 1).nonzero();
+                for k in [1, 2, 14, nonzero / 2, nonzero] {
+                    let expect = sort_and_count(grid, score, k);
+                    below_zero_ranks += usize::from(expect.0 < ZERO_LANE);
+                    for jobs in 1..=8 {
+                        let (kth, c) =
+                            select_count(grid, score, &census(grid, score, jobs), k, jobs);
+                        assert_eq!(
+                            (key(kth), [c.zeros, c.outliers, c.single, c.multi]),
+                            expect,
+                            "{nan} {score:?} k {k} jobs {jobs}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            below_zero_ranks > 0,
+            "no rank-k bucket below the zero lanes'"
+        );
     }
 
     /// Over a matrix grid whose every non-zero lane passes the threshold,

@@ -20,23 +20,29 @@
 //!   A global top-k threshold is the exact k-th largest score, and a lane
 //!   is an outlier iff its score is at least the threshold in the
 //!   [`f32::total_cmp`] order, so counting agrees with ranking on every
-//!   value, NaN and infinities included.
+//!   value, NaN and infinities included. One walk selects and counts; the
+//!   score histogram it starts from, and windowed-top1's counts, come
+//!   from a [`Censuses`] cache, since no ratio changes them.
 //!
 //! The result is byte-identical at any worker count. The property tests
 //! pin it, bit for bit, to a retained multi-pass reference extraction that
 //! lives in the test crate.
 
 use crate::calibrate::calibrate_grid;
-use crate::chunk::{census, count_grid, key, occupancy, select_kth, top_k};
-use crate::chunk::{Counts, Grid, Rule, Score};
+use crate::chunk::{census, count_grid, key, occupancy, select_count, top_k};
+use crate::chunk::{Census, Counts, Grid, Rule, Score};
 use crate::policy::{OutlierSelect, QuantPolicy};
 use ola_nn::network::WeightStore;
+use ola_nn::synth::SyntheticMatrix;
 use ola_nn::{Network, Op, Params};
 use ola_quant::outlier::OutlierQuantizer;
 use ola_tensor::bytes::{Encoder, Fingerprint};
+use ola_tensor::memo::{fill_slot, Fill, Slot};
 use ola_tensor::par::ordered_map;
 use ola_tensor::{Shape4, Tensor, CHUNK_LANES};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Process-wide default worker count for workload extraction, set once by
 /// the experiment engine from its `--jobs` split (mirrors
@@ -56,6 +62,66 @@ pub fn set_extract_jobs(jobs: usize) {
 /// Current process-wide default extraction worker count.
 pub fn extract_jobs() -> usize {
     EXTRACT_JOBS.load(Ordering::Relaxed)
+}
+
+/// Which of a compute layer's grids a cached statistic describes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum GridKind {
+    /// The input activations.
+    Acts,
+    /// The weights: the dense matrix, or a generated one's banded rows.
+    Weights,
+    /// A generated matrix's 64-row magnitude sample.
+    Sample,
+}
+
+/// The policy-independent statistics of one network's grids, each
+/// computed at most once: a census per `(compute node, grid, score)` and
+/// the windowed-top1 counts per `(compute node, grid, window)`. A census
+/// depends on the grid and the score, never on the ratio, and the
+/// windowed counts on no ratio above zero, so a sweep over ratios pays
+/// for each once; a policy's extraction then walks each ranked grid once
+/// more, selecting and counting in one pass.
+///
+/// The keys name a grid, not its values: a cache must only ever serve
+/// extractions of one network's parameters and activations. An uncached
+/// extraction is one given a fresh `Censuses::default()`.
+#[derive(Default)]
+pub struct Censuses {
+    censuses: Mutex<HashMap<(usize, GridKind, Score), Slot<Census>>>,
+    windowed: Mutex<HashMap<(usize, GridKind, usize), Slot<Counts>>>,
+}
+
+impl Censuses {
+    /// The census of `node`'s `grid` under `score`; `build` computes it
+    /// the first time it is asked for.
+    pub(crate) fn census(
+        &self,
+        node: usize,
+        grid: GridKind,
+        score: Score,
+        build: impl FnOnce() -> Census,
+    ) -> Arc<Census> {
+        fill_slot(&self.censuses, (node, grid, score), || {
+            (Arc::new(build()), Fill::Built)
+        })
+        .0
+    }
+
+    /// The windowed-top1 counts of `node`'s `grid` at `window`; `build`
+    /// computes them the first time they are asked for.
+    pub(crate) fn windowed(
+        &self,
+        node: usize,
+        grid: GridKind,
+        window: usize,
+        build: impl FnOnce() -> Counts,
+    ) -> Counts {
+        *fill_slot(&self.windowed, (node, grid, window), || {
+            (Arc::new(build()), Fill::Built)
+        })
+        .0
+    }
 }
 
 /// Whether a layer is convolutional or fully connected.
@@ -226,26 +292,28 @@ pub fn extract(
     policy: &QuantPolicy,
 ) -> WorkloadSet {
     let outs = net.forward(params, input);
-    extract_from_acts(net, params, &outs, policy)
+    extract_from_acts(net, params, &outs, policy, &Censuses::default())
 }
 
-/// Like [`extract`], but reuses an existing forward pass — the expensive
-/// part — so several policies (16-bit and 8-bit modes, outlier-ratio
-/// sweeps) can share it. Runs under the worker budget set by
-/// [`set_extract_jobs`].
+/// Like [`extract`], but reuses an existing forward pass, so several
+/// policies (16-bit and 8-bit modes, outlier-ratio sweeps) share it, and
+/// the policy-independent statistics in `censuses`, which must only ever
+/// have been filled from these `net`, `params` and `outs`. Runs under the
+/// worker budget set by [`set_extract_jobs`].
 pub fn extract_from_acts(
     net: &Network,
     params: &Params,
     outs: &[Tensor],
     policy: &QuantPolicy,
+    censuses: &Censuses,
 ) -> WorkloadSet {
-    extract_from_acts_jobs(net, params, outs, policy, extract_jobs())
+    extract_from_acts_jobs(net, params, outs, policy, censuses, extract_jobs())
 }
 
 /// [`extract_from_acts`] with an explicit worker budget: up to `jobs`
 /// layers extract concurrently, and any leftover budget splits the passes
 /// *within* a layer across band ranges. Byte-identical output at any
-/// `jobs` value.
+/// `jobs` value, whatever `censuses` already holds.
 ///
 /// # Panics
 ///
@@ -255,6 +323,7 @@ pub fn extract_from_acts_jobs(
     params: &Params,
     outs: &[Tensor],
     policy: &QuantPolicy,
+    censuses: &Censuses,
     jobs: usize,
 ) -> WorkloadSet {
     assert!(jobs > 0, "extraction needs at least one worker");
@@ -263,7 +332,9 @@ pub fn extract_from_acts_jobs(
     let outer = jobs.min(compute.len().max(1));
     let inner = (jobs / outer).max(1);
     let layers = ordered_map(&compute, outer, |index, &node| {
-        extract_layer(net, params, outs, policy, &shapes, index, node, inner)
+        extract_layer(
+            net, params, outs, policy, censuses, &shapes, index, node, inner,
+        )
     });
     WorkloadSet {
         network: net.name().to_string(),
@@ -272,15 +343,16 @@ pub fn extract_from_acts_jobs(
 }
 
 /// Extracts one compute layer's workload: the occupancy pass and the
-/// calibration over the input activations, the weight-grid statistics (a
-/// key histogram and one bucket's gather when a global threshold is
-/// needed, then one counting walk), and the output zero fraction.
+/// calibration over the input activations, the weight-grid statistics
+/// (one walk that selects and counts, after a census if `censuses` lacks
+/// it), and the output zero fraction.
 #[allow(clippy::too_many_arguments)]
 fn extract_layer(
     net: &Network,
     params: &Params,
     outs: &[Tensor],
     policy: &QuantPolicy,
+    censuses: &Censuses,
     shapes: &[Shape4],
     index: usize,
     node: usize,
@@ -312,11 +384,19 @@ fn extract_layer(
         &occupancy,
         policy.outlier_ratio,
         policy.select,
+        censuses,
         jobs,
     );
 
     // --- weight statistics ---
-    let wstats = weight_chunk_stats(params, node, policy.outlier_ratio, policy.select, jobs);
+    let wstats = weight_chunk_stats(
+        params,
+        node,
+        policy.outlier_ratio,
+        policy.select,
+        censuses,
+        jobs,
+    );
 
     // --- output zero fraction: use the post-ReLU view when a ReLU (or
     //     BN+ReLU chain) directly consumes this node ---
@@ -393,10 +473,11 @@ pub struct WeightChunkStats {
 }
 
 impl WeightChunkStats {
-    /// The fraction form of the counting pass's totals over `grid`.
-    fn from_counts(counts: &Counts, grid: Grid<'_>) -> Self {
-        let total = grid.lanes().max(1) as f64;
-        let chunks = grid.chunks().max(1) as f64;
+    /// The fraction form of the counting pass's totals over a `(rows,
+    /// cols)` matrix.
+    fn from_counts(counts: &Counts, rows: usize, cols: usize) -> Self {
+        let total = (rows * cols).max(1) as f64;
+        let chunks = (rows.div_ceil(CHUNK_LANES) * cols).max(1) as f64;
         WeightChunkStats {
             zero_fraction: counts.zeros as f64 / total,
             outlier_ratio: counts.outliers as f64 / total,
@@ -414,6 +495,7 @@ fn weight_chunk_stats(
     node: usize,
     ratio: f64,
     select: OutlierSelect,
+    censuses: &Censuses,
     jobs: usize,
 ) -> WeightChunkStats {
     match params
@@ -421,7 +503,6 @@ fn weight_chunk_stats(
         .expect("compute node must have weights")
     {
         WeightStore::Dense(w) => {
-            let values = w.as_slice();
             let s = w.shape();
             // Conv weights are (Co, Ci, K, K); FC dense weights are
             // (1, 1, rows=Co, cols=Ci). Normalize to (co, inner). Only a
@@ -432,34 +513,60 @@ fn weight_chunk_stats(
             } else {
                 (s.n, s.c * s.h * s.w)
             };
-            grid_chunk_stats(values, co, inner, ratio, select, jobs)
+            let grid = Grid::matrix(w.as_slice(), co, inner);
+            let counts = weight_counts(grid, node, ratio, select, censuses, jobs);
+            WeightChunkStats::from_counts(&counts, co, inner)
         }
         WeightStore::RowGen(g) => {
             // Generated matrices are never materialized: their first 32
             // rows (two bands) stand in for the chunk grid.
-            let rows = g.rows().min(32);
-            let mut values = Vec::with_capacity(rows * g.cols());
-            for r in 0..rows {
-                values.extend(g.row(r));
-            }
-            let grid = Grid::matrix(&values, rows, g.cols());
-            let rule = match select {
+            let (rows, cols) = (g.rows().min(32), g.cols());
+            let counts = match select {
                 // Magnitude keeps its historical split: a 64-row sample
                 // fits the quantizer, the banded rows are counted.
                 OutlierSelect::MagnitudePercentile => {
-                    let sample = g.sample_values(64);
-                    let fit = Grid::matrix(&sample, sample.len() / g.cols(), g.cols());
-                    weight_rule(fit, ratio, select, jobs)
+                    let rule = if ratio <= 0.0 {
+                        Rule::None
+                    } else {
+                        let sample = g.sample_values(64);
+                        let fit = Grid::matrix(&sample, sample.len() / cols, cols);
+                        let score = Score::Magnitude;
+                        select_share(fit, node, GridKind::Sample, score, ratio, censuses, jobs)
+                            .map_or(Rule::None, |(threshold, _)| Rule::AtLeast {
+                                score,
+                                key: key(threshold),
+                            })
+                    };
+                    count_grid(Grid::matrix(&banded(g, rows), rows, cols), rule, jobs)
                 }
-                // The structured policies calibrate on the banded rows they
-                // chunk (windowed needs no calibration at all; sensitivity's
+                // Cached windowed counts need no rows.
+                OutlierSelect::WindowedTopK { window } if ratio > 0.0 => {
+                    censuses.windowed(node, GridKind::Weights, window, || {
+                        let rule = Rule::Windowed { window };
+                        count_grid(Grid::matrix(&banded(g, rows), rows, cols), rule, jobs)
+                    })
+                }
+                // Sensitivity calibrates on the banded rows it chunks: its
                 // window RMS only exists on the grid it scores, so a
-                // separate row sample would be meaningless).
-                _ => weight_rule(grid, ratio, select, jobs),
+                // separate row sample would be meaningless.
+                _ => {
+                    let values = banded(g, rows);
+                    let grid = Grid::matrix(&values, rows, cols);
+                    weight_counts(grid, node, ratio, select, censuses, jobs)
+                }
             };
-            WeightChunkStats::from_counts(&count_grid(grid, rule, jobs), grid)
+            WeightChunkStats::from_counts(&counts, rows, cols)
         }
     }
+}
+
+/// A generated matrix's first `rows` rows, regenerated.
+fn banded(g: &SyntheticMatrix, rows: usize) -> Vec<f32> {
+    let mut values = Vec::with_capacity(rows * g.cols());
+    for r in 0..rows {
+        values.extend(g.row(r));
+    }
+    values
 }
 
 /// Chunk statistics of a `(co, inner)` weight grid under any
@@ -483,59 +590,68 @@ pub fn grid_chunk_stats(
     jobs: usize,
 ) -> WeightChunkStats {
     let grid = Grid::matrix(values, co, inner);
-    let rule = weight_rule(grid, ratio, select, jobs);
-    WeightChunkStats::from_counts(&count_grid(grid, rule, jobs), grid)
+    let counts = weight_counts(grid, 0, ratio, select, &Censuses::default(), jobs);
+    WeightChunkStats::from_counts(&counts, co, inner)
 }
 
-/// Resolves `select`, calibrated on the weight population `fit`, to the
-/// per-chunk rule the counting pass applies. The global policies keep the
-/// top `ratio` share of *all* weights, rescaled to the non-zero lanes they
-/// rank.
-fn weight_rule(fit: Grid<'_>, ratio: f64, select: OutlierSelect, jobs: usize) -> Rule {
+/// The counting pass's totals over `node`'s weight grid `grid` under
+/// `select`, with the census or the windowed counts from `censuses`.
+fn weight_counts(
+    grid: Grid<'_>,
+    node: usize,
+    ratio: f64,
+    select: OutlierSelect,
+    censuses: &Censuses,
+    jobs: usize,
+) -> Counts {
+    let none = || count_grid(grid, Rule::None, jobs);
+    let ranked = |score| {
+        select_share(grid, node, GridKind::Weights, score, ratio, censuses, jobs)
+            .map_or_else(none, |(_, counts)| counts)
+    };
     match select {
-        OutlierSelect::MagnitudePercentile => {
-            if ratio <= 0.0 {
-                return Rule::None;
-            }
-            let census = census(fit, Score::Magnitude, jobs);
-            let nonzero = census.nonzero();
-            if nonzero == 0 {
-                return Rule::None;
-            }
-            let nonzero_ratio = (ratio * census.total as f64 / nonzero as f64).min(1.0);
-            assert!(
-                (0.0..=1.0).contains(&nonzero_ratio),
-                "ratio must be in [0,1]"
-            );
-            let k = top_k(nonzero, nonzero_ratio);
-            let threshold = select_kth(fit, Score::Magnitude, &census, k, jobs);
-            // The fitted quantizer keeps its constructor's checks (positive
-            // threshold, finite non-zero maximum); only its threshold
-            // classifies.
-            let quant = OutlierQuantizer::with_threshold(threshold, census.abs_max, 4, 8);
-            Rule::AtLeast {
-                score: Score::Magnitude,
-                key: key(quant.threshold()),
-            }
+        OutlierSelect::MagnitudePercentile if ratio <= 0.0 => none(),
+        OutlierSelect::MagnitudePercentile => ranked(Score::Magnitude),
+        OutlierSelect::WindowedTopK { window } if ratio > 0.0 => {
+            censuses.windowed(node, GridKind::Weights, window, || {
+                count_grid(grid, Rule::Windowed { window }, jobs)
+            })
         }
-        OutlierSelect::WindowedTopK { window } if ratio > 0.0 => Rule::Windowed { window },
         OutlierSelect::SensitivityWeighted { window } if ratio > 0.0 => {
-            let score = Score::Sensitivity { window };
-            let census = census(fit, score, jobs);
-            let scored = census.nonzero();
-            if scored == 0 {
-                return Rule::None;
-            }
-            let nonzero_ratio = (ratio * census.total as f64 / scored as f64).min(1.0);
-            let threshold = select_kth(fit, score, &census, top_k(scored, nonzero_ratio), jobs);
-            Rule::AtLeast {
-                score,
-                key: key(threshold),
-            }
+            ranked(Score::Sensitivity { window })
         }
         // A ratio that is not positive disables the structured policies.
-        _ => Rule::None,
+        _ => none(),
     }
+}
+
+/// The global rules' calibration on the weight population `fit`, `node`'s
+/// `kind` grid: the threshold keeping the top `ratio` share of *all*
+/// weights, rescaled to the non-zero lanes `score` ranks, and the counts
+/// of the lanes it keeps. `None` when no lane is ranked.
+fn select_share(
+    fit: Grid<'_>,
+    node: usize,
+    kind: GridKind,
+    score: Score,
+    ratio: f64,
+    censuses: &Censuses,
+    jobs: usize,
+) -> Option<(f32, Counts)> {
+    let census = censuses.census(node, kind, score, || census(fit, score, jobs));
+    let scored = census.nonzero();
+    if scored == 0 {
+        return None;
+    }
+    let nonzero_ratio = (ratio * census.total as f64 / scored as f64).min(1.0);
+    let (threshold, counts) = select_count(fit, score, &census, top_k(scored, nonzero_ratio), jobs);
+    if score == Score::Magnitude {
+        // The fitted quantizer keeps its constructor's checks (positive
+        // threshold, finite non-zero maximum); only its threshold
+        // classifies, and it is the selected one.
+        OutlierQuantizer::with_threshold(threshold, census.abs_max, 4, 8);
+    }
+    Some((threshold, counts))
 }
 
 #[cfg(test)]
@@ -724,7 +840,9 @@ mod tests {
                 outlier_ratio: ratio,
                 ..QuantPolicy::olaccel16("one-conv")
             };
-            let layer = &extract_from_acts_jobs(&net, &params, &outs, &policy, 1).layers[0];
+            let censuses = Censuses::default();
+            let layer =
+                &extract_from_acts_jobs(&net, &params, &outs, &policy, &censuses, 1).layers[0];
             assert_eq!(
                 layer.act_outlier_nonzero_ratio, expect,
                 "input [{first}, 1, 2, 3] at ratio {ratio}"

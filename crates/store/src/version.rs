@@ -95,14 +95,14 @@ pub const MODEL_SOURCES: &[&str] = &[
     include_str!("../../energy/src/sram.rs"),
     // Sim-level inputs: workload statistics (and their fingerprint), the
     // traffic model with the policy widths and chunk formats it prices,
-    // result records, the cache keying machinery itself.
+    // result records and the cache's key folds. (`memo.rs` decides who
+    // builds a record, not its bytes or its key: keys hash `bytes.rs`.)
     include_str!("../../sim/src/workload.rs"),
     include_str!("../../sim/src/traffic.rs"),
     include_str!("../../sim/src/policy.rs"),
     include_str!("../../quant/src/chunks.rs"),
     include_str!("../../sim/src/result.rs"),
     include_str!("../../sim/src/simcache.rs"),
-    include_str!("../../tensor/src/memo.rs"),
     // The RNG behind the event backend's multi-outlier draws.
     include_str!("../../../vendored/rand/src/lib.rs"),
     // The record payload layouts and the encoding they are written and
@@ -120,7 +120,7 @@ pub const MODEL_SOURCES: &[&str] = &[
 /// includes.
 pub const EVAL_SOURCES: &[&str] = &[
     // The evaluation pipeline itself: quantize, calibrate, forward, plus
-    // the cache keying machinery.
+    // the cache's key folds (which hash `bytes.rs`, listed below).
     include_str!("../../quant/src/accuracy.rs"),
     include_str!("../../quant/src/evalcache.rs"),
     include_str!("../../quant/src/linear.rs"),
@@ -131,7 +131,6 @@ pub const EVAL_SOURCES: &[&str] = &[
     // Shared substrate the quantizers and SynthNet lean on.
     include_str!("../../tensor/src/stats.rs"),
     include_str!("../../tensor/src/par.rs"),
-    include_str!("../../tensor/src/memo.rs"),
     // The RNG behind dataset synthesis and training shuffles.
     include_str!("../../../vendored/rand/src/lib.rs"),
     // The record payload layouts and the encoding they are written and

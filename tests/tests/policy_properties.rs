@@ -26,7 +26,7 @@ use ola_nn::synth::{synthesize_params, SynthConfig};
 use ola_nn::{Conv2dSpec, LinearSpec, Network, Op};
 use ola_quant::{OutlierQuantizer, OutlierSelect};
 use ola_sim::policy::FirstLayerPolicy;
-use ola_sim::workload::{extract_from_acts_jobs, grid_chunk_stats, WeightChunkStats};
+use ola_sim::workload::{extract_from_acts_jobs, grid_chunk_stats, Censuses, WeightChunkStats};
 use ola_sim::QuantPolicy;
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::{ConvGeometry, Shape4};
@@ -515,7 +515,8 @@ proptest! {
             ..QuantPolicy::olaccel16("alexnet")
         };
         let reference = oracle::extract_from_acts(&net, &params, &acts, &policy);
-        let fused = extract_from_acts_jobs(&net, &params, &acts, &policy, jobs);
+        let fused =
+            extract_from_acts_jobs(&net, &params, &acts, &policy, &Censuses::default(), jobs);
         prop_assert!(
             oracle::bitwise_eq(&fused, &reference),
             "magnitude extraction drifted from the pre-trait oracle at jobs={jobs}"

@@ -11,19 +11,22 @@
 //! retained multi-pass oracle ([`ola_integration::oracle`]): every field
 //! of every layer byte-for-byte (floats by bit pattern), over randomized
 //! policies, worker counts, and — in a second suite — randomized network
-//! shapes including non-multiple-of-16 channel counts.
+//! shapes including non-multiple-of-16 channel counts. The shared-cache
+//! suites extract random policy sequences through one
+//! [`ola_sim::workload::Censuses`], as a prepared network's extractions
+//! do, and pin every extraction of the sequence to the oracle.
 
 use ola_energy::ComparisonMode;
 use ola_harness::prep::Prepared;
 use ola_integration::oracle;
 use ola_nn::synth::{synthesize_params, SynthConfig};
 use ola_nn::zoo::{self, ZooConfig};
-use ola_nn::{Conv2dSpec, LinearSpec, Network, Op};
+use ola_nn::{Conv2dSpec, LinearSpec, Network, Op, Params};
 use ola_sim::policy::FirstLayerPolicy;
-use ola_sim::workload::{extract_from_acts_jobs, WorkloadSet};
+use ola_sim::workload::{extract_from_acts_jobs, Censuses, WorkloadSet};
 use ola_sim::{OutlierSelect, QuantPolicy};
 use ola_tensor::init::uniform_tensor;
-use ola_tensor::{ConvGeometry, Shape4, CHUNK_LANES};
+use ola_tensor::{ConvGeometry, Shape4, Tensor, CHUNK_LANES};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -59,6 +62,77 @@ fn select_from(sel: u8, window: usize) -> OutlierSelect {
         1 => OutlierSelect::WindowedTopK { window },
         _ => OutlierSelect::SensitivityWeighted { window },
     }
+}
+
+/// A policy for the shared-cache suites: any rule at window 1–16, either
+/// mode, and a ratio that is zero one time in four.
+fn any_policy() -> impl Strategy<Value = QuantPolicy> {
+    (0u8..4, 0.0f64..0.12, prop::bool::ANY, 0u8..3, 1usize..=16).prop_map(
+        |(zero, ratio, bits16, sel, window)| {
+            let ratio = if zero == 0 { 0.0 } else { ratio };
+            let mut policy = policy_from(ratio, bits16, 0, 4);
+            policy.select = select_from(sel, window);
+            policy
+        },
+    )
+}
+
+/// conv (`kernel`×`kernel`) → ReLU → 1×1 conv → ReLU → FC over a
+/// `batch`-image input.
+fn random_network(
+    batch: usize,
+    cin: usize,
+    cmid: usize,
+    spatial: usize,
+    kernel: usize,
+    classes: usize,
+) -> Network {
+    let pad = kernel / 2;
+    let mut net = Network::new("prop", Shape4::new(batch, cin, spatial, spatial));
+    let c1 = net.add(
+        "conv1",
+        Op::Conv(Conv2dSpec::new(
+            cin,
+            cmid,
+            ConvGeometry::new(kernel, 1, pad),
+        )),
+        &[0],
+    );
+    let r1 = net.add("relu1", Op::ReLU, &[c1]);
+    let c2 = net.add(
+        "conv2",
+        Op::Conv(Conv2dSpec::new(cmid, cmid, ConvGeometry::new(1, 1, 0))),
+        &[r1],
+    );
+    let r2 = net.add("relu2", Op::ReLU, &[c2]);
+    // conv1's output side (stride 1): spatial + 2*pad - kernel + 1; conv2
+    // is 1x1/0-pad and preserves it.
+    let out_s = spatial + 2 * pad - kernel + 1;
+    let features = cmid * out_s * out_s;
+    net.add("fc", Op::Linear(LinearSpec::new(features, classes)), &[r2]);
+    net
+}
+
+/// Extracts `policies` in order through one shared census cache at `jobs`
+/// workers; each must equal the oracle's uncached extraction, whatever
+/// the policies before it left in the cache.
+fn shared_cache_matches_oracle(
+    net: &Network,
+    params: &Params,
+    acts: &[Tensor],
+    policies: &[QuantPolicy],
+    jobs: usize,
+) -> Result<(), TestCaseError> {
+    let censuses = Censuses::default();
+    for (i, policy) in policies.iter().enumerate() {
+        let reference = oracle::extract_from_acts(net, params, acts, policy);
+        let cached = extract_from_acts_jobs(net, params, acts, policy, &censuses, jobs);
+        prop_assert!(
+            oracle::bitwise_eq(&cached, &reference),
+            "policy {i} of {policies:?} diverged through a shared cache at jobs={jobs}"
+        );
+    }
+    Ok(())
 }
 
 fn check_invariants(ws: &WorkloadSet, policy: &QuantPolicy) -> Result<(), TestCaseError> {
@@ -193,7 +267,8 @@ proptest! {
         policy.select = select_from(sel, window);
         let p = prep();
         let reference = oracle::extract_from_acts(&p.net, &p.params, &p.acts, &policy);
-        let fused = extract_from_acts_jobs(&p.net, &p.params, &p.acts, &policy, jobs);
+        let fused =
+            extract_from_acts_jobs(&p.net, &p.params, &p.acts, &policy, &Censuses::default(), jobs);
         prop_assert!(
             oracle::bitwise_eq(&fused, &reference),
             "fused extraction diverged from oracle at jobs={jobs}, ratio={ratio}, \
@@ -220,39 +295,49 @@ proptest! {
         // 16-lane grid, odd spatial sizes, 1x1..3x3 kernels, tiny FCs, and
         // batches of up to three images (each image is its own stack of
         // channel bands in the activation grid).
-        let pad = kernel / 2;
-        let mut net = Network::new("prop", Shape4::new(batch, cin, spatial, spatial));
-        let c1 = net.add(
-            "conv1",
-            Op::Conv(Conv2dSpec::new(cin, cmid, ConvGeometry::new(kernel, 1, pad))),
-            &[0],
-        );
-        let r1 = net.add("relu1", Op::ReLU, &[c1]);
-        let c2 = net.add(
-            "conv2",
-            Op::Conv(Conv2dSpec::new(cmid, cmid, ConvGeometry::new(1, 1, 0))),
-            &[r1],
-        );
-        let r2 = net.add("relu2", Op::ReLU, &[c2]);
-        // conv1's output side (stride 1): spatial + 2*pad - kernel + 1;
-        // conv2 is 1x1/0-pad and preserves it.
-        let out_s = spatial + 2 * pad - kernel + 1;
-        let features = cmid * out_s * out_s;
-        net.add("fc", Op::Linear(LinearSpec::new(features, classes)), &[r2]);
-
+        let net = random_network(batch, cin, cmid, spatial, kernel, classes);
         let params = synthesize_params(&net, &SynthConfig::default());
         let input = uniform_tensor(net.input_shape(), -1.0, 1.0, seed);
         let acts = net.forward(&params, &input);
         let mut policy = policy_from(ratio, true, 0, 4);
         policy.select = select_from(sel, window);
         let reference = oracle::extract_from_acts(&net, &params, &acts, &policy);
-        let fused = extract_from_acts_jobs(&net, &params, &acts, &policy, jobs);
+        let fused =
+            extract_from_acts_jobs(&net, &params, &acts, &policy, &Censuses::default(), jobs);
         prop_assert!(
             oracle::bitwise_eq(&fused, &reference),
             "random net (batch={batch}, cin={cin}, cmid={cmid}, s={spatial}, k={kernel}) \
              diverged at jobs={jobs}, ratio={ratio}, select={:?}",
             policy.select
         );
+    }
+
+    #[test]
+    fn shared_cache_extractions_match_oracle(
+        policies in prop::collection::vec(any_policy(), 2..=5),
+        jobs in 1usize..=5,
+    ) {
+        let p = prep();
+        shared_cache_matches_oracle(&p.net, &p.params, &p.acts, &policies, jobs)?;
+    }
+
+    #[test]
+    fn shared_cache_matches_oracle_on_random_networks(
+        cin in 1usize..20,
+        cmid in 1usize..36,
+        spatial in 5usize..12,
+        kernel in 1usize..4,
+        classes in 1usize..20,
+        seed in 0u64..1000,
+        batch in 1usize..=3,
+        policies in prop::collection::vec(any_policy(), 2..=5),
+        jobs in 1usize..=5,
+    ) {
+        let net = random_network(batch, cin, cmid, spatial, kernel, classes);
+        let params = synthesize_params(&net, &SynthConfig::default());
+        let input = uniform_tensor(net.input_shape(), -1.0, 1.0, seed);
+        let acts = net.forward(&params, &input);
+        shared_cache_matches_oracle(&net, &params, &acts, &policies, jobs)?;
     }
 
     #[test]
@@ -283,6 +368,35 @@ proptest! {
     }
 }
 
+/// One cache serves each rule at two windows or ratios, in an order where
+/// every policy after the first finds entries of its rule already filled:
+/// windowed-top1 at window 4 then 16 (a key without the window would
+/// serve the first's counts), sensitivity likewise, and magnitude, whose
+/// activation and weight censuses differ only by grid.
+#[test]
+fn shared_cache_keeps_windows_and_grids_apart() {
+    let p = prep();
+    let policies: Vec<QuantPolicy> = [
+        (OutlierSelect::WindowedTopK { window: 4 }, 0.03),
+        (OutlierSelect::WindowedTopK { window: 16 }, 0.05),
+        (OutlierSelect::SensitivityWeighted { window: 4 }, 0.03),
+        (OutlierSelect::SensitivityWeighted { window: 16 }, 0.05),
+        (OutlierSelect::MagnitudePercentile, 0.03),
+        (OutlierSelect::MagnitudePercentile, 0.01),
+    ]
+    .into_iter()
+    .map(|(select, ratio)| QuantPolicy {
+        select,
+        outlier_ratio: ratio,
+        ..QuantPolicy::olaccel16("alexnet")
+    })
+    .collect();
+    for jobs in [1, 3] {
+        shared_cache_matches_oracle(&p.net, &p.params, &p.acts, &policies, jobs)
+            .unwrap_or_else(|e| panic!("{}", e.0));
+    }
+}
+
 #[test]
 fn fused_extraction_matches_oracle_at_any_worker_count() {
     let cfg = ZooConfig {
@@ -297,7 +411,8 @@ fn fused_extraction_matches_oracle_at_any_worker_count() {
     let policy = QuantPolicy::olaccel16("alexnet");
     let reference = oracle::extract_from_acts(&net, &params, &outs, &policy);
     for jobs in [1, 2, 3, 8] {
-        let fused = extract_from_acts_jobs(&net, &params, &outs, &policy, jobs);
+        let fused =
+            extract_from_acts_jobs(&net, &params, &outs, &policy, &Censuses::default(), jobs);
         assert!(
             oracle::bitwise_eq(&fused, &reference),
             "fused extraction diverged from the multi-pass oracle at jobs={jobs}"
