@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ola_nn::synth::SyntheticMatrix;
-use ola_nn::synthnet::{SynthDataset, SynthNet};
+use ola_nn::synthnet::{LayerId, SynthDataset, SynthNet};
 use ola_tensor::init::HeavyTailed;
 use ola_tensor::par::ordered_map;
 use std::hint::black_box;
@@ -50,7 +50,7 @@ fn synthnet_sgd(c: &mut Criterion) {
             b.iter(|| {
                 let mut net = SynthNet::new(10, 0xCAFE);
                 net.train_jobs(&data, 1, 0.02, 0xBEEF, jobs);
-                black_box(net.w5[0])
+                black_box(net.weights(LayerId::Fc2)[0])
             })
         });
     }

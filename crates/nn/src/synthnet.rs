@@ -170,8 +170,9 @@ const FLAT: usize = C3 * H3 * H3;
 const FC1: usize = 64;
 
 /// The lengths of a `classes`-way [`SynthNet`]'s ten parameter vectors, in
-/// field order: `[w1, b1, w2, b2, w3, b3, w4, b4, w5, b5]`. The forward and
-/// backward kernels index every vector up to exactly this length.
+/// [`SynthNet::params`] order: `[w1, b1, w2, b2, w3, b3, w4, b4, w5, b5]`.
+/// The forward and backward kernels index every vector up to exactly this
+/// length.
 pub fn param_lens(classes: usize) -> [usize; 10] {
     [
         C1 * IMG_C * 9,
@@ -187,30 +188,16 @@ pub fn param_lens(classes: usize) -> [usize; 10] {
     ]
 }
 
-/// The trainable network. All weights are plain `Vec<f32>` so quantizers can
-/// transform them wholesale via [`SynthNet::map_weights`].
+/// The trainable network. All parameters are plain `Vec<f32>` so quantizers
+/// can transform the weights wholesale via [`SynthNet::map_weights`].
 #[derive(Clone, Debug)]
 pub struct SynthNet {
-    /// conv1 weights, OIHW `(C1, IMG_C, 3, 3)`.
-    pub w1: Vec<f32>,
-    /// conv1 bias.
-    pub b1: Vec<f32>,
-    /// conv2 weights `(C2, C1, 3, 3)`.
-    pub w2: Vec<f32>,
-    /// conv2 bias.
-    pub b2: Vec<f32>,
-    /// conv3 weights `(C3, C2, 3, 3)`.
-    pub w3: Vec<f32>,
-    /// conv3 bias.
-    pub b3: Vec<f32>,
-    /// fc1 weights, row-major `(FC1, FLAT)`.
-    pub w4: Vec<f32>,
-    /// fc1 bias.
-    pub b4: Vec<f32>,
-    /// fc2 weights `(classes, FC1)`.
-    pub w5: Vec<f32>,
-    /// fc2 bias.
-    pub b5: Vec<f32>,
+    /// The ten parameter vectors, with the lengths [`param_lens`] states:
+    /// each layer's weights, then its bias, in [`LAYERS`] order
+    /// (`w1, b1, … w5, b5`). Conv weights are OIHW (`(C1, IMG_C, 3, 3)`,
+    /// `(C2, C1, 3, 3)`, `(C3, C2, 3, 3)`), fc weights row-major
+    /// `(out, in)`.
+    pub params: [Vec<f32>; 10],
     /// Output classes.
     pub classes: usize,
 }
@@ -248,12 +235,19 @@ impl SynthNet {
     /// seeded at initialization and survive training — giving the quantizers
     /// the same distribution shape the paper's mechanism targets.
     pub fn new(classes: usize, seed: u64) -> Self {
-        // Weight element e of layer lid draws from stream (lid << 32) | e —
-        // a pure function of (seed, lid, e), so initialization never depends
-        // on the sizes of earlier layers or the order elements are filled.
-        let init = |lid: u64, n: usize, fan_in: usize| -> Vec<f32> {
-            let s = (2.0 / fan_in as f32).sqrt();
-            (0..n)
+        // Weight element e of layer lid (1 for conv1 … 5 for fc2) draws
+        // from stream (lid << 32) | e — a pure function of (seed, lid, e),
+        // so initialization never depends on the sizes of earlier layers or
+        // the order elements are filled. Biases start at zero.
+        let fan_in = [IMG_C * 9, C1 * 9, C2 * 9, FLAT, FC1];
+        let lens = param_lens(classes);
+        let params = std::array::from_fn(|i| {
+            if i % 2 == 1 {
+                return vec![0.0; lens[i]];
+            }
+            let lid = (i / 2 + 1) as u64;
+            let s = (2.0 / fan_in[i / 2] as f32).sqrt();
+            (0..lens[i])
                 .map(|e| {
                     let mut rng = Philox::new(seed, (lid << 32) | e as u64);
                     let tail = if rng.gen_range(0.0..1.0) < 0.03 {
@@ -264,65 +258,40 @@ impl SynthNet {
                     gauss(&mut rng) * s * tail
                 })
                 .collect()
-        };
-        let [l1, n1, l2, n2, l3, n3, l4, n4, l5, n5] = param_lens(classes);
-        SynthNet {
-            w1: init(1, l1, IMG_C * 9),
-            b1: vec![0.0; n1],
-            w2: init(2, l2, C1 * 9),
-            b2: vec![0.0; n2],
-            w3: init(3, l3, C2 * 9),
-            b3: vec![0.0; n3],
-            w4: init(4, l4, FLAT),
-            b4: vec![0.0; n4],
-            w5: init(5, l5, FC1),
-            b5: vec![0.0; n5],
-            classes,
-        }
-    }
-
-    /// The ten parameter vectors in field order
-    /// (`w1, b1, w2, b2, … w5, b5`), with the lengths [`param_lens`]
-    /// states.
-    pub fn params(&self) -> [&[f32]; 10] {
-        [
-            &self.w1, &self.b1, &self.w2, &self.b2, &self.w3, &self.b3, &self.w4, &self.b4,
-            &self.w5, &self.b5,
-        ]
+        });
+        SynthNet { params, classes }
     }
 
     /// Writes the class count, then the ten [`SynthNet::params`] vectors
     /// by exact bits.
     pub fn encode(&self, e: &mut impl Encoder) {
         e.usize(self.classes);
-        for p in self.params() {
+        for p in &self.params {
             e.f32s(p);
         }
     }
 
-    /// Returns a copy with every weight matrix transformed by `f`.
+    /// Returns a copy with every weight matrix transformed by `f`, in
+    /// [`LAYERS`] order.
     ///
     /// `f` receives the layer id and the flat weight slice; it must write the
     /// transformed values back in place.
     pub fn map_weights<F: FnMut(LayerId, &mut [f32])>(&self, mut f: F) -> SynthNet {
         let mut out = self.clone();
-        f(LayerId::Conv1, &mut out.w1);
-        f(LayerId::Conv2, &mut out.w2);
-        f(LayerId::Conv3, &mut out.w3);
-        f(LayerId::Fc1, &mut out.w4);
-        f(LayerId::Fc2, &mut out.w5);
+        for layer in LAYERS {
+            f(layer, &mut out.params[2 * layer as usize]);
+        }
         out
     }
 
     /// Borrows the weight matrix of one layer.
     pub fn weights(&self, layer: LayerId) -> &[f32] {
-        match layer {
-            LayerId::Conv1 => &self.w1,
-            LayerId::Conv2 => &self.w2,
-            LayerId::Conv3 => &self.w3,
-            LayerId::Fc1 => &self.w4,
-            LayerId::Fc2 => &self.w5,
-        }
+        &self.params[2 * layer as usize]
+    }
+
+    /// Borrows the bias of one layer.
+    fn bias(&self, layer: LayerId) -> &[f32] {
+        &self.params[2 * layer as usize + 1]
     }
 
     /// Forward pass returning class logits. `act` is applied in place to the
@@ -341,13 +310,13 @@ impl SynthNet {
         PackedNet {
             net: self,
             conv: [
-                transpose(&self.w1, C1, IMG_C * 9),
-                transpose(&self.w2, C2, C1 * 9),
-                transpose(&self.w3, C3, C2 * 9),
+                transpose(self.weights(LayerId::Conv1), C1, IMG_C * 9),
+                transpose(self.weights(LayerId::Conv2), C2, C1 * 9),
+                transpose(self.weights(LayerId::Conv3), C3, C2 * 9),
             ],
             fc: [
-                transpose(&self.w4, FC1, FLAT),
-                transpose(&self.w5, self.classes, FC1),
+                transpose(self.weights(LayerId::Fc1), FC1, FLAT),
+                transpose(self.weights(LayerId::Fc2), self.classes, FC1),
             ],
         }
     }
@@ -426,7 +395,9 @@ impl SynthNet {
         seed: u64,
         jobs: usize,
     ) -> f64 {
-        let mut vel = Gradients::zeros(self.classes);
+        let classes = self.classes;
+        let zeros = || param_lens(classes).map(|n| vec![0.0_f32; n]);
+        let mut vel = zeros();
         for epoch in 0..epochs {
             let mut rng = Philox::new(seed, epoch as u64);
             let mut order: Vec<usize> = (0..data.len()).collect();
@@ -437,55 +408,46 @@ impl SynthNet {
             let lr_e = lr / (1.0 + 0.15 * epoch as f32);
             for batch in order.chunks(16) {
                 let packed = self.packed();
-                let dx_weights = [oihw_to_ohwi(&self.w2, C1), oihw_to_ohwi(&self.w3, C2)];
+                let dx_weights = [
+                    oihw_to_ohwi(self.weights(LayerId::Conv2), C1),
+                    oihw_to_ohwi(self.weights(LayerId::Conv3), C2),
+                ];
                 let per_sample = ordered_map(batch, jobs, |_, &i| {
-                    let mut g = Gradients::zeros(self.classes);
+                    let mut g = zeros();
                     packed.backward(&dx_weights, &data.images[i], data.labels[i], &mut g);
                     g
                 });
-                let mut grads = Gradients::zeros(self.classes);
+                // Summing the per-sample gradients in sample order is the
+                // fixed reduction shape that keeps parallel training
+                // bit-identical at any worker count.
+                let mut grads = zeros();
                 for g in &per_sample {
-                    grads.add(g);
+                    for (sum, g) in grads.iter_mut().zip(g) {
+                        for (x, y) in sum.iter_mut().zip(g) {
+                            *x += *y;
+                        }
+                    }
                 }
-                grads.unpack_conv();
+                unpack_conv(&mut grads);
                 let mut scale = 1.0 / batch.len() as f32;
                 // Global-norm gradient clipping: the heavy-tailed
                 // initialization can spike early gradients.
-                let norm = grads.norm() * scale;
+                let norm = global_norm(&grads) * scale;
                 const CLIP: f32 = 8.0;
                 if norm > CLIP {
                     scale *= CLIP / norm;
                 }
-                vel.blend(&grads, 0.9, scale);
-                self.apply(&vel, lr_e);
+                // Momentum step: v = 0.9 v + scale g, then p -= lr v. No
+                // element reads another, so one loop does both.
+                for ((p, v), g) in self.params.iter_mut().zip(&mut vel).zip(&grads) {
+                    for ((p, v), g) in p.iter_mut().zip(v.iter_mut()).zip(g) {
+                        *v = *v * 0.9 + *g * scale;
+                        *p -= lr_e * *v;
+                    }
+                }
             }
         }
         self.accuracy(data)
-    }
-
-    fn apply(&mut self, g: &Gradients, lr: f32) {
-        for (w, d) in [
-            (&mut self.w1, &g.w1),
-            (&mut self.w2, &g.w2),
-            (&mut self.w3, &g.w3),
-            (&mut self.w4, &g.w4),
-            (&mut self.w5, &g.w5),
-        ] {
-            for (wi, di) in w.iter_mut().zip(d) {
-                *wi -= lr * di;
-            }
-        }
-        for (b, d) in [
-            (&mut self.b1, &g.b1),
-            (&mut self.b2, &g.b2),
-            (&mut self.b3, &g.b3),
-            (&mut self.b4, &g.b4),
-            (&mut self.b5, &g.b5),
-        ] {
-            for (bi, di) in b.iter_mut().zip(d) {
-                *bi -= lr * di;
-            }
-        }
     }
 }
 
@@ -509,25 +471,25 @@ impl PackedNet<'_> {
         assert_eq!(x.len(), IMG_C * IMG * IMG, "input size mismatch");
         let net = self.net;
         // conv1 + relu
-        let mut a1 = conv3x3(x, IMG_C, H1, &self.conv[0], &net.b1, C1);
+        let mut a1 = conv3x3(x, IMG_C, H1, &self.conv[0], net.bias(LayerId::Conv1), C1);
         relu(&mut a1);
         act(LayerId::Conv1, &mut a1);
         let (p1, _) = maxpool2(&a1, C1, H1);
         // conv2 + relu
-        let mut a2 = conv3x3(&p1, C1, H2, &self.conv[1], &net.b2, C2);
+        let mut a2 = conv3x3(&p1, C1, H2, &self.conv[1], net.bias(LayerId::Conv2), C2);
         relu(&mut a2);
         act(LayerId::Conv2, &mut a2);
         let (p2, _) = maxpool2(&a2, C2, H2);
         // conv3 + relu
-        let mut a3 = conv3x3(&p2, C2, H3, &self.conv[2], &net.b3, C3);
+        let mut a3 = conv3x3(&p2, C2, H3, &self.conv[2], net.bias(LayerId::Conv3), C3);
         relu(&mut a3);
         act(LayerId::Conv3, &mut a3);
         // fc1 + relu
-        let mut a4 = fc(&a3, &self.fc[0], &net.b4, FC1);
+        let mut a4 = fc(&a3, &self.fc[0], net.bias(LayerId::Fc1), FC1);
         relu(&mut a4);
         act(LayerId::Fc1, &mut a4);
         // fc2 (logits)
-        fc(&a4, &self.fc[1], &net.b5, net.classes)
+        fc(&a4, &self.fc[1], net.bias(LayerId::Fc2), net.classes)
     }
 
     /// Evaluates one image with a single forward pass, returning
@@ -561,163 +523,80 @@ impl PackedNet<'_> {
         (top1, rank < k)
     }
 
-    /// One-sample backprop, accumulating into `g` — with the conv weight
-    /// gradients in the backward kernel's `[oc][ky][kx][ic]` layout (see
-    /// [`Gradients::unpack_conv`]). `dx_weights` holds conv2's and conv3's
-    /// weights in that layout, for their input gradients.
-    fn backward(&self, dx_weights: &[Vec<f32>; 2], x: &[f32], label: usize, g: &mut Gradients) {
+    /// One-sample backprop, accumulating into `g` (in [`SynthNet::params`]
+    /// order) — with the conv weight gradients in the backward kernel's
+    /// `[oc][ky][kx][ic]` layout (see [`unpack_conv`]). `dx_weights` holds
+    /// conv2's and conv3's weights in that layout, for their input
+    /// gradients.
+    fn backward(
+        &self,
+        dx_weights: &[Vec<f32>; 2],
+        x: &[f32],
+        label: usize,
+        g: &mut [Vec<f32>; 10],
+    ) {
         let net = self.net;
+        let [_, b1, _, b2, _, b3, w4, b4, w5, b5] = &net.params;
+        let [gw1, gb1, gw2, gb2, gw3, gb3, gw4, gb4, gw5, gb5] = g;
         // ---- forward with caches ----
-        let mut a1 = conv3x3(x, IMG_C, H1, &self.conv[0], &net.b1, C1);
+        let mut a1 = conv3x3(x, IMG_C, H1, &self.conv[0], b1, C1);
         relu(&mut a1);
         let (p1, i1) = maxpool2(&a1, C1, H1);
-        let mut a2 = conv3x3(&p1, C1, H2, &self.conv[1], &net.b2, C2);
+        let mut a2 = conv3x3(&p1, C1, H2, &self.conv[1], b2, C2);
         relu(&mut a2);
         let (p2, i2) = maxpool2(&a2, C2, H2);
-        let mut a3 = conv3x3(&p2, C2, H3, &self.conv[2], &net.b3, C3);
+        let mut a3 = conv3x3(&p2, C2, H3, &self.conv[2], b3, C3);
         relu(&mut a3);
-        let mut a4 = fc(&a3, &self.fc[0], &net.b4, FC1);
+        let mut a4 = fc(&a3, &self.fc[0], b4, FC1);
         relu(&mut a4);
-        let logits = fc(&a4, &self.fc[1], &net.b5, net.classes);
+        let logits = fc(&a4, &self.fc[1], b5, net.classes);
 
         // ---- softmax cross-entropy gradient ----
         let mut d5 = softmax(&logits);
         d5[label] -= 1.0;
 
         // ---- fc2 backward ----
-        let mut d4 = fc_backward(&d5, &a4, &net.w5, &mut g.w5, &mut g.b5);
+        let mut d4 = fc_backward(&d5, &a4, w5, gw5, gb5);
         relu_backward(&mut d4, &a4);
 
         // ---- fc1 backward ----
-        let mut d3 = fc_backward(&d4, &a3, &net.w4, &mut g.w4, &mut g.b4);
+        let mut d3 = fc_backward(&d4, &a3, w4, gw4, gb4);
         relu_backward(&mut d3, &a3);
 
         // ---- conv3 backward ----
-        let d_p2 = conv3x3_backward(
-            &d3,
-            &p2,
-            C2,
-            H3,
-            C3,
-            &mut g.w3,
-            &mut g.b3,
-            Some(&dx_weights[1]),
-        );
+        let d_p2 = conv3x3_backward(&d3, &p2, C2, H3, C3, gw3, gb3, Some(&dx_weights[1]));
         let mut d_a2 = maxpool2_backward(&d_p2, &i2, C2, H2);
         relu_backward(&mut d_a2, &a2);
 
         // ---- conv2 backward ----
-        let d_p1 = conv3x3_backward(
-            &d_a2,
-            &p1,
-            C1,
-            H2,
-            C2,
-            &mut g.w2,
-            &mut g.b2,
-            Some(&dx_weights[0]),
-        );
+        let d_p1 = conv3x3_backward(&d_a2, &p1, C1, H2, C2, gw2, gb2, Some(&dx_weights[0]));
         let mut d_a1 = maxpool2_backward(&d_p1, &i1, C1, H1);
         relu_backward(&mut d_a1, &a1);
 
         // ---- conv1 backward (no input gradient: nothing consumes it) ----
-        conv3x3_backward(&d_a1, x, IMG_C, H1, C1, &mut g.w1, &mut g.b1, None);
+        conv3x3_backward(&d_a1, x, IMG_C, H1, C1, gw1, gb1, None);
     }
 }
 
-struct Gradients {
-    w1: Vec<f32>,
-    b1: Vec<f32>,
-    w2: Vec<f32>,
-    b2: Vec<f32>,
-    w3: Vec<f32>,
-    b3: Vec<f32>,
-    w4: Vec<f32>,
-    b4: Vec<f32>,
-    w5: Vec<f32>,
-    b5: Vec<f32>,
+/// Permutes the conv weight gradients of a [`SynthNet::params`]-ordered
+/// gradient array from the backward kernel's `[oc][ky][kx][ic]` layout to
+/// the weights' OIHW layout. A pure permutation — every element keeps its
+/// bits — so summing per-sample gradients before or after it gives the
+/// same bytes.
+fn unpack_conv(g: &mut [Vec<f32>; 10]) {
+    for (layer, ci) in [IMG_C, C1, C2].into_iter().enumerate() {
+        g[2 * layer] = ohwi_to_oihw(&g[2 * layer], ci);
+    }
 }
 
-impl Gradients {
-    fn zeros(classes: usize) -> Self {
-        let [w1, b1, w2, b2, w3, b3, w4, b4, w5, b5] = param_lens(classes).map(|n| vec![0.0; n]);
-        Gradients {
-            w1,
-            b1,
-            w2,
-            b2,
-            w3,
-            b3,
-            w4,
-            b4,
-            w5,
-            b5,
-        }
+/// Global L2 norm across all ten gradient vectors: each vector's squares
+/// summed in `f64`, the sums added in parameter order.
+fn global_norm(g: &[Vec<f32>; 10]) -> f32 {
+    let mut acc = 0.0f64;
+    for v in g {
+        acc += v.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
     }
-
-    /// `self += other` field-wise. Summing per-sample gradients with this,
-    /// in sample order, is the fixed reduction shape that keeps parallel
-    /// training bit-identical at any worker count.
-    fn add(&mut self, other: &Gradients) {
-        for (a, b) in [
-            (&mut self.w1, &other.w1),
-            (&mut self.b1, &other.b1),
-            (&mut self.w2, &other.w2),
-            (&mut self.b2, &other.b2),
-            (&mut self.w3, &other.w3),
-            (&mut self.b3, &other.b3),
-            (&mut self.w4, &other.w4),
-            (&mut self.b4, &other.b4),
-            (&mut self.w5, &other.w5),
-            (&mut self.b5, &other.b5),
-        ] {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += *y;
-            }
-        }
-    }
-
-    /// Permutes the conv weight gradients from the backward kernel's
-    /// `[oc][ky][kx][ic]` layout to the weights' OIHW layout. A pure
-    /// permutation — every element keeps its bits — so summing per-sample
-    /// gradients before or after it gives the same bytes.
-    fn unpack_conv(&mut self) {
-        self.w1 = ohwi_to_oihw(&self.w1, IMG_C);
-        self.w2 = ohwi_to_oihw(&self.w2, C1);
-        self.w3 = ohwi_to_oihw(&self.w3, C2);
-    }
-
-    /// Global L2 norm across all gradient fields.
-    fn norm(&self) -> f32 {
-        let mut acc = 0.0f64;
-        for g in [
-            &self.w1, &self.b1, &self.w2, &self.b2, &self.w3, &self.b3, &self.w4, &self.b4,
-            &self.w5, &self.b5,
-        ] {
-            acc += g.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
-        }
-        acc.sqrt() as f32
-    }
-
-    /// `self = momentum * self + scale * other` across all fields.
-    fn blend(&mut self, other: &Gradients, momentum: f32, scale: f32) {
-        for (a, b) in [
-            (&mut self.w1, &other.w1),
-            (&mut self.b1, &other.b1),
-            (&mut self.w2, &other.w2),
-            (&mut self.b2, &other.b2),
-            (&mut self.w3, &other.w3),
-            (&mut self.b3, &other.b3),
-            (&mut self.w4, &other.w4),
-            (&mut self.b4, &other.b4),
-            (&mut self.w5, &other.w5),
-            (&mut self.b5, &other.b5),
-        ] {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x = *x * momentum + *y * scale;
-            }
-        }
-    }
+    acc.sqrt() as f32
 }
 
 // ---- primitive ops on flat CHW buffers ----
@@ -1065,12 +944,20 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// One sample's gradients with every field in the weights' layout.
-    fn sample_gradients(net: &SynthNet, x: &[f32], label: usize) -> Gradients {
-        let dx_weights = [oihw_to_ohwi(&net.w2, C1), oihw_to_ohwi(&net.w3, C2)];
-        let mut g = Gradients::zeros(net.classes);
+    /// conv1's and fc2's weights in [`SynthNet::params`].
+    const W1: usize = 0;
+    const W5: usize = 8;
+
+    /// One sample's gradients, in [`SynthNet::params`] order and the
+    /// weights' layout.
+    fn sample_gradients(net: &SynthNet, x: &[f32], label: usize) -> [Vec<f32>; 10] {
+        let dx_weights = [
+            oihw_to_ohwi(net.weights(LayerId::Conv2), C1),
+            oihw_to_ohwi(net.weights(LayerId::Conv3), C2),
+        ];
+        let mut g = param_lens(net.classes).map(|n| vec![0.0; n]);
         net.packed().backward(&dx_weights, x, label, &mut g);
-        g.unpack_conv();
+        unpack_conv(&mut g);
         g
     }
 
@@ -1212,11 +1099,11 @@ mod tests {
         let eps = 1e-3;
         for &wi in &[0usize, 5, 17] {
             let mut plus = net.clone();
-            plus.w5[wi] += eps;
+            plus.params[W5][wi] += eps;
             let mut minus = net.clone();
-            minus.w5[wi] -= eps;
+            minus.params[W5][wi] -= eps;
             let num = (loss(&plus) - loss(&minus)) / (2.0 * eps);
-            let ana = g.w5[wi];
+            let ana = g[W5][wi];
             assert!(
                 (num - ana).abs() < 2e-2 * (1.0 + num.abs().max(ana.abs())),
                 "w5[{wi}]: numeric {num} vs analytic {ana}"
@@ -1239,11 +1126,11 @@ mod tests {
         let eps = 1e-3;
         for &wi in &[0usize, 10, 40] {
             let mut plus = net.clone();
-            plus.w1[wi] += eps;
+            plus.params[W1][wi] += eps;
             let mut minus = net.clone();
-            minus.w1[wi] -= eps;
+            minus.params[W1][wi] -= eps;
             let num = (loss(&plus) - loss(&minus)) / (2.0 * eps);
-            let ana = g.w1[wi];
+            let ana = g[W1][wi];
             assert!(
                 (num - ana).abs() < 5e-2 * (1.0 + num.abs().max(ana.abs())),
                 "w1[{wi}]: numeric {num} vs analytic {ana}"
@@ -1362,7 +1249,7 @@ mod tests {
             assert!(zeroed.weights(layer).iter().all(|&v| v == 0.0));
         }
         // Original untouched.
-        assert!(net.w1.iter().any(|&v| v != 0.0));
+        assert!(net.weights(LayerId::Conv1).iter().any(|&v| v != 0.0));
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //!    ImageNet-level fidelity.
 
 use crate::evalcache::{eval_jobs, eval_key, EvalCache};
-use crate::linear::LinearQuantizer;
 use crate::metrics::sqnr_db;
-use crate::outlier::OutlierQuantizer;
-use crate::policy::{OutlierSelect, PolicyQuantizer};
+use crate::outlier::{OutlierQuantizer, Share};
+use crate::policy::OutlierSelect;
 use ola_nn::synthnet::{LayerId, SynthDataset, SynthNet};
 use ola_tensor::par::ordered_map;
 
@@ -138,6 +137,14 @@ pub fn evaluate_synthnet_jobs(
     topk: usize,
     jobs: usize,
 ) -> QuantAccuracy {
+    // Every population is one fit under the spec's rule: a weight layer's
+    // ratio is a share of all its weights, an activation slot's a share of
+    // its non-zero values.
+    let (ratio, select) = (spec.outlier_ratio, spec.select);
+    let fit = |values: &[f32], share, low_bits, high_bits| {
+        OutlierQuantizer::fit_rule(values, ratio, share, select, low_bits, high_bits)
+    };
+
     // ---- quantize weights (per layer) ----
     let mut outlier_weights = 0usize;
     let mut total_weights = 0usize;
@@ -151,38 +158,8 @@ pub fn evaluate_synthnet_jobs(
         } else {
             spec.low_bits
         };
-        if w.iter().all(|&v| v == 0.0) {
-            return;
-        }
-        if spec.outlier_ratio > 0.0 {
-            match spec.select {
-                // The paper's path, byte-for-byte as before the policy
-                // abstraction existed.
-                OutlierSelect::MagnitudePercentile => {
-                    let q = OutlierQuantizer::fit(
-                        w,
-                        spec.outlier_ratio,
-                        low_bits,
-                        spec.weight_high_bits,
-                    );
-                    outlier_weights += w.iter().filter(|&&v| q.is_outlier(v)).count();
-                    q.fake_quantize_inplace(w);
-                }
-                select => {
-                    // The weight-side target is a fraction of all weights;
-                    // the policy trait's ratio is over non-zeros.
-                    let nz = w.iter().filter(|&&v| v != 0.0).count().max(1);
-                    let ratio = (spec.outlier_ratio * w.len() as f64 / nz as f64).min(1.0);
-                    if let Some(q) =
-                        PolicyQuantizer::fit(w, ratio, select, low_bits, spec.weight_high_bits)
-                    {
-                        outlier_weights += q.fake_quantize_inplace(w);
-                    }
-                }
-            }
-        } else {
-            let q = LinearQuantizer::fit_symmetric(low_bits, w).expect("non-zero weights");
-            q.fake_quantize_inplace(w);
+        if let Some(q) = fit(w, Share::All, low_bits, spec.weight_high_bits) {
+            outlier_weights += q.fake_quantize_inplace(w);
         }
     });
 
@@ -205,42 +182,11 @@ pub fn evaluate_synthnet_jobs(
             pop.extend(slot);
         }
     }
-    let act_quants: Vec<Option<ActQuant>> = act_pops
+    // A slot's fit sees its whole population, zeros included: the
+    // structured rules' windows need the real value layout.
+    let act_quants: Vec<Option<OutlierQuantizer>> = act_pops
         .iter()
-        .map(|pop| {
-            let nonzero: Vec<f32> = pop.iter().copied().filter(|&v| v != 0.0).collect();
-            if nonzero.is_empty() {
-                return None;
-            }
-            if spec.outlier_ratio > 0.0 {
-                match spec.select {
-                    OutlierSelect::MagnitudePercentile => {
-                        Some(ActQuant::Outlier(OutlierQuantizer::fit(
-                            &nonzero,
-                            spec.outlier_ratio,
-                            spec.low_bits,
-                            spec.act_high_bits,
-                        )))
-                    }
-                    // Structured policies calibrate on the unfiltered
-                    // stream: their windows need the real value layout
-                    // (zeros and all), not a compacted non-zero list.
-                    select => PolicyQuantizer::fit(
-                        pop,
-                        spec.outlier_ratio,
-                        select,
-                        spec.low_bits,
-                        spec.act_high_bits,
-                    )
-                    .map(ActQuant::Policy),
-                }
-            } else {
-                Some(ActQuant::Linear(
-                    LinearQuantizer::fit_symmetric(spec.low_bits, &nonzero)
-                        .expect("non-zero activations"),
-                ))
-            }
-        })
+        .map(|pop| fit(pop, Share::NonZero, spec.low_bits, spec.act_high_bits))
         .collect();
 
     // ---- evaluate with activation quantization in the forward hook ----
@@ -252,13 +198,7 @@ pub fn evaluate_synthnet_jobs(
             return;
         }
         if let Some(q) = &act_quants[act_slot(layer)] {
-            match q {
-                ActQuant::Outlier(q) => q.fake_quantize_inplace(a),
-                ActQuant::Linear(q) => q.fake_quantize_inplace(a),
-                ActQuant::Policy(q) => {
-                    q.fake_quantize_inplace(a);
-                }
-            }
+            q.fake_quantize_inplace(a);
         }
     };
     let (top1, topk_acc) = qnet.eval_with_jobs(data, topk, quantize_act, jobs);
@@ -267,12 +207,6 @@ pub fn evaluate_synthnet_jobs(
         topk: topk_acc,
         realized_weight_ratio: outlier_weights as f64 / total_weights.max(1) as f64,
     }
-}
-
-enum ActQuant {
-    Outlier(OutlierQuantizer),
-    Linear(LinearQuantizer),
-    Policy(PolicyQuantizer),
 }
 
 fn act_slot(layer: LayerId) -> usize {
@@ -300,11 +234,12 @@ pub struct WeightSqnr {
 /// the same pass.
 ///
 /// Per spec, a layer contributes the SQNR of its non-zero weights after
-/// fake quantization — outlier-aware when the spec's ratio is positive,
-/// linear otherwise — at `first_layer_weight_bits` for the first layer
-/// and `low_bits` after it. Layers with no non-zero weight are skipped but
-/// still count as a position. The mean is the running `f64` sum over the
-/// contributing layers, in layer order, divided by their count.
+/// fake quantization under the paper's magnitude rule, the spec's ratio a
+/// share of those weights (linear when it is not positive), at
+/// `first_layer_weight_bits` for the first layer and `low_bits` after it.
+/// Layers with no non-zero weight are skipped but still count as a
+/// position. The mean is the running `f64` sum over the contributing
+/// layers, in layer order, divided by their count.
 pub struct WeightSqnrFold<'a> {
     specs: &'a [QuantSpec],
     totals: Vec<f64>,
@@ -336,15 +271,16 @@ impl<'a> WeightSqnrFold<'a> {
                 } else {
                     spec.low_bits
                 };
-                let restored = if spec.outlier_ratio > 0.0 {
-                    OutlierQuantizer::fit(&nz, spec.outlier_ratio, low_bits, spec.weight_high_bits)
-                        .fake_quantize(&nz)
-                } else {
-                    LinearQuantizer::fit_symmetric(low_bits, &nz)
-                        .expect("non-zero weights")
-                        .fake_quantize(&nz)
-                };
-                *total += sqnr_db(&nz, &restored);
+                let q = OutlierQuantizer::fit_rule(
+                    &nz,
+                    spec.outlier_ratio,
+                    Share::All,
+                    OutlierSelect::MagnitudePercentile,
+                    low_bits,
+                    spec.weight_high_bits,
+                )
+                .expect("finite non-zero weights");
+                *total += sqnr_db(&nz, &q.fake_quantize(&nz));
             }
             self.contributing += 1;
         }

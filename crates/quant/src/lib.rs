@@ -8,7 +8,9 @@
 //! * [`linear`] — conventional uniform quantization (the Fig 1(b) baseline).
 //! * [`outlier`] — **outlier-aware quantization**: a fine-grained 4-bit grid
 //!   for the ~97% of values below a magnitude threshold, full 8/16-bit
-//!   precision for the few large *outliers* above it (Fig 1(c)).
+//!   precision for the few large *outliers* above it (Fig 1(c)). One
+//!   quantizer serves every selection rule
+//!   ([`OutlierQuantizer::fit_rule`]).
 //! * [`chunks`] — the 80-bit weight-chunk encoding (16x4b weights + OLptr +
 //!   OLidx + OLmsb) and the sparse outlier-activation chunk format of §III-B.
 //! * [`policy`] — pluggable outlier-*selection* rules ([`OutlierSelect`]):
@@ -50,5 +52,5 @@ pub mod policy;
 pub use chunks::{OutlierActChunk, WeightChunk, CHUNK_WEIGHTS};
 pub use evalcache::{EvalCache, EvalStats};
 pub use linear::LinearQuantizer;
-pub use outlier::{OutlierQuantized, OutlierQuantizer};
-pub use policy::{OutlierSelect, PolicyQuantizer};
+pub use outlier::{OutlierQuantized, OutlierQuantizer, Share};
+pub use policy::OutlierSelect;

@@ -96,13 +96,6 @@ impl LinearQuantizer {
             .map(|&v| self.fake_quantize_value(v))
             .collect()
     }
-
-    /// Quantize-dequantize a slice in place.
-    pub fn fake_quantize_inplace(&self, values: &mut [f32]) {
-        for v in values {
-            *v = self.fake_quantize_value(*v);
-        }
-    }
 }
 
 #[cfg(test)]

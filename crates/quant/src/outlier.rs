@@ -6,17 +6,35 @@
 //! true maximum). Because the threshold — not the max — sets the low grid's
 //! scale, the majority of values get ~an order of magnitude finer spacing
 //! than plain linear quantization of the same data.
+//!
+//! The selection rule is a parameter ([`OutlierSelect`]): the paper's
+//! magnitude percentile and the policy panel's structured rules fit and
+//! apply through the same quantizer ([`OutlierQuantizer::fit_rule`]).
 
 use crate::linear::LinearQuantizer;
+use crate::policy::OutlierSelect;
 use ola_tensor::stats::magnitude_threshold;
 
 /// An outlier-aware quantizer: low-precision grid + high-precision grid +
-/// the threshold separating them.
+/// the threshold separating them, and the rule that classifies values
+/// against that threshold.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OutlierQuantizer {
     low: LinearQuantizer,
     high: LinearQuantizer,
     threshold: f32,
+    /// The selection rule; `None` when the ratio disabled outliers and
+    /// every value takes the low grid.
+    select: Option<OutlierSelect>,
+}
+
+/// What an outlier ratio is a share of.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Share {
+    /// Every value, zeros included: the paper's weight ratio.
+    All,
+    /// The non-zero values: the paper's activation calibration target.
+    NonZero,
 }
 
 impl OutlierQuantizer {
@@ -43,6 +61,83 @@ impl OutlierQuantizer {
             magnitude_threshold(values, ratio)
         };
         Self::with_threshold(threshold, max, low_bits, high_bits)
+    }
+
+    /// Fits a quantizer to `values` under the selection rule `select`, with
+    /// `ratio` a share of `share`; the high grid spans the largest
+    /// magnitude at `high_bits`. Returns `None` when `values` hold no
+    /// finite non-zero magnitude (nothing to scale a grid to).
+    ///
+    /// * A ratio that is not positive disables outliers: every value takes
+    ///   a low grid spanning the largest magnitude, whatever the rule.
+    /// * [`OutlierSelect::MagnitudePercentile`]: the threshold is the
+    ///   top-`ratio` magnitude of all values ([`magnitude_threshold`]) or of
+    ///   the non-zero ones ([`OutlierSelect::calibrate`]), and the low grid
+    ///   spans it ([`OutlierQuantizer::with_threshold`]).
+    /// * The structured rules: a share of all values is rescaled to the
+    ///   non-zero share, `(ratio·n/nz).min(1)`; the rule calibrates and
+    ///   classifies `values`, and the low grid spans the largest magnitude
+    ///   left on it (all of them when none is).
+    ///
+    /// # Panics
+    ///
+    /// Panics where the rule's calibration does (a ratio above 1 that no
+    /// rescaling clamps), or, under the magnitude rule, where
+    /// [`OutlierQuantizer::with_threshold`] does (a threshold of zero or
+    /// NaN).
+    pub fn fit_rule(
+        values: &[f32],
+        ratio: f64,
+        share: Share,
+        select: OutlierSelect,
+        low_bits: u8,
+        high_bits: u8,
+    ) -> Option<Self> {
+        let max = values.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
+        if !max.is_finite() || max <= 0.0 {
+            return None;
+        }
+        if ratio <= 0.0 {
+            let linear = Self::with_threshold(f32::INFINITY, max, low_bits, high_bits);
+            return Some(OutlierQuantizer {
+                select: None,
+                ..linear
+            });
+        }
+        if select == OutlierSelect::MagnitudePercentile {
+            let threshold = match share {
+                Share::All => magnitude_threshold(values, ratio),
+                Share::NonZero => select.calibrate(values, ratio),
+            };
+            return Some(Self::with_threshold(threshold, max, low_bits, high_bits));
+        }
+        let ratio = match share {
+            Share::All => {
+                let nz = values.iter().filter(|&&v| v != 0.0).count().max(1);
+                (ratio * values.len() as f64 / nz as f64).min(1.0)
+            }
+            Share::NonZero => ratio,
+        };
+        let threshold = select.calibrate(values, ratio);
+        let flags = select.classify_with(values, threshold);
+        let low_span = (values.iter().zip(&flags))
+            .filter(|&(_, &outlier)| !outlier)
+            .fold(0.0_f32, |m, (v, _)| m.max(v.abs()));
+        // When every non-zero value is an outlier, the low grid is unused
+        // but must still be constructible.
+        let low_span = if low_span.is_finite() && low_span > 0.0 {
+            low_span
+        } else {
+            max
+        };
+        // The grids a magnitude threshold at `low_span` gives, classified
+        // by the rule instead.
+        let grids = Self::with_threshold(low_span, max, low_bits, high_bits);
+        Some(OutlierQuantizer {
+            threshold,
+            select: Some(select),
+            ..grids
+        })
     }
 
     /// Like [`OutlierQuantizer::fit`], but the high-precision grid shares
@@ -72,8 +167,9 @@ impl OutlierQuantizer {
         q
     }
 
-    /// Builds a quantizer from a precomputed threshold (the runtime path:
-    /// activation thresholds come from design-time calibration, §II).
+    /// Builds a magnitude-rule quantizer from a precomputed threshold (the
+    /// runtime path: activation thresholds come from design-time
+    /// calibration, §II).
     ///
     /// # Panics
     ///
@@ -93,10 +189,13 @@ impl OutlierQuantizer {
             low: LinearQuantizer::symmetric(low_bits, low_span),
             high: LinearQuantizer::symmetric(high_bits, max_abs),
             threshold,
+            select: Some(OutlierSelect::MagnitudePercentile),
         }
     }
 
-    /// The magnitude threshold separating the regions.
+    /// The threshold separating the regions: a magnitude under the paper's
+    /// rule, a score or window marker under the structured ones, and
+    /// `f32::INFINITY` when outliers are disabled (see [`OutlierSelect`]).
     pub fn threshold(&self) -> f32 {
         self.threshold
     }
@@ -111,7 +210,9 @@ impl OutlierQuantizer {
         &self.high
     }
 
-    /// Whether `v` falls in the outlier region.
+    /// Whether `v` falls in the outlier region under the magnitude rule;
+    /// never when outliers are disabled ([`OutlierQuantizer::fit_rule`] at
+    /// a ratio that is not positive).
     ///
     /// Tie-breaking contract: the comparison is `|v| >= threshold` under
     /// [`f32::total_cmp`] — the same total order the fit's threshold
@@ -138,10 +239,12 @@ impl OutlierQuantizer {
     /// ```
     #[inline]
     pub fn is_outlier(&self, v: f32) -> bool {
-        v.abs().total_cmp(&self.threshold).is_ge()
+        self.select.is_some() && v.abs().total_cmp(&self.threshold).is_ge()
     }
 
-    /// Quantizes a slice, separating dense levels from outliers.
+    /// Quantizes a slice, separating dense levels from outliers by
+    /// [`OutlierQuantizer::is_outlier`], as the hardware's chunk encodings
+    /// classify them.
     pub fn quantize(&self, values: &[f32]) -> OutlierQuantized {
         let mut levels = Vec::with_capacity(values.len());
         let mut outliers = Vec::new();
@@ -167,19 +270,35 @@ impl OutlierQuantizer {
 
     /// Quantize-dequantize round trip.
     pub fn fake_quantize(&self, values: &[f32]) -> Vec<f32> {
-        let q = self.quantize(values);
-        self.dequantize(&q)
+        let mut out = values.to_vec();
+        self.fake_quantize_inplace(&mut out);
+        out
     }
 
-    /// Quantize-dequantize in place.
-    pub fn fake_quantize_inplace(&self, values: &mut [f32]) {
-        for v in values.iter_mut() {
-            *v = if self.is_outlier(*v) {
-                self.high.dequantize(self.high.quantize(*v))
-            } else {
-                self.low.dequantize(self.low.quantize(*v))
-            };
+    /// Quantize-dequantize in place, each value on the grid its class
+    /// under the quantizer's rule selects; returns how many values took
+    /// the outlier (high-precision) grid.
+    pub fn fake_quantize_inplace(&self, values: &mut [f32]) -> usize {
+        let mut outliers = 0;
+        let mut round_trip = |v: &mut f32, outlier: bool| {
+            outliers += usize::from(outlier);
+            let grid = if outlier { &self.high } else { &self.low };
+            *v = grid.fake_quantize_value(*v);
+        };
+        match self.select {
+            None => values.iter_mut().for_each(|v| round_trip(v, false)),
+            Some(OutlierSelect::MagnitudePercentile) => values
+                .iter_mut()
+                .for_each(|v| round_trip(v, self.is_outlier(*v))),
+            Some(select) => {
+                let flags = select.classify_with(values, self.threshold);
+                values
+                    .iter_mut()
+                    .zip(flags)
+                    .for_each(|(v, o)| round_trip(v, o));
+            }
         }
+        outliers
     }
 }
 
@@ -296,6 +415,66 @@ mod tests {
         // the 4-bit grid's edge; a borderline outlier rounds to level 7).
         assert!(quantized.outliers.iter().all(|&(_, l)| l.abs() >= 7));
         assert!(quantized.outliers.iter().any(|&(_, l)| l.abs() > 7));
+    }
+
+    #[test]
+    fn rule_fit_round_trip() {
+        let mut values: Vec<f32> = (0..64).map(|i| (i as f32 - 32.0) * 0.01).collect();
+        values[7] = 4.0;
+        values[33] = -5.0;
+        let q = OutlierQuantizer::fit_rule(
+            &values,
+            0.05,
+            Share::NonZero,
+            OutlierSelect::WindowedTopK { window: 16 },
+            4,
+            8,
+        )
+        .expect("fit");
+        let mut restored = values.clone();
+        let outliers = q.fake_quantize_inplace(&mut restored);
+        assert_eq!(outliers, 4, "one per 16-wide window");
+        // The big values survive on the high grid.
+        assert!((restored[33] + 5.0).abs() < 5.0 / 127.0 * 2.0);
+        // The bulk sees a low grid whose span is set by the non-outliers
+        // (~0.31 here), not the +-5.0 range the high grid must cover.
+        let low_span = q.low().scale() * q.low().max_level() as f32;
+        let high_span = q.high().scale() * q.high().max_level() as f32;
+        assert!(low_span < 0.4, "low span {low_span}");
+        assert!(high_span > 4.9, "high span {high_span}");
+    }
+
+    #[test]
+    fn rule_fit_rejects_degenerate_populations() {
+        for select in [
+            OutlierSelect::MagnitudePercentile,
+            OutlierSelect::SensitivityWeighted { window: 8 },
+        ] {
+            for share in [Share::All, Share::NonZero] {
+                let fit =
+                    |values: &[f32]| OutlierQuantizer::fit_rule(values, 0.03, share, select, 4, 8);
+                assert!(fit(&[]).is_none());
+                assert!(fit(&[0.0, -0.0]).is_none());
+                assert!(fit(&[f32::NAN]).is_none());
+                assert!(fit(&[f32::INFINITY, 1.0]).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn disabled_rule_classifies_nothing() {
+        // A ratio that is not positive disables outliers under every rule:
+        // even a NaN, which ranks above the disabled threshold, takes the
+        // low grid in every view of the classification.
+        let values = [f32::NAN, 1.0, -2.0, 0.0];
+        for select in OutlierSelect::panel() {
+            let q =
+                OutlierQuantizer::fit_rule(&values, 0.0, Share::All, select, 4, 8).expect("fit");
+            assert_eq!(q.threshold(), f32::INFINITY);
+            assert!(!q.is_outlier(f32::NAN));
+            assert!(q.quantize(&values).outliers.is_empty());
+            assert_eq!(q.fake_quantize_inplace(&mut values.clone()), 0);
+        }
     }
 
     #[test]

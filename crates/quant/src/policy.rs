@@ -19,7 +19,6 @@
 //! parallel grid sweeps in `ola-sim` reproduce the serial reference
 //! byte-for-byte at any worker count.
 
-use crate::linear::LinearQuantizer;
 use ola_tensor::bytes::Encoder;
 use ola_tensor::stats::{kth_largest_magnitude, magnitude_threshold};
 
@@ -57,6 +56,7 @@ pub enum OutlierSelect {
     /// `|v| * rms(window)`, where the window RMS stands in for the
     /// activation scale the value multiplies, then take the top `ratio`
     /// fraction of non-zero values by score through one global threshold.
+    /// Every NaN score is [`f32::NAN`], whatever NaN the product gave.
     SensitivityWeighted {
         /// Window length for the RMS activation-scale proxy.
         window: usize,
@@ -127,7 +127,7 @@ impl OutlierSelect {
                 let mut scores = Vec::new();
                 for chunk in values.chunks(window) {
                     let rms = window_rms(chunk);
-                    scores.extend(chunk.iter().filter(|&&v| v != 0.0).map(|&v| v.abs() * rms));
+                    scores.extend(chunk.iter().filter(|&&v| v != 0.0).map(|&v| score(v, rms)));
                 }
                 if scores.is_empty() {
                     return f32::INFINITY;
@@ -167,7 +167,7 @@ impl OutlierSelect {
                     flags.extend(
                         chunk
                             .iter()
-                            .map(|&v| v != 0.0 && (v.abs() * rms).total_cmp(&threshold).is_ge()),
+                            .map(|&v| v != 0.0 && score(v, rms).total_cmp(&threshold).is_ge()),
                     );
                 }
                 flags
@@ -215,99 +215,16 @@ pub fn window_rms(window: &[f32]) -> f32 {
     (sum_sq / window.len() as f32).sqrt()
 }
 
-/// A policy-aware fake quantizer for the accuracy harness: low/high linear
-/// grids fit on a calibration population, with per-value classification
-/// replayed by the policy at apply time.
-///
-/// This is the non-magnitude counterpart of
-/// [`crate::outlier::OutlierQuantizer`]: the low grid spans the largest
-/// *non-outlier* magnitude of the calibration population (the fine-grid
-/// benefit outlier-aware quantization exists for), the high grid spans the
-/// full range, and the calibrated score threshold (for global policies) is
-/// carried to runtime.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PolicyQuantizer {
-    select: OutlierSelect,
-    threshold: f32,
-    low: LinearQuantizer,
-    high: LinearQuantizer,
-}
-
-impl PolicyQuantizer {
-    /// Fits grids and threshold on a calibration population. Returns `None`
-    /// when the population has no finite non-zero value (nothing to scale
-    /// a grid to).
-    pub fn fit(
-        values: &[f32],
-        ratio: f64,
-        select: OutlierSelect,
-        low_bits: u8,
-        high_bits: u8,
-    ) -> Option<Self> {
-        let abs_max = values.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
-        if !abs_max.is_finite() || abs_max <= 0.0 {
-            return None;
-        }
-        let threshold = select.calibrate(values, ratio);
-        let flags = select.classify_with(values, threshold);
-        let mut low_span = 0.0_f32;
-        for (&v, &f) in values.iter().zip(&flags) {
-            if !f {
-                low_span = low_span.max(v.abs());
-            }
-        }
-        if !low_span.is_finite() || low_span <= 0.0 {
-            // Everything non-zero is an outlier: the low grid is unused but
-            // must still be constructible.
-            low_span = abs_max;
-        }
-        Some(PolicyQuantizer {
-            select,
-            threshold,
-            low: LinearQuantizer::symmetric(low_bits, low_span),
-            high: LinearQuantizer::symmetric(high_bits, abs_max),
-        })
-    }
-
-    /// The policy identity this quantizer was fit for.
-    pub fn select(&self) -> OutlierSelect {
-        self.select
-    }
-
-    /// The calibrated score threshold (see [`OutlierSelect`] conventions).
-    pub fn threshold(&self) -> f32 {
-        self.threshold
-    }
-
-    /// The low-precision (dense-region) grid.
-    pub fn low(&self) -> &LinearQuantizer {
-        &self.low
-    }
-
-    /// The high-precision (outlier) grid.
-    pub fn high(&self) -> &LinearQuantizer {
-        &self.high
-    }
-
-    /// Classifies a runtime slice against the calibrated threshold.
-    pub fn classify(&self, values: &[f32]) -> Vec<bool> {
-        self.select.classify_with(values, self.threshold)
-    }
-
-    /// Quantize-dequantize in place; returns how many values took the
-    /// outlier (high-precision) path.
-    pub fn fake_quantize_inplace(&self, values: &mut [f32]) -> usize {
-        let flags = self.classify(values);
-        let mut outliers = 0;
-        for (v, f) in values.iter_mut().zip(&flags) {
-            *v = if *f {
-                outliers += 1;
-                self.high.dequantize(self.high.quantize(*v))
-            } else {
-                self.low.dequantize(self.low.quantize(*v))
-            };
-        }
-        outliers
+/// The sensitivity score `|v| * rms`. The sign and payload of a NaN
+/// product are the platform's (a NaN operand's, or a default NaN), so
+/// every NaN score is [`f32::NAN`]: it ranks above `+inf` under
+/// [`f32::total_cmp`], and all NaN scores tie.
+fn score(v: f32, rms: f32) -> f32 {
+    let score = v.abs() * rms;
+    if score.is_nan() {
+        f32::NAN
+    } else {
+        score
     }
 }
 
@@ -407,39 +324,5 @@ mod tests {
             let flags = select.classify(&values, 0.5);
             assert!(!flags[0] && !flags[2], "{}", select.name());
         }
-    }
-
-    #[test]
-    fn policy_quantizer_round_trip() {
-        let mut values: Vec<f32> = (0..64).map(|i| (i as f32 - 32.0) * 0.01).collect();
-        values[7] = 4.0;
-        values[33] = -5.0;
-        let q = PolicyQuantizer::fit(
-            &values,
-            0.05,
-            OutlierSelect::WindowedTopK { window: 16 },
-            4,
-            8,
-        )
-        .expect("fit");
-        let mut restored = values.clone();
-        let outliers = q.fake_quantize_inplace(&mut restored);
-        assert_eq!(outliers, 4, "one per 16-wide window");
-        // The big values survive on the high grid.
-        assert!((restored[33] + 5.0).abs() < 5.0 / 127.0 * 2.0);
-        // The bulk sees a low grid whose span is set by the non-outliers
-        // (~0.31 here), not the +-5.0 range the high grid must cover.
-        let low_span = q.low().scale() * q.low().max_level() as f32;
-        let high_span = q.high().scale() * q.high().max_level() as f32;
-        assert!(low_span < 0.4, "low span {low_span}");
-        assert!(high_span > 4.9, "high span {high_span}");
-    }
-
-    #[test]
-    fn policy_quantizer_rejects_degenerate_populations() {
-        let select = OutlierSelect::SensitivityWeighted { window: 8 };
-        assert!(PolicyQuantizer::fit(&[], 0.03, select, 4, 8).is_none());
-        assert!(PolicyQuantizer::fit(&[0.0, -0.0], 0.03, select, 4, 8).is_none());
-        assert!(PolicyQuantizer::fit(&[f32::NAN], 0.03, select, 4, 8).is_none());
     }
 }

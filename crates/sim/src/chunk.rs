@@ -205,7 +205,7 @@ const SIGN: u32 = 0x8000_0000;
 /// order (sign-bit-set NaN lowest, positive NaN highest). The map is a
 /// bijection, so equal keys are bit-identical values.
 #[inline]
-pub(crate) fn key(v: f32) -> u32 {
+pub(crate) const fn key(v: f32) -> u32 {
     let bits = v.to_bits();
     bits ^ ((((bits as i32) >> 31) as u32) | SIGN)
 }
@@ -216,10 +216,17 @@ pub(crate) fn from_key(k: u32) -> f32 {
 }
 
 /// The key every zero lane takes instead of its score: [`key`] of `-0.0`.
-/// No score is negative unless it is NaN, so this key's histogram bucket
-/// holds the zero lanes and nothing else: the census counts them for free
-/// and the rankings skip them without a per-lane test.
+/// No score is negative (a NaN score is [`NAN_SCORE`]), so this key's
+/// histogram bucket holds the zero lanes and nothing else: the census
+/// counts them for free and the rankings skip them without a per-lane
+/// test.
 pub(crate) const ZERO_LANE: u32 = SIGN - 1;
+
+/// The key of every NaN sensitivity score: [`key`] of [`f32::NAN`], above
+/// every number's. A NaN product's sign and payload are the platform's,
+/// so the score maps them all to one NaN, as `OutlierSelect`'s flat-slice
+/// score does.
+const NAN_SCORE: u32 = key(f32::NAN);
 
 /// Histogram buckets are a key's top 12 bits: sign, exponent and three
 /// mantissa bits.
@@ -283,8 +290,11 @@ fn for_each_keyed_row(
                 }
                 for row in rows.chunks_exact(cols) {
                     for ((k, &v), &r) in keys.iter_mut().zip(row).zip(rms.iter()) {
+                        let score = v.abs() * r;
+                        let nan = u32::from(score.is_nan()).wrapping_neg();
+                        let scored = (key(score) & !nan) | (NAN_SCORE & nan);
                         let live = u32::from(v != 0.0).wrapping_neg();
-                        *k = (key(v.abs() * r) & live) | (ZERO_LANE & !live);
+                        *k = (scored & live) | (ZERO_LANE & !live);
                     }
                     visit(row, keys);
                 }
@@ -559,6 +569,7 @@ pub(crate) fn count_grid(grid: Grid<'_>, rule: Rule, jobs: usize) -> Counts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OutlierSelect;
     use ola_tensor::init::uniform_tensor;
     use ola_tensor::Shape4;
 
@@ -855,12 +866,11 @@ mod tests {
     }
 
     /// The fused walk against a sort, on a five-band grid salted with
-    /// `+NaN` or `-NaN`, both infinities, `-0.0` and a run of 30 tied 2.5s across
-    /// three bands, which the band-range splits of jobs 3–8 cut. Ranks 1
-    /// and 2 fall in the highest occupied bucket (the NaNs under the
-    /// magnitude score), rank 14 in the magnitude ties, and the last rank
-    /// of a `-NaN`-salted sensitivity grid in a bucket below the zero
-    /// lanes'.
+    /// `+NaN` or `-NaN`, both infinities, `-0.0` and a run of 30 tied 2.5s
+    /// across three bands, which the band-range splits of jobs 3–8 cut.
+    /// Ranks 1 and 2 fall in the highest occupied bucket, the canonical
+    /// NaN's under every score and either NaN sign, and rank 14 in the
+    /// magnitude ties.
     #[test]
     fn select_count_matches_sort_and_count() {
         let (rows, cols) = (70, 13);
@@ -877,7 +887,6 @@ mod tests {
                 }
             })
             .collect();
-        let mut below_zero_ranks = 0;
         for nan in [f32::NAN, -f32::NAN] {
             let mut values = base.clone();
             for r in 10..40 {
@@ -896,9 +905,13 @@ mod tests {
                 Score::Sensitivity { window: 16 },
             ] {
                 let nonzero = census(grid, score, 1).nonzero();
+                assert_eq!(
+                    sort_and_count(grid, score, 1).0,
+                    NAN_SCORE,
+                    "{nan} {score:?}"
+                );
                 for k in [1, 2, 14, nonzero / 2, nonzero] {
                     let expect = sort_and_count(grid, score, k);
-                    below_zero_ranks += usize::from(expect.0 < ZERO_LANE);
                     for jobs in 1..=8 {
                         let (kth, c) =
                             select_count(grid, score, &census(grid, score, jobs), k, jobs);
@@ -911,10 +924,42 @@ mod tests {
                 }
             }
         }
-        assert!(
-            below_zero_ranks > 0,
-            "no rank-k bucket below the zero lanes'"
-        );
+    }
+
+    /// Every NaN sensitivity score is the canonical [`f32::NAN`], whatever
+    /// NaN the product gives. One column makes the grid's windows the flat
+    /// slice's, so for a `-NaN`, a payload NaN and a signalling NaN, at
+    /// windows 1 and 4, the grid kernel and `OutlierSelect::calibrate`
+    /// select that NaN at rank 1 and count the same outliers.
+    #[test]
+    fn nan_sensitivity_scores_are_canonical() {
+        for bits in [0xffc0_0000_u32, 0xffc0_0001, 0x7fc0_0001, 0x7f80_0001] {
+            let nan = f32::from_bits(bits);
+            let mut values: Vec<f32> = (0..32)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        0.0
+                    } else {
+                        i as f32 * 0.25 - 4.0
+                    }
+                })
+                .collect();
+            values[5] = nan;
+            values[22] = nan;
+            let grid = Grid::matrix(&values, values.len(), 1);
+            for window in [1, 4] {
+                let score = Score::Sensitivity { window };
+                let (kth, counts) = select_count(grid, score, &census(grid, score, 1), 1, 1);
+                let select = OutlierSelect::SensitivityWeighted { window };
+                let threshold = select.calibrate(&values, 1e-9);
+                let outliers = select.classify_with(&values, threshold);
+                let context = format!("{bits:#010x} window {window}");
+                assert_eq!(kth.to_bits(), f32::NAN.to_bits(), "grid, {context}");
+                assert_eq!(threshold.to_bits(), f32::NAN.to_bits(), "flat, {context}");
+                let flat_outliers = outliers.iter().filter(|&&o| o).count() as u64;
+                assert_eq!(counts.outliers, flat_outliers, "{context}");
+            }
+        }
     }
 
     /// Over a matrix grid whose every non-zero lane passes the threshold,

@@ -35,7 +35,6 @@ use crate::policy::{OutlierSelect, QuantPolicy};
 use ola_nn::network::WeightStore;
 use ola_nn::synth::SyntheticMatrix;
 use ola_nn::{Network, Op, Params};
-use ola_quant::outlier::OutlierQuantizer;
 use ola_tensor::bytes::{Encoder, Fingerprint};
 use ola_tensor::memo::{fill_slot, Fill, Slot};
 use ola_tensor::par::ordered_map;
@@ -579,8 +578,8 @@ fn banded(g: &SyntheticMatrix, rows: usize) -> Vec<f32> {
 ///
 /// Panics if `values.len() != co * inner`, if `jobs` is zero, if a
 /// windowed or sensitivity policy with a positive ratio has `window == 0`,
-/// or if a magnitude fit yields no valid quantizer (see
-/// [`OutlierQuantizer::with_threshold`]).
+/// or if a magnitude fit's largest magnitude is not finite or its
+/// threshold is not positive (zero or NaN).
 pub fn grid_chunk_stats(
     values: &[f32],
     co: usize,
@@ -646,10 +645,11 @@ fn select_share(
     let nonzero_ratio = (ratio * census.total as f64 / scored as f64).min(1.0);
     let (threshold, counts) = select_count(fit, score, &census, top_k(scored, nonzero_ratio), jobs);
     if score == Score::Magnitude {
-        // The fitted quantizer keeps its constructor's checks (positive
-        // threshold, finite non-zero maximum); only its threshold
-        // classifies, and it is the selected one.
-        OutlierQuantizer::with_threshold(threshold, census.abs_max, 4, 8);
+        // The outlier quantizer's checks: a magnitude threshold needs a
+        // finite non-zero maximum to scale the grids to, and is positive.
+        let max = census.abs_max;
+        assert!(max.is_finite() && max > 0.0, "max_abs must be positive");
+        assert!(threshold > 0.0, "threshold must be positive");
     }
     Some((threshold, counts))
 }

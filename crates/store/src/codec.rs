@@ -409,9 +409,10 @@ fn decode_split(r: &mut Reader<'_>, classes: usize) -> Result<SynthDataset, Stor
 }
 
 /// A trained SynthNet with its two splits and full-precision baseline:
-/// the class count, the ten parameter vectors in field order, both splits
-/// and two `f64` bit patterns. Decoding checks every length the forward
-/// indexes by, so no payload yields a net that reads out of bounds.
+/// the class count, the ten parameter vectors in `SynthNet::params`
+/// order, both splits and two `f64` bit patterns. Decoding checks every
+/// length the forward indexes by, so no payload yields a net that reads
+/// out of bounds.
 impl Record for TrainedSynthNet {
     const KIND: u8 = 7;
     const PREFIX: &'static str = "synthnet";
@@ -431,30 +432,17 @@ impl Record for TrainedSynthNet {
             return Err(corrupt(format!("SynthNet class count {classes}")));
         }
         let classes = classes as usize;
-        let [l1, n1, l2, n2, l3, n3, l4, n4, l5, n5] = param_lens(classes);
-        let mut param = |len: usize| -> Result<Vec<f32>, StoreError> {
-            let v = r.f32s()?;
-            if v.len() != len {
+        let mut params: [Vec<f32>; 10] = Default::default();
+        for (param, len) in params.iter_mut().zip(param_lens(classes)) {
+            *param = r.f32s()?;
+            if param.len() != len {
                 return Err(corrupt(format!(
                     "SynthNet parameter of length {}, expected {len}",
-                    v.len()
+                    param.len()
                 )));
             }
-            Ok(v)
-        };
-        let net = SynthNet {
-            w1: param(l1)?,
-            b1: param(n1)?,
-            w2: param(l2)?,
-            b2: param(n2)?,
-            w3: param(l3)?,
-            b3: param(n3)?,
-            w4: param(l4)?,
-            b4: param(n4)?,
-            w5: param(l5)?,
-            b5: param(n5)?,
-            classes,
-        };
+        }
+        let net = SynthNet { params, classes };
         Ok(TrainedSynthNet {
             net,
             train: decode_split(r, classes)?,
@@ -621,7 +609,7 @@ mod tests {
             fp_top1: 0.5,
             fp_top5: -0.0,
         };
-        rec.net.b5[2] = f32::NAN;
+        rec.net.params[9][2] = f32::NAN;
         let mut w = Writer::new();
         rec.encode(&mut w);
         let buf = w.into_bytes();
@@ -629,7 +617,7 @@ mod tests {
         let back = TrainedSynthNet::decode(&mut r).unwrap();
         r.finish().unwrap();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (a, b) in rec.net.params().iter().zip(back.net.params()) {
+        for (a, b) in rec.net.params.iter().zip(&back.net.params) {
             assert_eq!(bits(a), bits(b));
         }
         for (a, b) in [(&rec.train, &back.train), (&rec.test, &back.test)] {

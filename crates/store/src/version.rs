@@ -46,8 +46,9 @@ pub const PREP_SOURCES: &[&str] = &[
     include_str!("../../nn/src/kernels.rs"),
     include_str!("../../nn/src/synth.rs"),
     include_str!("../../nn/src/zoo.rs"),
-    // Quantization: outlier selection shapes the workload statistics.
-    include_str!("../../quant/src/outlier.rs"),
+    // Quantization: the selection rule a policy names, and its encoding
+    // in workload keys. (The quantizer, `outlier.rs`, builds no prep or
+    // workload byte: extraction selects on the chunk grid.)
     include_str!("../../quant/src/policy.rs"),
     // Simulation: the extraction pass, the chunk-grid kernel and the
     // activation calibration it runs on, plus the policy definition.

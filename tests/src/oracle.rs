@@ -1,7 +1,10 @@
 //! The reference workload extraction the property tests and benchmarks
 //! compare `ola_sim::workload`'s fused path against, plus the bitwise
-//! equality they compare with, and the reference `RowGen` row
-//! ([`rowgen_row`]) that `SyntheticMatrix::fill_row` is compared against.
+//! equality they compare with, the reference `RowGen` row
+//! ([`rowgen_row`]) that `SyntheticMatrix::fill_row` is compared against,
+//! and the accuracy path's per-role quantizers ([`ReferenceQuantizer`],
+//! [`reference_weight_quantizer`], [`reference_act_quantizer`]) that
+//! `OutlierQuantizer::fit_rule` is compared against.
 //!
 //! [`extract_from_acts`] is the pre-fusion multi-pass pipeline: a serial
 //! per-layer loop, chunk lanes read straight from the tensor by
@@ -14,11 +17,13 @@ use ola_nn::network::WeightStore;
 use ola_nn::synth::SyntheticMatrix;
 use ola_nn::{Network, Op, Params};
 use ola_quant::outlier::OutlierQuantizer;
+use ola_quant::LinearQuantizer;
 use ola_sim::calibrate::LayerCalibration;
 use ola_sim::workload::{
     post_activation_zero_fraction, LayerKind, LayerWorkload, WeightChunkStats, WorkloadSet,
 };
 use ola_sim::{OutlierSelect, QuantPolicy};
+use ola_tensor::stats::magnitude_threshold;
 use ola_tensor::{Shape4, Tensor, CHUNK_LANES};
 use rand::rngs::Philox;
 
@@ -185,6 +190,16 @@ fn grid_counts_naive(
     };
     let rms =
         |w: &[f32]| -> f32 { (w.iter().map(|&v| v * v).sum::<f32>() / w.len() as f32).sqrt() };
+    // Every NaN score is the one `f32::NAN`: a NaN product's sign and
+    // payload are the platform's.
+    let score = |v: f32, r: f32| -> f32 {
+        let s = v.abs() * r;
+        if s.is_nan() {
+            f32::NAN
+        } else {
+            s
+        }
+    };
 
     // Calibration: a sensitivity threshold needs all scores up front.
     let threshold = if let OutlierSelect::SensitivityWeighted { .. } = select {
@@ -192,7 +207,7 @@ fn grid_counts_naive(
         for chunk in chunks {
             for w in windows_of(chunk) {
                 let r = rms(&w);
-                scores.extend(w.iter().filter(|&&v| v != 0.0).map(|&v| v.abs() * r));
+                scores.extend(w.iter().filter(|&&v| v != 0.0).map(|&v| score(v, r)));
             }
         }
         if ratio <= 0.0 || scores.is_empty() {
@@ -233,7 +248,7 @@ fn grid_counts_naive(
                     let r = rms(&w);
                     count += w
                         .iter()
-                        .filter(|&&v| v != 0.0 && (v.abs() * r).total_cmp(&threshold).is_ge())
+                        .filter(|&&v| v != 0.0 && score(v, r).total_cmp(&threshold).is_ge())
                         .count() as u32;
                 }
                 OutlierSelect::MagnitudePercentile => unreachable!(),
@@ -501,4 +516,167 @@ pub fn rowgen_row(m: &SyntheticMatrix, i: usize) -> Vec<f32> {
         row[j] = 0.0;
     }
     row
+}
+
+/// The accuracy path's quantizers as `evaluate_synthnet_jobs` built them
+/// before one rule-aware `OutlierQuantizer` served every rule: two linear
+/// grids and the classification that picks between them, written from
+/// `LinearQuantizer`, `magnitude_threshold` and `OutlierSelect` alone.
+#[derive(Clone, Copy, Debug)]
+pub struct ReferenceQuantizer {
+    low: LinearQuantizer,
+    high: LinearQuantizer,
+    classify: Classify,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Classify {
+    /// Every value takes the low grid.
+    Linear,
+    /// `|v| >= threshold` under `total_cmp`, value by value.
+    Magnitude(f32),
+    /// The rule's `classify_with` over the whole slice.
+    Policy(OutlierSelect, f32),
+}
+
+impl ReferenceQuantizer {
+    /// The paper's magnitude quantizer at a positive `ratio` of all
+    /// `values`: the threshold is the top-`ratio` magnitude, the low grid
+    /// spans it and the high grid the largest magnitude. Panics where the
+    /// magnitude quantizer's constructor did: no non-zero value, a
+    /// maximum that is not finite, or a threshold that is not positive.
+    pub fn magnitude(values: &[f32], ratio: f64, low_bits: u8, high_bits: u8) -> Self {
+        assert!(!values.is_empty(), "values must be non-empty");
+        let max = values.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
+        assert!(max > 0.0, "values must contain a non-zero entry");
+        let threshold = magnitude_threshold(values, ratio);
+        assert!(max.is_finite(), "max_abs must be positive");
+        assert!(threshold > 0.0, "threshold must be positive");
+        ReferenceQuantizer {
+            low: LinearQuantizer::symmetric(low_bits, threshold.min(max)),
+            high: LinearQuantizer::symmetric(high_bits, max),
+            classify: Classify::Magnitude(threshold),
+        }
+    }
+
+    /// The policy quantizer: `select` calibrates on `values` at `ratio`
+    /// (a share of the non-zero values), the low grid spans the largest
+    /// magnitude it leaves unclassified (the full range when that is not
+    /// positive), and each slice is reclassified when applied. `None`
+    /// when `values` hold no finite non-zero magnitude.
+    pub fn policy(
+        values: &[f32],
+        ratio: f64,
+        select: OutlierSelect,
+        low_bits: u8,
+        high_bits: u8,
+    ) -> Option<Self> {
+        let max = values.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
+        if !max.is_finite() || max <= 0.0 {
+            return None;
+        }
+        let threshold = select.calibrate(values, ratio);
+        let flags = select.classify_with(values, threshold);
+        let mut low_span = 0.0_f32;
+        for (&v, &outlier) in values.iter().zip(&flags) {
+            if !outlier {
+                low_span = low_span.max(v.abs());
+            }
+        }
+        if !low_span.is_finite() || low_span <= 0.0 {
+            low_span = max;
+        }
+        Some(ReferenceQuantizer {
+            low: LinearQuantizer::symmetric(low_bits, low_span),
+            high: LinearQuantizer::symmetric(high_bits, max),
+            classify: Classify::Policy(select, threshold),
+        })
+    }
+
+    /// Plain linear quantization at `bits` over the largest magnitude (the
+    /// ratio-0 branch); `None` when no value is non-zero.
+    pub fn linear(values: &[f32], bits: u8) -> Option<Self> {
+        let low = LinearQuantizer::fit_symmetric(bits, values)?;
+        Some(ReferenceQuantizer {
+            low,
+            high: low,
+            classify: Classify::Linear,
+        })
+    }
+
+    /// Quantize-dequantize in place; returns how many values took the high
+    /// grid.
+    pub fn fake_quantize_inplace(&self, values: &mut [f32]) -> usize {
+        let flags: Vec<bool> = match self.classify {
+            Classify::Linear => vec![false; values.len()],
+            Classify::Magnitude(t) => values
+                .iter()
+                .map(|v| v.abs().total_cmp(&t).is_ge())
+                .collect(),
+            Classify::Policy(select, t) => select.classify_with(values, t),
+        };
+        for (v, &outlier) in values.iter_mut().zip(&flags) {
+            let grid = if outlier { &self.high } else { &self.low };
+            *v = grid.dequantize(grid.quantize(*v));
+        }
+        flags.iter().filter(|&&f| f).count()
+    }
+}
+
+/// A weight layer's quantizer as `evaluate_synthnet_jobs` built it: none
+/// for an all-zero layer; linear when `ratio` is not positive; the
+/// magnitude quantizer over every weight; or, under a structured rule,
+/// the policy quantizer with `ratio` (a share of all weights) rescaled to
+/// the non-zero weights.
+pub fn reference_weight_quantizer(
+    w: &[f32],
+    ratio: f64,
+    select: OutlierSelect,
+    low_bits: u8,
+    high_bits: u8,
+) -> Option<ReferenceQuantizer> {
+    if w.iter().all(|&v| v == 0.0) {
+        return None;
+    }
+    if ratio <= 0.0 {
+        return Some(ReferenceQuantizer::linear(w, low_bits).expect("non-zero weights"));
+    }
+    match select {
+        OutlierSelect::MagnitudePercentile => {
+            Some(ReferenceQuantizer::magnitude(w, ratio, low_bits, high_bits))
+        }
+        select => {
+            let nz = w.iter().filter(|&&v| v != 0.0).count().max(1);
+            let ratio = (ratio * w.len() as f64 / nz as f64).min(1.0);
+            ReferenceQuantizer::policy(w, ratio, select, low_bits, high_bits)
+        }
+    }
+}
+
+/// An activation slot's quantizer as `evaluate_synthnet_jobs` built it
+/// from the slot's calibration population `pop`: none when every value is
+/// zero; linear over the non-zero values when `ratio` is not positive;
+/// the magnitude quantizer over the non-zero values; or, under a
+/// structured rule, the policy quantizer over the whole population.
+/// `ratio` is a share of the non-zero values.
+pub fn reference_act_quantizer(
+    pop: &[f32],
+    ratio: f64,
+    select: OutlierSelect,
+    low_bits: u8,
+    high_bits: u8,
+) -> Option<ReferenceQuantizer> {
+    let nonzero: Vec<f32> = pop.iter().copied().filter(|&v| v != 0.0).collect();
+    if nonzero.is_empty() {
+        return None;
+    }
+    if ratio <= 0.0 {
+        return Some(ReferenceQuantizer::linear(&nonzero, low_bits).expect("non-zero activations"));
+    }
+    match select {
+        OutlierSelect::MagnitudePercentile => Some(ReferenceQuantizer::magnitude(
+            &nonzero, ratio, low_bits, high_bits,
+        )),
+        select => ReferenceQuantizer::policy(pop, ratio, select, low_bits, high_bits),
+    }
 }

@@ -11,10 +11,11 @@
 //! that is intended, update the constant and say why in the change log.
 
 use ola_harness::prep::{Prepared, DEFAULT_SEED};
+use ola_integration::oracle::ReferenceQuantizer;
 use ola_nn::network::WeightStore;
 use ola_nn::synthnet::{LayerId, SynthDataset, SynthNet, LAYERS};
 use ola_quant::accuracy::{evaluate_synthnet_jobs, QuantSpec};
-use ola_quant::{OutlierSelect, PolicyQuantizer};
+use ola_quant::OutlierSelect;
 use ola_sim::calibrate::calibrate_from_outputs;
 use ola_tensor::bytes::{Encoder, Fingerprint};
 use ola_tensor::init::uniform_tensor;
@@ -56,7 +57,7 @@ fn trained(train: &SynthDataset, jobs: usize) -> SynthNet {
 
 fn param_digest(net: &SynthNet) -> u64 {
     let mut d = Fingerprint::new();
-    for v in net.params() {
+    for v in &net.params {
         d.f32s(v);
     }
     d.finish()
@@ -72,7 +73,9 @@ fn slot(layer: LayerId) -> usize {
 /// Logits of `held` through a copy of `net` whose weights and hidden
 /// activations are fake-quantized under `select` (4-bit dense, 8-bit
 /// outlier weights, 16-bit outlier activations, 3% target), with the
-/// activation quantizers calibrated on `calib`.
+/// activation quantizers calibrated on `calib`. The quantizers are the
+/// retained policy quantizer ([`ReferenceQuantizer::policy`]), so under
+/// the magnitude rule this pins a path no product code runs.
 fn quantized_logits(
     net: &SynthNet,
     calib: &SynthDataset,
@@ -80,7 +83,7 @@ fn quantized_logits(
     select: OutlierSelect,
 ) -> u64 {
     let qnet = net.map_weights(|_, w| {
-        if let Some(q) = PolicyQuantizer::fit(w, 0.03, select, 4, 8) {
+        if let Some(q) = ReferenceQuantizer::policy(w, 0.03, select, 4, 8) {
             q.fake_quantize_inplace(w);
         }
     });
@@ -88,9 +91,9 @@ fn quantized_logits(
     for img in &calib.images {
         qnet.forward_with(img, |layer, a| pops[slot(layer)].extend_from_slice(a));
     }
-    let quants: Vec<Option<PolicyQuantizer>> = pops
+    let quants: Vec<Option<ReferenceQuantizer>> = pops
         .iter()
-        .map(|p| PolicyQuantizer::fit(p, 0.03, select, 4, 16))
+        .map(|p| ReferenceQuantizer::policy(p, 0.03, select, 4, 16))
         .collect();
     let mut d = Fingerprint::new();
     for img in &held.images {

@@ -234,7 +234,7 @@ fn synthnet_files(dir: &std::path::Path) -> usize {
 fn assert_trained_bitwise_eq(a: &TrainedSynthNet, b: &TrainedSynthNet) {
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(a.net.classes, b.net.classes);
-    for (x, y) in a.net.params().iter().zip(b.net.params()) {
+    for (x, y) in a.net.params.iter().zip(&b.net.params) {
         assert_eq!(bits(x), bits(y));
     }
     for (x, y) in [(&a.train, &b.train), (&a.test, &b.test)] {

@@ -113,11 +113,22 @@ mod naive {
         (sum_sq / window.len() as f32).sqrt()
     }
 
+    /// `|v| * rms`, with every NaN product the one `f32::NAN` (the sign
+    /// and payload of a NaN product are the platform's).
+    fn score(v: f32, rms: f32) -> f32 {
+        let s = v.abs() * rms;
+        if s.is_nan() {
+            f32::NAN
+        } else {
+            s
+        }
+    }
+
     fn sensitivity_scores(values: &[f32], window: usize) -> Vec<f32> {
         let mut scores = Vec::new();
         for chunk in values.chunks(window) {
             let r = rms(chunk);
-            scores.extend(chunk.iter().filter(|&&v| v != 0.0).map(|&v| v.abs() * r));
+            scores.extend(chunk.iter().filter(|&&v| v != 0.0).map(|&v| score(v, r)));
         }
         scores
     }
@@ -134,7 +145,7 @@ mod naive {
             flags.extend(
                 chunk
                     .iter()
-                    .map(|&v| v != 0.0 && (v.abs() * r).total_cmp(&t).is_ge()),
+                    .map(|&v| v != 0.0 && score(v, r).total_cmp(&t).is_ge()),
             );
         }
         flags
@@ -184,7 +195,7 @@ mod naive {
                     let r = rms(w);
                     count += w
                         .iter()
-                        .filter(|&&v| v != 0.0 && (v.abs() * r).total_cmp(&t).is_ge())
+                        .filter(|&&v| v != 0.0 && score(v, r).total_cmp(&t).is_ge())
                         .count() as u32;
                 }
             }
@@ -453,12 +464,10 @@ proptest! {
                 // threshold NaN, which `OutlierQuantizer` rejects). The
                 // structured policies keep full NaN coverage.
                 (true, OutlierSelect::MagnitudePercentile) => 2.5,
-                // Half the grids carry sign-bit-set NaN, which makes the
-                // sensitivity scores of their windows NaN with the sign
-                // bit set: below every real score under `total_cmp`. One
-                // sign per grid, because which NaN operand a float addition
-                // returns is unspecified, so a window mixing NaN signs has
-                // no defined RMS sign.
+                // Half the grids carry sign-bit-set NaN. The sensitivity
+                // scores of their windows are NaN products, whose sign the
+                // platform picks; the score maps every one to `f32::NAN`,
+                // above every real score under `total_cmp`.
                 (true, _) if negative_nan => -f32::NAN,
                 _ => v,
             })

@@ -604,7 +604,7 @@ fn hostile_synthnet_payloads_are_rejected() {
         assert!(matches!(got, Err(StoreError::Corrupt(_))), "{what}");
     };
     let mut short = s.clone();
-    short.net.w1.pop();
+    short.net.params[0].pop();
     reject("a weight vector one float short", short);
     let mut label = s.clone();
     label.test.labels[0] = label.net.classes;
