@@ -5,17 +5,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ola_harness::engine::run_suite_collect;
-use ola_harness::prep::prepared;
+use ola_harness::prep::{PrepCache, DEFAULT_SEED};
 use ola_sim::QuantPolicy;
 
 fn engine_benches(c: &mut Criterion) {
     // Warm the process-wide cache once so the hit-path benches measure
     // lookups, not the initial synthesis.
-    let prep = prepared("alexnet", 8);
+    let prepared = || PrepCache::global().prepared("alexnet", 8, DEFAULT_SEED);
+    let prep = prepared();
     let policy = QuantPolicy::olaccel16("alexnet");
     let _ = prep.workloads(&policy);
 
-    c.bench_function("prep_cache_hit", |b| b.iter(|| prepared("alexnet", 8)));
+    c.bench_function("prep_cache_hit", |b| b.iter(prepared));
     c.bench_function("workload_cache_hit", |b| b.iter(|| prep.workloads(&policy)));
     c.bench_function("workload_extract_uncached", |b| {
         b.iter(|| prep.extract(&policy))

@@ -17,7 +17,7 @@ use std::hint::black_box;
 
 /// 64-row slices of the RowGen layers the forward path regenerates:
 /// `(arm, cols, sparsity)`. VGG-16's fc6 is 96% pruned; AlexNet's fc7,
-/// which fig16 regenerates on every run, is 91% pruned.
+/// which every AlexNet forward regenerates, is 91% pruned.
 const ROWS: usize = 64;
 const LAYERS: [(&str, usize, f64); 2] = [("vgg16_fc6", 25088, 0.96), ("alexnet_fc7", 4096, 0.91)];
 

@@ -29,12 +29,13 @@ EXPERIMENT  fig1 fig2 fig3 table1 fig11 fig12 fig13 fig14 fig15 fig16
 --cache-dir DIR
             persistent artifact store: prepared networks, workload sets,
             per-layer simulation results, accuracy-eval records, fig3's
-            weight-SQNR surrogates and the trained SynthNet are written
-            there on first build and loaded on later runs, skipping
-            synthesis, forward and extraction and, when warm, the model
-            and eval phases and SynthNet training entirely. Files are
+            weight-SQNR surrogates, the trained SynthNet and fig16's
+            static-threshold counts are written there on first build and
+            loaded on later runs, skipping synthesis, forward and
+            extraction and, when warm, the model and eval phases and
+            SynthNet training entirely. Files are
             DIR/<prefix>-<key>-v<version>.olas, prefixes prep, ws,
-            simrun, simev, eval, wsqnr and synthnet. Artifacts are
+            simrun, simev, eval, wsqnr, synthnet and static. Artifacts are
             content-addressed by their inputs
             plus a per-kind code version fingerprint, so a stale or
             corrupt store never changes results — it only misses, with a
@@ -238,6 +239,30 @@ mod tests {
         let words: Vec<&str> = USAGE.split_whitespace().collect();
         for name in crate::EXPERIMENTS {
             assert!(words.contains(name), "--help omits {name}");
+        }
+    }
+
+    #[test]
+    fn usage_names_every_store_prefix() {
+        use crate::prep::{Prepared, StaticThresholdCounts};
+        use ola_nn::synthnet::TrainedSynthNet;
+        use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
+        use ola_sim::{EventRecord, LayerRun, WorkloadSet};
+        use ola_store::Record;
+        let words: Vec<&str> = USAGE
+            .split(|c: char| c.is_whitespace() || c == ',' || c == '.')
+            .collect();
+        for prefix in [
+            Prepared::PREFIX,
+            WorkloadSet::PREFIX,
+            LayerRun::PREFIX,
+            EventRecord::PREFIX,
+            QuantAccuracy::PREFIX,
+            WeightSqnr::PREFIX,
+            TrainedSynthNet::PREFIX,
+            StaticThresholdCounts::PREFIX,
+        ] {
+            assert!(words.contains(&prefix), "--help omits prefix {prefix}");
         }
     }
 

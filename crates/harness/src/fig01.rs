@@ -4,13 +4,35 @@
 //! levels spanning the outliers, outlier-aware quantization spends them on
 //! the bulk.
 
-use crate::prep::{default_scale, prepared};
+use crate::prep::{default_scale, synth_config, zoo_config, DEFAULT_SEED};
 use crate::report::{bar, num, table};
-use ola_nn::synth::weight_values;
+use ola_nn::network::WeightStore;
+use ola_nn::synth::{synthesized_weights, weight_population};
+use ola_nn::zoo;
 use ola_quant::linear::LinearQuantizer;
 use ola_quant::metrics::sqnr_db;
 use ola_quant::outlier::OutlierQuantizer;
+use ola_sim::timing;
 use ola_tensor::stats::Histogram;
+
+/// AlexNet's conv2 weights at `scale` (the layer the paper plots): the
+/// prepared network's conv2, synthesized alone under its
+/// [`synth_config`]. Only conv1 is synthesized before it; no forward runs.
+fn conv2_weights(scale: usize) -> WeightStore {
+    timing::timed(timing::Phase::Synthesize, || {
+        let net = zoo::by_name("alexnet", &zoo_config(scale));
+        let conv2 = net
+            .nodes()
+            .iter()
+            .position(|n| n.name == "conv2")
+            .expect("alexnet has conv2");
+        let cfg = synth_config("alexnet", DEFAULT_SEED);
+        let mut weights = synthesized_weights(&net, &cfg);
+        weights
+            .find_map(|(id, w)| (id == conv2).then_some(w))
+            .expect("conv2 has weights")
+    })
+}
 
 fn histogram_rows(values: &[f32], lo: f64, hi: f64, bins: usize) -> Vec<Vec<String>> {
     let mut h = Histogram::new(lo, hi, bins);
@@ -32,16 +54,10 @@ fn histogram_rows(values: &[f32], lo: f64, hi: f64, bins: usize) -> Vec<Vec<Stri
 
 /// Computes and formats Fig 1.
 pub fn run(fast: bool) -> String {
-    let prep = prepared("alexnet", default_scale("alexnet", fast));
-    // conv2 weights (the layer the paper plots).
-    let conv2 = prep
-        .net
-        .nodes()
+    let conv2 = conv2_weights(default_scale("alexnet", fast));
+    let weights: Vec<f32> = weight_population(&conv2)
         .iter()
-        .position(|n| n.name == "conv2")
-        .expect("alexnet has conv2");
-    let weights: Vec<f32> = weight_values(&prep.params, conv2)
-        .into_iter()
+        .copied()
         .filter(|&v| v != 0.0)
         .collect();
 
@@ -75,6 +91,33 @@ pub fn run(fast: bool) -> String {
 
 #[cfg(test)]
 mod tests {
+    use crate::prep::{default_scale, PrepCache, DEFAULT_SEED};
+    use ola_nn::network::WeightStore;
+
+    fn bits(weights: &WeightStore) -> Vec<u32> {
+        match weights {
+            WeightStore::Dense(t) => t.as_slice().iter().map(|v| v.to_bits()).collect(),
+            WeightStore::RowGen(_) => panic!("conv2 is dense"),
+        }
+    }
+
+    /// The conv2 fig1 synthesizes alone is the prepared network's conv2,
+    /// bit for bit. (The prepared network is the process-wide one, so
+    /// fig16's test shares its build.)
+    #[test]
+    fn synthesized_conv2_is_the_prepared_networks() {
+        let scale = default_scale("alexnet", true);
+        let prep = PrepCache::global().prepared("alexnet", scale, DEFAULT_SEED);
+        let conv2 = prep
+            .net
+            .nodes()
+            .iter()
+            .position(|n| n.name == "conv2")
+            .unwrap();
+        let prepared = prep.params.weights(conv2).expect("conv2 has weights");
+        assert_eq!(bits(&super::conv2_weights(scale)), bits(prepared));
+    }
+
     #[test]
     fn outlier_sqnr_beats_linear() {
         let r = super::run(true);

@@ -11,18 +11,20 @@
 //! * [`Prepared`] networks, keyed by a fingerprint of
 //!   `(network, scale, seed)`;
 //! * [`WorkloadSet`]s, keyed by the same fold plus the policy's
-//!   [`QuantPolicy::fingerprint`].
+//!   [`QuantPolicy::fingerprint`];
+//! * fig16's [`StaticThresholdCounts`], keyed by the same fold plus the
+//!   run's sample count, image seeds and target ratio.
 //!
 //! A workload miss extracts through its [`Prepared`]'s own census cache
 //! ([`Censuses`]), so the policies extracted from one network compute each
 //! layer's policy-independent statistics once.
 //!
-//! The workload tier is addressed by key alone ([`workloads`],
-//! [`PrepCache::workloads`]): a figure that only consumes workloads never
-//! holds a [`Prepared`], and one is built or loaded only when a workload
-//! set misses both the memory and the disk tier. Only the figures that
-//! read parameters or run forwards themselves (Figs 1 and 16) call
-//! [`prepared`].
+//! The two result tiers are addressed by key alone ([`workloads`],
+//! [`static_threshold_counts`]): a figure never holds a [`Prepared`], and
+//! one is built or loaded only when a workload set or a static-threshold
+//! run misses both the memory and the disk tier. Fig 1, which reads one
+//! layer's weights, synthesizes that layer alone under the preparation's
+//! [`synth_config`].
 //!
 //! Every entry is computed exactly once per process, so the parallel
 //! experiment engine (`crate::engine`) gets the same bytes in every report
@@ -40,6 +42,7 @@ use ola_nn::synth::{activation_sparsity_target, shape_activation_sparsity, Synth
 use ola_nn::zoo::{self, ZooConfig};
 use ola_nn::{Network, Params};
 use ola_quant::EvalCache;
+use ola_sim::calibrate::{calibrate_from_outputs, runtime_counts, RuntimeCounts};
 use ola_sim::timing;
 use ola_sim::workload::{extract_from_acts, Censuses, WorkloadSet};
 use ola_sim::{NetworkRun, QuantPolicy, SimCache};
@@ -49,7 +52,7 @@ use ola_store::{ArtifactStore, Record, StoreError};
 use ola_tensor::bytes::{Encoder, Fingerprint, Writer};
 use ola_tensor::init::uniform_tensor;
 use ola_tensor::memo::Memo;
-use ola_tensor::Tensor;
+use ola_tensor::{stack_batch, Tensor};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -99,9 +102,9 @@ pub struct Prepared {
 
 impl Prepared {
     /// Builds and runs a zoo network at the given spatial scale with the
-    /// suite's [`DEFAULT_SEED`], bypassing the cache. Prefer [`prepared`]
-    /// or [`workloads`] inside experiment code so concurrent figures share
-    /// one synthesis.
+    /// suite's [`DEFAULT_SEED`], bypassing the cache. Prefer [`workloads`]
+    /// or [`static_threshold_counts`] inside experiment code so concurrent
+    /// figures share one synthesis.
     pub fn new(network: &str, scale: usize) -> Self {
         Self::with_seed(network, scale, DEFAULT_SEED)
     }
@@ -118,8 +121,7 @@ impl Prepared {
     pub fn with_seed(network: &str, scale: usize, seed: u64) -> Self {
         let (net, params, input) = timing::timed(timing::Phase::Synthesize, || {
             let net = zoo::by_name(network, &zoo_config(scale));
-            let synth_cfg = SynthConfig::for_network_seeded(network, seed ^ DEFAULT_SEED);
-            let mut params = ola_nn::synth::synthesize_params(&net, &synth_cfg);
+            let mut params = ola_nn::synth::synthesize_params(&net, &synth_config(network, seed));
             let input = uniform_tensor(
                 net.input_shape(),
                 -1.0,
@@ -174,6 +176,41 @@ impl Prepared {
             extract_from_acts(&self.net, &self.params, &self.acts, policy, censuses)
         })
     }
+
+    /// The static-threshold run on this network: one batched forward of
+    /// the [`STATIC_SAMPLES`] sample images with the runtime image last.
+    /// Each image's node outputs are the bytes a forward of that image
+    /// alone computes, so the samples' prefix calibrates exactly as a
+    /// samples-only forward would, and the runtime image never reaches a
+    /// threshold. The forward, the calibration and the count time as the
+    /// forward phase.
+    fn static_threshold_counts(&self) -> StaticThresholdCounts {
+        let shape = self.net.input_shape();
+        let mut images: Vec<Tensor> = (0..STATIC_SAMPLES as u64)
+            .map(|i| uniform_tensor(shape, -1.0, 1.0, STATIC_SAMPLE_SEED + i))
+            .collect();
+        images.push(uniform_tensor(shape, -1.0, 1.0, STATIC_RUNTIME_SEED));
+        let counts = timing::timed(timing::Phase::Forward, || {
+            let outs = self.net.forward(&self.params, &stack_batch(&images));
+            let cals = calibrate_from_outputs(&self.net, &outs, STATIC_SAMPLES, STATIC_RATIO);
+            // The first layer's raw input has no outlier split.
+            runtime_counts(
+                &self.net,
+                &outs,
+                cals.get(1..).unwrap_or(&[]),
+                STATIC_SAMPLES,
+            )
+        });
+        let names = self.net.compute_nodes().into_iter().skip(1);
+        StaticThresholdCounts {
+            network: self.network.clone(),
+            scale: self.scale,
+            layers: names
+                .map(|node| self.net.nodes()[node].name.clone())
+                .zip(counts)
+                .collect(),
+        }
+    }
 }
 
 /// The zoo configuration every preparation (cold build or store reload)
@@ -186,10 +223,13 @@ pub(crate) fn zoo_config(scale: usize) -> ZooConfig {
     }
 }
 
-/// Fetches (or builds, exactly once per process) the shared [`Prepared`]
-/// network for `(network, scale)` at the suite's [`DEFAULT_SEED`].
-pub fn prepared(network: &str, scale: usize) -> Arc<Prepared> {
-    PrepCache::global().prepared(network, scale, DEFAULT_SEED)
+/// The synthesis configuration of `network`'s preparation from `seed`: a
+/// seed-dependent offset of the synthesis base seed, so [`DEFAULT_SEED`]
+/// keeps the default streams. Everything that synthesizes a prepared
+/// network's weights uses it, so a layer synthesized alone is the
+/// prepared network's layer.
+pub fn synth_config(network: &str, seed: u64) -> SynthConfig {
+    SynthConfig::for_network_seeded(network, seed ^ DEFAULT_SEED)
 }
 
 /// Fetches (or extracts, exactly once per process) the shared workload set
@@ -197,6 +237,13 @@ pub fn prepared(network: &str, scale: usize) -> Arc<Prepared> {
 /// under `policy`.
 pub fn workloads(network: &str, fast: bool, policy: &QuantPolicy) -> Arc<WorkloadSet> {
     PrepCache::global().workloads(network, default_scale(network, fast), DEFAULT_SEED, policy)
+}
+
+/// Fetches (or runs, exactly once per process) the static-threshold
+/// counts of `network` at its [`default_scale`] and the suite's
+/// [`DEFAULT_SEED`].
+pub fn static_threshold_counts(network: &str, fast: bool) -> Arc<StaticThresholdCounts> {
+    PrepCache::global().static_threshold_counts(network, default_scale(network, fast), DEFAULT_SEED)
 }
 
 /// A prepared network's record: its identity, parameters and forward
@@ -248,6 +295,103 @@ impl Record for Prepared {
     }
 }
 
+/// How many design-time sample images calibrate a static-threshold run's
+/// thresholds (Fig 16, §II; the paper used 100 random images, a few
+/// suffice at our statistics). Sample `i` draws from
+/// `STATIC_SAMPLE_SEED + i`.
+const STATIC_SAMPLES: usize = 3;
+/// Seed of the first design-time sample image.
+const STATIC_SAMPLE_SEED: u64 = 0xCA11B;
+/// Seed of the runtime image counted against the frozen thresholds.
+const STATIC_RUNTIME_SEED: u64 = 0x4217;
+/// Calibration target: the outlier share of the samples' non-zero input
+/// activations.
+const STATIC_RATIO: f64 = 0.03;
+
+/// A static-threshold run (Fig 16): for every compute layer after the
+/// first (the raw input has no outlier split), one runtime image's input
+/// activations counted against the layer's threshold, frozen at design
+/// time on three sample images at a 3% target.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StaticThresholdCounts {
+    /// Network name.
+    pub network: String,
+    /// Spatial scale the network was built at.
+    pub scale: usize,
+    /// Each layer's name and counts, in graph order.
+    pub layers: Vec<(String, RuntimeCounts)>,
+}
+
+/// A static-threshold run's record: its network identity and three counts
+/// per layer. Decoding rebuilds the graph from `(network, scale)`, checks
+/// the counts against it — one entry per compute layer after the first,
+/// each total the layer's per-image input size, and
+/// `outliers <= nonzero <= total` — and takes the layer names from it.
+impl Record for StaticThresholdCounts {
+    const KIND: u8 = 8;
+    const PREFIX: &'static str = "static";
+    const SOURCES: &'static [&'static str] = ola_store::version::PREP_SOURCES;
+
+    fn encode(&self, w: &mut Writer) {
+        w.str(&self.network);
+        w.u64(self.scale as u64);
+        w.usize(self.layers.len());
+        for (_, c) in &self.layers {
+            w.u64(c.nonzero).u64(c.outliers).u64(c.total);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let network = r.string()?;
+        let scale = usize::try_from(r.u64()?).unwrap_or(0);
+        let n = r.len(24)?;
+        let counts: Vec<RuntimeCounts> = (0..n)
+            .map(|_| {
+                Ok(RuntimeCounts {
+                    nonzero: r.u64()?,
+                    outliers: r.u64()?,
+                    total: r.u64()?,
+                })
+            })
+            .collect::<Result<_, StoreError>>()?;
+        let bad = |what: &str| {
+            StoreError::Corrupt(format!(
+                "static-threshold counts of {network:?} (scale {scale}): {what}"
+            ))
+        };
+        let net = (scale > 0)
+            .then(|| zoo::try_by_name(&network, &zoo_config(scale)))
+            .flatten()
+            .ok_or_else(|| bad("no such graph"))?;
+        let layers = net.compute_nodes().into_iter().skip(1).collect::<Vec<_>>();
+        if layers.len() != counts.len() {
+            return Err(bad(&format!(
+                "{} layers, the graph has {}",
+                counts.len(),
+                layers.len()
+            )));
+        }
+        // The graph is built at batch 1, so a shape's size is per image.
+        let shapes = net.shapes();
+        let mut named = Vec::with_capacity(n);
+        for (node, c) in layers.into_iter().zip(counts) {
+            let node = &net.nodes()[node];
+            if c.total != shapes[node.inputs[0]].len() as u64
+                || c.nonzero > c.total
+                || c.outliers > c.nonzero
+            {
+                return Err(bad(&format!("{} counts {c:?}", node.name)));
+            }
+            named.push((node.name.clone(), c));
+        }
+        Ok(StaticThresholdCounts {
+            network,
+            scale,
+            layers: named,
+        })
+    }
+}
+
 /// A point-in-time snapshot of [`PrepCache`] hit/miss counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -259,12 +403,23 @@ pub struct CacheStats {
     pub workload_hits: u64,
     /// Workload-set requests that triggered an extraction.
     pub workload_misses: u64,
-    /// Requests served by loading an artifact from the disk store (these
-    /// count as neither "built" nor "extracted" — no computation ran).
+    /// Prepared-network and workload-set requests served by loading an
+    /// artifact from the disk store (these count as neither "built" nor
+    /// "extracted" — no computation ran).
     pub disk_hits: u64,
-    /// Disk-store lookups that found nothing usable (missing file, stale
-    /// code version, or a corrupt artifact that forced a recompute).
+    /// Prepared-network and workload-set disk lookups that found nothing
+    /// usable (missing file, stale code version, or a corrupt artifact
+    /// that forced a recompute).
     pub disk_misses: u64,
+    /// Static-threshold runs served from memory.
+    pub static_hits: u64,
+    /// Static-threshold runs computed (a forward of their prepared
+    /// network).
+    pub static_built: u64,
+    /// Static-threshold runs loaded from the disk store.
+    pub static_loaded: u64,
+    /// Static-threshold disk lookups that found nothing usable.
+    pub static_missed: u64,
 }
 
 impl CacheStats {
@@ -273,13 +428,18 @@ impl CacheStats {
         format!(
             "prepared networks: {} built, {} cache hits\n\
              workload sets:     {} extracted, {} cache hits\n\
-             disk artifacts:    {} loaded, {} missed",
+             disk artifacts:    {} loaded, {} missed\n\
+             static thresholds: {} built, {} cache hits, {} loaded, {} missed",
             self.prepared_misses,
             self.prepared_hits,
             self.workload_misses,
             self.workload_hits,
             self.disk_hits,
-            self.disk_misses
+            self.disk_misses,
+            self.static_built,
+            self.static_hits,
+            self.static_loaded,
+            self.static_missed
         )
     }
 
@@ -293,12 +453,17 @@ impl CacheStats {
             workload_misses: self.workload_misses.saturating_sub(before.workload_misses),
             disk_hits: self.disk_hits.saturating_sub(before.disk_hits),
             disk_misses: self.disk_misses.saturating_sub(before.disk_misses),
+            static_hits: self.static_hits.saturating_sub(before.static_hits),
+            static_built: self.static_built.saturating_sub(before.static_built),
+            static_loaded: self.static_loaded.saturating_sub(before.static_loaded),
+            static_missed: self.static_missed.saturating_sub(before.static_missed),
         }
     }
 }
 
 /// Attaches the persistent disk tier at `dir` to *every* process-wide
-/// cache: the [`PrepCache`] (prepared networks, workload sets), the
+/// cache: the [`PrepCache`] (prepared networks, workload sets,
+/// static-threshold counts), the
 /// model-phase [`SimCache`] (per-layer simulation results) and the
 /// eval-phase [`EvalCache`] (quantized-accuracy results). This is what
 /// `--cache-dir` wires up in the CLI and the daemon — one flag, one
@@ -311,20 +476,21 @@ pub fn attach_disk_store(dir: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// The fold both preparation keys start from.
+/// The fold every preparation key starts from.
 fn prep_key(network: &str, scale: usize, seed: u64) -> Fingerprint {
     let mut fp = Fingerprint::new();
     fp.str(network).usize(scale).u64(seed);
     fp
 }
 
-/// Process-wide memoization of [`Prepared`] networks and [`WorkloadSet`]s,
-/// with an optional persistent tier. Requests for different keys never
-/// serialize on each other's builds.
+/// Process-wide memoization of [`Prepared`] networks, [`WorkloadSet`]s and
+/// [`StaticThresholdCounts`], with an optional persistent tier. Requests
+/// for different keys never serialize on each other's builds.
 #[derive(Default)]
 pub struct PrepCache {
     prepared: Memo<Prepared>,
     workloads: Memo<WorkloadSet>,
+    thresholds: Memo<StaticThresholdCounts>,
 }
 
 impl PrepCache {
@@ -339,12 +505,13 @@ impl PrepCache {
         GLOBAL.get_or_init(PrepCache::new)
     }
 
-    /// Attaches the persistent tier of both levels. Misses read through to
-    /// the store before computing and fresh builds write through after;
-    /// already-resident entries are unaffected.
+    /// Attaches the persistent tier of all three memos. Misses read
+    /// through to the store before computing and fresh builds write
+    /// through after; already-resident entries are unaffected.
     pub fn set_store(&self, store: Arc<ArtifactStore>) {
         self.prepared.set_store(store.clone());
-        self.workloads.set_store(store);
+        self.workloads.set_store(store.clone());
+        self.thresholds.set_store(store);
     }
 
     /// Fetches or builds the [`Prepared`] network for a key. Exactly one
@@ -393,9 +560,33 @@ impl PrepCache {
         })
     }
 
+    /// Fetches or runs the static-threshold counts of
+    /// `(network, scale, seed)`, keyed by that fold plus the run's sample
+    /// count, image seeds and target ratio. Only a miss of both the memory
+    /// and the disk tier touches a [`Prepared`]: it runs the forward on
+    /// [`PrepCache::prepared`]'s.
+    pub fn static_threshold_counts(
+        &self,
+        network: &str,
+        scale: usize,
+        seed: u64,
+    ) -> Arc<StaticThresholdCounts> {
+        let key = prep_key(network, scale, seed)
+            .usize(STATIC_SAMPLES)
+            .u64(STATIC_SAMPLE_SEED)
+            .u64(STATIC_RUNTIME_SEED)
+            .f64(STATIC_RATIO)
+            .finish();
+        self.thresholds.get(key, || {
+            self.prepared(network, scale, seed)
+                .static_threshold_counts()
+        })
+    }
+
     /// Snapshots the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         let (p, w) = (self.prepared.stats(), self.workloads.stats());
+        let t = self.thresholds.stats();
         CacheStats {
             prepared_hits: p.hits,
             prepared_misses: p.built,
@@ -403,6 +594,10 @@ impl PrepCache {
             workload_misses: w.built,
             disk_hits: p.loaded + w.loaded,
             disk_misses: p.missed + w.missed,
+            static_hits: t.hits,
+            static_built: t.built,
+            static_loaded: t.loaded,
+            static_missed: t.missed,
         }
     }
 
@@ -413,6 +608,7 @@ impl PrepCache {
     pub fn reset(&self) {
         self.prepared.reset();
         self.workloads.reset();
+        self.thresholds.reset();
     }
 }
 
@@ -540,6 +736,29 @@ mod tests {
         let last_a = a.acts.last().unwrap().as_slice();
         let last_b = b.acts.last().unwrap().as_slice();
         assert_ne!(last_a, last_b, "different seeds must change the run");
+    }
+
+    /// One run per key: the second request hits, and the run reads the
+    /// prepared network through the prepared memo.
+    #[test]
+    fn static_threshold_counts_run_once_per_key() {
+        let cache = PrepCache::new();
+        let a = cache.static_threshold_counts("alexnet", 8, DEFAULT_SEED);
+        let b = cache.static_threshold_counts("alexnet", 8, DEFAULT_SEED);
+        assert!(Arc::ptr_eq(&a, &b));
+        let s = cache.stats();
+        assert_eq!((s.static_built, s.static_hits), (1, 1));
+        assert_eq!(s.prepared_misses, 1);
+        let names: Vec<&str> = a.layers.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["conv2", "conv3", "conv4", "conv5", "fc6", "fc7", "fc8"]
+        );
+        for (name, c) in &a.layers {
+            assert!(c.outliers <= c.nonzero && c.nonzero <= c.total, "{name}");
+        }
+        cache.reset();
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]

@@ -44,7 +44,8 @@ impl OutlierQuantizer {
     /// range at `high_bits`.
     ///
     /// With `ratio == 0` this degenerates to plain linear quantization at
-    /// `low_bits` (the paper's 0%-outlier baseline in Fig 2).
+    /// `low_bits` (the paper's 0%-outlier baseline in Fig 2): no value,
+    /// NaN included, takes the high grid.
     ///
     /// # Panics
     ///
@@ -54,13 +55,19 @@ impl OutlierQuantizer {
         assert!(!values.is_empty(), "values must be non-empty");
         let max = values.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
         assert!(max > 0.0, "values must contain a non-zero entry");
-        let threshold = if ratio == 0.0 {
-            // No outliers: the low grid must span everything.
-            f32::INFINITY
-        } else {
-            magnitude_threshold(values, ratio)
-        };
-        Self::with_threshold(threshold, max, low_bits, high_bits)
+        if ratio == 0.0 {
+            return Self::disabled(max, low_bits, high_bits);
+        }
+        Self::with_threshold(magnitude_threshold(values, ratio), max, low_bits, high_bits)
+    }
+
+    /// No outliers: a low grid spanning `max`, and no rule to select any
+    /// value onto the high grid.
+    fn disabled(max: f32, low_bits: u8, high_bits: u8) -> Self {
+        OutlierQuantizer {
+            select: None,
+            ..Self::with_threshold(f32::INFINITY, max, low_bits, high_bits)
+        }
     }
 
     /// Fits a quantizer to `values` under the selection rule `select`, with
@@ -98,11 +105,7 @@ impl OutlierQuantizer {
             return None;
         }
         if ratio <= 0.0 {
-            let linear = Self::with_threshold(f32::INFINITY, max, low_bits, high_bits);
-            return Some(OutlierQuantizer {
-                select: None,
-                ..linear
-            });
+            return Some(Self::disabled(max, low_bits, high_bits));
         }
         if select == OutlierSelect::MagnitudePercentile {
             let threshold = match share {
@@ -475,6 +478,27 @@ mod tests {
             assert!(q.quantize(&values).outliers.is_empty());
             assert_eq!(q.fake_quantize_inplace(&mut values.clone()), 0);
         }
+    }
+
+    /// `fit` at ratio 0 is the same disabled quantizer: a NaN takes the low
+    /// grid there too.
+    #[test]
+    fn zero_ratio_fit_selects_no_nan() {
+        let values = [f32::NAN, 1.0, 2.0];
+        let q = OutlierQuantizer::fit(&values, 0.0, 4, 8);
+        assert_eq!(q.threshold(), f32::INFINITY);
+        assert!(!q.is_outlier(f32::NAN));
+        assert!(q.quantize(&values).outliers.is_empty());
+        assert_eq!(q.fake_quantize_inplace(&mut values.to_vec()), 0);
+        let rule = OutlierQuantizer::fit_rule(
+            &values,
+            0.0,
+            Share::All,
+            OutlierSelect::MagnitudePercentile,
+            4,
+            8,
+        );
+        assert_eq!(Some(q), rule, "fit and fit_rule disable alike");
     }
 
     #[test]

@@ -175,9 +175,15 @@ impl OutlierSelect {
         }
     }
 
-    /// Calibrate-and-classify on one population.
+    /// Calibrate-and-classify on one population. A ratio that is not
+    /// positive selects nothing under every rule — not even a NaN, which
+    /// [`OutlierSelect::classify_with`] ranks above the `f32::INFINITY`
+    /// that calibration returns for a disabled rule.
     pub fn classify(&self, values: &[f32], ratio: f64) -> Vec<bool> {
         let threshold = self.calibrate(values, ratio);
+        if ratio <= 0.0 {
+            return vec![false; values.len()];
+        }
         self.classify_with(values, threshold)
     }
 }
@@ -280,6 +286,24 @@ mod tests {
             let flags = select.classify(&values, 0.0);
             assert_eq!(count(&flags), 0, "{}", select.name());
         }
+    }
+
+    /// A NaN is no outlier at ratio 0 either; an explicit `+inf` threshold
+    /// (a genuine k-th magnitude) still selects `+inf` and NaN.
+    #[test]
+    fn disabled_ratio_selects_no_nan() {
+        let values = [f32::NAN, 1.0, 2.0, f32::INFINITY];
+        for select in OutlierSelect::panel() {
+            for ratio in [0.0, -0.0, -1.0] {
+                let flags = select.classify(&values, ratio);
+                assert_eq!(count(&flags), 0, "{} at {ratio}", select.name());
+            }
+        }
+        let flags = OutlierSelect::MagnitudePercentile.classify_with(&values, f32::INFINITY);
+        assert_eq!(flags, [true, false, false, true]);
+        // k = 2 of four: the NaN and `+inf` tie the threshold or pass it.
+        let flags = OutlierSelect::MagnitudePercentile.classify(&values, 0.5);
+        assert_eq!(flags, [true, false, false, true]);
     }
 
     #[test]

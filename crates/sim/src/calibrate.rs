@@ -5,12 +5,14 @@
 //! each layer's threshold on sample inputs. One calibration serves workload
 //! extraction, which runs it under the policy's selection rule on every
 //! compute layer's input, and fig16, which runs it on a batch prefix
-//! ([`calibrate_from_outputs`]). Both run on the band-major chunk-grid
-//! kernel: its occupancy pass supplies the population counts, the global
-//! rules select the exact k-th largest score and count the lanes at or
-//! above it in one walk, and windowed-top1 counts per chunk. A magnitude
-//! outlier is a non-zero lane whose magnitude is at least the threshold in
-//! the [`f32::total_cmp`] order, the order the threshold is selected in.
+//! ([`calibrate_from_outputs`]) and then counts a runtime image behind the
+//! prefix against the frozen thresholds ([`runtime_counts`]). Both run on
+//! the band-major chunk-grid kernel: its occupancy pass supplies the
+//! population counts, the global rules select the exact k-th largest score
+//! and count the lanes at or above it in one walk, and windowed-top1
+//! counts per chunk. A magnitude outlier is a non-zero lane whose
+//! magnitude is at least the threshold in the [`f32::total_cmp`] order,
+//! the order the threshold is selected in.
 
 use crate::chunk::{census, count_grid, occupancy, select_count, top_k};
 use crate::chunk::{Grid, Occupancy, Rule, Score};
@@ -85,6 +87,63 @@ pub fn calibrate_from_outputs(
             inner,
         )
     })
+}
+
+/// One compute layer's runtime input activations, counted against the
+/// layer's frozen threshold.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RuntimeCounts {
+    /// Non-zero activations.
+    pub nonzero: u64,
+    /// Non-zero activations at or above the frozen threshold, in the
+    /// `total_cmp` order the threshold was selected in.
+    pub outliers: u64,
+    /// Every activation, zeros included.
+    pub total: u64,
+}
+
+/// Counts image `image` of each calibrated node's input against that
+/// node's frozen threshold: one [`RuntimeCounts`] per entry of `cals`, in
+/// order. With the calibration samples at the front of the batch and the
+/// runtime image behind them, the runtime image never reached a threshold.
+/// A calibration that selected no outlier (ratio 0, or no non-zero sample)
+/// froze no threshold, so it counts no runtime outlier, NaN included.
+///
+/// # Panics
+///
+/// Panics if `image` is not an image of a calibrated node's input.
+pub fn runtime_counts(
+    net: &Network,
+    outs: &[Tensor],
+    cals: &[LayerCalibration],
+    image: usize,
+) -> Vec<RuntimeCounts> {
+    cals.iter()
+        .map(|cal| {
+            let src = &outs[net.nodes()[cal.node].inputs[0]];
+            let len = src.len() / src.shape().n;
+            let act = &src.as_slice()[len * image..len * (image + 1)];
+            let mut counts = RuntimeCounts {
+                total: len as u64,
+                ..RuntimeCounts::default()
+            };
+            // Its `f32::INFINITY` would still rank a NaN above it.
+            let frozen = cal.nonzero_outlier_ratio > 0.0;
+            for &v in act {
+                counts.nonzero += u64::from(v != 0.0);
+                counts.outliers += u64::from(frozen && is_runtime_outlier(v, cal.threshold));
+            }
+            counts
+        })
+        .collect()
+}
+
+/// Whether a runtime activation is an outlier under its layer's frozen
+/// threshold, by the calibration's own key: non-zero, with `|v|` at or
+/// above the threshold in the `total_cmp` order the threshold was selected
+/// and counted in. A NaN ranks above every threshold, so it counts.
+fn is_runtime_outlier(v: f32, threshold: f32) -> bool {
+    v != 0.0 && v.abs().total_cmp(&threshold).is_ge()
 }
 
 /// Calibrates `node`'s input activations under `select` on the grid
@@ -390,5 +449,78 @@ mod tests {
             alone.iter().map(calibration_bits).collect::<Vec<_>>(),
             prefix.iter().map(calibration_bits).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn runtime_outliers_count_in_the_calibration_order() {
+        for v in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.5] {
+            assert!(is_runtime_outlier(v, 0.5), "{v} is an outlier");
+        }
+        for v in [0.0, -0.0, 0.25, -0.25] {
+            assert!(!is_runtime_outlier(v, 0.5), "{v} is not an outlier");
+        }
+        // Zeros of either sign never count, even against a zero threshold.
+        assert!(!is_runtime_outlier(-0.0, 0.0));
+    }
+
+    /// The counts read only the requested image of each calibrated node's
+    /// input, against that node's threshold.
+    #[test]
+    fn runtime_counts_read_one_image_against_its_layer_threshold() {
+        let (net, params) = alexnet_scale8();
+        let images: Vec<Tensor> = (0..3)
+            .map(|i| uniform_tensor(net.input_shape(), -1.0, 1.0, 60 + i))
+            .collect();
+        let outs = net.forward(&params, &stack_batch(&images));
+        let cals = calibrate_from_outputs(&net, &outs, 2, 0.03);
+        let counts = runtime_counts(&net, &outs, &cals, 2);
+        assert_eq!(counts.len(), cals.len());
+        for (cal, c) in cals.iter().zip(&counts) {
+            let src = &outs[net.nodes()[cal.node].inputs[0]];
+            let act = &src.as_slice()[src.len() / 3 * 2..];
+            let nonzero = act.iter().filter(|&&v| v != 0.0).count() as u64;
+            let outliers = act
+                .iter()
+                .filter(|&&v| v != 0.0 && v.abs() >= cal.threshold)
+                .count() as u64;
+            let direct = RuntimeCounts {
+                nonzero,
+                outliers,
+                total: act.len() as u64,
+            };
+            assert_eq!(*c, direct, "node {}", cal.node);
+        }
+        // A later layer's runtime input carries ReLU zeros and outliers.
+        assert!(counts[3].nonzero < counts[3].total);
+        assert!(counts.iter().any(|c| c.outliers > 0));
+    }
+
+    /// A NaN in the runtime image counts against a frozen threshold, and
+    /// not against a ratio-0 calibration, which selected nothing.
+    #[test]
+    fn ratio_zero_calibration_counts_no_runtime_nan() {
+        let (net, params) = alexnet_scale8();
+        let images: Vec<Tensor> = (0..2)
+            .map(|i| uniform_tensor(net.input_shape(), -1.0, 1.0, 70 + i))
+            .collect();
+        let mut outs = net.forward(&params, &stack_batch(&images));
+        let conv2 = net.compute_nodes()[1];
+        let src = &mut outs[net.nodes()[conv2].inputs[0]];
+        let len = src.len() / 2;
+        src.as_mut_slice()[len] = f32::NAN;
+        let count = |ratio| {
+            runtime_counts(
+                &net,
+                &outs,
+                &calibrate_from_outputs(&net, &outs, 1, ratio),
+                1,
+            )[1]
+        };
+        assert_eq!(count(0.0).outliers, 0);
+        let finite = outs[net.nodes()[conv2].inputs[0]].as_slice()[len + 1..]
+            .iter()
+            .filter(|v| v.abs() >= calibrate_from_outputs(&net, &outs, 1, 0.03)[1].threshold)
+            .count() as u64;
+        assert_eq!(count(0.03).outliers, finite + 1, "the NaN counts");
     }
 }

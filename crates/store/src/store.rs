@@ -51,8 +51,8 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 ///
 /// Kind tags in use: 1 prepared network (`ola-harness`), 2 workload set,
 /// 3 analytic sim record, 4 event sim record, 5 accuracy-eval record, 6
-/// weight-SQNR surrogate, 7 trained SynthNet (the last six in
-/// [`crate::codec`]).
+/// weight-SQNR surrogate, 7 trained SynthNet (2 to 7 in [`crate::codec`]),
+/// 8 fig16's static-threshold counts (`ola-harness`).
 pub trait Record: Sized {
     /// Header tag, unique per record type.
     const KIND: u8;

@@ -28,8 +28,8 @@ use ola_tensor::bytes::{Encoder, Fingerprint};
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Source files whose text determines preparation artifact bytes
-/// (prepared networks and workload sets). Paths are relative to
-/// `crates/store/src/`.
+/// (prepared networks, workload sets and fig16's static-threshold counts).
+/// Paths are relative to `crates/store/src/`.
 pub const PREP_SOURCES: &[&str] = &[
     // Tensor substrate: RNG-driven init, the chunk width and the parallel
     // split feed every synthesized parameter and every measured statistic.
@@ -51,7 +51,8 @@ pub const PREP_SOURCES: &[&str] = &[
     // workload byte: extraction selects on the chunk grid.)
     include_str!("../../quant/src/policy.rs"),
     // Simulation: the extraction pass, the chunk-grid kernel and the
-    // activation calibration it runs on, plus the policy definition.
+    // activation calibration it runs on (with fig16's runtime count), plus
+    // the policy definition.
     include_str!("../../sim/src/workload.rs"),
     include_str!("../../sim/src/chunk.rs"),
     include_str!("../../sim/src/calibrate.rs"),
@@ -59,8 +60,8 @@ pub const PREP_SOURCES: &[&str] = &[
     // The RNG every synthetic value flows through.
     include_str!("../../../vendored/rand/src/lib.rs"),
     // The preparation pipeline that orchestrates all of the above (seed
-    // derivation, activation-sparsity shaping). Text-only include — no
-    // crate dependency cycle.
+    // derivation, activation-sparsity shaping, fig16's static-threshold
+    // run). Text-only include — no crate dependency cycle.
     include_str!("../../harness/src/prep.rs"),
     // The record payload layouts and the encoding they are written and
     // read with: a layout edit must not decode old bytes into new fields.
@@ -266,12 +267,24 @@ mod tests {
             src!("sim/src/workload.rs"),
         ];
         let train = [src!("nn/src/synthnet.rs")];
+        // The static-threshold counts: the build, key and layout (`prep.rs`),
+        // the sample and runtime images and their batch, the forward, and
+        // the calibration and runtime count.
+        let thresholds = [
+            src!("harness/src/prep.rs"),
+            src!("tensor/src/init.rs"),
+            src!("tensor/src/tensor.rs"),
+            src!("nn/src/network.rs"),
+            src!("nn/src/kernels.rs"),
+            src!("sim/src/calibrate.rs"),
+        ];
         for (kind, list, encodes) in [
             ("prep", PREP_SOURCES, &prep[..]),
             ("model", MODEL_SOURCES, &[]),
             ("eval", EVAL_SOURCES, &[]),
             ("surrogate", SURROGATE_SOURCES, &[]),
             ("train", TRAIN_SOURCES, &train[..]),
+            ("static", PREP_SOURCES, &thresholds[..]),
         ] {
             for (file, text) in layout.iter().chain(encodes) {
                 assert!(list.contains(text), "{kind} sources omit {file}");

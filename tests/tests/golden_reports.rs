@@ -47,6 +47,13 @@ fn check(name: &str) {
 }
 
 #[test]
+fn fig1_matches_golden() {
+    // Locks conv2's weights, synthesized alone (no prepared network),
+    // and both quantizers' histograms and SQNRs.
+    check("fig1");
+}
+
+#[test]
 fn fig2_matches_golden() {
     // Locks the whole SynthNet path: counter-based dataset synthesis,
     // order-fixed parallel SGD, and the quantization sweep. Training is

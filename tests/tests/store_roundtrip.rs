@@ -9,11 +9,12 @@
 //! each other. The write race re-runs this test binary as two writer
 //! processes.
 
-use ola_harness::prep::{PrepCache, Prepared, DEFAULT_SEED};
+use ola_harness::prep::{PrepCache, Prepared, StaticThresholdCounts, DEFAULT_SEED};
 use ola_integration::oracle::bitwise_eq;
 use ola_nn::synthnet::{SynthDataset, SynthNet, TrainedSynthNet};
 use ola_nn::Params;
 use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
+use ola_sim::calibrate::RuntimeCounts;
 use ola_sim::workload::{LayerKind, LayerWorkload};
 use ola_sim::{EventRecord, LayerRun, QuantPolicy, Utilization, WorkloadSet};
 use ola_store::{ArtifactStore, Record, StoreError};
@@ -328,6 +329,7 @@ struct Samples {
     eval: QuantAccuracy,
     surrogate: WeightSqnr,
     synthnet: TrainedSynthNet,
+    thresholds: StaticThresholdCounts,
 }
 
 fn samples() -> &'static Samples {
@@ -337,6 +339,25 @@ fn samples() -> &'static Samples {
         // tensors are then shrunk so every-byte checks stay cheap.
         let mut prepared = Prepared::with_seed(NET, 64, 7);
         let workloads = prepared.extract(&QuantPolicy::olaccel16(NET));
+        // Counts that fit the graph: every compute layer after the first,
+        // its per-image input size as the total.
+        let shapes = prepared.net.shapes();
+        let thresholds = StaticThresholdCounts {
+            network: NET.into(),
+            scale: 64,
+            layers: (prepared.net.compute_nodes().into_iter().skip(1))
+                .map(|id| {
+                    let node = &prepared.net.nodes()[id];
+                    let total = shapes[node.inputs[0]].len() as u64;
+                    let counts = RuntimeCounts {
+                        nonzero: total / 2,
+                        outliers: total / 64,
+                        total,
+                    };
+                    (node.name.clone(), counts)
+                })
+                .collect(),
+        };
         let nodes = prepared.net.nodes().len();
         prepared.params = Params::sized(nodes);
         prepared.acts = vec![Tensor::from_vec(Shape4::new(1, 1, 1, 2), vec![1.5, -0.0]); nodes];
@@ -377,6 +398,7 @@ fn samples() -> &'static Samples {
                 fp_top1: 0.5,
                 fp_top5: 1.0,
             },
+            thresholds,
         }
     })
 }
@@ -433,6 +455,7 @@ fn every_record_kind_rejects_flipped_and_truncated_files() {
     assert_flips_and_prefixes_rejected(&store, &s.eval, 1);
     assert_flips_and_prefixes_rejected(&store, &s.surrogate, 1);
     assert_flips_and_prefixes_rejected(&store, &s.synthnet, 251);
+    assert_flips_and_prefixes_rejected(&store, &s.thresholds, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -581,6 +604,13 @@ proptest! {
         let _ = get_reframed(&store, &s.event, mutate);
         let _ = get_reframed(&store, &s.eval, mutate);
         let _ = get_reframed(&store, &s.surrogate, mutate);
+        // Counts that decode still fit the graph they name.
+        if let Ok(Some(t)) = get_reframed(&store, &s.thresholds, mutate) {
+            assert_eq!(t.layers.len(), s.thresholds.layers.len());
+            for (_, c) in &t.layers {
+                assert!(c.outliers <= c.nonzero && c.nonzero <= c.total);
+            }
+        }
         // A trained net that decodes must forward and evaluate in bounds.
         if let Ok(Some(t)) = get_reframed(&store, &s.synthnet, mutate) {
             let _ = t.net.eval_with_jobs(&t.test, 5, |_, _| (), 1);
@@ -617,5 +647,128 @@ fn hostile_synthnet_payloads_are_rejected() {
     let mut image = s.clone();
     image.train.images[1].push(0.0);
     reject("an image one float long", image);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Checksum-valid static-threshold payloads that do not fit their graph
+/// each decode to an error, never to a different report.
+#[test]
+fn hostile_static_threshold_payloads_are_rejected() {
+    let dir = scratch("hostile-static");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let s = &samples().thresholds;
+    let reject = |what: &str, hostile: StaticThresholdCounts| {
+        let mut w = Writer::new();
+        hostile.encode(&mut w);
+        let payload = w.into_bytes();
+        let got = get_reframed(&store, s, |p| p.clone_from(&payload));
+        assert!(matches!(got, Err(StoreError::Corrupt(_))), "{what}");
+    };
+    let mut short = s.clone();
+    short.layers.pop();
+    reject("a layer count unlike AlexNet's", short);
+    let mut long = s.clone();
+    long.layers.push(long.layers[0].clone());
+    reject("a layer more than AlexNet has", long);
+    let mut outliers = s.clone();
+    outliers.layers[2].1.outliers = outliers.layers[2].1.nonzero + 1;
+    reject("outliers above the non-zero count", outliers);
+    let mut nonzero = s.clone();
+    nonzero.layers[4].1.nonzero = nonzero.layers[4].1.total + 1;
+    reject("non-zeros above the total", nonzero);
+    let mut total = s.clone();
+    total.layers[1].1.total += 1;
+    total.layers[1].1.nonzero += 1;
+    reject("a total unlike the layer's input", total);
+    let mut unknown = s.clone();
+    unknown.network = "nosuchnet".into();
+    reject("a network the zoo does not know", unknown);
+    let mut scaleless = s.clone();
+    scaleless.scale = 0;
+    reject("a scale of 0", scaleless);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn static_files(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            name.to_string_lossy()
+                .starts_with(&format!("{}-", StaticThresholdCounts::PREFIX))
+        })
+        .count()
+}
+
+/// The `(built, loaded, missed)` static-threshold counters and the
+/// `(prepared_misses, disk_hits)` preparation counters of `cache`.
+fn static_counts(cache: &PrepCache) -> ((u64, u64, u64), (u64, u64)) {
+    let s = cache.stats();
+    (
+        (s.static_built, s.static_loaded, s.static_missed),
+        (s.prepared_misses, s.disk_hits),
+    )
+}
+
+/// A cold run writes the static-threshold record; a second cache over the
+/// same store loads it without touching a prepared network; a flipped
+/// byte costs one failed load and a rerun, from the stored preparation,
+/// that heals the file.
+#[test]
+fn static_threshold_record_persists_loads_and_heals() {
+    let dir = scratch("static");
+    let cold = PrepCache::new();
+    cold.set_store(open(&dir));
+    let built = cold.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
+    assert_eq!(static_counts(&cold), ((1, 0, 1), (1, 0)), "cold run builds");
+    assert_eq!(static_files(&dir), 1, "the cold run writes one record");
+    assert_eq!(
+        built.layers.len(),
+        7,
+        "AlexNet's compute layers after conv1"
+    );
+    assert_eq!(built.layers[0].0, "conv2");
+
+    let warm = PrepCache::new();
+    warm.set_store(open(&dir));
+    let loaded = warm.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
+    assert_eq!(static_counts(&warm), ((0, 1, 0), (0, 0)));
+    assert_eq!(warm.stats().prepared_hits, 0, "no prepared lookup at all");
+    assert_eq!(*loaded, *built);
+
+    let path = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            name.starts_with(&format!("{}-", StaticThresholdCounts::PREFIX))
+        })
+        .unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(&path, bytes).unwrap();
+
+    let hurt = PrepCache::new();
+    hurt.set_store(open(&dir));
+    let rerun = hurt.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
+    assert_eq!(
+        static_counts(&hurt),
+        ((1, 0, 1), (0, 1)),
+        "one failed load, one rerun on the loaded preparation"
+    );
+    assert_eq!(*rerun, *built);
+
+    let healed = PrepCache::new();
+    healed.set_store(open(&dir));
+    let again = healed.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
+    assert_eq!(
+        static_counts(&healed),
+        ((0, 1, 0), (0, 0)),
+        "write-through heals"
+    );
+    assert_eq!(*again, *built);
+    assert_eq!(static_files(&dir), 1);
+
     std::fs::remove_dir_all(&dir).ok();
 }
