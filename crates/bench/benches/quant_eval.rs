@@ -10,8 +10,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ola_harness::fig02::{trained, RATIOS};
 use ola_quant::accuracy::{evaluate_synthnet, QuantSpec};
-use ola_quant::evalcache::set_eval_jobs;
 use ola_quant::EvalCache;
+use ola_tensor::par::set_jobs;
 use std::hint::black_box;
 
 fn benches(c: &mut Criterion) {
@@ -33,7 +33,7 @@ fn benches(c: &mut Criterion) {
     };
 
     for jobs in [1usize, 2, 4] {
-        set_eval_jobs(jobs);
+        set_jobs(jobs);
         c.bench_function(&format!("quant_eval_fig2_cold_j{jobs}"), |b| {
             b.iter(|| {
                 EvalCache::global().reset();

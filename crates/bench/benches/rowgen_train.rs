@@ -62,9 +62,9 @@ fn dataset_synthesis(c: &mut Criterion) {
     g.sample_size(10).throughput(Throughput::Elements(2800));
     for jobs in [1usize, 2, 4] {
         g.bench_function(&format!("j{jobs}"), |b| {
-            ola_tensor::par::set_fill_jobs(jobs);
+            ola_tensor::par::set_jobs(jobs);
             b.iter(|| black_box(SynthDataset::generate(2800, 10, 0x5EED).len()));
-            ola_tensor::par::set_fill_jobs(1);
+            ola_tensor::par::set_jobs(1);
         });
     }
     g.finish();

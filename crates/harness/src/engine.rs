@@ -121,21 +121,6 @@ struct Slots {
     ready: Condvar,
 }
 
-/// Sets the process-wide worker count of every parallel phase inside one
-/// experiment: forward kernels, workload extraction, the model phase, the
-/// eval phase and tensor fills. Output bytes are identical at any value.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
-pub fn set_worker_budget(jobs: usize) {
-    ola_nn::kernels::set_forward_jobs(jobs);
-    ola_sim::workload::set_extract_jobs(jobs);
-    ola_sim::simcache::set_model_jobs(jobs);
-    ola_quant::evalcache::set_eval_jobs(jobs);
-    ola_tensor::par::set_fill_jobs(jobs);
-}
-
 /// Runs `names` across `jobs` workers, invoking `on_report` for each
 /// outcome **in request order** as soon as it (and everything before it)
 /// has finished — a serial consumer sees the exact stream a `--jobs 1` run
@@ -159,13 +144,13 @@ where
         panic!("unknown experiment {bad}; known: {:?}", crate::EXPERIMENTS);
     }
     // Split the worker budget between the experiment level and the
-    // per-forward kernel level so the two never oversubscribe the machine:
-    // a single experiment gets the whole budget for its forward passes,
-    // while a wide suite keeps kernels serial inside each worker. Forward
-    // results are bit-identical at any worker count, so this only shifts
-    // where the parallelism lives, never what is computed.
+    // phases inside each experiment so the two never oversubscribe the
+    // machine: a single experiment gets the whole budget for its forward
+    // passes, while a wide suite keeps each worker's phases serial. Results
+    // are bit-identical at any worker count, so this only shifts where the
+    // parallelism lives, never what is computed.
     let outer = jobs.min(names.len().max(1));
-    set_worker_budget((jobs / outer).max(1));
+    let inner = (jobs / outer).max(1);
     let start = Instant::now();
     let stats_before = PrepCache::global().stats();
     let sim_before = SimCache::global().stats();
@@ -179,8 +164,9 @@ where
 
     let mut outcomes: Vec<ExperimentOutcome> = Vec::with_capacity(names.len());
     std::thread::scope(|scope| {
-        for _ in 0..jobs.min(names.len().max(1)) {
+        for _ in 0..outer {
             scope.spawn(|| loop {
+                ola_tensor::par::set_jobs(inner);
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(name) = names.get(i) else { break };
                 let t = Instant::now();

@@ -8,7 +8,7 @@
 use crate::report::{pct, table};
 use ola_nn::synthnet::{SynthDataset, SynthNet, TrainSpec, TrainedSynthNet};
 use ola_quant::accuracy::{evaluate_synthnet, QuantSpec};
-use ola_quant::evalcache::{eval_jobs, synthnet_key, EvalCache};
+use ola_quant::evalcache::{synthnet_key, EvalCache};
 use ola_sim::timing::{timed, Phase};
 use std::sync::Arc;
 
@@ -36,8 +36,8 @@ pub fn train_spec(fast: bool) -> TrainSpec {
 /// Trains the SynthNet `spec` describes and measures its full-precision
 /// baseline, without memoization.
 ///
-/// Training runs on the engine's per-experiment worker budget
-/// (`ola_nn::kernels::forward_jobs`) with an order-fixed gradient
+/// Training runs on the calling thread's worker budget
+/// (`ola_tensor::par::jobs`) with an order-fixed gradient
 /// reduction, so the trained weights — and every figure derived from them
 /// — are byte-identical at any `--jobs` value.
 fn build(spec: &TrainSpec) -> TrainedSynthNet {
@@ -57,7 +57,7 @@ fn build(spec: &TrainSpec) -> TrainedSynthNet {
     });
     // One forward pass per image yields both full-precision metrics.
     let (fp_top1, fp_top5) = timed(Phase::Eval, || {
-        net.eval_with_jobs(&test, spec.topk, |_, _| (), eval_jobs())
+        net.eval_with_jobs(&test, spec.topk, |_, _| (), ola_tensor::par::jobs())
     });
     TrainedSynthNet {
         net,

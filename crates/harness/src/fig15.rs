@@ -33,7 +33,7 @@ pub fn run(fast: bool) -> String {
     // The NPU×batch grid rides on the two base simulations above (cached
     // in the global `SimCache`); rows evaluate in parallel and assemble in
     // axis order, so the table is byte-identical at any worker count.
-    let rows = ola_tensor::par::ordered_map(&NPUS, ola_sim::simcache::model_jobs(), |_, &npus| {
+    let rows = ola_tensor::par::ordered_map(&NPUS, ola_tensor::par::jobs(), |_, &npus| {
         let mut row = vec![format!("{npus}")];
         for batch in BATCHES {
             row.push(num(speedup(

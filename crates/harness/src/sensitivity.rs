@@ -61,11 +61,10 @@ pub fn run(fast: bool) -> String {
             t,
         ));
     }
-    let rows = ola_tensor::par::ordered_map(
-        &cases,
-        ola_sim::simcache::model_jobs(),
-        |_, (knob, value, t)| vec![knob.clone(), value.clone(), pct(reduction_with(t, &ws16))],
-    );
+    let rows =
+        ola_tensor::par::ordered_map(&cases, ola_tensor::par::jobs(), |_, (knob, value, t)| {
+            vec![knob.clone(), value.clone(), pct(reduction_with(t, &ws16))]
+        });
     let body = table(&["knob", "value", "OLA16 vs ZeNA16 reduction"], &rows);
     format!(
         "=== Sensitivity: AlexNet energy reduction vs technology constants ===\n{body}\n\

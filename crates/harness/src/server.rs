@@ -41,10 +41,11 @@
 //! requests for the same experiment always deliver identical payload
 //! bytes, even though their headers differ.
 //!
-//! `--jobs` is advisory: it retunes the process-wide kernel worker pools
-//! before the computation starts. Reports are byte-identical at any jobs
-//! value (the workspace's determinism contract), so it affects latency
-//! only.
+//! `--jobs` sets the worker budget of the connection's handler thread
+//! before the computation starts; a request without it runs at the
+//! daemon's `--jobs`, else at the machine's core count, whatever earlier
+//! requests asked for. Reports are byte-identical at any jobs value (the
+//! workspace's determinism contract), so it affects latency only.
 //!
 //! ## Shutdown
 //!
@@ -330,10 +331,10 @@ fn parse_request(server: &Server, line: &str) -> Result<Request, String> {
 
 /// Runs (or joins / replays) one experiment and frames the response.
 fn run_request(server: &Server, name: &str, fast: bool, jobs: Option<usize>) -> Vec<u8> {
-    if let Some(jobs) = jobs.or(server.options.jobs) {
-        // Advisory: retune the process-wide kernel pools.
-        crate::engine::set_worker_budget(jobs);
-    }
+    // The budget is this handler thread's, so no other request's `--jobs`
+    // reaches this one, and a request without one runs at the default.
+    let jobs = jobs.or(server.options.jobs);
+    ola_tensor::par::set_jobs(jobs.unwrap_or_else(ola_tensor::par::default_jobs));
     let start = Instant::now();
     let key = (name.to_string(), fast);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -415,4 +416,56 @@ pub fn request(socket: &Path, line: &str) -> Result<(), String> {
             .map_err(|e| format!("stdout write failed: {e}"))?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ola_tensor::par::{default_jobs, jobs};
+    use std::sync::Barrier;
+
+    fn server() -> Server {
+        Server {
+            options: RunOptions {
+                fast: true,
+                ..RunOptions::default()
+            },
+            reports: Mutex::new(HashMap::new()),
+            requests: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
+        }
+    }
+
+    #[test]
+    fn a_request_without_jobs_runs_at_the_default_not_the_last_budget() {
+        let server = server();
+        // Unlike the default, so a budget left over from it shows.
+        let wide = default_jobs() + 2;
+        let response = respond(&server, &format!("run table1 --jobs {wide}"));
+        assert!(response.starts_with(b"ok name=table1 "));
+        assert_eq!(jobs(), wide);
+        let response = respond(&server, "run table1");
+        assert!(response.starts_with(b"ok name=table1 "));
+        assert_eq!(jobs(), default_jobs());
+    }
+
+    #[test]
+    fn concurrent_requests_keep_their_own_budgets() {
+        let server = server();
+        let both_ran = Barrier::new(2);
+        let seen = std::thread::scope(|scope| {
+            [1, 5]
+                .map(|budget| {
+                    let (server, both_ran) = (&server, &both_ran);
+                    scope.spawn(move || {
+                        respond(server, &format!("run table1 --jobs {budget}"));
+                        // Read only once the other request has set its budget.
+                        both_ran.wait();
+                        jobs()
+                    })
+                })
+                .map(|handler| handler.join().unwrap())
+        });
+        assert_eq!(seen, [1, 5]);
+    }
 }

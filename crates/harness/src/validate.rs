@@ -13,10 +13,9 @@ use crate::prep::workloads;
 use crate::report::{num, table};
 use ola_core::cost::GroupTuning;
 use ola_core::event::{validate_layer, EventConfig};
-use ola_sim::simcache::model_jobs;
 use ola_sim::timing::{timed, Phase};
 use ola_sim::QuantPolicy;
-use ola_tensor::par::ordered_map;
+use ola_tensor::par::{jobs, ordered_map};
 
 /// Runs the validation on AlexNet's layers and formats the comparison.
 pub fn run(fast: bool) -> String {
@@ -29,12 +28,10 @@ pub fn run_network(network: &str, fast: bool) -> String {
     let tuning = GroupTuning::default();
     let cfg = EventConfig::default();
 
-    // Model-phase work under the engine's jobs split; each validation is
+    // Model-phase work under this thread's worker budget; each validation is
     // memoized in the global `SimCache` via `ola_core::event::cluster_record`.
     let results = timed(Phase::Model, || {
-        ordered_map(&ws.layers, model_jobs(), |_, l| {
-            validate_layer(l, &tuning, &cfg)
-        })
+        ordered_map(&ws.layers, jobs(), |_, l| validate_layer(l, &tuning, &cfg))
     });
 
     let mut rows = Vec::new();

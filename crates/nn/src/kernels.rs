@@ -42,33 +42,11 @@
 use crate::synth::SyntheticMatrix;
 use ola_tensor::par::ordered_map;
 use ola_tensor::{Shape4, Tensor};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Worker threads [`crate::Network::forward`] hands to the kernels when the
-/// caller does not pass an explicit count. Defaults to 1 (serial); the
-/// experiment engine raises it when it has spare budget (single-experiment
-/// runs), keeping nested parallelism from oversubscribing the machine.
-static FORWARD_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default kernel worker count used by
-/// [`crate::Network::forward`].
-///
-/// Results are bit-identical at any value (see the module docs), so this
-/// only trades wall-time; the experiment engine sets it to
-/// `total jobs / concurrent experiments`.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
-pub fn set_forward_jobs(jobs: usize) {
-    assert!(jobs > 0, "kernel worker count must be positive");
-    FORWARD_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Current process-wide default kernel worker count.
-pub fn forward_jobs() -> usize {
-    FORWARD_JOBS.load(Ordering::Relaxed)
-}
+/// The forward phase's name for [`ola_tensor::par::set_jobs`]. `perfbench`
+/// calls it by name; deleted with the other per-phase aliases once it
+/// moves to `set_jobs` (ROADMAP, perfbench item step 3).
+pub use ola_tensor::par::set_jobs as set_forward_jobs;
 
 /// Patch-buffer budget per row-tile, in `f32` elements (256 KiB): big
 /// enough that the matmul amortizes the gather, small enough to stay
@@ -597,19 +575,5 @@ mod tests {
             let fast = linear_rowgen_fast(&x, &gen, None, 37, jobs);
             assert_eq!(bits(&fast), bits(&naive));
         }
-    }
-
-    #[test]
-    fn forward_jobs_round_trips() {
-        assert!(forward_jobs() >= 1);
-        set_forward_jobs(3);
-        assert_eq!(forward_jobs(), 3);
-        set_forward_jobs(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_forward_jobs_rejected() {
-        set_forward_jobs(0);
     }
 }

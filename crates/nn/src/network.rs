@@ -277,8 +277,8 @@ impl Network {
     /// Runs full-precision inference, returning every node's output.
     ///
     /// Compute nodes execute on the tiled im2col kernels of
-    /// [`crate::kernels`] with the process-wide default worker count
-    /// ([`crate::kernels::forward_jobs`], default 1); results are
+    /// [`crate::kernels`] with the calling thread's worker budget
+    /// ([`ola_tensor::par::jobs`], default 1); results are
     /// bit-identical to [`Network::forward_naive`] at any worker count.
     ///
     /// # Panics
@@ -286,7 +286,7 @@ impl Network {
     /// Panics if `input` does not match [`Network::input_shape`] (batch size
     /// may differ), or a compute node is missing weights.
     pub fn forward(&self, params: &Params, input: &Tensor) -> Activations {
-        self.forward_with_jobs(params, input, crate::kernels::forward_jobs())
+        self.forward_with_jobs(params, input, ola_tensor::par::jobs())
     }
 
     /// Runs full-precision inference with an explicit kernel worker count.

@@ -74,8 +74,7 @@ impl SynthDataset {
             })
             .collect();
         let indices: Vec<usize> = (0..n).collect();
-        let jobs = ola_tensor::par::fill_jobs();
-        let samples = ordered_map(&indices, jobs, |_, &j| {
+        let samples = ordered_map(&indices, ola_tensor::par::jobs(), |_, &j| {
             let mut rng = Philox::new(seed, j as u64);
             let k = rng.gen_range(0..classes);
             let scale: f32 = rng.gen_range(0.6..1.4);
@@ -369,11 +368,11 @@ impl SynthNet {
     /// Trains with SGD + momentum for `epochs` passes over `data`.
     /// Returns the final training accuracy.
     ///
-    /// Uses the process-wide forward-kernel worker budget
-    /// ([`crate::kernels::forward_jobs`]) for the minibatch gradients; see
-    /// [`SynthNet::train_jobs`] for the determinism guarantee.
+    /// Uses the calling thread's worker budget ([`ola_tensor::par::jobs`])
+    /// for the minibatch gradients; see [`SynthNet::train_jobs`] for the
+    /// determinism guarantee.
     pub fn train(&mut self, data: &SynthDataset, epochs: usize, lr: f32, seed: u64) -> f64 {
-        self.train_jobs(data, epochs, lr, seed, crate::kernels::forward_jobs())
+        self.train_jobs(data, epochs, lr, seed, ola_tensor::par::jobs())
     }
 
     /// [`SynthNet::train`] with an explicit worker count for the per-sample
@@ -1195,9 +1194,8 @@ mod tests {
     #[test]
     fn dataset_bit_identical_across_worker_counts() {
         let serial = SynthDataset::generate(120, 5, 42);
-        ola_tensor::par::set_fill_jobs(4);
+        ola_tensor::par::set_jobs(4);
         let parallel = SynthDataset::generate(120, 5, 42);
-        ola_tensor::par::set_fill_jobs(1);
         assert_eq!(serial.labels, parallel.labels);
         for (a, b) in serial.images.iter().zip(&parallel.images) {
             assert_eq!(

@@ -13,7 +13,7 @@
 //!    the paper's ~0.8% drop; it is a documented stand-in, not a claim of
 //!    ImageNet-level fidelity.
 
-use crate::evalcache::{eval_jobs, eval_key, EvalCache};
+use crate::evalcache::{eval_key, EvalCache};
 use crate::metrics::sqnr_db;
 use crate::outlier::{OutlierQuantizer, Share};
 use crate::policy::OutlierSelect;
@@ -105,9 +105,9 @@ pub struct QuantAccuracy {
 /// when attached): repeated calls with bit-identical inputs — fig2's 3%
 /// point and the policy panel's magnitude row, or a second run of the same
 /// suite — evaluate once. The evaluation itself fans the calibration and
-/// test-set forwards out over the engine's eval worker budget
-/// ([`crate::evalcache::eval_jobs`]); see [`evaluate_synthnet_jobs`] for
-/// the determinism guarantee.
+/// test-set forwards out over the calling thread's worker budget
+/// ([`ola_tensor::par::jobs`]); see [`evaluate_synthnet_jobs`] for the
+/// determinism guarantee.
 pub fn evaluate_synthnet(
     net: &SynthNet,
     data: &SynthDataset,
@@ -117,7 +117,7 @@ pub fn evaluate_synthnet(
 ) -> QuantAccuracy {
     let key = eval_key(net, data, calib, spec, topk);
     EvalCache::global().eval(key, || {
-        evaluate_synthnet_jobs(net, data, calib, spec, topk, eval_jobs())
+        evaluate_synthnet_jobs(net, data, calib, spec, topk, ola_tensor::par::jobs())
     })
 }
 

@@ -30,33 +30,12 @@ use ola_nn::synthnet::{SynthDataset, SynthNet, TrainSpec, TrainedSynthNet};
 use ola_nn::zoo::ZooConfig;
 use ola_tensor::bytes::{Encoder, Fingerprint};
 use ola_tensor::memo::{Memo, Persist};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Process-wide default worker count for the eval phase (per-image
-/// test-set and calibration forwards), set by the experiment engine from
-/// its `--jobs` split. Zero means "unset": standalone callers fall back to
-/// [`ola_tensor::par::default_jobs`].
-static EVAL_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default eval-phase worker count.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
-pub fn set_eval_jobs(jobs: usize) {
-    assert!(jobs > 0, "eval worker count must be positive");
-    EVAL_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Current process-wide default eval-phase worker count:
-/// [`ola_tensor::par::default_jobs`] until [`set_eval_jobs`] overrides it.
-pub fn eval_jobs() -> usize {
-    match EVAL_JOBS.load(Ordering::Relaxed) {
-        0 => ola_tensor::par::default_jobs(),
-        j => j,
-    }
-}
+/// The eval phase's name for [`ola_tensor::par::set_jobs`]. `perfbench`
+/// calls it by name; deleted with the other per-phase aliases once it
+/// moves to `set_jobs` (ROADMAP, perfbench item step 3).
+pub use ola_tensor::par::set_jobs as set_eval_jobs;
 
 /// The content fingerprint an accuracy evaluation is memoized under: an
 /// FNV fold of the trained net (its [`SynthNet::encode`]: classes, then
@@ -395,14 +374,6 @@ mod tests {
         assert_eq!(cache.stats(), EvalStats::default());
         let _ = cache.eval(9, || acc(0.5));
         assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn eval_jobs_defaults_then_overrides() {
-        assert!(eval_jobs() >= 1);
-        set_eval_jobs(3);
-        assert_eq!(eval_jobs(), 3);
-        set_eval_jobs(ola_tensor::par::default_jobs());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `EyerissTuning` and `ZenaTuning`.
 
 use crate::result::{LayerRun, NetworkRun, Utilization};
-use crate::simcache::{model_jobs, SimCache};
+use crate::simcache::SimCache;
 use crate::timing::{timed, Phase};
 use crate::traffic::buffer_traffic_bits;
 use crate::workload::{LayerWorkload, WorkloadSet};
@@ -135,8 +135,8 @@ impl<M: LayerModel> Accelerator<M> {
         fp.finish()
     }
 
-    /// Simulates every layer of a workload set under the process-wide
-    /// model worker budget ([`model_jobs`]).
+    /// Simulates every layer of a workload set under the calling thread's
+    /// worker budget ([`ola_tensor::par::jobs`]).
     ///
     /// Layers are independent given a [`WorkloadSet`], so they fan out over
     /// [`ola_tensor::par::ordered_map`]'s scoped worker threads; results
@@ -146,7 +146,7 @@ impl<M: LayerModel> Accelerator<M> {
     /// configuration (across figures, jobs, or daemon requests) is served
     /// from memory, or from the disk store on a warm `--cache-dir` run.
     pub fn simulate(&self, ws: &WorkloadSet) -> NetworkRun {
-        self.simulate_with_jobs(ws, model_jobs())
+        self.simulate_with_jobs(ws, ola_tensor::par::jobs())
     }
 
     /// [`Accelerator::simulate`] with an explicit worker-thread count

@@ -51,8 +51,8 @@ pub struct LayerCalibration {
 /// input rides behind them) calibrates on the samples alone. A forward
 /// computes every image of a batch exactly as a batch-1 forward would, so
 /// the thresholds are the same bytes as a forward of the samples alone.
-/// Layers run in parallel under the forward kernels' worker budget; the
-/// result is identical at any budget.
+/// Layers run in parallel under the calling thread's worker budget
+/// ([`ola_tensor::par::jobs`]); the result is identical at any budget.
 ///
 /// # Panics
 ///
@@ -65,7 +65,7 @@ pub fn calibrate_from_outputs(
     ratio: f64,
 ) -> Vec<LayerCalibration> {
     let compute = net.compute_nodes();
-    let jobs = ola_nn::kernels::forward_jobs();
+    let jobs = ola_tensor::par::jobs();
     let outer = jobs.min(compute.len().max(1));
     let inner = (jobs / outer).max(1);
     ordered_map(&compute, outer, |_, &node| {

@@ -20,33 +20,12 @@
 
 use crate::result::{LayerRun, Utilization};
 use ola_tensor::memo::{Memo, Persist};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Process-wide default worker count for the model phase (accelerator
-/// `simulate()` over layers), set by the experiment engine from its
-/// `--jobs` split. Zero means "unset": standalone callers fall back to
-/// [`ola_tensor::par::default_jobs`].
-static MODEL_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default model-phase worker count.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
-pub fn set_model_jobs(jobs: usize) {
-    assert!(jobs > 0, "model worker count must be positive");
-    MODEL_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Current process-wide default model-phase worker count:
-/// [`ola_tensor::par::default_jobs`] until [`set_model_jobs`] overrides it.
-pub fn model_jobs() -> usize {
-    match MODEL_JOBS.load(Ordering::Relaxed) {
-        0 => ola_tensor::par::default_jobs(),
-        j => j,
-    }
-}
+/// The model phase's name for [`ola_tensor::par::set_jobs`]. `perfbench`
+/// calls it by name; deleted with the other per-phase aliases once it
+/// moves to `set_jobs` (ROADMAP, perfbench item step 3).
+pub use ola_tensor::par::set_jobs as set_model_jobs;
 
 /// The result of `ola-core`'s event-driven cluster simulation
 /// (`event::simulate_cluster`), as the cache and the disk store persist it.
@@ -257,14 +236,6 @@ mod tests {
         assert_eq!(cache.stats(), SimStats::default());
         let _ = cache.event_record(9, EventRecord::default);
         assert_eq!(cache.stats().event_misses, 1);
-    }
-
-    #[test]
-    fn model_jobs_defaults_then_overrides() {
-        assert!(model_jobs() >= 1);
-        set_model_jobs(3);
-        assert_eq!(model_jobs(), 3);
-        set_model_jobs(ola_tensor::par::default_jobs());
     }
 
     #[test]

@@ -36,29 +36,12 @@ pub enum Phase {
     Eval,
 }
 
-static SYNTHESIZE_NS: AtomicU64 = AtomicU64::new(0);
-static FORWARD_NS: AtomicU64 = AtomicU64::new(0);
-static EXTRACT_NS: AtomicU64 = AtomicU64::new(0);
-static TRAIN_NS: AtomicU64 = AtomicU64::new(0);
-static LOAD_NS: AtomicU64 = AtomicU64::new(0);
-static MODEL_NS: AtomicU64 = AtomicU64::new(0);
-static EVAL_NS: AtomicU64 = AtomicU64::new(0);
-
-fn counter(phase: Phase) -> &'static AtomicU64 {
-    match phase {
-        Phase::Synthesize => &SYNTHESIZE_NS,
-        Phase::Forward => &FORWARD_NS,
-        Phase::Extract => &EXTRACT_NS,
-        Phase::Train => &TRAIN_NS,
-        Phase::Load => &LOAD_NS,
-        Phase::Model => &MODEL_NS,
-        Phase::Eval => &EVAL_NS,
-    }
-}
+/// Each phase's accumulated nanoseconds, indexed by `Phase as usize`.
+static NANOS: [AtomicU64; 7] = [const { AtomicU64::new(0) }; 7];
 
 /// Adds `wall` to a phase's process-wide accumulator.
 pub fn record(phase: Phase, wall: Duration) {
-    counter(phase).fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
+    NANOS[phase as usize].fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
 }
 
 /// Times `f` and records its wall time under `phase`.
@@ -135,14 +118,15 @@ impl PhaseStats {
 
 /// Snapshots the process-wide accumulators.
 pub fn snapshot() -> PhaseStats {
+    let ns = |phase: Phase| Duration::from_nanos(NANOS[phase as usize].load(Ordering::Relaxed));
     PhaseStats {
-        synthesize: Duration::from_nanos(SYNTHESIZE_NS.load(Ordering::Relaxed)),
-        forward: Duration::from_nanos(FORWARD_NS.load(Ordering::Relaxed)),
-        extract: Duration::from_nanos(EXTRACT_NS.load(Ordering::Relaxed)),
-        train: Duration::from_nanos(TRAIN_NS.load(Ordering::Relaxed)),
-        load: Duration::from_nanos(LOAD_NS.load(Ordering::Relaxed)),
-        model: Duration::from_nanos(MODEL_NS.load(Ordering::Relaxed)),
-        eval: Duration::from_nanos(EVAL_NS.load(Ordering::Relaxed)),
+        synthesize: ns(Phase::Synthesize),
+        forward: ns(Phase::Forward),
+        extract: ns(Phase::Extract),
+        train: ns(Phase::Train),
+        load: ns(Phase::Load),
+        model: ns(Phase::Model),
+        eval: ns(Phase::Eval),
     }
 }
 

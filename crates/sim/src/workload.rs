@@ -9,8 +9,8 @@
 //!
 //! Every statistic comes from one band-major chunk-grid kernel (the
 //! crate-private `chunk` module), the only walker of the chunk geometry.
-//! Extraction runs layers concurrently under the worker budget set by
-//! [`set_extract_jobs`]. Per layer:
+//! Extraction runs layers concurrently under the calling thread's worker
+//! budget ([`ola_tensor::par::jobs`]). Per layer:
 //!
 //! * the kernel's occupancy pass over the input activations yields every
 //!   chunk's non-zero lanes and all-zero quads, in position-major order,
@@ -40,28 +40,12 @@ use ola_tensor::memo::{fill_slot, Fill, Slot};
 use ola_tensor::par::ordered_map;
 use ola_tensor::{Shape4, Tensor, CHUNK_LANES};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Process-wide default worker count for workload extraction, set once by
-/// the experiment engine from its `--jobs` split (mirrors
-/// `ola_nn::kernels::set_forward_jobs`).
-static EXTRACT_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default extraction worker count.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
-pub fn set_extract_jobs(jobs: usize) {
-    assert!(jobs > 0, "extraction worker count must be positive");
-    EXTRACT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Current process-wide default extraction worker count.
-pub fn extract_jobs() -> usize {
-    EXTRACT_JOBS.load(Ordering::Relaxed)
-}
+/// The extraction phase's name for [`ola_tensor::par::set_jobs`].
+/// `perfbench` calls it by name; deleted with the other per-phase aliases
+/// once it moves to `set_jobs` (ROADMAP, perfbench item step 3).
+pub use ola_tensor::par::set_jobs as set_extract_jobs;
 
 /// Which of a compute layer's grids a cached statistic describes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -298,7 +282,7 @@ pub fn extract(
 /// policies (16-bit and 8-bit modes, outlier-ratio sweeps) share it, and
 /// the policy-independent statistics in `censuses`, which must only ever
 /// have been filled from these `net`, `params` and `outs`. Runs under the
-/// worker budget set by [`set_extract_jobs`].
+/// calling thread's worker budget ([`ola_tensor::par::jobs`]).
 pub fn extract_from_acts(
     net: &Network,
     params: &Params,
@@ -306,7 +290,7 @@ pub fn extract_from_acts(
     policy: &QuantPolicy,
     censuses: &Censuses,
 ) -> WorkloadSet {
-    extract_from_acts_jobs(net, params, outs, policy, censuses, extract_jobs())
+    extract_from_acts_jobs(net, params, outs, policy, censuses, ola_tensor::par::jobs())
 }
 
 /// [`extract_from_acts`] with an explicit worker budget: up to `jobs`

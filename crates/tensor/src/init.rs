@@ -13,7 +13,7 @@
 //! function of `(seed, i)` and never depends on how many elements came
 //! before it, which worker generated it, or in what order. That is what
 //! lets the fills below run data-parallel (via [`crate::par::fill_indexed`]
-//! at the process-wide [`crate::par::fill_jobs`] width) while staying
+//! at the calling thread's [`crate::par::jobs`] budget) while staying
 //! bit-identical to the serial reference at any worker count.
 
 use crate::bytes::Encoder;
@@ -33,7 +33,7 @@ fn fill_workers(len: usize) -> usize {
     if len < PAR_FILL_CUTOFF {
         1
     } else {
-        par::fill_jobs()
+        par::jobs()
     }
 }
 
@@ -652,14 +652,13 @@ mod tests {
         // parallel cutoff.
         let shape = Shape4::new(1, 1, 100, 120);
         let serial = heavy_tailed_tensor(shape, HeavyTailed::default(), 99);
-        crate::par::set_fill_jobs(4);
+        crate::par::set_jobs(4);
         let parallel = heavy_tailed_tensor(shape, HeavyTailed::default(), 99);
-        crate::par::set_fill_jobs(1);
+        crate::par::set_jobs(1);
         assert_eq!(serial, parallel);
         let u_serial = uniform_tensor(shape, -1.0, 1.0, 21);
-        crate::par::set_fill_jobs(3);
+        crate::par::set_jobs(3);
         let u_parallel = uniform_tensor(shape, -1.0, 1.0, 21);
-        crate::par::set_fill_jobs(1);
         assert_eq!(u_serial, u_parallel);
     }
 

@@ -12,7 +12,13 @@
 //! convolution output row-tiles across workers, the accelerator models in
 //! `ola-core` simulate a network's layers in parallel, and `ola-harness`'s
 //! experiment engine runs whole figures on the same work-queue discipline.
+//!
+//! How wide a phase fans out when its caller passes no count is the
+//! calling thread's worker budget ([`set_jobs`], [`jobs`]): one value per
+//! thread, so an engine worker or a daemon request sets its own without
+//! touching any other thread's.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -23,28 +29,34 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Worker threads the random-fill paths ([`crate::init`]) use when the
-/// caller does not pass an explicit count. Defaults to 1 (serial); the
-/// experiment engine raises it alongside the forward-kernel budget. Fills
-/// are bit-identical at any value — every element is a pure function of
-/// its index under the counter-based seeding contract — so this only
-/// trades wall-time.
-static FILL_JOBS: AtomicUsize = AtomicUsize::new(1);
+thread_local! {
+    static BUDGET: Cell<usize> = const { Cell::new(1) };
+}
 
-/// Sets the process-wide default worker count for the random-fill paths.
+/// Sets the calling thread's worker budget: the `jobs` every parallel
+/// phase that takes no explicit count (forward kernels, tensor fills,
+/// extraction, the model and eval phases) fans out over when it runs on
+/// this thread. Results are bit-identical at any value, so this only
+/// trades wall-time.
 ///
 /// # Panics
 ///
 /// Panics if `jobs` is zero.
-pub fn set_fill_jobs(jobs: usize) {
-    assert!(jobs > 0, "fill worker count must be positive");
-    FILL_JOBS.store(jobs, Ordering::Relaxed);
+pub fn set_jobs(jobs: usize) {
+    assert!(jobs > 0, "worker budget must be positive");
+    BUDGET.with(|b| b.set(jobs));
 }
 
-/// Current process-wide default random-fill worker count.
-pub fn fill_jobs() -> usize {
-    FILL_JOBS.load(Ordering::Relaxed)
+/// The calling thread's worker budget: 1 until [`set_jobs`] raises it.
+/// Threads spawned by [`ordered_map`] and [`fill_indexed`] start at 1.
+pub fn jobs() -> usize {
+    BUDGET.with(Cell::get)
 }
+
+/// The random-fill phase's name for [`set_jobs`]. `perfbench` calls it by
+/// name; deleted with the other per-phase aliases once it moves to
+/// [`set_jobs`] (ROADMAP, perfbench item step 3).
+pub use self::set_jobs as set_fill_jobs;
 
 /// Fills `out[i] = f(i)` for every index, splitting contiguous chunks
 /// across `jobs` scoped worker threads.
@@ -218,10 +230,28 @@ mod tests {
     }
 
     #[test]
-    fn fill_jobs_roundtrip() {
-        assert!(fill_jobs() >= 1);
-        set_fill_jobs(3);
-        assert_eq!(fill_jobs(), 3);
-        set_fill_jobs(1);
+    fn budget_is_per_thread_and_spawned_threads_start_at_one() {
+        set_jobs(3);
+        assert_eq!(jobs(), 3);
+        let seen = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let inherited = jobs();
+                    set_jobs(5);
+                    (inherited, jobs())
+                })
+                .join()
+                .unwrap()
+        });
+        assert_eq!(seen, (1, 5));
+        assert_eq!(jobs(), 3, "another thread's budget leaked into this one");
+        let workers = ordered_map(&[0u8; 4], 2, |_, _| jobs());
+        assert_eq!(workers, [1; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker budget must be positive")]
+    fn zero_budget_rejected() {
+        set_jobs(0);
     }
 }

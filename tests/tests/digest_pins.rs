@@ -231,10 +231,10 @@ fn fig16_calibration_thresholds_are_pinned_at_any_forward_jobs() {
         .map(|i| uniform_tensor(prep.net.input_shape(), -1.0, 1.0, 0xCA11B + i))
         .collect();
     for jobs in [1, 4] {
-        ola_nn::kernels::set_forward_jobs(jobs);
+        ola_tensor::par::set_jobs(jobs);
         let outs = prep.net.forward(&prep.params, &stack_batch(&samples));
         let cals = calibrate_from_outputs(&prep.net, &outs, samples.len(), 0.03);
-        ola_nn::kernels::set_forward_jobs(1);
+        ola_tensor::par::set_jobs(1);
         let mut d = Fingerprint::new();
         for c in &cals {
             d.u64(c.node as u64);
