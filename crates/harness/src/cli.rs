@@ -27,19 +27,18 @@ EXPERIMENT  fig1 fig2 fig3 table1 fig11 fig12 fig13 fig14 fig15 fig16
             per-forward compute kernels; output is byte-identical at any N.
 --out DIR   additionally write each report to DIR/<experiment>.txt
 --cache-dir DIR
-            persistent artifact store: prepared networks, workload sets,
-            per-layer simulation results, accuracy-eval records, fig3's
-            weight-SQNR surrogates, the trained SynthNet and fig16's
-            static-threshold counts are written there on first build and
-            loaded on later runs, skipping synthesis, forward and
-            extraction and, when warm, the model and eval phases and
-            SynthNet training entirely. Files are
-            DIR/<prefix>-<key>-v<version>.olas, prefixes prep, ws,
-            simrun, simev, eval, wsqnr, synthnet and static. Artifacts are
-            content-addressed by their inputs
-            plus a per-kind code version fingerprint, so a stale or
-            corrupt store never changes results — it only misses, with a
-            stderr warning.
+            persistent artifact store: workload sets, fig16's
+            static-threshold counts, per-layer simulation results,
+            accuracy-eval records, fig3's weight-SQNR surrogates and the
+            trained SynthNet are written there on first build and loaded
+            on later runs, skipping synthesis, forward and extraction
+            and, when warm, the model and eval phases and SynthNet
+            training entirely. Files are
+            DIR/<prefix>-<key>-v<version>.olas, prefixes ws, static,
+            simrun, simev, eval, wsqnr and synthnet. Artifacts are
+            content-addressed by their inputs plus a per-kind code
+            version fingerprint, so a stale or corrupt store never
+            changes results — it only misses, with a stderr warning.
 
 serve       run as a daemon on a Unix socket. Protocol: one request per
             line — `run <experiment> [--fast|--full] [--jobs N]`, `stats`,
@@ -242,28 +241,44 @@ mod tests {
         }
     }
 
+    /// `--help` names every record kind's prefix, and the kinds stay
+    /// distinct: the store keys each kind's version by its tag, and the
+    /// retired tag 1 and prefix `prep` stay unused.
     #[test]
     fn usage_names_every_store_prefix() {
-        use crate::prep::{Prepared, StaticThresholdCounts};
+        use crate::prep::StaticThresholdCounts;
         use ola_nn::synthnet::TrainedSynthNet;
         use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
         use ola_sim::{EventRecord, LayerRun, WorkloadSet};
         use ola_store::Record;
+        fn kind<R: Record>() -> (u8, &'static str) {
+            (R::KIND, R::PREFIX)
+        }
+        let kinds = [
+            kind::<WorkloadSet>(),
+            kind::<StaticThresholdCounts>(),
+            kind::<LayerRun>(),
+            kind::<EventRecord>(),
+            kind::<QuantAccuracy>(),
+            kind::<WeightSqnr>(),
+            kind::<TrainedSynthNet>(),
+        ];
         let words: Vec<&str> = USAGE
             .split(|c: char| c.is_whitespace() || c == ',' || c == '.')
             .collect();
-        for prefix in [
-            Prepared::PREFIX,
-            WorkloadSet::PREFIX,
-            LayerRun::PREFIX,
-            EventRecord::PREFIX,
-            QuantAccuracy::PREFIX,
-            WeightSqnr::PREFIX,
-            TrainedSynthNet::PREFIX,
-            StaticThresholdCounts::PREFIX,
-        ] {
+        for (i, &(tag, prefix)) in kinds.iter().enumerate() {
             assert!(words.contains(&prefix), "--help omits prefix {prefix}");
+            assert_ne!(tag, 1, "{prefix} reuses the retired tag 1");
+            assert_ne!(prefix, "prep", "tag {tag} reuses the retired prefix");
+            for &(other_tag, other_prefix) in &kinds[i + 1..] {
+                assert_ne!(tag, other_tag, "{prefix} and {other_prefix} share a tag");
+                assert_ne!(
+                    prefix, other_prefix,
+                    "tags {tag} and {other_tag} share a prefix"
+                );
+            }
         }
+        assert!(!words.contains(&"prep"), "--help names the retired prefix");
     }
 
     fn s(args: &[&str]) -> Vec<String> {

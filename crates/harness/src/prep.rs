@@ -21,9 +21,9 @@
 //!
 //! The two result tiers are addressed by key alone ([`workloads`],
 //! [`static_threshold_counts`]): a figure never holds a [`Prepared`], and
-//! one is built or loaded only when a workload set or a static-threshold
-//! run misses both the memory and the disk tier. Fig 1, which reads one
-//! layer's weights, synthesizes that layer alone under the preparation's
+//! one is built only when a workload set or a static-threshold run misses
+//! both the memory and the disk tier. Fig 1, which reads one layer's
+//! weights, synthesizes that layer alone under the preparation's
 //! [`synth_config`].
 //!
 //! Every entry is computed exactly once per process, so the parallel
@@ -31,9 +31,10 @@
 //! regardless of scheduling order. All randomness is derived from the
 //! explicit `seed` argument (see [`Prepared::with_seed`]), never from
 //! global state, which is what makes the memoization sound. With
-//! [`attach_disk_store`] both tiers (and every other memo tier) read
-//! through to an [`ArtifactStore`] before computing and write through
-//! after; a stale or corrupt store only ever misses.
+//! [`attach_disk_store`] the two result tiers (and every other memo tier)
+//! read through to an [`ArtifactStore`] before computing and write through
+//! after; a stale or corrupt store only ever misses. A [`Prepared`] is
+//! never stored: it lives in memory, built at most once per process.
 
 use ola_baselines::{EyerissSim, ZenaSim};
 use ola_core::OlAccelSim;
@@ -46,7 +47,6 @@ use ola_sim::calibrate::{calibrate_from_outputs, runtime_counts, RuntimeCounts};
 use ola_sim::timing;
 use ola_sim::workload::{extract_from_acts, Censuses, WorkloadSet};
 use ola_sim::{NetworkRun, QuantPolicy, SimCache};
-use ola_store::codec::{decode_params, decode_tensor, encode_params};
 use ola_store::wire::Reader;
 use ola_store::{ArtifactStore, Record, StoreError};
 use ola_tensor::bytes::{Encoder, Fingerprint, Writer};
@@ -95,8 +95,7 @@ pub struct Prepared {
     /// Preparation seed (see [`Prepared::with_seed`]).
     pub seed: u64,
     /// Per-layer censuses and windowed counts of `params` and `acts`,
-    /// filled by [`Prepared::workloads`]' extractions. Never persisted: a
-    /// decoded network starts empty.
+    /// filled by [`Prepared::workloads`]' extractions.
     censuses: Censuses,
 }
 
@@ -213,8 +212,8 @@ impl Prepared {
     }
 }
 
-/// The zoo configuration every preparation (cold build or store reload)
-/// uses for a given spatial scale.
+/// The zoo configuration every preparation (and every static-threshold
+/// record's graph check) uses for a given spatial scale.
 pub(crate) fn zoo_config(scale: usize) -> ZooConfig {
     ZooConfig {
         spatial_scale: scale,
@@ -244,55 +243,6 @@ pub fn workloads(network: &str, fast: bool, policy: &QuantPolicy) -> Arc<Workloa
 /// [`DEFAULT_SEED`].
 pub fn static_threshold_counts(network: &str, fast: bool) -> Arc<StaticThresholdCounts> {
     PrepCache::global().static_threshold_counts(network, default_scale(network, fast), DEFAULT_SEED)
-}
-
-/// A prepared network's record: its identity, parameters and forward
-/// activations. The graph is not stored — it is cheap and fully determined
-/// by `(network, scale)` — so decoding rebuilds it and checks the stored
-/// tensors against it before trusting them.
-impl Record for Prepared {
-    const KIND: u8 = 1;
-    const PREFIX: &'static str = "prep";
-    const SOURCES: &'static [&'static str] = ola_store::version::PREP_SOURCES;
-
-    fn encode(&self, w: &mut Writer) {
-        w.str(&self.network);
-        w.u64(self.scale as u64);
-        w.u64(self.seed);
-        encode_params(w, &self.params);
-        w.usize(self.acts.len());
-        for t in &self.acts {
-            t.encode(w);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let network = r.string()?;
-        let scale = usize::try_from(r.u64()?).unwrap_or(0);
-        let seed = r.u64()?;
-        let params = decode_params(r)?;
-        let acts: Vec<Tensor> = (0..r.len(8)?)
-            .map(|_| decode_tensor(r))
-            .collect::<Result<_, _>>()?;
-        let net = (scale > 0)
-            .then(|| zoo::try_by_name(&network, &zoo_config(scale)))
-            .flatten()
-            .filter(|net| params.len() == net.nodes().len() && acts.len() == net.nodes().len())
-            .ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "prepared {network:?} (scale {scale}) does not match its graph"
-                ))
-            })?;
-        Ok(Prepared {
-            net,
-            params,
-            acts,
-            network,
-            scale,
-            seed,
-            censuses: Censuses::default(),
-        })
-    }
 }
 
 /// How many design-time sample images calibrate a static-threshold run's
@@ -403,13 +353,12 @@ pub struct CacheStats {
     pub workload_hits: u64,
     /// Workload-set requests that triggered an extraction.
     pub workload_misses: u64,
-    /// Prepared-network and workload-set requests served by loading an
-    /// artifact from the disk store (these count as neither "built" nor
-    /// "extracted" — no computation ran).
+    /// Workload-set requests served by loading an artifact from the disk
+    /// store (these count as neither "built" nor "extracted" — no
+    /// computation ran).
     pub disk_hits: u64,
-    /// Prepared-network and workload-set disk lookups that found nothing
-    /// usable (missing file, stale code version, or a corrupt artifact
-    /// that forced a recompute).
+    /// Workload-set disk lookups that found nothing usable (missing file,
+    /// stale code version, or a corrupt artifact that forced a recompute).
     pub disk_misses: u64,
     /// Static-threshold runs served from memory.
     pub static_hits: u64,
@@ -462,9 +411,8 @@ impl CacheStats {
 }
 
 /// Attaches the persistent disk tier at `dir` to *every* process-wide
-/// cache: the [`PrepCache`] (prepared networks, workload sets,
-/// static-threshold counts), the
-/// model-phase [`SimCache`] (per-layer simulation results) and the
+/// cache: the [`PrepCache`] (workload sets and static-threshold counts),
+/// the model-phase [`SimCache`] (per-layer simulation results) and the
 /// eval-phase [`EvalCache`] (quantized-accuracy results). This is what
 /// `--cache-dir` wires up in the CLI and the daemon — one flag, one
 /// directory, one store, every memo tier persistent.
@@ -484,8 +432,9 @@ fn prep_key(network: &str, scale: usize, seed: u64) -> Fingerprint {
 }
 
 /// Process-wide memoization of [`Prepared`] networks, [`WorkloadSet`]s and
-/// [`StaticThresholdCounts`], with an optional persistent tier. Requests
-/// for different keys never serialize on each other's builds.
+/// [`StaticThresholdCounts`], with an optional persistent tier for the two
+/// results. Requests for different keys never serialize on each other's
+/// builds.
 #[derive(Default)]
 pub struct PrepCache {
     prepared: Memo<Prepared>,
@@ -505,18 +454,17 @@ impl PrepCache {
         GLOBAL.get_or_init(PrepCache::new)
     }
 
-    /// Attaches the persistent tier of all three memos. Misses read
-    /// through to the store before computing and fresh builds write
-    /// through after; already-resident entries are unaffected.
+    /// Attaches the persistent tier of the workload-set and
+    /// static-threshold memos. Misses read through to the store before
+    /// computing and fresh builds write through after; already-resident
+    /// entries are unaffected. Prepared networks stay in memory.
     pub fn set_store(&self, store: Arc<ArtifactStore>) {
-        self.prepared.set_store(store.clone());
         self.workloads.set_store(store.clone());
         self.thresholds.set_store(store);
     }
 
     /// Fetches or builds the [`Prepared`] network for a key. Exactly one
-    /// caller per key runs the synthesis (or the disk load); the rest
-    /// count hits.
+    /// caller per key runs the synthesis; the rest count hits.
     pub fn prepared(&self, network: &str, scale: usize, seed: u64) -> Arc<Prepared> {
         let key = prep_key(network, scale, seed).finish();
         self.prepared
@@ -592,8 +540,8 @@ impl PrepCache {
             prepared_misses: p.built,
             workload_hits: w.hits,
             workload_misses: w.built,
-            disk_hits: p.loaded + w.loaded,
-            disk_misses: p.missed + w.missed,
+            disk_hits: w.loaded,
+            disk_misses: w.missed,
             static_hits: t.hits,
             static_built: t.built,
             static_loaded: t.loaded,

@@ -1,175 +1,65 @@
-//! (De)serialization of the workspace's artifacts: the parameter codec and
-//! tensor decoder a prepared network's record is built from, and the
-//! [`Record`] impls of workload sets, simulation results, accuracy
-//! records, weight-SQNR surrogates and trained SynthNets. Records are
-//! written with the workspace's one encoding ([`ola_tensor::bytes`]); a
-//! type that is also a memo-key input (a shape, tensor, distribution,
-//! layer workload or SynthNet) writes itself with its own `encode`, so its
-//! record bytes are exactly the bytes its keys hash. Decoders read them
-//! back through [`crate::wire::Reader`].
+//! (De)serialization of the workspace's artifacts: the [`Record`] impls of
+//! workload sets, simulation results, accuracy records, weight-SQNR
+//! surrogates and trained SynthNets. Records are written with the
+//! workspace's one encoding ([`ola_tensor::bytes`]); a type that is also a
+//! memo-key input (a shape, layer workload or SynthNet) writes itself with
+//! its own `encode`, so its record bytes are exactly the bytes its keys
+//! hash. Decoders read them back through [`crate::wire::Reader`].
 //!
 //! Every float travels by bit pattern, so a decoded artifact is
 //! *bit-identical* to the one that was encoded — the property that lets a
 //! warm disk cache reproduce a cold run's stdout byte for byte. Decoding
-//! never panics on malformed bytes: every structural invariant (tags,
-//! dimensions, ranges) is validated and surfaces as
+//! never panics on malformed bytes, and what it returns never makes a
+//! consumer panic: every structural invariant (tags, dimensions, ranges,
+//! lengths the models index by) is validated and surfaces as
 //! [`StoreError::Corrupt`].
 
 use crate::store::Record;
 use crate::version::{EVAL_SOURCES, MODEL_SOURCES, PREP_SOURCES, SURROGATE_SOURCES, TRAIN_SOURCES};
 use crate::wire::{corrupt, Reader, StoreError};
 use ola_energy::EnergyBreakdown;
-use ola_nn::network::WeightStore;
-use ola_nn::synth::SyntheticMatrix;
 use ola_nn::synthnet::{param_lens, SynthDataset, SynthNet, TrainedSynthNet, IMG, IMG_C};
-use ola_nn::Params;
 use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
 use ola_sim::workload::{LayerKind, LayerWorkload, WorkloadSet};
 use ola_sim::{EventRecord, LayerRun, Utilization};
 use ola_tensor::bytes::{Encoder, Writer};
-use ola_tensor::init::HeavyTailed;
-use ola_tensor::{Shape4, Tensor};
+use ola_tensor::{Shape4, CHUNK_LANES};
 
 /// Upper bound on any single tensor dimension accepted from disk — far
 /// beyond anything the zoo produces, small enough that a corrupt length
 /// fails validation instead of attempting an absurd allocation.
 const MAX_DIM: u64 = 1 << 24;
 
-// --- shapes and tensors ---
+/// Upper bound on a decoded shape's element count, so [`Shape4::len`]
+/// never overflows.
+const MAX_ELEMENTS: u64 = MAX_DIM * 16;
+
+/// Upper bound on a layer's weight and activation bit widths: precision
+/// passes multiply the two widths' nibble counts.
+const MAX_BITS: u32 = 32;
+
+// --- shapes ---
 
 /// Decodes a shape written by [`Shape4::encode`], rejecting any
-/// dimension above [`MAX_DIM`].
+/// dimension above [`MAX_DIM`] and any element count above
+/// [`MAX_ELEMENTS`].
 fn decode_shape(r: &mut Reader<'_>) -> Result<Shape4, StoreError> {
     let dims = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    if dims.iter().any(|&d| d > MAX_DIM) {
+    let elements = dims.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d));
+    if dims.iter().any(|&d| d > MAX_DIM) || elements.is_none_or(|e| e > MAX_ELEMENTS) {
         return Err(corrupt(format!("implausible shape {dims:?}")));
     }
     let [n, c, h, w] = dims.map(|d| d as usize);
     Ok(Shape4::new(n, c, h, w))
 }
 
-/// Decodes a tensor written by [`Tensor::encode`].
-pub fn decode_tensor(r: &mut Reader<'_>) -> Result<Tensor, StoreError> {
-    let shape = decode_shape(r)?;
-    let len = [shape.n, shape.c, shape.h, shape.w]
-        .iter()
-        .try_fold(1u64, |acc, &d| acc.checked_mul(d as u64))
-        .filter(|&l| l <= MAX_DIM * 16)
-        .ok_or_else(|| corrupt("tensor element count overflows"))?;
-    let data = r.f32s()?;
-    if data.len() as u64 != len {
-        return Err(corrupt(format!(
-            "tensor data length {} does not match shape {shape}",
-            data.len()
-        )));
-    }
-    Ok(Tensor::from_vec(shape, data))
-}
-
-// --- parameters ---
-
-const WS_NONE: u8 = 0;
-const WS_DENSE: u8 = 1;
-const WS_ROWGEN: u8 = 2;
-
-fn encode_weight_store(w: &mut Writer, ws: &WeightStore) {
-    match ws {
-        WeightStore::Dense(t) => {
-            w.u8(WS_DENSE);
-            t.encode(w);
-        }
-        WeightStore::RowGen(g) => {
-            // A generated matrix is five scalars: rows regenerate
-            // bit-identically from (seed, row) on load.
-            w.u8(WS_ROWGEN);
-            w.u64(g.rows() as u64);
-            w.u64(g.cols() as u64);
-            g.dist().encode(w);
-            w.f64(g.sparsity());
-            w.u64(g.base_seed());
-        }
-    }
-}
-
-/// Encodes a parameter set: node count, then per node the optional
-/// weights, bias and batch-norm affine terms.
-pub fn encode_params(w: &mut Writer, params: &Params) {
-    w.usize(params.len());
-    for id in 0..params.len() {
-        match params.weights(id) {
-            None => {
-                w.u8(WS_NONE);
-            }
-            Some(ws) => encode_weight_store(w, ws),
-        }
-        match params.bias(id) {
-            None => w.u8(0),
-            Some(b) => w.u8(1).f32s(b),
-        };
-        match params.bn(id) {
-            None => w.u8(0),
-            Some((scale, shift)) => w.u8(1).f32s(scale).f32s(shift),
-        };
-    }
-}
-
-/// Decodes a parameter set written by [`encode_params`].
-pub fn decode_params(r: &mut Reader<'_>) -> Result<Params, StoreError> {
-    let n = r.len(3)?;
-    let mut params = Params::sized(n);
-    for id in 0..n {
-        match r.u8()? {
-            WS_NONE => {}
-            WS_DENSE => params.set_weights(id, WeightStore::Dense(decode_tensor(r)?)),
-            WS_ROWGEN => params.set_weights(id, decode_rowgen_body(r)?),
-            other => return Err(corrupt(format!("unknown weight-store tag {other}"))),
-        }
-        if r.u8()? == 1 {
-            params.set_bias(id, r.f32s()?);
-        }
-        if r.u8()? == 1 {
-            let scale = r.f32s()?;
-            let shift = r.f32s()?;
-            params.set_bn(id, scale, shift);
-        }
-    }
-    Ok(params)
-}
-
-/// Decodes the body of a row-generator record (tag already consumed),
-/// re-validating every constructor precondition so corrupt bytes surface
-/// as [`StoreError::Corrupt`] rather than panicking inside `ola-nn`.
-fn decode_rowgen_body(r: &mut Reader<'_>) -> Result<WeightStore, StoreError> {
-    let rows = r.u64()?;
-    let cols = r.u64()?;
-    let sigma = r.f32()?;
-    let tail_fraction = r.f64()?;
-    let tail_scale = r.f32()?;
-    let sparsity = r.f64()?;
-    let seed = r.u64()?;
-    if rows == 0 || cols == 0 || rows > MAX_DIM || cols > MAX_DIM {
-        return Err(corrupt("row-generator dimensions out of range"));
-    }
-    if !(0.0..=1.0).contains(&sparsity) || !(0.0..=1.0).contains(&tail_fraction) {
-        return Err(corrupt("row-generator fraction out of range"));
-    }
-    if !sigma.is_finite() || sigma <= 0.0 || !tail_scale.is_finite() || tail_scale <= 0.0 {
-        return Err(corrupt("row-generator scale out of range"));
-    }
-    Ok(WeightStore::RowGen(SyntheticMatrix::new(
-        rows as usize,
-        cols as usize,
-        HeavyTailed::new(sigma, tail_fraction, tail_scale),
-        sparsity,
-        seed,
-    )))
-}
-
 // --- workload sets ---
 
-/// Decodes a layer written by [`LayerWorkload::encode`].
+/// Decodes a layer written by [`LayerWorkload::encode`], rejecting what
+/// the accelerator models would index or overflow with (see
+/// [`check_layer`]).
 fn decode_layer(r: &mut Reader<'_>) -> Result<LayerWorkload, StoreError> {
-    Ok(LayerWorkload {
+    let layer = LayerWorkload {
         name: r.string()?,
         index: r.u64()? as usize,
         kind: match r.u8()? {
@@ -194,7 +84,40 @@ fn decode_layer(r: &mut Reader<'_>) -> Result<LayerWorkload, StoreError> {
         wchunk_single_fraction: r.f64()?,
         wchunk_multi_fraction: r.f64()?,
         out_zero_fraction: r.f64()?,
-    })
+    };
+    check_layer(&layer)?;
+    Ok(layer)
+}
+
+/// The invariants every extracted layer holds and the models rely on: one
+/// zero-quad count per chunk, no chunk with more than [`CHUNK_LANES`]
+/// non-zero lanes or more quads than it has, bit widths of at most
+/// [`MAX_BITS`] and every fraction in `[0, 1]` (so none is NaN).
+fn check_layer(l: &LayerWorkload) -> Result<(), StoreError> {
+    let fractions = [
+        l.weight_zero_fraction,
+        l.act_zero_fraction,
+        l.weight_outlier_ratio,
+        l.act_outlier_nonzero_ratio,
+        l.act_effective_outlier_ratio,
+        l.wchunk_single_fraction,
+        l.wchunk_multi_fraction,
+        l.out_zero_fraction,
+    ];
+    let fault = if l.chunk_nnz.len() != l.chunk_zero_quads.len() {
+        "chunk vectors of unequal length"
+    } else if (l.chunk_nnz.iter().zip(&l.chunk_zero_quads)).any(|(&nnz, &quads)| {
+        usize::from(nnz) > CHUNK_LANES || usize::from(quads) > CHUNK_LANES / 4
+    }) {
+        "a chunk with more non-zero lanes or zero quads than it has"
+    } else if l.weight_bits > MAX_BITS || l.act_bits > MAX_BITS {
+        "a bit width above 32"
+    } else if fractions.iter().any(|f| !(0.0..=1.0).contains(f)) {
+        "a fraction outside [0, 1]"
+    } else {
+        return Ok(());
+    };
+    Err(corrupt(format!("layer {:?}: {fault}", l.name)))
 }
 
 /// A full workload set: network and per-layer workloads.
@@ -457,79 +380,6 @@ impl Record for TrainedSynthNet {
 mod tests {
     use super::*;
 
-    fn decode_weight_store(r: &mut Reader<'_>) -> Result<WeightStore, StoreError> {
-        match r.u8()? {
-            WS_DENSE => Ok(WeightStore::Dense(decode_tensor(r)?)),
-            WS_ROWGEN => decode_rowgen_body(r),
-            other => Err(corrupt(format!("unknown weight-store tag {other}"))),
-        }
-    }
-
-    #[test]
-    fn tensor_codec_round_trips_bits() {
-        let t = Tensor::from_vec(
-            Shape4::new(1, 2, 2, 2),
-            vec![0.0, -0.0, f32::NAN, 1.5, -2.5, f32::INFINITY, 3.0, -4.0],
-        );
-        let mut w = Writer::new();
-        t.encode(&mut w);
-        let buf = w.into_bytes();
-        let mut r = Reader::new(&buf);
-        let back = decode_tensor(&mut r).unwrap();
-        r.finish().unwrap();
-        let a: Vec<u32> = t.as_slice().iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = back.as_slice().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b);
-        assert_eq!(back.shape(), t.shape());
-    }
-
-    #[test]
-    fn params_codec_round_trips_every_store_kind() {
-        let mut params = Params::sized(4);
-        params.set_weights(
-            1,
-            WeightStore::Dense(Tensor::from_vec(
-                Shape4::new(2, 1, 1, 2),
-                vec![1.0, -2.0, 0.0, 4.5],
-            )),
-        );
-        params.set_bias(1, vec![0.5, -0.5]);
-        params.set_weights(
-            2,
-            WeightStore::RowGen(SyntheticMatrix::new(
-                8,
-                16,
-                HeavyTailed::new(0.02, 0.03, 6.0),
-                0.9,
-                1234,
-            )),
-        );
-        params.set_bn(3, vec![1.0, 2.0], vec![-1.0, -2.0]);
-
-        let mut w = Writer::new();
-        encode_params(&mut w, &params);
-        let buf = w.into_bytes();
-        let mut r = Reader::new(&buf);
-        let back = decode_params(&mut r).unwrap();
-        r.finish().unwrap();
-
-        assert_eq!(back.len(), 4);
-        assert!(back.weights(0).is_none());
-        match (params.weights(2).unwrap(), back.weights(2).unwrap()) {
-            (WeightStore::RowGen(a), WeightStore::RowGen(b)) => {
-                assert_eq!(a, b);
-                assert_eq!(a.row(3), b.row(3), "regenerated rows must match");
-            }
-            other => panic!("expected row generators, got {other:?}"),
-        }
-        match back.weights(1).unwrap() {
-            WeightStore::Dense(t) => assert_eq!(t.as_slice(), &[1.0, -2.0, 0.0, 4.5]),
-            other => panic!("expected dense weights, got {other:?}"),
-        }
-        assert_eq!(back.bias(1).unwrap(), &[0.5, -0.5]);
-        assert_eq!(back.bn(3).unwrap().0, &[1.0, 2.0]);
-    }
-
     #[test]
     fn layer_run_codec_round_trips_bits() {
         let run = LayerRun {
@@ -654,12 +504,9 @@ mod tests {
     #[test]
     fn corrupt_tags_are_errors_not_panics() {
         let mut w = Writer::new();
-        w.u8(9); // bogus weight-store tag
+        w.str("conv1").u64(0).u8(9); // a layer's name, index, bogus kind tag
         let buf = w.into_bytes();
         let mut r = Reader::new(&buf);
-        assert!(matches!(
-            decode_weight_store(&mut r),
-            Err(StoreError::Corrupt(_))
-        ));
+        assert!(matches!(decode_layer(&mut r), Err(StoreError::Corrupt(_))));
     }
 }

@@ -5,18 +5,22 @@
 //!
 //! Preparing an experiment — synthesizing trained-like parameters, running
 //! the f32 forward pass, extracting per-layer workloads — dominates a cold
-//! run's wall clock, yet every one of those artifacts is a *pure function*
-//! of `(network, spatial scale, seed, quantization policy)` under the
+//! run's wall clock, yet every result it feeds is a *pure function* of
+//! `(network, spatial scale, seed, quantization policy)` under the
 //! workspace's deterministic RNG, as is every per-layer simulation result,
-//! accuracy evaluation and trained SynthNet of its inputs. This crate persists them to disk
-//! so a second process (or a long-lived daemon) skips the work entirely:
+//! accuracy evaluation and trained SynthNet of its inputs. This crate
+//! persists those results to disk so a second process (or a long-lived
+//! daemon) skips the work entirely. It holds results, not preparations: a
+//! workload set or fig16's static-threshold counts take kilobytes, while
+//! the prepared network they come from (parameters plus every node's
+//! activations) takes tens of megabytes and lives only in memory.
 //!
 //! - [`wire`]: the bounds-checked reader of the workspace's one encoding
 //!   ([`ola_tensor::bytes`], which also hashes every memo key); decoding
 //!   never panics on malformed bytes.
-//! - [`codec`]: bit-exact (de)serialization of parameters, activations,
-//!   workload sets, simulation/accuracy records, weight-SQNR surrogates
-//!   and trained SynthNets.
+//! - [`codec`]: bit-exact (de)serialization of workload sets,
+//!   simulation/accuracy records, weight-SQNR surrogates and trained
+//!   SynthNets.
 //! - [`version`]: the compile-time source-text hashes that version
 //!   artifacts to the code that produced them — editing any
 //!   result-relevant file silently invalidates the affected records.

@@ -49,10 +49,13 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A value the store persists, one file per key.
 ///
-/// Kind tags in use: 1 prepared network (`ola-harness`), 2 workload set,
-/// 3 analytic sim record, 4 event sim record, 5 accuracy-eval record, 6
-/// weight-SQNR surrogate, 7 trained SynthNet (2 to 7 in [`crate::codec`]),
-/// 8 fig16's static-threshold counts (`ola-harness`).
+/// Kind tags in use: 2 workload set, 3 analytic sim record, 4 event sim
+/// record, 5 accuracy-eval record, 6 weight-SQNR surrogate, 7 trained
+/// SynthNet (2 to 7 in [`crate::codec`]), 8 fig16's static-threshold counts
+/// (`ola-harness`). Tag 1 and the prefix `prep` are retired: they named a
+/// prepared network's parameters and activations, which the store no
+/// longer holds, and stay unused so an old `prep-*.olas` file can never be
+/// read as another kind.
 pub trait Record: Sized {
     /// Header tag, unique per record type.
     const KIND: u8;
@@ -211,63 +214,11 @@ impl<R: Record> Persist<R> for ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_params, decode_tensor, encode_params};
     use crate::test_dir;
-    use ola_nn::network::WeightStore;
-    use ola_nn::Params;
     use ola_quant::accuracy::QuantAccuracy;
     use ola_sim::workload::{LayerKind, LayerWorkload, WorkloadSet};
     use ola_sim::{EventRecord, LayerRun};
-    use ola_tensor::{Shape4, Tensor};
-
-    /// A prepared network's tensors — the payload core of the harness's
-    /// prepared-network record, which adds the graph identity.
-    struct PreparedTensors {
-        params: Params,
-        acts: Vec<Tensor>,
-    }
-
-    impl Record for PreparedTensors {
-        const KIND: u8 = 1;
-        const PREFIX: &'static str = "prep";
-        const SOURCES: &'static [&'static str] = crate::version::PREP_SOURCES;
-
-        fn encode(&self, w: &mut Writer) {
-            encode_params(w, &self.params);
-            w.usize(self.acts.len());
-            for t in &self.acts {
-                t.encode(w);
-            }
-        }
-
-        fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-            let params = decode_params(r)?;
-            let acts = (0..r.len(8)?)
-                .map(|_| decode_tensor(r))
-                .collect::<Result<_, _>>()?;
-            Ok(PreparedTensors { params, acts })
-        }
-    }
-
-    fn sample_params() -> Params {
-        let mut p = Params::sized(2);
-        p.set_weights(
-            0,
-            WeightStore::Dense(Tensor::from_vec(
-                Shape4::new(1, 1, 2, 2),
-                vec![1.0, -1.0, 0.5, 0.0],
-            )),
-        );
-        p.set_bias(0, vec![0.25]);
-        p
-    }
-
-    fn sample_acts() -> Vec<Tensor> {
-        vec![
-            Tensor::from_vec(Shape4::new(1, 1, 1, 3), vec![0.0, -0.0, f32::NAN]),
-            Tensor::from_vec(Shape4::new(1, 2, 1, 1), vec![7.0, -8.0]),
-        ]
-    }
+    use ola_tensor::Shape4;
 
     fn sample_workloads() -> WorkloadSet {
         WorkloadSet {
@@ -298,27 +249,19 @@ mod tests {
     }
 
     #[test]
-    fn prepared_round_trip_and_missing() {
-        let dir = test_dir("store-prep");
+    fn workload_round_trip_and_missing() {
+        let dir = test_dir("store-ws");
         let store = ArtifactStore::open(&dir).unwrap();
-        assert!(store.get::<PreparedTensors>(9).unwrap().is_none());
-        let params = sample_params();
-        let acts = sample_acts();
-        let prep = PreparedTensors { params, acts };
-        store.put(9, &prep).unwrap();
-        let back = store.get::<PreparedTensors>(9).unwrap().unwrap();
-        assert_eq!(back.params.len(), prep.params.len());
-        assert_eq!(back.params.bias(0).unwrap(), prep.params.bias(0).unwrap());
-        assert_eq!(back.acts.len(), prep.acts.len());
-        for (a, b) in prep.acts.iter().zip(&back.acts) {
-            let av: Vec<u32> = a.as_slice().iter().map(|v| v.to_bits()).collect();
-            let bv: Vec<u32> = b.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(av, bv);
-        }
+        assert!(store.get::<WorkloadSet>(9).unwrap().is_none());
+        let ws = sample_workloads();
+        store.put(9, &ws).unwrap();
+        let back = store.get::<WorkloadSet>(9).unwrap().unwrap();
+        // Float `Debug` output round-trips, so equal text is equal bits.
+        assert_eq!(format!("{back:?}"), format!("{ws:?}"));
         // A different key misses without touching the stored artifact, and
         // the same key under another kind is a separate namespace.
-        assert!(store.get::<PreparedTensors>(10).unwrap().is_none());
-        assert!(store.get::<WorkloadSet>(9).unwrap().is_none());
+        assert!(store.get::<WorkloadSet>(10).unwrap().is_none());
+        assert!(store.get::<LayerRun>(9).unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -27,9 +27,10 @@ use ola_tensor::bytes::{Encoder, Fingerprint};
 /// the source folds instead.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Source files whose text determines preparation artifact bytes
-/// (prepared networks, workload sets and fig16's static-threshold counts).
-/// Paths are relative to `crates/store/src/`.
+/// Source files whose text determines the bytes of the preparation tier's
+/// results — workload sets and fig16's static-threshold counts, both
+/// computed from a prepared network, which is never stored itself. Paths
+/// are relative to `crates/store/src/`.
 pub const PREP_SOURCES: &[&str] = &[
     // Tensor substrate: RNG-driven init, the chunk width and the parallel
     // split feed every synthesized parameter and every measured statistic.
@@ -40,15 +41,15 @@ pub const PREP_SOURCES: &[&str] = &[
     include_str!("../../tensor/src/stats.rs"),
     include_str!("../../tensor/src/par.rs"),
     // Network substrate: graph construction, synthetic parameters, the
-    // forward pass that produces the cached activations.
+    // forward pass whose activations workloads are measured on.
     include_str!("../../nn/src/layer.rs"),
     include_str!("../../nn/src/network.rs"),
     include_str!("../../nn/src/kernels.rs"),
     include_str!("../../nn/src/synth.rs"),
     include_str!("../../nn/src/zoo.rs"),
     // Quantization: the selection rule a policy names, and its encoding
-    // in workload keys. (The quantizer, `outlier.rs`, builds no prep or
-    // workload byte: extraction selects on the chunk grid.)
+    // in workload keys. (The quantizer, `outlier.rs`, builds no workload
+    // byte: extraction selects on the chunk grid.)
     include_str!("../../quant/src/policy.rs"),
     // Simulation: the extraction pass, the chunk-grid kernel and the
     // activation calibration it runs on (with fig16's runtime count), plus
@@ -73,7 +74,7 @@ pub const PREP_SOURCES: &[&str] = &[
 /// Source files whose text determines *simulation result* bytes — the
 /// accelerator cycle/energy models and everything they read. Kept separate
 /// from [`PREP_SOURCES`] so an edit to, say, workload extraction
-/// invalidates prepared artifacts without also discarding still-valid sim
+/// invalidates workload sets without also discarding still-valid sim
 /// records (and vice versa). Like [`PREP_SOURCES`], text-only includes —
 /// `ola-store` has no crate dependency on `ola-core`/`ola-baselines`.
 pub const MODEL_SOURCES: &[&str] = &[
@@ -118,7 +119,8 @@ pub const MODEL_SOURCES: &[&str] = &[
 /// quantized forward pass and everything that shapes a `QuantAccuracy`
 /// record. Kept separate from [`PREP_SOURCES`]/[`MODEL_SOURCES`] so
 /// accelerator or extraction edits don't discard still-valid eval records
-/// (and an eval edit doesn't discard prep or sim artifacts). Text-only
+/// (and an eval edit doesn't discard workload, static-threshold or sim
+/// artifacts). Text-only
 /// includes.
 pub const EVAL_SOURCES: &[&str] = &[
     // The evaluation pipeline itself: quantize, calibrate, forward, plus
@@ -259,13 +261,7 @@ mod tests {
             src!("store/src/wire.rs"),
         ];
         // The files whose `encode` each kind's payloads call.
-        let prep = [
-            src!("harness/src/prep.rs"),
-            src!("tensor/src/tensor.rs"),
-            src!("tensor/src/shape.rs"),
-            src!("tensor/src/init.rs"),
-            src!("sim/src/workload.rs"),
-        ];
+        let workloads = [src!("sim/src/workload.rs"), src!("tensor/src/shape.rs")];
         let train = [src!("nn/src/synthnet.rs")];
         // The static-threshold counts: the build, key and layout (`prep.rs`),
         // the sample and runtime images and their batch, the forward, and
@@ -279,7 +275,7 @@ mod tests {
             src!("sim/src/calibrate.rs"),
         ];
         for (kind, list, encodes) in [
-            ("prep", PREP_SOURCES, &prep[..]),
+            ("ws", PREP_SOURCES, &workloads[..]),
             ("model", MODEL_SOURCES, &[]),
             ("eval", EVAL_SOURCES, &[]),
             ("surrogate", SURROGATE_SOURCES, &[]),

@@ -107,11 +107,6 @@ impl<'a> Reader<'a> {
         Ok(v as usize)
     }
 
-    /// Reads an `f32` bit pattern.
-    pub fn f32(&mut self) -> Result<f32, StoreError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
     /// Reads an `f64` bit pattern.
     pub fn f64(&mut self) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.u64()?))
@@ -171,7 +166,7 @@ mod tests {
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.f32().unwrap().to_bits(), (-0.0_f32).to_bits());
+        assert_eq!(r.u32().unwrap(), (-0.0_f32).to_bits());
         assert!(r.f64().unwrap().is_nan());
         assert_eq!(r.string().unwrap(), "olá");
         assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);

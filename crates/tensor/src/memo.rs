@@ -1,9 +1,10 @@
 //! Exactly-once memoization.
 //!
 //! Every cache in the workspace is a [`Memo`]: the harness's `PrepCache`
-//! (prepared networks and workload sets), `ola_sim::simcache::SimCache`
-//! (per-layer simulation results) and `ola_quant::evalcache::EvalCache`
-//! (quantized-accuracy records) each hold one `Memo` per record kind. A
+//! (prepared networks, workload sets and static-threshold counts),
+//! `ola_sim::simcache::SimCache` (per-layer simulation results) and
+//! `ola_quant::evalcache::EvalCache` (quantized-accuracy records) each
+//! hold one `Memo` per kind of value. A
 //! memo maps `u64` keys to per-key [`Slot`]s — an `Arc<OnceLock<..>>`
 //! whose expensive build runs in exactly one caller while concurrent
 //! requesters for the same key block until it lands — and survives a

@@ -9,10 +9,11 @@
 //! each other. The write race re-runs this test binary as two writer
 //! processes.
 
+use ola_core::cost::{self, GroupTuning};
+use ola_core::event::jobs_from_workload;
 use ola_harness::prep::{PrepCache, Prepared, StaticThresholdCounts, DEFAULT_SEED};
 use ola_integration::oracle::bitwise_eq;
 use ola_nn::synthnet::{SynthDataset, SynthNet, TrainedSynthNet};
-use ola_nn::Params;
 use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
 use ola_sim::calibrate::RuntimeCounts;
 use ola_sim::workload::{LayerKind, LayerWorkload};
@@ -20,7 +21,7 @@ use ola_sim::{EventRecord, LayerRun, QuantPolicy, Utilization, WorkloadSet};
 use ola_store::{ArtifactStore, Record, StoreError};
 use ola_tensor::bytes::{fnv1a64, Writer};
 use ola_tensor::memo::Persist;
-use ola_tensor::{Shape4, Tensor};
+use ola_tensor::Shape4;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -47,99 +48,28 @@ fn open(dir: &Path) -> Arc<ArtifactStore> {
 const NET: &str = "alexnet";
 const SCALE: usize = 8;
 
-#[test]
-fn second_process_loads_instead_of_computing() {
-    let dir = scratch("warm");
-    let policy = QuantPolicy::olaccel16(NET);
-
-    // "Process" one: a fresh cache with the disk tier attached. Everything
-    // misses both tiers, computes, and writes through.
-    let cold = PrepCache::new();
-    cold.set_store(open(&dir));
-    let prep_cold = cold.prepared(NET, SCALE, DEFAULT_SEED);
-    let ws_cold = cold.workloads(NET, SCALE, DEFAULT_SEED, &policy);
-    let s = cold.stats();
-    assert_eq!(s.prepared_misses, 1, "cold run must synthesize");
-    assert_eq!(s.workload_misses, 1, "cold run must extract");
-    assert_eq!(s.disk_hits, 0);
-    assert_eq!(s.disk_misses, 2, "both lookups missed the empty store");
-    let artifacts: Vec<_> = std::fs::read_dir(&dir)
+/// The paths of `dir`'s `R` records.
+fn record_files<R: Record>(dir: &Path) -> Vec<PathBuf> {
+    let prefix = format!("{}-", R::PREFIX);
+    std::fs::read_dir(dir)
         .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    assert_eq!(artifacts.len(), 2, "write-through left {artifacts:?}");
-    assert!(artifacts.iter().all(|f| f.ends_with(".olas")));
-
-    // "Process" two: another fresh cache over the same directory. Both
-    // requests must be served from disk — zero computation — and the
-    // loaded artifacts must be bit-identical to the cold build.
-    let warm = PrepCache::new();
-    warm.set_store(open(&dir));
-    let prep_warm = warm.prepared(NET, SCALE, DEFAULT_SEED);
-    let ws_warm = warm.workloads(NET, SCALE, DEFAULT_SEED, &policy);
-    let s = warm.stats();
-    assert_eq!(s.disk_hits, 2, "warm run must load both artifacts");
-    assert_eq!(s.disk_misses, 0);
-    assert_eq!(s.prepared_misses, 0, "warm run must not synthesize");
-    assert_eq!(s.workload_misses, 0, "warm run must not extract");
-
-    assert_eq!(prep_warm.acts.len(), prep_cold.acts.len());
-    for (a, b) in prep_warm.acts.iter().zip(&prep_cold.acts) {
-        assert_eq!(
-            a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "loaded activations must be bit-identical"
-        );
-    }
-    assert!(
-        bitwise_eq(&ws_warm, &ws_cold),
-        "loaded workload set must be bit-identical"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with(&prefix)
+        })
+        .collect()
 }
 
-#[test]
-fn corrupt_artifact_warns_and_recomputes() {
-    let dir = scratch("corrupt");
-    let policy = QuantPolicy::olaccel16(NET);
-
-    let cold = PrepCache::new();
-    cold.set_store(open(&dir));
-    let _ = cold.prepared(NET, SCALE, DEFAULT_SEED);
-    let ws_cold = cold.workloads(NET, SCALE, DEFAULT_SEED, &policy);
-
-    // Flip one payload byte in every artifact: checksums must catch it.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, bytes).unwrap();
-    }
-
-    let hurt = PrepCache::new();
-    hurt.set_store(open(&dir));
-    let _ = hurt.prepared(NET, SCALE, DEFAULT_SEED);
-    let ws = hurt.workloads(NET, SCALE, DEFAULT_SEED, &policy);
-    let s = hurt.stats();
-    assert_eq!(s.disk_hits, 0, "corrupt artifacts must never load");
-    assert_eq!(s.disk_misses, 2);
-    assert_eq!(s.prepared_misses, 1, "corruption must fall back to compute");
-    assert_eq!(s.workload_misses, 1);
-    assert!(
-        bitwise_eq(&ws, &ws_cold),
-        "recompute must match the original"
-    );
-
-    // The recompute wrote fresh artifacts back; a third cache loads again.
-    let healed = PrepCache::new();
-    healed.set_store(open(&dir));
-    let _ = healed.prepared(NET, SCALE, DEFAULT_SEED);
-    let _ = healed.workloads(NET, SCALE, DEFAULT_SEED, &policy);
-    assert_eq!(healed.stats().disk_hits, 2, "write-through must self-heal");
-
-    std::fs::remove_dir_all(&dir).ok();
+/// Flips every bit of `path`'s last byte, a payload byte the checksum
+/// covers.
+fn flip_last_byte(path: &Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    std::fs::write(path, bytes).unwrap();
 }
 
 /// The `(prepared_misses, workload_misses, disk_hits, disk_misses)`
@@ -154,6 +84,136 @@ fn tier_counts(cache: &PrepCache) -> (u64, u64, u64, u64) {
     )
 }
 
+/// The `(static_built, static_loaded, static_missed)` counters of `cache`.
+fn static_counts(cache: &PrepCache) -> (u64, u64, u64) {
+    let s = cache.stats();
+    (s.static_built, s.static_loaded, s.static_missed)
+}
+
+/// A cache with a store writes its two results and nothing else: the
+/// prepared network both come from lives in memory only.
+#[test]
+fn the_store_holds_results_not_preparations() {
+    let dir = scratch("no-prep");
+    let cache = PrepCache::new();
+    cache.set_store(open(&dir));
+    let _ = cache.prepared(NET, SCALE, DEFAULT_SEED);
+    let _ = cache.workloads(NET, SCALE, DEFAULT_SEED, &QuantPolicy::olaccel16(NET));
+    let _ = cache.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert_eq!(record_files::<WorkloadSet>(&dir).len(), 1, "{names:?}");
+    assert_eq!(
+        record_files::<StaticThresholdCounts>(&dir).len(),
+        1,
+        "{names:?}"
+    );
+    assert_eq!(names.len(), 2, "the store holds {names:?}");
+    assert!(!names.iter().any(|n| n.starts_with("prep-")), "{names:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn second_process_loads_instead_of_computing() {
+    let dir = scratch("warm");
+    let policy = QuantPolicy::olaccel16(NET);
+
+    // "Process" one: a fresh cache with the disk tier attached. Both
+    // results miss both tiers, are computed from one preparation, and are
+    // written through.
+    let cold = PrepCache::new();
+    cold.set_store(open(&dir));
+    let ws_cold = cold.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    let st_cold = cold.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
+    assert_eq!(
+        tier_counts(&cold),
+        (1, 1, 0, 1),
+        "cold run must prepare and extract"
+    );
+    assert_eq!(cold.stats().prepared_hits, 1, "one preparation serves both");
+    assert_eq!(static_counts(&cold), (1, 0, 1), "cold run must count");
+    let artifacts: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert_eq!(artifacts.len(), 2, "write-through left {artifacts:?}");
+    assert!(artifacts.iter().all(|f| f.ends_with(".olas")));
+
+    // "Process" two: another fresh cache over the same directory. Both
+    // requests must be served from disk — no preparation at all — and the
+    // loaded results must be bit-identical to the cold ones.
+    let warm = PrepCache::new();
+    warm.set_store(open(&dir));
+    let ws_warm = warm.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    let st_warm = warm.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
+    assert_eq!(
+        tier_counts(&warm),
+        (0, 0, 1, 0),
+        "warm run must load the set"
+    );
+    assert_eq!(
+        static_counts(&warm),
+        (0, 1, 0),
+        "warm run must load the counts"
+    );
+    assert_eq!(warm.stats().prepared_hits, 0, "no prepared lookup at all");
+    assert!(
+        bitwise_eq(&ws_warm, &ws_cold),
+        "loaded workload set must be bit-identical"
+    );
+    assert_eq!(*st_warm, *st_cold);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn corrupt_artifact_warns_and_recomputes() {
+    let dir = scratch("corrupt");
+    let policy = QuantPolicy::olaccel16(NET);
+
+    let cold = PrepCache::new();
+    cold.set_store(open(&dir));
+    let ws_cold = cold.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    let st_cold = cold.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
+
+    // Flip one payload byte in every artifact: checksums must catch it.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        flip_last_byte(&entry.unwrap().path());
+    }
+
+    let hurt = PrepCache::new();
+    hurt.set_store(open(&dir));
+    let ws = hurt.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    let st = hurt.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
+    assert_eq!(
+        tier_counts(&hurt),
+        (1, 1, 0, 1),
+        "corruption must fall back to one preparation"
+    );
+    assert_eq!(static_counts(&hurt), (1, 0, 1));
+    assert!(
+        bitwise_eq(&ws, &ws_cold),
+        "recompute must match the original"
+    );
+    assert_eq!(*st, *st_cold);
+
+    // The recompute wrote fresh artifacts back; a third cache loads again.
+    let healed = PrepCache::new();
+    healed.set_store(open(&dir));
+    let _ = healed.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    let _ = healed.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
+    assert_eq!(
+        tier_counts(&healed),
+        (0, 0, 1, 0),
+        "write-through must self-heal"
+    );
+    assert_eq!(static_counts(&healed), (0, 1, 0));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A warm workload request is served by its own record: the prepared
 /// network it was extracted from is neither loaded nor built.
 #[test]
@@ -163,7 +223,7 @@ fn warm_workloads_never_touch_the_prepared_tier() {
     let cold = PrepCache::new();
     cold.set_store(open(&dir));
     let ws_cold = cold.workloads(NET, SCALE, DEFAULT_SEED, &policy);
-    assert_eq!(tier_counts(&cold), (1, 1, 0, 2), "cold run builds both");
+    assert_eq!(tier_counts(&cold), (1, 1, 0, 1), "cold run builds both");
 
     let warm = PrepCache::new();
     warm.set_store(open(&dir));
@@ -175,37 +235,32 @@ fn warm_workloads_never_touch_the_prepared_tier() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// With only the workload record corrupt, the miss extracts once from the
-/// *loaded* preparation (no synthesis) and writes a healed record back.
+/// With only the workload record corrupt, the miss prepares the network
+/// again and extracts once, the intact static-threshold record still
+/// loads, and the rewritten workload record heals the store.
 #[test]
-fn corrupt_workload_record_extracts_from_the_stored_preparation() {
+fn corrupt_workload_record_reprepares_and_heals() {
     let dir = scratch("ws-corrupt");
     let policy = QuantPolicy::olaccel16(NET);
     let cold = PrepCache::new();
     cold.set_store(open(&dir));
     let ws_cold = cold.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    let _ = cold.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
 
-    let ws_path = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| {
-            let name = p.file_name().unwrap().to_string_lossy();
-            name.starts_with(&format!("{}-", WorkloadSet::PREFIX))
-        })
-        .expect("the cold run wrote a workload record");
-    let mut bytes = std::fs::read(&ws_path).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF;
-    std::fs::write(&ws_path, bytes).unwrap();
+    let ws_path = record_files::<WorkloadSet>(&dir);
+    assert_eq!(ws_path.len(), 1, "the cold run wrote one workload record");
+    flip_last_byte(&ws_path[0]);
 
     let hurt = PrepCache::new();
     hurt.set_store(open(&dir));
     let ws = hurt.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    let _ = hurt.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
     assert_eq!(
         tier_counts(&hurt),
-        (0, 1, 1, 1),
-        "load the preparation, extract once"
+        (1, 1, 0, 1),
+        "one failed load, one preparation, one extraction"
     );
+    assert_eq!(static_counts(&hurt), (0, 1, 0), "the intact record loads");
     assert!(
         bitwise_eq(&ws, &ws_cold),
         "recompute must match the cold set"
@@ -219,27 +274,37 @@ fn corrupt_workload_record_extracts_from_the_stored_preparation() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A truncated workload record misses and is recomputed; files the store
+/// did not write for this build — an orphaned `prep` record of an older
+/// store, a stray text file — are neither read nor removed.
 #[test]
 fn truncated_and_alien_files_are_ignored() {
     let dir = scratch("alien");
+    let policy = QuantPolicy::olaccel16(NET);
     let cold = PrepCache::new();
     cold.set_store(open(&dir));
-    let _ = cold.prepared(NET, SCALE, DEFAULT_SEED);
+    let ws_cold = cold.workloads(NET, SCALE, DEFAULT_SEED, &policy);
 
     // Truncate the artifact to a prefix and confirm the loader shrugs.
-    let path = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|e| e == "olas"))
-        .unwrap();
+    let path = record_files::<WorkloadSet>(&dir).pop().unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+    let aliens = [
+        dir.join("prep-0123456789abcdef-v0123456789abcdef.olas"),
+        dir.join("notes.txt"),
+    ];
+    for alien in &aliens {
+        std::fs::write(alien, b"not an artifact").unwrap();
+    }
 
     let cache = PrepCache::new();
     cache.set_store(open(&dir));
-    let _ = cache.prepared(NET, SCALE, DEFAULT_SEED);
-    assert_eq!(cache.stats().disk_hits, 0);
-    assert_eq!(cache.stats().prepared_misses, 1);
+    let ws = cache.workloads(NET, SCALE, DEFAULT_SEED, &policy);
+    assert_eq!(tier_counts(&cache), (1, 1, 0, 1));
+    assert!(bitwise_eq(&ws, &ws_cold));
+    for alien in &aliens {
+        assert!(alien.exists(), "{} was removed", alien.display());
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -298,31 +363,27 @@ fn loaded_workloads_carry_the_requested_policy_bits() {
 
     let cold = PrepCache::new();
     cold.set_store(open(&dir));
-    let _ = cold.prepared(NET, SCALE, DEFAULT_SEED);
     let _ = cold.workloads(NET, SCALE, DEFAULT_SEED, &zero);
 
     let warm = PrepCache::new();
     warm.set_store(open(&dir));
-    let _ = warm.prepared(NET, SCALE, DEFAULT_SEED);
     let _ = warm.workloads(NET, SCALE, DEFAULT_SEED, &neg_zero);
-    let s = warm.stats();
-    assert_eq!((s.workload_misses, s.disk_hits), (0, 2), "no extraction");
-    let workload_files = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter(|e| {
-            let name = e.as_ref().unwrap().file_name();
-            name.to_string_lossy()
-                .starts_with(&format!("{}-", WorkloadSet::PREFIX))
-        })
-        .count();
-    assert_eq!(workload_files, 1, "-0.0 must not write a second artifact");
+    assert_eq!(
+        tier_counts(&warm),
+        (0, 0, 1, 0),
+        "no preparation, no extraction"
+    );
+    assert_eq!(
+        record_files::<WorkloadSet>(&dir).len(),
+        1,
+        "-0.0 must not write a second artifact"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// One small valid record of every kind the store persists.
 struct Samples {
-    prepared: Prepared,
     workloads: WorkloadSet,
     run: LayerRun,
     event: EventRecord,
@@ -335,9 +396,9 @@ struct Samples {
 fn samples() -> &'static Samples {
     static SAMPLES: OnceLock<Samples> = OnceLock::new();
     SAMPLES.get_or_init(|| {
-        // The smallest AlexNet the zoo builds; its workloads are real, its
-        // tensors are then shrunk so every-byte checks stay cheap.
-        let mut prepared = Prepared::with_seed(NET, 64, 7);
+        // The smallest AlexNet the zoo builds, so its workloads are real
+        // and every-byte checks stay cheap.
+        let prepared = Prepared::with_seed(NET, 64, 7);
         let workloads = prepared.extract(&QuantPolicy::olaccel16(NET));
         // Counts that fit the graph: every compute layer after the first,
         // its per-image input size as the total.
@@ -358,16 +419,12 @@ fn samples() -> &'static Samples {
                 })
                 .collect(),
         };
-        let nodes = prepared.net.nodes().len();
-        prepared.params = Params::sized(nodes);
-        prepared.acts = vec![Tensor::from_vec(Shape4::new(1, 1, 1, 2), vec![1.5, -0.0]); nodes];
         let utilization = Utilization {
             run_cycles: 40,
             skip_cycles: 2,
             idle_cycles: 6,
         };
         Samples {
-            prepared,
             workloads,
             run: LayerRun {
                 name: "conv1".into(),
@@ -448,7 +505,6 @@ fn every_record_kind_rejects_flipped_and_truncated_files() {
     let dir = scratch("flips");
     let store = ArtifactStore::open(&dir).unwrap();
     let s = samples();
-    assert_flips_and_prefixes_rejected(&store, &s.prepared, 1);
     assert_flips_and_prefixes_rejected(&store, &s.workloads, 1);
     assert_flips_and_prefixes_rejected(&store, &s.run, 1);
     assert_flips_and_prefixes_rejected(&store, &s.event, 1);
@@ -598,8 +654,19 @@ proptest! {
             }
         };
         let s = samples();
-        let _ = get_reframed(&store, &s.prepared, mutate);
-        let _ = get_reframed(&store, &s.workloads, mutate);
+        // A workload set that decodes must cost, and stream every chunk,
+        // in bounds under either outlier-MAC setting.
+        if let Ok(Some(ws)) = get_reframed(&store, &s.workloads, mutate) {
+            for l in &ws.layers {
+                for outlier_mac in [true, false] {
+                    let tuning = GroupTuning { outlier_mac, ..GroupTuning::default() };
+                    let _ = cost::layer_cost(l, &tuning);
+                    jobs_from_workload(l, &tuning, 0)
+                        .take(2 * l.chunk_nnz.len())
+                        .for_each(drop);
+                }
+            }
+        }
         let _ = get_reframed(&store, &s.run, mutate);
         let _ = get_reframed(&store, &s.event, mutate);
         let _ = get_reframed(&store, &s.eval, mutate);
@@ -650,6 +717,59 @@ fn hostile_synthnet_payloads_are_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Checksum-valid workload payloads that would index out of bounds or
+/// overflow in the accelerator models each decode to an error: the
+/// decoder holds every invariant extraction guarantees.
+#[test]
+fn hostile_workload_payloads_are_rejected() {
+    let dir = scratch("hostile-ws");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let s = &samples().workloads;
+    let reject = |what: &str, edit: &dyn Fn(&mut LayerWorkload)| {
+        let mut hostile = s.clone();
+        edit(&mut hostile.layers[1]);
+        let mut w = Writer::new();
+        hostile.encode(&mut w);
+        let payload = w.into_bytes();
+        let got = get_reframed(&store, s, |p| p.clone_from(&payload));
+        assert!(matches!(got, Err(StoreError::Corrupt(_))), "{what}");
+    };
+    assert!(get_reframed(&store, s, |_| ()).unwrap().is_some());
+    reject("one zero-quad count short", &|l| {
+        l.chunk_zero_quads.pop();
+    });
+    reject("one chunk count short", &|l| {
+        l.chunk_nnz.pop();
+    });
+    reject("a chunk of 17 non-zero lanes", &|l| l.chunk_nnz[0] = 17);
+    reject("a chunk of 5 zero quads", &|l| l.chunk_zero_quads[0] = 5);
+    reject("33-bit weights", &|l| l.weight_bits = 33);
+    reject("activations of u32::MAX bits", &|l| l.act_bits = u32::MAX);
+    let fraction: [fn(&mut LayerWorkload) -> &mut f64; 8] = [
+        |l| &mut l.weight_zero_fraction,
+        |l| &mut l.act_zero_fraction,
+        |l| &mut l.weight_outlier_ratio,
+        |l| &mut l.act_outlier_nonzero_ratio,
+        |l| &mut l.act_effective_outlier_ratio,
+        |l| &mut l.wchunk_single_fraction,
+        |l| &mut l.wchunk_multi_fraction,
+        |l| &mut l.out_zero_fraction,
+    ];
+    for (i, field) in fraction.iter().enumerate() {
+        for v in [f64::NAN, f64::INFINITY, -1e-9, 1.0 + 1e-9, 1e30] {
+            reject(&format!("fraction {i} of {v}"), &|l| *field(l) = v);
+        }
+    }
+    let big = 1 << 24;
+    reject("an element count past u64", &|l| {
+        l.in_shape = Shape4::new(big, big, big, big)
+    });
+    reject("an element count of 2^48", &|l| {
+        l.out_shape = Shape4::new(1, big, big, 1)
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Checksum-valid static-threshold payloads that do not fit their graph
 /// each decode to an error, never to a different report.
 #[test]
@@ -689,39 +809,20 @@ fn hostile_static_threshold_payloads_are_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn static_files(dir: &Path) -> usize {
-    std::fs::read_dir(dir)
-        .unwrap()
-        .filter(|e| {
-            let name = e.as_ref().unwrap().file_name();
-            name.to_string_lossy()
-                .starts_with(&format!("{}-", StaticThresholdCounts::PREFIX))
-        })
-        .count()
-}
-
-/// The `(built, loaded, missed)` static-threshold counters and the
-/// `(prepared_misses, disk_hits)` preparation counters of `cache`.
-fn static_counts(cache: &PrepCache) -> ((u64, u64, u64), (u64, u64)) {
-    let s = cache.stats();
-    (
-        (s.static_built, s.static_loaded, s.static_missed),
-        (s.prepared_misses, s.disk_hits),
-    )
-}
-
 /// A cold run writes the static-threshold record; a second cache over the
 /// same store loads it without touching a prepared network; a flipped
-/// byte costs one failed load and a rerun, from the stored preparation,
-/// that heals the file.
+/// byte costs one failed load and a rerun, on a fresh preparation, that
+/// heals the file.
 #[test]
 fn static_threshold_record_persists_loads_and_heals() {
     let dir = scratch("static");
     let cold = PrepCache::new();
     cold.set_store(open(&dir));
     let built = cold.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
-    assert_eq!(static_counts(&cold), ((1, 0, 1), (1, 0)), "cold run builds");
-    assert_eq!(static_files(&dir), 1, "the cold run writes one record");
+    assert_eq!(static_counts(&cold), (1, 0, 1), "cold run builds");
+    assert_eq!(cold.stats().prepared_misses, 1);
+    let files = record_files::<StaticThresholdCounts>(&dir);
+    assert_eq!(files.len(), 1, "the cold run writes one record");
     assert_eq!(
         built.layers.len(),
         7,
@@ -732,43 +833,38 @@ fn static_threshold_record_persists_loads_and_heals() {
     let warm = PrepCache::new();
     warm.set_store(open(&dir));
     let loaded = warm.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
-    assert_eq!(static_counts(&warm), ((0, 1, 0), (0, 0)));
-    assert_eq!(warm.stats().prepared_hits, 0, "no prepared lookup at all");
+    assert_eq!(static_counts(&warm), (0, 1, 0));
+    let s = warm.stats();
+    assert_eq!(
+        (s.prepared_misses, s.prepared_hits),
+        (0, 0),
+        "no prepared lookup at all"
+    );
     assert_eq!(*loaded, *built);
 
-    let path = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| {
-            let name = p.file_name().unwrap().to_string_lossy();
-            name.starts_with(&format!("{}-", StaticThresholdCounts::PREFIX))
-        })
-        .unwrap();
-    let mut bytes = std::fs::read(&path).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x01;
-    std::fs::write(&path, bytes).unwrap();
-
+    flip_last_byte(&files[0]);
     let hurt = PrepCache::new();
     hurt.set_store(open(&dir));
     let rerun = hurt.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
     assert_eq!(
         static_counts(&hurt),
-        ((1, 0, 1), (0, 1)),
-        "one failed load, one rerun on the loaded preparation"
+        (1, 0, 1),
+        "one failed load, one rerun"
+    );
+    assert_eq!(
+        hurt.stats().prepared_misses,
+        1,
+        "the rerun prepares the network"
     );
     assert_eq!(*rerun, *built);
 
     let healed = PrepCache::new();
     healed.set_store(open(&dir));
     let again = healed.static_threshold_counts(NET, SCALE, DEFAULT_SEED);
-    assert_eq!(
-        static_counts(&healed),
-        ((0, 1, 0), (0, 0)),
-        "write-through heals"
-    );
+    assert_eq!(static_counts(&healed), (0, 1, 0), "write-through heals");
+    assert_eq!(healed.stats().prepared_misses, 0);
     assert_eq!(*again, *built);
-    assert_eq!(static_files(&dir), 1);
+    assert_eq!(record_files::<StaticThresholdCounts>(&dir).len(), 1);
 
     std::fs::remove_dir_all(&dir).ok();
 }
