@@ -85,7 +85,7 @@ fn benches(c: &mut Criterion) {
     }
 
     println!("\n=== Ablation: tri-buffer vs double buffer (Fig 10's coherence design) ===");
-    use ola_core::tribuffer::pipeline_overhead;
+    use ola_integration::tribuffer::pipeline_overhead;
     for buffers in [2usize, 3] {
         let o = pipeline_overhead(10_000, 10, 4, buffers);
         println!("{buffers} buffers: {o:.3}x the normal unit's raw accumulation time");

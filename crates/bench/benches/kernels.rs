@@ -77,9 +77,9 @@ fn benches(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1000 * 16));
     g.bench_function("broadcast_1k_single_outlier", |b| {
         b.iter(|| {
-            let mut psums = ola_core::datapath::PsumBank::new();
+            let mut psums = ola_integration::datapath::PsumBank::new();
             for act in 0..1000 {
-                ola_core::datapath::broadcast(
+                ola_integration::datapath::broadcast(
                     black_box(&chunk),
                     overflow.as_ref(),
                     act % 15 - 7,
@@ -95,12 +95,17 @@ fn benches(c: &mut Criterion) {
     let wq = heavy_tailed_tensor(Shape4::new(32, 16, 3, 3), HeavyTailed::default(), 21);
     let mut aq = heavy_tailed_tensor(Shape4::new(1, 16, 12, 12), HeavyTailed::default(), 22);
     aq.map_inplace(|v| if v < 0.0 { 0.0 } else { v });
-    let (packed, _) = ola_core::functional::PackedConv::pack(&wq, 0.03, 1, 1);
-    let qacts = ola_core::functional::quantize_acts(&aq, 0.03);
+    let (packed, _) = ola_integration::functional::PackedConv::pack(&wq, 0.03, 1, 1);
+    let qacts = ola_integration::functional::quantize_acts(&aq, 0.03);
     let mut g = c.benchmark_group("functional");
     g.sample_size(20);
     g.bench_function("quantized_conv_32x16x3x3", |b| {
-        b.iter(|| black_box(ola_core::functional::execute(black_box(&packed), &qacts)))
+        b.iter(|| {
+            black_box(ola_integration::functional::execute(
+                black_box(&packed),
+                &qacts,
+            ))
+        })
     });
     g.finish();
 

@@ -30,12 +30,9 @@
 //! [`scale`] adds the multi-NPU / batch scalability model of Fig 15.
 
 pub mod cost;
-pub mod datapath;
 pub mod dispatch;
 pub mod event;
-pub mod functional;
 pub mod model;
 pub mod scale;
-pub mod tribuffer;
 
 pub use model::{OlAccelSim, Tuning};

@@ -54,7 +54,9 @@ pub fn surrogate_specs(network: &str) -> [QuantSpec; 2] {
 pub fn weight_sqnr(cache: &EvalCache, network: &str, specs: &[QuantSpec]) -> Arc<WeightSqnr> {
     let synth = SynthConfig::for_network(network);
     let key = weight_sqnr_key(network, &SURROGATE_ZOO, &synth, specs);
-    cache.weight_sqnr(key, || build_weight_sqnr(network, &synth, specs))
+    cache.weight_sqnr(key, specs.len(), || {
+        build_weight_sqnr(network, &synth, specs)
+    })
 }
 
 /// Builds the surrogate of a zoo network at [`SURROGATE_ZOO`] in one

@@ -277,10 +277,18 @@ impl EvalCache {
     }
 
     /// Fetches or builds (exactly once per key, process-wide) the weight-
-    /// SQNR surrogate record for `key`. `build` must be a pure function of
-    /// the inputs [`weight_sqnr_key`] folds.
-    pub fn weight_sqnr(&self, key: u64, build: impl FnOnce() -> WeightSqnr) -> Arc<WeightSqnr> {
-        self.surrogates.get(key, build)
+    /// SQNR surrogate record for `key`, one mean per spec of `specs`. A
+    /// stored record with another entry count is a miss: only the key
+    /// folds the specs. `build` must be a pure function of the inputs
+    /// [`weight_sqnr_key`] folds.
+    pub fn weight_sqnr(
+        &self,
+        key: u64,
+        specs: usize,
+        build: impl FnOnce() -> WeightSqnr,
+    ) -> Arc<WeightSqnr> {
+        let usable = |w: &WeightSqnr| w.mean_db.len() == specs;
+        self.surrogates.get_checked(key, usable, build)
     }
 
     /// Fetches or trains (exactly once per key, process-wide) the trained
@@ -414,10 +422,10 @@ mod tests {
     fn surrogates_memoize_apart_from_evals() {
         let cache = EvalCache::new();
         let sqnr = |v: f64| WeightSqnr { mean_db: vec![v] };
-        assert_eq!(cache.weight_sqnr(11, || sqnr(1.5)).mean_db, [1.5]);
+        assert_eq!(cache.weight_sqnr(11, 1, || sqnr(1.5)).mean_db, [1.5]);
         assert_eq!(
             cache
-                .weight_sqnr(11, || panic!("resident entry must hit"))
+                .weight_sqnr(11, 1, || panic!("resident entry must hit"))
                 .mean_db,
             [1.5]
         );

@@ -92,7 +92,11 @@ fn decode_layer(r: &mut Reader<'_>) -> Result<LayerWorkload, StoreError> {
 /// The invariants every extracted layer holds and the models rely on: one
 /// zero-quad count per chunk, no chunk with more than [`CHUNK_LANES`]
 /// non-zero lanes or more quads than it has, bit widths of at most
-/// [`MAX_BITS`] and every fraction in `[0, 1]` (so none is NaN).
+/// [`MAX_BITS`], every fraction in `[0, 1]` (so none is NaN), and at most
+/// `input channels × kernel²` MACs per output element, so the units the
+/// models run stay within the layer's shapes. (The MAC count includes
+/// taps on zero padding, so input-output pairs do not bound it: a 3×3
+/// kernel on a 2×2 map has more taps than pairs.)
 fn check_layer(l: &LayerWorkload) -> Result<(), StoreError> {
     let fractions = [
         l.weight_zero_fraction,
@@ -104,6 +108,7 @@ fn check_layer(l: &LayerWorkload) -> Result<(), StoreError> {
         l.wchunk_multi_fraction,
         l.out_zero_fraction,
     ];
+    let taps = (l.kernel as u64).saturating_pow(2);
     let fault = if l.chunk_nnz.len() != l.chunk_zero_quads.len() {
         "chunk vectors of unequal length"
     } else if (l.chunk_nnz.iter().zip(&l.chunk_zero_quads)).any(|(&nnz, &quads)| {
@@ -114,6 +119,8 @@ fn check_layer(l: &LayerWorkload) -> Result<(), StoreError> {
         "a bit width above 32"
     } else if fractions.iter().any(|f| !(0.0..=1.0).contains(f)) {
         "a fraction outside [0, 1]"
+    } else if l.macs > (l.out_count() * l.in_shape.c as u64).saturating_mul(taps) {
+        "more MACs than its outputs have kernel taps"
     } else {
         return Ok(());
     };

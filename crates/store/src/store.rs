@@ -230,7 +230,8 @@ mod tests {
                 in_shape: Shape4::new(1, 3, 8, 8),
                 out_shape: Shape4::new(1, 16, 4, 4),
                 kernel: 3,
-                macs: 12345,
+                // Every kernel tap of every output: 4·4·16 outputs × 3·9.
+                macs: 6912,
                 weight_count: 432,
                 weight_bits: 4,
                 act_bits: 16,

@@ -191,10 +191,22 @@ impl<R> Memo<R> {
 
     /// Fetches or computes (exactly once per key) the value for `key`.
     pub fn get(&self, key: u64, build: impl FnOnce() -> R) -> Arc<R> {
+        self.get_checked(key, |_| true, build)
+    }
+
+    /// [`Memo::get`] for records whose key folds more than the record can
+    /// check: a stored record that fails `usable` counts as a miss, and
+    /// the build overwrites it.
+    pub fn get_checked(
+        &self,
+        key: u64,
+        usable: impl FnOnce(&R) -> bool,
+        build: impl FnOnce() -> R,
+    ) -> Arc<R> {
         let (value, fill) = fill_slot(&self.slots, key, || {
             let store = lock_unpoisoned(&self.store).clone();
             if let Some(store) = &store {
-                if let Some(record) = store.load(key) {
+                if let Some(record) = store.load(key).filter(usable) {
                     return (Arc::new(record), Fill::Disk);
                 }
                 self.missed.fetch_add(1, Ordering::Relaxed);

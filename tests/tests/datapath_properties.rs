@@ -3,8 +3,8 @@
 //! model, must reproduce the plain integer reference for any activation
 //! sequence.
 
-use ola_core::datapath::{run_sequence, PsumBank};
-use ola_core::tribuffer::{simulate_pipeline, TileWork};
+use ola_integration::datapath::{run_sequence, PsumBank};
+use ola_integration::tribuffer::{simulate_pipeline, TileWork};
 use ola_quant::chunks::{encode_group, QuantizedWeight};
 use proptest::prelude::*;
 

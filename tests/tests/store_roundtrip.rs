@@ -11,10 +11,16 @@
 
 use ola_core::cost::{self, GroupTuning};
 use ola_core::event::jobs_from_workload;
-use ola_harness::prep::{PrepCache, Prepared, StaticThresholdCounts, DEFAULT_SEED};
+use ola_harness::fig03::{surrogate_specs, SURROGATE_ZOO};
+use ola_harness::prep::{
+    attach_disk_store, PrepCache, Prepared, StaticThresholdCounts, DEFAULT_SEED,
+};
 use ola_integration::oracle::bitwise_eq;
+use ola_nn::synth::SynthConfig;
 use ola_nn::synthnet::{SynthDataset, SynthNet, TrainedSynthNet};
 use ola_quant::accuracy::{QuantAccuracy, WeightSqnr};
+use ola_quant::evalcache::weight_sqnr_key;
+use ola_quant::EvalCache;
 use ola_sim::calibrate::RuntimeCounts;
 use ola_sim::workload::{LayerKind, LayerWorkload};
 use ola_sim::{EventRecord, LayerRun, QuantPolicy, Utilization, WorkloadSet};
@@ -320,7 +326,8 @@ fn sample_workloads() -> WorkloadSet {
             in_shape: Shape4::new(1, 3, 8, 8),
             out_shape: Shape4::new(1, 16, 4, 4),
             kernel: 3,
-            macs: 12345,
+            // Every kernel tap of every output: 4·4·16 outputs × 3·9.
+            macs: 6912,
             weight_count: 432,
             weight_bits: 4,
             act_bits: 16,
@@ -767,6 +774,12 @@ fn hostile_workload_payloads_are_rejected() {
     reject("an element count of 2^48", &|l| {
         l.out_shape = Shape4::new(1, big, big, 1)
     });
+    // `group_units` grows with `macs`: a validation would stream that many
+    // event jobs.
+    reject("more MACs than the outputs have kernel taps", &|l| {
+        l.macs = l.out_count() * (l.in_shape.c * l.kernel * l.kernel) as u64 + 1
+    });
+    reject("2^40 MACs", &|l| l.macs = 1 << 40);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -866,5 +879,64 @@ fn static_threshold_record_persists_loads_and_heals() {
     assert_eq!(*again, *built);
     assert_eq!(record_files::<StaticThresholdCounts>(&dir).len(), 1);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Set in the child process that runs fig3 on a store.
+const FIG3_STORE_ENV: &str = "OLA_STORE_FIG3_DIR";
+
+/// Only the key folds fig3's two surrogate specs, so a checksum-valid
+/// `wsqnr` record with one entry decodes. fig3 must take it for a miss and
+/// recompute it: the warm run prints the golden report, and its rebuild
+/// overwrites every record with two entries.
+#[test]
+fn one_entry_weight_sqnr_records_are_recomputed() {
+    if let Ok(dir) = std::env::var(FIG3_STORE_ENV) {
+        // The child: fig3 through the global caches, warm on `dir`.
+        attach_disk_store(Path::new(&dir)).unwrap();
+        print!("{}", ola_harness::run_experiment("fig3", true));
+        let s = EvalCache::global().stats();
+        assert_eq!(
+            (s.surrogates_built, s.surrogates_loaded, s.surrogates_missed),
+            (5, 0, 5),
+            "each one-entry record is a miss"
+        );
+        return;
+    }
+    let dir = scratch("wsqnr");
+    let store = ArtifactStore::open(&dir).unwrap();
+    // The bytes a two-entry payload re-framed to its first entry holds,
+    // under the key of every network fig3 reports.
+    let networks = ["alexnet", "vgg16", "resnet18", "resnet101", "densenet121"];
+    let keys = networks.map(|network| {
+        let synth = SynthConfig::for_network(network);
+        weight_sqnr_key(network, &SURROGATE_ZOO, &synth, &surrogate_specs(network))
+    });
+    for &key in &keys {
+        store
+            .put(
+                key,
+                &WeightSqnr {
+                    mean_db: vec![21.5],
+                },
+            )
+            .unwrap();
+    }
+    let out = Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "one_entry_weight_sqnr_records_are_recomputed"])
+        .args(["--nocapture", "--test-threads", "1"])
+        .env(FIG3_STORE_ENV, &dir)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "warm fig3 failed:\n{stderr}");
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/fig3.txt");
+    let golden = std::fs::read_to_string(golden).unwrap();
+    assert!(stdout.contains(&golden), "warm fig3 drifted:\n{stdout}");
+    for key in keys {
+        let healed = store.get::<WeightSqnr>(key).unwrap().expect("rewritten");
+        assert_eq!(healed.mean_db.len(), 2);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
